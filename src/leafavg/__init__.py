@@ -43,8 +43,6 @@ from .models import (
     LevelSetSampler,
     TorusModel,
     group_closure,
-    reynolds,
-    same_leaf,
     sample_sphere,
     sample_sphere_many,
     validate_munzner,

@@ -11,9 +11,9 @@ go through a two-stage statistical engine:
    design matrix has full column rank for generic samples).
 
 Every call returns an :class:`AveragingCertificate` carrying the operator
-identity residuals (idempotence, leaf constancy, Laplacian commutation,
-contraction slack, self-adjointness gap) plus fit diagnostics when the
-statistical engine ran.
+identity residuals (``idempotence``, ``leaf_constancy``, ``laplacian``
+commutation, ``contraction`` slack, ``selfadjoint`` gap) plus fit
+diagnostics when the statistical engine ran.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import BasisDeficient, IdentityViolation, IllConditionedFit
-from .models import IsoparametricModel, has_exact_average
+from .models import IsoparametricModel
 from .polynomials import (
     EXACT,
     FLOAT,
@@ -40,15 +40,6 @@ from .polynomials import (
 
 ENGINE_EXACT = "exact"
 ENGINE_VANDERMONDE = "vandermonde_fit"
-ENGINE_STRUCTURED = "structured_fit"
-
-IDENTITY_NAMES = (
-    "idempotence",
-    "leaf_constancy",
-    "laplacian_commutation",
-    "contraction_slack",
-    "selfadjoint_gap",
-)
 
 
 def cycle_probe(f: Polynomial) -> Polynomial:
@@ -128,7 +119,7 @@ class AveragingCertificate:
     """Record of one application of the averaging operator.
 
     Residuals measure identity violations and are all non-negative; in
-    particular ``contraction_slack`` is the amount by which the contraction
+    particular ``contraction`` is the amount by which the contraction
     inequality fails (0 whenever ``mean(f^2) >= mean([f]^2)`` holds, which
     is exact in rational mode).
     """
@@ -216,6 +207,18 @@ class IdentityReport:
 # -- exact engine ------------------------------------------------------------
 
 
+def _closed_form_identities(model, f: Polynomial, g: Polynomial, avg_f: Polynomial,
+                            avg_g: Polynomial) -> Dict[str, float]:
+    """Idempotence, self-adjointness against ``g``, contraction and Laplacian
+    commutation of a closed-form average, given ``avg_f`` and ``avg_g``."""
+    return {
+        "idempotence": sphere_norm(model.reynolds(avg_f) - avg_f),
+        "selfadjoint": abs(float(sphere_inner(avg_f, g) - sphere_inner(f, avg_g))),
+        "contraction": max(0.0, -float(sphere_mean(f * f) - sphere_mean(avg_f * avg_f))),
+        "laplacian": sphere_norm(avg_f.laplacian() - model.reynolds(f.laplacian())),
+    }
+
+
 def _certificate_exact(model, f: Polynomial, seed: int, probe: Optional[Polynomial]) -> AveragingCertificate:
     degree = f.homogeneous_degree()
     avg = model.reynolds(f)
@@ -234,14 +237,8 @@ def _certificate_exact(model, f: Polynomial, seed: int, probe: Optional[Polynomi
         leaf_constancy = max(leaf_constancy, abs(float(avg.eval(mate) - avg.eval(p))))
 
     probe = cycle_probe(f) if probe is None else probe
-    probe_avg = model.reynolds(probe)
-    residuals = {
-        "idempotence": sphere_norm(model.reynolds(avg) - avg),
-        "leaf_constancy": leaf_constancy,
-        "laplacian_commutation": sphere_norm(avg.laplacian() - model.reynolds(f.laplacian())),
-        "contraction_slack": max(0.0, -float(sphere_mean(f * f) - sphere_mean(avg * avg))),
-        "selfadjoint_gap": abs(float(sphere_inner(avg, probe) - sphere_inner(f, probe_avg))),
-    }
+    residuals = _closed_form_identities(model, f, probe, avg, model.reynolds(probe))
+    residuals["leaf_constancy"] = leaf_constancy
     return AveragingCertificate(
         model=model.describe(),
         engine=ENGINE_EXACT,
@@ -265,7 +262,7 @@ class _FitContext:
 
     def __init__(self, model: IsoparametricModel, degree: int, seed: int,
                  sample_points: Optional[int], mc_samples: Optional[int],
-                 h: Optional[float], worker_count: int = 1):
+                 h: Optional[float]):
         self.model = model
         self.degree = degree
         self.seed = seed
@@ -367,7 +364,7 @@ def _certificate_fit(
         lap_avg = _poly_from_coeffs(model.ambient_dim, lap_monomials, lap_coeffs)
     else:
         lap_avg = Polynomial.zero(model.ambient_dim, FLOAT)
-    laplacian_commutation = sphere_norm(avg.laplacian() - lap_avg)
+    laplacian = sphere_norm(avg.laplacian() - lap_avg)
 
     probe = cycle_probe(f) if probe is None else probe.to_float()
     probe_responses, _ = ctx.responses(probe)
@@ -379,14 +376,14 @@ def _certificate_fit(
     probe_avg = _poly_from_coeffs(
         model.ambient_dim, monomial_basis(model.ambient_dim, probe.homogeneous_degree()), probe_coeffs
     )
-    selfadjoint_gap = abs(sphere_inner(avg, probe) - sphere_inner(f, probe_avg))
+    selfadjoint = abs(sphere_inner(avg, probe) - sphere_inner(f, probe_avg))
 
     residuals = {
         "idempotence": idempotence,
         "leaf_constancy": leaf_constancy,
-        "laplacian_commutation": laplacian_commutation,
-        "contraction_slack": max(0.0, -(sphere_mean(f * f) - sphere_mean(avg * avg))),
-        "selfadjoint_gap": selfadjoint_gap,
+        "laplacian": laplacian,
+        "contraction": max(0.0, -(sphere_mean(f * f) - sphere_mean(avg * avg))),
+        "selfadjoint": selfadjoint,
     }
     fit = {
         "sample_count": ctx.sample_count,
@@ -432,11 +429,9 @@ def average(
     """
     if not f.is_homogeneous():
         raise ValueError("average expects a homogeneous polynomial")
-    if has_exact_average(model):
+    if model.closed_form:
         return _certificate_exact(model, f, seed, probe)
-    if isinstance(model, IsoparametricModel):
-        return _certificate_fit(model, f, seed, probe, sample_points, mc_samples, h, cond_cap)
-    raise TypeError(f"unsupported model type {type(model).__name__}")
+    return _certificate_fit(model, f, seed, probe, sample_points, mc_samples, h, cond_cap)
 
 
 def average_structured(
@@ -520,22 +515,17 @@ def verify_operator_identities(
     entries); isoparametric models statistically.
     Raises :class:`IdentityViolation` naming the worst offender.
     """
-    if has_exact_average(model):
+    if model.closed_form:
         if tol is None:
-            tolerance = 0.0 if getattr(model, "mode", EXACT) == EXACT else 1e-10
+            tolerance = 0.0 if model.mode == EXACT else 1e-10
         else:
             tolerance = tol
         avg_f = model.reynolds(f)
         avg_g = model.reynolds(g)
-        residuals = {
-            "idempotence": sphere_norm(model.reynolds(avg_f) - avg_f),
-            "selfadjoint": abs(float(sphere_inner(avg_f, g) - sphere_inner(f, avg_g))),
-            "contraction": max(0.0, -float(sphere_mean(f * f) - sphere_mean(avg_f * avg_f))),
-            "module": sphere_norm(model.reynolds(avg_f * g) - avg_f * avg_g),
-            "laplacian": sphere_norm(avg_f.laplacian() - model.reynolds(f.laplacian())),
-        }
+        residuals = _closed_form_identities(model, f, g, avg_f, avg_g)
+        residuals["module"] = sphere_norm(model.reynolds(avg_f * g) - avg_f * avg_g)
         engine = ENGINE_EXACT
-    elif isinstance(model, IsoparametricModel):
+    else:
         # statistical regime: residuals are scale-normalized by the operand
         # norms so the tolerance means the same thing for every probe
         tolerance = 0.05 if tol is None else tol
@@ -554,13 +544,11 @@ def verify_operator_identities(
             "idempotence": cert_f.residuals["idempotence"] / scale_f,
             "selfadjoint": abs(sphere_inner(avg_f, g.to_float())
                                - sphere_inner(f.to_float(), avg_g)) / (scale_f * scale_g),
-            "contraction": cert_f.residuals["contraction_slack"] / (scale_f * scale_f),
+            "contraction": cert_f.residuals["contraction"] / (scale_f * scale_f),
             "module": sphere_norm(module_cert.average_poly - avg_f * avg_g) / (scale_f * scale_g),
-            "laplacian": cert_f.residuals["laplacian_commutation"] / scale_lap,
+            "laplacian": cert_f.residuals["laplacian"] / scale_lap,
         }
         engine = ENGINE_VANDERMONDE
-    else:
-        raise TypeError(f"unsupported model type {type(model).__name__}")
 
     worst = max(residuals, key=lambda k: residuals[k])
     passed = residuals[worst] <= tolerance

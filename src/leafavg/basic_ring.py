@@ -35,7 +35,7 @@ from .errors import (
     ScalarModeMismatch,
 )
 from .exactlinalg import primitive_integer_row, rref
-from .models import FiniteGroupModel, IsoparametricModel, has_exact_average
+from .models import FiniteGroupModel
 from .polynomials import (
     EXACT,
     FLOAT,
@@ -44,6 +44,7 @@ from .polynomials import (
     moment_table,
     monomial_basis,
     parse_polynomial,
+    rationalize,
     sphere_inner,
     sphere_norm,
 )
@@ -141,12 +142,8 @@ class SubspaceBasis:
         if self.mode == EXACT:
             return sphere_norm(project_residual(p.to_exact(), self.ortho_polys, self.norms_sq))
         gram = _gram_matrix(self.ambient_dim, self.monomials)
-        vec = np.array([float(c) for c in poly_to_vector(p.to_float(), self.monomials)])
-        if self.rows is None or self.rows.shape[0] == 0:
-            res = vec
-        else:
-            coords = self.rows @ (gram @ vec)
-            res = vec - self.rows.T @ coords
+        rows = self.rows if self.rows is not None else np.zeros((0, len(self.monomials)))
+        res = _float_remainders(_coefficient_rows([p], self.monomials), rows, gram)[0]
         return float(np.sqrt(max(res @ gram @ res, 0.0)))
 
 
@@ -182,6 +179,22 @@ def _orthonormal_rows(
         )
     rows = vt[:rank] @ np.linalg.inv(chol)
     return rows, sing
+
+
+def _coefficient_rows(polys: Sequence[Polynomial], monomials: Sequence[tuple]) -> np.ndarray:
+    """Float coefficient vectors of ``polys`` over ``monomials``, one row each."""
+    return np.array(
+        [[float(c) for c in poly_to_vector(p.to_float(), monomials)] for p in polys]
+    ).reshape(len(polys), len(monomials))
+
+
+def _float_remainders(rows: np.ndarray, span: np.ndarray, gram: np.ndarray) -> np.ndarray:
+    """``rows`` minus their ``gram``-orthogonal projection onto the row space
+    of ``span`` (rank cut at 1e-10 on the sphere-norm scale)."""
+    span_rows, _ = _orthonormal_rows(span, gram, 1e-10)
+    if span_rows.shape[0] == 0:
+        return rows
+    return rows - rows @ gram @ span_rows.T @ span_rows
 
 
 def _float_rref_rows(rows: np.ndarray, pivot_frac: float = 0.1) -> np.ndarray:
@@ -237,8 +250,8 @@ def basic_subspace(
         raise ValueError("degree must be at least 1")
     monomials = tuple(monomial_basis(model.ambient_dim, degree))
 
-    if has_exact_average(model):
-        mode = getattr(model, "mode", EXACT)
+    if model.closed_form:
+        mode = model.mode
         averaged = [
             model.reynolds(Polynomial.monomial(model.ambient_dim, expo, 1, mode))
             for expo in monomials
@@ -270,9 +283,6 @@ def basic_subspace(
             singular_values=list(map(float, sing)),
             tol_rank=tol_rank,
         )
-
-    if not isinstance(model, IsoparametricModel):
-        raise TypeError(f"unsupported model type {type(model).__name__}")
 
     ctx = _FitContext(model, degree, seed, sample_points, mc_samples, h)
     design = ctx.design(ctx.monomials)
@@ -475,11 +485,7 @@ def _sparsify_float(
     out = []
     for row in reduced:
         poly = vector_to_poly([float(c) for c in row], monomials, ambient_dim, FLOAT)
-        rational = Polynomial(
-            ambient_dim,
-            {e: Fraction(c).limit_denominator(max_denominator) for e, c in poly.terms.items()},
-            EXACT,
-        ).to_float()
+        rational = rationalize(poly, max_denominator)[0].to_float()
         scale = max(sphere_norm(poly), 1e-30)
         if sphere_norm(rational - poly) / scale <= clean_tol and basis.residual(rational) / scale <= clean_tol:
             poly = rational
@@ -507,7 +513,7 @@ def discover_generators(
     """
     if degree_cap < 1:
         raise ValueError("degree_cap must be at least 1")
-    exact = has_exact_average(model) and getattr(model, "mode", EXACT) == EXACT
+    exact = model.closed_form and model.mode == EXACT
     generators: List[Polynomial] = []
     degrees: List[int] = []
     dims: Dict[int, int] = {}
@@ -540,20 +546,8 @@ def discover_generators(
             new_polys = _sparsify_exact(ortho_new, basis.monomials)
         else:
             gram = _gram_matrix(model.ambient_dim, basis.monomials)
-            basis_rows = basis.rows
-            if products:
-                prod_matrix = np.array([
-                    [float(c) for c in poly_to_vector(p.to_float(), basis.monomials)]
-                    for _, p in products
-                ])
-                prod_rows, _ = _orthonormal_rows(prod_matrix, gram, 1e-10)
-            else:
-                prod_rows = np.zeros((0, len(basis.monomials)))
-            if prod_rows.shape[0]:
-                coords = basis_rows @ gram @ prod_rows.T
-                remainders = basis_rows - coords @ prod_rows
-            else:
-                remainders = basis_rows
+            prod_matrix = _coefficient_rows([p for _, p in products], basis.monomials)
+            remainders = _float_remainders(basis.rows, prod_matrix, gram)
             new_rows, _ = _orthonormal_rows(remainders, gram, tol_rank)
             if new_rows.shape[0] == 0:
                 continue
@@ -634,7 +628,7 @@ def verify_generation(
     reports the worst residual per degree.  Raises :class:`GenerationGap`
     (with the report attached) when some degree exceeds the tolerance.
     """
-    exact = has_exact_average(model) and getattr(model, "mode", EXACT) == EXACT
+    exact = model.closed_form and model.mode == EXACT
     if tol is None:
         tol = 0.0 if exact else 5e-2
     residuals: Dict[int, float] = {}
@@ -653,25 +647,13 @@ def verify_generation(
                 model, d, tol_rank=tol_rank, seed=degree_seed,
                 sample_points=sample_points, mc_samples=mc_samples, h=h,
             )
-            monomials = basis.monomials
-            gram = _gram_matrix(model.ambient_dim, monomials)
-            if products:
-                prod_matrix = np.array([
-                    [float(c) for c in poly_to_vector(p.to_float(), monomials)]
-                    for p in products
-                ])
-                prod_rows, _ = _orthonormal_rows(prod_matrix, gram, 1e-10)
-            else:
-                prod_rows = np.zeros((0, len(monomials)))
-            worst = 0.0
-            for row in (basis.rows if basis.rows is not None else []):
-                if prod_rows.shape[0]:
-                    coords = prod_rows @ (gram @ row)
-                    res = row - prod_rows.T @ coords
-                else:
-                    res = row
-                worst = max(worst, float(np.sqrt(max(res @ gram @ res, 0.0))))
-            residuals[d] = worst
+            gram = _gram_matrix(model.ambient_dim, basis.monomials)
+            remainders = _float_remainders(
+                basis.rows, _coefficient_rows(products, basis.monomials), gram
+            )
+            residuals[d] = max(
+                (float(np.sqrt(max(res @ gram @ res, 0.0))) for res in remainders), default=0.0
+            )
     report = GenerationReport(max_residual_by_degree=residuals, tolerance=tol)
     if report.gaps():
         raise GenerationGap(report.gaps(), report=report)

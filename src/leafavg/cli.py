@@ -100,7 +100,13 @@ def model_from_config(cfg: dict):
         kind = cfg["kind"]
     except KeyError:
         raise ConfigError("model section needs a 'kind'") from None
+    try:
+        return _build_model(kind, cfg)
+    except KeyError as err:
+        raise ConfigError(f"{kind} model section needs {err}") from None
 
+
+def _build_model(kind: str, cfg: dict):
     if kind == "finite_group":
         ambient_dim = int(cfg["ambient_dim"])
         mode = cfg.get("mode")
@@ -181,7 +187,10 @@ def _require_seed(params: dict, override: Optional[int]) -> int:
         return int(override)
     if "seed" not in params:
         raise ConfigError("a seed is mandatory for stochastic tasks (params.seed or --seed)")
-    return int(params["seed"])
+    try:
+        return int(params["seed"])
+    except (TypeError, ValueError):
+        raise ConfigError(f"params.seed must be an integer, got {params['seed']!r}") from None
 
 
 def _write_json(payload: dict, path: Path):
@@ -243,8 +252,7 @@ def task_avg(config: RunConfig, out_dir: Path, seed: Optional[int]) -> int:
     run_seed = _require_seed(params, seed)
     if "f" not in params:
         raise ConfigError("avg task needs params.f (polynomial text)")
-    mode = getattr(model, "mode", EXACT)
-    f = parse_polynomial(params["f"], model.ambient_dim, mode)
+    f = parse_polynomial(params["f"], model.ambient_dim, model.mode)
     if not f.is_homogeneous():
         raise ConfigError("avg task expects a homogeneous polynomial")
     cert = average(
@@ -256,7 +264,7 @@ def task_avg(config: RunConfig, out_dir: Path, seed: Optional[int]) -> int:
         h=params.get("h"),
     )
     payload = cert.to_dict()
-    if ("generators" in params or "generators_file" in params) and isinstance(model, IsoparametricModel):
+    if ("generators" in params or "generators_file" in params) and not model.closed_form:
         gens = _load_generators(config, model)
         structured = average_structured(
             model,
@@ -329,8 +337,7 @@ def task_verify(config: RunConfig, out_dir: Path, seed: Optional[int]) -> int:
     checks = []
 
     # membership: every generator must be fixed by averaging
-    from .models import has_exact_average
-    exact_engine = has_exact_average(model) and getattr(model, "mode", EXACT) == EXACT
+    exact_engine = model.closed_form and model.mode == EXACT
     tol_basic = float(params.get("basic_tol", 1e-9 if exact_engine else 5e-2))
     for i, gen in enumerate(gens.generators):
         cert = average(
@@ -365,7 +372,7 @@ def task_verify(config: RunConfig, out_dir: Path, seed: Optional[int]) -> int:
     num_probes = int(params.get("num_probes", 3))
     probe_degree = int(params.get("probe_degree", 2))
     rng = np.random.default_rng(run_seed)
-    mode = getattr(model, "mode", EXACT)
+    mode = model.mode
     from .polynomials import monomial_basis  # local import to keep module top tidy
 
     for n in range(num_probes):

@@ -103,7 +103,7 @@ class InsufficientDistinctPairs(LeafavgError):
 
 
 class ConfigError(LeafavgError, ValueError):
-    """Run configuration is malformed."""
+    """Run configuration, or a model's constructor input, is malformed."""
 
 
 class DegreeCapWarning(UserWarning):

@@ -47,10 +47,6 @@ def rref(rows: Sequence[Sequence[Fraction]]) -> Tuple[List[List[Fraction]], List
     return mat[:r], pivots
 
 
-def rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    return len(rref(rows)[0])
-
-
 def primitive_integer_row(row: Sequence[Fraction]) -> List[int]:
     """Scale a rational row to coprime integers with positive leading entry."""
     row = [Fraction(x) for x in row]

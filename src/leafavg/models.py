@@ -1,8 +1,11 @@
 """Concrete foliation models of round spheres and their dilation cones.
 
-Three families are implemented, each exposing the same two capabilities:
-an exact or statistical leaf average for polynomials, and a same-leaf
-predicate for point pairs.
+Three families are implemented, each with the same members: ``mode`` (the
+scalar mode of its averages), ``closed_form`` (True when ``reynolds`` gives
+the leaf average in closed form, False when it must be estimated),
+``same_leaf``, ``random_leaf_mate``, ``quotient_distance`` (a cheap proxy for
+the distance between two leaves), and ``leaf_label_names`` with
+``leaf_labels`` (leaf-invariant values for exported point tables).
 
 * :class:`FiniteGroupModel` -- orbits of a finite orthogonal matrix group.
 * :class:`TorusModel` -- orbit closures of a torus acting by rotations on
@@ -13,7 +16,7 @@ predicate for point pairs.
 
 Group and torus leaf averages are closed-form (Reynolds-style) and exact in
 rational mode.  The isoparametric estimator is seeded and bitwise
-reproducible for a fixed ``(seed, worker_count)``.
+reproducible for a fixed seed.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import (
+    ConfigError,
     DimensionMismatch,
     EffectiveSampleTooSmall,
     GroupTooLarge,
@@ -197,6 +201,8 @@ class FiniteGroupModel:
     """
 
     kind = "finite_group"
+    closed_form = True
+    leaf_label_names = ()
 
     def __init__(self, ambient_dim: int, elements, generators, mode: str, name: str = ""):
         self.ambient_dim = ambient_dim
@@ -247,6 +253,17 @@ class FiniteGroupModel:
         p = tuple(p)
         return [_mat_vec(g, p) for g in self.elements]
 
+    def quotient_distance(self, p, q) -> float:
+        """Distance from ``q`` to the nearest point of the orbit of ``p``."""
+        q = [float(x) for x in q]
+        return min(
+            math.sqrt(sum((float(x) - y) ** 2 for x, y in zip(image, q)))
+            for image in self.orbit(p)
+        )
+
+    def leaf_labels(self, p) -> List[float]:
+        return []
+
     def random_leaf_mate(self, p, rng: np.random.Generator):
         g = self.elements[int(rng.integers(self.order))]
         return _mat_vec(g, tuple(p))
@@ -269,9 +286,9 @@ def group_closure(
     """
     generators = list(generators)
     if not generators:
-        raise ValueError("at least one generator is required")
+        raise ConfigError("at least one generator is required")
     if max_group_size < 1:
-        raise ValueError("max_group_size must be positive")
+        raise ConfigError("max_group_size must be positive")
     ambient_dim = len(generators[0])
     if mode is None:
         mode = _infer_mode(generators)
@@ -371,16 +388,17 @@ class TorusModel:
     """
 
     kind = "torus"
+    closed_form = True
 
     def __init__(self, weight_matrix, n_fix: int = 0, name: str = ""):
         rows = [tuple(int(x) for x in row) for row in weight_matrix]
         if not rows:
-            raise ValueError("weight matrix needs at least one row (one plane)")
+            raise ConfigError("weight matrix needs at least one row (one plane)")
         width = len(rows[0])
         if width < 1 or any(len(r) != width for r in rows):
-            raise ValueError("weight matrix rows must share a positive length")
+            raise ConfigError("weight matrix rows must share a positive length")
         if n_fix < 0:
-            raise ValueError("n_fix must be non-negative")
+            raise ConfigError("n_fix must be non-negative")
         self.weight_matrix = tuple(rows)
         self.n_planes = len(rows)
         self.torus_rank = width
@@ -388,6 +406,7 @@ class TorusModel:
         self.ambient_dim = 2 * self.n_planes + n_fix
         self.mode = EXACT  # integer weights; averages of exact input are exact
         self.name = name or f"torus(weights={rows}, n_fix={n_fix})"
+        self.leaf_label_names = tuple(f"radius_{j + 1}" for j in range(self.n_planes))
 
     def describe(self) -> str:
         return self.name
@@ -456,9 +475,29 @@ class TorusModel:
 
     # -- leaves ------------------------------------------------------------
 
-    def _split(self, p):
-        planes = [(p[2 * j], p[2 * j + 1]) for j in range(self.n_planes)]
-        return planes, tuple(p[2 * self.n_planes:])
+    def leaf_labels(self, p) -> List[float]:
+        """Plane radii, constant on every leaf."""
+        return [math.hypot(float(p[2 * j]), float(p[2 * j + 1])) for j in range(self.n_planes)]
+
+    def _phase_gaps(self, p, q, radii_p, radii_q, floor: float):
+        """Phase-lattice test of the planes where both radii exceed ``floor``.
+
+        Yields ``(gap, weight)`` for each vector ``v`` of the saturated
+        integer kernel of those planes' weight rows: ``gap`` is the phase
+        combination ``v . (arg q - arg p)`` wrapped to ``[0, pi]``, zero on a
+        common orbit closure, and ``weight = max(1, |v|_1)``.
+        """
+        active = [j for j in range(self.n_planes) if radii_p[j] > floor and radii_q[j] > floor]
+        if not active:
+            return
+        phases = [
+            math.atan2(float(q[2 * j + 1]), float(q[2 * j]))
+            - math.atan2(float(p[2 * j + 1]), float(p[2 * j]))
+            for j in active
+        ]
+        for vec in integer_left_kernel([self.weight_matrix[j] for j in active]):
+            total = sum(v * phi for v, phi in zip(vec, phases))
+            yield abs(math.remainder(total, _TWO_PI)), max(1, sum(abs(v) for v in vec))
 
     def same_leaf(self, p, q, tol: float) -> bool:
         """Orbit-closure test: radii, fixed coordinates, and phase lattice.
@@ -471,31 +510,33 @@ class TorusModel:
         q = tuple(q)
         if len(p) != self.ambient_dim or len(q) != self.ambient_dim:
             raise DimensionMismatch("point dimension does not match torus model")
-        planes_p, fixed_p = self._split(p)
-        planes_q, fixed_q = self._split(q)
-        for x, y in zip(fixed_p, fixed_q):
+        m = 2 * self.n_planes
+        for x, y in zip(p[m:], q[m:]):
             if abs(float(x) - float(y)) > tol:
                 return False
-        radii_p = [math.hypot(float(x), float(y)) for x, y in planes_p]
-        radii_q = [math.hypot(float(x), float(y)) for x, y in planes_q]
+        radii_p = self.leaf_labels(p)
+        radii_q = self.leaf_labels(q)
         for rp, rq in zip(radii_p, radii_q):
             if abs(rp - rq) > tol:
                 return False
-        active = [j for j in range(self.n_planes) if radii_p[j] > tol and radii_q[j] > tol]
-        if not active:
-            return True
-        phases = []
-        for j in active:
-            xp, yp = (float(v) for v in planes_p[j])
-            xq, yq = (float(v) for v in planes_q[j])
-            phases.append(math.atan2(yq, xq) - math.atan2(yp, xp))
-        sub = [self.weight_matrix[j] for j in active]
-        for vec in integer_left_kernel(sub):
-            total = sum(v * phi for v, phi in zip(vec, phases))
-            wrapped = math.remainder(total, _TWO_PI)
-            if abs(wrapped) > tol * max(1, sum(abs(v) for v in vec)):
-                return False
-        return True
+        return all(gap <= tol * weight for gap, weight in self._phase_gaps(p, q, radii_p, radii_q, tol))
+
+    def quotient_distance(self, p, q) -> float:
+        """Larger of the radial distance and the worst weighted phase gap."""
+        p = tuple(p)
+        q = tuple(q)
+        radii_p = self.leaf_labels(p)
+        radii_q = self.leaf_labels(q)
+        m = 2 * self.n_planes
+        radial = math.sqrt(
+            sum((rp - rq) ** 2 for rp, rq in zip(radii_p, radii_q))
+            + sum((float(x) - float(y)) ** 2 for x, y in zip(p[m:], q[m:]))
+        )
+        phase = max(
+            (gap / weight for gap, weight in self._phase_gaps(p, q, radii_p, radii_q, 1e-9)),
+            default=0.0,
+        )
+        return max(radial, phase)
 
     def _rational_rotation(self, tau: Fraction):
         den = 1 + tau * tau
@@ -591,28 +632,18 @@ class LevelSetSampler:
 
     Caches the sample points, the level values and the tangential gradient
     norm, so that averaging many polynomials over many levels costs one
-    polynomial evaluation per polynomial.  Samples are drawn in
-    ``worker_count`` chunks with independently derived seeds and concatenated
-    in chunk order, which makes results bitwise reproducible for a fixed
-    ``(seed, worker_count)``.
+    polynomial evaluation per polynomial.  Samples come from the first child
+    of ``SeedSequence(seed)``, which makes results bitwise reproducible for a
+    fixed seed.
     """
 
-    def __init__(self, model: "IsoparametricModel", seed, count: int, worker_count: int = 1):
-        if worker_count < 1:
-            raise ValueError("worker_count must be positive")
+    def __init__(self, model: "IsoparametricModel", seed, count: int):
         self.model = model
         self.seed = seed
         self.count = count
-        self.worker_count = worker_count
-        chunk = count // worker_count
-        sizes = [chunk + (1 if i < count % worker_count else 0) for i in range(worker_count)]
         root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-        seeds = root.spawn(worker_count)
-        parts = [
-            sample_sphere_many(size, model.ambient_dim, np.random.default_rng(s))
-            for size, s in zip(sizes, seeds)
-        ]
-        self.points = np.concatenate(parts, axis=0)
+        rng = np.random.default_rng(root.spawn(1)[0])
+        self.points = sample_sphere_many(count, model.ambient_dim, rng)
         self.level_values = model.F.eval_many(self.points)
         self.grad_norms = model.g * np.sqrt(np.clip(1.0 - self.level_values ** 2, 0.0, None))
 
@@ -669,6 +700,8 @@ class IsoparametricModel:
     """
 
     kind = "isoparametric"
+    closed_form = False
+    leaf_label_names = ("level",)
 
     def __init__(
         self,
@@ -684,7 +717,7 @@ class IsoparametricModel:
         name: str = "",
     ):
         if not 0.0 < h < 1.0:
-            raise ValueError("bandwidth h must lie in (0, 1)")
+            raise ConfigError("bandwidth h must lie in (0, 1)")
         self.F = F
         self.g = g
         self.c = validate_munzner(F, g, tol=munzner_tol)
@@ -711,13 +744,13 @@ class IsoparametricModel:
                     [float(x) for x in row] for row in gmat
                 ])
                 if (pulled - self.F.to_float()).max_abs_coeff() > 1e-8:
-                    raise ValueError("configured symmetry does not preserve the level polynomial")
+                    raise ConfigError("configured symmetry does not preserve the level polynomial")
         elif isinstance(symmetry, TorusModel):
             averaged = symmetry.reynolds(self.F.to_exact())
             if averaged != self.F.to_exact():
-                raise ValueError("configured symmetry does not preserve the level polynomial")
+                raise ConfigError("configured symmetry does not preserve the level polynomial")
         else:
-            raise TypeError("symmetry must be a finite-group or torus model")
+            raise ConfigError("symmetry must be a finite-group or torus model")
 
     # -- leaves ------------------------------------------------------------
 
@@ -728,6 +761,12 @@ class IsoparametricModel:
 
     def level_of(self, p) -> float:
         return float(self.F.eval([float(x) for x in p]))
+
+    def quotient_distance(self, p, q) -> float:
+        return abs(self.level_of(p) - self.level_of(q))
+
+    def leaf_labels(self, p) -> List[float]:
+        return [self.level_of(p)]
 
     def same_leaf(self, p, q, tol: Optional[float] = None) -> bool:
         """Level predicate ``|F(p) - F(q)| < tol`` for unit-sphere points."""
@@ -748,8 +787,8 @@ class IsoparametricModel:
 
     # -- estimation --------------------------------------------------------
 
-    def sampler(self, seed: int, count: Optional[int] = None, worker_count: int = 1) -> LevelSetSampler:
-        return LevelSetSampler(self, seed, count or self.sample_count, worker_count)
+    def sampler(self, seed: int, count: Optional[int] = None) -> LevelSetSampler:
+        return LevelSetSampler(self, seed, count or self.sample_count)
 
     def leaf_average_mc(
         self,
@@ -759,7 +798,6 @@ class IsoparametricModel:
         *,
         n: Optional[int] = None,
         h: Optional[float] = None,
-        worker_count: int = 1,
         min_ess: Optional[float] = None,
     ) -> Tuple[float, float]:
         """Monte Carlo leaf average of ``f`` through ``p`` with jackknife SE.
@@ -776,7 +814,7 @@ class IsoparametricModel:
             raise NearSingularLeaf(
                 f"level {level:.6f} within bandwidth {h} of a focal level"
             )
-        sampler = self.sampler(rng_seed, n, worker_count)
+        sampler = self.sampler(rng_seed, n)
         return sampler.leaf_average(f, level, h=h, min_ess=min_ess)
 
     def fit_points(self, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -791,21 +829,3 @@ class IsoparametricModel:
                 out.append(keep[:need])
                 need -= len(out[-1])
         return np.concatenate(out, axis=0)
-
-
-FoliationModel = (FiniteGroupModel, TorusModel, IsoparametricModel)
-
-
-def reynolds(model, f: Polynomial) -> Polynomial:
-    """Closed-form leaf average for the homogeneous (group/torus) models."""
-    if isinstance(model, (FiniteGroupModel, TorusModel)):
-        return model.reynolds(f)
-    raise TypeError(f"{type(model).__name__} has no closed-form average; use the fit engine")
-
-
-def same_leaf(model, p, q, tol: float) -> bool:
-    return model.same_leaf(p, q, tol)
-
-
-def has_exact_average(model) -> bool:
-    return isinstance(model, (FiniteGroupModel, TorusModel))

@@ -519,7 +519,6 @@ def parse_polynomial(text: str, ambient_dim: int, mode: str = EXACT) -> Polynomi
 
     terms: Dict[ExponentVector, object] = {}
     i = 0
-    first = True
     while i < len(tokens):
         sign = 1
         # leading sign(s)
@@ -527,11 +526,8 @@ def parse_polynomial(text: str, ambient_dim: int, mode: str = EXACT) -> Polynomi
             if tokens[i][1] == "-":
                 sign = -sign
             i += 1
-            first = False
         if i >= len(tokens):
             raise PolynomialParseError("dangling sign", text, tokens[-1][2])
-        if not first and sign == 1 and tokens[i - 1][1] not in "+-":
-            raise PolynomialParseError("missing operator between terms", text, tokens[i][2])
 
         coeff = Fraction(sign)
         expo = [0] * ambient_dim
@@ -540,6 +536,8 @@ def parse_polynomial(text: str, ambient_dim: int, mode: str = EXACT) -> Polynomi
             kind, value, pos = tokens[i]
             if kind == "op" and value in "+-" and not expect_factor:
                 break
+            if kind in ("num", "var") and not expect_factor:
+                raise PolynomialParseError("missing '*' between factors", text, pos)
             if kind == "num":
                 frac = Fraction(value)
                 i += 1
@@ -548,7 +546,10 @@ def parse_polynomial(text: str, ambient_dim: int, mode: str = EXACT) -> Polynomi
                     i += 1
                     if i >= len(tokens) or tokens[i][0] != "num":
                         raise PolynomialParseError("expected denominator", text, pos)
-                    frac = frac / Fraction(tokens[i][1])
+                    den = Fraction(tokens[i][1])
+                    if den == 0:
+                        raise PolynomialParseError("zero denominator", text, tokens[i][2])
+                    frac = frac / den
                     i += 1
                 coeff = coeff * frac
             elif kind == "var":
@@ -566,7 +567,7 @@ def parse_polynomial(text: str, ambient_dim: int, mode: str = EXACT) -> Polynomi
                     power = int(tokens[i][1])
                     i += 1
                 expo[index] += power
-            elif kind == "op" and value == "*":
+            elif kind == "op" and value == "*" and not expect_factor:
                 i += 1
                 expect_factor = True
                 continue
@@ -578,7 +579,6 @@ def parse_polynomial(text: str, ambient_dim: int, mode: str = EXACT) -> Polynomi
 
         key = tuple(expo)
         terms[key] = terms.get(key, Fraction(0)) + coeff
-        first = False
 
     if mode == FLOAT:
         terms = {e: float(c) for e, c in terms.items()}

@@ -18,13 +18,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import DimensionMismatch, InsufficientDistinctPairs
-from .exactlinalg import integer_left_kernel
-from .models import (
-    FiniteGroupModel,
-    IsoparametricModel,
-    TorusModel,
-    sample_sphere_many,
-)
+from .models import sample_sphere_many
 from .polynomials import EXACT
 
 _PROXY_BINS = (1e-3, 1e-2, 1e-1)
@@ -42,47 +36,6 @@ def rho_eval(gens, point) -> tuple:
 
 def _rho_distance(a: Sequence, b: Sequence) -> float:
     return math.sqrt(sum((float(x) - float(y)) ** 2 for x, y in zip(a, b)))
-
-
-def _quotient_proxy(model, p, q) -> float:
-    """Cheap lower-bound style proxy for the quotient distance of two points."""
-    if isinstance(model, FiniteGroupModel):
-        best = float("inf")
-        q_float = [float(x) for x in q]
-        for image in model.orbit(p):
-            dist = math.sqrt(sum((float(x) - y) ** 2 for x, y in zip(image, q_float)))
-            best = min(best, dist)
-        return best
-    if isinstance(model, TorusModel):
-        planes_p, fixed_p = model._split(tuple(p))
-        planes_q, fixed_q = model._split(tuple(q))
-        radial = 0.0
-        radii = []
-        for (xp, yp), (xq, yq) in zip(planes_p, planes_q):
-            rp = math.hypot(float(xp), float(yp))
-            rq = math.hypot(float(xq), float(yq))
-            radial += (rp - rq) ** 2
-            radii.append(min(rp, rq))
-        radial += sum((float(x) - float(y)) ** 2 for x, y in zip(fixed_p, fixed_q))
-        radial = math.sqrt(radial)
-        active = [j for j, r in enumerate(radii) if r > 1e-9]
-        phase = 0.0
-        if active:
-            phases = []
-            for j in active:
-                xp, yp = (float(v) for v in planes_p[j])
-                xq, yq = (float(v) for v in planes_q[j])
-                phases.append(math.atan2(yq, xq) - math.atan2(yp, xp))
-            sub = [model.weight_matrix[j] for j in active]
-            for vec in integer_left_kernel(sub):
-                total = sum(v * phi for v, phi in zip(vec, phases))
-                wrapped = abs(math.remainder(total, 2.0 * math.pi))
-                weight = max(1, sum(abs(v) for v in vec))
-                phase = max(phase, wrapped / weight)
-        return max(radial, phase)
-    if isinstance(model, IsoparametricModel):
-        return abs(model.level_of(p) - model.level_of(q))
-    return float("nan")
 
 
 @dataclass
@@ -184,10 +137,9 @@ def separation_test(
     if num_pairs < 1:
         raise ValueError("num_pairs must be at least 1")
     rng = np.random.default_rng(rng_seed)
-    exact = getattr(model, "mode", EXACT) == EXACT and gens.mode == EXACT \
-        and not isinstance(model, IsoparametricModel)
+    exact = model.closed_form and model.mode == EXACT and gens.mode == EXACT
     if same_leaf_tol is None:
-        same_leaf_tol = model.tol_level if isinstance(model, IsoparametricModel) else 1e-9
+        same_leaf_tol = 1e-9 if model.closed_form else model.tol_level
 
     notes: List[str] = []
     failures: List[dict] = []
@@ -195,8 +147,7 @@ def separation_test(
     # same-leaf side
     max_same = 0.0
     num_same = 0
-    iso_without_symmetry = isinstance(model, IsoparametricModel) and model.symmetry is None
-    if iso_without_symmetry:
+    if not model.closed_form and model.symmetry is None:
         notes.append(
             "no leaf-transitive symmetry configured; same-leaf pairs skipped "
             "(same-leaf testing degenerates to the level predicate)"
@@ -259,10 +210,11 @@ def separation_test(
             f"found only {sampled} distinct-leaf pairs in {attempts} attempts"
         )
 
+    proxies = [model.quotient_distance(p, q) for p, q, _ in distinct]
     margin_by_proxy = {}
     for threshold in _PROXY_BINS:
         eligible = [
-            dist for p, q, dist in distinct if _quotient_proxy(model, p, q) >= threshold
+            dist for (_, _, dist), proxy in zip(distinct, proxies) if proxy >= threshold
         ]
         if eligible:
             margin_by_proxy[f">={threshold:g}"] = min(eligible)
@@ -308,15 +260,10 @@ def quotient_image_export(
     rng = np.random.default_rng(rng_seed)
     points = sample_sphere_many(num_samples, dim, rng) if num_samples > 0 else np.zeros((0, dim))
 
-    label_names: List[str] = []
-    if isinstance(model, IsoparametricModel):
-        label_names = ["level"]
-    elif isinstance(model, TorusModel):
-        label_names = [f"radius_{j + 1}" for j in range(model.n_planes)]
-
     header = [f"x{i + 1}" for i in range(dim)]
     header += [f"rho{i + 1}" for i in range(len(gens.generators))]
-    header += label_names
+    if model is not None:
+        header += model.leaf_label_names
 
     float_gens = [p.to_float() for p in gens.generators]
     with open(path, "w", newline="") as handle:
@@ -326,10 +273,7 @@ def quotient_image_export(
             point = [float(x) for x in row]
             record = [repr(x) for x in point]
             record += [repr(float(p.eval(point))) for p in float_gens]
-            if isinstance(model, IsoparametricModel):
-                record.append(repr(model.level_of(point)))
-            elif isinstance(model, TorusModel):
-                planes, _ = model._split(tuple(point))
-                record += [repr(math.hypot(x, y)) for x, y in planes]
+            if model is not None:
+                record += [repr(x) for x in model.leaf_labels(point)]
             writer.writerow(record)
     return int(points.shape[0])

@@ -189,6 +189,18 @@ def test_missing_seed_is_config_error(tmp_path):
     assert main(["generators", "--config", str(config), "--out", str(out)]) == 1
 
 
+@pytest.mark.parametrize("model, params", [
+    ({"kind": "torus", "weight_matrix": [[1], [1]]}, {"seed": "abc", "D": 2}),
+    ({"kind": "finite_group", "ambient_dim": 2}, {"seed": 1, "D": 2}),
+    ({"kind": "isoparametric", "ambient_dim": 4, "F": "x1^2 + x2^2 - x3^2 - x4^2",
+      "g": 2, "h": 1.5}, {"seed": 1, "D": 2}),
+    ({"kind": "torus", "weight_matrix": []}, {"seed": 1, "D": 2}),
+], ids=["seed_not_int", "group_without_generators", "bandwidth_above_1", "empty_weights"])
+def test_malformed_config_exits_1(tmp_path, model, params):
+    config = write_config(tmp_path / "run.json", {"name": "bad", "model": model, "params": params})
+    assert main(["generators", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+
+
 def test_missing_config_is_error(tmp_path):
     assert main(["avg", "--out", str(tmp_path)]) == 1
 

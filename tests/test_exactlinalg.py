@@ -3,7 +3,6 @@ from fractions import Fraction
 from leafavg.exactlinalg import (
     integer_left_kernel,
     primitive_integer_row,
-    rank,
     rref,
 )
 
@@ -24,7 +23,7 @@ def test_rref_dependent_rows():
     reduced, pivots = rref(rows)
     assert len(reduced) == 2
     assert pivots == [0, 1]
-    assert rank(rows) == 2
+    assert len(rref(rows)[0]) == 2
 
 
 def test_primitive_integer_row():

@@ -312,19 +312,19 @@ def test_leaf_average_small_sample_guard(iso_g2_model):
 def test_leaf_average_bitwise_reproducible(iso_g2_model):
     p = sample_sphere(4, 9)
     f = parse_polynomial("x1^2", 4)
-    a = iso_g2_model.leaf_average_mc(f, p, rng_seed=7, n=50_000, worker_count=3)
-    b = iso_g2_model.leaf_average_mc(f, p, rng_seed=7, n=50_000, worker_count=3)
+    a = iso_g2_model.leaf_average_mc(f, p, rng_seed=7, n=50_000)
+    b = iso_g2_model.leaf_average_mc(f, p, rng_seed=7, n=50_000)
     assert a == b
-    c = iso_g2_model.leaf_average_mc(f, p, rng_seed=8, n=50_000, worker_count=3)
+    c = iso_g2_model.leaf_average_mc(f, p, rng_seed=8, n=50_000)
     assert a != c
 
 
 def test_sampler_reuse_matches_direct_call(iso_g2_model):
-    sampler = LevelSetSampler(iso_g2_model, 7, 50_000, worker_count=3)
+    sampler = LevelSetSampler(iso_g2_model, 7, 50_000)
     f = parse_polynomial("x1^2", 4)
     p = sample_sphere(4, 9)
     level = iso_g2_model.level_of(p)
-    direct = iso_g2_model.leaf_average_mc(f, p, rng_seed=7, n=50_000, worker_count=3)
+    direct = iso_g2_model.leaf_average_mc(f, p, rng_seed=7, n=50_000)
     assert sampler.leaf_average(f, level) == direct
 
 

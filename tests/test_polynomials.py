@@ -239,6 +239,12 @@ def test_parse_errors():
         parse_polynomial("x1^x2", 2)
     with pytest.raises(PolynomialParseError):
         parse_polynomial("", 2)
+    with pytest.raises(PolynomialParseError):
+        parse_polynomial("x1 x2", 2)
+    with pytest.raises(PolynomialParseError):
+        parse_polynomial("x1 + * x2", 2)
+    with pytest.raises(PolynomialParseError):
+        parse_polynomial("2/0 * x1", 2)
 
 
 def test_format_is_graded_lex():

@@ -15,6 +15,7 @@ from .errors import (
     InsufficientDistinctPairs,
     LeafavgError,
     NearSingularLeaf,
+    NonFiniteCoefficient,
     NonOrthogonalGenerator,
     NotCartanMunzner,
     OffSphere,

@@ -67,6 +67,19 @@ BUNDLED_CONFIGS = (
 
 # -- config parsing -----------------------------------------------------------
 
+_REQUIRED = object()
+
+
+def _number(section: dict, key: str, kind=int, default=_REQUIRED):
+    """``section[key]`` (``default`` when absent and given) as ``kind``,
+    ``int`` or ``float``; a :class:`ConfigError` when it is not one."""
+    value = section[key] if default is _REQUIRED else section.get(key, default)
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        expected = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{key} must be {expected}, got {value!r}") from None
+
 
 def _parse_entry(value, mode: str):
     if mode == EXACT:
@@ -74,10 +87,12 @@ def _parse_entry(value, mode: str):
             raise ConfigError(f"boolean matrix entry {value!r}")
         if isinstance(value, float):
             raise ConfigError(f"float entry {value!r} in an exact matrix; quote it as 'p/q'")
-        if isinstance(value, str):
+    try:
+        if mode == EXACT:
             return Fraction(value)
-        return Fraction(value)
-    return float(Fraction(value)) if isinstance(value, str) else float(value)
+        return float(Fraction(value)) if isinstance(value, str) else float(value)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+        raise ConfigError(f"matrix entry {value!r} is not a number") from None
 
 
 def _parse_matrix(data, ambient_dim: int, mode: str):
@@ -108,7 +123,7 @@ def model_from_config(cfg: dict):
 
 def _build_model(kind: str, cfg: dict):
     if kind == "finite_group":
-        ambient_dim = int(cfg["ambient_dim"])
+        ambient_dim = _number(cfg, "ambient_dim")
         mode = cfg.get("mode")
         if mode is None:
             flat = [x for g in cfg["generators"] for x in (sum(g, []) if g and isinstance(g[0], list) else g)]
@@ -116,31 +131,31 @@ def _build_model(kind: str, cfg: dict):
         gens = [_parse_matrix(g, ambient_dim, mode) for g in cfg["generators"]]
         return group_closure(
             gens,
-            max_group_size=int(cfg.get("max_group_size", 512)),
+            max_group_size=_number(cfg, "max_group_size", int, 512),
             mode=mode,
-            tol_orth=float(cfg.get("tol_orth", 1e-9)),
-            tol_dedup=float(cfg.get("tol_dedup", 1e-9)),
+            tol_orth=_number(cfg, "tol_orth", float, 1e-9),
+            tol_dedup=_number(cfg, "tol_dedup", float, 1e-9),
             name=cfg.get("name", ""),
         )
     if kind == "torus":
         return TorusModel(
             weight_matrix=cfg["weight_matrix"],
-            n_fix=int(cfg.get("n_fix", 0)),
+            n_fix=_number(cfg, "n_fix", int, 0),
             name=cfg.get("name", ""),
         )
     if kind == "isoparametric":
-        ambient_dim = int(cfg["ambient_dim"])
+        ambient_dim = _number(cfg, "ambient_dim")
         mode = cfg.get("mode", EXACT)
         F = parse_polynomial(cfg["F"], ambient_dim, mode)
         symmetry = model_from_config(cfg["symmetry"]) if "symmetry" in cfg else None
         return IsoparametricModel(
             F,
-            int(cfg["g"]),
-            h=float(cfg.get("h", 0.05)),
-            sample_count=int(cfg.get("N", cfg.get("sample_count", 100_000))),
-            tol_level=float(cfg.get("tol_level", 1e-6)),
-            min_ess=float(cfg.get("min_ess", 100.0)),
-            munzner_tol=float(cfg.get("munzner_tol", 1e-9)),
+            _number(cfg, "g"),
+            h=_number(cfg, "h", float, 0.05),
+            sample_count=_number(cfg, "N", int, cfg.get("sample_count", 100_000)),
+            tol_level=_number(cfg, "tol_level", float, 1e-6),
+            min_ess=_number(cfg, "min_ess", float, 100.0),
+            munzner_tol=_number(cfg, "munzner_tol", float, 1e-9),
             symmetry=symmetry,
             name=cfg.get("name", ""),
         )
@@ -187,10 +202,7 @@ def _require_seed(params: dict, override: Optional[int]) -> int:
         return int(override)
     if "seed" not in params:
         raise ConfigError("a seed is mandatory for stochastic tasks (params.seed or --seed)")
-    try:
-        return int(params["seed"])
-    except (TypeError, ValueError):
-        raise ConfigError(f"params.seed must be an integer, got {params['seed']!r}") from None
+    return _number(params, "seed")
 
 
 def _write_json(payload: dict, path: Path):
@@ -206,7 +218,7 @@ def _load_generators(config: RunConfig, model) -> GeneratorSet:
         for item in params["generators"]:
             poly = parse_polynomial(item["text"], model.ambient_dim, mode)
             gens.append(poly)
-            degrees.append(int(item.get("degree", poly.homogeneous_degree())))
+            degrees.append(_number(item, "degree", int, poly.homogeneous_degree()))
         return GeneratorSet(
             ambient_dim=model.ambient_dim,
             mode=mode,
@@ -233,8 +245,8 @@ def _generators_for_task(config: RunConfig, model, seed: int) -> GeneratorSet:
             warnings.simplefilter("ignore", DegreeCapWarning)
             return discover_generators(
                 model,
-                int(params["D"]),
-                tol_rank=float(params.get("tol_rank", 1e-8)),
+                _number(params, "D"),
+                tol_rank=_number(params, "tol_rank", float, 1e-8),
                 seed=seed,
                 sample_points=params.get("sample_points"),
                 mc_samples=params.get("mc_samples"),
@@ -274,10 +286,10 @@ def task_avg(config: RunConfig, out_dir: Path, seed: Optional[int]) -> int:
             sample_points=params.get("sample_points"),
             mc_samples=params.get("mc_samples"),
             h=params.get("h"),
-            tol=float(params.get("structured_tol", 1e-2)),
+            tol=_number(params, "structured_tol", float, 1e-2),
         )
         payload["structured"] = structured.to_dict()
-    tolerance = 1e-12 if cert.exact else float(params.get("residual_tol", 0.05))
+    tolerance = 1e-12 if cert.exact else _number(params, "residual_tol", float, 0.05)
     passed = cert.max_residual() <= tolerance
     payload["passed"] = passed
     payload["residual_tol"] = tolerance
@@ -296,13 +308,13 @@ def task_generators(config: RunConfig, out_dir: Path, seed: Optional[int]) -> in
     run_seed = _require_seed(params, seed)
     if "D" not in params:
         raise ConfigError("generators task needs params.D (degree cap)")
-    cap = int(params["D"])
+    cap = _number(params, "D")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # degree-cap warning is recorded in provenance
         gens = discover_generators(
             model,
             cap,
-            tol_rank=float(params.get("tol_rank", 1e-8)),
+            tol_rank=_number(params, "tol_rank", float, 1e-8),
             seed=run_seed,
             sample_points=params.get("sample_points"),
             mc_samples=params.get("mc_samples"),
@@ -338,7 +350,7 @@ def task_verify(config: RunConfig, out_dir: Path, seed: Optional[int]) -> int:
 
     # membership: every generator must be fixed by averaging
     exact_engine = model.closed_form and model.mode == EXACT
-    tol_basic = float(params.get("basic_tol", 1e-9 if exact_engine else 5e-2))
+    tol_basic = _number(params, "basic_tol", float, 1e-9 if exact_engine else 5e-2)
     for i, gen in enumerate(gens.generators):
         cert = average(
             model,
@@ -369,8 +381,8 @@ def task_verify(config: RunConfig, out_dir: Path, seed: Optional[int]) -> int:
             })
 
     # operator identities on probe polynomials
-    num_probes = int(params.get("num_probes", 3))
-    probe_degree = int(params.get("probe_degree", 2))
+    num_probes = _number(params, "num_probes", int, 3)
+    probe_degree = _number(params, "probe_degree", int, 2)
     rng = np.random.default_rng(run_seed)
     mode = model.mode
     from .polynomials import monomial_basis  # local import to keep module top tidy
@@ -410,13 +422,13 @@ def task_verify(config: RunConfig, out_dir: Path, seed: Optional[int]) -> int:
     if "D" in params:
         try:
             report = verify_generation(
-                model, gens, int(params["D"]),
+                model, gens, _number(params, "D"),
                 tol=params.get("generation_tol"),
                 seed=run_seed,
                 sample_points=params.get("sample_points"),
                 mc_samples=params.get("mc_samples"),
                 h=params.get("h"),
-                tol_rank=float(params.get("tol_rank", 1e-8)),
+                tol_rank=_number(params, "tol_rank", float, 1e-8),
             )
             checks.append({"check": "generation", **report.to_dict()})
         except GenerationGap as err:
@@ -450,10 +462,10 @@ def task_separate(config: RunConfig, out_dir: Path, seed: Optional[int]) -> int:
     cert = separation.separation_test(
         model,
         gens,
-        int(params.get("num_pairs", 1000)),
-        float(params.get("tol_same", 1e-9)),
+        _number(params, "num_pairs", int, 1000),
+        _number(params, "tol_same", float, 1e-9),
         run_seed,
-        margin_min=float(params.get("margin_min", 10.0)),
+        margin_min=_number(params, "margin_min", float, 10.0),
         same_leaf_tol=params.get("same_leaf_tol"),
     )
     _write_json(cert.to_dict(), out_dir / "separation_certificate.json")
@@ -475,7 +487,7 @@ def task_export(config: RunConfig, out_dir: Path, seed: Optional[int]) -> int:
     path = out_dir / "quotient_image.csv"
     rows = separation.quotient_image_export(
         gens,
-        int(params.get("num_samples", 500)),
+        _number(params, "num_samples", int, 500),
         run_seed,
         path,
         model=model,

@@ -27,6 +27,10 @@ class PolynomialParseError(LeafavgError, ValueError):
         self.pos = pos
 
 
+class NonFiniteCoefficient(LeafavgError, ValueError):
+    """A float-mode coefficient is NaN or infinite."""
+
+
 class NonOrthogonalGenerator(LeafavgError, ValueError):
     """A matrix offered as a group generator is not orthogonal."""
 

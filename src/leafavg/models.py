@@ -24,7 +24,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple
+from operator import itemgetter
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -99,20 +100,25 @@ def _infer_mode(matrices) -> str:
     return EXACT
 
 
+def _zero(mode: str):
+    return Fraction(0) if mode == EXACT else 0.0
+
+
 def _identity(ambient_dim: int, mode: str):
     one = Fraction(1) if mode == EXACT else 1.0
-    zero = Fraction(0) if mode == EXACT else 0.0
+    zero = _zero(mode)
     return tuple(
         tuple(one if i == j else zero for j in range(ambient_dim))
         for i in range(ambient_dim)
     )
 
 
-def _mat_mul(a, b):
-    n = len(a)
+def _mat_mul(a, b, zero):
+    """``a b``; the zero entries of ``a`` are skipped and ``zero`` (``Fraction(0)``
+    or ``0.0``) starts every sum, so each entry has the type of the scalars."""
     bt = list(zip(*b))
     return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
+        tuple(sum((x * y for x, y in zip(row, col) if x), zero) for col in bt) for row in a
     )
 
 
@@ -128,7 +134,7 @@ def _mat_close(a, b, tol: float) -> bool:
 
 def _is_orthogonal(m, mode: str, tol: float) -> bool:
     n = len(m)
-    prod = _mat_mul(tuple(zip(*m)), m)
+    prod = _mat_mul(tuple(zip(*m)), m, _zero(mode))
     ident = _identity(n, mode)
     if mode == EXACT:
         return prod == ident
@@ -193,11 +199,49 @@ def compose_with_matrix(f: Polynomial, matrix) -> Polynomial:
 # -- finite matrix groups ----------------------------------------------------
 
 
+def _signed_permutation(matrix):
+    """``(perm, signs)`` with ``matrix[i][perm[i]] = signs[i]`` in {1, -1} and
+    every other entry zero, or None for any other matrix."""
+    perm = []
+    signs = []
+    for row in matrix:
+        nz = [(j, c) for j, c in enumerate(row) if c != 0]
+        if len(nz) != 1 or nz[0][1] not in (1, -1):
+            return None
+        perm.append(nz[0][0])
+        signs.append(int(nz[0][1]))
+    if len(set(perm)) != len(perm):
+        return None
+    return tuple(perm), tuple(signs)
+
+
+class _SignedTable(NamedTuple):
+    """A finite group's signed-permutation elements, and the rest."""
+
+    perms: np.ndarray  # (n, d) ints: row i of element k is nonzero in column perms[k, i]
+    signs: np.ndarray  # (n, d) floats: that entry, 1.0 or -1.0
+    pullbacks: list  # per element: (exponent map e -> e', bit mask of its negative rows)
+    others: tuple  # the elements that are not signed permutations
+
+
 class FiniteGroupModel:
     """Orbit foliation of a finite group of orthogonal matrices.
 
     Leaves are the (finite) orbits; the leaf average is the group average
     ``(1/|G|) sum_g f(g x)``, computed by exact substitution.
+
+    Most desk-scale groups consist of signed permutations: an exact
+    orthogonal matrix with one nonzero entry per row has entries +-1, so
+    ``(g x)_i = s_i x_{perm_i}``.  An exact-mode model builds, once and on
+    first use, a table of its elements that are signed permutations: an
+    index array of the permutations and a float array of their signs, one
+    row per element.  ``reynolds`` reads the pullback of a monomial off it as a
+    permuted exponent vector and a sign, with no polynomial per element.
+    When the table holds every element, ``quotient_distance`` takes the
+    orbit of a point as ``float(p)[perm] * sign``; negating and moving a
+    float are exact, so each image is the float of the exact image.  Every
+    other element, and every element of a float-mode group, is pulled back
+    by :func:`compose_with_matrix`, and its orbit points are exact products.
     """
 
     kind = "finite_group"
@@ -210,6 +254,7 @@ class FiniteGroupModel:
         self.generators = tuple(generators)
         self.mode = mode
         self.name = name or f"finite_group(dim={ambient_dim}, order={len(self.elements)})"
+        self._table = None
 
     @property
     def order(self) -> int:
@@ -217,6 +262,44 @@ class FiniteGroupModel:
 
     def describe(self) -> str:
         return self.name
+
+    def _signed_table(self) -> _SignedTable:
+        if self._table is None:
+            found = [
+                _signed_permutation(g) if self.mode == EXACT else None for g in self.elements
+            ]
+            pairs = [pair for pair in found if pair is not None]
+            shape = (len(pairs), self.ambient_dim)
+            perms = np.array([perm for perm, _ in pairs], dtype=np.intp).reshape(shape)
+            signs = np.array([sign for _, sign in pairs], dtype=float).reshape(shape)
+            # x^e pulls back to sign * x^e' with e'[perm_i] = e_i, so e' reads
+            # e through the inverse permutation
+            pullbacks = [
+                (itemgetter(*inverse) if len(inverse) > 1 else tuple,
+                 sum(1 << i for i, s in enumerate(sign) if s < 0))
+                for inverse, (_, sign) in zip(np.argsort(perms, axis=1).tolist(), pairs)
+            ]
+            others = tuple(g for g, pair in zip(self.elements, found) if pair is None)
+            self._table = _SignedTable(perms, signs, pullbacks, others)
+        return self._table
+
+    def _pullback_terms(self, f: Polynomial):
+        """Every term of every pullback ``f(g x)``; the images of one term of
+        ``f`` under the signed permutations come summed per monomial."""
+        table = self._signed_table()
+        if table.pullbacks:
+            for expo, coeff in f.terms.items():
+                odd = sum(1 << i for i, e in enumerate(expo) if e & 1)
+                counts: Dict[Tuple[int, ...], int] = {}
+                for image, negated in table.pullbacks:
+                    key = image(expo)
+                    # the sign is the product of s_i over the odd exponents e_i
+                    counts[key] = counts.get(key, 0) + (-1 if (odd & negated).bit_count() & 1 else 1)
+                for key, count in counts.items():
+                    if count:
+                        yield key, coeff * count
+        for g in table.others:
+            yield from compose_with_matrix(f, g).terms.items()
 
     def reynolds(self, f: Polynomial) -> Polynomial:
         """Group average of ``f``; exact in rational mode."""
@@ -226,11 +309,15 @@ class FiniteGroupModel:
             raise ScalarModeMismatch(
                 f"{self.mode} model cannot average a {f.mode} polynomial"
             )
-        total = Polynomial.zero(self.ambient_dim, f.mode)
-        for g in self.elements:
-            total = total + compose_with_matrix(f, g)
+        total: Dict[Tuple[int, ...], object] = {}
+        for key, c in self._pullback_terms(f):
+            c = total.get(key, 0) + c
+            if c == 0:
+                total.pop(key, None)
+            else:
+                total[key] = c
         weight = Fraction(1, self.order) if f.mode == EXACT else 1.0 / self.order
-        return total.scale(weight)
+        return Polynomial._trusted(self.ambient_dim, total, f.mode).scale(weight)
 
     def same_leaf(self, p, q, tol: float) -> bool:
         """True when some group element carries ``p`` to within ``tol`` of ``q``."""
@@ -256,9 +343,14 @@ class FiniteGroupModel:
     def quotient_distance(self, p, q) -> float:
         """Distance from ``q`` to the nearest point of the orbit of ``p``."""
         q = [float(x) for x in q]
+        table = self._signed_table()
+        if table.others:
+            images = self.orbit(p)
+        else:
+            images = (np.array([float(x) for x in p])[table.perms] * table.signs).tolist()
         return min(
             math.sqrt(sum((float(x) - y) ** 2 for x, y in zip(image, q)))
-            for image in self.orbit(p)
+            for image in images
         )
 
     def leaf_labels(self, p) -> List[float]:
@@ -305,7 +397,7 @@ def group_closure(
     while queue:
         current = queue.pop(0)
         for g in gens:
-            prod = _mat_mul(current, g)
+            prod = _mat_mul(current, g, _zero(mode))
             if mode == EXACT:
                 if prod in seen:
                     continue
@@ -391,7 +483,10 @@ class TorusModel:
     closed_form = True
 
     def __init__(self, weight_matrix, n_fix: int = 0, name: str = ""):
-        rows = [tuple(int(x) for x in row) for row in weight_matrix]
+        try:
+            rows = [tuple(int(x) for x in row) for row in weight_matrix]
+        except (TypeError, ValueError, OverflowError):
+            raise ConfigError(f"weight matrix entries must be integers, got {weight_matrix!r}") from None
         if not rows:
             raise ConfigError("weight matrix needs at least one row (one plane)")
         width = len(rows[0])

@@ -17,6 +17,13 @@ report in the package inherits that fixed order.
 Instances are immutable after construction and safe to share between
 threads.  The only internal cache is the sphere moment table, whose fill is
 idempotent.
+
+The public constructor validates and coerces every term.  Results of
+arithmetic on polynomials that were already validated skip that step and are
+built by the internal ``Polynomial._trusted``: ``+``, unary ``-``, ``*``,
+``scale``, ``partial`` and the finite-group average
+(``FiniteGroupModel.reynolds``).  Each of them drops zero coefficients itself.
+Float mode rejects NaN and infinite coefficients at the public constructor.
 """
 
 from __future__ import annotations
@@ -24,12 +31,18 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from operator import add
 from types import MappingProxyType
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .errors import DimensionMismatch, PolynomialParseError, ScalarModeMismatch
+from .errors import (
+    DimensionMismatch,
+    NonFiniteCoefficient,
+    PolynomialParseError,
+    ScalarModeMismatch,
+)
 
 EXACT = "exact"
 FLOAT = "float"
@@ -44,7 +57,13 @@ def _coerce(value, mode: str):
                 f"float coefficient {value!r} in exact mode; convert explicitly"
             )
         return Fraction(value)
-    return float(value)
+    try:
+        value = float(value)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise NonFiniteCoefficient(f"non-finite coefficient {value!r} in float mode")
+    return value
 
 
 class Polynomial:
@@ -81,6 +100,19 @@ class Polynomial:
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "mode", mode)
         object.__setattr__(self, "_terms", clean)
+
+    @classmethod
+    def _trusted(cls, ambient_dim: int, terms: Dict[ExponentVector, object], mode: str) -> "Polynomial":
+        """Wrap a term dict without validation; the new polynomial owns it.
+
+        Only for dicts built by arithmetic on validated polynomials of
+        ``ambient_dim`` and ``mode``, with no zero coefficient.
+        """
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "ambient_dim", ambient_dim)
+        object.__setattr__(poly, "mode", mode)
+        object.__setattr__(poly, "_terms", terms)
+        return poly
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
@@ -163,10 +195,10 @@ class Polynomial:
                 out.pop(expo, None)
             else:
                 out[expo] = c
-        return Polynomial(self.ambient_dim, out, self.mode)
+        return Polynomial._trusted(self.ambient_dim, out, self.mode)
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(self.ambient_dim, {e: -c for e, c in self._terms.items()}, self.mode)
+        return Polynomial._trusted(self.ambient_dim, {e: -c for e, c in self._terms.items()}, self.mode)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         if not isinstance(other, Polynomial):
@@ -180,19 +212,19 @@ class Polynomial:
         out: Dict[ExponentVector, object] = {}
         for ea, ca in self._terms.items():
             for eb, cb in other._terms.items():
-                expo = tuple(x + y for x, y in zip(ea, eb))
+                expo = tuple(map(add, ea, eb))
                 c = out.get(expo, 0) + ca * cb
                 if c == 0:
                     out.pop(expo, None)
                 else:
                     out[expo] = c
-        return Polynomial(self.ambient_dim, out, self.mode)
+        return Polynomial._trusted(self.ambient_dim, out, self.mode)
 
     def scale(self, scalar) -> "Polynomial":
         c = _coerce(scalar, self.mode)
-        if c == 0:
-            return Polynomial.zero(self.ambient_dim, self.mode)
-        return Polynomial(self.ambient_dim, {e: c * v for e, v in self._terms.items()}, self.mode)
+        # a float product can underflow to zero
+        terms = {e: cv for e, v in self._terms.items() if (cv := c * v) != 0}
+        return Polynomial._trusted(self.ambient_dim, terms, self.mode)
 
     def __pow__(self, n: int) -> "Polynomial":
         if not isinstance(n, int) or n < 0:
@@ -283,7 +315,7 @@ class Polynomial:
             new = list(expo)
             new[index] = e - 1
             out[tuple(new)] = coeff * e
-        return Polynomial(self.ambient_dim, out, self.mode)
+        return Polynomial._trusted(self.ambient_dim, out, self.mode)
 
     def gradient(self) -> Tuple["Polynomial", ...]:
         return tuple(self.partial(i) for i in range(self.ambient_dim))
@@ -398,6 +430,8 @@ class SphereMomentTable:
     def __init__(self, ambient_dim: int):
         self.ambient_dim = ambient_dim
         self._cache: Dict[ExponentVector, Fraction] = {}
+        self._numerators: Dict[ExponentVector, int] = {}
+        self._denominators: Dict[int, int] = {}
 
     def moment(self, expo: Sequence[int]) -> Fraction:
         expo = tuple(int(e) for e in expo)
@@ -411,16 +445,25 @@ class SphereMomentTable:
         if any(e % 2 for e in expo):
             value = Fraction(0)
         else:
-            total = sum(expo)
-            num = 1
-            for e in expo:
-                num *= _double_factorial(e - 1)
-            den = 1
-            for k in range(total // 2):
-                den *= self.ambient_dim + 2 * k
-            value = Fraction(num, den)
+            value = Fraction(self._numerator(expo), self._denominator(sum(expo) // 2))
         self._cache[expo] = value
         return value
+
+    def _numerator(self, expo: ExponentVector) -> int:
+        """``prod_i (alpha_i - 1)!!`` for an all-even exponent tuple."""
+        cached = self._numerators.get(expo)
+        if cached is None:
+            cached = math.prod(_double_factorial(e - 1) for e in expo)
+            self._numerators[expo] = cached
+        return cached
+
+    def _denominator(self, half_degree: int) -> int:
+        """``d (d+2) ... (d + 2 half_degree - 2)``; each divides the next."""
+        cached = self._denominators.get(half_degree)
+        if cached is None:
+            cached = math.prod(self.ambient_dim + 2 * k for k in range(half_degree))
+            self._denominators[half_degree] = cached
+        return cached
 
 
 _moment_tables: Dict[int, SphereMomentTable] = {}
@@ -444,9 +487,47 @@ def sphere_mean(p: Polynomial):
     return float(sum(c * float(table.moment(e)) for e, c in p.terms.items()))
 
 
+def _integer_terms(p: Polynomial):
+    """``(n, terms)`` with integer ``terms`` such that ``p = terms / n``,
+    each term as ``(exponent, coefficient, exponent parity, degree)``."""
+    n = math.lcm(*(c.denominator for c in p._terms.values()))
+    return n, [
+        (e, c.numerator * (n // c.denominator), tuple(x & 1 for x in e), sum(e))
+        for e, c in p._terms.items()
+    ]
+
+
 def sphere_inner(p: Polynomial, q: Polynomial):
-    """L^2 pairing ``mean(p * q)`` over the unit sphere."""
-    return sphere_mean(p * q)
+    """L^2 pairing ``mean(p * q)`` over the unit sphere.
+
+    Exact mode reads ``sum ca * cb * moment(ea + eb)`` over term pairs from
+    the moment table and never builds ``p * q`` (Folland, "How to integrate a
+    polynomial over a sphere", Amer. Math. Monthly 108, 2001).  A moment
+    vanishes unless every exponent of ``ea + eb`` is even, so only pairs
+    whose exponent parities agree are visited.  With the coefficient
+    denominators cleared, and the moment denominators ``d (d+2) ...`` each
+    dividing the next, the sum is one integer over one denominator.  Float
+    mode returns ``sphere_mean(p * q)``.
+    """
+    p._check_compatible(q)
+    if p.mode == FLOAT:
+        return sphere_mean(p * q)
+    table = moment_table(p.ambient_dim)
+    den_p, p_terms = _integer_terms(p)
+    den_q, q_terms = _integer_terms(q)
+    by_parity: Dict[ExponentVector, list] = {}
+    for eb, cb, parity, db in q_terms:
+        by_parity.setdefault(parity, []).append((eb, cb, db))
+    sums: Dict[int, int] = {}  # keyed by half the degree of ea + eb
+    for ea, ca, parity, da in p_terms:
+        for eb, cb, db in by_parity.get(parity, ()):
+            half = (da + db) >> 1
+            sums[half] = sums.get(half, 0) + ca * cb * table._numerator(tuple(map(add, ea, eb)))
+    if not sums:
+        return Fraction(0)
+    top = table._denominator(max(sums))
+    total = sum(s * (top // table._denominator(half)) for half, s in sums.items())
+    return Fraction(total, top * den_p * den_q)
 
 
 def sphere_norm(p: Polynomial) -> float:
@@ -581,7 +662,10 @@ def parse_polynomial(text: str, ambient_dim: int, mode: str = EXACT) -> Polynomi
         terms[key] = terms.get(key, Fraction(0)) + coeff
 
     if mode == FLOAT:
-        terms = {e: float(c) for e, c in terms.items()}
+        try:
+            terms = {e: float(c) for e, c in terms.items()}
+        except OverflowError:
+            raise PolynomialParseError(f"coefficient too large for float mode in {text!r}") from None
     return Polynomial(ambient_dim, terms, mode)
 
 

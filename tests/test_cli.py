@@ -1,4 +1,6 @@
+import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -195,10 +197,40 @@ def test_missing_seed_is_config_error(tmp_path):
     ({"kind": "isoparametric", "ambient_dim": 4, "F": "x1^2 + x2^2 - x3^2 - x4^2",
       "g": 2, "h": 1.5}, {"seed": 1, "D": 2}),
     ({"kind": "torus", "weight_matrix": []}, {"seed": 1, "D": 2}),
-], ids=["seed_not_int", "group_without_generators", "bandwidth_above_1", "empty_weights"])
-def test_malformed_config_exits_1(tmp_path, model, params):
+    ({"kind": "finite_group", "ambient_dim": "abc", "generators": [[[0, 1], [1, 0]]]},
+     {"seed": 1, "D": 2}),
+    ({"kind": "torus", "weight_matrix": [["a"], [1]]}, {"seed": 1, "D": 2}),
+    ({"kind": "torus", "weight_matrix": [[1], [1]]}, {"seed": 1, "D": "x"}),
+    ({"kind": "isoparametric", "ambient_dim": 4, "F": "x1^2 + x2^2 - x3^2 - x4^2",
+      "g": 2, "h": "wide"}, {"seed": 1, "D": 2}),
+    ({"kind": "isoparametric", "ambient_dim": 4, "mode": "float", "F": "1e400*x1", "g": 1},
+     {"seed": 1, "D": 2}),
+    ({"kind": "finite_group", "ambient_dim": 2, "generators": [[["abc", 1], [1, 0]]]},
+     {"seed": 1, "D": 2}),
+    ({"kind": "torus", "weight_matrix": [1, 1]}, {"seed": 1, "D": 2}),
+], ids=["seed_not_int", "group_without_generators", "bandwidth_above_1", "empty_weights",
+        "ambient_dim_not_int", "weight_not_int", "cap_not_int", "bandwidth_not_number",
+        "float_coefficient_overflow", "matrix_entry_not_number", "weight_row_not_list"])
+def test_malformed_config_exits_1(tmp_path, capsys, model, params):
     config = write_config(tmp_path / "run.json", {"name": "bad", "model": model, "params": params})
     assert main(["generators", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_b4_cap8_generators_match_reference(tmp_path, monkeypatch):
+    """Generators of the order-384 group B4 at degree cap 8, checked against
+    the benchmark's recorded reference (read only)."""
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", bench / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up
+    spec.loader.exec_module(workloads)
+    out = tmp_path / "out"
+    assert main(["generators", "--config", str(bench / "configs" / "b4_cap8.json"),
+                 "--out", str(out)]) == 0
+    payload = json.loads((out / "generators.json").read_text())
+    reference = json.loads((bench / "reference.json").read_text())["b4_cap8"]
+    assert workloads.generator_summary(payload) == reference
 
 
 def test_missing_config_is_error(tmp_path):

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from leafavg import (
     EXACT,
@@ -22,9 +24,12 @@ from leafavg import (
     sample_sphere,
     validate_munzner,
 )
-from leafavg.models import LevelSetSampler, sample_sphere_many
+from leafavg import models
+from leafavg.cli import _CONFIG_DIR, load_config
+from leafavg.models import LevelSetSampler, compose_with_matrix, sample_sphere_many
+from leafavg.separation import rational_sphere_points
 
-from util import random_homogeneous
+from util import exact_polys, random_homogeneous
 
 
 def P(text, dim, mode=EXACT):
@@ -95,6 +100,83 @@ def test_reynolds_idempotent_and_leaf_constant(b3_model):
     p = (Fraction(1, 3), Fraction(-2, 5), Fraction(7, 11))
     values = {avg.eval(q) for q in b3_model.orbit(p)}
     assert len(values) == 1
+
+
+B3_GENERATORS = (
+    [[0, 1, 0], [1, 0, 0], [0, 0, 1]],
+    [[1, 0, 0], [0, 0, 1], [0, 1, 0]],
+    [[-1, 0, 0], [0, 1, 0], [0, 0, 1]],
+)
+# a reflection with rational entries: {I, R} mixes a signed permutation with
+# an element outside the signed-permutation table
+REFLECTION = [[Fraction(3, 5), Fraction(4, 5)], [Fraction(4, 5), Fraction(-3, 5)]]
+GROUPS = {
+    (name, mode): group_closure(
+        [[[float(x) for x in row] for row in g] if mode == FLOAT else g for g in gens], mode=mode
+    )
+    for name, gens in (("b3", B3_GENERATORS), ("mixed", [REFLECTION]))
+    for mode in (EXACT, FLOAT)
+}
+
+
+def _reference_average(model, f):
+    """The group average summed one pullback polynomial at a time."""
+    total = Polynomial.zero(f.ambient_dim, f.mode)
+    for g in model.elements:
+        total = total + compose_with_matrix(f, g)
+    return total.scale(Fraction(1, model.order) if f.mode == EXACT else 1.0 / model.order)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(GROUPS)), st.data())
+def test_reynolds_matches_sum_of_pullbacks(key, data):
+    model = GROUPS[key]
+    f = data.draw(exact_polys(model.ambient_dim, max_degree=4))
+    if model.mode == FLOAT:
+        f = f.to_float()
+    result = model.reynolds(f)
+    reference = _reference_average(model, f)
+    assert result == reference
+    assert all(c != 0 for c in result.terms.values())
+    if model.mode == FLOAT:
+        # the same terms in the same order, so float sums over them agree too
+        assert list(result.terms.items()) == list(reference.terms.items())
+
+
+def test_group_models_split_elements_by_kind():
+    assert GROUPS["mixed", EXACT].order == GROUPS["mixed", FLOAT].order == 2
+    assert len(GROUPS["mixed", EXACT]._signed_table().others) == 1
+    assert not GROUPS["b3", EXACT]._signed_table().others
+    assert len(GROUPS["b3", FLOAT]._signed_table().others) == 48
+
+
+def test_signed_permutation_average_builds_no_pullback(b3_model, monkeypatch):
+    f = P("x1^3 * x2 - 2/3 * x2^2 * x3^2 + x3", 3)
+    expected = _reference_average(b3_model, f)
+
+    def refuse(f, matrix):
+        raise AssertionError("a signed permutation was pulled back as a matrix")
+
+    monkeypatch.setattr(models, "compose_with_matrix", refuse)
+    assert b3_model.reynolds(f) == expected
+
+
+BUNDLED_GROUPS = {name: load_config(_CONFIG_DIR / f"{name}.json").build_model()
+                  for name in ("b2", "b3", "c4")}
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(BUNDLED_GROUPS)), st.integers(0, 2 ** 32 - 1))
+def test_group_quotient_distance_matches_exact_orbit(name, seed):
+    model = BUNDLED_GROUPS[name]
+    p, q = rational_sphere_points(model.ambient_dim, 2, np.random.default_rng(seed))
+    q_float = [float(x) for x in q]
+    expected = min(
+        math.sqrt(sum((float(x) - y) ** 2 for x, y in zip(image, q_float)))
+        for image in model.orbit(p)
+    )
+    assert model.quotient_distance(p, q) == expected
+    assert model.quotient_distance(p, p) == 0.0
 
 
 def test_same_leaf_group_antipodal():

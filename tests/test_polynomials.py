@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from leafavg import (
     EXACT,
     FLOAT,
+    NonFiniteCoefficient,
     Polynomial,
     PolynomialParseError,
     DimensionMismatch,
@@ -25,7 +26,7 @@ from leafavg import (
 )
 from leafavg.models import sample_sphere_many
 
-from util import random_homogeneous
+from util import exact_polys, random_homogeneous
 
 
 def P(text, dim, mode=EXACT):
@@ -230,6 +231,22 @@ def test_parse_decimal_exactly_in_exact_mode():
     assert P("0.5 * x1", 1) == P("1/2 * x1", 1)
 
 
+def test_float_overflow_is_parse_error():
+    assert P("1e300 * x1", 1, FLOAT).coefficient((1,)) == 1e300
+    with pytest.raises(PolynomialParseError):
+        parse_polynomial("1e400 * x1", 1, FLOAT)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 10 ** 400])
+def test_float_mode_rejects_non_finite_coefficients(value):
+    with pytest.raises(NonFiniteCoefficient):
+        Polynomial(1, {(1,): value}, FLOAT)
+
+
+def test_float_scale_drops_underflow():
+    assert Polynomial(1, {(1,): 1e-200}, FLOAT).scale(1e-200).is_zero
+
+
 def test_parse_errors():
     with pytest.raises(PolynomialParseError):
         parse_polynomial("x9", 2)
@@ -253,18 +270,6 @@ def test_format_is_graded_lex():
 
 
 # -- algebraic properties (hypothesis) -------------------------------------------
-
-
-@st.composite
-def exact_polys(draw, dim=2, max_degree=3):
-    n_terms = draw(st.integers(0, 4))
-    terms = {}
-    for _ in range(n_terms):
-        expo = tuple(draw(st.integers(0, max_degree)) for _ in range(dim))
-        coeff = Fraction(draw(st.integers(-9, 9)), draw(st.integers(1, 9)))
-        if coeff:
-            terms[expo] = terms.get(expo, 0) + coeff
-    return Polynomial(dim, {e: c for e, c in terms.items() if c != 0})
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -317,3 +322,41 @@ def test_sphere_norm_nonnegative():
     p = P("x1 - x2", 2)
     assert sphere_norm(p) > 0
     assert sphere_norm(Polynomial.zero(2)) == 0.0
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    st.sampled_from([EXACT, FLOAT]),
+    exact_polys(),
+    exact_polys(),
+    st.fractions(min_value=-5, max_value=5, max_denominator=9),
+)
+def test_arithmetic_results_are_valid_polynomials(mode, p, q, scalar):
+    # +, -, *, scale and partial build their results without re-validation
+    if mode == FLOAT:
+        p, q, scalar = p.to_float(), q.to_float(), float(scalar)
+    for result in (p + q, p - q, -p, p * q, p.scale(scalar), p.partial(0), q.partial(1)):
+        assert result == Polynomial(result.ambient_dim, dict(result.terms), mode)
+        assert result.mode == mode
+        assert all(c != 0 for c in result.terms.values())
+        assert all(type(c) is (Fraction if mode == EXACT else float) for c in result.terms.values())
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.integers(1, 5).flatmap(lambda dim: st.tuples(exact_polys(dim), exact_polys(dim))))
+def test_sphere_inner_is_mean_of_product(pair):
+    p, q = pair
+    value = sphere_inner(p, q)
+    assert isinstance(value, Fraction)
+    assert value == sphere_mean(p * q)
+
+
+def test_exact_sphere_inner_builds_no_product(monkeypatch):
+    p = P("x1^2 * x2 - 3/4 * x2^3 + x1 * x2 * x3", 3)
+    expected = sphere_mean(p * p)
+
+    def refuse(self, other):
+        raise AssertionError("exact sphere_inner built a product polynomial")
+
+    monkeypatch.setattr(Polynomial, "__mul__", refuse)
+    assert sphere_inner(p, p) == expected

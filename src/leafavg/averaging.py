@@ -41,6 +41,9 @@ from .polynomials import (
 ENGINE_EXACT = "exact"
 ENGINE_VANDERMONDE = "vandermonde_fit"
 
+# condition-number cap of every least-squares fit of leaf averages
+COND_CAP = 1e8
+
 
 def cycle_probe(f: Polynomial) -> Polynomial:
     """Deterministic companion polynomial: rotate the coordinates of ``f``.
@@ -261,12 +264,8 @@ class _FitContext:
     """Shared sample cloud, fit points and responses for one fit session."""
 
     def __init__(self, model: IsoparametricModel, degree: int, seed: int,
-                 sample_points: Optional[int], mc_samples: Optional[int],
-                 h: Optional[float]):
+                 sample_points: Optional[int], mc_samples: Optional[int]):
         self.model = model
-        self.degree = degree
-        self.seed = seed
-        self.h = model.h if h is None else h
         root = np.random.SeedSequence(seed)
         point_seed, cloud_seed = root.spawn(2)
         self.monomials = monomial_basis(model.ambient_dim, degree)
@@ -277,25 +276,40 @@ class _FitContext:
         self.levels = model.F.eval_many(self.points)
         self.mc_samples = mc_samples or model.sample_count
         self.sampler = model.sampler(cloud_seed, self.mc_samples)
+        self._designs: Dict[tuple, np.ndarray] = {}
 
-    def responses(self, f: Polynomial) -> Tuple[np.ndarray, np.ndarray]:
-        values = f.eval_many(self.sampler.points)
-        est = np.empty(len(self.points))
-        ses = np.empty(len(self.points))
-        for j, level in enumerate(self.levels):
-            est[j], ses[j] = self.sampler.leaf_average_values(values, float(level), h=self.h)
-        return est, ses
+    def responses(self, *polys: Polynomial) -> Tuple[np.ndarray, np.ndarray]:
+        """Leaf-average estimates and SEs of each polynomial (one row each)
+        at every fit level."""
+        values = np.stack([f.eval_many(self.sampler.points) for f in polys])
+        return self.sampler.leaf_average_values(values, self.levels)
 
     def design(self, monomials: Sequence[tuple]) -> np.ndarray:
-        cols = [
-            Polynomial.monomial(self.model.ambient_dim, expo, 1.0, FLOAT).eval_many(self.points)
-            for expo in monomials
-        ]
-        return np.column_stack(cols)
+        """The fit points' values of ``monomials``, one column each; built once."""
+        key = tuple(monomials)
+        if key not in self._designs:
+            self._designs[key] = np.column_stack([
+                Polynomial.monomial(self.model.ambient_dim, expo, 1.0, FLOAT).eval_many(self.points)
+                for expo in monomials
+            ])
+        return self._designs[key]
+
+    def fit(self, responses: np.ndarray, degree: int, cond_cap: float):
+        """The degree-``degree`` polynomial fitted to ``responses``, with the
+        fit's condition estimate and residual RMS."""
+        monomials = monomial_basis(self.model.ambient_dim, degree)
+        coeffs, condition, rms = _scaled_lstsq(self.design(monomials), responses, cond_cap)
+        poly = Polynomial(self.model.ambient_dim,
+                          {e: float(c) for e, c in zip(monomials, coeffs)}, FLOAT)
+        return poly, condition, rms
 
 
 def _scaled_lstsq(design: np.ndarray, rhs: np.ndarray, cond_cap: float):
-    """Least squares with column scaling; returns (coeffs, condition, residual_rms)."""
+    """Least squares with column scaling; returns (coeffs, condition, residual_rms).
+
+    ``rhs`` is a vector or a matrix of right-hand sides (one per column); the
+    RMS is then taken over every entry.
+    """
     scales = np.linalg.norm(design, axis=0)
     scales[scales == 0.0] = 1.0
     scaled = design / scales
@@ -307,21 +321,10 @@ def _scaled_lstsq(design: np.ndarray, rhs: np.ndarray, cond_cap: float):
             f"condition estimate {condition:.3e} above cap {cond_cap:.1e}; resample"
         )
     solution, *_ = np.linalg.lstsq(scaled, rhs, rcond=None)
-    coeffs = solution / scales
-    residual = design @ coeffs - rhs
-    rms = math.sqrt(float(residual @ residual) / len(rhs))
+    coeffs = (solution.T / scales).T
+    residual = (design @ coeffs - rhs).ravel()
+    rms = math.sqrt(float(residual @ residual) / len(residual))
     return coeffs, condition, rms
-
-
-def _poly_from_coeffs(ambient_dim: int, monomials: Sequence[tuple], coeffs: np.ndarray) -> Polynomial:
-    return Polynomial(ambient_dim, {e: float(c) for e, c in zip(monomials, coeffs)}, FLOAT)
-
-
-def _fit_average(ctx: _FitContext, f: Polynomial, cond_cap: float):
-    responses, ses = ctx.responses(f)
-    design = ctx.design(ctx.monomials)
-    coeffs, condition, rms = _scaled_lstsq(design, responses, cond_cap)
-    return _poly_from_coeffs(ctx.model.ambient_dim, ctx.monomials, coeffs), responses, ses, condition, rms
 
 
 def _certificate_fit(
@@ -331,67 +334,45 @@ def _certificate_fit(
     probe: Optional[Polynomial],
     sample_points: Optional[int],
     mc_samples: Optional[int],
-    h: Optional[float],
     cond_cap: float,
 ) -> AveragingCertificate:
     degree = f.homogeneous_degree()
     f = f.to_float()
-    ctx = _FitContext(model, degree, seed, sample_points, mc_samples, h)
-    avg, responses, ses, condition, rms = _fit_average(ctx, f, cond_cap)
+    probe = cycle_probe(f) if probe is None else probe.to_float()
+    lap_f = f.laplacian()
+    with_lap = degree >= 2 and not lap_f.is_zero
+    ctx = _FitContext(model, degree, seed, sample_points, mc_samples)
+
+    # one pass over the cloud for f, its probe and its Laplacian
+    responses, ses = ctx.responses(f, probe, *([lap_f] if with_lap else []))
+    avg, condition, rms = ctx.fit(responses[0], degree, cond_cap)
+    if with_lap:
+        lap_avg, _, _ = ctx.fit(responses[2], degree - 2, cond_cap)
+    else:
+        lap_avg = Polynomial.zero(model.ambient_dim, FLOAT)
+    probe_avg, _, _ = ctx.fit(responses[1], probe.homogeneous_degree(), cond_cap)
 
     # identity residuals, statistical versions reusing the same cloud
     avg_values = avg.eval_many(ctx.sampler.points)
-    probe_levels = ctx.levels[: min(8, len(ctx.levels))]
-    leaf_var = 0.0
-    for level in probe_levels:
-        e1, _ = ctx.sampler.leaf_average_values(avg_values, float(level), h=ctx.h)
-        e2, _ = ctx.sampler.leaf_average_values(avg_values ** 2, float(level), h=ctx.h)
-        leaf_var = max(leaf_var, e2 - e1 * e1)
-    leaf_constancy = math.sqrt(max(leaf_var, 0.0))
-
-    re_responses = np.empty(len(ctx.points))
-    for j, level in enumerate(ctx.levels):
-        re_responses[j], _ = ctx.sampler.leaf_average_values(avg_values, float(level), h=ctx.h)
-    re_coeffs, _, _ = _scaled_lstsq(ctx.design(ctx.monomials), re_responses, cond_cap)
-    avg_again = _poly_from_coeffs(model.ambient_dim, ctx.monomials, re_coeffs)
-    idempotence = sphere_norm(avg_again - avg)
-
-    lap_f = f.laplacian()
-    if degree >= 2 and not lap_f.is_zero:
-        lap_monomials = monomial_basis(model.ambient_dim, degree - 2)
-        lap_responses, _ = ctx.responses(lap_f)
-        lap_coeffs, _, _ = _scaled_lstsq(ctx.design(lap_monomials), lap_responses, cond_cap)
-        lap_avg = _poly_from_coeffs(model.ambient_dim, lap_monomials, lap_coeffs)
-    else:
-        lap_avg = Polynomial.zero(model.ambient_dim, FLOAT)
-    laplacian = sphere_norm(avg.laplacian() - lap_avg)
-
-    probe = cycle_probe(f) if probe is None else probe.to_float()
-    probe_responses, _ = ctx.responses(probe)
-    probe_coeffs, _, _ = _scaled_lstsq(
-        ctx.design(monomial_basis(model.ambient_dim, probe.homogeneous_degree())),
-        probe_responses,
-        cond_cap,
-    )
-    probe_avg = _poly_from_coeffs(
-        model.ambient_dim, monomial_basis(model.ambient_dim, probe.homogeneous_degree()), probe_coeffs
-    )
-    selfadjoint = abs(sphere_inner(avg, probe) - sphere_inner(f, probe_avg))
+    again, _ = ctx.sampler.leaf_average_values(np.stack([avg_values, avg_values ** 2]), ctx.levels)
+    e1, e2 = again[:, :8]
+    leaf_constancy = math.sqrt(max([0.0, *(e2 - e1 * e1).tolist()]))
+    avg_again, _, _ = ctx.fit(again[0], degree, cond_cap)
 
     residuals = {
-        "idempotence": idempotence,
+        "idempotence": sphere_norm(avg_again - avg),
         "leaf_constancy": leaf_constancy,
-        "laplacian": laplacian,
+        "laplacian": sphere_norm(avg.laplacian() - lap_avg),
         "contraction": max(0.0, -(sphere_mean(f * f) - sphere_mean(avg * avg))),
-        "selfadjoint": selfadjoint,
+        "selfadjoint": abs(sphere_inner(avg, probe) - sphere_inner(f, probe_avg)),
     }
     fit = {
         "sample_count": ctx.sample_count,
         "mc_samples": ctx.mc_samples,
-        "bandwidth": ctx.h,
+        "bandwidth": model.h,
         "condition": condition,
         "residual_rms": rms,
-        "max_point_se": float(np.max(ses)) if len(ses) else 0.0,
+        "max_point_se": float(np.max(ses[0])) if ses.shape[1] else 0.0,
     }
     return AveragingCertificate(
         model=model.describe(),
@@ -419,19 +400,18 @@ def average(
     probe: Optional[Polynomial] = None,
     sample_points: Optional[int] = None,
     mc_samples: Optional[int] = None,
-    h: Optional[float] = None,
-    cond_cap: float = 1e8,
+    cond_cap: float = COND_CAP,
 ) -> AveragingCertificate:
     """Average a homogeneous polynomial, with a populated certificate.
 
     Exact engine for group/torus models; level-set fit engine for
-    isoparametric models.
+    isoparametric models, whose kernel bandwidth is the model's ``h``.
     """
     if not f.is_homogeneous():
         raise ValueError("average expects a homogeneous polynomial")
     if model.closed_form:
         return _certificate_exact(model, f, seed, probe)
-    return _certificate_fit(model, f, seed, probe, sample_points, mc_samples, h, cond_cap)
+    return _certificate_fit(model, f, seed, probe, sample_points, mc_samples, cond_cap)
 
 
 def average_structured(
@@ -442,16 +422,16 @@ def average_structured(
     seed: int = 0,
     sample_points: Optional[int] = None,
     mc_samples: Optional[int] = None,
-    h: Optional[float] = None,
     tol: float = 1e-2,
-    cond_cap: float = 1e8,
+    cond_cap: float = COND_CAP,
 ) -> StructuredAverageResult:
     """Fit the average of ``f`` inside the generator algebra's degree slice.
 
     Much smaller and better conditioned than the full monomial fit; raises
     :class:`BasisDeficient` when the slice cannot explain the sampled leaf
     averages (residual RMS above ``tol``), which is evidence the generator
-    set is incomplete.
+    set is incomplete.  The leaf averages come from the same estimator as
+    :func:`average`, with the model's bandwidth ``h``.
     """
     if not f.is_homogeneous():
         raise ValueError("average_structured expects a homogeneous polynomial")
@@ -465,14 +445,14 @@ def average_structured(
             f"no generator products reach degree {degree}"
         )
     f = f.to_float()
-    ctx = _FitContext(model, degree, seed, sample_points, mc_samples, h)
-    responses, ses = ctx.responses(f)
+    ctx = _FitContext(model, degree, seed, sample_points, mc_samples)
+    (responses,), (ses,) = ctx.responses(f)
 
     columns = [poly.eval_many(ctx.points) for _, poly in products]
     design = np.column_stack(columns)
     coeffs, condition, rms = _scaled_lstsq(design, responses, cond_cap)
 
-    mono_coeffs, _, mono_rms = _scaled_lstsq(ctx.design(ctx.monomials), responses, cond_cap)
+    _, _, mono_rms = _scaled_lstsq(ctx.design(ctx.monomials), responses, cond_cap)
 
     if rms > tol:
         raise BasisDeficient(
@@ -504,7 +484,6 @@ def verify_operator_identities(
     tol: Optional[float] = None,
     sample_points: Optional[int] = None,
     mc_samples: Optional[int] = None,
-    h: Optional[float] = None,
 ) -> IdentityReport:
     """Check the five operator identities for the pair ``(f, g)``.
 
@@ -512,7 +491,8 @@ def verify_operator_identities(
     (iii) contraction, (iv) the module property over a basic multiplier,
     (v) commutation with the Laplacian.  Exact models are checked exactly
     (default tolerance 0 in rational mode, 1e-10 for floating matrix
-    entries); isoparametric models statistically.
+    entries); isoparametric models statistically, with the model's
+    bandwidth ``h``.
     Raises :class:`IdentityViolation` naming the worst offender.
     """
     if model.closed_form:
@@ -530,13 +510,13 @@ def verify_operator_identities(
         # norms so the tolerance means the same thing for every probe
         tolerance = 0.05 if tol is None else tol
         cert_f = average(model, f, seed=seed, probe=g, sample_points=sample_points,
-                         mc_samples=mc_samples, h=h)
+                         mc_samples=mc_samples)
         avg_f = cert_f.average_poly
         cert_g = average(model, g, seed=seed + 1, probe=f, sample_points=sample_points,
-                         mc_samples=mc_samples, h=h)
+                         mc_samples=mc_samples)
         avg_g = cert_g.average_poly
         module_cert = average(model, (avg_f * g.to_float()), seed=seed + 2,
-                              sample_points=sample_points, mc_samples=mc_samples, h=h)
+                              sample_points=sample_points, mc_samples=mc_samples)
         scale_f = max(sphere_norm(f), 1e-12)
         scale_g = max(sphere_norm(g), 1e-12)
         scale_lap = max(sphere_norm(f.laplacian()), scale_f)

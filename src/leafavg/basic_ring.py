@@ -27,7 +27,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .averaging import _FitContext, generator_products
+from .averaging import COND_CAP, _FitContext, _scaled_lstsq, generator_products
 from .errors import (
     DegreeCapWarning,
     GenerationGap,
@@ -238,13 +238,14 @@ def basic_subspace(
     seed: int = 0,
     sample_points: Optional[int] = None,
     mc_samples: Optional[int] = None,
-    h: Optional[float] = None,
 ) -> SubspaceBasis:
     """Image of the averaging operator on the degree-``degree`` slice.
 
     Averages every monomial of the degree and orthonormalizes the results
     under the sphere pairing.  Exact rank in rational mode; tolerance-based
-    rank (with a singular-value audit) for the statistical engine.
+    rank (with a singular-value audit) for the statistical engine, whose
+    leaf averages take the model's bandwidth ``h`` and pass the same
+    effective-sample-size guard and condition cap as :func:`average`.
     """
     if degree < 1:
         raise ValueError("degree must be at least 1")
@@ -284,26 +285,14 @@ def basic_subspace(
             tol_rank=tol_rank,
         )
 
-    ctx = _FitContext(model, degree, seed, sample_points, mc_samples, h)
-    design = ctx.design(ctx.monomials)
-    values = np.stack([
-        Polynomial.monomial(model.ambient_dim, expo, 1.0, FLOAT).eval_many(ctx.sampler.points)
-        for expo in monomials
-    ])
-    estimates = np.empty((len(monomials), len(ctx.points)))
-    for j, level in enumerate(ctx.levels):
-        w = ctx.sampler.weights(float(level), ctx.h)
-        sw = float(w.sum())
-        if sw <= 0.0:
-            raise RankUnstable(f"no kernel mass at fit level {level}")
-        estimates[:, j] = values @ w / sw
-    # fitted coefficient rows, one per monomial
-    scales = np.linalg.norm(design, axis=0)
-    scales[scales == 0.0] = 1.0
-    solution, *_ = np.linalg.lstsq(design / scales, estimates.T, rcond=None)
-    fitted = (solution.T / scales[None, :])
+    ctx = _FitContext(model, degree, seed, sample_points, mc_samples)
+    estimates, _ = ctx.responses(*(
+        Polynomial.monomial(model.ambient_dim, expo, 1.0, FLOAT) for expo in monomials
+    ))
+    # fitted coefficients, one column per averaged monomial
+    fitted, _, _ = _scaled_lstsq(ctx.design(monomials), estimates.T, COND_CAP)
     gram = _gram_matrix(model.ambient_dim, monomials)
-    rows, sing = _orthonormal_rows(fitted, gram, tol_rank)
+    rows, sing = _orthonormal_rows(fitted.T, gram, tol_rank)
     return SubspaceBasis(
         degree=degree,
         mode=FLOAT,
@@ -501,7 +490,6 @@ def discover_generators(
     seed: int = 0,
     sample_points: Optional[int] = None,
     mc_samples: Optional[int] = None,
-    h: Optional[float] = None,
     max_denominator: int = 12,
     clean_tol: float = 5e-2,
 ) -> GeneratorSet:
@@ -510,6 +498,7 @@ def discover_generators(
     Deterministic given (model, cap, tolerances, seed); the generator list
     for a smaller cap is a prefix of the list for a larger one.  Emits
     :class:`DegreeCapWarning` when new generators still appear at the cap.
+    Isoparametric slices are estimated with the model's bandwidth ``h``.
     """
     if degree_cap < 1:
         raise ValueError("degree_cap must be at least 1")
@@ -528,7 +517,6 @@ def discover_generators(
             seed=degree_seed,
             sample_points=sample_points,
             mc_samples=mc_samples,
-            h=h,
         )
         dims[d] = basis.rank
         if basis.rank == 0:
@@ -574,7 +562,6 @@ def discover_generators(
         "engine": "exact" if exact else "vandermonde_fit",
         "sample_points": sample_points,
         "mc_samples": mc_samples,
-        "bandwidth": h,
         "new_generators_at_cap": new_at_cap,
     }
     return GeneratorSet(
@@ -619,7 +606,6 @@ def verify_generation(
     seed: int = 0,
     sample_points: Optional[int] = None,
     mc_samples: Optional[int] = None,
-    h: Optional[float] = None,
     tol_rank: float = 1e-8,
 ) -> GenerationReport:
     """Check every averaged monomial of degree <= cap against the algebra.
@@ -627,6 +613,7 @@ def verify_generation(
     Projects onto the degree slice of the algebra generated by ``gens`` and
     reports the worst residual per degree.  Raises :class:`GenerationGap`
     (with the report attached) when some degree exceeds the tolerance.
+    Isoparametric slices are estimated with the model's bandwidth ``h``.
     """
     exact = model.closed_form and model.mode == EXACT
     if tol is None:
@@ -645,7 +632,7 @@ def verify_generation(
             degree_seed = int(np.random.SeedSequence([seed, d]).generate_state(1)[0])
             basis = basic_subspace(
                 model, d, tol_rank=tol_rank, seed=degree_seed,
-                sample_points=sample_points, mc_samples=mc_samples, h=h,
+                sample_points=sample_points, mc_samples=mc_samples,
             )
             gram = _gram_matrix(model.ambient_dim, basis.monomials)
             remainders = _float_remainders(

@@ -45,7 +45,15 @@ from .models import (
     group_closure,
     validate_munzner,
 )
-from .polynomials import EXACT, FLOAT, Polynomial, format_polynomial, parse_polynomial, sphere_norm
+from .polynomials import (
+    EXACT,
+    FLOAT,
+    Polynomial,
+    format_polynomial,
+    monomial_basis,
+    parse_polynomial,
+    sphere_norm,
+)
 
 TASKS = ("avg", "generators", "verify", "separate", "export", "selftest")
 
@@ -70,15 +78,35 @@ BUNDLED_CONFIGS = (
 _REQUIRED = object()
 
 
-def _number(section: dict, key: str, kind=int, default=_REQUIRED):
+def _number(section: dict, key: str, kind=int, default=_REQUIRED, minimum=None):
     """``section[key]`` (``default`` when absent and given) as ``kind``,
-    ``int`` or ``float``; a :class:`ConfigError` when it is not one."""
+    ``int`` or ``float``; None when it is null or absent and ``default`` is
+    None.  A :class:`ConfigError` when it is not a number or is below
+    ``minimum``."""
     value = section[key] if default is _REQUIRED else section.get(key, default)
+    if value is None and default is None:
+        return None
     try:
-        return kind(value)
+        number = kind(value)
     except (TypeError, ValueError, OverflowError):
         expected = "an integer" if kind is int else "a number"
         raise ConfigError(f"{key} must be {expected}, got {value!r}") from None
+    if minimum is not None and number < minimum:
+        raise ConfigError(f"{key} must be at least {minimum}, got {value!r}")
+    return number
+
+
+def _mode(section: dict, key: str, default):
+    """``section[key]`` (``default`` when absent), which must name a scalar mode."""
+    mode = section.get(key, default)
+    if mode not in (EXACT, FLOAT, default):
+        raise ConfigError(f"{key} must be {EXACT!r} or {FLOAT!r}, got {mode!r}")
+    return mode
+
+
+def _fit_args(params: dict) -> dict:
+    """The sample sizes of the statistical engine, as keyword arguments."""
+    return {key: _number(params, key, int, None, minimum=1) for key in ("sample_points", "mc_samples")}
 
 
 def _parse_entry(value, mode: str):
@@ -95,22 +123,23 @@ def _parse_entry(value, mode: str):
         raise ConfigError(f"matrix entry {value!r} is not a number") from None
 
 
-def _parse_matrix(data, ambient_dim: int, mode: str):
-    if not data:
-        raise ConfigError("empty matrix")
-    if isinstance(data[0], list):
-        rows = data
-    else:
-        if len(data) != ambient_dim * ambient_dim:
-            raise ConfigError(
-                f"flat matrix has {len(data)} entries, expected {ambient_dim * ambient_dim}"
-            )
-        rows = [data[i * ambient_dim:(i + 1) * ambient_dim] for i in range(ambient_dim)]
-    return [[_parse_entry(x, mode) for x in row] for row in rows]
+def _matrix_rows(data, ambient_dim: int) -> list:
+    """The rows of a matrix written as a list of rows or flat, row by row."""
+    if not isinstance(data, list) or not data:
+        raise ConfigError(f"a matrix must be a non-empty list, got {data!r}")
+    if all(isinstance(row, list) for row in data):
+        return data
+    if any(isinstance(x, list) for x in data) or len(data) != ambient_dim * ambient_dim:
+        raise ConfigError(
+            f"flat matrix has {len(data)} entries, expected {ambient_dim * ambient_dim}"
+        )
+    return [data[i * ambient_dim:(i + 1) * ambient_dim] for i in range(ambient_dim)]
 
 
 def model_from_config(cfg: dict):
     """Build a foliation model from its config section."""
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"a model section must be a JSON object, got {cfg!r}")
     try:
         kind = cfg["kind"]
     except KeyError:
@@ -124,11 +153,14 @@ def model_from_config(cfg: dict):
 def _build_model(kind: str, cfg: dict):
     if kind == "finite_group":
         ambient_dim = _number(cfg, "ambient_dim")
-        mode = cfg.get("mode")
+        if not isinstance(cfg["generators"], list):
+            raise ConfigError(f"generators must be a list of matrices, got {cfg['generators']!r}")
+        matrices = [_matrix_rows(g, ambient_dim) for g in cfg["generators"]]
+        mode = _mode(cfg, "mode", None)
         if mode is None:
-            flat = [x for g in cfg["generators"] for x in (sum(g, []) if g and isinstance(g[0], list) else g)]
-            mode = FLOAT if any(isinstance(x, float) for x in flat) else EXACT
-        gens = [_parse_matrix(g, ambient_dim, mode) for g in cfg["generators"]]
+            entries = [x for rows in matrices for row in rows for x in row]
+            mode = FLOAT if any(isinstance(x, float) for x in entries) else EXACT
+        gens = [[[_parse_entry(x, mode) for x in row] for row in rows] for rows in matrices]
         return group_closure(
             gens,
             max_group_size=_number(cfg, "max_group_size", int, 512),
@@ -145,14 +177,13 @@ def _build_model(kind: str, cfg: dict):
         )
     if kind == "isoparametric":
         ambient_dim = _number(cfg, "ambient_dim")
-        mode = cfg.get("mode", EXACT)
-        F = parse_polynomial(cfg["F"], ambient_dim, mode)
+        F = parse_polynomial(cfg["F"], ambient_dim, _mode(cfg, "mode", EXACT))
         symmetry = model_from_config(cfg["symmetry"]) if "symmetry" in cfg else None
         return IsoparametricModel(
             F,
             _number(cfg, "g"),
             h=_number(cfg, "h", float, 0.05),
-            sample_count=_number(cfg, "N", int, cfg.get("sample_count", 100_000)),
+            sample_count=_number(cfg, "N", int, cfg.get("sample_count", 100_000), minimum=1),
             tol_level=_number(cfg, "tol_level", float, 1e-6),
             min_ess=_number(cfg, "min_ess", float, 100.0),
             munzner_tol=_number(cfg, "munzner_tol", float, 1e-9),
@@ -186,12 +217,17 @@ def load_config(path) -> RunConfig:
         raise ConfigError(
             f"config {path} is not valid JSON: {err.msg} (line {err.lineno}, column {err.colno})"
         ) from None
-    if "model" not in data:
+    if not isinstance(data, dict) or "model" not in data:
         raise ConfigError(f"config {path} has no 'model' section")
+    params = data.get("params", {})
+    if not isinstance(params, dict):
+        raise ConfigError(f"params must be a JSON object, got {params!r}")
+    if "h" in params:
+        raise ConfigError("params.h is not read: the kernel bandwidth is model.h")
     return RunConfig(
         name=data.get("name", path.stem),
         model_config=data["model"],
-        params=data.get("params", {}),
+        params=params,
         out=data.get("out"),
         path=path,
     )
@@ -199,10 +235,10 @@ def load_config(path) -> RunConfig:
 
 def _require_seed(params: dict, override: Optional[int]) -> int:
     if override is not None:
-        return int(override)
+        params = {"seed": override}
     if "seed" not in params:
         raise ConfigError("a seed is mandatory for stochastic tasks (params.seed or --seed)")
-    return _number(params, "seed")
+    return _number(params, "seed", minimum=0)
 
 
 def _write_json(payload: dict, path: Path):
@@ -212,10 +248,14 @@ def _write_json(payload: dict, path: Path):
 def _load_generators(config: RunConfig, model) -> GeneratorSet:
     params = config.params
     if "generators" in params:
-        mode = params.get("generators_mode", EXACT)
+        mode = _mode(params, "generators_mode", EXACT)
         gens = []
         degrees = []
+        if not isinstance(params["generators"], list):
+            raise ConfigError(f"generators must be a list, got {params['generators']!r}")
         for item in params["generators"]:
+            if not isinstance(item, dict) or "text" not in item:
+                raise ConfigError(f"a generator must be an object with a 'text', got {item!r}")
             poly = parse_polynomial(item["text"], model.ambient_dim, mode)
             gens.append(poly)
             degrees.append(_number(item, "degree", int, poly.homogeneous_degree()))
@@ -228,12 +268,15 @@ def _load_generators(config: RunConfig, model) -> GeneratorSet:
             dims_by_degree={},
             provenance={"source": "inline", "model": model.describe()},
         )
-    if "generators_file" in params:
-        gen_path = Path(params["generators_file"])
-        if not gen_path.is_absolute() and config.path is not None:
-            gen_path = config.path.parent / gen_path
+    if not isinstance(params["generators_file"], str):
+        raise ConfigError(f"generators_file must be a path, got {params['generators_file']!r}")
+    gen_path = Path(params["generators_file"])
+    if not gen_path.is_absolute() and config.path is not None:
+        gen_path = config.path.parent / gen_path
+    try:
         return GeneratorSet.from_json(gen_path.read_text())
-    raise ConfigError("task needs 'generators', 'generators_file' or a discovery cap 'D'")
+    except (OSError, ValueError, KeyError, TypeError) as err:
+        raise ConfigError(f"cannot read generators file {gen_path}: {err!r}") from None
 
 
 def _generators_for_task(config: RunConfig, model, seed: int) -> GeneratorSet:
@@ -245,12 +288,10 @@ def _generators_for_task(config: RunConfig, model, seed: int) -> GeneratorSet:
             warnings.simplefilter("ignore", DegreeCapWarning)
             return discover_generators(
                 model,
-                _number(params, "D"),
+                _number(params, "D", minimum=1),
                 tol_rank=_number(params, "tol_rank", float, 1e-8),
                 seed=seed,
-                sample_points=params.get("sample_points"),
-                mc_samples=params.get("mc_samples"),
-                h=params.get("h"),
+                **_fit_args(params),
             )
     raise ConfigError("task needs 'generators', 'generators_file' or a discovery cap 'D'")
 
@@ -267,14 +308,8 @@ def task_avg(config: RunConfig, out_dir: Path, seed: Optional[int]) -> int:
     f = parse_polynomial(params["f"], model.ambient_dim, model.mode)
     if not f.is_homogeneous():
         raise ConfigError("avg task expects a homogeneous polynomial")
-    cert = average(
-        model,
-        f,
-        seed=run_seed,
-        sample_points=params.get("sample_points"),
-        mc_samples=params.get("mc_samples"),
-        h=params.get("h"),
-    )
+    fit_args = _fit_args(params)
+    cert = average(model, f, seed=run_seed, **fit_args)
     payload = cert.to_dict()
     if ("generators" in params or "generators_file" in params) and not model.closed_form:
         gens = _load_generators(config, model)
@@ -283,10 +318,8 @@ def task_avg(config: RunConfig, out_dir: Path, seed: Optional[int]) -> int:
             f,
             gens,
             seed=run_seed,
-            sample_points=params.get("sample_points"),
-            mc_samples=params.get("mc_samples"),
-            h=params.get("h"),
             tol=_number(params, "structured_tol", float, 1e-2),
+            **fit_args,
         )
         payload["structured"] = structured.to_dict()
     tolerance = 1e-12 if cert.exact else _number(params, "residual_tol", float, 0.05)
@@ -308,7 +341,7 @@ def task_generators(config: RunConfig, out_dir: Path, seed: Optional[int]) -> in
     run_seed = _require_seed(params, seed)
     if "D" not in params:
         raise ConfigError("generators task needs params.D (degree cap)")
-    cap = _number(params, "D")
+    cap = _number(params, "D", minimum=1)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # degree-cap warning is recorded in provenance
         gens = discover_generators(
@@ -316,9 +349,7 @@ def task_generators(config: RunConfig, out_dir: Path, seed: Optional[int]) -> in
             cap,
             tol_rank=_number(params, "tol_rank", float, 1e-8),
             seed=run_seed,
-            sample_points=params.get("sample_points"),
-            mc_samples=params.get("mc_samples"),
-            h=params.get("h"),
+            **_fit_args(params),
         )
     payload = gens.to_dict()
     passed = True
@@ -345,6 +376,7 @@ def task_verify(config: RunConfig, out_dir: Path, seed: Optional[int]) -> int:
     params = config.params
     run_seed = _require_seed(params, seed)
     gens = _generators_for_task(config, model, run_seed)
+    fit_args = _fit_args(params)
     failures = []
     checks = []
 
@@ -352,14 +384,7 @@ def task_verify(config: RunConfig, out_dir: Path, seed: Optional[int]) -> int:
     exact_engine = model.closed_form and model.mode == EXACT
     tol_basic = _number(params, "basic_tol", float, 1e-9 if exact_engine else 5e-2)
     for i, gen in enumerate(gens.generators):
-        cert = average(
-            model,
-            gen,
-            seed=run_seed + i,
-            sample_points=params.get("sample_points"),
-            mc_samples=params.get("mc_samples"),
-            h=params.get("h"),
-        )
+        cert = average(model, gen, seed=run_seed + i, **fit_args)
         avg_poly = cert.average_poly
         if avg_poly.mode == gen.mode:
             comparand = gen
@@ -381,33 +406,31 @@ def task_verify(config: RunConfig, out_dir: Path, seed: Optional[int]) -> int:
             })
 
     # operator identities on probe polynomials
-    num_probes = _number(params, "num_probes", int, 3)
-    probe_degree = _number(params, "probe_degree", int, 2)
+    num_probes = _number(params, "num_probes", int, 3, minimum=0)
+    identity_tol = _number(params, "identity_tol", float, None)
+    basis = monomial_basis(model.ambient_dim, _number(params, "probe_degree", int, 2, minimum=1))
     rng = np.random.default_rng(run_seed)
     mode = model.mode
-    from .polynomials import monomial_basis  # local import to keep module top tidy
+
+    def random_poly():
+        picks = rng.choice(len(basis), size=min(4, len(basis)), replace=False)
+        coeffs = rng.integers(-3, 4, size=len(picks))
+        terms = {basis[int(i)]: int(c) for i, c in zip(picks, coeffs) if c != 0}
+        if not terms:
+            terms = {basis[0]: 1}
+        if mode == FLOAT:
+            terms = {e: float(c) for e, c in terms.items()}
+        return Polynomial(model.ambient_dim, terms, mode)
 
     for n in range(num_probes):
-        basis = monomial_basis(model.ambient_dim, probe_degree)
-        def random_poly():
-            picks = rng.choice(len(basis), size=min(4, len(basis)), replace=False)
-            coeffs = rng.integers(-3, 4, size=len(picks))
-            terms = {basis[int(i)]: int(c) for i, c in zip(picks, coeffs) if c != 0}
-            if not terms:
-                terms = {basis[0]: 1}
-            if mode == FLOAT:
-                terms = {e: float(c) for e, c in terms.items()}
-            return Polynomial(model.ambient_dim, terms, mode)
         f = random_poly()
         g = random_poly()
         try:
             report = verify_operator_identities(
                 model, f, g,
                 seed=run_seed + 100 + n,
-                tol=params.get("identity_tol"),
-                sample_points=params.get("sample_points"),
-                mc_samples=params.get("mc_samples"),
-                h=params.get("h"),
+                tol=identity_tol,
+                **fit_args,
             )
             checks.append({"check": "operator_identities", "probe": n, **report.to_dict()})
         except IdentityViolation as err:
@@ -422,13 +445,11 @@ def task_verify(config: RunConfig, out_dir: Path, seed: Optional[int]) -> int:
     if "D" in params:
         try:
             report = verify_generation(
-                model, gens, _number(params, "D"),
-                tol=params.get("generation_tol"),
+                model, gens, _number(params, "D", minimum=1),
+                tol=_number(params, "generation_tol", float, None),
                 seed=run_seed,
-                sample_points=params.get("sample_points"),
-                mc_samples=params.get("mc_samples"),
-                h=params.get("h"),
                 tol_rank=_number(params, "tol_rank", float, 1e-8),
+                **fit_args,
             )
             checks.append({"check": "generation", **report.to_dict()})
         except GenerationGap as err:
@@ -462,11 +483,11 @@ def task_separate(config: RunConfig, out_dir: Path, seed: Optional[int]) -> int:
     cert = separation.separation_test(
         model,
         gens,
-        _number(params, "num_pairs", int, 1000),
+        _number(params, "num_pairs", int, 1000, minimum=1),
         _number(params, "tol_same", float, 1e-9),
         run_seed,
         margin_min=_number(params, "margin_min", float, 10.0),
-        same_leaf_tol=params.get("same_leaf_tol"),
+        same_leaf_tol=_number(params, "same_leaf_tol", float, None),
     )
     _write_json(cert.to_dict(), out_dir / "separation_certificate.json")
     margin = cert.margin_ratio
@@ -487,7 +508,7 @@ def task_export(config: RunConfig, out_dir: Path, seed: Optional[int]) -> int:
     path = out_dir / "quotient_image.csv"
     rows = separation.quotient_image_export(
         gens,
-        _number(params, "num_samples", int, 500),
+        _number(params, "num_samples", int, 500, minimum=0),
         run_seed,
         path,
         model=model,

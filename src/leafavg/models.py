@@ -237,9 +237,10 @@ class FiniteGroupModel:
     index array of the permutations and a float array of their signs, one
     row per element.  ``reynolds`` reads the pullback of a monomial off it as a
     permuted exponent vector and a sign, with no polynomial per element.
-    When the table holds every element, ``quotient_distance`` takes the
-    orbit of a point as ``float(p)[perm] * sign``; negating and moving a
-    float are exact, so each image is the float of the exact image.  Every
+    When the table holds every element, ``quotient_distance`` and
+    ``same_leaf`` with a positive tolerance take the orbit of a point as
+    ``float(p)[perm] * sign``; negating and moving a float are exact, so
+    each image is the float of the exact image.  Every
     other element, and every element of a float-mode group, is pulled back
     by :func:`compose_with_matrix`, and its orbit points are exact products.
     """
@@ -320,38 +321,33 @@ class FiniteGroupModel:
         return Polynomial._trusted(self.ambient_dim, total, f.mode).scale(weight)
 
     def same_leaf(self, p, q, tol: float) -> bool:
-        """True when some group element carries ``p`` to within ``tol`` of ``q``."""
+        """True when some group element carries ``p`` to within ``tol`` of ``q``
+        (onto ``q`` exactly when ``tol`` is 0)."""
         p = tuple(p)
         q = tuple(q)
         if len(p) != self.ambient_dim or len(q) != self.ambient_dim:
             raise DimensionMismatch("point dimension does not match group")
-        for g in self.elements:
-            image = _mat_vec(g, p)
-            if tol == 0:
-                if all(x == y for x, y in zip(image, q)):
-                    return True
-            else:
-                dist_sq = sum((float(x) - float(y)) ** 2 for x, y in zip(image, q))
-                if dist_sq < tol * tol:
-                    return True
-        return False
+        if tol == 0:
+            return any(image == q for image in self.orbit(p))
+        return min(self._orbit_sq_distances(p, q)) < tol * tol
 
     def orbit(self, p) -> List[tuple]:
         p = tuple(p)
         return [_mat_vec(g, p) for g in self.elements]
 
-    def quotient_distance(self, p, q) -> float:
-        """Distance from ``q`` to the nearest point of the orbit of ``p``."""
+    def _orbit_sq_distances(self, p, q) -> List[float]:
+        """Squared float distance from ``q`` to each point of the orbit of ``p``."""
         q = [float(x) for x in q]
         table = self._signed_table()
         if table.others:
             images = self.orbit(p)
         else:
             images = (np.array([float(x) for x in p])[table.perms] * table.signs).tolist()
-        return min(
-            math.sqrt(sum((float(x) - y) ** 2 for x, y in zip(image, q)))
-            for image in images
-        )
+        return [sum((float(x) - y) ** 2 for x, y in zip(image, q)) for image in images]
+
+    def quotient_distance(self, p, q) -> float:
+        """Distance from ``q`` to the nearest point of the orbit of ``p``."""
+        return math.sqrt(min(self._orbit_sq_distances(p, q)))
 
     def leaf_labels(self, p) -> List[float]:
         return []
@@ -393,9 +389,8 @@ def group_closure(
     elements = [identity]
     if mode == EXACT:
         seen = {identity}
-    queue = [identity]
-    while queue:
-        current = queue.pop(0)
+    # breadth first: the list grows behind the element being multiplied
+    for current in elements:
         for g in gens:
             prod = _mat_mul(current, g, _zero(mode))
             if mode == EXACT:
@@ -406,7 +401,6 @@ def group_closure(
                 if any(_mat_close(prod, e, tol_dedup) for e in elements):
                     continue
             elements.append(prod)
-            queue.append(prod)
             if len(elements) > max_group_size:
                 raise GroupTooLarge(
                     f"group closure exceeded {max_group_size} elements"
@@ -742,42 +736,55 @@ class LevelSetSampler:
         self.level_values = model.F.eval_many(self.points)
         self.grad_norms = model.g * np.sqrt(np.clip(1.0 - self.level_values ** 2, 0.0, None))
 
-    def weights(self, level: float, h: Optional[float] = None) -> np.ndarray:
-        h = self.model.h if h is None else h
-        u = (self.level_values - level) / h
+    def weights(self, level: float) -> np.ndarray:
+        """Coarea kernel weights of every sample at ``level``, bandwidth ``model.h``."""
+        u = (self.level_values - level) / self.model.h
         kernel = np.where(np.abs(u) < 1.0, 1.0 - u * u, 0.0)  # Epanechnikov, O(h^2) bias
         return self.grad_norms * kernel
 
     def leaf_average_values(
         self,
         values: np.ndarray,
-        level: float,
+        levels: Sequence[float],
         *,
-        h: Optional[float] = None,
         min_ess: Optional[float] = None,
-    ) -> Tuple[float, float]:
-        """Weighted ratio estimate and delete-one jackknife standard error."""
-        w = self.weights(level, h)
-        sw = float(w.sum())
-        if sw <= 0.0:
-            raise EffectiveSampleTooSmall("no samples in the kernel window")
-        min_ess = self.model.min_ess if min_ess is None else min_ess
-        ess = sw * sw / float((w * w).sum())
-        if ess < min_ess:
-            raise EffectiveSampleTooSmall(
-                f"effective sample size {ess:.1f} below minimum {min_ess}"
-            )
-        wf = w * values
-        swf = float(wf.sum())
-        estimate = swf / sw
-        n = len(w)
-        loo = (swf - wf) / (sw - w)
-        centered = loo - loo.mean()
-        se = math.sqrt((n - 1) / n * float(np.dot(centered, centered)))
-        return estimate, se
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Weighted ratio estimates and delete-one jackknife standard errors.
 
-    def leaf_average(self, f: Polynomial, level: float, **kwargs) -> Tuple[float, float]:
-        return self.leaf_average_values(f.eval_many(self.points), level, **kwargs)
+        ``values`` is a ``(rows, N)`` stack of sample values.  The weights,
+        their sum and the effective-sample-size guard are computed once per
+        level and shared by every row; each row is then estimated on its own,
+        so its results do not depend on the other rows of the stack.  Returns
+        two ``(rows, len(levels))`` arrays: the estimates and their SEs.
+        """
+        min_ess = self.model.min_ess if min_ess is None else min_ess
+        estimates = np.empty((len(values), len(levels)))
+        ses = np.empty_like(estimates)
+        n = self.count
+        for j, level in enumerate(levels):
+            w = self.weights(float(level))
+            sw = float(w.sum())
+            if sw <= 0.0:
+                raise EffectiveSampleTooSmall("no samples in the kernel window")
+            ess = sw * sw / float((w * w).sum())
+            if ess < min_ess:
+                raise EffectiveSampleTooSmall(
+                    f"effective sample size {ess:.1f} below minimum {min_ess}"
+                )
+            for i, row in enumerate(values):
+                wf = w * row
+                swf = float(wf.sum())
+                loo = (swf - wf) / (sw - w)
+                centered = loo - loo.mean()
+                estimates[i, j] = swf / sw
+                ses[i, j] = math.sqrt((n - 1) / n * float(np.dot(centered, centered)))
+        return estimates, ses
+
+    def leaf_average(self, f: Polynomial, level: float, *,
+                     min_ess: Optional[float] = None) -> Tuple[float, float]:
+        """Estimate and SE of the leaf average of ``f`` at one level."""
+        est, se = self.leaf_average_values([f.eval_many(self.points)], [level], min_ess=min_ess)
+        return float(est[0, 0]), float(se[0, 0])
 
 
 class IsoparametricModel:
@@ -892,25 +899,23 @@ class IsoparametricModel:
         rng_seed: int,
         *,
         n: Optional[int] = None,
-        h: Optional[float] = None,
         min_ess: Optional[float] = None,
     ) -> Tuple[float, float]:
         """Monte Carlo leaf average of ``f`` through ``p`` with jackknife SE.
 
-        Refuses points within bandwidth of the focal levels ``F = +-1``.
+        Uses the bandwidth ``h`` of the model and refuses points within it
+        of the focal levels ``F = +-1``.
         """
         if f.ambient_dim != self.ambient_dim:
             raise DimensionMismatch("polynomial dimension does not match model")
         p = tuple(p)
         self._check_on_sphere(p, 1e-8)
-        h = self.h if h is None else h
         level = self.level_of(p)
-        if abs(level) >= 1.0 - h:
+        if abs(level) >= 1.0 - self.h:
             raise NearSingularLeaf(
-                f"level {level:.6f} within bandwidth {h} of a focal level"
+                f"level {level:.6f} within bandwidth {self.h} of a focal level"
             )
-        sampler = self.sampler(rng_seed, n)
-        return sampler.leaf_average(f, level, h=h, min_ess=min_ess)
+        return self.sampler(rng_seed, n).leaf_average(f, level, min_ess=min_ess)
 
     def fit_points(self, count: int, rng: np.random.Generator) -> np.ndarray:
         """Uniform sphere points avoiding ``|F| > 1 - 2h`` (near-focal)."""

@@ -594,6 +594,8 @@ def parse_polynomial(text: str, ambient_dim: int, mode: str = EXACT) -> Polynomi
     decimal and scientific forms are accepted (converted exactly in exact
     mode).  Parentheses are not part of the format.
     """
+    if not isinstance(text, str):
+        raise PolynomialParseError(f"polynomial text must be a string, got {text!r}")
     tokens = _tokenize(text)
     if not tokens:
         raise PolynomialParseError("empty polynomial text", text, 0)

@@ -169,7 +169,7 @@ def test_acceptance_4_monte_carlo_vs_exact(capsys, iso_g2, t2_model):
             if abs(iso_g2.level_of(p)) < 1.0 - 2.0 * iso_g2.h:
                 break
         est, se = iso_g2.leaf_average_mc(
-            f, p, rng_seed=int(rng.integers(0, 2 ** 31)), n=1_000_000, h=0.05
+            f, p, rng_seed=int(rng.integers(0, 2 ** 31)), n=1_000_000
         )
         truth = float(oracle.eval([float(x) for x in p]))
         if abs(est - truth) <= 3.0 * se:
@@ -204,7 +204,7 @@ def test_acceptance_5_polynomial_recovery(capsys, iso_g2):
     # polynomials are linear images of one response vector, so the
     # difference has covariance L diag(se^2) L^T with L the difference of
     # the two fit operators; compare its sphere norm against 2 SE
-    ctx = _FitContext(iso_g2, 2, seed, None, 1_000_000, None)
+    ctx = _FitContext(iso_g2, 2, seed, None, 1_000_000)
     design = ctx.design(ctx.monomials)
     basis_cols = np.column_stack([
         gens.generators[0].to_float().eval_many(ctx.points),

@@ -20,6 +20,7 @@ from leafavg.averaging import (
     weighted_exponent_patterns,
 )
 from leafavg.basic_ring import GeneratorSet
+from leafavg.models import LevelSetSampler
 
 from util import random_homogeneous
 
@@ -161,6 +162,22 @@ def test_fit_recovers_quadric_average(iso_g2_model):
     assert cert.fit["condition"] < 1e3
     assert cert.fit["sample_count"] == 20
     assert cert.seed == 11
+
+
+def test_fit_builds_kernel_weights_twice_per_level(iso_g2_model, monkeypatch):
+    # one estimator pass for f, its probe and its Laplacian, one for the fitted
+    # average and its square: the weights of each fit level are built twice
+    calls = []
+    weights = LevelSetSampler.weights
+
+    def counted(self, level):
+        calls.append(level)
+        return weights(self, level)
+
+    monkeypatch.setattr(LevelSetSampler, "weights", counted)
+    cert = average(iso_g2_model, P("x1^2", 4), seed=3, sample_points=24, mc_samples=20_000)
+    assert cert.fit["sample_count"] == 24
+    assert 0 < len(calls) <= 2 * cert.fit["sample_count"]
 
 
 def test_fit_fixes_basic_input(iso_g2_model):

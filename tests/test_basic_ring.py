@@ -6,8 +6,10 @@ import pytest
 from leafavg import (
     EXACT,
     DegreeCapWarning,
+    EffectiveSampleTooSmall,
     GenerationGap,
     GeneratorSet,
+    IsoparametricModel,
     RankUnstable,
     ScalarModeMismatch,
     basic_subspace,
@@ -228,6 +230,12 @@ def test_iso_discovery_matches_invariant_ring(iso_g2_model):
                                    sample_points=24, mc_samples=40_000)
     texts = {format_polynomial(p) for p in gens.generators}
     assert texts == {"x1^2 + x2^2", "x3^2 + x4^2"}
+
+
+def test_statistical_slice_guards_effective_sample_size(iso_g2_model):
+    starved = IsoparametricModel(iso_g2_model.F, 2, min_ess=1e9)
+    with pytest.raises(EffectiveSampleTooSmall):
+        basic_subspace(starved, 2, tol_rank=0.05, seed=5, sample_points=24, mc_samples=20_000)
 
 
 def test_rank_unstable_reported(iso_g2_model):

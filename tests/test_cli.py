@@ -1,9 +1,15 @@
+import copy
 import importlib.util
+import io
 import json
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from leafavg import ConfigError
 from leafavg.cli import (
@@ -191,30 +197,88 @@ def test_missing_seed_is_config_error(tmp_path):
     assert main(["generators", "--config", str(config), "--out", str(out)]) == 1
 
 
-@pytest.mark.parametrize("model, params", [
-    ({"kind": "torus", "weight_matrix": [[1], [1]]}, {"seed": "abc", "D": 2}),
-    ({"kind": "finite_group", "ambient_dim": 2}, {"seed": 1, "D": 2}),
-    ({"kind": "isoparametric", "ambient_dim": 4, "F": "x1^2 + x2^2 - x3^2 - x4^2",
-      "g": 2, "h": 1.5}, {"seed": 1, "D": 2}),
-    ({"kind": "torus", "weight_matrix": []}, {"seed": 1, "D": 2}),
-    ({"kind": "finite_group", "ambient_dim": "abc", "generators": [[[0, 1], [1, 0]]]},
+TORUS = {"kind": "torus", "weight_matrix": [[1], [1]]}
+ISO = {"kind": "isoparametric", "ambient_dim": 4, "F": "x1^2 + x2^2 - x3^2 - x4^2", "g": 2}
+GOOD_GENERATOR = {"degree": 2, "text": "x1^2 + x2^2"}
+
+
+@pytest.mark.parametrize("task, model, params", [
+    ("generators", TORUS, {"seed": "abc", "D": 2}),
+    ("generators", {"kind": "finite_group", "ambient_dim": 2}, {"seed": 1, "D": 2}),
+    ("generators", {**ISO, "h": 1.5}, {"seed": 1, "D": 2}),
+    ("generators", {"kind": "torus", "weight_matrix": []}, {"seed": 1, "D": 2}),
+    ("generators", {"kind": "finite_group", "ambient_dim": "abc", "generators": [[[0, 1], [1, 0]]]},
      {"seed": 1, "D": 2}),
-    ({"kind": "torus", "weight_matrix": [["a"], [1]]}, {"seed": 1, "D": 2}),
-    ({"kind": "torus", "weight_matrix": [[1], [1]]}, {"seed": 1, "D": "x"}),
-    ({"kind": "isoparametric", "ambient_dim": 4, "F": "x1^2 + x2^2 - x3^2 - x4^2",
-      "g": 2, "h": "wide"}, {"seed": 1, "D": 2}),
-    ({"kind": "isoparametric", "ambient_dim": 4, "mode": "float", "F": "1e400*x1", "g": 1},
+    ("generators", {"kind": "torus", "weight_matrix": [["a"], [1]]}, {"seed": 1, "D": 2}),
+    ("generators", TORUS, {"seed": 1, "D": "x"}),
+    ("generators", {**ISO, "h": "wide"}, {"seed": 1, "D": 2}),
+    ("generators", {"kind": "isoparametric", "ambient_dim": 4, "mode": "float", "F": "1e400*x1", "g": 1},
      {"seed": 1, "D": 2}),
-    ({"kind": "finite_group", "ambient_dim": 2, "generators": [[["abc", 1], [1, 0]]]},
+    ("generators", {"kind": "finite_group", "ambient_dim": 2, "generators": [[["abc", 1], [1, 0]]]},
      {"seed": 1, "D": 2}),
-    ({"kind": "torus", "weight_matrix": [1, 1]}, {"seed": 1, "D": 2}),
+    ("generators", {"kind": "torus", "weight_matrix": [1, 1]}, {"seed": 1, "D": 2}),
+    ("avg", ISO, {"seed": 1, "f": "x1^2", "sample_points": "x"}),
+    ("avg", ISO, {"seed": 1, "f": "x1^2", "mc_samples": "x"}),
+    ("verify", TORUS, {"seed": 1, "D": 2, "identity_tol": "x"}),
+    ("verify", TORUS, {"seed": 1, "D": 2, "generation_tol": "x"}),
+    ("separate", TORUS, {"seed": 1, "D": 2, "same_leaf_tol": "x"}),
+    ("separate", TORUS, {"seed": 1, "generators_file": "missing.json"}),
+    ("separate", TORUS, {"seed": 1, "generators_file": "run.json"}),
+    ("export", TORUS, {"seed": 1, "generators": [{"degree": 2}]}),
+    ("export", TORUS, {"seed": 1, "generators": ["x1^2"]}),
+    ("export", TORUS, {"seed": 1, "generators_mode": "complex", "generators": [GOOD_GENERATOR]}),
+    ("generators", {**ISO, "mode": "complex"}, {"seed": 1, "D": 2}),
+    ("avg", TORUS, {"seed": 1, "f": 5}),
+    ("generators", {**ISO, "F": 5}, {"seed": 1, "D": 2}),
+    ("generators", {**ISO, "symmetry": "abc"}, {"seed": 1, "D": 2}),
+    ("generators", "abc", {"seed": 1, "D": 2}),
+    ("separate", TORUS, {"seed": 1, "D": 2, "num_pairs": 0}),
+    ("generators", TORUS, {"seed": 1, "D": 0}),
+    ("generators", TORUS, {"seed": -1, "D": 2}),
+    ("avg", ISO, {"seed": 1, "f": "x1^2", "h": 0.05}),
 ], ids=["seed_not_int", "group_without_generators", "bandwidth_above_1", "empty_weights",
         "ambient_dim_not_int", "weight_not_int", "cap_not_int", "bandwidth_not_number",
-        "float_coefficient_overflow", "matrix_entry_not_number", "weight_row_not_list"])
-def test_malformed_config_exits_1(tmp_path, capsys, model, params):
+        "float_coefficient_overflow", "matrix_entry_not_number", "weight_row_not_list",
+        "sample_points_not_int", "mc_samples_not_int", "identity_tol_not_number",
+        "generation_tol_not_number", "same_leaf_tol_not_number", "missing_generators_file", "generators_file_not_a_set",
+        "generator_without_text", "generator_not_object", "generators_mode_complex",
+        "model_mode_complex", "f_not_text", "F_not_text", "symmetry_not_object",
+        "model_not_object", "no_pairs", "cap_zero", "seed_negative", "params_bandwidth"])
+def test_malformed_config_exits_1(tmp_path, capsys, task, model, params):
     config = write_config(tmp_path / "run.json", {"name": "bad", "model": model, "params": params})
-    assert main(["generators", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+    assert main([task, "--config", str(config), "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_params_bandwidth_points_to_model(tmp_path):
+    config = write_config(tmp_path / "run.json", {"model": ISO, "params": {"seed": 1, "h": 0.1}})
+    with pytest.raises(ConfigError, match="model.h"):
+        load_config(config)
+
+
+FUZZ_BASES = {name: json.loads((_CONFIG_DIR / f"{name}.json").read_text())
+              for name in ("b2", "t2_full", "iso_g1")}
+FUZZ_FIELDS = [(name, section, key) for name, data in FUZZ_BASES.items()
+               for section in ("model", "params") for key in data[section]]
+# small values only: a wrong type must fail fast, never start a long run
+WRONG_VALUES = ["abc", [], [1], {}, {"a": 1}, None, True, False, 0, -1]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.sampled_from(FUZZ_FIELDS), st.sampled_from(WRONG_VALUES),
+       st.sampled_from(("avg", "separate", "export")))
+def test_wrong_typed_field_never_escapes_main(field, value, task):
+    name, section, key = field
+    data = copy.deepcopy(FUZZ_BASES[name])
+    data[section][key] = value
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        config = write_config(Path(tmp) / "run.json", data)
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = main([task, "--config", str(config), "--out", str(Path(tmp) / "out")])
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert err.getvalue().startswith("error: ")
 
 
 def test_b4_cap8_generators_match_reference(tmp_path, monkeypatch):

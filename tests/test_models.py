@@ -179,6 +179,44 @@ def test_group_quotient_distance_matches_exact_orbit(name, seed):
     assert model.quotient_distance(p, p) == 0.0
 
 
+def _exact_orbit_same_leaf(model, p, q, tol):
+    """The same-leaf predicate over the exact orbit of ``p``."""
+    for image in model.orbit(p):
+        if tol == 0:
+            if all(x == y for x, y in zip(image, q)):
+                return True
+        elif sum((float(x) - float(y)) ** 2 for x, y in zip(image, q)) < tol * tol:
+            return True
+    return False
+
+
+SAME_LEAF_GROUPS = {
+    **BUNDLED_GROUPS,
+    # a reflection that is not a signed permutation: its orbit stays exact
+    "rational_reflection": group_closure([[[Fraction(3, 5), Fraction(4, 5)],
+                                           [Fraction(4, 5), Fraction(-3, 5)]]]),
+}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(SAME_LEAF_GROUPS)), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from(["mate", "other", "nudged"]), st.sampled_from([0, 1e-12, 1e-9, 1e-3, 0.5]))
+def test_group_same_leaf_matches_exact_orbit(name, seed, kind, tol):
+    model = SAME_LEAF_GROUPS[name]
+    rng = np.random.default_rng(seed)
+    p, q = rational_sphere_points(model.ambient_dim, 2, rng)
+    if kind != "other":
+        q = model.random_leaf_mate(p, rng)
+    if kind == "nudged":
+        q = (q[0] + Fraction(1, 10 ** 6),) + tuple(q[1:])
+    assert model.same_leaf(p, q, tol) == _exact_orbit_same_leaf(model, p, q, tol)
+    q_float = [float(x) for x in q]
+    assert model.quotient_distance(p, q) == min(
+        math.sqrt(sum((float(x) - y) ** 2 for x, y in zip(image, q_float)))
+        for image in model.orbit(p)
+    )
+
+
 def test_same_leaf_group_antipodal():
     model = group_closure([[[-1, 0], [0, -1]]])
     assert model.same_leaf((0.3, -0.7), (-0.3, 0.7), 1e-12)
@@ -399,6 +437,19 @@ def test_leaf_average_bitwise_reproducible(iso_g2_model):
     assert a == b
     c = iso_g2_model.leaf_average_mc(f, p, rng_seed=8, n=50_000)
     assert a != c
+
+
+def test_stacked_rows_match_rows_alone(iso_g2_model):
+    sampler = LevelSetSampler(iso_g2_model, 7, 20_000)
+    polys = [P("x1^2", 4), P("x1 * x3 - 2 * x2^3 * x4", 4), P("1", 4)]
+    values = np.stack([f.to_float().eval_many(sampler.points) for f in polys])
+    levels = [-0.6, 0.0, 0.31]
+    est, se = sampler.leaf_average_values(values, levels)
+    assert est.shape == se.shape == (3, 3)
+    for i, row in enumerate(values):
+        alone_est, alone_se = sampler.leaf_average_values(row[None, :], levels)
+        assert np.array_equal(est[i], alone_est[0])
+        assert np.array_equal(se[i], alone_se[0])
 
 
 def test_sampler_reuse_matches_direct_call(iso_g2_model):

@@ -721,7 +721,9 @@ class LevelSetSampler:
 
     Caches the sample points, the level values and the tangential gradient
     norm, so that averaging many polynomials over many levels costs one
-    polynomial evaluation per polynomial.  Samples come from the first child
+    polynomial evaluation per polynomial.  The cloud is sorted by level once,
+    so the kernel support of any level is one contiguous slice of it and a
+    level costs O(window) rather than O(N).  Samples come from the first child
     of ``SeedSequence(seed)``, which makes results bitwise reproducible for a
     fixed seed.
     """
@@ -732,15 +734,41 @@ class LevelSetSampler:
         self.count = count
         root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
         rng = np.random.default_rng(root.spawn(1)[0])
-        self.points = sample_sphere_many(count, model.ambient_dim, rng)
-        self.level_values = model.F.eval_many(self.points)
+        points = sample_sphere_many(count, model.ambient_dim, rng)
+        levels = model.F.eval_many(points)
+        order = np.argsort(levels)
+        # np.take gathers the rows several times faster than points[order]
+        self.points = np.take(points, order, axis=0)
+        self.level_values = np.take(levels, order)
         self.grad_norms = model.g * np.sqrt(np.clip(1.0 - self.level_values ** 2, 0.0, None))
 
+    def window(self, level: float) -> slice:
+        """The slice of the sorted cloud inside the kernel support of ``level``.
+
+        A sample is in the support when ``|(F(x) - level) / h| < 1``.  That
+        float test is monotone in ``F(x)``, so its samples are contiguous: the
+        ``searchsorted`` slice of ``level - h`` to ``level + h``, widened by a
+        margin that covers rounding, needs only its ends trimmed by the same
+        test.
+        """
+        lv = self.level_values
+        h = self.model.h
+        # the float test can move the support's ends by a few 1e-16; levels lie in [-1, 1]
+        margin = 1e-9 * h + 1e-12
+        lo = int(np.searchsorted(lv, level - h - margin, side="left"))
+        hi = int(np.searchsorted(lv, level + h + margin, side="right"))
+        while lo < hi and not abs((lv[lo] - level) / h) < 1.0:
+            lo += 1
+        while hi > lo and not abs((lv[hi - 1] - level) / h) < 1.0:
+            hi -= 1
+        return slice(lo, hi)
+
     def weights(self, level: float) -> np.ndarray:
-        """Coarea kernel weights of every sample at ``level``, bandwidth ``model.h``."""
-        u = (self.level_values - level) / self.model.h
-        kernel = np.where(np.abs(u) < 1.0, 1.0 - u * u, 0.0)  # Epanechnikov, O(h^2) bias
-        return self.grad_norms * kernel
+        """Coarea kernel weights at ``level``, bandwidth ``model.h``, of the
+        samples in ``window(level)``; every other sample has weight 0."""
+        window = self.window(level)
+        u = (self.level_values[window] - level) / self.model.h
+        return self.grad_norms[window] * (1.0 - u * u)  # Epanechnikov, O(h^2) bias
 
     def leaf_average_values(
         self,
@@ -751,18 +779,26 @@ class LevelSetSampler:
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Weighted ratio estimates and delete-one jackknife standard errors.
 
-        ``values`` is a ``(rows, N)`` stack of sample values.  The weights,
-        their sum and the effective-sample-size guard are computed once per
-        level and shared by every row; each row is then estimated on its own,
-        so its results do not depend on the other rows of the stack.  Returns
-        two ``(rows, len(levels))`` arrays: the estimates and their SEs.
+        ``values`` is a ``(rows, N)`` array of sample values, in the order of
+        ``points``.  The weights, their sum and the effective-sample-size
+        guard are computed once per level and shared by every row; each row
+        is then estimated on its own, so its results do not depend on the
+        other rows of the stack.  Returns two ``(rows, len(levels))`` arrays:
+        the estimates and their SEs.
+
+        Only the samples in the level's window are read.  Leaving out a
+        sample of weight 0 leaves the ratio unchanged, so each of the
+        ``N - k`` samples outside the window adds the same closed-form term
+        to the jackknife sum.
         """
         min_ess = self.model.min_ess if min_ess is None else min_ess
         estimates = np.empty((len(values), len(levels)))
         ses = np.empty_like(estimates)
         n = self.count
         for j, level in enumerate(levels):
-            w = self.weights(float(level))
+            level = float(level)
+            window = self.window(level)
+            w = self.weights(level)
             sw = float(w.sum())
             if sw <= 0.0:
                 raise EffectiveSampleTooSmall("no samples in the kernel window")
@@ -771,19 +807,23 @@ class LevelSetSampler:
                 raise EffectiveSampleTooSmall(
                     f"effective sample size {ess:.1f} below minimum {min_ess}"
                 )
-            for i, row in enumerate(values):
-                wf = w * row
-                swf = float(wf.sum())
-                loo = (swf - wf) / (sw - w)
-                centered = loo - loo.mean()
-                estimates[i, j] = swf / sw
-                ses[i, j] = math.sqrt((n - 1) / n * float(np.dot(centered, centered)))
+            wf = values[:, window] * w
+            swf = wf.sum(axis=1)
+            est = swf / sw
+            loo = (swf[:, None] - wf) / (sw - w)
+            outside = n - len(w)
+            mean = (loo.sum(axis=1) + outside * est) / n
+            centered = loo - mean[:, None]
+            spread = (centered * centered).sum(axis=1) + outside * (est - mean) ** 2
+            estimates[:, j] = est
+            ses[:, j] = np.sqrt((n - 1) / n * spread)
         return estimates, ses
 
     def leaf_average(self, f: Polynomial, level: float, *,
                      min_ess: Optional[float] = None) -> Tuple[float, float]:
         """Estimate and SE of the leaf average of ``f`` at one level."""
-        est, se = self.leaf_average_values([f.eval_many(self.points)], [level], min_ess=min_ess)
+        values = f.eval_many(self.points)[None, :]
+        est, se = self.leaf_average_values(values, [level], min_ess=min_ess)
         return float(est[0, 0]), float(se[0, 0])
 
 

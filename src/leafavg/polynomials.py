@@ -285,19 +285,23 @@ class Polynomial:
             for i, e in enumerate(expo):
                 if e > max_exp[i]:
                     max_exp[i] = e
-        # power tables avoid repeated np.power calls per term
+        # power tables avoid repeated np.power calls per term; tables[i][e] is
+        # x_i^e for e >= 1
         tables = []
         for i, m in enumerate(max_exp):
             col = points[:, i]
-            tab = [np.ones(n)]
-            for _ in range(m):
+            tab = [None, col]
+            for _ in range(1, m):
                 tab.append(tab[-1] * col)
             tables.append(tab)
         for expo, coeff in self._terms.items():
-            term = np.full(n, float(coeff))
-            for i, e in enumerate(expo):
-                if e:
-                    term = term * tables[i][e]
+            factors = [tables[i][e] for i, e in enumerate(expo) if e]
+            if not factors:
+                out += float(coeff)
+                continue
+            term = factors[0] * float(coeff)
+            for factor in factors[1:]:
+                term *= factor
             out += term
         return out
 

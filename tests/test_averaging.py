@@ -166,18 +166,25 @@ def test_fit_recovers_quadric_average(iso_g2_model):
 
 def test_fit_builds_kernel_weights_twice_per_level(iso_g2_model, monkeypatch):
     # one estimator pass for f, its probe and its Laplacian, one for the fitted
-    # average and its square: the weights of each fit level are built twice
+    # average and its square: the weights of each fit level are built twice.
+    # Each covers only the level's kernel window (about 5% of the iso_g2
+    # cloud for h = 0.05), never all N samples.
     calls = []
+    lengths = []
     weights = LevelSetSampler.weights
 
     def counted(self, level):
         calls.append(level)
-        return weights(self, level)
+        result = weights(self, level)
+        lengths.append(len(result))
+        return result
 
     monkeypatch.setattr(LevelSetSampler, "weights", counted)
-    cert = average(iso_g2_model, P("x1^2", 4), seed=3, sample_points=24, mc_samples=20_000)
+    n = 20_000
+    cert = average(iso_g2_model, P("x1^2", 4), seed=3, sample_points=24, mc_samples=n)
     assert cert.fit["sample_count"] == 24
     assert 0 < len(calls) <= 2 * cert.fit["sample_count"]
+    assert sum(lengths) < 0.25 * n * len(calls)
 
 
 def test_fit_fixes_basic_input(iso_g2_model):

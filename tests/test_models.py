@@ -452,6 +452,72 @@ def test_stacked_rows_match_rows_alone(iso_g2_model):
         assert np.array_equal(se[i], alone_se[0])
 
 
+def _full_scan_leaf_average(sampler, values, level, min_ess):
+    """The estimator before windowing: the weights, the sums and the
+    jackknife of one level run over all N samples.  Returns the full-length
+    weights, the estimates and the SEs of each row."""
+    h, n = sampler.model.h, sampler.count
+    u = (sampler.level_values - level) / h
+    w = sampler.grad_norms * np.where(np.abs(u) < 1.0, 1.0 - u * u, 0.0)
+    sw = float(w.sum())
+    if sw <= 0.0:
+        raise EffectiveSampleTooSmall("no samples in the kernel window")
+    ess = sw * sw / float((w * w).sum())
+    if ess < min_ess:
+        raise EffectiveSampleTooSmall(f"effective sample size {ess:.1f} below minimum {min_ess}")
+    estimates, ses = [], []
+    for row in values:
+        wf = w * row
+        swf = float(wf.sum())
+        loo = (swf - wf) / (sw - w)
+        centered = loo - loo.mean()
+        estimates.append(swf / sw)
+        ses.append(math.sqrt((n - 1) / n * float(np.dot(centered, centered))))
+    return w, np.array(estimates), np.array(ses)
+
+
+def _outcome(estimate, *args):
+    try:
+        return estimate(*args)
+    except EffectiveSampleTooSmall as exc:
+        return str(exc).split(" ")[0]  # "no" (empty window) or "effective"
+
+
+def test_windowed_estimator_matches_full_scan(iso_g2_model):
+    sampler = LevelSetSampler(iso_g2_model, 5, 20_000)
+    lv, h, n = sampler.level_values, iso_g2_model.h, sampler.count
+    assert np.all(np.diff(lv) >= 0.0)
+    polys = [P("x1^2", 4), P("x1 * x3 - 2 * x2^3 * x4", 4), P("1", 4)]
+    values = np.stack([f.to_float().eval_many(sampler.points) for f in polys])
+    rng = np.random.default_rng(0)
+    edges = rng.integers(0, n, size=6)
+    levels = [
+        *rng.uniform(-1.2, 1.2, size=30),
+        lv[0], lv[0] + 0.5 * h, lv[-1], lv[-1] - 0.5 * h,  # windows at the ends
+        *(lv[edges] + h), *(lv[edges] - h),  # a support edge on a sample
+        -1.0 - 1.5 * h, 1.0 + 1.5 * h,  # empty windows
+    ]
+    seen = set()
+    for level in map(float, levels):
+        reference = _outcome(_full_scan_leaf_average, sampler, values, level, iso_g2_model.min_ess)
+        windowed = _outcome(sampler.leaf_average_values, values, [level])
+        if isinstance(reference, str):
+            assert windowed == reference, level
+            seen.add(reference)
+            continue
+        w_full, ref_est, ref_se = reference
+        est, se = windowed
+        window = sampler.window(level)
+        # the same samples carry weight, with the same weights
+        assert np.array_equal(np.flatnonzero(np.abs((lv - level) / h) < 1.0),
+                              np.arange(window.start, window.stop))
+        assert np.array_equal(sampler.weights(level), w_full[window])
+        np.testing.assert_allclose(est[:, 0], ref_est, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(se[:, 0], ref_se, rtol=1e-12, atol=0.0)
+        seen.add("first" if window.start == 0 else "last" if window.stop == n else "inner")
+    assert seen == {"no", "effective", "first", "last", "inner"}
+
+
 def test_sampler_reuse_matches_direct_call(iso_g2_model):
     sampler = LevelSetSampler(iso_g2_model, 7, 50_000)
     f = parse_polynomial("x1^2", 4)

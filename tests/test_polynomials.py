@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from leafavg import (
@@ -64,6 +64,40 @@ def test_eval_many_matches_eval():
     vectorized = p.eval_many(pts)
     for row, value in zip(pts, vectorized):
         assert math.isclose(float(p.eval(tuple(row))), value, rel_tol=1e-12, abs_tol=1e-12)
+
+
+def _eval_many_per_term(p, points):
+    """Reference for ``eval_many``: each term is the product, left to right,
+    of its coefficient and its variables' powers, each power the product of
+    ``e`` copies of the coordinate."""
+    out = np.zeros(len(points))
+    for expo, coeff in p.terms.items():
+        factors = [np.full(len(points), float(coeff))]
+        for i, e in enumerate(expo):
+            if e:
+                factors.append(np.prod(np.stack([points[:, i]] * e), axis=0))
+        out += np.prod(np.stack(factors), axis=0)
+    return out
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    st.integers(1, 4).flatmap(lambda dim: exact_polys(dim, max_degree=4)),
+    st.sampled_from([EXACT, FLOAT]),
+    st.booleans(),
+    st.integers(0, 2 ** 32 - 1),
+)
+@example(Polynomial.zero(2), FLOAT, False, 0)  # the zero polynomial
+@example(Polynomial.zero(3), EXACT, True, 1)  # a constant
+def test_eval_many_is_bitwise_the_per_term_product(p, mode, with_constant, seed):
+    if with_constant:
+        p = p + Polynomial.constant(p.ambient_dim, Fraction(-7, 3))
+    if mode == FLOAT:
+        p = p.to_float()
+    points = np.random.default_rng(seed).normal(size=(33, p.ambient_dim))
+    values = p.eval_many(points)
+    assert values.shape == (33,)
+    assert np.array_equal(values, _eval_many_per_term(p, points))
 
 
 def test_eval_dimension_mismatch():

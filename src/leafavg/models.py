@@ -627,9 +627,14 @@ class TorusModel:
         )
         return max(radial, phase)
 
-    def _rational_rotation(self, tau: Fraction):
-        den = 1 + tau * tau
-        return ((1 - tau * tau) / den, 2 * tau / den)  # (cos, sin), exactly on S^1
+    @staticmethod
+    def _rational_rotation(a: int, b: int):
+        """``(cos, sin, den)`` in integers for the rotation with half-angle
+        tangent ``a / b``: ``cos + i sin = (b + i a)^2 / (a^2 + b^2)``,
+        reduced, so ``den`` is the one lowest denominator of cos and sin."""
+        cos, sin, den = b * b - a * a, 2 * a * b, a * a + b * b
+        g = math.gcd(cos, sin, den)
+        return cos // g, sin // g, den // g
 
     def random_leaf_mate(self, p, rng: np.random.Generator):
         """A point on the leaf of ``p``: exact rational rotation for exact
@@ -639,23 +644,26 @@ class TorusModel:
             raise DimensionMismatch("point dimension does not match torus model")
         exact_in = all(not isinstance(x, float) for x in p)
         if exact_in:
-            cos_sin = []
+            rotations = []
             for _ in range(self.torus_rank):
-                tau = Fraction(int(rng.integers(-12, 13)), int(rng.integers(1, 13)))
-                cos_sin.append(self._rational_rotation(tau))
+                a = int(rng.integers(-12, 13))
+                rotations.append(self._rational_rotation(a, int(rng.integers(1, 13))))
             out = []
             for j in range(self.n_planes):
-                c, s = Fraction(1), Fraction(0)
+                # the plane's rotation c + i s in Gaussian integers over den
+                c, s, den = 1, 0, 1
                 for t in range(self.torus_rank):
                     w = self.weight_matrix[j][t]
-                    ct, st = cos_sin[t]
+                    ct, st, dt = rotations[t]
                     if w < 0:
                         st = -st
                         w = -w
                     for _ in range(w):
-                        c, s = c * ct - s * st, c * st + s * ct
+                        c, s, den = c * ct - s * st, c * st + s * ct, den * dt
                 x, y = Fraction(p[2 * j]), Fraction(p[2 * j + 1])
-                out.extend((c * x - s * y, s * x + c * y))
+                xn, yn = x.numerator * y.denominator, y.numerator * x.denominator
+                den *= x.denominator * y.denominator
+                out.extend((Fraction(c * xn - s * yn, den), Fraction(s * xn + c * yn, den)))
             out.extend(Fraction(x) for x in p[2 * self.n_planes:])
             return tuple(out)
         theta = rng.uniform(0.0, _TWO_PI, size=self.torus_rank)
@@ -716,6 +724,12 @@ def validate_munzner(F: Polynomial, g: int, *, tol: float = 1e-9):
     return c
 
 
+def _window_margin(h: float) -> float:
+    # the float support test can move the support's ends by a few 1e-16;
+    # levels lie in [-1, 1]
+    return 1e-9 * h + 1e-12
+
+
 class LevelSetSampler:
     """A reusable cloud of sphere samples for level-set averaging.
 
@@ -728,7 +742,11 @@ class LevelSetSampler:
     fixed seed.
     """
 
-    def __init__(self, model: "IsoparametricModel", seed, count: int):
+    def __init__(self, model: "IsoparametricModel", seed, count: int, *,
+                 level: Optional[float] = None):
+        """With ``level``, keep only the samples that ``window(level)`` can
+        read; ``count`` stays the full sample count, so that level's
+        estimates and SEs are those of the full cloud."""
         self.model = model
         self.seed = seed
         self.count = count
@@ -736,6 +754,11 @@ class LevelSetSampler:
         rng = np.random.default_rng(root.spawn(1)[0])
         points = sample_sphere_many(count, model.ambient_dim, rng)
         levels = model.F.eval_many(points)
+        if level is not None:
+            # twice the window's margin: a superset of every sample it reads
+            keep = np.abs(levels - level) <= model.h + 2.0 * _window_margin(model.h)
+            points = np.compress(keep, points, axis=0)
+            levels = np.compress(keep, levels)
         order = np.argsort(levels)
         # np.take gathers the rows several times faster than points[order]
         self.points = np.take(points, order, axis=0)
@@ -753,8 +776,7 @@ class LevelSetSampler:
         """
         lv = self.level_values
         h = self.model.h
-        # the float test can move the support's ends by a few 1e-16; levels lie in [-1, 1]
-        margin = 1e-9 * h + 1e-12
+        margin = _window_margin(h)
         lo = int(np.searchsorted(lv, level - h - margin, side="left"))
         hi = int(np.searchsorted(lv, level + h + margin, side="right"))
         while lo < hi and not abs((lv[lo] - level) / h) < 1.0:
@@ -955,7 +977,8 @@ class IsoparametricModel:
             raise NearSingularLeaf(
                 f"level {level:.6f} within bandwidth {self.h} of a focal level"
             )
-        return self.sampler(rng_seed, n).leaf_average(f, level, min_ess=min_ess)
+        sampler = LevelSetSampler(self, rng_seed, n or self.sample_count, level=level)
+        return sampler.leaf_average(f, level, min_ess=min_ess)
 
     def fit_points(self, count: int, rng: np.random.Generator) -> np.ndarray:
         """Uniform sphere points avoiding ``|F| > 1 - 2h`` (near-focal)."""

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -24,14 +25,80 @@ from .polynomials import EXACT
 _PROXY_BINS = (1e-3, 1e-2, 1e-1)
 
 
-def rho_eval(gens, point) -> tuple:
-    """Evaluate the generator map at a point (exact when inputs allow)."""
-    values = []
+class _IntegerGeneratorMap:
+    """An exact generator set in integers, for evaluation at rational points.
+
+    Generator ``f = sum (k_e / L) x^e`` of top degree ``D`` is kept as the
+    lcm ``L`` of its coefficient denominators and the terms
+    ``(e, k_e, D - |e|)``, with ``e`` as its nonzero ``(index, exponent)``
+    pairs.  At ``x = a / c``, with ``c`` the lcm of the
+    coordinate denominators, ``f(x) = sum k_e a^e c^(D - |e|) / (L c^D)``:
+    one reduced ``Fraction`` per generator, equal to ``f.eval(x)``, from
+    integer power tables shared by all generators.
+    """
+
+    def __init__(self, generators):
+        self.forms = []
+        max_exp = [0] * (generators[0].ambient_dim if generators else 0)
+        max_degree = 0
+        for f in generators:
+            coeffs = f.terms
+            lcm = math.lcm(*(c.denominator for c in coeffs.values()))
+            degree = max((sum(e) for e in coeffs), default=0)
+            terms = []
+            for expo, coeff in coeffs.items():
+                factors = tuple((i, e) for i, e in enumerate(expo) if e)
+                for i, e in factors:
+                    max_exp[i] = max(max_exp[i], e)
+                terms.append((factors, coeff.numerator * (lcm // coeff.denominator),
+                              degree - sum(expo)))
+            self.forms.append((lcm, degree, tuple(terms)))
+            max_degree = max(max_degree, degree)
+        self.max_exp = max_exp
+        self.max_degree = max_degree
+
+    def __call__(self, point) -> Optional[tuple]:
+        """The generator values at ``point``; None unless every coordinate
+        is an int or a ``Fraction``."""
+        if not all(isinstance(x, (int, Fraction)) for x in point):
+            return None
+        c = math.lcm(*(x.denominator for x in point))
+        powers = []
+        for x, top in zip(point, self.max_exp):
+            a = x.numerator * (c // x.denominator)
+            row = [1, a]
+            for _ in range(1, top):
+                row.append(row[-1] * a)
+            powers.append(row)
+        c_powers = [1]
+        for _ in range(self.max_degree):
+            c_powers.append(c_powers[-1] * c)
+        values = []
+        for lcm, degree, terms in self.forms:
+            total = 0
+            for factors, k, cofactor in terms:
+                term = k * c_powers[cofactor]
+                for i, e in factors:
+                    term *= powers[i][e]
+                total += term
+            values.append(Fraction(total, lcm * c_powers[degree]))
+        return tuple(values)
+
+
+def rho_eval(gens, point, *, integer_map: Optional[_IntegerGeneratorMap] = None) -> tuple:
+    """Evaluate the generator map at a point (exact when inputs allow).
+
+    ``integer_map``, built once from an exact ``gens``, evaluates rational
+    points in integers; other points fall back to ``Polynomial.eval``.
+    """
     for p in gens.generators:
         if len(point) != p.ambient_dim:
             raise DimensionMismatch("point dimension does not match generators")
-        values.append(p.eval(point))
-    return tuple(values)
+    if integer_map is not None:
+        values = integer_map(point)
+        if values is not None:
+            return values
+    return tuple(p.eval(point) for p in gens.generators)
 
 
 def _rho_distance(a: Sequence, b: Sequence) -> float:
@@ -93,14 +160,14 @@ def rational_sphere_points(
     ``(2u, |u|^2 - 1) / (|u|^2 + 1)`` has unit norm exactly, so generator
     invariance can be certified with zero floating error.
     """
-    from fractions import Fraction
-
-    raw = rng.integers(-2 * denominator, 2 * denominator + 1, size=(count, ambient_dim - 1))
+    q = denominator
+    raw = rng.integers(-2 * q, 2 * q + 1, size=(count, ambient_dim - 1))
     points = []
-    for row in raw:
-        u = [Fraction(int(v), denominator) for v in row]
-        s = sum(x * x for x in u)
-        points.append(tuple(2 * x / (s + 1) for x in u) + ((s - 1) / (s + 1),))
+    for row in raw.tolist():
+        # u = k / q: the point is (2 q k, S - q^2) / (S + q^2) with S = |k|^2
+        s = sum(k * k for k in row)
+        den = s + q * q
+        points.append(tuple(Fraction(2 * q * k, den) for k in row) + (Fraction(s - q * q, den),))
     return points
 
 
@@ -140,6 +207,10 @@ def separation_test(
     exact = model.closed_form and model.mode == EXACT and gens.mode == EXACT
     if same_leaf_tol is None:
         same_leaf_tol = 1e-9 if model.closed_form else model.tol_level
+    integer_map = _IntegerGeneratorMap(gens.generators) if exact else None
+
+    def rho(point):
+        return rho_eval(gens, point, integer_map=integer_map)
 
     notes: List[str] = []
     failures: List[dict] = []
@@ -156,7 +227,7 @@ def separation_test(
         points = _sample_points(model, num_pairs, rng, exact)
         for p in points:
             mate = model.random_leaf_mate(p, rng)
-            disc = _rho_distance(rho_eval(gens, p), rho_eval(gens, mate))
+            disc = _rho_distance(rho(p), rho(mate))
             num_same += 1
             if disc > max_same:
                 max_same = disc
@@ -174,7 +245,7 @@ def separation_test(
 
     def record_distinct(p, q):
         nonlocal min_distinct
-        dist = _rho_distance(rho_eval(gens, p), rho_eval(gens, q))
+        dist = _rho_distance(rho(p), rho(q))
         distinct.append((p, q, dist))
         if dist < min_distinct:
             min_distinct = dist

@@ -2,6 +2,8 @@ import copy
 import importlib.util
 import io
 import json
+import os
+import subprocess
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
@@ -314,3 +316,20 @@ def test_avg_inhomogeneous_rejected(tmp_path):
         "params": {"seed": 1, "f": "x1^2 + x1"},
     })
     assert main(["avg", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    import leafavg
+
+    src = str(Path(leafavg.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    config = _CONFIG_DIR / "c4.json"
+    result = subprocess.run(
+        [sys.executable, "-m", "leafavg", "avg", "--config", str(config), "--out", str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert (tmp_path / "avg_certificate.json").exists()
+    missing = subprocess.run([sys.executable, "-m", "leafavg", "avg", "--out", str(tmp_path)],
+                             env=env, capture_output=True, text=True, timeout=120)
+    assert missing.returncode == 1

@@ -310,6 +310,62 @@ def test_torus_exact_rational_mate(circle12_model):
     assert cubic.eval(mate) == cubic.eval(p)
 
 
+def _fraction_rotation_mate(model, p, rng):
+    """The exact torus mate composed in ``Fraction`` arithmetic: the
+    reference for the integer composition in ``random_leaf_mate``."""
+    cos_sin = []
+    for _ in range(model.torus_rank):
+        tau = Fraction(int(rng.integers(-12, 13)), int(rng.integers(1, 13)))
+        den = 1 + tau * tau
+        cos_sin.append(((1 - tau * tau) / den, 2 * tau / den))
+    out = []
+    for j in range(model.n_planes):
+        c, s = Fraction(1), Fraction(0)
+        for t in range(model.torus_rank):
+            w = model.weight_matrix[j][t]
+            ct, st = cos_sin[t]
+            if w < 0:
+                st, w = -st, -w
+            for _ in range(w):
+                c, s = c * ct - s * st, c * st + s * ct
+        x, y = Fraction(p[2 * j]), Fraction(p[2 * j + 1])
+        out.extend((c * x - s * y, s * x + c * y))
+    out.extend(Fraction(x) for x in p[2 * model.n_planes:])
+    return tuple(out)
+
+
+TORI = {
+    "t2_full": ([[1, 0], [0, 1]], 0),
+    "hopf": ([[1], [1]], 0),
+    "circle12": ([[1], [2]], 0),
+    "signed_with_fixed": ([[1, -2], [-3, 1]], 1),
+}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    st.sampled_from(sorted(TORI)),
+    st.integers(0, 2 ** 32 - 1),
+    st.lists(st.tuples(st.integers(-30, 30), st.integers(1, 30)), min_size=5, max_size=5),
+    st.booleans(),
+)
+def test_exact_torus_mate_matches_fraction_rotation(name, seed, coords, on_sphere):
+    weights, n_fix = TORI[name]
+    model = models.TorusModel(weights, n_fix=n_fix)
+    if on_sphere:
+        p = rational_sphere_points(model.ambient_dim, 1, np.random.default_rng(seed))[0]
+    else:
+        # mixed denominators, with int and zero coordinates
+        p = tuple(Fraction(a, b) if b > 1 else a for a, b in coords[:model.ambient_dim])
+    rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    mate = model.random_leaf_mate(p, rng)
+    expected = _fraction_rotation_mate(model, p, reference_rng)
+    assert mate == expected
+    assert all(type(x) is Fraction for x in mate)
+    # the same draws, in the same order
+    assert rng.integers(0, 2 ** 62) == reference_rng.integers(0, 2 ** 62)
+
+
 def test_group_transitivity_exact(b2_model):
     p = (Fraction(2, 3), Fraction(-1, 7))
     rng = np.random.default_rng(23)
@@ -516,6 +572,43 @@ def test_windowed_estimator_matches_full_scan(iso_g2_model):
         np.testing.assert_allclose(se[:, 0], ref_se, rtol=1e-12, atol=0.0)
         seen.add("first" if window.start == 0 else "last" if window.stop == n else "inner")
     assert seen == {"no", "effective", "first", "last", "inner"}
+
+
+def test_level_restricted_sampler_matches_full_cloud(iso_g2_model):
+    # a sampler built for one level keeps only that level's support, sorts
+    # only it, and must estimate that level bit for bit as the full cloud does
+    full = LevelSetSampler(iso_g2_model, 11, 20_000)
+    lv, h = full.level_values, iso_g2_model.h
+    polys = [P("x1^2", 4), P("x1 * x3 - 2 * x2^3 * x4", 4), P("1", 4)]
+    full_values = np.stack([f.to_float().eval_many(full.points) for f in polys])
+    rng = np.random.default_rng(1)
+    edges = rng.integers(0, len(lv), size=3)
+    levels = [
+        *rng.uniform(-1.2, 1.2, size=20),
+        lv[0], lv[0] + 0.5 * h, lv[-1], lv[-1] - 0.5 * h,  # windows at the ends
+        lv[0] - 0.99 * h, lv[-1] + 0.99 * h,  # a few samples: below the ESS floor
+        *(lv[edges] + h), *(lv[edges] - h),  # a support edge on a sample
+        -1.0 - 1.5 * h, 1.0 + 1.5 * h,  # empty windows
+    ]
+    seen = set()
+    for level in map(float, levels):
+        restricted = LevelSetSampler(iso_g2_model, 11, 20_000, level=level)
+        assert restricted.count == full.count
+        assert len(restricted.points) <= len(full.points)
+        window = full.window(level)
+        assert np.array_equal(restricted.level_values[restricted.window(level)], lv[window])
+        values = np.stack([f.to_float().eval_many(restricted.points) for f in polys])
+        reference = _outcome(full.leaf_average_values, full_values, [level])
+        outcome = _outcome(restricted.leaf_average_values, values, [level])
+        if isinstance(reference, str):
+            assert outcome == reference, level
+            seen.add(reference)
+            continue
+        assert len(restricted.points) < len(full.points)
+        for got, want in zip(outcome, reference):
+            assert got.tobytes() == want.tobytes(), level
+        seen.add("estimated")
+    assert seen == {"no", "effective", "estimated"}
 
 
 def test_sampler_reuse_matches_direct_call(iso_g2_model):

@@ -4,19 +4,25 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from leafavg import (
     EXACT,
     DegreeCapWarning,
+    DimensionMismatch,
     GeneratorSet,
     InsufficientDistinctPairs,
+    Polynomial,
     discover_generators,
     parse_polynomial,
     quotient_image_export,
     rho_eval,
     separation_test,
 )
-from leafavg.separation import rational_sphere_points
+from leafavg.separation import _IntegerGeneratorMap, rational_sphere_points
+
+from util import exact_polys
 
 def P(text, dim):
     return parse_polynomial(text, dim)
@@ -61,6 +67,65 @@ def test_rho_eval_scales_by_generator_degree(circle12_model):
     image = rho_eval(gens, scaled)
     for value, scaled_value, degree in zip(base, image, gens.degrees):
         assert scaled_value == r ** degree * value
+
+
+coordinates = st.one_of(
+    st.integers(-20, 20),
+    st.builds(Fraction, st.integers(-40, 40), st.integers(1, 40)),
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.lists(exact_polys(dim=3, max_degree=4), min_size=1, max_size=4),
+       st.lists(coordinates, min_size=3, max_size=3))
+@example([Polynomial.zero(3), Polynomial.constant(3, Fraction(-7, 6))], [0, 0, 0])
+@example([parse_polynomial("x1^3 - 1/2 * x2 + 5/3", 3)], [Fraction(1, 6), Fraction(-3, 4), 2])
+def test_integer_generator_map_matches_polynomial_eval(polys, point):
+    # mixed denominators and int coordinates; non-homogeneous, constant and
+    # zero polynomials: the same reduced Fractions as Polynomial.eval
+    point = tuple(point)
+    expected = tuple(p.eval(point) for p in polys)
+    values = _IntegerGeneratorMap(polys)(point)
+    assert values == expected
+    assert all(type(v) is Fraction for v in values)
+    gens = GeneratorSet(ambient_dim=3, mode=EXACT, generators=tuple(polys), degrees=(),
+                        degree_cap=0, dims_by_degree={})
+    assert rho_eval(gens, point, integer_map=_IntegerGeneratorMap(polys)) == expected
+
+
+def test_integer_generator_map_leaves_float_points_to_eval(hopf_gens):
+    integer_map = _IntegerGeneratorMap(hopf_gens.generators)
+    point = (0.6, Fraction(4, 5), 0, 0)
+    assert integer_map(point) is None
+    assert rho_eval(hopf_gens, point, integer_map=integer_map) == rho_eval(hopf_gens, point)
+    with pytest.raises(DimensionMismatch):
+        rho_eval(hopf_gens, (1, 0, 0), integer_map=integer_map)
+
+
+def _fraction_sphere_points(ambient_dim, count, rng, denominator=16):
+    """Stereographic points built from ``Fraction(k, q)``: the reference for
+    the integer construction in ``rational_sphere_points``."""
+    raw = rng.integers(-2 * denominator, 2 * denominator + 1, size=(count, ambient_dim - 1))
+    points = []
+    for row in raw:
+        u = [Fraction(int(v), denominator) for v in row]
+        s = sum(x * x for x in u)
+        points.append(tuple(2 * x / (s + 1) for x in u) + ((s - 1) / (s + 1),))
+    return points
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(2, 6), st.integers(0, 8), st.integers(1, 40), st.integers(0, 2 ** 32 - 1))
+def test_rational_sphere_points_match_fraction_construction(dim, count, denominator, seed):
+    rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    points = rational_sphere_points(dim, count, rng, denominator)
+    assert points == _fraction_sphere_points(dim, count, reference_rng, denominator)
+    for p in points:
+        assert len(p) == dim
+        assert all(type(x) is Fraction for x in p)
+        assert sum(x * x for x in p) == 1
+    # one draw of the same size: the random stream does not move
+    assert rng.integers(0, 2 ** 62) == reference_rng.integers(0, 2 ** 62)
 
 
 # -- separation certificates ---------------------------------------------------------
@@ -112,6 +177,37 @@ def test_separation_sensitivity_to_dropped_generator(hopf_model, hopf_gens):
     good = separation_test(hopf_model, hopf_gens, 50, 1e-9, 103,
                            adversarial_pairs=[pair])
     assert good.verdict == "pass"
+
+
+B3_GENERATORS = ["x1^2 + x2^2 + x3^2", "x1^4 + x2^4 + x3^4", "x1^6 + x2^6 + x3^6"]
+
+
+@pytest.mark.parametrize("index", range(3))
+def test_separation_sabotaged_generator_fails_same_leaf_b3(b3_model, index):
+    # a non-invariant generator breaks the same-leaf side exactly
+    good = make_gens(3, B3_GENERATORS)
+    assert separation_test(b3_model, good, 60, 1e-9, 108).verdict == "pass"
+    texts = list(B3_GENERATORS)
+    texts[index] = "x1^2"
+    cert = separation_test(b3_model, make_gens(3, texts), 60, 1e-9, 108)
+    assert cert.max_same_discrepancy > 0
+    assert any(f["kind"] == "same_leaf_discrepancy" for f in cert.failures)
+    assert cert.verdict == "fail"
+
+
+@pytest.mark.parametrize("index", range(4))
+def test_separation_sabotaged_generator_fails_same_leaf_hopf(hopf_model, hopf_gens, index):
+    sabotaged = list(hopf_gens.generators)
+    sabotaged[index] = P("x1^2", 4)
+    gens = GeneratorSet(
+        ambient_dim=4, mode=EXACT, generators=tuple(sabotaged),
+        degrees=hopf_gens.degrees, degree_cap=2, dims_by_degree={}, provenance={},
+    )
+    cert = separation_test(hopf_model, gens, 60, 1e-9, 109)
+    assert cert.max_same_discrepancy > 0
+    assert any(f["kind"] == "same_leaf_discrepancy" for f in cert.failures)
+    assert cert.verdict == "fail"
+    assert separation_test(hopf_model, hopf_gens, 60, 1e-9, 109).verdict == "pass"
 
 
 def test_separation_isoparametric_with_symmetry(iso_g2_model):

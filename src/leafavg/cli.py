@@ -31,6 +31,7 @@ from . import basic_ring, separation
 from .averaging import average, average_structured, verify_operator_identities
 from .basic_ring import GeneratorSet, discover_generators, molien_dimensions, verify_generation
 from .errors import (
+    BasisDeficient,
     ConfigError,
     DegreeCapWarning,
     GenerationGap,
@@ -311,19 +312,24 @@ def task_avg(config: RunConfig, out_dir: Path, seed: Optional[int]) -> int:
     fit_args = _fit_args(params)
     cert = average(model, f, seed=run_seed, **fit_args)
     payload = cert.to_dict()
+    failure = None
     if ("generators" in params or "generators_file" in params) and not model.closed_form:
         gens = _load_generators(config, model)
-        structured = average_structured(
-            model,
-            f,
-            gens,
-            seed=run_seed,
-            tol=_number(params, "structured_tol", float, 1e-2),
-            **fit_args,
-        )
-        payload["structured"] = structured.to_dict()
+        try:
+            structured = average_structured(
+                model,
+                f,
+                gens,
+                seed=run_seed,
+                tol=_number(params, "structured_tol", float, 1e-2),
+                **fit_args,
+            )
+            payload["structured"] = structured.to_dict()
+        except BasisDeficient as err:
+            failure = {"type": "BasisDeficient", "message": str(err), "residual": err.residual}
+            payload["structured"] = {"failure": failure}
     tolerance = 1e-12 if cert.exact else _number(params, "residual_tol", float, 0.05)
-    passed = cert.max_residual() <= tolerance
+    passed = cert.max_residual() <= tolerance and failure is None
     payload["passed"] = passed
     payload["residual_tol"] = tolerance
     _write_json(payload, out_dir / "avg_certificate.json")
@@ -331,6 +337,7 @@ def task_avg(config: RunConfig, out_dir: Path, seed: Optional[int]) -> int:
     print(
         f"avg[{config.name}]: engine={cert.engine} degree={cert.degree} "
         f"max_residual={cert.max_residual():.3e} {status}"
+        + (f" ({failure['message']})" if failure else "")
     )
     return 0 if passed else 2
 

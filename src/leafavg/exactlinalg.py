@@ -1,13 +1,15 @@
 """Small exact linear-algebra routines over the rationals and integers.
 
-Everything here operates on plain lists of :class:`fractions.Fraction`
-(or ints) and is meant for desk-scale matrices: rank decisions in the
-generator induction, reduced echelon forms for sparsifying generator
-representatives, and saturated integer kernels for torus phase lattices.
+Everything here takes plain lists of :class:`fractions.Fraction` (or ints)
+and is meant for desk-scale matrices: rank decisions in the generator
+induction, reduced echelon forms for sparsifying generator representatives,
+and saturated integer kernels for torus phase lattices.  The arithmetic runs
+in Python integers: rational rows are cleared to primitive integer rows first.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import List, Sequence, Tuple
 
@@ -17,29 +19,43 @@ def rref(rows: Sequence[Sequence[Fraction]]) -> Tuple[List[List[Fraction]], List
 
     Returns the nonzero rows (pivots normalized to 1) and the pivot column
     indices.  Fully deterministic: pivots are chosen left to right, first
-    nonzero row wins.
+    nonzero row wins.  The elimination is fraction-free (each row is cleared
+    to primitive integers, see :func:`_integer_rref`); rationals appear only
+    in the returned rows.
     """
-    mat = [[Fraction(x) for x in row] for row in rows]
+    reduced, pivots = _integer_rref([primitive_integer_row(row) for row in rows])
+    return [[Fraction(x, row[c]) for x in row] for row, c in zip(reduced, pivots)], pivots
+
+
+def _integer_rref(mat: List[List[int]]) -> Tuple[List[List[int]], List[int]]:
+    """Fraction-free Gauss-Jordan elimination of integer rows, in place.
+
+    Returns the nonzero rows, each a primitive integer multiple of its reduced
+    row echelon row, and the pivot column indices.  A row is eliminated as
+    ``a * row - b * pivot_row``, with ``a / b`` the pivot over the row's entry
+    in lowest terms, and the result is divided by its content, so every row
+    stays primitive (cf. Bareiss, Math. Comp. 22, 1968).
+    """
     if not mat:
         return [], []
-    ncols = len(mat[0])
     pivots: List[int] = []
     r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, len(mat)):
-            if mat[i][c] != 0:
-                pivot_row = i
-                break
+    for c in range(len(mat[0])):
+        pivot_row = next((i for i in range(r, len(mat)) if mat[i][c]), None)
         if pivot_row is None:
             continue
         mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
-        inv = Fraction(1) / mat[r][c]
-        mat[r] = [x * inv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                factor = mat[i][c]
-                mat[i] = [a - factor * b for a, b in zip(mat[i], mat[r])]
+        prow = mat[r]
+        pivot = prow[c]
+        for i, row in enumerate(mat):
+            b = row[c]
+            if i == r or not b:
+                continue
+            g = math.gcd(pivot, b)
+            a, b = pivot // g, b // g
+            row = [a * x - b * y for x, y in zip(row, prow)]
+            g = math.gcd(*row)
+            mat[i] = [x // g for x in row] if g > 1 else row
         pivots.append(c)
         r += 1
         if r == len(mat):
@@ -49,29 +65,15 @@ def rref(rows: Sequence[Sequence[Fraction]]) -> Tuple[List[List[Fraction]], List
 
 def primitive_integer_row(row: Sequence[Fraction]) -> List[int]:
     """Scale a rational row to coprime integers with positive leading entry."""
-    row = [Fraction(x) for x in row]
-    denom = 1
-    for x in row:
-        if x != 0:
-            denom = denom * x.denominator // _gcd(denom, x.denominator)
-    ints = [int(x * denom) for x in row]
-    g = 0
-    for v in ints:
-        g = _gcd(g, abs(v))
+    row = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row]
+    denom = math.lcm(*(x.denominator for x in row))
+    ints = [x.numerator * (denom // x.denominator) for x in row]
+    g = math.gcd(*ints)
     if g > 1:
         ints = [v // g for v in ints]
-    for v in ints:
-        if v != 0:
-            if v < 0:
-                ints = [-w for w in ints]
-            break
+    if next((v for v in ints if v), 0) < 0:
+        ints = [-v for v in ints]
     return ints
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def integer_left_kernel(matrix: Sequence[Sequence[int]]) -> List[List[int]]:

@@ -410,56 +410,40 @@ def group_closure(
 
 # -- torus actions -----------------------------------------------------------
 
-# Tiny exact Gaussian-rational helpers; coefficients during the torus
-# complexification are pairs (re, im) of Fractions.
-
-_ZERO = (Fraction(0), Fraction(0))
-
-
-def _gadd(a, b):
-    return (a[0] + b[0], a[1] + b[1])
-
-
-def _gmul(a, b):
-    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
-
-
-def _ipow(k: int):
-    return ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)),
-            (Fraction(-1), Fraction(0)), (Fraction(0), Fraction(-1)))[k % 4]
+# Torus averages run in Gaussian integers, pairs (re, im) of ints: with
+# x = (z + zbar)/2 and y = (z - zbar)/(2i), a monomial x^p y^q is 2^-(p+q)
+# i^-q times an integer combination of z^a zbar^b, and the powers of 2 of all
+# terms are carried by one common denominator.
 
 
 @lru_cache(maxsize=None)
 def _complexify_pair(p: int, q: int):
-    """Expansion of ``x^p y^q`` in ``z = x + i y``: map (a, b) -> coefficient."""
-    out: Dict[Tuple[int, int], tuple] = {}
-    base = Fraction(1, 2 ** (p + q))
-    iq = _ipow(-q % 4)
+    """Expansion of ``2^(p+q) i^q x^p y^q`` in ``z = x + i y``: ((a, b), c)
+    for each ``z^a zbar^b``; zero entries stay, as they fix where each key
+    first appears and so the term order of the average."""
+    out: Dict[Tuple[int, int], int] = {}
     for s in range(p + 1):
         cs = math.comb(p, s)
         for t in range(q + 1):
-            sign = -1 if (q - t) % 2 else 1
-            coeff = (base * cs * math.comb(q, t) * sign, Fraction(0))
-            coeff = _gmul(coeff, iq)
             key = (s + t, (p + q) - (s + t))
-            out[key] = _gadd(out.get(key, _ZERO), coeff)
-    return out
+            sign = -1 if (q - t) % 2 else 1
+            out[key] = out.get(key, 0) + sign * cs * math.comb(q, t)
+    return tuple(out.items())
 
 
 @lru_cache(maxsize=None)
 def _realify_pair(a: int, b: int):
-    """Expansion of ``z^a zbar^b`` in real coordinates: (px, py) -> coefficient."""
-    out: Dict[Tuple[int, int], tuple] = {}
+    """Expansion of ``z^a zbar^b`` in real coordinates: ((px, py), re, im)."""
+    out: Dict[Tuple[int, int], Tuple[int, int]] = {}
     for s in range(a + 1):
         ca = math.comb(a, s)
         for t in range(b + 1):
-            coeff = _gmul(
-                (Fraction(ca * math.comb(b, t)), Fraction(0)),
-                _ipow((a - s) - (b - t)),
-            )
+            c = ca * math.comb(b, t)
+            re, im = ((c, 0), (0, c), (-c, 0), (0, -c))[((a - s) - (b - t)) % 4]
             key = (s + t, (a + b) - (s + t))
-            out[key] = _gadd(out.get(key, _ZERO), coeff)
-    return out
+            old_re, old_im = out.get(key, (0, 0))
+            out[key] = (old_re + re, old_im + im)
+    return tuple((key, re, im) for key, (re, im) in out.items())
 
 
 class TorusModel:
@@ -509,57 +493,60 @@ class TorusModel:
         )
 
     def reynolds(self, f: Polynomial) -> Polynomial:
-        """Torus average: complexify, keep weight-balanced terms, realify."""
+        """Torus average: complexify, keep weight-balanced terms, realify.
+
+        Exact input runs in Gaussian integers over one denominator
+        ``L * 2^top``, where ``L`` is the lcm of the coefficient denominators
+        of ``f`` and ``top`` its largest degree in the plane coordinates.
+        """
         if f.ambient_dim != self.ambient_dim:
             raise DimensionMismatch("polynomial dimension does not match torus model")
         was_float = f.mode == FLOAT
-        exact = f.to_exact() if was_float else f
+        terms = (f.to_exact() if was_float else f).terms
+        m2 = 2 * self.n_planes
+        lcm = math.lcm(*(c.denominator for c in terms.values()))
+        top = max((sum(expo[:m2]) for expo in terms), default=0)
 
-        m = self.n_planes
-        complex_terms: Dict[tuple, tuple] = {}
-        for expo, coeff in exact.terms.items():
-            partial = {((), ()): (coeff, Fraction(0))}
-            for j in range(m):
-                expansion = _complexify_pair(expo[2 * j], expo[2 * j + 1])
-                nxt: Dict[tuple, tuple] = {}
-                for (ab, _fixed), c in partial.items():
-                    for pair, pc in expansion.items():
-                        key = (ab + (pair,), ())
-                        val = _gmul(c, pc)
-                        nxt[key] = _gadd(nxt.get(key, _ZERO), val)
-                partial = nxt
-            fixed = expo[2 * m:]
-            for (ab, _), c in partial.items():
-                key = (ab, fixed)
-                complex_terms[key] = _gadd(complex_terms.get(key, _ZERO), c)
+        complex_terms: Dict[tuple, List[int]] = {}
+        for expo, coeff in terms.items():
+            n = coeff.numerator * (lcm // coeff.denominator) << (top - sum(expo[:m2]))
+            quarter = -sum(expo[1:m2:2]) % 4  # the unit i^-q of the whole term
+            if quarter & 2:
+                n = -n
+            part = quarter & 1  # 0: real, 1: imaginary
+            partial = {(): n}
+            for j in range(0, m2, 2):
+                table = _complexify_pair(expo[j], expo[j + 1])
+                partial = {ab + (pair,): c * pc for ab, c in partial.items() for pair, pc in table}
+            fixed = expo[m2:]
+            for ab, c in partial.items():
+                complex_terms.setdefault((ab, fixed), [0, 0])[part] += c
 
-        real_terms: Dict[tuple, tuple] = {}
-        for (ab, fixed), coeff in complex_terms.items():
-            if coeff == _ZERO:
+        real_terms: Dict[tuple, List[int]] = {}
+        for (ab, fixed), (re, im) in complex_terms.items():
+            if not (re or im) or not self._balanced([a - b for a, b in ab]):
                 continue
-            if not self._balanced([a - b for a, b in ab]):
-                continue
-            partial = {(): coeff}
+            partial = {(): (re, im)}
             for a, b in ab:
-                expansion = _realify_pair(a, b)
-                nxt = {}
-                for prefix, c in partial.items():
-                    for pair, pc in expansion.items():
-                        key = prefix + pair
-                        val = _gmul(c, pc)
-                        nxt[key] = _gadd(nxt.get(key, _ZERO), val)
-                partial = nxt
-            for prefix, c in partial.items():
-                key = prefix + fixed
-                real_terms[key] = _gadd(real_terms.get(key, _ZERO), c)
+                table = _realify_pair(a, b)
+                partial = {
+                    prefix + pair: (cr * pr - ci * pi, cr * pi + ci * pr)
+                    for prefix, (cr, ci) in partial.items()
+                    for pair, pr, pi in table
+                }
+            for prefix, (cr, ci) in partial.items():
+                slot = real_terms.setdefault(prefix + fixed, [0, 0])
+                slot[0] += cr
+                slot[1] += ci
 
-        terms = {}
+        den = lcm << top
+        out = {}
         for expo, (re, im) in real_terms.items():
-            if im != 0:
+            if im:
                 raise RuntimeError("torus average produced a non-real term")
-            if re != 0:
-                terms[expo] = re
-        result = Polynomial(self.ambient_dim, terms, EXACT)
+            if re:
+                out[expo] = Fraction(re, den)
+        result = Polynomial._trusted(self.ambient_dim, out, EXACT)
         return result.to_float() if was_float else result
 
     # -- leaves ------------------------------------------------------------

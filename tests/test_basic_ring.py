@@ -1,3 +1,4 @@
+import itertools
 import json
 import warnings
 
@@ -135,6 +136,28 @@ def test_weighted_circle_mixed_degrees(circle12_model):
     assert list(gens.degrees) == [2, 2, 3, 3]
     # no new generators at degree 4: the degree-4 slice is spanned by products
     assert gens.dims_by_degree[4] == 3
+
+
+def _torus_slice_dimension(model, degree):
+    """Brute-force dim B_d of a torus: the number of monomials
+    ``z^alpha zbar^beta w^gamma`` of degree ``d`` with ``W^T (alpha - beta) = 0``."""
+    m = model.n_planes
+    count = 0
+    for expo in itertools.product(range(degree + 1), repeat=2 * m + model.n_fix):
+        if sum(expo) == degree and model._balanced([expo[j] - expo[m + j] for j in range(m)]):
+            count += 1
+    return count
+
+
+def test_torus_dimensions_match_balanced_monomial_count(t2_model, hopf_model, circle12_model):
+    for model in (t2_model, hopf_model, circle12_model):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegreeCapWarning)
+            gens = discover_generators(model, 6)
+        oracle = {d: _torus_slice_dimension(model, d) for d in range(1, 7)}
+        assert gens.dims_by_degree == oracle, model.name
+    assert [_torus_slice_dimension(hopf_model, d) for d in (2, 4, 6)] == [4, 9, 16]
+    assert [_torus_slice_dimension(circle12_model, d) for d in (3, 5)] == [2, 4]
 
 
 def test_generator_list_is_prefix_monotone(b3_model):

@@ -106,6 +106,20 @@ def test_avg_task(tmp_path):
     assert payload["residuals"]["idempotence"] == 0.0
 
 
+def test_avg_structured_failure_exits_2_with_artifact(tmp_path, capsys):
+    # at seed 1 the iso_g3 structured fit misses its 0.01 tolerance
+    out = tmp_path / "out"
+    code = main(["avg", "--config", str(_CONFIG_DIR / "iso_g3.json"), "--seed", "1", "--out", str(out)])
+    assert code == 2
+    payload = json.loads((out / "avg_certificate.json").read_text())
+    assert payload["passed"] is False
+    failure = payload["structured"]["failure"]
+    assert failure["type"] == "BasisDeficient"
+    assert failure["residual"] > 0.01
+    assert failure["message"] == f"structured residual {failure['residual']:.4g} above tolerance 0.01"
+    assert "FAIL" in capsys.readouterr().out
+
+
 def test_generators_task_with_molien_check(tmp_path):
     out = tmp_path / "out"
     code = main(["generators", "--config", str(_CONFIG_DIR / "b2.json"), "--out", str(out)])

@@ -366,6 +366,109 @@ def test_exact_torus_mate_matches_fraction_rotation(name, seed, coords, on_spher
     assert rng.integers(0, 2 ** 62) == reference_rng.integers(0, 2 ** 62)
 
 
+def _gaussian_fraction_reynolds(model, f):
+    """The torus average expanded in Gaussian-rational ``Fraction`` pairs:
+    the reference for the Gaussian-integer expansion in ``reynolds``."""
+    zero = (Fraction(0), Fraction(0))
+
+    def gadd(a, b):
+        return (a[0] + b[0], a[1] + b[1])
+
+    def gmul(a, b):
+        return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+    def ipow(k):
+        return ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)),
+                (Fraction(-1), Fraction(0)), (Fraction(0), Fraction(-1)))[k % 4]
+
+    def complexify(p, q):
+        out = {}
+        for s in range(p + 1):
+            for t in range(q + 1):
+                sign = -1 if (q - t) % 2 else 1
+                coeff = (Fraction(math.comb(p, s) * math.comb(q, t) * sign, 2 ** (p + q)), Fraction(0))
+                key = (s + t, (p + q) - (s + t))
+                out[key] = gadd(out.get(key, zero), gmul(coeff, ipow(-q % 4)))
+        return out
+
+    def realify(a, b):
+        out = {}
+        for s in range(a + 1):
+            for t in range(b + 1):
+                coeff = gmul((Fraction(math.comb(a, s) * math.comb(b, t)), Fraction(0)),
+                             ipow((a - s) - (b - t)))
+                key = (s + t, (a + b) - (s + t))
+                out[key] = gadd(out.get(key, zero), coeff)
+        return out
+
+    exact = f.to_exact()
+    m = model.n_planes
+    complex_terms = {}
+    for expo, coeff in exact.terms.items():
+        partial = {(): (coeff, Fraction(0))}
+        for j in range(m):
+            expansion = complexify(expo[2 * j], expo[2 * j + 1])
+            partial = {ab + (pair,): gmul(c, pc) for ab, c in partial.items() for pair, pc in expansion.items()}
+        for ab, c in partial.items():
+            key = (ab, expo[2 * m:])
+            complex_terms[key] = gadd(complex_terms.get(key, zero), c)
+    real_terms = {}
+    for (ab, fixed), coeff in complex_terms.items():
+        if coeff == zero or not model._balanced([a - b for a, b in ab]):
+            continue
+        partial = {(): coeff}
+        for a, b in ab:
+            expansion = realify(a, b)
+            partial = {prefix + pair: gmul(c, pc) for prefix, c in partial.items() for pair, pc in expansion.items()}
+        for prefix, c in partial.items():
+            real_terms[prefix + fixed] = gadd(real_terms.get(prefix + fixed, zero), c)
+    assert all(im == 0 for _, im in real_terms.values())
+    result = Polynomial(model.ambient_dim, {e: re for e, (re, _) in real_terms.items() if re != 0}, EXACT)
+    return result.to_float() if f.mode == FLOAT else result
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    st.sampled_from(sorted(TORI)),
+    st.lists(
+        st.tuples(
+            st.lists(st.integers(0, 3), min_size=5, max_size=5),
+            st.integers(-40, 40),
+            st.sampled_from([1, 2, 3, 4, 6, 7, 9, 12, 25]),
+            st.floats(-1e3, 1e3, allow_nan=False),
+        ),
+        max_size=4,
+    ),
+    st.booleans(),
+)
+def test_torus_reynolds_matches_gaussian_fraction_expansion(name, raw_terms, as_float):
+    weights, n_fix = TORI[name]
+    model = models.TorusModel(weights, n_fix=n_fix)
+    dim = model.ambient_dim
+    if as_float:
+        terms = {tuple(expo[:dim]): x for expo, _, _, x in raw_terms}
+    else:
+        # mixed denominators; an all-zero exponent gives a constant term
+        terms = {tuple(expo[:dim]): Fraction(n, d) for expo, n, d, _ in raw_terms}
+    f = Polynomial(dim, terms, FLOAT if as_float else EXACT)
+    average = model.reynolds(f)
+    expected = _gaussian_fraction_reynolds(model, f)
+    assert average.mode == expected.mode
+    # equal terms in equal order, so float results match bit for bit
+    assert list(average.terms.items()) == list(expected.terms.items())
+    assert [type(c) for c in average.terms.values()] == [type(c) for c in expected.terms.values()]
+
+
+@pytest.mark.parametrize("name", sorted(TORI))
+@pytest.mark.parametrize("text", ["0", "-7/3", "x1^2 * x2 + 5/6 * x1^2 - x1 * x2 + 1/4"])
+def test_torus_reynolds_small_cases_match_gaussian_fraction_expansion(name, text):
+    weights, n_fix = TORI[name]
+    model = models.TorusModel(weights, n_fix=n_fix)
+    for mode in (EXACT, FLOAT):
+        f = P(text, model.ambient_dim, mode)
+        assert list(model.reynolds(f).terms.items()) == list(_gaussian_fraction_reynolds(model, f).terms.items())
+
+
 def test_group_transitivity_exact(b2_model):
     p = (Fraction(2, 3), Fraction(-1, 7))
     rng = np.random.default_rng(23)

@@ -43,6 +43,8 @@ ENGINE_VANDERMONDE = "vandermonde_fit"
 
 # condition-number cap of every least-squares fit of leaf averages
 COND_CAP = 1e8
+# denominator of the random rational points of the exact certificate checks
+POINT_DENOMINATOR = 64
 
 
 def cycle_probe(f: Polynomial) -> Polynomial:
@@ -60,12 +62,12 @@ def cycle_probe(f: Polynomial) -> Polynomial:
     return probe
 
 
-def random_rational_points(
-    ambient_dim: int, count: int, rng: np.random.Generator, denominator: int = 64
-) -> List[tuple]:
-    """Random rational points in the cube [-2, 2]^d (exact coordinates)."""
-    raw = rng.integers(-2 * denominator, 2 * denominator + 1, size=(count, ambient_dim))
-    return [tuple(Fraction(int(v), denominator) for v in row) for row in raw]
+def random_rational_points(ambient_dim: int, count: int, rng: np.random.Generator) -> List[tuple]:
+    """Random rational points in the cube [-2, 2]^d, with coordinates over
+    ``POINT_DENOMINATOR`` (exact)."""
+    bound = 2 * POINT_DENOMINATOR
+    raw = rng.integers(-bound, bound + 1, size=(count, ambient_dim))
+    return [tuple(Fraction(int(v), POINT_DENOMINATOR) for v in row) for row in raw]
 
 
 def weighted_exponent_patterns(degrees: Sequence[int], target: int) -> List[tuple]:
@@ -423,7 +425,6 @@ def average_structured(
     sample_points: Optional[int] = None,
     mc_samples: Optional[int] = None,
     tol: float = 1e-2,
-    cond_cap: float = COND_CAP,
 ) -> StructuredAverageResult:
     """Fit the average of ``f`` inside the generator algebra's degree slice.
 
@@ -450,9 +451,9 @@ def average_structured(
 
     columns = [poly.eval_many(ctx.points) for _, poly in products]
     design = np.column_stack(columns)
-    coeffs, condition, rms = _scaled_lstsq(design, responses, cond_cap)
+    coeffs, condition, rms = _scaled_lstsq(design, responses, COND_CAP)
 
-    _, _, mono_rms = _scaled_lstsq(ctx.design(ctx.monomials), responses, cond_cap)
+    _, _, mono_rms = _scaled_lstsq(ctx.design(ctx.monomials), responses, COND_CAP)
 
     if rms > tol:
         raise BasisDeficient(

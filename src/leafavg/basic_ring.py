@@ -11,6 +11,9 @@ up to a user-chosen cap:
 3. adopt an orthogonal complement of that product span inside ``B_d`` as
    the new generators, sparsified to readable representatives.
 
+``verify_generation`` runs steps 1 and 2 on the same slices and reports how
+far each slice reaches outside the product span.
+
 For finite matrix groups the per-degree dimensions have a classical
 independent oracle, the Molien series, implemented here with exact rational
 series arithmetic so the two dimension computations can be compared on the
@@ -49,13 +52,19 @@ from .polynomials import (
     sphere_norm,
 )
 
+# rationalizing a float generator: the denominator bound, and the largest
+# relative sphere-norm change (to the polynomial and off the slice) accepted
+MAX_DENOMINATOR = 12
+CLEAN_TOL = 5e-2
+# smallest singular-value ratio across a float rank cut
+GUARD_BAND = 10.0
+# smallest share of its row's largest entry that a float pivot must reach
+PIVOT_FRAC = 0.1
+
 
 def poly_to_vector(p: Polynomial, monomials: Sequence[tuple]):
     index = {expo: i for i, expo in enumerate(monomials)}
-    if p.mode == EXACT:
-        vec = [Fraction(0)] * len(monomials)
-    else:
-        vec = [0.0] * len(monomials)
+    vec = [0] * len(monomials)
     for expo, coeff in p.terms.items():
         vec[index[expo]] = coeff
     return vec
@@ -103,56 +112,63 @@ def _gram_matrix(ambient_dim: int, monomials: Sequence[tuple]) -> np.ndarray:
     return gram
 
 
+def _remainders(
+    mode: str, monomials: Sequence[tuple], polys: Sequence[Polynomial], span: Sequence[Polynomial]
+) -> Tuple[List[Polynomial], List[float]]:
+    """``polys`` minus their sphere-orthogonal projection onto the span of
+    ``span``, in ``mode``, with the sphere norm of each remainder.
+
+    Every polynomial is homogeneous of one degree over ``monomials``.  Exact
+    mode projects in rationals; float mode under the moment Gram matrix, with
+    the rank of ``span`` cut at 1e-10 on the sphere-norm scale.
+    """
+    if mode == EXACT:
+        ortho, norms = gram_schmidt_polys([q.to_exact() for q in span])
+        remainders = [project_residual(p.to_exact(), ortho, norms) for p in polys]
+        return remainders, [sphere_norm(r) for r in remainders]
+    ambient_dim = len(monomials[0])
+    gram = _gram_matrix(ambient_dim, monomials)
+    span_rows, _ = _orthonormal_rows(_coefficient_rows(span, monomials), gram, 1e-10)
+    rows = _coefficient_rows(polys, monomials)
+    rows = rows - rows @ gram @ span_rows.T @ span_rows
+    return (
+        [vector_to_poly(row, monomials, ambient_dim, FLOAT) for row in rows],
+        [float(np.sqrt(max(row @ gram @ row, 0.0))) for row in rows],
+    )
+
+
 @dataclass
 class SubspaceBasis:
     """A basis of the basic slice in one degree.
 
-    Exact pipelines store sphere-orthogonal polynomial rows with their
-    squared norms; float pipelines store rows orthonormal under the moment
-    Gram matrix, together with the singular values that justified the rank
-    decision.
+    ``ortho_polys`` are sphere-orthogonal: exact pipelines keep them in
+    rationals without normalizing; float pipelines keep them orthonormal,
+    together with the singular values that justified the rank decision.
     """
 
     degree: int
     mode: str
     ambient_dim: int
     monomials: Tuple[tuple, ...]
-    ortho_polys: List[Polynomial] = field(default_factory=list)
-    norms_sq: List = field(default_factory=list)
-    rows: Optional[np.ndarray] = None
+    ortho_polys: List[Polynomial]
     singular_values: Optional[List[float]] = None
-    tol_rank: Optional[float] = None
 
     @property
     def rank(self) -> int:
-        if self.mode == EXACT:
-            return len(self.ortho_polys)
-        return 0 if self.rows is None else int(self.rows.shape[0])
+        return len(self.ortho_polys)
 
     def polynomials(self) -> List[Polynomial]:
-        if self.mode == EXACT:
-            return list(self.ortho_polys)
-        return [
-            vector_to_poly([float(c) for c in row], self.monomials, self.ambient_dim, FLOAT)
-            for row in (self.rows if self.rows is not None else [])
-        ]
+        return list(self.ortho_polys)
 
     def residual(self, p: Polynomial) -> float:
         """Sphere-norm distance from ``p`` to the subspace."""
-        if self.mode == EXACT:
-            return sphere_norm(project_residual(p.to_exact(), self.ortho_polys, self.norms_sq))
-        gram = _gram_matrix(self.ambient_dim, self.monomials)
-        rows = self.rows if self.rows is not None else np.zeros((0, len(self.monomials)))
-        res = _float_remainders(_coefficient_rows([p], self.monomials), rows, gram)[0]
-        return float(np.sqrt(max(res @ gram @ res, 0.0)))
+        return _remainders(self.mode, self.monomials, [p], self.ortho_polys)[1][0]
 
 
 def _orthonormal_rows(
     matrix: np.ndarray,
     gram: np.ndarray,
     tol_rank: float,
-    *,
-    guard_band: float = 10.0,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Rows orthonormal under ``gram`` spanning the row space of ``matrix``.
 
@@ -169,12 +185,11 @@ def _orthonormal_rows(
     _, sing, vt = np.linalg.svd(transformed, full_matrices=False)
     if sing.size == 0 or sing[0] == 0.0:
         return np.zeros((0, gram.shape[0])), sing
-    threshold = tol_rank
-    rank = int((sing >= threshold).sum())
-    if 0 < rank < len(sing) and sing[rank - 1] / sing[rank] < guard_band:
+    rank = int((sing >= tol_rank).sum())
+    if 0 < rank < len(sing) and sing[rank - 1] / sing[rank] < GUARD_BAND:
         raise RankUnstable(
             f"singular-value gap {sing[rank - 1]:.3e} / {sing[rank]:.3e} across the "
-            f"rank threshold {threshold:.3e} is below the guard factor {guard_band}",
+            f"rank threshold {tol_rank:.3e} is below the guard factor {GUARD_BAND}",
             singular_values=list(map(float, sing)),
         )
     rows = vt[:rank] @ np.linalg.inv(chol)
@@ -188,20 +203,11 @@ def _coefficient_rows(polys: Sequence[Polynomial], monomials: Sequence[tuple]) -
     ).reshape(len(polys), len(monomials))
 
 
-def _float_remainders(rows: np.ndarray, span: np.ndarray, gram: np.ndarray) -> np.ndarray:
-    """``rows`` minus their ``gram``-orthogonal projection onto the row space
-    of ``span`` (rank cut at 1e-10 on the sphere-norm scale)."""
-    span_rows, _ = _orthonormal_rows(span, gram, 1e-10)
-    if span_rows.shape[0] == 0:
-        return rows
-    return rows - rows @ gram @ span_rows.T @ span_rows
-
-
-def _float_rref_rows(rows: np.ndarray, pivot_frac: float = 0.1) -> np.ndarray:
+def _float_rref_rows(rows: np.ndarray) -> np.ndarray:
     """Echelon sparsification of float rows (pivot columns left to right).
 
     A column only pivots when the chosen entry dominates its own row
-    (at least ``pivot_frac`` of the row's largest entry); statistical noise
+    (at least ``PIVOT_FRAC`` of the row's largest entry); statistical noise
     columns must never become pivots, or normalization blows the row up.
     Every nonzero row still pivots eventually, at the column where it
     attains its maximum.
@@ -216,7 +222,7 @@ def _float_rref_rows(rows: np.ndarray, pivot_frac: float = 0.1) -> np.ndarray:
             break
         pivot = r + int(np.argmax(np.abs(mat[r:, c])))
         value = abs(mat[pivot, c])
-        if value == 0.0 or value < pivot_frac * float(np.abs(mat[pivot]).max()):
+        if value == 0.0 or value < PIVOT_FRAC * float(np.abs(mat[pivot]).max()):
             continue
         mat[[r, pivot]] = mat[[pivot, r]]
         mat[r] = mat[r] / mat[r, c]
@@ -252,56 +258,50 @@ def basic_subspace(
     monomials = tuple(monomial_basis(model.ambient_dim, degree))
 
     if model.closed_form:
-        mode = model.mode
         averaged = [
-            model.reynolds(Polynomial.monomial(model.ambient_dim, expo, 1, mode))
+            model.reynolds(Polynomial.monomial(model.ambient_dim, expo, 1, model.mode))
             for expo in monomials
         ]
-        if mode == EXACT:
-            matrix = [poly_to_vector(p, monomials) for p in averaged]
-            reduced, _ = rref(matrix)
-            polys = [
-                vector_to_poly(row, monomials, model.ambient_dim, EXACT) for row in reduced
-            ]
-            ortho, norms = gram_schmidt_polys(polys)
-            return SubspaceBasis(
-                degree=degree,
-                mode=EXACT,
-                ambient_dim=model.ambient_dim,
-                monomials=monomials,
-                ortho_polys=ortho,
-                norms_sq=norms,
+        if model.mode == EXACT:
+            reduced, _ = rref([poly_to_vector(p, monomials) for p in averaged])
+            ortho, _ = gram_schmidt_polys(
+                [vector_to_poly(row, monomials, model.ambient_dim, EXACT) for row in reduced]
             )
-        matrix = np.array([[float(c) for c in poly_to_vector(p, monomials)] for p in averaged])
-        gram = _gram_matrix(model.ambient_dim, monomials)
-        rows, sing = _orthonormal_rows(matrix, gram, tol_rank)
-        return SubspaceBasis(
-            degree=degree,
-            mode=FLOAT,
-            ambient_dim=model.ambient_dim,
-            monomials=monomials,
-            rows=rows,
-            singular_values=list(map(float, sing)),
-            tol_rank=tol_rank,
-        )
-
-    ctx = _FitContext(model, degree, seed, sample_points, mc_samples)
-    estimates, _ = ctx.responses(*(
-        Polynomial.monomial(model.ambient_dim, expo, 1.0, FLOAT) for expo in monomials
-    ))
-    # fitted coefficients, one column per averaged monomial
-    fitted, _, _ = _scaled_lstsq(ctx.design(monomials), estimates.T, COND_CAP)
-    gram = _gram_matrix(model.ambient_dim, monomials)
-    rows, sing = _orthonormal_rows(fitted.T, gram, tol_rank)
+            return SubspaceBasis(degree, EXACT, model.ambient_dim, monomials, ortho)
+        matrix = _coefficient_rows(averaged, monomials)
+    else:
+        ctx = _FitContext(model, degree, seed, sample_points, mc_samples)
+        estimates, _ = ctx.responses(*(
+            Polynomial.monomial(model.ambient_dim, expo, 1.0, FLOAT) for expo in monomials
+        ))
+        # fitted coefficients, one column per averaged monomial
+        fitted, _, _ = _scaled_lstsq(ctx.design(monomials), estimates.T, COND_CAP)
+        matrix = fitted.T
+    rows, sing = _orthonormal_rows(matrix, _gram_matrix(model.ambient_dim, monomials), tol_rank)
     return SubspaceBasis(
-        degree=degree,
-        mode=FLOAT,
-        ambient_dim=model.ambient_dim,
-        monomials=monomials,
-        rows=rows,
+        degree,
+        FLOAT,
+        model.ambient_dim,
+        monomials,
+        [vector_to_poly(row, monomials, model.ambient_dim, FLOAT) for row in rows],
         singular_values=list(map(float, sing)),
-        tol_rank=tol_rank,
     )
+
+
+def _degree_slices(model, cap: int, seed: int, tol_rank: float,
+                   sample_points: Optional[int], mc_samples: Optional[int]):
+    """Yield ``(d, basic_subspace(model, d))`` for ``d = 1..cap``; degree ``d``
+    draws its statistical estimates from the seed ``SeedSequence([seed, d])``."""
+    for d in range(1, cap + 1):
+        degree_seed = int(np.random.SeedSequence([seed, d]).generate_state(1)[0])
+        yield d, basic_subspace(
+            model,
+            d,
+            tol_rank=tol_rank,
+            seed=degree_seed,
+            sample_points=sample_points,
+            mc_samples=mc_samples,
+        )
 
 
 # -- Molien oracle ------------------------------------------------------------
@@ -452,31 +452,30 @@ class GeneratorSet:
         return cls.from_dict(json.loads(text))
 
 
-def _sparsify_exact(polys: Sequence[Polynomial], monomials) -> List[Polynomial]:
-    matrix = [poly_to_vector(p, monomials) for p in polys]
-    reduced, _ = rref(matrix)
-    out = []
-    for row in reduced:
-        ints = primitive_integer_row(row)
-        out.append(vector_to_poly([Fraction(v) for v in ints], monomials, polys[0].ambient_dim, EXACT))
-    return out
+def _sparsify_exact(polys: Sequence[Polynomial], basis: SubspaceBasis) -> List[Polynomial]:
+    """Primitive integer rows of the RREF of ``span(polys)``, which is
+    canonical for the span (zero polynomials drop out)."""
+    reduced, _ = rref([poly_to_vector(p, basis.monomials) for p in polys])
+    return [
+        vector_to_poly(primitive_integer_row(row), basis.monomials, basis.ambient_dim, EXACT)
+        for row in reduced
+    ]
 
 
 def _sparsify_float(
-    rows: np.ndarray,
-    monomials,
-    ambient_dim: int,
-    basis: SubspaceBasis,
-    max_denominator: int,
-    clean_tol: float,
+    polys: Sequence[Polynomial], basis: SubspaceBasis, tol_rank: float
 ) -> List[Polynomial]:
-    reduced = _float_rref_rows(rows)
+    """Echelon representatives of the numerical span of ``polys``, each
+    replaced by its small-denominator rounding when that stays close to it
+    and to the slice."""
+    gram = _gram_matrix(basis.ambient_dim, basis.monomials)
+    rows, _ = _orthonormal_rows(_coefficient_rows(polys, basis.monomials), gram, tol_rank)
     out = []
-    for row in reduced:
-        poly = vector_to_poly([float(c) for c in row], monomials, ambient_dim, FLOAT)
-        rational = rationalize(poly, max_denominator)[0].to_float()
+    for row in _float_rref_rows(rows):
+        poly = vector_to_poly([float(c) for c in row], basis.monomials, basis.ambient_dim, FLOAT)
+        rational = rationalize(poly, MAX_DENOMINATOR)[0].to_float()
         scale = max(sphere_norm(poly), 1e-30)
-        if sphere_norm(rational - poly) / scale <= clean_tol and basis.residual(rational) / scale <= clean_tol:
+        if sphere_norm(rational - poly) / scale <= CLEAN_TOL and basis.residual(rational) / scale <= CLEAN_TOL:
             poly = rational
         out.append(poly)
     return out
@@ -490,8 +489,6 @@ def discover_generators(
     seed: int = 0,
     sample_points: Optional[int] = None,
     mc_samples: Optional[int] = None,
-    max_denominator: int = 12,
-    clean_tol: float = 5e-2,
 ) -> GeneratorSet:
     """Run the degree induction up to ``degree_cap``.
 
@@ -508,41 +505,16 @@ def discover_generators(
     dims: Dict[int, int] = {}
     new_at_cap = False
 
-    for d in range(1, degree_cap + 1):
-        degree_seed = int(np.random.SeedSequence([seed, d]).generate_state(1)[0])
-        basis = basic_subspace(
-            model,
-            d,
-            tol_rank=tol_rank,
-            seed=degree_seed,
-            sample_points=sample_points,
-            mc_samples=mc_samples,
-        )
+    for d, basis in _degree_slices(model, degree_cap, seed, tol_rank, sample_points, mc_samples):
         dims[d] = basis.rank
         if basis.rank == 0:
             continue
-        products = generator_products(generators, d)
-
+        products = [p for _, p in generator_products(generators, d)]
+        remainders, _ = _remainders(basis.mode, basis.monomials, basis.polynomials(), products)
         if exact:
-            prod_ortho, prod_norms = gram_schmidt_polys([p for _, p in products])
-            remainders = [
-                project_residual(b, prod_ortho, prod_norms) for b in basis.polynomials()
-            ]
-            ortho_new, _ = gram_schmidt_polys(remainders)
-            if not ortho_new:
-                continue
-            new_polys = _sparsify_exact(ortho_new, basis.monomials)
+            new_polys = _sparsify_exact(remainders, basis)
         else:
-            gram = _gram_matrix(model.ambient_dim, basis.monomials)
-            prod_matrix = _coefficient_rows([p for _, p in products], basis.monomials)
-            remainders = _float_remainders(basis.rows, prod_matrix, gram)
-            new_rows, _ = _orthonormal_rows(remainders, gram, tol_rank)
-            if new_rows.shape[0] == 0:
-                continue
-            new_polys = _sparsify_float(
-                new_rows, basis.monomials, model.ambient_dim, basis,
-                max_denominator, clean_tol,
-            )
+            new_polys = _sparsify_float(remainders, basis, tol_rank)
 
         for poly in new_polys:
             generators.append(poly)
@@ -577,7 +549,7 @@ def discover_generators(
 
 @dataclass
 class GenerationReport:
-    """Per-degree residuals of averaged monomials against the algebra."""
+    """Per-degree residuals of the basic slices against the algebra."""
 
     max_residual_by_degree: Dict[int, float]
     tolerance: float
@@ -608,39 +580,21 @@ def verify_generation(
     mc_samples: Optional[int] = None,
     tol_rank: float = 1e-8,
 ) -> GenerationReport:
-    """Check every averaged monomial of degree <= cap against the algebra.
+    """Check the basic slice of every degree <= cap against the algebra.
 
-    Projects onto the degree slice of the algebra generated by ``gens`` and
-    reports the worst residual per degree.  Raises :class:`GenerationGap`
+    Projects the basis of each slice that :func:`discover_generators` builds
+    onto the degree slice of the algebra generated by ``gens`` and reports
+    the worst remainder norm per degree.  Raises :class:`GenerationGap`
     (with the report attached) when some degree exceeds the tolerance.
     Isoparametric slices are estimated with the model's bandwidth ``h``.
     """
-    exact = model.closed_form and model.mode == EXACT
     if tol is None:
-        tol = 0.0 if exact else 5e-2
+        tol = 0.0 if model.closed_form and model.mode == EXACT else 5e-2
     residuals: Dict[int, float] = {}
-    for d in range(1, max_degree + 1):
+    for d, basis in _degree_slices(model, max_degree, seed, tol_rank, sample_points, mc_samples):
         products = [p for _, p in generator_products(list(gens.generators), d)]
-        if exact:
-            ortho, norms = gram_schmidt_polys(products)
-            worst = 0.0
-            for expo in monomial_basis(model.ambient_dim, d):
-                avg = model.reynolds(Polynomial.monomial(model.ambient_dim, expo, 1, EXACT))
-                worst = max(worst, sphere_norm(project_residual(avg, ortho, norms)))
-            residuals[d] = worst
-        else:
-            degree_seed = int(np.random.SeedSequence([seed, d]).generate_state(1)[0])
-            basis = basic_subspace(
-                model, d, tol_rank=tol_rank, seed=degree_seed,
-                sample_points=sample_points, mc_samples=mc_samples,
-            )
-            gram = _gram_matrix(model.ambient_dim, basis.monomials)
-            remainders = _float_remainders(
-                basis.rows, _coefficient_rows(products, basis.monomials), gram
-            )
-            residuals[d] = max(
-                (float(np.sqrt(max(res @ gram @ res, 0.0))) for res in remainders), default=0.0
-            )
+        _, norms = _remainders(basis.mode, basis.monomials, basis.polynomials(), products)
+        residuals[d] = max(norms, default=0.0)
     report = GenerationReport(max_residual_by_degree=residuals, tolerance=tol)
     if report.gaps():
         raise GenerationGap(report.gaps(), report=report)

@@ -246,7 +246,19 @@ def _write_json(payload: dict, path: Path):
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
+def _generator_degree(poly: Polynomial) -> int:
+    if not poly.is_homogeneous():
+        raise ConfigError(f"generator {format_polynomial(poly)} is not homogeneous")
+    degree = poly.homogeneous_degree()
+    if degree < 1:
+        raise ConfigError(f"generator {format_polynomial(poly)} is constant")
+    return degree
+
+
 def _load_generators(config: RunConfig, model) -> GeneratorSet:
+    """The config's generator set, checked against ``model``: the same
+    ambient dimension, and every generator homogeneous of its declared
+    degree, which is at least 1."""
     params = config.params
     if "generators" in params:
         mode = _mode(params, "generators_mode", EXACT)
@@ -259,8 +271,8 @@ def _load_generators(config: RunConfig, model) -> GeneratorSet:
                 raise ConfigError(f"a generator must be an object with a 'text', got {item!r}")
             poly = parse_polynomial(item["text"], model.ambient_dim, mode)
             gens.append(poly)
-            degrees.append(_number(item, "degree", int, poly.homogeneous_degree()))
-        return GeneratorSet(
+            degrees.append(_number(item, "degree", int, _generator_degree(poly)))
+        gen_set = GeneratorSet(
             ambient_dim=model.ambient_dim,
             mode=mode,
             generators=tuple(gens),
@@ -269,15 +281,28 @@ def _load_generators(config: RunConfig, model) -> GeneratorSet:
             dims_by_degree={},
             provenance={"source": "inline", "model": model.describe()},
         )
-    if not isinstance(params["generators_file"], str):
-        raise ConfigError(f"generators_file must be a path, got {params['generators_file']!r}")
-    gen_path = Path(params["generators_file"])
-    if not gen_path.is_absolute() and config.path is not None:
-        gen_path = config.path.parent / gen_path
-    try:
-        return GeneratorSet.from_json(gen_path.read_text())
-    except (OSError, ValueError, KeyError, TypeError) as err:
-        raise ConfigError(f"cannot read generators file {gen_path}: {err!r}") from None
+    else:
+        if not isinstance(params["generators_file"], str):
+            raise ConfigError(f"generators_file must be a path, got {params['generators_file']!r}")
+        gen_path = Path(params["generators_file"])
+        if not gen_path.is_absolute() and config.path is not None:
+            gen_path = config.path.parent / gen_path
+        try:
+            gen_set = GeneratorSet.from_json(gen_path.read_text())
+        except (OSError, ValueError, KeyError, TypeError) as err:
+            raise ConfigError(f"cannot read generators file {gen_path}: {err!r}") from None
+        if gen_set.ambient_dim != model.ambient_dim:
+            raise ConfigError(
+                f"generators file {gen_path} has ambient_dim {gen_set.ambient_dim}, "
+                f"but the model has {model.ambient_dim}"
+            )
+    for poly, degree in zip(gen_set.generators, gen_set.degrees):
+        if _generator_degree(poly) != degree:
+            raise ConfigError(
+                f"generator {format_polynomial(poly)} has degree {poly.homogeneous_degree()}, "
+                f"not its declared degree {degree}"
+            )
+    return gen_set
 
 
 def _generators_for_task(config: RunConfig, model, seed: int) -> GeneratorSet:

@@ -780,27 +780,23 @@ class LevelSetSampler:
         return self.grad_norms[window] * (1.0 - u * u)  # Epanechnikov, O(h^2) bias
 
     def leaf_average_values(
-        self,
-        values: np.ndarray,
-        levels: Sequence[float],
-        *,
-        min_ess: Optional[float] = None,
+        self, values: np.ndarray, levels: Sequence[float]
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Weighted ratio estimates and delete-one jackknife standard errors.
 
         ``values`` is a ``(rows, N)`` array of sample values, in the order of
         ``points``.  The weights, their sum and the effective-sample-size
-        guard are computed once per level and shared by every row; each row
-        is then estimated on its own, so its results do not depend on the
-        other rows of the stack.  Returns two ``(rows, len(levels))`` arrays:
-        the estimates and their SEs.
+        guard (the model's ``min_ess``) are computed once per level and
+        shared by every row; each row is then estimated on its own, so its
+        results do not depend on the other rows of the stack.  Returns two
+        ``(rows, len(levels))`` arrays: the estimates and their SEs.
 
         Only the samples in the level's window are read.  Leaving out a
         sample of weight 0 leaves the ratio unchanged, so each of the
         ``N - k`` samples outside the window adds the same closed-form term
         to the jackknife sum.
         """
-        min_ess = self.model.min_ess if min_ess is None else min_ess
+        min_ess = self.model.min_ess
         estimates = np.empty((len(values), len(levels)))
         ses = np.empty_like(estimates)
         n = self.count
@@ -828,11 +824,10 @@ class LevelSetSampler:
             ses[:, j] = np.sqrt((n - 1) / n * spread)
         return estimates, ses
 
-    def leaf_average(self, f: Polynomial, level: float, *,
-                     min_ess: Optional[float] = None) -> Tuple[float, float]:
+    def leaf_average(self, f: Polynomial, level: float) -> Tuple[float, float]:
         """Estimate and SE of the leaf average of ``f`` at one level."""
         values = f.eval_many(self.points)[None, :]
-        est, se = self.leaf_average_values(values, [level], min_ess=min_ess)
+        est, se = self.leaf_average_values(values, [level])
         return float(est[0, 0]), float(se[0, 0])
 
 
@@ -948,7 +943,6 @@ class IsoparametricModel:
         rng_seed: int,
         *,
         n: Optional[int] = None,
-        min_ess: Optional[float] = None,
     ) -> Tuple[float, float]:
         """Monte Carlo leaf average of ``f`` through ``p`` with jackknife SE.
 
@@ -965,7 +959,7 @@ class IsoparametricModel:
                 f"level {level:.6f} within bandwidth {self.h} of a focal level"
             )
         sampler = LevelSetSampler(self, rng_seed, n or self.sample_count, level=level)
-        return sampler.leaf_average(f, level, min_ess=min_ess)
+        return sampler.leaf_average(f, level)
 
     def fit_points(self, count: int, rng: np.random.Generator) -> np.ndarray:
         """Uniform sphere points avoiding ``|F| > 1 - 2h`` (near-focal)."""

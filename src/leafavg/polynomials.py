@@ -157,12 +157,6 @@ class Polynomial:
     def __len__(self) -> int:
         return len(self._terms)
 
-    def total_degree(self) -> int:
-        """Maximum total degree of the support; -1 for the zero polynomial."""
-        if not self._terms:
-            return -1
-        return max(sum(e) for e in self._terms)
-
     def is_homogeneous(self) -> bool:
         degrees = {sum(e) for e in self._terms}
         return len(degrees) <= 1

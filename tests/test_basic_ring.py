@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import warnings
@@ -11,6 +12,7 @@ from leafavg import (
     GenerationGap,
     GeneratorSet,
     IsoparametricModel,
+    Polynomial,
     RankUnstable,
     ScalarModeMismatch,
     basic_subspace,
@@ -18,10 +20,12 @@ from leafavg import (
     format_polynomial,
     group_closure,
     molien_dimensions,
+    monomial_basis,
     parse_polynomial,
     sphere_norm,
     verify_generation,
 )
+from leafavg.averaging import generator_products
 from leafavg.basic_ring import gram_schmidt_polys, project_residual
 
 def P(text, dim, mode=EXACT):
@@ -225,6 +229,44 @@ def test_verify_generation_vacuous(pm_model):
     )
     report = verify_generation(pm_model, empty, 1)
     assert report.max_residual == 0.0
+
+
+def _per_monomial_gaps(model, gens, max_degree):
+    """Reference check: the degrees at which the average of some monomial
+    lies outside the span of the generator products."""
+    gaps = []
+    for d in range(1, max_degree + 1):
+        products = [p for _, p in generator_products(list(gens.generators), d)]
+        ortho, norms = gram_schmidt_polys(products)
+        worst = 0.0
+        for expo in monomial_basis(model.ambient_dim, d):
+            avg = model.reynolds(Polynomial.monomial(model.ambient_dim, expo, 1, EXACT))
+            worst = max(worst, sphere_norm(project_residual(avg, ortho, norms)))
+        if worst > 0.0:
+            gaps.append(d)
+    return gaps
+
+
+@pytest.mark.parametrize("name, cap", [("b3", 6), ("hopf", 4), ("circle12", 4), ("t2", 4)])
+def test_generation_verdict_matches_per_monomial_check(request, name, cap):
+    model = request.getfixturevalue(f"{name}_model")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegreeCapWarning)
+        full = discover_generators(model, cap)
+    assert _per_monomial_gaps(model, full, cap) == []
+    assert verify_generation(model, full, cap).gaps() == []
+    for dropped in range(len(full)):
+        kept = [i for i in range(len(full)) if i != dropped]
+        partial = dataclasses.replace(
+            full,
+            generators=tuple(full.generators[i] for i in kept),
+            degrees=tuple(full.degrees[i] for i in kept),
+        )
+        expected = _per_monomial_gaps(model, partial, cap)
+        assert full.degrees[dropped] in expected
+        with pytest.raises(GenerationGap) as info:
+            verify_generation(model, partial, cap)
+        assert info.value.degrees == expected
 
 
 # -- statistical pipeline ----------------------------------------------------------------

@@ -216,6 +216,23 @@ def test_missing_seed_is_config_error(tmp_path):
 TORUS = {"kind": "torus", "weight_matrix": [[1], [1]]}
 ISO = {"kind": "isoparametric", "ambient_dim": 4, "F": "x1^2 + x2^2 - x3^2 - x4^2", "g": 2}
 GOOD_GENERATOR = {"degree": 2, "text": "x1^2 + x2^2"}
+B2 = json.loads((_CONFIG_DIR / "b2.json").read_text())["model"]
+# generator sets that do not fit the b2 model, written next to each config
+BAD_GENERATOR_FILES = {
+    "inhomogeneous.json": {"ambient_dim": 2, "generators": [{"degree": 2, "text": "x1^2 + x1"}]},
+    "wrong_degree.json": {"ambient_dim": 2, "generators": [{"degree": 4, "text": "x1^2 + x2^2"}]},
+    "dim3.json": {"ambient_dim": 3, "generators": [{"degree": 2, "text": "x1^2 + x2^2 + x3^2"}]},
+}
+BAD_GENERATOR_SETS = {
+    "inline_inhomogeneous": {"generators": [{"text": "x1^2 + x1"}]},
+    "inline_inhomogeneous_with_degree": {"generators": [{"degree": 2, "text": "x1^2 + x1"}]},
+    "inline_wrong_degree": {"generators": [{"degree": 4, "text": "x1^2 + x2^2"}]},
+    "inline_constant": {"generators": [{"text": "1"}]},
+    "file_inhomogeneous": {"generators_file": "inhomogeneous.json"},
+    "file_wrong_degree": {"generators_file": "wrong_degree.json"},
+    "file_ambient_dim_differs": {"generators_file": "dim3.json"},
+}
+GENERATOR_SET_TASKS = ("verify", "separate", "export")
 
 
 @pytest.mark.parametrize("task, model, params", [
@@ -252,6 +269,8 @@ GOOD_GENERATOR = {"degree": 2, "text": "x1^2 + x2^2"}
     ("generators", TORUS, {"seed": 1, "D": 0}),
     ("generators", TORUS, {"seed": -1, "D": 2}),
     ("avg", ISO, {"seed": 1, "f": "x1^2", "h": 0.05}),
+    *[(task, B2, {"seed": 1, **params}) for task in GENERATOR_SET_TASKS
+      for params in BAD_GENERATOR_SETS.values()],
 ], ids=["seed_not_int", "group_without_generators", "bandwidth_above_1", "empty_weights",
         "ambient_dim_not_int", "weight_not_int", "cap_not_int", "bandwidth_not_number",
         "float_coefficient_overflow", "matrix_entry_not_number", "weight_row_not_list",
@@ -259,8 +278,11 @@ GOOD_GENERATOR = {"degree": 2, "text": "x1^2 + x2^2"}
         "generation_tol_not_number", "same_leaf_tol_not_number", "missing_generators_file", "generators_file_not_a_set",
         "generator_without_text", "generator_not_object", "generators_mode_complex",
         "model_mode_complex", "f_not_text", "F_not_text", "symmetry_not_object",
-        "model_not_object", "no_pairs", "cap_zero", "seed_negative", "params_bandwidth"])
+        "model_not_object", "no_pairs", "cap_zero", "seed_negative", "params_bandwidth",
+        *[f"{task}_generators_{name}" for task in GENERATOR_SET_TASKS for name in BAD_GENERATOR_SETS]])
 def test_malformed_config_exits_1(tmp_path, capsys, task, model, params):
+    for name, data in BAD_GENERATOR_FILES.items():
+        write_config(tmp_path / name, data)
     config = write_config(tmp_path / "run.json", {"name": "bad", "model": model, "params": params})
     assert main([task, "--config", str(config), "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err.startswith("error: ")

@@ -582,10 +582,9 @@ def test_leaf_average_refuses_near_focal(iso_g2_model):
 
 def test_leaf_average_small_sample_guard(iso_g2_model):
     p = sample_sphere(4, 5)
+    guarded = IsoparametricModel(iso_g2_model.F, 2, min_ess=1000)
     with pytest.raises(EffectiveSampleTooSmall):
-        iso_g2_model.leaf_average_mc(
-            Polynomial.constant(4, 1), p, rng_seed=0, n=50, min_ess=1000
-        )
+        guarded.leaf_average_mc(Polynomial.constant(4, 1), p, rng_seed=0, n=50)
 
 
 def test_leaf_average_bitwise_reproducible(iso_g2_model):

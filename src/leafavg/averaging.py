@@ -10,10 +10,10 @@ go through a two-stage statistical engine:
    restriction of homogeneous polynomials to the sphere is injective, so the
    design matrix has full column rank for generic samples).
 
-Every call returns an :class:`AveragingCertificate` carrying the operator
-identity residuals (``idempotence``, ``leaf_constancy``, ``laplacian``
-commutation, ``contraction`` slack, ``selfadjoint`` gap) plus fit
-diagnostics when the statistical engine ran.
+:func:`average` returns an :class:`AveragingCertificate` carrying the
+operator identity residuals (``idempotence``, ``leaf_constancy``, ``laplacian``
+commutation, ``contraction`` slack, ``selfadjoint`` gap) plus fit diagnostics
+when the statistical engine ran; :func:`average_polynomial` returns the average alone.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -51,23 +51,15 @@ def cycle_probe(f: Polynomial) -> Polynomial:
     """Deterministic companion polynomial: rotate the coordinates of ``f``.
 
     Used as the second argument of self-adjointness checks; falls back to
-    ``x1 * f`` when ``f`` is symmetric under the rotation.
+    ``x1^d``, ``d`` the degree of ``f``, when ``f`` is symmetric under the
+    rotation.  The fallback keeps the degree: the sphere pairing of degrees
+    ``d`` and ``d + 1`` is identically 0, which would make the check vacuous.
     """
-    terms = {}
-    for expo, coeff in f.terms.items():
-        terms[expo[-1:] + expo[:-1]] = coeff
-    probe = Polynomial(f.ambient_dim, terms, f.mode)
+    probe = Polynomial(f.ambient_dim, {e[-1:] + e[:-1]: c for e, c in f.terms.items()}, f.mode)
     if probe == f:
-        probe = Polynomial.variable(f.ambient_dim, 0, f.mode) * f
+        expo = (f.homogeneous_degree(),) + (0,) * (f.ambient_dim - 1)
+        probe = Polynomial.monomial(f.ambient_dim, expo, 1, f.mode)
     return probe
-
-
-def random_rational_points(ambient_dim: int, count: int, rng: np.random.Generator) -> List[tuple]:
-    """Random rational points in the cube [-2, 2]^d, with coordinates over
-    ``POINT_DENOMINATOR`` (exact)."""
-    bound = 2 * POINT_DENOMINATOR
-    raw = rng.integers(-bound, bound + 1, size=(count, ambient_dim))
-    return [tuple(Fraction(int(v), POINT_DENOMINATOR) for v in row) for row in raw]
 
 
 def weighted_exponent_patterns(degrees: Sequence[int], target: int) -> List[tuple]:
@@ -209,54 +201,56 @@ class IdentityReport:
         }
 
 
-# -- exact engine ------------------------------------------------------------
+# -- operator identities -----------------------------------------------------
 
 
-def _closed_form_identities(model, f: Polynomial, g: Polynomial, avg_f: Polynomial,
-                            avg_g: Polynomial) -> Dict[str, float]:
-    """Idempotence, self-adjointness against ``g``, contraction and Laplacian
-    commutation of a closed-form average, given ``avg_f`` and ``avg_g``."""
-    return {
-        "idempotence": sphere_norm(model.reynolds(avg_f) - avg_f),
+def identity_residuals(f: Polynomial, g: Polynomial, avg_f: Polynomial, avg_g: Polynomial,
+                       avg_avg_f: Polynomial, avg_lap_f: Polynomial,
+                       avg_module: Optional[Polynomial] = None) -> Dict[str, float]:
+    """Residuals of the operator identities, given the averages they compare.
+
+    ``avg_f`` and ``avg_g`` average ``f`` and ``g``; ``avg_avg_f`` averages
+    ``avg_f`` (idempotence); ``avg_lap_f`` averages the Laplacian of ``f``
+    (commutation with the Laplacian); ``avg_module``, when given, averages
+    ``avg_f * g`` (the module property over the basic multiplier ``avg_f``).
+    """
+    residuals = {
+        "idempotence": sphere_norm(avg_avg_f - avg_f),
         "selfadjoint": abs(float(sphere_inner(avg_f, g) - sphere_inner(f, avg_g))),
         "contraction": max(0.0, -float(sphere_mean(f * f) - sphere_mean(avg_f * avg_f))),
-        "laplacian": sphere_norm(avg_f.laplacian() - model.reynolds(f.laplacian())),
+        "laplacian": sphere_norm(avg_f.laplacian() - avg_lap_f),
     }
+    if avg_module is not None:
+        residuals["module"] = sphere_norm(avg_module - avg_f * avg_g)
+    return residuals
 
 
-def _certificate_exact(model, f: Polynomial, seed: int, probe: Optional[Polynomial]) -> AveragingCertificate:
-    degree = f.homogeneous_degree()
-    avg = model.reynolds(f)
-    if not avg.is_zero and avg.homogeneous_degree() != degree:
-        raise IdentityViolation("degree_preservation", float("inf"),
-                                "average left the homogeneous degree slice")
+class _Averages(NamedTuple):
+    """The averages a certificate compares, with ``f`` and ``probe`` in the
+    engine's scalar mode; a fit adds its leaf constancy and diagnostics."""
 
+    f: Polynomial
+    probe: Polynomial
+    avg: Polynomial
+    probe_avg: Polynomial
+    avg_again: Polynomial
+    lap_avg: Polynomial
+    leaf_constancy: Optional[float] = None
+    fit: Optional[dict] = None
+
+
+def _mate_constancy(model, avg: Polynomial, mode: str, seed: int) -> float:
+    """Largest change of ``avg`` between four random points and leaf mates;
+    in exact mode the points are rational, in the cube [-2, 2]^d."""
     rng = np.random.default_rng(seed)
-    if f.mode == EXACT:
-        points = random_rational_points(model.ambient_dim, 4, rng)
+    if mode == EXACT:
+        raw = rng.integers(-2 * POINT_DENOMINATOR, 2 * POINT_DENOMINATOR + 1,
+                           size=(4, model.ambient_dim))
+        points = [tuple(Fraction(int(v), POINT_DENOMINATOR) for v in row) for row in raw]
     else:
         points = [tuple(map(float, row)) for row in rng.normal(size=(4, model.ambient_dim))]
-    leaf_constancy = 0.0
-    for p in points:
-        mate = model.random_leaf_mate(p, rng)
-        leaf_constancy = max(leaf_constancy, abs(float(avg.eval(mate) - avg.eval(p))))
-
-    probe = cycle_probe(f) if probe is None else probe
-    residuals = _closed_form_identities(model, f, probe, avg, model.reynolds(probe))
-    residuals["leaf_constancy"] = leaf_constancy
-    return AveragingCertificate(
-        model=model.describe(),
-        engine=ENGINE_EXACT,
-        mode=f.mode,
-        degree=degree,
-        input_text=format_polynomial(f),
-        average_text=format_polynomial(avg),
-        residuals=residuals,
-        exact=(f.mode == EXACT),
-        seed=seed,
-        fit=None,
-        average_poly=avg,
-    )
+    return max([0.0, *(abs(float(avg.eval(model.random_leaf_mate(p, rng)) - avg.eval(p)))
+                       for p in points)])
 
 
 # -- statistical engine ------------------------------------------------------
@@ -329,18 +323,18 @@ def _scaled_lstsq(design: np.ndarray, rhs: np.ndarray, cond_cap: float):
     return coeffs, condition, rms
 
 
-def _certificate_fit(
-    model: IsoparametricModel,
-    f: Polynomial,
-    seed: int,
-    probe: Optional[Polynomial],
-    sample_points: Optional[int],
-    mc_samples: Optional[int],
-    cond_cap: float,
-) -> AveragingCertificate:
+def _averages(model, f: Polynomial, probe: Polynomial, seed: int, sample_points: Optional[int],
+              mc_samples: Optional[int], cond_cap: float) -> _Averages:
+    """The averages a certificate of ``f`` compares: by ``model.reynolds`` in
+    closed form; else fitted from two estimator passes over one cloud, one
+    for ``f``, its probe and its Laplacian, one for the fitted average."""
+    if model.closed_form:
+        avg = model.reynolds(f)
+        return _Averages(f, probe, avg, model.reynolds(probe), model.reynolds(avg),
+                         model.reynolds(f.laplacian()))
     degree = f.homogeneous_degree()
     f = f.to_float()
-    probe = cycle_probe(f) if probe is None else probe.to_float()
+    probe = probe.to_float()
     lap_f = f.laplacian()
     with_lap = degree >= 2 and not lap_f.is_zero
     ctx = _FitContext(model, degree, seed, sample_points, mc_samples)
@@ -348,26 +342,17 @@ def _certificate_fit(
     # one pass over the cloud for f, its probe and its Laplacian
     responses, ses = ctx.responses(f, probe, *([lap_f] if with_lap else []))
     avg, condition, rms = ctx.fit(responses[0], degree, cond_cap)
-    if with_lap:
-        lap_avg, _, _ = ctx.fit(responses[2], degree - 2, cond_cap)
-    else:
-        lap_avg = Polynomial.zero(model.ambient_dim, FLOAT)
+    lap_avg = (ctx.fit(responses[2], degree - 2, cond_cap)[0] if with_lap
+               else Polynomial.zero(model.ambient_dim, FLOAT))
     probe_avg, _, _ = ctx.fit(responses[1], probe.homogeneous_degree(), cond_cap)
 
-    # identity residuals, statistical versions reusing the same cloud
+    # a second pass for the fitted average and its square on the same cloud
     avg_values = avg.eval_many(ctx.sampler.points)
     again, _ = ctx.sampler.leaf_average_values(np.stack([avg_values, avg_values ** 2]), ctx.levels)
     e1, e2 = again[:, :8]
     leaf_constancy = math.sqrt(max([0.0, *(e2 - e1 * e1).tolist()]))
     avg_again, _, _ = ctx.fit(again[0], degree, cond_cap)
 
-    residuals = {
-        "idempotence": sphere_norm(avg_again - avg),
-        "leaf_constancy": leaf_constancy,
-        "laplacian": sphere_norm(avg.laplacian() - lap_avg),
-        "contraction": max(0.0, -(sphere_mean(f * f) - sphere_mean(avg * avg))),
-        "selfadjoint": abs(sphere_inner(avg, probe) - sphere_inner(f, probe_avg)),
-    }
     fit = {
         "sample_count": ctx.sample_count,
         "mc_samples": ctx.mc_samples,
@@ -376,22 +361,26 @@ def _certificate_fit(
         "residual_rms": rms,
         "max_point_se": float(np.max(ses[0])) if ses.shape[1] else 0.0,
     }
-    return AveragingCertificate(
-        model=model.describe(),
-        engine=ENGINE_VANDERMONDE,
-        mode=FLOAT,
-        degree=degree,
-        input_text=format_polynomial(f),
-        average_text=format_polynomial(avg),
-        residuals=residuals,
-        exact=False,
-        seed=seed,
-        fit=fit,
-        average_poly=avg,
-    )
+    return _Averages(f, probe, avg, probe_avg, avg_again, lap_avg, leaf_constancy, fit)
 
 
 # -- public operations -------------------------------------------------------
+
+
+def average_polynomial(model, f: Polynomial, *, seed: int = 0, sample_points: Optional[int] = None,
+                       mc_samples: Optional[int] = None, cond_cap: float = COND_CAP) -> Polynomial:
+    """The average of a homogeneous ``f`` without a certificate.
+
+    ``model.reynolds(f)`` for closed-form models; for isoparametric models
+    one estimator pass over the cloud and one fit, the same estimates and
+    fit as the average of :func:`average` with the same arguments.
+    """
+    if model.closed_form:
+        return model.reynolds(f)
+    degree = f.homogeneous_degree()
+    ctx = _FitContext(model, degree, seed, sample_points, mc_samples)
+    (responses,), _ = ctx.responses(f.to_float())
+    return ctx.fit(responses, degree, cond_cap)[0]
 
 
 def average(
@@ -408,12 +397,33 @@ def average(
 
     Exact engine for group/torus models; level-set fit engine for
     isoparametric models, whose kernel bandwidth is the model's ``h``.
+    ``probe`` (default :func:`cycle_probe` of ``f``) is the second argument
+    of the self-adjointness residual.
     """
     if not f.is_homogeneous():
         raise ValueError("average expects a homogeneous polynomial")
-    if model.closed_form:
-        return _certificate_exact(model, f, seed, probe)
-    return _certificate_fit(model, f, seed, probe, sample_points, mc_samples, cond_cap)
+    degree = f.homogeneous_degree()
+    probe = cycle_probe(f) if probe is None else probe
+    a = _averages(model, f, probe, seed, sample_points, mc_samples, cond_cap)
+    if not a.avg.is_zero and a.avg.homogeneous_degree() != degree:
+        raise IdentityViolation("degree_preservation", float("inf"),
+                                "average left the homogeneous degree slice")
+    residuals = identity_residuals(a.f, a.probe, a.avg, a.probe_avg, a.avg_again, a.lap_avg)
+    residuals["leaf_constancy"] = (_mate_constancy(model, a.avg, f.mode, seed)
+                                   if model.closed_form else a.leaf_constancy)
+    return AveragingCertificate(
+        model=model.describe(),
+        engine=ENGINE_EXACT if model.closed_form else ENGINE_VANDERMONDE,
+        mode=a.f.mode,
+        degree=degree,
+        input_text=format_polynomial(a.f),
+        average_text=format_polynomial(a.avg),
+        residuals=residuals,
+        exact=(a.f.mode == EXACT),
+        seed=seed,
+        fit=a.fit,
+        average_poly=a.avg,
+    )
 
 
 def average_structured(
@@ -490,46 +500,34 @@ def verify_operator_identities(
 
     (i) idempotence, (ii) self-adjointness of the sphere pairing,
     (iii) contraction, (iv) the module property over a basic multiplier,
-    (v) commutation with the Laplacian.  Exact models are checked exactly
+    (v) commutation with the Laplacian, by :func:`identity_residuals` on
+    the averages of :func:`average` at ``seed`` (without leaf mates) and the
+    certificate-free :func:`average_polynomial` of ``g`` at ``seed + 1`` and
+    of ``avg_f * g`` at ``seed + 2``.  Exact models are checked exactly
     (default tolerance 0 in rational mode, 1e-10 for floating matrix
     entries); isoparametric models statistically, with the model's
-    bandwidth ``h``.
+    bandwidth ``h`` and residuals normalized by the operand norms.
     Raises :class:`IdentityViolation` naming the worst offender.
     """
+    fit_args = {"sample_points": sample_points, "mc_samples": mc_samples}
+    a = _averages(model, f, g, seed, cond_cap=COND_CAP, **fit_args)
+    avg_g = average_polynomial(model, a.probe, seed=seed + 1, **fit_args)
+    avg_module = average_polynomial(model, a.avg * a.probe, seed=seed + 2, **fit_args)
+    residuals = identity_residuals(a.f, a.probe, a.avg, avg_g, a.avg_again, a.lap_avg, avg_module)
     if model.closed_form:
-        if tol is None:
-            tolerance = 0.0 if model.mode == EXACT else 1e-10
-        else:
-            tolerance = tol
-        avg_f = model.reynolds(f)
-        avg_g = model.reynolds(g)
-        residuals = _closed_form_identities(model, f, g, avg_f, avg_g)
-        residuals["module"] = sphere_norm(model.reynolds(avg_f * g) - avg_f * avg_g)
         engine = ENGINE_EXACT
+        default_tol = 0.0 if model.mode == EXACT else 1e-10
     else:
         # statistical regime: residuals are scale-normalized by the operand
         # norms so the tolerance means the same thing for every probe
-        tolerance = 0.05 if tol is None else tol
-        cert_f = average(model, f, seed=seed, probe=g, sample_points=sample_points,
-                         mc_samples=mc_samples)
-        avg_f = cert_f.average_poly
-        cert_g = average(model, g, seed=seed + 1, probe=f, sample_points=sample_points,
-                         mc_samples=mc_samples)
-        avg_g = cert_g.average_poly
-        module_cert = average(model, (avg_f * g.to_float()), seed=seed + 2,
-                              sample_points=sample_points, mc_samples=mc_samples)
-        scale_f = max(sphere_norm(f), 1e-12)
-        scale_g = max(sphere_norm(g), 1e-12)
-        scale_lap = max(sphere_norm(f.laplacian()), scale_f)
-        residuals = {
-            "idempotence": cert_f.residuals["idempotence"] / scale_f,
-            "selfadjoint": abs(sphere_inner(avg_f, g.to_float())
-                               - sphere_inner(f.to_float(), avg_g)) / (scale_f * scale_g),
-            "contraction": cert_f.residuals["contraction"] / (scale_f * scale_f),
-            "module": sphere_norm(module_cert.average_poly - avg_f * avg_g) / (scale_f * scale_g),
-            "laplacian": cert_f.residuals["laplacian"] / scale_lap,
-        }
         engine = ENGINE_VANDERMONDE
+        default_tol = 0.05
+        scale_f = max(sphere_norm(f), 1e-12)
+        scale_fg = scale_f * max(sphere_norm(g), 1e-12)
+        scales = {"idempotence": scale_f, "selfadjoint": scale_fg, "contraction": scale_f * scale_f,
+                  "laplacian": max(sphere_norm(f.laplacian()), scale_f), "module": scale_fg}
+        residuals = {name: value / scales[name] for name, value in residuals.items()}
+    tolerance = default_tol if tol is None else tol
 
     worst = max(residuals, key=lambda k: residuals[k])
     passed = residuals[worst] <= tolerance

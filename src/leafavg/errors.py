@@ -94,7 +94,9 @@ class RankUnstable(LeafavgError):
 
 
 class GenerationGap(LeafavgError):
-    """Averaged monomials escape the generator algebra at some degrees."""
+    """Basic slices escape the generator algebra at some degrees: a slice
+    basis vector leaves a remainder above tolerance outside the span of the
+    generator products of its degree."""
 
     def __init__(self, degrees, report=None):
         super().__init__(f"generator algebra incomplete at degrees {sorted(degrees)}")

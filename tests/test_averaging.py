@@ -315,3 +315,100 @@ def test_identity_violation_raises_with_report(iso_g2_model):
         "idempotence", "selfadjoint", "contraction", "module", "laplacian"
     }
     assert info.value.report.passed is False
+
+
+# -- one set of identity formulas ----------------------------------------------------
+
+
+def test_cycle_probe_fallback_keeps_degree():
+    # a probe of degree d + 1 pairs to 0 with every degree-d f on the sphere,
+    # which would make the self-adjointness residual vacuous
+    from leafavg import sphere_inner
+    f = P("x1^2 + x2^2 + x3^2", 3)
+    probe = cycle_probe(f)
+    assert probe.homogeneous_degree() == f.homogeneous_degree()
+    assert sphere_inner(f, probe) != 0
+
+
+def _reference_identities(model, f, g, *, seed=0, sample_points=None, mc_samples=None):
+    """The identity residuals as computed before one identity function
+    existed: closed-form formulas inline, and three full certificates per
+    probe pair on the statistical path."""
+    from leafavg import sphere_inner
+    if model.closed_form:
+        avg_f = model.reynolds(f)
+        avg_g = model.reynolds(g)
+        return {
+            "idempotence": sphere_norm(model.reynolds(avg_f) - avg_f),
+            "selfadjoint": abs(float(sphere_inner(avg_f, g) - sphere_inner(f, avg_g))),
+            "contraction": max(0.0, -float(sphere_mean(f * f) - sphere_mean(avg_f * avg_f))),
+            "laplacian": sphere_norm(avg_f.laplacian() - model.reynolds(f.laplacian())),
+            "module": sphere_norm(model.reynolds(avg_f * g) - avg_f * avg_g),
+        }
+    cert_f = average(model, f, seed=seed, probe=g, sample_points=sample_points,
+                     mc_samples=mc_samples)
+    avg_f = cert_f.average_poly
+    cert_g = average(model, g, seed=seed + 1, probe=f, sample_points=sample_points,
+                     mc_samples=mc_samples)
+    avg_g = cert_g.average_poly
+    module_cert = average(model, (avg_f * g.to_float()), seed=seed + 2,
+                          sample_points=sample_points, mc_samples=mc_samples)
+    scale_f = max(sphere_norm(f), 1e-12)
+    scale_g = max(sphere_norm(g), 1e-12)
+    scale_lap = max(sphere_norm(f.laplacian()), scale_f)
+    return {
+        "idempotence": cert_f.residuals["idempotence"] / scale_f,
+        "selfadjoint": abs(sphere_inner(avg_f, g.to_float())
+                           - sphere_inner(f.to_float(), avg_g)) / (scale_f * scale_g),
+        "contraction": cert_f.residuals["contraction"] / (scale_f * scale_f),
+        "module": sphere_norm(module_cert.average_poly - avg_f * avg_g) / (scale_f * scale_g),
+        "laplacian": cert_f.residuals["laplacian"] / scale_lap,
+    }
+
+
+def _bits(residuals):
+    return {name: float(value).hex() for name, value in residuals.items()}
+
+
+def test_statistical_identities_match_three_certificate_reference(iso_g2_model, iso_g3_model):
+    rng = np.random.default_rng(47)
+    for model in (iso_g2_model, iso_g3_model):
+        for n in range(2):
+            f = random_homogeneous(model.ambient_dim, 2, rng, n_terms=3)
+            g = random_homogeneous(model.ambient_dim, 2, rng, n_terms=3)
+            args = {"seed": 50 + n, "sample_points": 24, "mc_samples": 20_000}
+            report = verify_operator_identities(model, f, g, tol=float("inf"), **args)
+            assert _bits(report.residuals) == _bits(_reference_identities(model, f, g, **args))
+
+
+def test_exact_identities_match_reference(b3_model, hopf_model):
+    import math
+    from leafavg import group_closure
+    s = math.sin(2 * math.pi / 3)
+    dihedral = group_closure([[[-0.5, -s], [s, -0.5]], [[1.0, 0.0], [0.0, -1.0]]])
+    rng = np.random.default_rng(53)
+    for model in (b3_model, hopf_model, dihedral):
+        f = random_homogeneous(model.ambient_dim, 3, rng, mode=model.mode)
+        g = random_homogeneous(model.ambient_dim, 2, rng, mode=model.mode)
+        report = verify_operator_identities(model, f, g, tol=float("inf"))
+        assert _bits(report.residuals) == _bits(_reference_identities(model, f, g))
+
+
+def test_statistical_verify_makes_four_estimator_passes(iso_g2_model, monkeypatch):
+    # f with its probe and Laplacian, the fitted average of f, then one pass
+    # each for g and for avg_f * g; three full certificates made six
+    calls = []
+    estimate = LevelSetSampler.leaf_average_values
+
+    def counted(self, values, levels):
+        calls.append(len(values))
+        return estimate(self, values, levels)
+
+    monkeypatch.setattr(LevelSetSampler, "leaf_average_values", counted)
+    f, g = P("x1^2", 4), P("x3^2", 4)
+    args = {"seed": 33, "sample_points": 24, "mc_samples": 20_000}
+    verify_operator_identities(iso_g2_model, f, g, tol=float("inf"), **args)
+    assert len(calls) == 4
+    calls.clear()
+    _reference_identities(iso_g2_model, f, g, **args)
+    assert len(calls) == 6

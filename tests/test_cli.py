@@ -369,3 +369,19 @@ def test_python_dash_m_runs_the_cli(tmp_path):
     missing = subprocess.run([sys.executable, "-m", "leafavg", "avg", "--out", str(tmp_path)],
                              env=env, capture_output=True, text=True, timeout=120)
     assert missing.returncode == 1
+
+
+def test_verify_task_statistical_membership_violation(tmp_path):
+    # x1^2 is not basic for the quadric levels: its fitted average is
+    # (x1^2 + x2^2) / 2, so the projection fixed-point check fails
+    data = json.loads((_CONFIG_DIR / "iso_g2.json").read_text())
+    data["params"]["generators"] = [{"degree": 2, "text": "x1^2"}]
+    del data["params"]["D"]
+    config = write_config(tmp_path / "run.json", data)
+    out = tmp_path / "out"
+    assert main(["verify", "--config", str(config), "--out", str(out)]) == 2
+    payload = json.loads((out / "verify_report.json").read_text())
+    [failure] = [f for f in payload["failures"] if f.get("identity") == "projection_fixed_point"]
+    assert failure["type"] == "IdentityViolation"
+    assert failure["generator"] == 0
+    assert failure["residual"] > 5e-2

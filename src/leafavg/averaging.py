@@ -55,10 +55,12 @@ def cycle_probe(f: Polynomial) -> Polynomial:
     rotation.  The fallback keeps the degree: the sphere pairing of degrees
     ``d`` and ``d + 1`` is identically 0, which would make the check vacuous.
     """
-    probe = Polynomial(f.ambient_dim, {e[-1:] + e[:-1]: c for e, c in f.terms.items()}, f.mode)
+    terms = {}
+    for expo, coeff in f.terms.items():
+        terms[expo[-1:] + expo[:-1]] = coeff
+    probe = Polynomial(f.ambient_dim, terms, f.mode)
     if probe == f:
-        expo = (f.homogeneous_degree(),) + (0,) * (f.ambient_dim - 1)
-        probe = Polynomial.monomial(f.ambient_dim, expo, 1, f.mode)
+        probe = Polynomial.variable(f.ambient_dim, 0, f.mode) ** f.homogeneous_degree()
     return probe
 
 
@@ -239,18 +241,21 @@ class _Averages(NamedTuple):
     fit: Optional[dict] = None
 
 
-def _mate_constancy(model, avg: Polynomial, mode: str, seed: int) -> float:
+def _mate_constancy(model, avg: Polynomial, seed: int) -> float:
     """Largest change of ``avg`` between four random points and leaf mates;
     in exact mode the points are rational, in the cube [-2, 2]^d."""
     rng = np.random.default_rng(seed)
-    if mode == EXACT:
+    if avg.mode == EXACT:
         raw = rng.integers(-2 * POINT_DENOMINATOR, 2 * POINT_DENOMINATOR + 1,
                            size=(4, model.ambient_dim))
         points = [tuple(Fraction(int(v), POINT_DENOMINATOR) for v in row) for row in raw]
     else:
         points = [tuple(map(float, row)) for row in rng.normal(size=(4, model.ambient_dim))]
-    return max([0.0, *(abs(float(avg.eval(model.random_leaf_mate(p, rng)) - avg.eval(p)))
-                       for p in points)])
+    leaf_constancy = 0.0
+    for p in points:
+        mate = model.random_leaf_mate(p, rng)
+        leaf_constancy = max(leaf_constancy, abs(float(avg.eval(mate) - avg.eval(p))))
+    return leaf_constancy
 
 
 # -- statistical engine ------------------------------------------------------
@@ -342,8 +347,10 @@ def _averages(model, f: Polynomial, probe: Polynomial, seed: int, sample_points:
     # one pass over the cloud for f, its probe and its Laplacian
     responses, ses = ctx.responses(f, probe, *([lap_f] if with_lap else []))
     avg, condition, rms = ctx.fit(responses[0], degree, cond_cap)
-    lap_avg = (ctx.fit(responses[2], degree - 2, cond_cap)[0] if with_lap
-               else Polynomial.zero(model.ambient_dim, FLOAT))
+    if with_lap:
+        lap_avg, _, _ = ctx.fit(responses[2], degree - 2, cond_cap)
+    else:
+        lap_avg = Polynomial.zero(model.ambient_dim, FLOAT)
     probe_avg, _, _ = ctx.fit(responses[1], probe.homogeneous_degree(), cond_cap)
 
     # a second pass for the fitted average and its square on the same cloud
@@ -368,7 +375,7 @@ def _averages(model, f: Polynomial, probe: Polynomial, seed: int, sample_points:
 
 
 def average_polynomial(model, f: Polynomial, *, seed: int = 0, sample_points: Optional[int] = None,
-                       mc_samples: Optional[int] = None, cond_cap: float = COND_CAP) -> Polynomial:
+                       mc_samples: Optional[int] = None) -> Polynomial:
     """The average of a homogeneous ``f`` without a certificate.
 
     ``model.reynolds(f)`` for closed-form models; for isoparametric models
@@ -380,7 +387,7 @@ def average_polynomial(model, f: Polynomial, *, seed: int = 0, sample_points: Op
     degree = f.homogeneous_degree()
     ctx = _FitContext(model, degree, seed, sample_points, mc_samples)
     (responses,), _ = ctx.responses(f.to_float())
-    return ctx.fit(responses, degree, cond_cap)[0]
+    return ctx.fit(responses, degree, COND_CAP)[0]
 
 
 def average(
@@ -409,7 +416,7 @@ def average(
         raise IdentityViolation("degree_preservation", float("inf"),
                                 "average left the homogeneous degree slice")
     residuals = identity_residuals(a.f, a.probe, a.avg, a.probe_avg, a.avg_again, a.lap_avg)
-    residuals["leaf_constancy"] = (_mate_constancy(model, a.avg, f.mode, seed)
+    residuals["leaf_constancy"] = (_mate_constancy(model, a.avg, seed)
                                    if model.closed_form else a.leaf_constancy)
     return AveragingCertificate(
         model=model.describe(),
@@ -502,16 +509,18 @@ def verify_operator_identities(
     (iii) contraction, (iv) the module property over a basic multiplier,
     (v) commutation with the Laplacian, by :func:`identity_residuals` on
     the averages of :func:`average` at ``seed`` (without leaf mates) and the
-    certificate-free :func:`average_polynomial` of ``g`` at ``seed + 1`` and
-    of ``avg_f * g`` at ``seed + 2``.  Exact models are checked exactly
-    (default tolerance 0 in rational mode, 1e-10 for floating matrix
-    entries); isoparametric models statistically, with the model's
-    bandwidth ``h`` and residuals normalized by the operand norms.
+    certificate-free :func:`average_polynomial` of ``avg_f * g`` at
+    ``seed + 2`` and, on a fitted model, of ``g`` at ``seed + 1``.  Exact
+    models are checked exactly (default tolerance 0 in rational mode, 1e-10
+    for floating matrix entries); isoparametric models statistically, with
+    the model's bandwidth ``h`` and residuals normalized by the operand norms.
     Raises :class:`IdentityViolation` naming the worst offender.
     """
     fit_args = {"sample_points": sample_points, "mc_samples": mc_samples}
     a = _averages(model, f, g, seed, cond_cap=COND_CAP, **fit_args)
-    avg_g = average_polynomial(model, a.probe, seed=seed + 1, **fit_args)
+    # reynolds is deterministic, so a closed-form g keeps the average of f's probe
+    avg_g = (a.probe_avg if model.closed_form
+             else average_polynomial(model, a.probe, seed=seed + 1, **fit_args))
     avg_module = average_polynomial(model, a.avg * a.probe, seed=seed + 2, **fit_args)
     residuals = identity_residuals(a.f, a.probe, a.avg, avg_g, a.avg_again, a.lap_avg, avg_module)
     if model.closed_form:
@@ -523,10 +532,16 @@ def verify_operator_identities(
         engine = ENGINE_VANDERMONDE
         default_tol = 0.05
         scale_f = max(sphere_norm(f), 1e-12)
-        scale_fg = scale_f * max(sphere_norm(g), 1e-12)
-        scales = {"idempotence": scale_f, "selfadjoint": scale_fg, "contraction": scale_f * scale_f,
-                  "laplacian": max(sphere_norm(f.laplacian()), scale_f), "module": scale_fg}
-        residuals = {name: value / scales[name] for name, value in residuals.items()}
+        scale_g = max(sphere_norm(g), 1e-12)
+        scale_lap = max(sphere_norm(f.laplacian()), scale_f)
+        scales = {
+            "idempotence": scale_f,
+            "selfadjoint": scale_f * scale_g,
+            "contraction": scale_f * scale_f,
+            "module": scale_f * scale_g,
+            "laplacian": scale_lap,
+        }
+        residuals = {name: residuals[name] / scale for name, scale in scales.items()}
     tolerance = default_tol if tol is None else tol
 
     worst = max(residuals, key=lambda k: residuals[k])

@@ -330,10 +330,43 @@ def test_cycle_probe_fallback_keeps_degree():
     assert sphere_inner(f, probe) != 0
 
 
+def _reference_certificate_fit(model, f, seed, probe, sample_points, mc_samples):
+    """The average of ``f`` and its certificate residuals as the fit engine
+    computed them before one identity function existed: formulas inline,
+    from two raw estimator passes."""
+    import math
+    from leafavg import Polynomial, sphere_inner
+    from leafavg.averaging import COND_CAP, _FitContext
+    degree = f.homogeneous_degree()
+    f = f.to_float()
+    probe = cycle_probe(f) if probe is None else probe.to_float()
+    lap_f = f.laplacian()
+    with_lap = degree >= 2 and not lap_f.is_zero
+    ctx = _FitContext(model, degree, seed, sample_points, mc_samples)
+    responses, _ = ctx.responses(f, probe, *([lap_f] if with_lap else []))
+    avg, _, _ = ctx.fit(responses[0], degree, COND_CAP)
+    if with_lap:
+        lap_avg, _, _ = ctx.fit(responses[2], degree - 2, COND_CAP)
+    else:
+        lap_avg = Polynomial.zero(model.ambient_dim, FLOAT)
+    probe_avg, _, _ = ctx.fit(responses[1], probe.homogeneous_degree(), COND_CAP)
+    avg_values = avg.eval_many(ctx.sampler.points)
+    again, _ = ctx.sampler.leaf_average_values(np.stack([avg_values, avg_values ** 2]), ctx.levels)
+    e1, e2 = again[:, :8]
+    avg_again, _, _ = ctx.fit(again[0], degree, COND_CAP)
+    return avg, {
+        "idempotence": sphere_norm(avg_again - avg),
+        "leaf_constancy": math.sqrt(max([0.0, *(e2 - e1 * e1).tolist()])),
+        "laplacian": sphere_norm(avg.laplacian() - lap_avg),
+        "contraction": max(0.0, -(sphere_mean(f * f) - sphere_mean(avg * avg))),
+        "selfadjoint": abs(sphere_inner(avg, probe) - sphere_inner(f, probe_avg)),
+    }
+
+
 def _reference_identities(model, f, g, *, seed=0, sample_points=None, mc_samples=None):
     """The identity residuals as computed before one identity function
-    existed: closed-form formulas inline, and three full certificates per
-    probe pair on the statistical path."""
+    existed: closed-form formulas inline, and three full fit certificates
+    per probe pair on the statistical path."""
     from leafavg import sphere_inner
     if model.closed_form:
         avg_f = model.reynolds(f)
@@ -345,24 +378,20 @@ def _reference_identities(model, f, g, *, seed=0, sample_points=None, mc_samples
             "laplacian": sphere_norm(avg_f.laplacian() - model.reynolds(f.laplacian())),
             "module": sphere_norm(model.reynolds(avg_f * g) - avg_f * avg_g),
         }
-    cert_f = average(model, f, seed=seed, probe=g, sample_points=sample_points,
-                     mc_samples=mc_samples)
-    avg_f = cert_f.average_poly
-    cert_g = average(model, g, seed=seed + 1, probe=f, sample_points=sample_points,
-                     mc_samples=mc_samples)
-    avg_g = cert_g.average_poly
-    module_cert = average(model, (avg_f * g.to_float()), seed=seed + 2,
-                          sample_points=sample_points, mc_samples=mc_samples)
+    fit_args = (sample_points, mc_samples)
+    avg_f, cert_f = _reference_certificate_fit(model, f, seed, g, *fit_args)
+    avg_g, _ = _reference_certificate_fit(model, g, seed + 1, f, *fit_args)
+    module_avg, _ = _reference_certificate_fit(model, avg_f * g.to_float(), seed + 2, None, *fit_args)
     scale_f = max(sphere_norm(f), 1e-12)
     scale_g = max(sphere_norm(g), 1e-12)
     scale_lap = max(sphere_norm(f.laplacian()), scale_f)
     return {
-        "idempotence": cert_f.residuals["idempotence"] / scale_f,
+        "idempotence": cert_f["idempotence"] / scale_f,
         "selfadjoint": abs(sphere_inner(avg_f, g.to_float())
                            - sphere_inner(f.to_float(), avg_g)) / (scale_f * scale_g),
-        "contraction": cert_f.residuals["contraction"] / (scale_f * scale_f),
-        "module": sphere_norm(module_cert.average_poly - avg_f * avg_g) / (scale_f * scale_g),
-        "laplacian": cert_f.residuals["laplacian"] / scale_lap,
+        "contraction": cert_f["contraction"] / (scale_f * scale_f),
+        "module": sphere_norm(module_avg - avg_f * avg_g) / (scale_f * scale_g),
+        "laplacian": cert_f["laplacian"] / scale_lap,
     }
 
 
@@ -371,6 +400,7 @@ def _bits(residuals):
 
 
 def test_statistical_identities_match_three_certificate_reference(iso_g2_model, iso_g3_model):
+    from leafavg import format_polynomial
     rng = np.random.default_rng(47)
     for model in (iso_g2_model, iso_g3_model):
         for n in range(2):
@@ -379,6 +409,10 @@ def test_statistical_identities_match_three_certificate_reference(iso_g2_model, 
             args = {"seed": 50 + n, "sample_points": 24, "mc_samples": 20_000}
             report = verify_operator_identities(model, f, g, tol=float("inf"), **args)
             assert _bits(report.residuals) == _bits(_reference_identities(model, f, g, **args))
+            cert = average(model, f, probe=g, **args)
+            avg, residuals = _reference_certificate_fit(model, f, args["seed"], g, 24, 20_000)
+            assert cert.average_text == format_polynomial(avg)
+            assert _bits(cert.residuals) == _bits(residuals)
 
 
 def test_exact_identities_match_reference(b3_model, hopf_model):

@@ -27,7 +27,6 @@ from .polynomials import (
     EXACT,
     FLOAT,
     Polynomial,
-    SphereMomentTable,
     euler_apply,
     format_polynomial,
     monomial_basis,

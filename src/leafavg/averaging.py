@@ -43,6 +43,8 @@ ENGINE_VANDERMONDE = "vandermonde_fit"
 
 # condition-number cap of every least-squares fit of leaf averages
 COND_CAP = 1e8
+# largest residual RMS of a structured fit inside the generator algebra
+STRUCTURED_TOL = 1e-2
 # denominator of the random rational points of the exact certificate checks
 POINT_DENOMINATOR = 64
 
@@ -441,15 +443,14 @@ def average_structured(
     seed: int = 0,
     sample_points: Optional[int] = None,
     mc_samples: Optional[int] = None,
-    tol: float = 1e-2,
 ) -> StructuredAverageResult:
     """Fit the average of ``f`` inside the generator algebra's degree slice.
 
     Much smaller and better conditioned than the full monomial fit; raises
     :class:`BasisDeficient` when the slice cannot explain the sampled leaf
-    averages (residual RMS above ``tol``), which is evidence the generator
-    set is incomplete.  The leaf averages come from the same estimator as
-    :func:`average`, with the model's bandwidth ``h``.
+    averages (residual RMS above ``STRUCTURED_TOL``), which is evidence the
+    generator set is incomplete.  The leaf averages come from the same
+    estimator as :func:`average`, with the model's bandwidth ``h``.
     """
     if not f.is_homogeneous():
         raise ValueError("average_structured expects a homogeneous polynomial")
@@ -472,9 +473,9 @@ def average_structured(
 
     _, _, mono_rms = _scaled_lstsq(ctx.design(ctx.monomials), responses, COND_CAP)
 
-    if rms > tol:
+    if rms > STRUCTURED_TOL:
         raise BasisDeficient(
-            f"structured residual {rms:.4g} above tolerance {tol:g}", residual=rms
+            f"structured residual {rms:.4g} above tolerance {STRUCTURED_TOL:g}", residual=rms
         )
     poly = Polynomial.zero(model.ambient_dim, FLOAT)
     for c, (_, basis_poly) in zip(coeffs, products):

@@ -574,7 +574,6 @@ def verify_generation(
     gens: GeneratorSet,
     max_degree: int,
     *,
-    tol: Optional[float] = None,
     seed: int = 0,
     sample_points: Optional[int] = None,
     mc_samples: Optional[int] = None,
@@ -585,11 +584,11 @@ def verify_generation(
     Projects the basis of each slice that :func:`discover_generators` builds
     onto the degree slice of the algebra generated by ``gens`` and reports
     the worst remainder norm per degree.  Raises :class:`GenerationGap`
-    (with the report attached) when some degree exceeds the tolerance.
+    (with the report attached) when some degree exceeds the tolerance: 0
+    for an exact model, 0.05 for a statistical or float one.
     Isoparametric slices are estimated with the model's bandwidth ``h``.
     """
-    if tol is None:
-        tol = 0.0 if model.closed_form and model.mode == EXACT else 5e-2
+    tol = 0.0 if model.closed_form and model.mode == EXACT else 5e-2
     residuals: Dict[int, float] = {}
     for d, basis in _degree_slices(model, max_degree, seed, tol_rank, sample_points, mc_samples):
         products = [p for _, p in generator_products(list(gens.generators), d)]

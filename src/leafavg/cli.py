@@ -43,6 +43,7 @@ from .models import (
     FiniteGroupModel,
     IsoparametricModel,
     TorusModel,
+    _infer_mode,
     group_closure,
     validate_munzner,
 )
@@ -76,7 +77,27 @@ BUNDLED_CONFIGS = (
 
 # -- config parsing -----------------------------------------------------------
 
+# the keys each config section may set; any other key is a ConfigError
+_TOP_KEYS = ("name", "model", "params", "out")
+_PARAMS_KEYS = (
+    "seed", "f", "D", "tol_rank", "sample_points", "mc_samples", "generators",
+    "generators_file", "generators_mode", "identity_tol", "num_pairs", "tol_same", "num_samples",
+)
+_MODEL_KEYS = {
+    "finite_group": ("kind", "name", "ambient_dim", "generators", "mode", "max_group_size"),
+    "torus": ("kind", "name", "weight_matrix", "n_fix"),
+    "isoparametric": ("kind", "name", "ambient_dim", "F", "mode", "g", "h", "N", "min_ess",
+                      "symmetry"),
+}
+
 _REQUIRED = object()
+
+
+def _check_keys(section: dict, allowed, where: str):
+    unknown = sorted(set(section) - set(allowed))
+    if unknown:
+        names = ", ".join(map(repr, unknown))
+        raise ConfigError(f"unknown key{'s' if len(unknown) > 1 else ''} {names} in {where}")
 
 
 def _number(section: dict, key: str, kind=int, default=_REQUIRED, minimum=None):
@@ -95,6 +116,15 @@ def _number(section: dict, key: str, kind=int, default=_REQUIRED, minimum=None):
     if minimum is not None and number < minimum:
         raise ConfigError(f"{key} must be at least {minimum}, got {value!r}")
     return number
+
+
+def _text(section: dict, key: str, default):
+    """``section[key]`` (``default`` when absent), which must be a string or
+    ``default`` itself, so that ``null`` reads as absent when that is None."""
+    value = section.get(key, default)
+    if not isinstance(value, str) and value is not default:
+        raise ConfigError(f"{key} must be a string, got {value!r}")
+    return value
 
 
 def _mode(section: dict, key: str, default):
@@ -145,6 +175,9 @@ def model_from_config(cfg: dict):
         kind = cfg["kind"]
     except KeyError:
         raise ConfigError("model section needs a 'kind'") from None
+    if not isinstance(kind, str) or kind not in _MODEL_KEYS:
+        raise ConfigError(f"unknown model kind {kind!r}")
+    _check_keys(cfg, _MODEL_KEYS[kind], f"the {kind} model section")
     try:
         return _build_model(kind, cfg)
     except KeyError as err:
@@ -157,41 +190,32 @@ def _build_model(kind: str, cfg: dict):
         if not isinstance(cfg["generators"], list):
             raise ConfigError(f"generators must be a list of matrices, got {cfg['generators']!r}")
         matrices = [_matrix_rows(g, ambient_dim) for g in cfg["generators"]]
-        mode = _mode(cfg, "mode", None)
-        if mode is None:
-            entries = [x for rows in matrices for row in rows for x in row]
-            mode = FLOAT if any(isinstance(x, float) for x in entries) else EXACT
+        mode = _mode(cfg, "mode", None) or _infer_mode(matrices)
         gens = [[[_parse_entry(x, mode) for x in row] for row in rows] for rows in matrices]
         return group_closure(
             gens,
             max_group_size=_number(cfg, "max_group_size", int, 512),
             mode=mode,
-            tol_orth=_number(cfg, "tol_orth", float, 1e-9),
-            tol_dedup=_number(cfg, "tol_dedup", float, 1e-9),
-            name=cfg.get("name", ""),
+            name=_text(cfg, "name", ""),
         )
     if kind == "torus":
         return TorusModel(
             weight_matrix=cfg["weight_matrix"],
             n_fix=_number(cfg, "n_fix", int, 0),
-            name=cfg.get("name", ""),
+            name=_text(cfg, "name", ""),
         )
-    if kind == "isoparametric":
-        ambient_dim = _number(cfg, "ambient_dim")
-        F = parse_polynomial(cfg["F"], ambient_dim, _mode(cfg, "mode", EXACT))
-        symmetry = model_from_config(cfg["symmetry"]) if "symmetry" in cfg else None
-        return IsoparametricModel(
-            F,
-            _number(cfg, "g"),
-            h=_number(cfg, "h", float, 0.05),
-            sample_count=_number(cfg, "N", int, cfg.get("sample_count", 100_000), minimum=1),
-            tol_level=_number(cfg, "tol_level", float, 1e-6),
-            min_ess=_number(cfg, "min_ess", float, 100.0),
-            munzner_tol=_number(cfg, "munzner_tol", float, 1e-9),
-            symmetry=symmetry,
-            name=cfg.get("name", ""),
-        )
-    raise ConfigError(f"unknown model kind {kind!r}")
+    ambient_dim = _number(cfg, "ambient_dim")
+    F = parse_polynomial(cfg["F"], ambient_dim, _mode(cfg, "mode", EXACT))
+    symmetry = model_from_config(cfg["symmetry"]) if "symmetry" in cfg else None
+    return IsoparametricModel(
+        F,
+        _number(cfg, "g"),
+        h=_number(cfg, "h", float, 0.05),
+        sample_count=_number(cfg, "N", int, 100_000, minimum=1),
+        min_ess=_number(cfg, "min_ess", float, 100.0),
+        symmetry=symmetry,
+        name=_text(cfg, "name", ""),
+    )
 
 
 @dataclass
@@ -220,16 +244,18 @@ def load_config(path) -> RunConfig:
         ) from None
     if not isinstance(data, dict) or "model" not in data:
         raise ConfigError(f"config {path} has no 'model' section")
+    _check_keys(data, _TOP_KEYS, f"config {path}")
     params = data.get("params", {})
     if not isinstance(params, dict):
         raise ConfigError(f"params must be a JSON object, got {params!r}")
     if "h" in params:
         raise ConfigError("params.h is not read: the kernel bandwidth is model.h")
+    _check_keys(params, _PARAMS_KEYS, "params")
     return RunConfig(
-        name=data.get("name", path.stem),
+        name=_text(data, "name", path.stem),
         model_config=data["model"],
         params=params,
-        out=data.get("out"),
+        out=_text(data, "out", None),
         path=path,
     )
 
@@ -269,6 +295,7 @@ def _load_generators(config: RunConfig, model) -> GeneratorSet:
         for item in params["generators"]:
             if not isinstance(item, dict) or "text" not in item:
                 raise ConfigError(f"a generator must be an object with a 'text', got {item!r}")
+            _check_keys(item, ("text", "degree"), "a generator")
             poly = parse_polynomial(item["text"], model.ambient_dim, mode)
             gens.append(poly)
             degrees.append(_number(item, "degree", int, _generator_degree(poly)))
@@ -346,14 +373,13 @@ def task_avg(config: RunConfig, out_dir: Path, seed: Optional[int]) -> int:
                 f,
                 gens,
                 seed=run_seed,
-                tol=_number(params, "structured_tol", float, 1e-2),
                 **fit_args,
             )
             payload["structured"] = structured.to_dict()
         except BasisDeficient as err:
             failure = {"type": "BasisDeficient", "message": str(err), "residual": err.residual}
             payload["structured"] = {"failure": failure}
-    tolerance = 1e-12 if cert.exact else _number(params, "residual_tol", float, 0.05)
+    tolerance = 1e-12 if cert.exact else 0.05
     passed = cert.max_residual() <= tolerance and failure is None
     payload["passed"] = passed
     payload["residual_tol"] = tolerance
@@ -413,8 +439,7 @@ def task_verify(config: RunConfig, out_dir: Path, seed: Optional[int]) -> int:
     checks = []
 
     # membership: every generator must be fixed by averaging
-    exact_engine = model.closed_form and model.mode == EXACT
-    tol_basic = _number(params, "basic_tol", float, 1e-9 if exact_engine else 5e-2)
+    tol_basic = 1e-9 if model.closed_form and model.mode == EXACT else 5e-2
     for i, gen in enumerate(gens.generators):
         # a closed-form average keeps the generator's mode; a fitted one is float
         avg_poly = average_polynomial(model, gen, seed=run_seed + i, **fit_args)
@@ -433,10 +458,9 @@ def task_verify(config: RunConfig, out_dir: Path, seed: Optional[int]) -> int:
                 "residual": residual,
             })
 
-    # operator identities on probe polynomials
-    num_probes = _number(params, "num_probes", int, 3, minimum=0)
+    # operator identities on three pairs of degree-2 probe polynomials
     identity_tol = _number(params, "identity_tol", float, None)
-    basis = monomial_basis(model.ambient_dim, _number(params, "probe_degree", int, 2, minimum=1))
+    basis = monomial_basis(model.ambient_dim, 2)
     rng = np.random.default_rng(run_seed)
     mode = model.mode
 
@@ -450,7 +474,7 @@ def task_verify(config: RunConfig, out_dir: Path, seed: Optional[int]) -> int:
             terms = {e: float(c) for e, c in terms.items()}
         return Polynomial(model.ambient_dim, terms, mode)
 
-    for n in range(num_probes):
+    for n in range(3):
         f = random_poly()
         g = random_poly()
         try:
@@ -474,7 +498,6 @@ def task_verify(config: RunConfig, out_dir: Path, seed: Optional[int]) -> int:
         try:
             report = verify_generation(
                 model, gens, _number(params, "D", minimum=1),
-                tol=_number(params, "generation_tol", float, None),
                 seed=run_seed,
                 tol_rank=_number(params, "tol_rank", float, 1e-8),
                 **fit_args,
@@ -514,8 +537,6 @@ def task_separate(config: RunConfig, out_dir: Path, seed: Optional[int]) -> int:
         _number(params, "num_pairs", int, 1000, minimum=1),
         _number(params, "tol_same", float, 1e-9),
         run_seed,
-        margin_min=_number(params, "margin_min", float, 10.0),
-        same_leaf_tol=_number(params, "same_leaf_tol", float, None),
     )
     _write_json(cert.to_dict(), out_dir / "separation_certificate.json")
     margin = cert.margin_ratio

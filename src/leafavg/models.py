@@ -51,6 +51,13 @@ from .polynomials import (
 )
 
 _TWO_PI = 2.0 * math.pi
+# float matrix comparisons: a generator's orthogonality, and two group
+# elements being the same
+MATRIX_TOL = 1e-9
+# largest coefficient of a float Cartan-Munzner identity residual
+MUNZNER_TOL = 1e-9
+# default level-predicate tolerance of ``IsoparametricModel.same_leaf``
+LEVEL_TOL = 1e-6
 
 
 # -- sphere sampling ---------------------------------------------------------
@@ -144,33 +151,6 @@ def _is_orthogonal(m, mode: str, tol: float) -> bool:
 def compose_with_matrix(f: Polynomial, matrix) -> Polynomial:
     """The pullback ``x -> f(M x)`` for a square matrix over f's scalars."""
     dim = f.ambient_dim
-    # monomial matrices (signed permutations and friends) map monomials to
-    # monomials; worth a fast path since most desk-scale groups live there
-    structure = []
-    for row in matrix:
-        nz = [(j, c) for j, c in enumerate(row) if c != 0]
-        if len(nz) != 1:
-            structure = None
-            break
-        structure.append(nz[0])
-    if structure is not None:
-        terms: Dict[Tuple[int, ...], object] = {}
-        for expo, coeff in f.terms.items():
-            new = [0] * dim
-            c = coeff
-            for i, e in enumerate(expo):
-                if e:
-                    j, entry = structure[i]
-                    new[j] += e
-                    c = c * entry ** e
-            key = tuple(new)
-            c = terms.get(key, 0) + c
-            if c == 0:
-                terms.pop(key, None)
-            else:
-                terms[key] = c
-        return Polynomial(dim, terms, f.mode)
-
     rows = [
         Polynomial(dim, {tuple(1 if k == j else 0 for k in range(dim)): c
                          for j, c in enumerate(row) if c != 0}, f.mode)
@@ -245,7 +225,6 @@ class FiniteGroupModel:
     by :func:`compose_with_matrix`, and its orbit points are exact products.
     """
 
-    kind = "finite_group"
     closed_form = True
     leaf_label_names = ()
 
@@ -362,8 +341,6 @@ def group_closure(
     max_group_size: int = 512,
     *,
     mode: Optional[str] = None,
-    tol_orth: float = 1e-9,
-    tol_dedup: float = 1e-9,
     name: str = "",
 ) -> FiniteGroupModel:
     """Close a generator list under products into a :class:`FiniteGroupModel`.
@@ -382,8 +359,8 @@ def group_closure(
         mode = _infer_mode(generators)
     gens = [_as_matrix(g, ambient_dim, mode) for g in generators]
     for g in gens:
-        if not _is_orthogonal(g, mode, tol_orth):
-            raise NonOrthogonalGenerator(f"generator is not orthogonal within {tol_orth}")
+        if not _is_orthogonal(g, mode, MATRIX_TOL):
+            raise NonOrthogonalGenerator(f"generator is not orthogonal within {MATRIX_TOL}")
 
     identity = _identity(ambient_dim, mode)
     elements = [identity]
@@ -398,7 +375,7 @@ def group_closure(
                     continue
                 seen.add(prod)
             else:
-                if any(_mat_close(prod, e, tol_dedup) for e in elements):
+                if any(_mat_close(prod, e, MATRIX_TOL) for e in elements):
                     continue
             elements.append(prod)
             if len(elements) > max_group_size:
@@ -457,7 +434,6 @@ class TorusModel:
     the saturated kernel lattice of ``W``, the same-leaf phase test.
     """
 
-    kind = "torus"
     closed_form = True
 
     def __init__(self, weight_matrix, n_fix: int = 0, name: str = ""):
@@ -667,14 +643,14 @@ class TorusModel:
 # -- isoparametric level sets ------------------------------------------------
 
 
-def validate_munzner(F: Polynomial, g: int, *, tol: float = 1e-9):
+def validate_munzner(F: Polynomial, g: int):
     """Admission test for a degree-``g`` Cartan-Munzner candidate.
 
     Verifies symbolically that ``|grad F|^2 = g^2 r^(2g-2)`` and that the
     Laplacian of ``F`` is a scalar multiple ``c`` of ``r^(g-2)`` (forced to
     ``c = 0`` when ``g - 2`` is odd, where no such polynomial exists).
     Returns ``c``.  Exact-mode residuals must vanish identically; float-mode
-    residual coefficients must stay below ``tol``.
+    residual coefficients must stay within ``MUNZNER_TOL``.
     """
     if g < 1:
         raise NotCartanMunzner(f"degree must be positive, got {g}")
@@ -701,7 +677,7 @@ def validate_munzner(F: Polynomial, g: int, *, tol: float = 1e-9):
     if F.mode == EXACT:
         ok = grad_res.is_zero and lap_res.is_zero
     else:
-        ok = grad_res.max_abs_coeff() <= tol and lap_res.max_abs_coeff() <= tol
+        ok = grad_res.max_abs_coeff() <= MUNZNER_TOL and lap_res.max_abs_coeff() <= MUNZNER_TOL
     if not ok:
         raise NotCartanMunzner(
             "Cartan-Munzner identities fail",
@@ -845,7 +821,6 @@ class IsoparametricModel:
     separation testing and is validated against ``F`` at construction.
     """
 
-    kind = "isoparametric"
     closed_form = False
     leaf_label_names = ("level",)
 
@@ -856,9 +831,7 @@ class IsoparametricModel:
         *,
         h: float = 0.05,
         sample_count: int = 100_000,
-        tol_level: float = 1e-6,
         min_ess: float = 100.0,
-        munzner_tol: float = 1e-9,
         symmetry=None,
         name: str = "",
     ):
@@ -866,11 +839,10 @@ class IsoparametricModel:
             raise ConfigError("bandwidth h must lie in (0, 1)")
         self.F = F
         self.g = g
-        self.c = validate_munzner(F, g, tol=munzner_tol)
+        self.c = validate_munzner(F, g)
         self.ambient_dim = F.ambient_dim
         self.h = h
         self.sample_count = sample_count
-        self.tol_level = tol_level
         self.min_ess = min_ess
         self.mode = F.mode
         self.symmetry = symmetry
@@ -884,19 +856,18 @@ class IsoparametricModel:
     def _check_symmetry(self, symmetry):
         if symmetry.ambient_dim != self.ambient_dim:
             raise DimensionMismatch("symmetry model dimension does not match")
-        if isinstance(symmetry, FiniteGroupModel):
-            for gmat in symmetry.generators:
-                pulled = compose_with_matrix(self.F.to_float(), [
-                    [float(x) for x in row] for row in gmat
-                ])
-                if (pulled - self.F.to_float()).max_abs_coeff() > 1e-8:
-                    raise ConfigError("configured symmetry does not preserve the level polynomial")
-        elif isinstance(symmetry, TorusModel):
-            averaged = symmetry.reynolds(self.F.to_exact())
-            if averaged != self.F.to_exact():
-                raise ConfigError("configured symmetry does not preserve the level polynomial")
-        else:
+        if not symmetry.closed_form:
             raise ConfigError("symmetry must be a finite-group or torus model")
+        # the symmetry preserves F when its average fixes F: exactly for an
+        # exact symmetry, within 1e-8 for a float one
+        F = self.F.to_exact() if symmetry.mode == EXACT else self.F.to_float()
+        averaged = symmetry.reynolds(F)
+        if symmetry.mode == EXACT:
+            preserved = averaged == F
+        else:
+            preserved = (averaged - F).max_abs_coeff() <= 1e-8
+        if not preserved:
+            raise ConfigError("configured symmetry does not preserve the level polynomial")
 
     # -- leaves ------------------------------------------------------------
 
@@ -914,9 +885,8 @@ class IsoparametricModel:
     def leaf_labels(self, p) -> List[float]:
         return [self.level_of(p)]
 
-    def same_leaf(self, p, q, tol: Optional[float] = None) -> bool:
+    def same_leaf(self, p, q, tol: float = LEVEL_TOL) -> bool:
         """Level predicate ``|F(p) - F(q)| < tol`` for unit-sphere points."""
-        tol = self.tol_level if tol is None else tol
         p = tuple(p)
         q = tuple(q)
         if len(p) != self.ambient_dim or len(q) != self.ambient_dim:

@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import DimensionMismatch, InsufficientDistinctPairs
-from .models import sample_sphere_many
+from .models import LEVEL_TOL, sample_sphere_many
 from .polynomials import EXACT
 
 _PROXY_BINS = (1e-3, 1e-2, 1e-1)
@@ -206,7 +206,7 @@ def separation_test(
     rng = np.random.default_rng(rng_seed)
     exact = model.closed_form and model.mode == EXACT and gens.mode == EXACT
     if same_leaf_tol is None:
-        same_leaf_tol = 1e-9 if model.closed_form else model.tol_level
+        same_leaf_tol = 1e-9 if model.closed_form else LEVEL_TOL
     integer_map = _IntegerGeneratorMap(gens.generators) if exact else None
 
     def rho(point):

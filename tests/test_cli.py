@@ -233,9 +233,54 @@ BAD_GENERATOR_SETS = {
     "file_ambient_dim_differs": {"generators_file": "dim3.json"},
 }
 GENERATOR_SET_TASKS = ("verify", "separate", "export")
-
-
-@pytest.mark.parametrize("task, model, params", [
+ISO_SYMMETRY = {"kind": "torus", "weight_matrix": [[1, 0], [0, 1]]}
+# (id, task, model, params, top-level entries, the key the error must name)
+NAMED_KEY_CASES = [
+    # keys fixed at their former defaults, which no section declares any more
+    ("removed_tol_orth", "generators", {**B2, "tol_orth": 1e-9}, {"seed": 1, "D": 2}, {},
+     "tol_orth"),
+    ("removed_tol_dedup", "generators", {**B2, "tol_dedup": 1e-9}, {"seed": 1, "D": 2}, {},
+     "tol_dedup"),
+    ("removed_tol_level", "generators", {**ISO, "tol_level": 1e-6}, {"seed": 1, "D": 1}, {},
+     "tol_level"),
+    ("removed_munzner_tol", "generators", {**ISO, "munzner_tol": 1e-9}, {"seed": 1, "D": 1}, {},
+     "munzner_tol"),
+    ("removed_sample_count", "generators", {**ISO, "sample_count": 100_000}, {"seed": 1, "D": 1},
+     {}, "sample_count"),
+    ("removed_residual_tol", "avg", TORUS, {"seed": 1, "f": "x1^2", "residual_tol": 0.05}, {},
+     "residual_tol"),
+    ("removed_basic_tol", "verify", TORUS, {"seed": 1, "D": 2, "basic_tol": 1e-9}, {}, "basic_tol"),
+    ("removed_num_probes", "verify", TORUS, {"seed": 1, "D": 2, "num_probes": 3}, {}, "num_probes"),
+    ("removed_probe_degree", "verify", TORUS, {"seed": 1, "D": 2, "probe_degree": 2}, {},
+     "probe_degree"),
+    ("removed_structured_tol", "avg", TORUS, {"seed": 1, "f": "x1^2", "structured_tol": 0.01}, {},
+     "structured_tol"),
+    ("removed_generation_tol", "verify", TORUS, {"seed": 1, "D": 2, "generation_tol": 0.0}, {},
+     "generation_tol"),
+    ("removed_margin_min", "separate", TORUS, {"seed": 1, "D": 2, "margin_min": 10.0}, {},
+     "margin_min"),
+    ("removed_same_leaf_tol", "separate", TORUS, {"seed": 1, "D": 2, "same_leaf_tol": 1e-9}, {},
+     "same_leaf_tol"),
+    # unknown keys, such as typos, in every section
+    ("unknown_params_key", "separate", B2, {"seed": 1, "D": 2, "num_pair": 5}, {}, "num_pair"),
+    ("unknown_top_level_key", "generators", TORUS, {"seed": 1, "D": 2}, {"output": "x"}, "output"),
+    ("unknown_finite_group_key", "generators", {**B2, "order": 8}, {"seed": 1, "D": 2}, {},
+     "order"),
+    ("unknown_torus_key", "generators", {**TORUS, "nfix": 0}, {"seed": 1, "D": 2}, {}, "nfix"),
+    ("unknown_isoparametric_key", "generators", {**ISO, "bandwidth": 0.05}, {"seed": 1, "D": 1},
+     {}, "bandwidth"),
+    ("unknown_symmetry_key", "generators", {**ISO, "symmetry": {**ISO_SYMMETRY, "nfix": 0}},
+     {"seed": 1, "D": 1}, {}, "nfix"),
+    ("unknown_generator_key", "export", B2,
+     {"seed": 1, "generators": [{**GOOD_GENERATOR, "degre": 2}]}, {}, "degre"),
+    # names and the output directory must be strings
+    ("out_not_text", "generators", TORUS, {"seed": 1, "D": 2}, {"out": 5}, "out"),
+    ("name_not_text", "generators", TORUS, {"seed": 1, "D": 2}, {"name": 5}, "name"),
+    ("model_name_not_text", "generators", {**TORUS, "name": [1]}, {"seed": 1, "D": 2}, {}, "name"),
+    ("symmetry_name_not_text", "generators", {**ISO, "symmetry": {**ISO_SYMMETRY, "name": 5}},
+     {"seed": 1, "D": 1}, {}, "name"),
+]
+MALFORMED_CASES = [
     ("generators", TORUS, {"seed": "abc", "D": 2}),
     ("generators", {"kind": "finite_group", "ambient_dim": 2}, {"seed": 1, "D": 2}),
     ("generators", {**ISO, "h": 1.5}, {"seed": 1, "D": 2}),
@@ -271,21 +316,35 @@ GENERATOR_SET_TASKS = ("verify", "separate", "export")
     ("avg", ISO, {"seed": 1, "f": "x1^2", "h": 0.05}),
     *[(task, B2, {"seed": 1, **params}) for task in GENERATOR_SET_TASKS
       for params in BAD_GENERATOR_SETS.values()],
-], ids=["seed_not_int", "group_without_generators", "bandwidth_above_1", "empty_weights",
-        "ambient_dim_not_int", "weight_not_int", "cap_not_int", "bandwidth_not_number",
-        "float_coefficient_overflow", "matrix_entry_not_number", "weight_row_not_list",
-        "sample_points_not_int", "mc_samples_not_int", "identity_tol_not_number",
-        "generation_tol_not_number", "same_leaf_tol_not_number", "missing_generators_file", "generators_file_not_a_set",
-        "generator_without_text", "generator_not_object", "generators_mode_complex",
-        "model_mode_complex", "f_not_text", "F_not_text", "symmetry_not_object",
-        "model_not_object", "no_pairs", "cap_zero", "seed_negative", "params_bandwidth",
-        *[f"{task}_generators_{name}" for task in GENERATOR_SET_TASKS for name in BAD_GENERATOR_SETS]])
-def test_malformed_config_exits_1(tmp_path, capsys, task, model, params):
+]
+MALFORMED_IDS = [
+    "seed_not_int", "group_without_generators", "bandwidth_above_1", "empty_weights",
+    "ambient_dim_not_int", "weight_not_int", "cap_not_int", "bandwidth_not_number",
+    "float_coefficient_overflow", "matrix_entry_not_number", "weight_row_not_list",
+    "sample_points_not_int", "mc_samples_not_int", "identity_tol_not_number",
+    "generation_tol_not_number", "same_leaf_tol_not_number", "missing_generators_file", "generators_file_not_a_set",
+    "generator_without_text", "generator_not_object", "generators_mode_complex",
+    "model_mode_complex", "f_not_text", "F_not_text", "symmetry_not_object",
+    "model_not_object", "no_pairs", "cap_zero", "seed_negative", "params_bandwidth",
+    *[f"{task}_generators_{name}" for task in GENERATOR_SET_TASKS for name in BAD_GENERATOR_SETS]
+]
+
+
+@pytest.mark.parametrize(
+    "task, model, params, top, named",
+    [(*case, {}, None) for case in MALFORMED_CASES] + [case[1:] for case in NAMED_KEY_CASES],
+    ids=MALFORMED_IDS + [case[0] for case in NAMED_KEY_CASES],
+)
+def test_malformed_config_exits_1(tmp_path, capsys, task, model, params, top, named):
     for name, data in BAD_GENERATOR_FILES.items():
         write_config(tmp_path / name, data)
-    config = write_config(tmp_path / "run.json", {"name": "bad", "model": model, "params": params})
+    config = write_config(tmp_path / "run.json",
+                          {"name": "bad", "model": model, "params": params, **top})
     assert main([task, "--config", str(config), "--out", str(tmp_path / "out")]) == 1
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    if named is not None:
+        assert named in err
 
 
 def test_params_bandwidth_points_to_model(tmp_path):
@@ -298,6 +357,8 @@ FUZZ_BASES = {name: json.loads((_CONFIG_DIR / f"{name}.json").read_text())
               for name in ("b2", "t2_full", "iso_g1")}
 FUZZ_FIELDS = [(name, section, key) for name, data in FUZZ_BASES.items()
                for section in ("model", "params") for key in data[section]]
+# top-level fields, section None, including the optional out directory
+FUZZ_FIELDS += [(name, None, key) for name, data in FUZZ_BASES.items() for key in (*data, "out")]
 # small values only: a wrong type must fail fast, never start a long run
 WRONG_VALUES = ["abc", [], [1], {}, {"a": 1}, None, True, False, 0, -1]
 
@@ -308,7 +369,7 @@ WRONG_VALUES = ["abc", [], [1], {}, {"a": 1}, None, True, False, 0, -1]
 def test_wrong_typed_field_never_escapes_main(field, value, task):
     name, section, key = field
     data = copy.deepcopy(FUZZ_BASES[name])
-    data[section][key] = value
+    (data if section is None else data[section])[key] = value
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         config = write_config(Path(tmp) / "run.json", data)
@@ -337,6 +398,14 @@ def test_b4_cap8_generators_match_reference(tmp_path, monkeypatch):
 
 def test_missing_config_is_error(tmp_path):
     assert main(["avg", "--out", str(tmp_path)]) == 1
+
+
+def test_selftest_passes(tmp_path):
+    assert main(["selftest", "--out", str(tmp_path)]) == 0
+
+
+def test_selftest_absurd_rank_tolerance_exits_2(tmp_path):
+    assert main(["selftest", "--tol-rank", "100", "--out", str(tmp_path)]) == 2
 
 
 def test_selftest_missing_configs(tmp_path, monkeypatch):

@@ -4,15 +4,19 @@ The ring of leaf-constant (basic) polynomials is finitely generated; this
 module realizes the generating set constructively.  For each degree ``d``
 up to a user-chosen cap:
 
-1. average every degree-``d`` monomial (``basic_subspace``) and
-   orthonormalize the results under the sphere pairing -- that is the full
-   basic slice ``B_d``;
+1. span the basic slice ``B_d`` (``basic_subspace``) -- by the rows of an
+   exact model's ``invariant_rows``, else by averaging every degree-``d``
+   monomial -- and orthogonalize it under the sphere pairing;
 2. span the degree-``d`` products of previously found generators;
 3. adopt an orthogonal complement of that product span inside ``B_d`` as
    the new generators, sparsified to readable representatives.
 
 ``verify_generation`` runs steps 1 and 2 on the same slices and reports how
 far each slice reaches outside the product span.
+
+Exact pairings are integer dot products against ``G b`` for one Gram matrix
+``G`` of sphere-moment numerators per degree (``MomentGram``; the
+linear-algebra method of Derksen and Kemper, *Computational Invariant Theory*).
 
 For finite matrix groups the per-degree dimensions have a classical
 independent oracle, the Molien series, implemented here with exact rational
@@ -23,9 +27,12 @@ nose.
 from __future__ import annotations
 
 import json
+import math
 import warnings
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -37,18 +44,18 @@ from .errors import (
     RankUnstable,
     ScalarModeMismatch,
 )
-from .exactlinalg import primitive_integer_row, rref
-from .models import FiniteGroupModel
+from .exactlinalg import _integer_rref, primitive_integer_row
+from .models import FiniteGroupModel, _integer_matrix
 from .polynomials import (
     EXACT,
     FLOAT,
+    MomentGram,
     Polynomial,
     format_polynomial,
-    moment_table,
+    grlex_key,
     monomial_basis,
     parse_polynomial,
     rationalize,
-    sphere_inner,
     sphere_norm,
 )
 
@@ -62,70 +69,97 @@ GUARD_BAND = 10.0
 PIVOT_FRAC = 0.1
 
 
-def poly_to_vector(p: Polynomial, monomials: Sequence[tuple]):
-    index = {expo: i for i, expo in enumerate(monomials)}
-    vec = [0] * len(monomials)
-    for expo, coeff in p.terms.items():
-        vec[index[expo]] = coeff
-    return vec
-
-
 def vector_to_poly(vec, monomials: Sequence[tuple], ambient_dim: int, mode: str) -> Polynomial:
     return Polynomial(ambient_dim, {e: c for e, c in zip(monomials, vec)}, mode)
 
 
-def gram_schmidt_polys(polys: Sequence[Polynomial]) -> Tuple[List[Polynomial], List]:
-    """Orthogonalize under the sphere pairing (no normalization, so exact
-    mode stays inside the rationals).  Zero remainders are dropped."""
-    ortho: List[Polynomial] = []
-    norms: List = []
-    for p in polys:
-        for b, n2 in zip(ortho, norms):
-            coeff = sphere_inner(p, b) / n2
-            if coeff != 0:
-                p = p - b.scale(coeff)
-        n2 = sphere_inner(p, p)
-        if n2 != 0:
-            ortho.append(p)
-            norms.append(n2)
-    return ortho, norms
-
-
-def project_residual(p: Polynomial, ortho: Sequence[Polynomial], norms: Sequence) -> Polynomial:
-    """Remainder of ``p`` after subtracting its projection onto the span."""
-    for b, n2 in zip(ortho, norms):
-        coeff = sphere_inner(p, b) / n2
-        if coeff != 0:
-            p = p - b.scale(coeff)
-    return p
+# -- the exact sphere pairing in integers ------------------------------------
 
 
 def _gram_matrix(ambient_dim: int, monomials: Sequence[tuple]) -> np.ndarray:
-    table = moment_table(ambient_dim)
-    size = len(monomials)
-    gram = np.empty((size, size))
-    for i, a in enumerate(monomials):
-        for j in range(i, size):
-            value = float(table.moment(tuple(x + y for x, y in zip(a, monomials[j]))))
-            gram[i, j] = value
-            gram[j, i] = value
+    """The sphere pairing in floats: each entry its moment, correctly rounded."""
+    table = MomentGram(ambient_dim, monomials)
+    gram = np.zeros((len(monomials), len(monomials)))
+    for idx, block in table.blocks:
+        gram[np.ix_(idx, idx)] = [[x / table.den for x in entries] for entries in block]
     return gram
 
 
-def _remainders(
-    mode: str, monomials: Sequence[tuple], polys: Sequence[Polynomial], span: Sequence[Polynomial]
-) -> Tuple[List[Polynomial], List[float]]:
-    """``polys`` minus their sphere-orthogonal projection onto the span of
-    ``span``, in ``mode``, with the sphere norm of each remainder.
+class _ExactSpan:
+    """A sphere-orthogonal basis, grown one exact vector at a time.
 
-    Every polynomial is homogeneous of one degree over ``monomials``.  Exact
-    mode projects in rationals; float mode under the moment Gram matrix, with
-    the rank of ``span`` cut at 1e-10 on the sphere-norm scale.
+    A vector is ``(row, den)``: integer coefficients over the Gram table's
+    monomials over one denominator.  Each basis vector ``b`` keeps ``G b`` and
+    ``n = b . G b``, so ``p - <p,b>/<b,b> b`` is ``(n p - s b) / (n den_p)``
+    with ``s = p . G b``, divided by its content.  Adding vectors in order is
+    exact Gram-Schmidt, whose output is unique given the order.
     """
-    if mode == EXACT:
-        ortho, norms = gram_schmidt_polys([q.to_exact() for q in span])
-        remainders = [project_residual(p.to_exact(), ortho, norms) for p in polys]
-        return remainders, [sphere_norm(r) for r in remainders]
+
+    def __init__(self, gram: MomentGram, polys: Sequence[Polynomial] = ()):
+        self.gram = gram
+        self.basis: List[tuple] = []  # (row, den, G row, row . G row)
+        for p in polys:
+            self.add(*gram.row(p))
+
+    def remainder(self, row: List[int], den: int) -> Tuple[List[int], int]:
+        """``row / den`` minus its orthogonal projection onto the span."""
+        for b, _, gb, n in self.basis:
+            s = sum(map(mul, row, gb))
+            if s:
+                row = [n * x - s * y for x, y in zip(row, b)]
+                den *= n
+                g = math.gcd(den, *row)
+                if g > 1:
+                    row = [x // g for x in row]
+                    den //= g
+        return row, den
+
+    def add(self, row: List[int], den: int) -> None:
+        """Append the remainder of ``row / den`` unless it is zero."""
+        row, den = self.remainder(row, den)
+        if any(row):
+            gb = self.gram.apply(row)
+            self.basis.append((row, den, gb, sum(map(mul, row, gb))))
+
+    def norm(self, row: Sequence[int], den: int) -> float:
+        # int / int is correctly rounded, as float(Fraction) is
+        return math.sqrt(sum(map(mul, row, self.gram.apply(row))) / (den * den * self.gram.den))
+
+    def polynomials(self) -> List[Polynomial]:
+        return [self.gram.poly(row, den) for row, den, _, _ in self.basis]
+
+
+def _span_of(polys: Sequence[Polynomial], *others: Polynomial) -> _ExactSpan:
+    """``polys`` orthogonalized in order, over the terms of ``polys`` and ``others``."""
+    if any(p.mode != EXACT for p in (*polys, *others)):
+        raise ScalarModeMismatch("the exact sphere pairing takes exact polynomials")
+    monomials = sorted({e for p in (*polys, *others) for e in p.terms}, key=grlex_key)
+    return _ExactSpan(MomentGram((*polys, *others)[0].ambient_dim, monomials), polys)
+
+
+def gram_schmidt_polys(polys: Sequence[Polynomial]) -> Tuple[List[Polynomial], List]:
+    """Orthogonalize exact polynomials in order under the sphere pairing (no
+    normalization, so they stay inside the rationals).  Zero remainders are
+    dropped; returns the orthogonal polynomials and their squared norms."""
+    if not polys:
+        return [], []
+    span = _span_of(polys)
+    return span.polynomials(), [Fraction(n, den * den * span.gram.den) for _, den, _, n in span.basis]
+
+
+def project_residual(p: Polynomial, ortho: Sequence[Polynomial], norms: Sequence) -> Polynomial:
+    """Remainder of ``p`` after subtracting its projection onto the span of
+    ``ortho``; ``norms``, their squared norms from :func:`gram_schmidt_polys`,
+    are recomputed in integers."""
+    span = _span_of(ortho, p)
+    return span.gram.poly(*span.remainder(*span.gram.row(p)))
+
+
+def _float_remainders(monomials: Sequence[tuple], polys: Sequence[Polynomial],
+                      span: Sequence[Polynomial]) -> Tuple[List[Polynomial], List[float]]:
+    """``polys`` minus their sphere-orthogonal projection onto the span of
+    ``span`` under the moment Gram matrix, with the rank of ``span`` cut at
+    1e-10 on the sphere-norm scale, and the sphere norm of each remainder."""
     ambient_dim = len(monomials[0])
     gram = _gram_matrix(ambient_dim, monomials)
     span_rows, _ = _orthonormal_rows(_coefficient_rows(span, monomials), gram, 1e-10)
@@ -137,13 +171,24 @@ def _remainders(
     )
 
 
+def _remainders(basis: "SubspaceBasis", products: Sequence[Polynomial]) -> Tuple[list, List[float]]:
+    """Each basis vector of the slice minus its sphere-orthogonal projection
+    onto the span of ``products`` (of the slice's degree), with its sphere
+    norm: ``(row, den)`` pairs for an exact slice, float polynomials else."""
+    if basis.span is None:
+        return _float_remainders(basis.monomials, basis.ortho_polys, products)
+    products_span = _ExactSpan(basis.span.gram, products)
+    rows = [products_span.remainder(row, den) for row, den, _, _ in basis.span.basis]
+    return rows, [products_span.norm(row, den) for row, den in rows]
+
+
 @dataclass
 class SubspaceBasis:
     """A basis of the basic slice in one degree.
 
     ``ortho_polys`` are sphere-orthogonal: exact pipelines keep them in
-    rationals without normalizing; float pipelines keep them orthonormal,
-    together with the singular values that justified the rank decision.
+    rationals without normalizing, and in integers as ``span``; float pipelines
+    keep them orthonormal, with the singular values of the rank decision.
     """
 
     degree: int
@@ -152,6 +197,7 @@ class SubspaceBasis:
     monomials: Tuple[tuple, ...]
     ortho_polys: List[Polynomial]
     singular_values: Optional[List[float]] = None
+    span: Optional[_ExactSpan] = field(default=None, repr=False, compare=False)
 
     @property
     def rank(self) -> int:
@@ -162,7 +208,10 @@ class SubspaceBasis:
 
     def residual(self, p: Polynomial) -> float:
         """Sphere-norm distance from ``p`` to the subspace."""
-        return _remainders(self.mode, self.monomials, [p], self.ortho_polys)[1][0]
+        if self.span is None:
+            return _float_remainders(self.monomials, [p], self.ortho_polys)[1][0]
+        span = _span_of(self.ortho_polys, p.to_exact())  # p may have terms of any degree
+        return span.norm(*span.remainder(*span.gram.row(p)))
 
 
 def _orthonormal_rows(
@@ -199,7 +248,7 @@ def _orthonormal_rows(
 def _coefficient_rows(polys: Sequence[Polynomial], monomials: Sequence[tuple]) -> np.ndarray:
     """Float coefficient vectors of ``polys`` over ``monomials``, one row each."""
     return np.array(
-        [[float(c) for c in poly_to_vector(p.to_float(), monomials)] for p in polys]
+        [[float(p.coefficient(e)) for e in monomials] for p in polys]
     ).reshape(len(polys), len(monomials))
 
 
@@ -247,28 +296,30 @@ def basic_subspace(
 ) -> SubspaceBasis:
     """Image of the averaging operator on the degree-``degree`` slice.
 
-    Averages every monomial of the degree and orthonormalizes the results
-    under the sphere pairing.  Exact rank in rational mode; tolerance-based
-    rank (with a singular-value audit) for the statistical engine, whose
-    leaf averages take the model's bandwidth ``h`` and pass the same
-    effective-sample-size guard and condition cap as :func:`average`.
+    An exact model's ``invariant_rows`` are row reduced (canonical for the
+    span) and orthogonalized in order, in integers, with exact rank.  A float
+    model averages every monomial of the degree and the statistical engine
+    fits their leaf averages (with the model's bandwidth ``h``, the
+    effective-sample-size guard and condition cap of :func:`average`); both
+    orthonormalize with a tolerance-based rank and a singular-value audit.
     """
     if degree < 1:
         raise ValueError("degree must be at least 1")
     monomials = tuple(monomial_basis(model.ambient_dim, degree))
 
+    if model.closed_form and model.mode == EXACT:
+        span = _ExactSpan(MomentGram(model.ambient_dim, monomials))
+        reduced, pivots = _integer_rref([primitive_integer_row([row.get(e, 0) for e in monomials])
+                                         for row in model.invariant_rows(monomials)])
+        for row, c in zip(reduced, pivots):
+            span.add(row, row[c])  # the reduced row echelon row
+        return SubspaceBasis(degree, EXACT, model.ambient_dim, monomials,
+                             span.polynomials(), span=span)
     if model.closed_form:
-        averaged = [
+        matrix = _coefficient_rows([
             model.reynolds(Polynomial.monomial(model.ambient_dim, expo, 1, model.mode))
             for expo in monomials
-        ]
-        if model.mode == EXACT:
-            reduced, _ = rref([poly_to_vector(p, monomials) for p in averaged])
-            ortho, _ = gram_schmidt_polys(
-                [vector_to_poly(row, monomials, model.ambient_dim, EXACT) for row in reduced]
-            )
-            return SubspaceBasis(degree, EXACT, model.ambient_dim, monomials, ortho)
-        matrix = _coefficient_rows(averaged, monomials)
+        ], monomials)
     else:
         ctx = _FitContext(model, degree, seed, sample_points, mc_samples)
         estimates, _ = ctx.responses(*(
@@ -307,55 +358,20 @@ def _degree_slices(model, cap: int, seed: int, tol_rank: float,
 # -- Molien oracle ------------------------------------------------------------
 
 
-def _poly_mul(a: Sequence[Fraction], b: Sequence[Fraction]) -> List[Fraction]:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            if y != 0:
-                out[i + j] += x * y
-    return out
-
-
 def _det_identity_minus_tg(matrix) -> List[Fraction]:
-    """Coefficients of det(I - t*g) as a polynomial in t (exact)."""
-    n = len(matrix)
-    entries = [
-        [
-            (Fraction(1) if i == j else Fraction(0), -Fraction(matrix[i][j]))
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    memo: Dict[Tuple[int, int], List[Fraction]] = {}
-
-    def minor(row: int, used: int) -> List[Fraction]:
-        if row == n:
-            return [Fraction(1)]
-        key = (row, used)
-        got = memo.get(key)
-        if got is not None:
-            return got
-        acc = [Fraction(0)]
-        sign = 1
-        for j in range(n):
-            if used & (1 << j):
-                continue
-            entry = entries[row][j]
-            if entry[0] != 0 or entry[1] != 0:
-                sub = _poly_mul(list(entry), minor(row + 1, used | (1 << j)))
-                if sign < 0:
-                    sub = [-x for x in sub]
-                if len(acc) < len(sub):
-                    acc = acc + [Fraction(0)] * (len(sub) - len(acc))
-                for i, x in enumerate(sub):
-                    acc[i] += x
-            sign = -sign
-        memo[key] = acc
-        return acc
-
-    return minor(0, 0)
+    """Coefficients of det(I - t*g) as a polynomial in t (exact): ``c_k / den^k``
+    for ``g = A / den`` and ``x^n + c_1 x^(n-1) + ... + c_n`` the characteristic
+    polynomial of the integer matrix ``A``, by the Faddeev-LeVerrier recursion
+    ``M_k = A M_(k-1) + c_(k-1) I``, ``c_k = -tr(A M_k) / k`` (exact in integers)."""
+    rows, den = _integer_matrix(matrix)
+    n = len(rows)
+    coeffs = [1]
+    m = [[0] * n for _ in range(n)]
+    for k in range(1, n + 1):
+        m = [[sum(map(mul, row, col)) + (coeffs[-1] if i == j else 0)
+              for j, col in enumerate(zip(*m))] for i, row in enumerate(rows)]
+        coeffs.append(-sum(sum(map(mul, rows[i], col)) for i, col in enumerate(zip(*m))) // k)
+    return [Fraction(c, den ** k) for k, c in enumerate(coeffs)]
 
 
 def _series_invert(poly: Sequence[Fraction], max_degree: int) -> List[Fraction]:
@@ -374,17 +390,19 @@ def molien_dimensions(model: FiniteGroupModel, max_degree: int) -> List[int]:
     """Dimensions of the degree-``d`` invariants, ``d = 0..max_degree``.
 
     Expands ``(1/|G|) sum_g 1/det(I - t g)`` with exact rational series
-    arithmetic; the classical independent oracle for ``dim B_d``.
+    arithmetic; the classical independent oracle for ``dim B_d``.  Each
+    distinct ``det(I - t g)`` is inverted once and weighted by its count.
     """
     if not isinstance(model, FiniteGroupModel):
         raise TypeError("the Molien series is defined for finite groups")
     if model.mode != EXACT:
         raise ScalarModeMismatch("Molien series needs exact rational matrix entries")
+    counts = Counter(tuple(_det_identity_minus_tg(g)) for g in model.elements)
     total = [Fraction(0)] * (max_degree + 1)
-    for g in model.elements:
-        inv = _series_invert(_det_identity_minus_tg(g), max_degree)
+    for det, count in counts.items():
+        inv = _series_invert(det, max_degree)
         for i in range(max_degree + 1):
-            total[i] += inv[i]
+            total[i] += count * inv[i]
     dims = []
     for value in total:
         value = value / model.order
@@ -452,14 +470,13 @@ class GeneratorSet:
         return cls.from_dict(json.loads(text))
 
 
-def _sparsify_exact(polys: Sequence[Polynomial], basis: SubspaceBasis) -> List[Polynomial]:
-    """Primitive integer rows of the RREF of ``span(polys)``, which is
-    canonical for the span (zero polynomials drop out)."""
-    reduced, _ = rref([poly_to_vector(p, basis.monomials) for p in polys])
-    return [
-        vector_to_poly(primitive_integer_row(row), basis.monomials, basis.ambient_dim, EXACT)
-        for row in reduced
-    ]
+def _sparsify_exact(remainders: Sequence[tuple], basis: SubspaceBasis) -> List[Polynomial]:
+    """Primitive integer rows, leading entry positive, of the RREF of the span
+    of the ``(row, den)`` remainders, which is canonical for the span (zero
+    rows drop out)."""
+    reduced, pivots = _integer_rref([primitive_integer_row(row) for row, _ in remainders])
+    return [basis.span.gram.poly(row if row[c] > 0 else [-x for x in row], 1)
+            for row, c in zip(reduced, pivots)]
 
 
 def _sparsify_float(
@@ -510,7 +527,7 @@ def discover_generators(
         if basis.rank == 0:
             continue
         products = [p for _, p in generator_products(generators, d)]
-        remainders, _ = _remainders(basis.mode, basis.monomials, basis.polynomials(), products)
+        remainders, _ = _remainders(basis, products)
         if exact:
             new_polys = _sparsify_exact(remainders, basis)
         else:
@@ -592,7 +609,7 @@ def verify_generation(
     residuals: Dict[int, float] = {}
     for d, basis in _degree_slices(model, max_degree, seed, tol_rank, sample_points, mc_samples):
         products = [p for _, p in generator_products(list(gens.generators), d)]
-        _, norms = _remainders(basis.mode, basis.monomials, basis.polynomials(), products)
+        _, norms = _remainders(basis, products)
         residuals[d] = max(norms, default=0.0)
     report = GenerationReport(max_residual_by_degree=residuals, tolerance=tol)
     if report.gaps():

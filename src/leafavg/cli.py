@@ -684,7 +684,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--tol-rank", type=float, default=None,
         help="override the rank tolerance of selftest's statistical checks "
-             "(default 0.05, the statistical regime)",
+             "(default 0.05, the statistical regime; selftest only)",
     )
     return parser
 
@@ -709,6 +709,11 @@ def run(task: str, config: Optional[RunConfig], out_dir: Path, seed: Optional[in
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        # like an unknown config key, a flag the task does not read is an error
+        flags = ({"--config": args.config, "--seed": args.seed} if args.task == "selftest"
+                 else {"--tol-rank": args.tol_rank})
+        if unread := [flag for flag, value in flags.items() if value is not None]:
+            raise ConfigError(f"task {args.task!r} does not read {', '.join(unread)}")
         config = load_config(args.config) if args.config else None
         out_dir = Path(args.out or (config.out if config and config.out else "leafavg_out"))
         code = run(args.task, config, out_dir, args.seed, args.tol_rank)

@@ -15,7 +15,8 @@ the distance between two leaves), and ``leaf_label_names`` with
   samples.
 
 Group and torus leaf averages are closed-form (Reynolds-style) and exact in
-rational mode.  The isoparametric estimator is seeded and bitwise
+rational mode, and their ``invariant_rows`` span each degree's basic slice
+without averaging.  The isoparametric estimator is seeded and bitwise
 reproducible for a fixed seed.
 """
 
@@ -24,7 +25,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from operator import itemgetter
+from operator import itemgetter, mul
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -127,6 +128,12 @@ def _mat_mul(a, b, zero):
     return tuple(
         tuple(sum((x * y for x, y in zip(row, col) if x), zero) for col in bt) for row in a
     )
+
+
+def _integer_matrix(matrix) -> Tuple[tuple, int]:
+    """``(rows, den)``: integer rows with ``matrix = rows / den`` in lowest terms."""
+    den = math.lcm(*(x.denominator for row in matrix for x in row))
+    return tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in matrix), den
 
 
 def _mat_vec(m, v):
@@ -263,23 +270,44 @@ class FiniteGroupModel:
             self._table = _SignedTable(perms, signs, pullbacks, others)
         return self._table
 
+    def _signed_orbit_sum(self, expo: Tuple[int, ...]) -> Dict[Tuple[int, ...], int]:
+        """``sum_g (x^expo)(g x)`` over the signed permutations as integer counts
+        per monomial, with every image of ``expo`` a key (also a zero count)."""
+        odd = sum(1 << i for i, e in enumerate(expo) if e & 1)
+        counts: Dict[Tuple[int, ...], int] = {}
+        for image, negated in self._signed_table().pullbacks:
+            key = image(expo)
+            # the sign is the product of s_i over the odd exponents e_i
+            counts[key] = counts.get(key, 0) + (-1 if (odd & negated).bit_count() & 1 else 1)
+        return counts
+
     def _pullback_terms(self, f: Polynomial):
         """Every term of every pullback ``f(g x)``; the images of one term of
         ``f`` under the signed permutations come summed per monomial."""
         table = self._signed_table()
         if table.pullbacks:
             for expo, coeff in f.terms.items():
-                odd = sum(1 << i for i, e in enumerate(expo) if e & 1)
-                counts: Dict[Tuple[int, ...], int] = {}
-                for image, negated in table.pullbacks:
-                    key = image(expo)
-                    # the sign is the product of s_i over the odd exponents e_i
-                    counts[key] = counts.get(key, 0) + (-1 if (odd & negated).bit_count() & 1 else 1)
-                for key, count in counts.items():
+                for key, count in self._signed_orbit_sum(expo).items():
                     if count:
                         yield key, coeff * count
         for g in table.others:
             yield from compose_with_matrix(f, g).terms.items()
+
+    def invariant_rows(self, monomials: Sequence[Tuple[int, ...]]) -> List[dict]:
+        """Rows (maps from monomial to coefficient) spanning the image of
+        ``reynolds`` on the span of ``monomials``, all of one degree: one
+        signed orbit sum per monomial orbit when every element is a signed
+        permutation (averages of one orbit agree up to sign), else the
+        average of every monomial."""
+        if self._signed_table().others:
+            return [self.reynolds(Polynomial.monomial(self.ambient_dim, e, 1, self.mode)).terms
+                    for e in monomials]
+        rows, seen = [], set()
+        for expo in monomials:
+            if expo not in seen:
+                rows.append(self._signed_orbit_sum(expo))
+                seen.update(rows[-1])
+        return rows
 
     def reynolds(self, f: Polynomial) -> Polynomial:
         """Group average of ``f``; exact in rational mode."""
@@ -362,26 +390,33 @@ def group_closure(
         if not _is_orthogonal(g, mode, MATRIX_TOL):
             raise NonOrthogonalGenerator(f"generator is not orthogonal within {MATRIX_TOL}")
 
-    identity = _identity(ambient_dim, mode)
-    elements = [identity]
+    elements = [_identity(ambient_dim, mode)]
     if mode == EXACT:
-        seen = {identity}
+        # integer matrices over one denominator, in lowest terms, so that
+        # equal elements have equal keys
+        keys = [_integer_matrix(elements[0])]
+        factors = [(tuple(zip(*rows)), den) for rows, den in map(_integer_matrix, gens)]
+        seen = set(keys)
     # breadth first: the list grows behind the element being multiplied
-    for current in elements:
-        for g in gens:
-            prod = _mat_mul(current, g, _zero(mode))
+    for index, current in enumerate(elements):
+        for k, g in enumerate(gens):
             if mode == EXACT:
-                if prod in seen:
+                (rows, den), (cols, factor_den) = keys[index], factors[k]
+                prod = [[sum(map(mul, row, col)) for col in cols] for row in rows]
+                c = math.gcd(den * factor_den, *(x for row in prod for x in row))
+                key = (tuple(tuple(x // c for x in row) for row in prod), den * factor_den // c)
+                if key in seen:
                     continue
-                seen.add(prod)
+                seen.add(key)
+                keys.append(key)
+                prod = tuple(tuple(Fraction(x, key[1]) for x in row) for row in key[0])
             else:
+                prod = _mat_mul(current, g, 0.0)
                 if any(_mat_close(prod, e, MATRIX_TOL) for e in elements):
                     continue
             elements.append(prod)
             if len(elements) > max_group_size:
-                raise GroupTooLarge(
-                    f"group closure exceeded {max_group_size} elements"
-                )
+                raise GroupTooLarge(f"group closure exceeded {max_group_size} elements")
     return FiniteGroupModel(ambient_dim, elements, gens, mode, name=name)
 
 
@@ -421,6 +456,16 @@ def _realify_pair(a: int, b: int):
             old_re, old_im = out.get(key, (0, 0))
             out[key] = (old_re + re, old_im + im)
     return tuple((key, re, im) for key, (re, im) in out.items())
+
+
+def _realify(ab: Tuple[Tuple[int, int], ...]):
+    """Expansion of ``prod_j z_j^a_j zbar_j^b_j`` in real plane coordinates:
+    ``(exponents, re, im)`` per real monomial, in Gaussian integers."""
+    partial = {(): (1, 0)}
+    for a, b in ab:
+        partial = {prefix + pair: (cr * pr - ci * pi, cr * pi + ci * pr)
+                   for prefix, (cr, ci) in partial.items() for pair, pr, pi in _realify_pair(a, b)}
+    return [(prefix, cr, ci) for prefix, (cr, ci) in partial.items()]
 
 
 class TorusModel:
@@ -502,18 +547,10 @@ class TorusModel:
         for (ab, fixed), (re, im) in complex_terms.items():
             if not (re or im) or not self._balanced([a - b for a, b in ab]):
                 continue
-            partial = {(): (re, im)}
-            for a, b in ab:
-                table = _realify_pair(a, b)
-                partial = {
-                    prefix + pair: (cr * pr - ci * pi, cr * pi + ci * pr)
-                    for prefix, (cr, ci) in partial.items()
-                    for pair, pr, pi in table
-                }
-            for prefix, (cr, ci) in partial.items():
+            for prefix, pr, pi in _realify(ab):
                 slot = real_terms.setdefault(prefix + fixed, [0, 0])
-                slot[0] += cr
-                slot[1] += ci
+                slot[0] += re * pr - im * pi
+                slot[1] += re * pi + im * pr
 
         den = lcm << top
         out = {}
@@ -524,6 +561,25 @@ class TorusModel:
                 out[expo] = Fraction(re, den)
         result = Polynomial._trusted(self.ambient_dim, out, EXACT)
         return result.to_float() if was_float else result
+
+    def invariant_rows(self, monomials: Sequence[Tuple[int, ...]]) -> List[dict]:
+        """Integer rows, as maps from monomial to coefficient, spanning the
+        image of ``reynolds`` on the span of ``monomials`` (all of one
+        degree): the real and imaginary parts of each balanced
+        ``z^a zbar^b w^c`` of the degree, one of each conjugate pair, read
+        off the monomial with exponents ``(a_1, b_1, ..., a_m, b_m, c)``."""
+        m2 = 2 * self.n_planes
+        rows = []
+        for expo in monomials:
+            ab = tuple(zip(expo[0:m2:2], expo[1:m2:2]))
+            conjugate = tuple((b, a) for a, b in ab)
+            if conjugate < ab or not self._balanced([a - b for a, b in ab]):
+                continue
+            parts = _realify(ab)
+            rows.append({prefix + expo[m2:]: re for prefix, re, _ in parts})
+            if conjugate != ab:  # z^a zbar^a is real
+                rows.append({prefix + expo[m2:]: im for prefix, _, im in parts})
+        return rows
 
     # -- leaves ------------------------------------------------------------
 

@@ -15,13 +15,13 @@ then lexicographically by exponent vector), and every listing, matrix or
 report in the package inherits that fixed order.
 
 Instances are immutable after construction and safe to share between
-threads.  The only internal cache is the sphere moment table, whose fill is
-idempotent.
+threads.  The only internal caches are the numerators and denominators of
+the sphere moments, whose fill is idempotent.
 
 The public constructor validates and coerces every term.  Results of
 arithmetic on polynomials that were already validated skip that step and are
 built by the internal ``Polynomial._trusted``: ``+``, unary ``-``, ``*``,
-``scale``, ``partial`` and the finite-group average
+``scale``, ``partial``, ``MomentGram.poly`` and the finite-group average
 (``FiniteGroupModel.reynolds``).  Each of them drops zero coefficients itself.
 Float mode rejects NaN and infinite coefficients at the public constructor.
 """
@@ -31,7 +31,8 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from operator import add
+from functools import lru_cache
+from operator import add, mul
 from types import MappingProxyType
 from typing import Dict, List, Sequence, Tuple
 
@@ -404,128 +405,99 @@ def euler_apply(p: Polynomial) -> Polynomial:
 # -- sphere moments ---------------------------------------------------------
 
 
-def _double_factorial(n: int) -> int:
-    # (-1)!! == 1 by convention
-    out = 1
-    while n > 1:
-        out *= n
-        n -= 2
-    return out
+@lru_cache(maxsize=None)
+def _moment_numerator(expo: ExponentVector) -> int:
+    """``prod_i (alpha_i - 1)!!`` for an all-even exponent tuple."""
+    return math.prod(math.prod(range(e - 1, 0, -2)) for e in expo)
 
 
-class SphereMomentTable:
-    """Normalized monomial moments over the unit sphere in ``R^ambient_dim``.
-
-    The moment of ``x^alpha`` with respect to the uniform probability measure
-    is zero whenever some exponent is odd, and otherwise equals
-
-        prod_i (alpha_i - 1)!!  /  [d (d+2) (d+4) ... (d + |alpha| - 2)]
-
-    with ``d = ambient_dim``.  Values are exact rationals; the cache fill is
-    idempotent so concurrent readers are safe.
-    """
-
-    def __init__(self, ambient_dim: int):
-        self.ambient_dim = ambient_dim
-        self._cache: Dict[ExponentVector, Fraction] = {}
-        self._numerators: Dict[ExponentVector, int] = {}
-        self._denominators: Dict[int, int] = {}
-
-    def moment(self, expo: Sequence[int]) -> Fraction:
-        expo = tuple(int(e) for e in expo)
-        if len(expo) != self.ambient_dim:
-            raise DimensionMismatch(
-                f"exponent vector length {len(expo)} != ambient_dim {self.ambient_dim}"
-            )
-        cached = self._cache.get(expo)
-        if cached is not None:
-            return cached
-        if any(e % 2 for e in expo):
-            value = Fraction(0)
-        else:
-            value = Fraction(self._numerator(expo), self._denominator(sum(expo) // 2))
-        self._cache[expo] = value
-        return value
-
-    def _numerator(self, expo: ExponentVector) -> int:
-        """``prod_i (alpha_i - 1)!!`` for an all-even exponent tuple."""
-        cached = self._numerators.get(expo)
-        if cached is None:
-            cached = math.prod(_double_factorial(e - 1) for e in expo)
-            self._numerators[expo] = cached
-        return cached
-
-    def _denominator(self, half_degree: int) -> int:
-        """``d (d+2) ... (d + 2 half_degree - 2)``; each divides the next."""
-        cached = self._denominators.get(half_degree)
-        if cached is None:
-            cached = math.prod(self.ambient_dim + 2 * k for k in range(half_degree))
-            self._denominators[half_degree] = cached
-        return cached
-
-
-_moment_tables: Dict[int, SphereMomentTable] = {}
-
-
-def moment_table(ambient_dim: int) -> SphereMomentTable:
-    table = _moment_tables.get(ambient_dim)
-    if table is None:
-        table = _moment_tables.setdefault(ambient_dim, SphereMomentTable(ambient_dim))
-    return table
+@lru_cache(maxsize=None)
+def _moment_denominator(ambient_dim: int, half_degree: int) -> int:
+    """``d (d+2) ... (d + 2 half_degree - 2)``; each divides the next."""
+    return math.prod(ambient_dim + 2 * k for k in range(half_degree))
 
 
 def sphere_mean(p: Polynomial):
-    """Mean of ``p`` over the unit sphere (normalized measure).
-
-    Exact Fraction in exact mode, float in float mode.
+    """Mean of ``p`` over the unit sphere (normalized measure): the moment of
+    ``x^alpha`` is ``prod_i (alpha_i - 1)!! / [d (d+2) ... (d + |alpha| - 2)]``
+    when every exponent is even, else 0.  Exact Fraction in exact mode, float
+    in float mode (each moment correctly rounded).
     """
-    table = moment_table(p.ambient_dim)
-    if p.mode == EXACT:
-        return sum((c * table.moment(e) for e, c in p.terms.items()), Fraction(0))
-    return float(sum(c * float(table.moment(e)) for e, c in p.terms.items()))
+    total = Fraction(0) if p.mode == EXACT else 0
+    for e, c in p.terms.items():
+        if not any(x & 1 for x in e):
+            num, den = _moment_numerator(e), _moment_denominator(p.ambient_dim, sum(e) // 2)
+            total += c * (Fraction(num, den) if p.mode == EXACT else num / den)
+    return total if p.mode == EXACT else float(total)
 
 
-def _integer_terms(p: Polynomial):
-    """``(n, terms)`` with integer ``terms`` such that ``p = terms / n``,
-    each term as ``(exponent, coefficient, exponent parity, degree)``."""
-    n = math.lcm(*(c.denominator for c in p._terms.values()))
-    return n, [
-        (e, c.numerator * (n // c.denominator), tuple(x & 1 for x in e), sum(e))
-        for e, c in p._terms.items()
-    ]
+class MomentGram:
+    """The sphere pairing on one list of monomials, as an integer matrix.
+
+    Entry ``(a, b)`` is the moment of ``x^(a+b)`` times ``den``, the moment
+    denominator of the top degree, which every lower one divides.  A moment
+    vanishes unless every exponent of ``a + b`` is even, so only the dense
+    block of each exponent parity class is stored.
+    """
+
+    def __init__(self, ambient_dim: int, monomials: Sequence[tuple]):
+        self.ambient_dim = ambient_dim
+        self.monomials = tuple(monomials)
+        self.index = {e: i for i, e in enumerate(self.monomials)}
+        self.den = _moment_denominator(ambient_dim, max(map(sum, self.monomials), default=0))
+        classes: Dict[tuple, List[int]] = {}
+        for i, e in enumerate(self.monomials):
+            classes.setdefault(tuple(x & 1 for x in e), []).append(i)
+        self.blocks = []
+        for idx in classes.values():
+            block = [[0] * len(idx) for _ in idx]
+            for r, i in enumerate(idx):
+                for c in range(r, len(idx)):
+                    expo = tuple(map(add, self.monomials[i], self.monomials[idx[c]]))
+                    block[r][c] = block[c][r] = _moment_numerator(expo) * (
+                        self.den // _moment_denominator(ambient_dim, sum(expo) // 2))
+            self.blocks.append((idx, block))
+
+    def apply(self, row: Sequence[int]) -> List[int]:
+        """The integer row ``G row``."""
+        out = [0] * len(self.monomials)
+        for idx, block in self.blocks:
+            part = [row[j] for j in idx]
+            if any(part):
+                for i, entries in zip(idx, block):
+                    out[i] = sum(map(mul, entries, part))
+        return out
+
+    def row(self, p: Polynomial) -> Tuple[List[int], int]:
+        """``(row, den)``: integer coefficients over the monomials, ``p = row / den``."""
+        terms = p.to_exact().terms
+        den = math.lcm(*(c.denominator for c in terms.values()))
+        row = [0] * len(self.monomials)
+        for e, c in terms.items():
+            row[self.index[e]] = c.numerator * (den // c.denominator)
+        return row, den
+
+    def poly(self, row: Sequence[int], den: int) -> Polynomial:
+        return Polynomial._trusted(
+            self.ambient_dim, {e: Fraction(x, den) for e, x in zip(self.monomials, row) if x}, EXACT
+        )
 
 
 def sphere_inner(p: Polynomial, q: Polynomial):
     """L^2 pairing ``mean(p * q)`` over the unit sphere.
 
-    Exact mode reads ``sum ca * cb * moment(ea + eb)`` over term pairs from
-    the moment table and never builds ``p * q`` (Folland, "How to integrate a
-    polynomial over a sphere", Amer. Math. Monthly 108, 2001).  A moment
-    vanishes unless every exponent of ``ea + eb`` is even, so only pairs
-    whose exponent parities agree are visited.  With the coefficient
-    denominators cleared, and the moment denominators ``d (d+2) ...`` each
-    dividing the next, the sum is one integer over one denominator.  Float
-    mode returns ``sphere_mean(p * q)``.
+    Exact mode pairs the integer coefficient rows of ``p`` and ``q`` through
+    the :class:`MomentGram` of their terms and never builds ``p * q``
+    (Folland, "How to integrate a polynomial over a sphere", Amer. Math.
+    Monthly 108, 2001): one integer over one denominator.  Float mode
+    returns ``sphere_mean(p * q)``.
     """
     p._check_compatible(q)
     if p.mode == FLOAT:
         return sphere_mean(p * q)
-    table = moment_table(p.ambient_dim)
-    den_p, p_terms = _integer_terms(p)
-    den_q, q_terms = _integer_terms(q)
-    by_parity: Dict[ExponentVector, list] = {}
-    for eb, cb, parity, db in q_terms:
-        by_parity.setdefault(parity, []).append((eb, cb, db))
-    sums: Dict[int, int] = {}  # keyed by half the degree of ea + eb
-    for ea, ca, parity, da in p_terms:
-        for eb, cb, db in by_parity.get(parity, ()):
-            half = (da + db) >> 1
-            sums[half] = sums.get(half, 0) + ca * cb * table._numerator(tuple(map(add, ea, eb)))
-    if not sums:
-        return Fraction(0)
-    top = table._denominator(max(sums))
-    total = sum(s * (top // table._denominator(half)) for half, s in sums.items())
-    return Fraction(total, top * den_p * den_q)
+    gram = MomentGram(p.ambient_dim, {**p.terms, **q.terms})
+    (row_p, den_p), (row_q, den_q) = gram.row(p), gram.row(q)
+    return Fraction(sum(map(mul, row_p, gram.apply(row_q))), den_p * den_q * gram.den)
 
 
 def sphere_norm(p: Polynomial) -> float:

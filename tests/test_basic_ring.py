@@ -2,8 +2,11 @@ import dataclasses
 import itertools
 import json
 import warnings
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from leafavg import (
     EXACT,
@@ -21,15 +24,26 @@ from leafavg import (
     group_closure,
     molien_dimensions,
     monomial_basis,
+    TorusModel,
     parse_polynomial,
+    sphere_inner,
     sphere_norm,
     verify_generation,
 )
 from leafavg.averaging import generator_products
-from leafavg.basic_ring import gram_schmidt_polys, project_residual
+from leafavg.basic_ring import _span_of, gram_schmidt_polys, project_residual
+from leafavg.cli import _CONFIG_DIR, load_config
+from leafavg.exactlinalg import rref
 
 def P(text, dim, mode=EXACT):
     return parse_polynomial(text, dim, mode)
+
+
+# a reflection with rational entries: its group is not all signed
+# permutations, so its slice rows come from per-monomial averages
+RATIONAL_GROUP = group_closure(
+    [[[Fraction(3, 5), Fraction(4, 5)], [Fraction(4, 5), Fraction(-3, 5)]], [[-1, 0], [0, -1]]]
+)
 
 
 @pytest.fixture(scope="module")
@@ -95,6 +109,21 @@ def test_molien_matches_subspace(b2_model, b3_model, c4_model):
         dims = molien_dimensions(model, 6)
         for d in range(1, 7):
             assert basic_subspace(model, d).rank == dims[d], (model.name, d)
+
+
+def test_det_identity_minus_tg_rational_entries():
+    from leafavg.basic_ring import _det_identity_minus_tg
+    reflection = [[Fraction(3, 5), Fraction(4, 5)], [Fraction(4, 5), Fraction(-3, 5)]]
+    rotation = [[Fraction(3, 5), Fraction(-4, 5)], [Fraction(4, 5), Fraction(3, 5)]]
+    assert _det_identity_minus_tg(reflection) == [1, 0, -1]
+    assert _det_identity_minus_tg(rotation) == [1, Fraction(-6, 5), 1]
+
+
+def test_molien_matches_subspace_rational_group():
+    dims = molien_dimensions(RATIONAL_GROUP, 6)
+    assert dims == [1, 0, 2, 0, 3, 0, 4]
+    for d in range(1, 7):
+        assert basic_subspace(RATIONAL_GROUP, d).rank == dims[d]
 
 
 def test_molien_requires_exact_mode():
@@ -222,6 +251,21 @@ def test_verify_generation_gap(t2_model):
     assert info.value.report.max_residual_by_degree[2] > 0.0
 
 
+def test_verify_generation_gap_norms_pinned(t2_model):
+    """The remainder norms of the t2 slices off the algebra of r^2 alone,
+    pinned to the float the exact pairing rounds to."""
+    r2_only = GeneratorSet(
+        ambient_dim=4, mode=EXACT,
+        generators=(P("x1^2 + x2^2 + x3^2 + x4^2", 4),),
+        degrees=(2,), degree_cap=4, dims_by_degree={}, provenance={},
+    )
+    with pytest.raises(GenerationGap) as info:
+        verify_generation(t2_model, r2_only, 4)
+    assert info.value.report.max_residual_by_degree == {
+        1: 0.0, 2: 0.4330127018922193, 3: 0.0, 4: 0.31426968052735443,
+    }
+
+
 def test_verify_generation_vacuous(pm_model):
     empty = GeneratorSet(
         ambient_dim=2, mode=EXACT, generators=(), degrees=(),
@@ -267,6 +311,95 @@ def test_generation_verdict_matches_per_monomial_check(request, name, cap):
         with pytest.raises(GenerationGap) as info:
             verify_generation(model, partial, cap)
         assert info.value.degrees == expected
+
+
+# -- the exact pairing kernel ------------------------------------------------------------
+
+
+def _fraction_gram_schmidt(polys):
+    """Reference: Gram-Schmidt in Fraction polynomials, one ``sphere_inner``
+    call per pair, as the kernel's entry points did before integer rows."""
+    ortho, norms = [], []
+    for p in polys:
+        for b, n2 in zip(ortho, norms):
+            coeff = sphere_inner(p, b) / n2
+            if coeff != 0:
+                p = p - b.scale(coeff)
+        n2 = sphere_inner(p, p)
+        if n2 != 0:
+            ortho.append(p)
+            norms.append(n2)
+    return ortho, norms
+
+
+def _fraction_project(p, ortho, norms):
+    for b, n2 in zip(ortho, norms):
+        coeff = sphere_inner(p, b) / n2
+        if coeff != 0:
+            p = p - b.scale(coeff)
+    return p
+
+
+@st.composite
+def _pairing_inputs(draw):
+    """Up to five exact polynomials in 2-5 variables, homogeneous of one
+    degree or of mixed degrees, with mixed denominators; some are zero and
+    some are combinations of earlier ones."""
+    dim = draw(st.integers(2, 5))
+    homogeneous = draw(st.booleans())
+    degree = draw(st.integers(1, 3))
+    monomials = (monomial_basis(dim, degree) if homogeneous else
+                 [e for d in range(4) for e in monomial_basis(dim, d)])
+    coeff = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 2, 3, 5, 7, 12]))
+    polys = []
+    for _ in range(draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from(("random", "random", "zero", "dependent")))
+        if kind == "zero":
+            polys.append(Polynomial.zero(dim))
+        elif kind == "dependent" and polys:
+            a, b = draw(coeff), draw(coeff)
+            polys.append(polys[-1].scale(a) + polys[0].scale(b))
+        else:
+            picks = draw(st.lists(st.sampled_from(monomials), min_size=1, max_size=5, unique=True))
+            polys.append(Polynomial(dim, {e: draw(coeff) for e in picks}))
+    picks = draw(st.lists(st.sampled_from(monomials), min_size=0, max_size=5, unique=True))
+    return polys, Polynomial(dim, {e: draw(coeff) for e in picks})
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_pairing_inputs())
+def test_integer_kernel_matches_fraction_gram_schmidt(inputs):
+    polys, probe = inputs
+    ortho, norms = gram_schmidt_polys(polys)
+    expected_ortho, expected_norms = _fraction_gram_schmidt(polys)
+    assert ortho == expected_ortho
+    assert norms == expected_norms
+    remainder = project_residual(probe, ortho, norms)
+    expected = _fraction_project(probe, expected_ortho, expected_norms)
+    assert remainder == expected
+    span = _span_of(polys, probe)
+    assert span.norm(*span.remainder(*span.gram.row(probe))) == sphere_norm(expected)
+
+
+EXACT_CONFIGS = ("b2", "b3", "c4", "t2_full", "hopf", "circle12")
+SLICE_MODELS = {
+    **{name: load_config(_CONFIG_DIR / f"{name}.json").build_model() for name in EXACT_CONFIGS},
+    "signed_torus_fix1": TorusModel([[1, -2], [2, 1]], n_fix=1),
+    "rational_group": RATIONAL_GROUP,
+}
+
+
+@pytest.mark.parametrize("name", sorted(SLICE_MODELS))
+def test_slice_rows_span_the_averaged_monomials(name):
+    model = SLICE_MODELS[name]
+    if name == "rational_group":
+        assert model._signed_table().others
+    for d in range(1, 7):
+        monomials = monomial_basis(model.ambient_dim, d)
+        averages = [model.reynolds(Polynomial.monomial(model.ambient_dim, e, 1)) for e in monomials]
+        averaged = [[avg.coefficient(e) for e in monomials] for avg in averages]
+        rows = [[row.get(e, 0) for e in monomials] for row in model.invariant_rows(monomials)]
+        assert rref(rows) == rref(averaged), (name, d)
 
 
 # -- statistical pipeline ----------------------------------------------------------------

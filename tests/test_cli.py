@@ -408,6 +408,26 @@ def test_selftest_absurd_rank_tolerance_exits_2(tmp_path):
     assert main(["selftest", "--tol-rank", "100", "--out", str(tmp_path)]) == 2
 
 
+def test_generators_rejects_rank_tolerance_flag(tmp_path, capsys):
+    config = _CONFIG_DIR / "b2.json"
+    assert main(["generators", "--config", str(config), "--tol-rank", "100",
+                 "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "--tol-rank" in err
+    assert not (tmp_path / "generators.json").exists()
+
+
+def test_selftest_rejects_seed_and_config(tmp_path, capsys):
+    config = _CONFIG_DIR / "b2.json"
+    assert main(["selftest", "--seed", "5", "--config", str(config),
+                 "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "--seed" in err and "--config" in err
+    assert main(["selftest", "--seed", "5", "--out", str(tmp_path)]) == 1
+    assert "--seed" in capsys.readouterr().err
+    assert not (tmp_path / "selftest_report.json").exists()
+
+
 def test_selftest_missing_configs(tmp_path, monkeypatch):
     import leafavg.cli as cli
     monkeypatch.setattr(cli, "_CONFIG_DIR", tmp_path)

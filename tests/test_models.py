@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -72,6 +73,35 @@ def test_float_closure_dedup():
     refl = [[1.0, 0.0], [0.0, -1.0]]
     model = group_closure([rot, refl], mode=FLOAT)
     assert model.order == 6
+
+
+def _fraction_closure(generators):
+    """Reference: the breadth-first closure on Fraction matrices, hashed as such."""
+    identity = models._identity(len(generators[0]), EXACT)
+    elements, seen = [identity], {identity}
+    for current in elements:
+        for g in generators:
+            prod = models._mat_mul(current, g, Fraction(0))
+            if prod not in seen:
+                seen.add(prod)
+                elements.append(prod)
+    return elements
+
+
+B4_CONFIG = Path(__file__).resolve().parents[1] / "perfbench" / "configs" / "b4_cap8.json"
+
+
+@pytest.mark.parametrize("name", ["b4", "rational"])
+def test_integer_closure_matches_fraction_closure(name):
+    if name == "b4":
+        model = load_config(B4_CONFIG).build_model()
+        assert model.order == 384
+    else:
+        reflection = [[Fraction(3, 5), Fraction(4, 5)], [Fraction(4, 5), Fraction(-3, 5)]]
+        model = group_closure([reflection, [[0, 1], [-1, 0]]])
+        assert model.order == 8
+    assert list(model.elements) == _fraction_closure(model.generators)
+    assert all(type(x) is Fraction for g in model.elements for row in g for x in row)
 
 
 # -- group averaging -------------------------------------------------------------

@@ -37,7 +37,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .averaging import COND_CAP, _FitContext, _scaled_lstsq, generator_products
+from .averaging import (COND_CAP, ENGINE_EXACT, ENGINE_VANDERMONDE, _FitContext, _scaled_lstsq,
+                        generator_products)
 from .errors import (
     DegreeCapWarning,
     GenerationGap,
@@ -548,7 +549,7 @@ def discover_generators(
         "model": model.describe(),
         "seed": seed,
         "tol_rank": tol_rank,
-        "engine": "exact" if exact else "vandermonde_fit",
+        "engine": ENGINE_EXACT if model.closed_form else ENGINE_VANDERMONDE,
         "sample_points": sample_points,
         "mc_samples": mc_samples,
         "new_generators_at_cap": new_at_cap,

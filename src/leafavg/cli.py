@@ -439,18 +439,20 @@ def task_verify(config: RunConfig, out_dir: Path, seed: Optional[int]) -> int:
     checks = []
 
     # membership: every generator must be fixed by averaging
-    tol_basic = 1e-9 if model.closed_form and model.mode == EXACT else 5e-2
+    exact = model.closed_form and model.mode == EXACT
     for i, gen in enumerate(gens.generators):
         # a closed-form average keeps the generator's mode; a fitted one is float
         avg_poly = average_polynomial(model, gen, seed=run_seed + i, **fit_args)
-        residual = sphere_norm(avg_poly - (gen.to_float() if avg_poly.mode == FLOAT else gen))
+        gap = avg_poly - (gen.to_float() if avg_poly.mode == FLOAT else gen)
+        residual = sphere_norm(gap)
         checks.append({
             "check": "projection_fixed_point",
             "generator": i,
             "text": format_polynomial(gen),
             "residual": residual,
         })
-        if residual > tol_basic:
+        # exact models: the gap itself must vanish, as a tiny gap's float residual can be 0.0
+        if not (gap.is_zero if exact else residual <= 5e-2):
             failures.append({
                 "type": "IdentityViolation",
                 "identity": "projection_fixed_point",

@@ -528,110 +528,65 @@ def rationalize(p: Polynomial, max_denominator: int) -> Tuple[Polynomial, float]
 
 # -- text format ------------------------------------------------------------
 
-_TOKEN = re.compile(
-    r"""\s*(?:
-        (?P<num>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)
-      | (?P<var>x\d+)
-      | (?P<op>[-+*/^()])
-    )""",
-    re.VERBOSE,
-)
-
-
-def _tokenize(text: str):
-    pos = 0
-    tokens = []
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            if text[pos:].strip() == "":
-                break
-            raise PolynomialParseError("unexpected character", text, pos)
-        if m.lastgroup == "num":
-            tokens.append(("num", m.group("num"), m.start("num")))
-        elif m.lastgroup == "var":
-            tokens.append(("var", m.group("var"), m.start("var")))
-        elif m.group("op") is not None:
-            tokens.append(("op", m.group("op"), m.start("op")))
-        pos = m.end()
-    return tokens
+_NUMBER = r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
+# a factor and the whitespace after it; an exponent is digits no '.' or e-part extends
+_FACTOR = re.compile(rf"""(?:(?P<num>{_NUMBER})(?:\s*(?P<slash>/)\s*(?P<den>{_NUMBER})?)?
+    | (?P<var>x\d+)(?:\s*(?P<caret>\^)\s*(?P<power>\d+(?![.\d]|[eE][+-]?\d))?)?)\s*""", re.VERBOSE)
+_SIGNS = re.compile(r"(?:[+-]\s*)+")
+_STAR = re.compile(r"\*\s*")
 
 
 def parse_polynomial(text: str, ambient_dim: int, mode: str = EXACT) -> Polynomial:
-    """Parse the text format: terms like ``3/4 * x1^2 * x2`` joined by +/-.
+    """Parse the text format, for example ``3/4 * x1^2 * x2 - x3 + 0.5``.
 
-    Whitespace-insensitive.  Rational coefficients are written ``p/q``;
-    decimal and scientific forms are accepted (converted exactly in exact
-    mode).  Parentheses are not part of the format.
+    A term is one or more signs (the first term may have none), then factors
+    joined by ``*``; a factor is a number with an optional ``/number``, or
+    ``x<i>`` with an optional ``^<digits>``.  Whitespace may stand between
+    any two pieces.  Decimal and scientific numbers are converted exactly in
+    exact mode.  Malformed text raises :class:`PolynomialParseError`.
     """
     if not isinstance(text, str):
         raise PolynomialParseError(f"polynomial text must be a string, got {text!r}")
-    tokens = _tokenize(text)
-    if not tokens:
+    pos = len(text) - len(text.lstrip())
+    if pos == len(text):
         raise PolynomialParseError("empty polynomial text", text, 0)
 
     terms: Dict[ExponentVector, object] = {}
-    i = 0
-    while i < len(tokens):
-        sign = 1
-        # leading sign(s)
-        while i < len(tokens) and tokens[i][0] == "op" and tokens[i][1] in "+-":
-            if tokens[i][1] == "-":
-                sign = -sign
-            i += 1
-        if i >= len(tokens):
-            raise PolynomialParseError("dangling sign", text, tokens[-1][2])
-
-        coeff = Fraction(sign)
-        expo = [0] * ambient_dim
-        expect_factor = True
-        while i < len(tokens):
-            kind, value, pos = tokens[i]
-            if kind == "op" and value in "+-" and not expect_factor:
-                break
-            if kind in ("num", "var") and not expect_factor:
-                raise PolynomialParseError("missing '*' between factors", text, pos)
-            if kind == "num":
-                frac = Fraction(value)
-                i += 1
-                # optional /q
-                if i < len(tokens) and tokens[i][:2] == ("op", "/"):
-                    i += 1
-                    if i >= len(tokens) or tokens[i][0] != "num":
-                        raise PolynomialParseError("expected denominator", text, pos)
-                    den = Fraction(tokens[i][1])
-                    if den == 0:
-                        raise PolynomialParseError("zero denominator", text, tokens[i][2])
-                    frac = frac / den
-                    i += 1
-                coeff = coeff * frac
-            elif kind == "var":
-                index = int(value[1:]) - 1
+    signs = _SIGNS.match(text, pos)  # optional before the first term only
+    while True:  # one term per pass
+        coeff, expo = Fraction(1), [0] * ambient_dim
+        if signs:
+            coeff, pos = Fraction((-1) ** signs.group().count("-")), signs.end()
+        while True:  # one factor per pass
+            m = _FACTOR.match(text, pos)
+            if m is None:
+                raise PolynomialParseError("expected a number or a variable", text, pos)
+            if m["var"]:
+                index = int(m["var"][1:]) - 1
                 if not 0 <= index < ambient_dim:
                     raise PolynomialParseError(
-                        f"variable {value} outside ambient dimension {ambient_dim}", text, pos
-                    )
-                power = 1
-                i += 1
-                if i < len(tokens) and tokens[i][:2] == ("op", "^"):
-                    i += 1
-                    if i >= len(tokens) or tokens[i][0] != "num" or not tokens[i][1].isdigit():
-                        raise PolynomialParseError("expected integer exponent", text, pos)
-                    power = int(tokens[i][1])
-                    i += 1
-                expo[index] += power
-            elif kind == "op" and value == "*" and not expect_factor:
-                i += 1
-                expect_factor = True
-                continue
+                        f"variable {m['var']} outside ambient dimension {ambient_dim}", text, pos)
+                if m["caret"] and not m["power"]:
+                    raise PolynomialParseError("expected integer exponent", text, pos)
+                expo[index] += int(m["power"] or 1)
             else:
-                raise PolynomialParseError(f"unexpected token {value!r}", text, pos)
-            expect_factor = False
-        if expect_factor:
-            raise PolynomialParseError("term ended unexpectedly", text, len(text) - 1)
-
-        key = tuple(expo)
-        terms[key] = terms.get(key, Fraction(0)) + coeff
+                if m["slash"] and not m["den"]:
+                    raise PolynomialParseError("expected denominator", text, pos)
+                den = Fraction(m["den"] or 1)
+                if den == 0:
+                    raise PolynomialParseError("zero denominator", text, m.start("den"))
+                coeff *= Fraction(m["num"]) / den
+            star = _STAR.match(text, m.end())
+            if star is None:
+                break
+            pos = star.end()
+        terms[tuple(expo)] = terms.get(tuple(expo), Fraction(0)) + coeff
+        pos = m.end()
+        if pos == len(text):
+            break
+        signs = _SIGNS.match(text, pos)
+        if signs is None:
+            raise PolynomialParseError("expected '*', '+' or '-'", text, pos)
 
     if mode == FLOAT:
         try:
@@ -641,35 +596,14 @@ def parse_polynomial(text: str, ambient_dim: int, mode: str = EXACT) -> Polynomi
     return Polynomial(ambient_dim, terms, mode)
 
 
-def _format_coeff(coeff, mode: str) -> str:
-    if mode == EXACT:
-        return str(coeff)
-    return repr(float(coeff))
-
-
 def format_polynomial(p: Polynomial) -> str:
     """Canonical text form, terms in descending graded-lex order."""
-    if p.is_zero:
-        return "0"
     pieces = []
     for expo in sorted(p.terms, key=grlex_key):
         coeff = p.terms[expo]
-        negative = coeff < 0
-        mag = -coeff if negative else coeff
-        factors = [
-            f"x{i + 1}" + (f"^{e}" if e > 1 else "")
-            for i, e in enumerate(expo)
-            if e > 0
-        ]
-        mag_is_one = (mag == 1)
-        if factors and mag_is_one:
-            body = " * ".join(factors)
-        elif factors:
-            body = " * ".join([_format_coeff(mag, p.mode)] + factors)
-        else:
-            body = _format_coeff(mag, p.mode)
-        if not pieces:
-            pieces.append(("-" if negative else "") + body)
-        else:
-            pieces.append(("- " if negative else "+ ") + body)
-    return " ".join(pieces)
+        factors = [f"x{i + 1}" + (f"^{e}" if e > 1 else "") for i, e in enumerate(expo) if e > 0]
+        if abs(coeff) != 1 or not factors:
+            factors.insert(0, str(abs(coeff)) if p.mode == EXACT else repr(float(abs(coeff))))
+        sign = ("- " if coeff < 0 else "+ ") if pieces else ("-" if coeff < 0 else "")
+        pieces.append(sign + " * ".join(factors))
+    return " ".join(pieces) or "0"

@@ -163,6 +163,52 @@ def test_verify_task_good_generators(tmp_path):
     assert main(["verify", "--config", str(config), "--out", str(out)]) == 0
 
 
+@pytest.mark.parametrize("coeff", ["1/10000000000000", "1e-170"])
+def test_verify_exact_fixed_point_gate_is_zero(tmp_path, coeff):
+    # the x1 * x2 term is not B2-invariant: its residual, 3.5e-14 or an underflowed
+    # 0.0, must fail
+    data = json.loads((_CONFIG_DIR / "b2.json").read_text())
+    data["params"]["generators"] = [
+        {"degree": 2, "text": f"x1^2 + x2^2 + {coeff} * x1 * x2"},
+        {"degree": 4, "text": "x1^4 + x2^4"},
+    ]
+    del data["params"]["D"]
+    config = write_config(tmp_path / "run.json", data)
+    out = tmp_path / "out"
+    assert main(["verify", "--config", str(config), "--out", str(out)]) == 2
+    payload = json.loads((out / "verify_report.json").read_text())
+    [failure] = payload["failures"]
+    assert failure["identity"] == "projection_fixed_point"
+    assert failure["generator"] == 0
+    assert failure["residual"] < 1e-12
+
+
+def test_float_closed_form_model_through_every_task(tmp_path):
+    # the float dihedral symmetry of iso_g3 as a model of its own
+    symmetry = json.loads((_CONFIG_DIR / "iso_g3.json").read_text())["model"]["symmetry"]
+    config = write_config(tmp_path / "run.json", {
+        "name": "dihedral_d3_float",
+        "model": symmetry,
+        "params": {"seed": 5, "D": 6, "f": "x1^2", "num_pairs": 100, "tol_same": 1e-9,
+                   "num_samples": 50},
+    })
+    out = tmp_path / "out"
+    for task in ("avg", "generators", "verify", "separate", "export"):
+        assert main([task, "--config", str(config), "--out", str(out)]) == 0, task
+    gens = json.loads((out / "generators.json").read_text())
+    assert [g["text"] for g in gens["generators"]] == ["x1^2 + x2^2", "x1^3 - 3.0 * x1 * x2^2"]
+    assert gens["dims_by_degree"] == {"1": 0, "2": 1, "3": 1, "4": 1, "5": 1, "6": 2}
+    report = json.loads((out / "verify_report.json").read_text())
+    [generation] = [c for c in report["checks"] if c["check"] == "generation"]
+    assert max(generation["max_residual_by_degree"].values()) <= 1e-12
+    fixed = [c["residual"] for c in report["checks"] if c["check"] == "projection_fixed_point"]
+    assert len(fixed) == 2 and max(fixed) <= 1e-12
+    engines = {c["engine"] for c in report["checks"] if "engine" in c}
+    engines |= {gens["provenance"]["engine"],
+                json.loads((out / "avg_certificate.json").read_text())["engine"]}
+    assert engines == {"exact"}
+
+
 def test_separate_task_failure_exit_code(tmp_path):
     config = write_config(tmp_path / "run.json", {
         "name": "t2_r2_only",

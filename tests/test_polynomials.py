@@ -303,6 +303,122 @@ def test_format_is_graded_lex():
     assert format_polynomial(p) == "x1^2 + x1 * x2 + x2"
 
 
+# -- the text grammar, generated -----------------------------------------------------
+#
+# A term is one or more signs (the first term may have none), then factors joined by
+# '*'; a factor is a number with an optional /number, or x<i> with an optional ^<digits>.
+# The strategies below build texts from that grammar together with the value each
+# piece denotes, so the expected polynomial never comes from the parser.
+
+_SPACE = st.sampled_from(["", "", "", " ", "  ", "\t", "\n"])
+
+
+@st.composite
+def _number_text(draw):
+    """A number in the text format and its exact value."""
+    whole = draw(st.integers(0, 999))
+    digits = draw(st.text("0123456789", min_size=1, max_size=3))
+    frac = Fraction(int(digits), 10 ** len(digits))
+    exponent = draw(st.integers(-4, 4))
+    return draw(st.sampled_from([
+        (str(whole), Fraction(whole)),
+        (f"{whole}.{digits}", whole + frac),
+        (f".{digits}", frac),
+        (f"{whole}.", Fraction(whole)),
+        (f"{whole}{draw(st.sampled_from('eE'))}{exponent}", whole * Fraction(10) ** exponent),
+        (f"{whole}.{digits}e+{abs(exponent)}", (whole + frac) * 10 ** abs(exponent)),
+    ]))
+
+
+@st.composite
+def _factor_text(draw, dim):
+    """A factor and what it contributes: (text, coefficient, exponent vector)."""
+    expo = [0] * dim
+    if draw(st.booleans()):
+        text, value = draw(_number_text())
+        if draw(st.booleans()):
+            den_text, den = draw(_number_text().filter(lambda n: n[1] != 0))
+            text, value = f"{text}{draw(_SPACE)}/{draw(_SPACE)}{den_text}", value / den
+        return text, value, expo
+    i = draw(st.integers(0, dim - 1))
+    power = draw(st.one_of(st.none(), st.integers(0, 3)))
+    expo[i] = 1 if power is None else power
+    if power is None:
+        return f"x{i + 1}", Fraction(1), expo
+    return f"x{i + 1}{draw(_SPACE)}^{draw(_SPACE)}{power}", Fraction(1), expo
+
+
+@st.composite
+def polynomial_texts(draw):
+    """``(dim, text, terms)``: a valid text and the exact term map it denotes."""
+    dim = draw(st.sampled_from([1, 2, 3]))
+    terms, pieces = {}, [draw(_SPACE)]
+    term_count = draw(st.integers(1, 5))
+    for t in range(term_count):
+        signs = draw(st.lists(st.sampled_from("+-"), min_size=0 if t == 0 else 1, max_size=3))
+        pieces.append("".join(sign + draw(_SPACE) for sign in signs))
+        coeff, expo, factors = Fraction((-1) ** signs.count("-")), [0] * dim, []
+        for _ in range(draw(st.integers(1, 3))):
+            text, value, factor_expo = draw(_factor_text(dim))
+            factors.append(text)
+            coeff *= value
+            expo = [a + b for a, b in zip(expo, factor_expo)]
+        pieces.append(f"{draw(_SPACE)}*{draw(_SPACE)}".join(factors) + draw(_SPACE))
+        terms[tuple(expo)] = terms.get(tuple(expo), 0) + coeff
+    return dim, "".join(pieces), terms
+
+
+@settings(max_examples=300, deadline=None)
+@given(polynomial_texts())
+@example((2, "x1^2 - 3/4*x1 * x2 + x1^2 -- 2.5e-1 * x2 * x1", {(2, 0): 2, (1, 1): -Fraction(1, 2)}))
+@example((1, " + .5 * x1 - - x1 ^ 0 - 1. ", {(1,): Fraction(1, 2)}))
+def test_parse_generated_text(case):
+    dim, text, terms = case
+    assert parse_polynomial(text, dim) == Polynomial(dim, terms)
+    assert parse_polynomial(text, dim, FLOAT) == Polynomial(
+        dim, {e: float(c) for e, c in terms.items()}, FLOAT)
+
+
+@pytest.mark.parametrize("text, message, column", [
+    # a sign with no term after it
+    ("x1 + -", "expected a number or a variable", 7),
+    # two factors with no '*' between them
+    ("2 x1", "expected '*', '+' or '-'", 3),
+    ("x1^2 .5", "expected '*', '+' or '-'", 6),
+    # a '/' with no number after it
+    ("3/ * x1", "expected denominator", 1),
+    ("x1 + 3 /", "expected denominator", 6),
+    # a '^' with no digits after it
+    ("x1^2.5", "expected integer exponent", 1),
+    ("x2 ^ -1", "expected integer exponent", 1),
+    ("x1^", "expected integer exponent", 1),
+    # a token out of place: parentheses, '^' on a number, '*' with no factor
+    ("(x1 + x2)", "expected a number or a variable", 1),
+    ("x1)", "expected '*', '+' or '-'", 3),
+    ("2^2", "expected '*', '+' or '-'", 2),
+    ("x1 * * x2", "expected a number or a variable", 6),
+    ("x1 *", "expected a number or a variable", 5),
+    # a character outside the format
+    ("x1 $", "expected '*', '+' or '-'", 4),
+    ("x1 * y2", "expected a number or a variable", 6),
+    ("1e * x1", "expected '*', '+' or '-'", 2),
+    # the specific messages
+    ("x1 + x9", "variable x9 outside ambient dimension 2", 6),
+    ("x1 * 2/0", "zero denominator", 8),
+    (" \t", "empty polynomial text", 1),
+])
+def test_parse_error_message_and_column(text, message, column):
+    with pytest.raises(PolynomialParseError) as info:
+        parse_polynomial(text, 2)
+    assert str(info.value) == f"{message} (column {column} of {text!r})"
+    assert info.value.pos == column - 1
+
+
+def test_float_overflow_message():
+    with pytest.raises(PolynomialParseError, match="coefficient too large for float mode"):
+        parse_polynomial("1e400 * x1", 1, FLOAT)
+
+
 # -- algebraic properties (hypothesis) -------------------------------------------
 
 

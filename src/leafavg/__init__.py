@@ -4,6 +4,7 @@ certificates."""
 
 from .errors import (
     BasisDeficient,
+    CoefficientTooLong,
     ConfigError,
     DegreeCapWarning,
     DimensionMismatch,

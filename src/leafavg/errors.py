@@ -31,6 +31,11 @@ class NonFiniteCoefficient(LeafavgError, ValueError):
     """A float-mode coefficient is NaN or infinite."""
 
 
+class CoefficientTooLong(LeafavgError, ValueError):
+    """An exact coefficient has more digits than Python converts to text
+    (``sys.get_int_max_str_digits()``, 4300 by default)."""
+
+
 class NonOrthogonalGenerator(LeafavgError, ValueError):
     """A matrix offered as a group generator is not orthogonal."""
 

@@ -227,7 +227,8 @@ class FiniteGroupModel:
     When the table holds every element, ``quotient_distance`` and
     ``same_leaf`` with a positive tolerance take the orbit of a point as
     ``float(p)[perm] * sign``; negating and moving a float are exact, so
-    each image is the float of the exact image.  Every
+    each image is the float of the exact image.  ``random_leaf_mate`` then
+    reads the exact image under the drawn element off the same table.  Every
     other element, and every element of a float-mode group, is pulled back
     by :func:`compose_with_matrix`, and its orbit points are exact products.
     """
@@ -336,32 +337,49 @@ class FiniteGroupModel:
             raise DimensionMismatch("point dimension does not match group")
         if tol == 0:
             return any(image == q for image in self.orbit(p))
-        return min(self._orbit_sq_distances(p, q)) < tol * tol
+        return bool(self._orbit_sq_distances(p, q).min() < tol * tol)
 
     def orbit(self, p) -> List[tuple]:
         p = tuple(p)
         return [_mat_vec(g, p) for g in self.elements]
 
-    def _orbit_sq_distances(self, p, q) -> List[float]:
-        """Squared float distance from ``q`` to each point of the orbit of ``p``."""
+    def _orbit_sq_distances(self, p, q) -> np.ndarray:
+        """Squared float distance from ``q`` to each point of the orbit of ``p``.
+
+        Each distance is the left-to-right sum of the squared coordinate
+        differences; ``np.float_power`` squares through the C library's
+        ``pow``, as Python's ``**`` does, so the signed table and the exact
+        orbit give the same floats.
+        """
         q = [float(x) for x in q]
         table = self._signed_table()
         if table.others:
-            images = self.orbit(p)
-        else:
-            images = (np.array([float(x) for x in p])[table.perms] * table.signs).tolist()
-        return [sum((float(x) - y) ** 2 for x, y in zip(image, q)) for image in images]
+            return np.array(
+                [sum((float(x) - y) ** 2 for x, y in zip(image, q)) for image in self.orbit(p)]
+            )
+        images = np.array([float(x) for x in p])[table.perms] * table.signs
+        squares = np.float_power(images - q, 2)
+        total = squares[:, 0]
+        for i in range(1, self.ambient_dim):
+            total = total + squares[:, i]
+        return total
 
     def quotient_distance(self, p, q) -> float:
         """Distance from ``q`` to the nearest point of the orbit of ``p``."""
-        return math.sqrt(min(self._orbit_sq_distances(p, q)))
+        return math.sqrt(self._orbit_sq_distances(p, q).min())
 
     def leaf_labels(self, p) -> List[float]:
         return []
 
     def random_leaf_mate(self, p, rng: np.random.Generator):
-        g = self.elements[int(rng.integers(self.order))]
-        return _mat_vec(g, tuple(p))
+        """``g p`` for a uniformly drawn element ``g``; read off the signed
+        table when it holds every element (row ``k`` is element ``k``)."""
+        k = int(rng.integers(self.order))
+        table = self._signed_table()
+        if table.others:
+            return _mat_vec(self.elements[k], tuple(p))
+        return tuple(-p[j] if s < 0 else p[j]
+                     for j, s in zip(table.perms[k].tolist(), table.signs[k].tolist()))
 
 
 def group_closure(
@@ -501,6 +519,7 @@ class TorusModel:
         self.mode = EXACT  # integer weights; averages of exact input are exact
         self.name = name or f"torus(weights={rows}, n_fix={n_fix})"
         self.leaf_label_names = tuple(f"radius_{j + 1}" for j in range(self.n_planes))
+        self._kernels: Dict[Tuple[int, ...], list] = {}
 
     def describe(self) -> str:
         return self.name
@@ -585,27 +604,40 @@ class TorusModel:
 
     def leaf_labels(self, p) -> List[float]:
         """Plane radii, constant on every leaf."""
-        return [math.hypot(float(p[2 * j]), float(p[2 * j + 1])) for j in range(self.n_planes)]
+        return self._radii([float(x) for x in p])
+
+    def _radii(self, p: List[float]) -> List[float]:
+        return [math.hypot(p[2 * j], p[2 * j + 1]) for j in range(self.n_planes)]
+
+    def _kernel(self, active: Tuple[int, ...]) -> List[Tuple[Tuple[int, ...], int]]:
+        """``(v, max(1, |v|_1))`` for each vector ``v`` of the saturated integer
+        kernel of the weight rows of the planes ``active``; cached per tuple."""
+        got = self._kernels.get(active)
+        if got is None:
+            got = [(tuple(vec), max(1, sum(abs(v) for v in vec)))
+                   for vec in integer_left_kernel([self.weight_matrix[j] for j in active])]
+            self._kernels[active] = got
+        return got
 
     def _phase_gaps(self, p, q, radii_p, radii_q, floor: float):
-        """Phase-lattice test of the planes where both radii exceed ``floor``.
+        """Phase-lattice test of the planes where both radii exceed ``floor``,
+        for float points ``p`` and ``q``.
 
         Yields ``(gap, weight)`` for each vector ``v`` of the saturated
         integer kernel of those planes' weight rows: ``gap`` is the phase
         combination ``v . (arg q - arg p)`` wrapped to ``[0, pi]``, zero on a
         common orbit closure, and ``weight = max(1, |v|_1)``.
         """
-        active = [j for j in range(self.n_planes) if radii_p[j] > floor and radii_q[j] > floor]
+        active = tuple(j for j in range(self.n_planes) if radii_p[j] > floor and radii_q[j] > floor)
         if not active:
             return
         phases = [
-            math.atan2(float(q[2 * j + 1]), float(q[2 * j]))
-            - math.atan2(float(p[2 * j + 1]), float(p[2 * j]))
+            math.atan2(q[2 * j + 1], q[2 * j]) - math.atan2(p[2 * j + 1], p[2 * j])
             for j in active
         ]
-        for vec in integer_left_kernel([self.weight_matrix[j] for j in active]):
+        for vec, weight in self._kernel(active):
             total = sum(v * phi for v, phi in zip(vec, phases))
-            yield abs(math.remainder(total, _TWO_PI)), max(1, sum(abs(v) for v in vec))
+            yield abs(math.remainder(total, _TWO_PI)), weight
 
     def same_leaf(self, p, q, tol: float) -> bool:
         """Orbit-closure test: radii, fixed coordinates, and phase lattice.
@@ -614,16 +646,16 @@ class TorusModel:
         active-plane weight rows; the angular tolerance for a kernel vector
         ``v`` is ``tol * max(1, |v|_1)``.
         """
-        p = tuple(p)
-        q = tuple(q)
+        p = [float(x) for x in p]
+        q = [float(x) for x in q]
         if len(p) != self.ambient_dim or len(q) != self.ambient_dim:
             raise DimensionMismatch("point dimension does not match torus model")
         m = 2 * self.n_planes
         for x, y in zip(p[m:], q[m:]):
-            if abs(float(x) - float(y)) > tol:
+            if abs(x - y) > tol:
                 return False
-        radii_p = self.leaf_labels(p)
-        radii_q = self.leaf_labels(q)
+        radii_p = self._radii(p)
+        radii_q = self._radii(q)
         for rp, rq in zip(radii_p, radii_q):
             if abs(rp - rq) > tol:
                 return False
@@ -631,14 +663,14 @@ class TorusModel:
 
     def quotient_distance(self, p, q) -> float:
         """Larger of the radial distance and the worst weighted phase gap."""
-        p = tuple(p)
-        q = tuple(q)
-        radii_p = self.leaf_labels(p)
-        radii_q = self.leaf_labels(q)
+        p = [float(x) for x in p]
+        q = [float(x) for x in q]
+        radii_p = self._radii(p)
+        radii_q = self._radii(q)
         m = 2 * self.n_planes
         radial = math.sqrt(
             sum((rp - rq) ** 2 for rp, rq in zip(radii_p, radii_q))
-            + sum((float(x) - float(y)) ** 2 for x, y in zip(p[m:], q[m:]))
+            + sum((x - y) ** 2 for x, y in zip(p[m:], q[m:]))
         )
         phase = max(
             (gap / weight for gap, weight in self._phase_gaps(p, q, radii_p, radii_q, 1e-9)),

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from operator import add, mul
@@ -39,6 +40,7 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from .errors import (
+    CoefficientTooLong,
     DimensionMismatch,
     NonFiniteCoefficient,
     PolynomialParseError,
@@ -596,6 +598,18 @@ def parse_polynomial(text: str, ambient_dim: int, mode: str = EXACT) -> Polynomi
     return Polynomial(ambient_dim, terms, mode)
 
 
+def _coefficient_text(coeff, mode: str) -> str:
+    if mode != EXACT:
+        return repr(float(coeff))
+    try:
+        return str(coeff)
+    except ValueError:  # the int-to-text digit limit of sys.set_int_max_str_digits
+        raise CoefficientTooLong(
+            "an exact coefficient has a numerator or denominator of more than "
+            f"{sys.get_int_max_str_digits()} digits, too long to write as text"
+        ) from None
+
+
 def format_polynomial(p: Polynomial) -> str:
     """Canonical text form, terms in descending graded-lex order."""
     pieces = []
@@ -603,7 +617,7 @@ def format_polynomial(p: Polynomial) -> str:
         coeff = p.terms[expo]
         factors = [f"x{i + 1}" + (f"^{e}" if e > 1 else "") for i, e in enumerate(expo) if e > 0]
         if abs(coeff) != 1 or not factors:
-            factors.insert(0, str(abs(coeff)) if p.mode == EXACT else repr(float(abs(coeff))))
+            factors.insert(0, _coefficient_text(abs(coeff), p.mode))
         sign = ("- " if coeff < 0 else "+ ") if pieces else ("-" if coeff < 0 else "")
         pieces.append(sign + " * ".join(factors))
     return " ".join(pieces) or "0"

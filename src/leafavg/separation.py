@@ -33,8 +33,11 @@ class _IntegerGeneratorMap:
     ``(e, k_e, D - |e|)``, with ``e`` as its nonzero ``(index, exponent)``
     pairs.  At ``x = a / c``, with ``c`` the lcm of the
     coordinate denominators, ``f(x) = sum k_e a^e c^(D - |e|) / (L c^D)``:
-    one reduced ``Fraction`` per generator, equal to ``f.eval(x)``, from
-    integer power tables shared by all generators.
+    one integer quotient per generator, from integer power tables shared by
+    all generators.  Calling the map gives each quotient as a reduced
+    ``Fraction``, equal to ``f.eval(x)``; ``floats`` gives it as one
+    correctly rounded integer division, which is ``float(f.eval(x))`` bit
+    for bit.
     """
 
     def __init__(self, generators):
@@ -57,15 +60,16 @@ class _IntegerGeneratorMap:
         self.max_exp = max_exp
         self.max_degree = max_degree
 
-    def __call__(self, point) -> Optional[tuple]:
-        """The generator values at ``point``; None unless every coordinate
-        is an int or a ``Fraction``."""
+    def _quotients(self, point) -> Optional[list]:
+        """``(total, den)`` per generator, with value ``total / den``; None
+        unless every coordinate is an int or a ``Fraction``."""
         if not all(isinstance(x, (int, Fraction)) for x in point):
             return None
-        c = math.lcm(*(x.denominator for x in point))
+        ratios = [x.as_integer_ratio() for x in point]
+        c = math.lcm(*(den for _, den in ratios))
         powers = []
-        for x, top in zip(point, self.max_exp):
-            a = x.numerator * (c // x.denominator)
+        for (num, den), top in zip(ratios, self.max_exp):
+            a = num * (c // den)
             row = [1, a]
             for _ in range(1, top):
                 row.append(row[-1] * a)
@@ -73,7 +77,7 @@ class _IntegerGeneratorMap:
         c_powers = [1]
         for _ in range(self.max_degree):
             c_powers.append(c_powers[-1] * c)
-        values = []
+        quotients = []
         for lcm, degree, terms in self.forms:
             total = 0
             for factors, k, cofactor in terms:
@@ -81,8 +85,26 @@ class _IntegerGeneratorMap:
                 for i, e in factors:
                     term *= powers[i][e]
                 total += term
-            values.append(Fraction(total, lcm * c_powers[degree]))
-        return tuple(values)
+            quotients.append((total, lcm * c_powers[degree]))
+        return quotients
+
+    def __call__(self, point) -> Optional[tuple]:
+        """The generator values at ``point`` as ``Fraction``s; None unless
+        every coordinate is an int or a ``Fraction``."""
+        quotients = self._quotients(point)
+        return None if quotients is None else tuple(Fraction(t, d) for t, d in quotients)
+
+    def floats(self, point) -> Optional[tuple]:
+        """The generator values at ``point`` as floats: int true division
+        rounds correctly, so each equals ``float`` of the ``Fraction`` value."""
+        quotients = self._quotients(point)
+        return None if quotients is None else tuple(t / d for t, d in quotients)
+
+
+def _check_dimension(gens, point) -> None:
+    for p in gens.generators:
+        if len(point) != p.ambient_dim:
+            raise DimensionMismatch("point dimension does not match generators")
 
 
 def rho_eval(gens, point, *, integer_map: Optional[_IntegerGeneratorMap] = None) -> tuple:
@@ -91,9 +113,7 @@ def rho_eval(gens, point, *, integer_map: Optional[_IntegerGeneratorMap] = None)
     ``integer_map``, built once from an exact ``gens``, evaluates rational
     points in integers; other points fall back to ``Polynomial.eval``.
     """
-    for p in gens.generators:
-        if len(point) != p.ambient_dim:
-            raise DimensionMismatch("point dimension does not match generators")
+    _check_dimension(gens, point)
     if integer_map is not None:
         values = integer_map(point)
         if values is not None:
@@ -210,7 +230,13 @@ def separation_test(
     integer_map = _IntegerGeneratorMap(gens.generators) if exact else None
 
     def rho(point):
-        return rho_eval(gens, point, integer_map=integer_map)
+        # only float distances are read: exact points skip the Fractions
+        if integer_map is not None:
+            _check_dimension(gens, point)
+            values = integer_map.floats(point)
+            if values is not None:
+                return values
+        return rho_eval(gens, point)
 
     notes: List[str] = []
     failures: List[dict] = []
@@ -269,13 +295,17 @@ def separation_test(
     max_attempts = 50 * num_pairs
     sampled = 0
     while sampled < num_pairs and attempts < max_attempts:
-        attempts += 1
-        p = _sample_points(model, 1, rng, exact)[0]
-        q = _sample_points(model, 1, rng, exact)[0]
-        if model.same_leaf(p, q, same_leaf_tol):
-            continue
-        record_distinct(p, q)
-        sampled += 1
+        # one draw per batch gives the rows that one draw per point would, and
+        # a batch holds no more pairs than can still be accepted or attempted
+        batch = _sample_points(
+            model, 2 * min(num_pairs - sampled, max_attempts - attempts), rng, exact
+        )
+        for p, q in zip(batch[::2], batch[1::2]):
+            attempts += 1
+            if model.same_leaf(p, q, same_leaf_tol):
+                continue
+            record_distinct(p, q)
+            sampled += 1
     if sampled < num_pairs:
         raise InsufficientDistinctPairs(
             f"found only {sampled} distinct-leaf pairs in {attempts} attempts"

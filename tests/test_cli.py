@@ -360,6 +360,10 @@ MALFORMED_CASES = [
     ("generators", TORUS, {"seed": 1, "D": 0}),
     ("generators", TORUS, {"seed": -1, "D": 2}),
     ("avg", ISO, {"seed": 1, "f": "x1^2", "h": 0.05}),
+    # a coefficient with more digits than Python writes as text (4300): in
+    # the input, and in an average whose input still has 4300 digits
+    ("avg", B2, {"seed": 1, "f": "1e-5000 * x1^2"}),
+    ("avg", B2, {"seed": 1, "f": "1/9e4299 * x1^2"}),
     *[(task, B2, {"seed": 1, **params}) for task in GENERATOR_SET_TASKS
       for params in BAD_GENERATOR_SETS.values()],
 ]
@@ -372,6 +376,7 @@ MALFORMED_IDS = [
     "generator_without_text", "generator_not_object", "generators_mode_complex",
     "model_mode_complex", "f_not_text", "F_not_text", "symmetry_not_object",
     "model_not_object", "no_pairs", "cap_zero", "seed_negative", "params_bandwidth",
+    "coefficient_too_long", "average_coefficient_too_long",
     *[f"{task}_generators_{name}" for task in GENERATOR_SET_TASKS for name in BAD_GENERATOR_SETS]
 ]
 

@@ -27,7 +27,7 @@ from leafavg import (
 )
 from leafavg import models
 from leafavg.cli import _CONFIG_DIR, load_config
-from leafavg.models import LevelSetSampler, compose_with_matrix, sample_sphere_many
+from leafavg.models import LevelSetSampler, _mat_vec, compose_with_matrix, sample_sphere_many
 from leafavg.separation import rational_sphere_points
 
 from util import exact_polys, random_homogeneous
@@ -247,6 +247,85 @@ def test_group_same_leaf_matches_exact_orbit(name, seed, kind, tol):
     )
 
 
+def _python_orbit_sq_distances(model, p, q):
+    """Squared distances from ``q`` to the exact orbit of ``p``, each a Python
+    sum of ``**`` squares: the reference for the array sums."""
+    q = [float(x) for x in q]
+    return [sum((float(x) - y) ** 2 for x, y in zip(_mat_vec(g, tuple(p)), q))
+            for g in model.elements]
+
+
+ORBIT_GROUPS = {
+    **BUNDLED_GROUPS,
+    "b4": load_config(B4_CONFIG).build_model(),
+    "mixed": GROUPS["mixed", EXACT],
+    "rational": group_closure([REFLECTION, [[0, 1], [-1, 0]]]),
+}
+coordinates = st.one_of(
+    st.floats(-3, 3),
+    st.builds(Fraction, st.integers(-99, 99), st.integers(1, 99)),
+)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(ORBIT_GROUPS)), st.sampled_from(["rational", "normal", "drawn"]),
+       st.integers(0, 2 ** 32 - 1), st.lists(coordinates, min_size=8, max_size=8))
+def test_orbit_sq_distances_match_python_sums_bit_for_bit(name, kind, seed, coords):
+    # sums in the same order and squares rounded by the same pow: equal bits,
+    # off the sphere too
+    model = ORBIT_GROUPS[name]
+    d = model.ambient_dim
+    rng = np.random.default_rng(seed)
+    if kind == "rational":
+        p, q = rational_sphere_points(d, 2, rng)
+    elif kind == "normal":
+        p, q = (tuple(row) for row in rng.standard_normal((2, d)).tolist())
+    else:
+        p, q = tuple(coords[:d]), tuple(coords[4:4 + d])
+    got = model._orbit_sq_distances(p, q)
+    assert got.dtype == np.float64
+    assert got.tobytes() == np.array(_python_orbit_sq_distances(model, p, q)).tobytes()
+
+
+def test_orbit_sq_distances_round_squares_like_python():
+    # x * x and Python's x ** 2 (the C library's pow) differ in the last bit
+    # for about one x in 1,200, and an orbit of signed permutations holds at
+    # most 2 d^2 distinct squares: many random pairs make such a square certain
+    model = ORBIT_GROUPS["b3"]
+    rng = np.random.default_rng(4)
+    for _ in range(400):
+        p, q = rng.standard_normal((2, 3)).tolist()
+        got = model._orbit_sq_distances(p, q)
+        assert got.tobytes() == np.array(_python_orbit_sq_distances(model, p, q)).tobytes()
+
+
+class _Draw:
+    """A stand-in generator whose ``integers(n)`` returns one fixed index."""
+
+    def __init__(self, order, k):
+        self.order, self.k = order, k
+
+    def integers(self, n):
+        assert n == self.order
+        return self.k
+
+
+@pytest.mark.parametrize("name", [*sorted(ORBIT_GROUPS), "b3_float"])
+def test_random_leaf_mate_is_the_drawn_element_times_the_point(name):
+    model = GROUPS["b3", FLOAT] if name == "b3_float" else ORBIT_GROUPS[name]
+    rng = np.random.default_rng(8)
+    for p in rational_sphere_points(model.ambient_dim, 3, rng):
+        if model.mode == FLOAT:
+            p = tuple(float(x) for x in p)
+        for k, g in enumerate(model.elements):
+            assert model.random_leaf_mate(p, _Draw(model.order, k)) == _mat_vec(g, p)
+    # one draw of ``integers(order)``, so the stream moves as it always did
+    rng, reference = np.random.default_rng(9), np.random.default_rng(9)
+    model.random_leaf_mate(p, rng)
+    reference.integers(model.order)
+    assert rng.bit_generator.state == reference.bit_generator.state
+
+
 def test_same_leaf_group_antipodal():
     model = group_closure([[[-1, 0], [0, -1]]])
     assert model.same_leaf((0.3, -0.7), (-0.3, 0.7), 1e-12)
@@ -316,6 +395,28 @@ def test_weighted_circle_same_leaf(circle12_model):
     )
     assert circle12_model.same_leaf(p, good, 1e-9)
     assert not circle12_model.same_leaf(p, bad, 1e-9)
+
+
+def test_torus_kernel_computed_once_per_active_planes(monkeypatch):
+    calls = []
+    kernel = models.integer_left_kernel
+
+    def counting(rows):
+        calls.append(tuple(rows))
+        return kernel(rows)
+
+    monkeypatch.setattr(models, "integer_left_kernel", counting)
+    model = models.TorusModel([[1, 0], [1, 1], [0, 2]], n_fix=1)
+    rng = np.random.default_rng(12)
+    points = [tuple(row) for row in sample_sphere_many(40, model.ambient_dim, rng).tolist()]
+    # a point in the third plane only leaves one plane active
+    points.append((0.0, 0.0, 0.0, 0.0, 0.6, 0.8, 0.0))
+    for p in points:
+        for q in points:
+            model.same_leaf(p, q, 1e-9)
+            model.quotient_distance(p, q)
+    assert len(calls) == len(set(calls)) == 2
+    assert [weight for _, weight in model._kernel((0, 1, 2))] == [5]  # v = +-(2, -2, 1)
 
 
 def test_torus_same_leaf_reflexive_symmetric(t2_model):

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from leafavg import (
     EXACT,
     FLOAT,
+    CoefficientTooLong,
+    LeafavgError,
     NonFiniteCoefficient,
     Polynomial,
     PolynomialParseError,
@@ -301,6 +303,15 @@ def test_parse_errors():
 def test_format_is_graded_lex():
     p = P("x2 + x1^2 + x1 * x2", 2)
     assert format_polynomial(p) == "x1^2 + x1 * x2 + x2"
+
+
+def test_format_coefficient_past_the_digit_limit_is_a_leafavg_error():
+    # Python writes integers of at most 4300 digits as text
+    assert format_polynomial(P("1e4299 * x1", 1)) == "1" + "0" * 4299 + " * x1"
+    for text in ("1e4300 * x1", "1e-4300 * x1", "x2 - 3/7e5000"):
+        with pytest.raises(CoefficientTooLong, match="4300 digits") as caught:
+            format_polynomial(P(text, 2))
+        assert isinstance(caught.value, LeafavgError)
 
 
 # -- the text grammar, generated -----------------------------------------------------

@@ -1,4 +1,6 @@
 import csv
+import json
+import math
 import warnings
 from fractions import Fraction
 
@@ -11,15 +13,21 @@ from leafavg import (
     EXACT,
     DegreeCapWarning,
     DimensionMismatch,
+    FiniteGroupModel,
     GeneratorSet,
     InsufficientDistinctPairs,
     Polynomial,
+    SeparationCertificate,
+    TorusModel,
     discover_generators,
     parse_polynomial,
     quotient_image_export,
     rho_eval,
     separation_test,
 )
+from leafavg.cli import _CONFIG_DIR, _generators_for_task, load_config
+from leafavg.exactlinalg import integer_left_kernel
+from leafavg.models import LEVEL_TOL, _mat_vec, sample_sphere_many
 from leafavg.separation import _IntegerGeneratorMap, rational_sphere_points
 
 from util import exact_polys
@@ -80,14 +88,19 @@ coordinates = st.one_of(
        st.lists(coordinates, min_size=3, max_size=3))
 @example([Polynomial.zero(3), Polynomial.constant(3, Fraction(-7, 6))], [0, 0, 0])
 @example([parse_polynomial("x1^3 - 1/2 * x2 + 5/3", 3)], [Fraction(1, 6), Fraction(-3, 4), 2])
+@example([parse_polynomial("x1^2 + 1/3 * x2^2", 3)], [Fraction(1, 3 ** 400), Fraction(2, 7), 0])
 def test_integer_generator_map_matches_polynomial_eval(polys, point):
     # mixed denominators and int coordinates; non-homogeneous, constant and
-    # zero polynomials: the same reduced Fractions as Polynomial.eval
+    # zero polynomials: the same reduced Fractions as Polynomial.eval, and
+    # the same floats as converting them (also past the float range of the
+    # integers, where the quotient is still one correctly rounded division)
     point = tuple(point)
     expected = tuple(p.eval(point) for p in polys)
     values = _IntegerGeneratorMap(polys)(point)
     assert values == expected
     assert all(type(v) is Fraction for v in values)
+    floats = _IntegerGeneratorMap(polys).floats(point)
+    assert [v.hex() for v in floats] == [float(v).hex() for v in expected]
     gens = GeneratorSet(ambient_dim=3, mode=EXACT, generators=tuple(polys), degrees=(),
                         degree_cap=0, dims_by_degree={})
     assert rho_eval(gens, point, integer_map=_IntegerGeneratorMap(polys)) == expected
@@ -97,6 +110,7 @@ def test_integer_generator_map_leaves_float_points_to_eval(hopf_gens):
     integer_map = _IntegerGeneratorMap(hopf_gens.generators)
     point = (0.6, Fraction(4, 5), 0, 0)
     assert integer_map(point) is None
+    assert integer_map.floats(point) is None
     assert rho_eval(hopf_gens, point, integer_map=integer_map) == rho_eval(hopf_gens, point)
     with pytest.raises(DimensionMismatch):
         rho_eval(hopf_gens, (1, 0, 0), integer_map=integer_map)
@@ -292,3 +306,212 @@ def test_export_deterministic(tmp_path, hopf_gens, hopf_model):
     quotient_image_export(hopf_gens, 100, 11, a, model=hopf_model)
     quotient_image_export(hopf_gens, 100, 11, b, model=hopf_model)
     assert a.read_bytes() == b.read_bytes()
+
+
+# -- the separation loop against a point-at-a-time reference --------------------------
+
+
+def _reference_torus_phase_gaps(model, p, q, radii_p, radii_q, floor):
+    active = [j for j in range(model.n_planes) if radii_p[j] > floor and radii_q[j] > floor]
+    if not active:
+        return
+    phases = [
+        math.atan2(float(q[2 * j + 1]), float(q[2 * j]))
+        - math.atan2(float(p[2 * j + 1]), float(p[2 * j]))
+        for j in active
+    ]
+    for vec in integer_left_kernel([model.weight_matrix[j] for j in active]):
+        total = sum(v * phi for v, phi in zip(vec, phases))
+        yield abs(math.remainder(total, 2.0 * math.pi)), max(1, sum(abs(v) for v in vec))
+
+
+def _reference_torus_same_leaf(model, p, q, tol):
+    m = 2 * model.n_planes
+    for x, y in zip(p[m:], q[m:]):
+        if abs(float(x) - float(y)) > tol:
+            return False
+    radii_p, radii_q = model.leaf_labels(p), model.leaf_labels(q)
+    if any(abs(rp - rq) > tol for rp, rq in zip(radii_p, radii_q)):
+        return False
+    return all(gap <= tol * weight
+               for gap, weight in _reference_torus_phase_gaps(model, p, q, radii_p, radii_q, tol))
+
+
+def _reference_torus_quotient_distance(model, p, q):
+    radii_p, radii_q = model.leaf_labels(p), model.leaf_labels(q)
+    m = 2 * model.n_planes
+    radial = math.sqrt(
+        sum((rp - rq) ** 2 for rp, rq in zip(radii_p, radii_q))
+        + sum((float(x) - float(y)) ** 2 for x, y in zip(p[m:], q[m:]))
+    )
+    phase = max((gap / weight for gap, weight
+                 in _reference_torus_phase_gaps(model, p, q, radii_p, radii_q, 1e-9)),
+                default=0.0)
+    return max(radial, phase)
+
+
+def _reference_orbit_sq_distances(model, p, q):
+    q = [float(x) for x in q]
+    table = model._signed_table()
+    if table.others:
+        images = model.orbit(p)
+    else:
+        images = (np.array([float(x) for x in p])[table.perms] * table.signs).tolist()
+    return [sum((float(x) - y) ** 2 for x, y in zip(image, q)) for image in images]
+
+
+def _reference_predicates(model):
+    """``(same_leaf, quotient_distance, random_leaf_mate)`` as Python loops:
+    ``**`` sums over the orbit and ``_mat_vec`` mates for groups, a fresh
+    kernel and repeated float conversions for tori, the model's own for the
+    rest."""
+    if isinstance(model, FiniteGroupModel):
+        return (
+            lambda p, q, tol: min(_reference_orbit_sq_distances(model, p, q)) < tol * tol,
+            lambda p, q: math.sqrt(min(_reference_orbit_sq_distances(model, p, q))),
+            lambda p, rng: _mat_vec(model.elements[int(rng.integers(model.order))], p),
+        )
+    if isinstance(model, TorusModel):
+        return (
+            lambda p, q, tol: _reference_torus_same_leaf(model, p, q, tol),
+            lambda p, q: _reference_torus_quotient_distance(model, p, q),
+            model.random_leaf_mate,
+        )
+    return model.same_leaf, model.quotient_distance, model.random_leaf_mate
+
+
+def _reference_separation_test(model, gens, num_pairs, tol_same, rng_seed, same_leaf_tol=None):
+    """``separation_test`` one candidate at a time: two one-point draws per
+    attempt, and exact points mapped to ``Fraction`` images that are then
+    converted to floats.  Returns the certificate dict and the number of
+    attempts."""
+    same_leaf, quotient_distance, random_leaf_mate = _reference_predicates(model)
+    rng = np.random.default_rng(rng_seed)
+    exact = model.closed_form and model.mode == EXACT and gens.mode == EXACT
+    integer_map = _IntegerGeneratorMap(gens.generators) if exact else None
+    if same_leaf_tol is None:
+        same_leaf_tol = 1e-9 if model.closed_form else LEVEL_TOL
+
+    def sample(count):
+        if exact:
+            return rational_sphere_points(model.ambient_dim, count, rng)
+        return [tuple(float(x) for x in row)
+                for row in sample_sphere_many(count, model.ambient_dim, rng)]
+
+    def distance(p, q):
+        a = rho_eval(gens, p, integer_map=integer_map)
+        b = rho_eval(gens, q, integer_map=integer_map)
+        return math.sqrt(sum((float(x) - float(y)) ** 2 for x, y in zip(a, b)))
+
+    notes, failures = [], []
+    max_same, num_same = 0.0, 0
+    if not model.closed_form and model.symmetry is None:
+        notes.append("no leaf-transitive symmetry configured; same-leaf pairs skipped "
+                     "(same-leaf testing degenerates to the level predicate)")
+    else:
+        for p in sample(num_pairs):
+            mate = random_leaf_mate(p, rng)
+            disc = distance(p, mate)
+            num_same += 1
+            max_same = max(max_same, disc)
+            if disc > tol_same:
+                failures.append({"kind": "same_leaf_discrepancy", "point": [float(x) for x in p],
+                                 "mate": [float(x) for x in mate], "rho_distance": disc})
+    distinct = []
+    attempts, sampled = 0, 0
+    while sampled < num_pairs and attempts < 50 * num_pairs:
+        attempts += 1
+        p = sample(1)[0]
+        q = sample(1)[0]
+        if same_leaf(p, q, same_leaf_tol):
+            continue
+        dist = distance(p, q)
+        distinct.append((p, q, dist))
+        if dist <= tol_same:
+            failures.append({"kind": "distinct_leaf_collision", "point": [float(x) for x in p],
+                             "other": [float(x) for x in q], "rho_distance": dist})
+        sampled += 1
+    if sampled < num_pairs:
+        raise InsufficientDistinctPairs(
+            f"found only {sampled} distinct-leaf pairs in {attempts} attempts")
+    min_distinct = min((dist for _, _, dist in distinct), default=float("inf"))
+    margin_by_proxy = {}
+    for threshold in (1e-3, 1e-2, 1e-1):
+        eligible = [dist for p, q, dist in distinct if quotient_distance(p, q) >= threshold]
+        if eligible:
+            margin_by_proxy[f">={threshold:g}"] = min(eligible)
+    if max_same == 0.0:
+        margin = float("inf") if min_distinct > 0 else 0.0
+    else:
+        margin = min_distinct / max_same
+    cert = SeparationCertificate(
+        model=model.describe(), generator_count=len(gens.generators),
+        generator_provenance=dict(gens.provenance), num_same_pairs=num_same,
+        max_same_discrepancy=max_same, num_distinct_pairs=len(distinct),
+        min_distinct_distance=min_distinct, margin_ratio=margin, margin_by_proxy=margin_by_proxy,
+        failures=failures, tol_same=tol_same, margin_min=10.0, seed=rng_seed, notes=notes,
+    )
+    return cert.to_dict(), attempts
+
+
+BUNDLED_CONFIGS = sorted(path.stem for path in _CONFIG_DIR.glob("*.json"))
+
+
+@pytest.fixture(scope="module")
+def bundled_runs():
+    """Model, generator set and seed of every bundled config."""
+    runs = {}
+    for name in BUNDLED_CONFIGS:
+        config = load_config(_CONFIG_DIR / f"{name}.json")
+        model = config.build_model()
+        seed = config.params["seed"]
+        runs[name] = model, _generators_for_task(config, model, seed), seed, config.params
+    return runs
+
+
+@pytest.mark.parametrize("seed_kind", ["config", "three"])
+@pytest.mark.parametrize("name", BUNDLED_CONFIGS)
+def test_separation_matches_point_at_a_time_reference(bundled_runs, name, seed_kind):
+    model, gens, seed, params = bundled_runs[name]
+    seed = seed if seed_kind == "config" else 3
+    tol_same = params["tol_same"]
+    expected, _ = _reference_separation_test(model, gens, 150, tol_same, seed)
+    got = separation_test(model, gens, 150, tol_same, seed).to_dict()
+    assert json.dumps(got, sort_keys=True) == json.dumps(expected, sort_keys=True)
+
+
+@pytest.mark.parametrize("name", BUNDLED_CONFIGS)
+def test_separation_matches_reference_across_batches(bundled_runs, name):
+    # a loose same-leaf tolerance rejects many candidates, so the distinct
+    # pairs come from several batches: one point drawn too many in a batch
+    # moves every later pair
+    model, gens, seed, params = bundled_runs[name]
+    expected, attempts = _reference_separation_test(model, gens, 150, params["tol_same"], seed,
+                                                    same_leaf_tol=0.3)
+    assert attempts > 150
+    got = separation_test(model, gens, 150, params["tol_same"], seed, same_leaf_tol=0.3)
+    assert json.dumps(got.to_dict(), sort_keys=True) == json.dumps(expected, sort_keys=True)
+
+
+def test_separation_gives_up_where_the_reference_does(t2_model):
+    gens = make_gens(4, ["x1^2 + x2^2"])
+    with pytest.raises(InsufficientDistinctPairs) as expected:
+        _reference_separation_test(t2_model, gens, 10, 1e-9, 106, same_leaf_tol=0.9)
+    with pytest.raises(InsufficientDistinctPairs) as got:
+        separation_test(t2_model, gens, 10, 1e-9, 106, same_leaf_tol=0.9)
+    assert str(got.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("dim", range(2, 13))
+def test_one_batch_draws_the_points_of_single_draws(dim):
+    # the distinct-pair loop draws its candidates in batches; numpy's
+    # generator gives the same rows and leaves the same state either way
+    for seed in (0, 1, 2):
+        rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+        batch = rational_sphere_points(dim, 2 * 7, rng)
+        assert batch == [rational_sphere_points(dim, 1, reference)[0] for _ in range(2 * 7)]
+        assert rng.bit_generator.state == reference.bit_generator.state
+        floats = sample_sphere_many(2 * 7, dim, rng)
+        singles = np.vstack([sample_sphere_many(1, dim, reference) for _ in range(2 * 7)])
+        assert floats.tobytes() == singles.tobytes()
+        assert rng.integers(0, 2 ** 62) == reference.integers(0, 2 ** 62)

@@ -36,6 +36,7 @@ from .polynomials import (
     sphere_inner,
     sphere_mean,
     sphere_norm,
+    weighted_exponent_patterns,
 )
 
 ENGINE_EXACT = "exact"
@@ -64,27 +65,6 @@ def cycle_probe(f: Polynomial) -> Polynomial:
     if probe == f:
         probe = Polynomial.variable(f.ambient_dim, 0, f.mode) ** f.homogeneous_degree()
     return probe
-
-
-def weighted_exponent_patterns(degrees: Sequence[int], target: int) -> List[tuple]:
-    """All exponent tuples ``e`` with ``sum(e_i * degrees_i) == target``.
-
-    Deterministic order (first generator's exponent descending, and so on).
-    """
-    out: List[tuple] = []
-
-    def rec(prefix: List[int], remaining: int, index: int):
-        if index == len(degrees):
-            if remaining == 0:
-                out.append(tuple(prefix))
-            return
-        step = degrees[index]
-        for e in range(remaining // step, -1, -1):
-            rec(prefix + [e], remaining - e * step, index + 1)
-
-    if target >= 0:
-        rec([], target, 0)
-    return out
 
 
 def generator_products(generators: Sequence[Polynomial], target: int) -> List[Tuple[tuple, Polynomial]]:
@@ -221,7 +201,8 @@ def identity_residuals(f: Polynomial, g: Polynomial, avg_f: Polynomial, avg_g: P
     residuals = {
         "idempotence": sphere_norm(avg_avg_f - avg_f),
         "selfadjoint": abs(float(sphere_inner(avg_f, g) - sphere_inner(f, avg_g))),
-        "contraction": max(0.0, -float(sphere_mean(f * f) - sphere_mean(avg_f * avg_f))),
+        # clamped before the float conversion: 0 on exact input of any size
+        "contraction": float(max(0, sphere_mean(avg_f * avg_f) - sphere_mean(f * f))),
         "laplacian": sphere_norm(avg_f.laplacian() - avg_lap_f),
     }
     if avg_module is not None:

@@ -4,9 +4,10 @@ The ring of leaf-constant (basic) polynomials is finitely generated; this
 module realizes the generating set constructively.  For each degree ``d``
 up to a user-chosen cap:
 
-1. span the basic slice ``B_d`` (``basic_subspace``) -- by the rows of an
-   exact model's ``invariant_rows``, else by averaging every degree-``d``
-   monomial -- and orthogonalize it under the sphere pairing;
+1. span the basic slice ``B_d`` (``basic_subspace``) -- by the rows of a
+   closed-form model's ``invariant_rows``, else by fitting the leaf average
+   of every degree-``d`` monomial -- and orthogonalize it under the sphere
+   pairing;
 2. span the degree-``d`` products of previously found generators;
 3. adopt an orthogonal complement of that product span inside ``B_d`` as
    the new generators, sparsified to readable representatives.
@@ -26,7 +27,6 @@ nose.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from collections import Counter
@@ -55,7 +55,6 @@ from .polynomials import (
     format_polynomial,
     grlex_key,
     monomial_basis,
-    parse_polynomial,
     rationalize,
     sphere_norm,
 )
@@ -297,30 +296,29 @@ def basic_subspace(
 ) -> SubspaceBasis:
     """Image of the averaging operator on the degree-``degree`` slice.
 
-    An exact model's ``invariant_rows`` are row reduced (canonical for the
-    span) and orthogonalized in order, in integers, with exact rank.  A float
-    model averages every monomial of the degree and the statistical engine
-    fits their leaf averages (with the model's bandwidth ``h``, the
-    effective-sample-size guard and condition cap of :func:`average`); both
-    orthonormalize with a tolerance-based rank and a singular-value audit.
+    A closed-form model's slice is spanned by its ``invariant_rows``.  In
+    exact mode they are row reduced (canonical for the span) and
+    orthogonalized in order, in integers, with exact rank.  A fitted model's
+    slice is spanned by the leaf averages of every monomial of the degree,
+    which the statistical engine fits (with the model's bandwidth ``h``, the
+    effective-sample-size guard and condition cap of :func:`average`).  Float
+    rows are orthonormalized with a tolerance-based rank and a singular-value
+    audit.
     """
     if degree < 1:
         raise ValueError("degree must be at least 1")
     monomials = tuple(monomial_basis(model.ambient_dim, degree))
 
-    if model.closed_form and model.mode == EXACT:
-        span = _ExactSpan(MomentGram(model.ambient_dim, monomials))
-        reduced, pivots = _integer_rref([primitive_integer_row([row.get(e, 0) for e in monomials])
-                                         for row in model.invariant_rows(monomials)])
-        for row, c in zip(reduced, pivots):
-            span.add(row, row[c])  # the reduced row echelon row
-        return SubspaceBasis(degree, EXACT, model.ambient_dim, monomials,
-                             span.polynomials(), span=span)
     if model.closed_form:
-        matrix = _coefficient_rows([
-            model.reynolds(Polynomial.monomial(model.ambient_dim, expo, 1, model.mode))
-            for expo in monomials
-        ], monomials)
+        rows = [[row.get(e, 0) for e in monomials] for row in model.invariant_rows(monomials)]
+        if model.mode == EXACT:
+            span = _ExactSpan(MomentGram(model.ambient_dim, monomials))
+            reduced, pivots = _integer_rref([primitive_integer_row(row) for row in rows])
+            for row, c in zip(reduced, pivots):
+                span.add(row, row[c])  # the reduced row echelon row
+            return SubspaceBasis(degree, EXACT, model.ambient_dim, monomials,
+                                 span.polynomials(), span=span)
+        matrix = np.array(rows, dtype=float).reshape(len(rows), len(monomials))
     else:
         ctx = _FitContext(model, degree, seed, sample_points, mc_samples)
         estimates, _ = ctx.responses(*(
@@ -443,32 +441,6 @@ class GeneratorSet:
             "dims_by_degree": {str(k): v for k, v in sorted(self.dims_by_degree.items())},
             "provenance": self.provenance,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "GeneratorSet":
-        ambient_dim = int(data["ambient_dim"])
-        mode = data.get("mode", EXACT)
-        gens = []
-        degrees = []
-        for item in data["generators"]:
-            gens.append(parse_polynomial(item["text"], ambient_dim, mode))
-            degrees.append(int(item["degree"]))
-        return cls(
-            ambient_dim=ambient_dim,
-            mode=mode,
-            generators=tuple(gens),
-            degrees=tuple(degrees),
-            degree_cap=int(data.get("degree_cap", max(degrees, default=0))),
-            dims_by_degree={int(k): int(v) for k, v in data.get("dims_by_degree", {}).items()},
-            provenance=data.get("provenance", {}),
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "GeneratorSet":
-        return cls.from_dict(json.loads(text))
 
 
 def _sparsify_exact(remainders: Sequence[tuple], basis: SubspaceBasis) -> List[Polynomial]:

@@ -103,8 +103,8 @@ def _check_keys(section: dict, allowed, where: str):
 def _number(section: dict, key: str, kind=int, default=_REQUIRED, minimum=None):
     """``section[key]`` (``default`` when absent and given) as ``kind``,
     ``int`` or ``float``; None when it is null or absent and ``default`` is
-    None.  A :class:`ConfigError` when it is not a number or is below
-    ``minimum``."""
+    None.  A :class:`ConfigError` when it is not a number or is not at least
+    ``minimum`` (as NaN is not)."""
     value = section[key] if default is _REQUIRED else section.get(key, default)
     if value is None and default is None:
         return None
@@ -113,7 +113,7 @@ def _number(section: dict, key: str, kind=int, default=_REQUIRED, minimum=None):
     except (TypeError, ValueError, OverflowError):
         expected = "an integer" if kind is int else "a number"
         raise ConfigError(f"{key} must be {expected}, got {value!r}") from None
-    if minimum is not None and number < minimum:
+    if minimum is not None and not number >= minimum:
         raise ConfigError(f"{key} must be at least {minimum}, got {value!r}")
     return number
 
@@ -272,42 +272,15 @@ def _write_json(payload: dict, path: Path):
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _generator_degree(poly: Polynomial) -> int:
-    if not poly.is_homogeneous():
-        raise ConfigError(f"generator {format_polynomial(poly)} is not homogeneous")
-    degree = poly.homogeneous_degree()
-    if degree < 1:
-        raise ConfigError(f"generator {format_polynomial(poly)} is constant")
-    return degree
-
-
 def _load_generators(config: RunConfig, model) -> GeneratorSet:
-    """The config's generator set, checked against ``model``: the same
-    ambient dimension, and every generator homogeneous of its declared
-    degree, which is at least 1."""
+    """The config's generator set, inline or from a ``generators_file``,
+    checked against ``model``: every item an object with a ``text`` and an
+    optional ``degree``, every generator homogeneous of its degree, which is
+    at least 1.  A file's ``provenance`` is kept."""
     params = config.params
     if "generators" in params:
-        mode = _mode(params, "generators_mode", EXACT)
-        gens = []
-        degrees = []
-        if not isinstance(params["generators"], list):
-            raise ConfigError(f"generators must be a list, got {params['generators']!r}")
-        for item in params["generators"]:
-            if not isinstance(item, dict) or "text" not in item:
-                raise ConfigError(f"a generator must be an object with a 'text', got {item!r}")
-            _check_keys(item, ("text", "degree"), "a generator")
-            poly = parse_polynomial(item["text"], model.ambient_dim, mode)
-            gens.append(poly)
-            degrees.append(_number(item, "degree", int, _generator_degree(poly)))
-        gen_set = GeneratorSet(
-            ambient_dim=model.ambient_dim,
-            mode=mode,
-            generators=tuple(gens),
-            degrees=tuple(degrees),
-            degree_cap=max(degrees, default=0),
-            dims_by_degree={},
-            provenance={"source": "inline", "model": model.describe()},
-        )
+        source, mode_key = params, "generators_mode"
+        provenance = {"source": "inline", "model": model.describe()}
     else:
         if not isinstance(params["generators_file"], str):
             raise ConfigError(f"generators_file must be a path, got {params['generators_file']!r}")
@@ -315,21 +288,52 @@ def _load_generators(config: RunConfig, model) -> GeneratorSet:
         if not gen_path.is_absolute() and config.path is not None:
             gen_path = config.path.parent / gen_path
         try:
-            gen_set = GeneratorSet.from_json(gen_path.read_text())
-        except (OSError, ValueError, KeyError, TypeError) as err:
+            source, mode_key = json.loads(gen_path.read_text()), "mode"
+        except (OSError, ValueError) as err:
             raise ConfigError(f"cannot read generators file {gen_path}: {err!r}") from None
-        if gen_set.ambient_dim != model.ambient_dim:
-            raise ConfigError(
-                f"generators file {gen_path} has ambient_dim {gen_set.ambient_dim}, "
-                f"but the model has {model.ambient_dim}"
-            )
-    for poly, degree in zip(gen_set.generators, gen_set.degrees):
-        if _generator_degree(poly) != degree:
-            raise ConfigError(
-                f"generator {format_polynomial(poly)} has degree {poly.homogeneous_degree()}, "
-                f"not its declared degree {degree}"
-            )
-    return gen_set
+        if (not isinstance(source, dict)
+                or source.get("ambient_dim", model.ambient_dim) != model.ambient_dim):
+            raise ConfigError(f"generators file {gen_path} is not a generator set "
+                              f"in {model.ambient_dim} variables")
+        provenance = source.get("provenance", {})
+        if not isinstance(provenance, dict):
+            raise ConfigError(f"provenance must be an object, got {provenance!r}")
+    mode = _mode(source, mode_key, EXACT)
+    items = source.get("generators")
+    if not isinstance(items, list):
+        raise ConfigError(f"generators must be a list, got {items!r}")
+    gens, degrees = [], []
+    for item in items:
+        if not isinstance(item, dict) or "text" not in item:
+            raise ConfigError(f"a generator must be an object with a 'text', got {item!r}")
+        _check_keys(item, ("text", "degree"), "a generator")
+        poly = parse_polynomial(item["text"], model.ambient_dim, mode)
+        degree = poly.homogeneous_degree() if poly.is_homogeneous() else 0
+        if degree < 1:
+            raise ConfigError(f"generator {format_polynomial(poly)} is not homogeneous "
+                              "of degree at least 1")
+        if _number(item, "degree", int, degree) != degree:
+            raise ConfigError(f"generator {format_polynomial(poly)} has degree {degree}, "
+                              f"not its declared degree {item['degree']!r}")
+        gens.append(poly)
+        degrees.append(degree)
+    return GeneratorSet(ambient_dim=model.ambient_dim, mode=mode, generators=tuple(gens),
+                        degrees=tuple(degrees), degree_cap=max(degrees, default=0),
+                        dims_by_degree={}, provenance=provenance)
+
+
+def _induction(params: dict):
+    """The degree cap ``D`` and the keyword arguments of the degree induction."""
+    return _number(params, "D", minimum=1), {
+        "tol_rank": _number(params, "tol_rank", float, 1e-8, minimum=0), **_fit_args(params)}
+
+
+def _discover(params: dict, model, seed: int) -> GeneratorSet:
+    """The generators up to ``D``; new ones at the cap show in the provenance, not as a warning."""
+    cap, induction_args = _induction(params)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegreeCapWarning)
+        return discover_generators(model, cap, seed=seed, **induction_args)
 
 
 def _generators_for_task(config: RunConfig, model, seed: int) -> GeneratorSet:
@@ -337,44 +341,28 @@ def _generators_for_task(config: RunConfig, model, seed: int) -> GeneratorSet:
     if "generators" in params or "generators_file" in params:
         return _load_generators(config, model)
     if "D" in params:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DegreeCapWarning)
-            return discover_generators(
-                model,
-                _number(params, "D", minimum=1),
-                tol_rank=_number(params, "tol_rank", float, 1e-8),
-                seed=seed,
-                **_fit_args(params),
-            )
+        return _discover(params, model, seed)
     raise ConfigError("task needs 'generators', 'generators_file' or a discovery cap 'D'")
 
 
 # -- tasks --------------------------------------------------------------------
 
 
-def task_avg(config: RunConfig, out_dir: Path, seed: Optional[int]) -> int:
-    model = config.build_model()
+def task_avg(config: RunConfig, model, seed: int, out_dir: Path) -> int:
     params = config.params
-    run_seed = _require_seed(params, seed)
     if "f" not in params:
         raise ConfigError("avg task needs params.f (polynomial text)")
     f = parse_polynomial(params["f"], model.ambient_dim, model.mode)
     if not f.is_homogeneous():
         raise ConfigError("avg task expects a homogeneous polynomial")
     fit_args = _fit_args(params)
-    cert = average(model, f, seed=run_seed, **fit_args)
+    cert = average(model, f, seed=seed, **fit_args)
     payload = cert.to_dict()
     failure = None
     if ("generators" in params or "generators_file" in params) and not model.closed_form:
         gens = _load_generators(config, model)
         try:
-            structured = average_structured(
-                model,
-                f,
-                gens,
-                seed=run_seed,
-                **fit_args,
-            )
+            structured = average_structured(model, f, gens, seed=seed, **fit_args)
             payload["structured"] = structured.to_dict()
         except BasisDeficient as err:
             failure = {"type": "BasisDeficient", "message": str(err), "residual": err.residual}
@@ -393,47 +381,29 @@ def task_avg(config: RunConfig, out_dir: Path, seed: Optional[int]) -> int:
     return 0 if passed else 2
 
 
-def task_generators(config: RunConfig, out_dir: Path, seed: Optional[int]) -> int:
-    model = config.build_model()
-    params = config.params
-    run_seed = _require_seed(params, seed)
-    if "D" not in params:
+def task_generators(config: RunConfig, model, seed: int, out_dir: Path) -> int:
+    if "D" not in config.params:
         raise ConfigError("generators task needs params.D (degree cap)")
-    cap = _number(params, "D", minimum=1)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # degree-cap warning is recorded in provenance
-        gens = discover_generators(
-            model,
-            cap,
-            tol_rank=_number(params, "tol_rank", float, 1e-8),
-            seed=run_seed,
-            **_fit_args(params),
-        )
+    gens = _discover(config.params, model, seed)
     payload = gens.to_dict()
     passed = True
     if isinstance(model, FiniteGroupModel) and model.mode == EXACT:
-        molien = molien_dimensions(model, cap)
-        match = all(
-            gens.dims_by_degree.get(d, 0) == molien[d] for d in range(1, cap + 1)
-        )
-        payload["molien_check"] = {"dims": molien, "match": match}
-        passed = passed and match
+        molien = molien_dimensions(model, gens.degree_cap)
+        passed = all(gens.dims_by_degree.get(d, 0) == molien[d] for d in range(1, gens.degree_cap + 1))
+        payload["molien_check"] = {"dims": molien, "match": passed}
     payload["passed"] = passed
     _write_json(payload, out_dir / "generators.json")
-    degrees = list(gens.degrees)
     print(
-        f"generators[{config.name}]: degrees={degrees} "
+        f"generators[{config.name}]: degrees={list(gens.degrees)} "
         f"dims={ {d: r for d, r in sorted(gens.dims_by_degree.items())} } "
         f"{'PASS' if passed else 'FAIL'}"
     )
     return 0 if passed else 2
 
 
-def task_verify(config: RunConfig, out_dir: Path, seed: Optional[int]) -> int:
-    model = config.build_model()
+def task_verify(config: RunConfig, model, seed: int, out_dir: Path) -> int:
     params = config.params
-    run_seed = _require_seed(params, seed)
-    gens = _generators_for_task(config, model, run_seed)
+    gens = _generators_for_task(config, model, seed)
     fit_args = _fit_args(params)
     failures = []
     checks = []
@@ -442,7 +412,7 @@ def task_verify(config: RunConfig, out_dir: Path, seed: Optional[int]) -> int:
     exact = model.closed_form and model.mode == EXACT
     for i, gen in enumerate(gens.generators):
         # a closed-form average keeps the generator's mode; a fitted one is float
-        avg_poly = average_polynomial(model, gen, seed=run_seed + i, **fit_args)
+        avg_poly = average_polynomial(model, gen, seed=seed + i, **fit_args)
         gap = avg_poly - (gen.to_float() if avg_poly.mode == FLOAT else gen)
         residual = sphere_norm(gap)
         checks.append({
@@ -461,9 +431,9 @@ def task_verify(config: RunConfig, out_dir: Path, seed: Optional[int]) -> int:
             })
 
     # operator identities on three pairs of degree-2 probe polynomials
-    identity_tol = _number(params, "identity_tol", float, None)
+    identity_tol = _number(params, "identity_tol", float, None, minimum=0)
     basis = monomial_basis(model.ambient_dim, 2)
-    rng = np.random.default_rng(run_seed)
+    rng = np.random.default_rng(seed)
     mode = model.mode
 
     def random_poly():
@@ -482,7 +452,7 @@ def task_verify(config: RunConfig, out_dir: Path, seed: Optional[int]) -> int:
         try:
             report = verify_operator_identities(
                 model, f, g,
-                seed=run_seed + 100 + n,
+                seed=seed + 100 + n,
                 tol=identity_tol,
                 **fit_args,
             )
@@ -497,19 +467,15 @@ def task_verify(config: RunConfig, out_dir: Path, seed: Optional[int]) -> int:
 
     # generation completeness when a cap is supplied
     if "D" in params:
+        cap, induction_args = _induction(params)
         try:
-            report = verify_generation(
-                model, gens, _number(params, "D", minimum=1),
-                seed=run_seed,
-                tol_rank=_number(params, "tol_rank", float, 1e-8),
-                **fit_args,
-            )
+            report = verify_generation(model, gens, cap, seed=seed, **induction_args)
             checks.append({"check": "generation", **report.to_dict()})
         except GenerationGap as err:
             failures.append({
                 "type": "GenerationGap",
                 "degrees": err.degrees,
-                "report": err.report.to_dict() if err.report else None,
+                "report": err.report.to_dict(),
             })
 
     payload = {
@@ -517,7 +483,7 @@ def task_verify(config: RunConfig, out_dir: Path, seed: Optional[int]) -> int:
         "generator_count": len(gens.generators),
         "checks": checks,
         "failures": failures,
-        "seed": run_seed,
+        "seed": seed,
         "passed": not failures,
     }
     _write_json(payload, out_dir / "verify_report.json")
@@ -528,17 +494,15 @@ def task_verify(config: RunConfig, out_dir: Path, seed: Optional[int]) -> int:
     return 0 if not failures else 2
 
 
-def task_separate(config: RunConfig, out_dir: Path, seed: Optional[int]) -> int:
-    model = config.build_model()
+def task_separate(config: RunConfig, model, seed: int, out_dir: Path) -> int:
     params = config.params
-    run_seed = _require_seed(params, seed)
-    gens = _generators_for_task(config, model, run_seed)
+    gens = _generators_for_task(config, model, seed)
     cert = separation.separation_test(
         model,
         gens,
         _number(params, "num_pairs", int, 1000, minimum=1),
-        _number(params, "tol_same", float, 1e-9),
-        run_seed,
+        _number(params, "tol_same", float, 1e-9, minimum=0),
+        seed,
     )
     _write_json(cert.to_dict(), out_dir / "separation_certificate.json")
     margin = cert.margin_ratio
@@ -551,16 +515,13 @@ def task_separate(config: RunConfig, out_dir: Path, seed: Optional[int]) -> int:
     return 0 if cert.verdict == "pass" else 2
 
 
-def task_export(config: RunConfig, out_dir: Path, seed: Optional[int]) -> int:
-    model = config.build_model()
-    params = config.params
-    run_seed = _require_seed(params, seed)
-    gens = _generators_for_task(config, model, run_seed)
+def task_export(config: RunConfig, model, seed: int, out_dir: Path) -> int:
+    gens = _generators_for_task(config, model, seed)
     path = out_dir / "quotient_image.csv"
     rows = separation.quotient_image_export(
         gens,
-        _number(params, "num_samples", int, 500, minimum=0),
-        run_seed,
+        _number(config.params, "num_samples", int, 500, minimum=0),
+        seed,
         path,
         model=model,
     )
@@ -673,8 +634,13 @@ def task_selftest(out_dir: Path, tol_rank: float) -> int:
 # -- entry point ----------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # exit 1 as a bad config does, not argparse's 2 (a failed certificate)
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="leafavg",
         description="Leaf averaging, generator discovery and separation certificates "
                     "for foliations of round spheres.",
@@ -695,7 +661,8 @@ def run(task: str, config: Optional[RunConfig], out_dir: Path, seed: Optional[in
         tol_rank: Optional[float] = None) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     if task == "selftest":
-        return task_selftest(out_dir, 0.05 if tol_rank is None else tol_rank)
+        return task_selftest(out_dir, 0.05 if tol_rank is None else
+                             _number({"--tol-rank": tol_rank}, "--tol-rank", float, minimum=0))
     if config is None:
         raise ConfigError(f"task {task!r} requires --config")
     handler = {
@@ -705,12 +672,14 @@ def run(task: str, config: Optional[RunConfig], out_dir: Path, seed: Optional[in
         "separate": task_separate,
         "export": task_export,
     }[task]
-    return handler(config, out_dir, seed)
+    # the model first, so that its errors come before a missing seed's
+    model = config.build_model()
+    return handler(config, model, _require_seed(config.params, seed), out_dir)
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         # like an unknown config key, a flag the task does not read is an error
         flags = ({"--config": args.config, "--seed": args.seed} if args.task == "selftest"
                  else {"--tol-rank": args.tol_rank})

@@ -28,7 +28,8 @@ class PolynomialParseError(LeafavgError, ValueError):
 
 
 class NonFiniteCoefficient(LeafavgError, ValueError):
-    """A float-mode coefficient is NaN or infinite."""
+    """A float-mode coefficient or value is NaN or infinite, or an exact one
+    is too large to convert to a float."""
 
 
 class CoefficientTooLong(LeafavgError, ValueError):

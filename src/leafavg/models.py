@@ -15,9 +15,9 @@ the distance between two leaves), and ``leaf_label_names`` with
   samples.
 
 Group and torus leaf averages are closed-form (Reynolds-style) and exact in
-rational mode, and their ``invariant_rows`` span each degree's basic slice
-without averaging.  The isoparametric estimator is seeded and bitwise
-reproducible for a fixed seed.
+rational mode, and their ``invariant_rows`` span each degree's basic slice.
+The isoparametric estimator is seeded and bitwise reproducible for a fixed
+seed.
 """
 
 from __future__ import annotations

@@ -62,8 +62,8 @@ def _coerce(value, mode: str):
         return Fraction(value)
     try:
         value = float(value)
-    except OverflowError:
-        value = math.inf
+    except OverflowError:  # an int or Fraction past the float range
+        raise NonFiniteCoefficient("coefficient too large for float mode") from None
     if not math.isfinite(value):
         raise NonFiniteCoefficient(f"non-finite coefficient {value!r} in float mode")
     return value
@@ -342,7 +342,7 @@ class Polynomial:
     def to_float(self) -> "Polynomial":
         if self.mode == FLOAT:
             return self
-        return Polynomial(self.ambient_dim, {e: float(c) for e, c in self._terms.items()}, FLOAT)
+        return Polynomial(self.ambient_dim, self._terms, FLOAT)
 
     def to_exact(self) -> "Polynomial":
         """Exact conversion (binary float -> Fraction, no rounding)."""
@@ -364,6 +364,23 @@ def grlex_key(expo: ExponentVector):
     return (-sum(expo), tuple(-e for e in expo))
 
 
+def weighted_exponent_patterns(degrees: Sequence[int], target: int) -> List[tuple]:
+    """All exponent tuples ``e`` with ``sum(e_i * degrees_i) == target``.
+
+    Deterministic order (first exponent descending, and so on): with every
+    degree 1 this is the graded-lex order of :func:`monomial_basis`.
+    """
+    if target < 0:
+        return []
+    patterns = [((), target)]
+    last = len(degrees) - 1
+    for i, step in enumerate(degrees):
+        # the last exponent takes what remains, when its degree divides that
+        patterns = [(p + (e,), rest - e * step) for p, rest in patterns
+                    for e in (range(rest // step, -1, -1) if i < last else (rest // step,))]
+    return [p for p, rest in patterns if rest == 0]
+
+
 def monomial_basis(ambient_dim: int, degree: int) -> List[ExponentVector]:
     """All exponent vectors of the given total degree, graded-lex order.
 
@@ -371,18 +388,7 @@ def monomial_basis(ambient_dim: int, degree: int) -> List[ExponentVector]:
     """
     if degree < 0:
         raise ValueError("degree must be non-negative")
-
-    out: List[ExponentVector] = []
-
-    def rec(prefix: List[int], remaining: int, slots: int):
-        if slots == 1:
-            out.append(tuple(prefix + [remaining]))
-            return
-        for e in range(remaining, -1, -1):
-            rec(prefix + [e], remaining - e, slots - 1)
-
-    rec([], degree, ambient_dim)
-    return out
+    return weighted_exponent_patterns((1,) * ambient_dim, degree)
 
 
 def radius_squared(ambient_dim: int, mode: str = EXACT) -> Polynomial:

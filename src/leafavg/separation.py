@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import DimensionMismatch, InsufficientDistinctPairs
+from .errors import DimensionMismatch, InsufficientDistinctPairs, NonFiniteCoefficient
 from .models import LEVEL_TOL, sample_sphere_many
 from .polynomials import EXACT
 
@@ -238,6 +238,13 @@ def separation_test(
                 return values
         return rho_eval(gens, point)
 
+    def rho_distance(p, q) -> float:
+        try:
+            return _rho_distance(rho(p), rho(q))
+        except OverflowError:  # an exact value, or a squared difference, past the float range
+            raise NonFiniteCoefficient(
+                "a generator value or distance is too large for a float") from None
+
     notes: List[str] = []
     failures: List[dict] = []
 
@@ -253,7 +260,7 @@ def separation_test(
         points = _sample_points(model, num_pairs, rng, exact)
         for p in points:
             mate = model.random_leaf_mate(p, rng)
-            disc = _rho_distance(rho(p), rho(mate))
+            disc = rho_distance(p, mate)
             num_same += 1
             if disc > max_same:
                 max_same = disc
@@ -271,7 +278,7 @@ def separation_test(
 
     def record_distinct(p, q):
         nonlocal min_distinct
-        dist = _rho_distance(rho(p), rho(q))
+        dist = rho_distance(p, q)
         distinct.append((p, q, dist))
         if dist < min_distinct:
             min_distinct = dist

@@ -1,6 +1,5 @@
 import dataclasses
 import itertools
-import json
 import warnings
 from fractions import Fraction
 
@@ -446,15 +445,3 @@ def test_rank_unstable_reported(iso_g2_model):
         basic_subspace(iso_g2_model, 2, tol_rank=ambiguous, seed=5,
                        sample_points=24, mc_samples=40_000)
     assert len(info.value.singular_values) == len(sv)
-
-
-# -- serialization ------------------------------------------------------------------------
-
-
-def test_generator_set_round_trip(t2_model):
-    gens = discover_generators(t2_model, 4)
-    data = json.loads(gens.to_json())
-    back = GeneratorSet.from_dict(data)
-    assert back.generators == gens.generators
-    assert back.degrees == gens.degrees
-    assert back.dims_by_degree == gens.dims_by_degree

@@ -2,6 +2,7 @@ import copy
 import importlib.util
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -263,11 +264,14 @@ TORUS = {"kind": "torus", "weight_matrix": [[1], [1]]}
 ISO = {"kind": "isoparametric", "ambient_dim": 4, "F": "x1^2 + x2^2 - x3^2 - x4^2", "g": 2}
 GOOD_GENERATOR = {"degree": 2, "text": "x1^2 + x2^2"}
 B2 = json.loads((_CONFIG_DIR / "b2.json").read_text())["model"]
+ISO_G2 = json.loads((_CONFIG_DIR / "iso_g2.json").read_text())["model"]
 # generator sets that do not fit the b2 model, written next to each config
 BAD_GENERATOR_FILES = {
     "inhomogeneous.json": {"ambient_dim": 2, "generators": [{"degree": 2, "text": "x1^2 + x1"}]},
     "wrong_degree.json": {"ambient_dim": 2, "generators": [{"degree": 4, "text": "x1^2 + x2^2"}]},
     "dim3.json": {"ambient_dim": 3, "generators": [{"degree": 2, "text": "x1^2 + x2^2 + x3^2"}]},
+    "provenance_text.json": {"ambient_dim": 2, "generators": [{"degree": 2, "text": "x1^2 + x2^2"}],
+                             "provenance": "abc"},
 }
 BAD_GENERATOR_SETS = {
     "inline_inhomogeneous": {"generators": [{"text": "x1^2 + x1"}]},
@@ -277,6 +281,7 @@ BAD_GENERATOR_SETS = {
     "file_inhomogeneous": {"generators_file": "inhomogeneous.json"},
     "file_wrong_degree": {"generators_file": "wrong_degree.json"},
     "file_ambient_dim_differs": {"generators_file": "dim3.json"},
+    "file_provenance_not_object": {"generators_file": "provenance_text.json"},
 }
 GENERATOR_SET_TASKS = ("verify", "separate", "export")
 ISO_SYMMETRY = {"kind": "torus", "weight_matrix": [[1, 0], [0, 1]]}
@@ -326,6 +331,12 @@ NAMED_KEY_CASES = [
     ("symmetry_name_not_text", "generators", {**ISO, "symmetry": {**ISO_SYMMETRY, "name": 5}},
      {"seed": 1, "D": 1}, {}, "name"),
 ]
+# one negative tolerance each; the error must name its key
+NEGATIVE_TOLERANCES = [
+    ("generators", ISO_G2, {"seed": 1, "D": 2, "tol_rank": -1}),
+    ("verify", TORUS, {"seed": 1, "D": 2, "identity_tol": -1}),
+    ("separate", B2, {"seed": 1, "D": 2, "tol_same": -1}),
+]
 MALFORMED_CASES = [
     ("generators", TORUS, {"seed": "abc", "D": 2}),
     ("generators", {"kind": "finite_group", "ambient_dim": 2}, {"seed": 1, "D": 2}),
@@ -364,6 +375,11 @@ MALFORMED_CASES = [
     # the input, and in an average whose input still has 4300 digits
     ("avg", B2, {"seed": 1, "f": "1e-5000 * x1^2"}),
     ("avg", B2, {"seed": 1, "f": "1/9e4299 * x1^2"}),
+    # a negative or NaN tolerance
+    *NEGATIVE_TOLERANCES,
+    ("generators", ISO_G2, {"seed": 1, "D": 2, "tol_rank": math.nan}),
+    ("verify", TORUS, {"seed": 1, "D": 2, "identity_tol": math.nan}),
+    ("separate", B2, {"seed": 1, "D": 2, "tol_same": math.nan}),
     *[(task, B2, {"seed": 1, **params}) for task in GENERATOR_SET_TASKS
       for params in BAD_GENERATOR_SETS.values()],
 ]
@@ -377,6 +393,8 @@ MALFORMED_IDS = [
     "model_mode_complex", "f_not_text", "F_not_text", "symmetry_not_object",
     "model_not_object", "no_pairs", "cap_zero", "seed_negative", "params_bandwidth",
     "coefficient_too_long", "average_coefficient_too_long",
+    "tol_rank_negative", "identity_tol_negative", "tol_same_negative",
+    "tol_rank_nan", "identity_tol_nan", "tol_same_nan",
     *[f"{task}_generators_{name}" for task in GENERATOR_SET_TASKS for name in BAD_GENERATOR_SETS]
 ]
 
@@ -525,3 +543,156 @@ def test_verify_task_statistical_membership_violation(tmp_path):
     assert failure["type"] == "IdentityViolation"
     assert failure["generator"] == 0
     assert failure["residual"] > 5e-2
+
+
+# -- the command line -------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("argv", [["avg", "--seed", "abc"], ["banana"], ["avg", "--bogus", "1"]],
+                         ids=["seed_not_int", "unknown_task", "unknown_flag"])
+def test_malformed_command_line_exits_1(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert main([*argv, "--config", str(_CONFIG_DIR / "b2.json"), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["--help"])
+    assert info.value.code == 0
+    assert "usage: leafavg" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("task, model, params", NEGATIVE_TOLERANCES,
+                         ids=["tol_rank", "identity_tol", "tol_same"])
+def test_negative_tolerance_names_its_key(tmp_path, capsys, task, model, params):
+    [key] = [k for k in params if k not in ("seed", "D")]
+    config = write_config(tmp_path / "run.json", {"model": model, "params": params})
+    assert main([task, "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+    assert f"error: {key} must be at least 0" in capsys.readouterr().err
+
+
+def test_negative_rank_tolerance_flag_is_error(tmp_path, capsys):
+    assert main(["selftest", "--tol-rank", "-1", "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith("error: --tol-rank must be at least 0")
+    assert not (tmp_path / "selftest_report.json").exists()
+
+
+# -- exact values past the float range --------------------------------------------------
+
+
+def bundled_config(tmp_path, name="b2", **params) -> Path:
+    """The bundled config ``name`` with ``params`` set; a None value removes its key."""
+    data = json.loads((_CONFIG_DIR / f"{name}.json").read_text())
+    data["params"].update(params)
+    data["params"] = {k: v for k, v in data["params"].items() if v is not None}
+    return write_config(tmp_path / "run.json", data)
+
+
+def test_avg_past_float_range_passes(tmp_path):
+    # f * f has a coefficient near 1e600: the contraction slack is clamped exactly
+    out = tmp_path / "out"
+    assert main(["avg", "--config", str(bundled_config(tmp_path, f="1e300 * x1^2")),
+                 "--out", str(out)]) == 0
+    payload = json.loads((out / "avg_certificate.json").read_text())
+    assert payload["passed"] is True
+    assert set(payload["residuals"].values()) == {0.0}
+
+
+@pytest.mark.parametrize("task, name, texts", [
+    ("separate", "b2", ["1e400 * x1^2 + 1e400 * x2^2"]),  # a value at a rational point
+    ("export", "b2", ["1e400 * x1^2 + 1e400 * x2^2"]),  # a float coefficient
+    ("separate", "b2", ["x1^2 + x2^2", "1e300 * x1^4 + 1e300 * x2^4"]),  # a squared distance
+    ("separate", "iso_g2", ["1e400 * x1^2 + 1e400 * x2^2 + 1e400 * x3^2 + 1e400 * x4^2",
+                            "x1^2 + x2^2 - x3^2 - x4^2"]),  # a value at a float point
+], ids=["separate_value", "export_coefficient", "separate_distance", "separate_float_point"])
+def test_generator_past_float_range_exits_1(tmp_path, capsys, task, name, texts):
+    config = bundled_config(tmp_path, name, D=None, generators=[{"text": t} for t in texts])
+    assert main([task, "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+    assert "too large" in capsys.readouterr().err.removeprefix("error: ")
+
+
+# -- verify's failure branches ------------------------------------------------------------
+
+
+def test_verify_generation_gap_exits_2_with_report(tmp_path):
+    # p2 and p4 miss the degree-6 invariant x1^6 + x2^6 + x3^6 of B3
+    data = json.loads((_CONFIG_DIR / "b3.json").read_text())
+    data["params"].update(D=6, generators=[{"text": "x1^2 + x2^2 + x3^2"},
+                                           {"text": "x1^4 + x2^4 + x3^4"}])
+    out = tmp_path / "out"
+    assert main(["verify", "--config", str(write_config(tmp_path / "run.json", data)),
+                 "--out", str(out)]) == 2
+    payload = json.loads((out / "verify_report.json").read_text())
+    [failure] = payload["failures"]
+    assert failure["type"] == "GenerationGap" and failure["degrees"] == [6]
+    report = failure["report"]
+    assert report["gaps"] == [6] and report["tolerance"] == 0.0
+    residuals = report["max_residual_by_degree"]
+    assert residuals["6"] > 0 and all(residuals[str(d)] == 0.0 for d in range(1, 6))
+
+
+def test_verify_operator_identity_violation_exits_2(tmp_path):
+    data = json.loads((_CONFIG_DIR / "iso_g2.json").read_text())
+    data["params"]["identity_tol"] = 1e-6
+    out = tmp_path / "out"
+    assert main(["verify", "--config", str(write_config(tmp_path / "run.json", data)),
+                 "--out", str(out)]) == 2
+    failures = json.loads((out / "verify_report.json").read_text())["failures"]
+    assert [f["probe"] for f in failures] == [0, 1, 2]
+    assert all(f["type"] == "IdentityViolation" and f["residual"] > 1e-6 for f in failures)
+
+
+# -- generators files ---------------------------------------------------------------------
+
+
+def test_generators_file_round_trip(tmp_path):
+    gens_out, out = tmp_path / "gens", tmp_path / "out"
+    assert main(["generators", "--config", str(_CONFIG_DIR / "b3.json"),
+                 "--out", str(gens_out)]) == 0
+    written = json.loads((gens_out / "generators.json").read_text())
+    data = json.loads((_CONFIG_DIR / "b3.json").read_text())
+    data["params"]["generators_file"] = str(gens_out / "generators.json")
+    config = str(write_config(tmp_path / "run.json", data))
+    assert main(["verify", "--config", config, "--out", str(out)]) == 0
+    checks = json.loads((out / "verify_report.json").read_text())["checks"]
+    assert ([c["text"] for c in checks if c["check"] == "projection_fixed_point"]
+            == [g["text"] for g in written["generators"]])
+    assert main(["separate", "--config", config, "--out", str(out)]) == 0
+    cert = json.loads((out / "separation_certificate.json").read_text())
+    assert cert["generator_count"] == len(written["generators"]) == 3
+    assert cert["generator_provenance"] == written["provenance"]
+
+
+# the generator items of every inline bad set, and an unknown item key
+BAD_ITEMS = {name: case["generators"] for name, case in BAD_GENERATOR_SETS.items()
+             if "generators" in case}
+BAD_ITEMS["unknown_item_key"] = [{**GOOD_GENERATOR, "degre": 2}]
+
+
+@pytest.mark.parametrize("name", BAD_ITEMS)
+def test_generators_file_items_read_like_inline(tmp_path, capsys, name):
+    write_config(tmp_path / "gens.json", {"generators": BAD_ITEMS[name]})
+    errors = []
+    for params in ({"generators": BAD_ITEMS[name]}, {"generators_file": "gens.json"}):
+        config = write_config(tmp_path / "run.json", {"model": B2, "params": {"seed": 1, **params}})
+        assert main(["export", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+        errors.append(capsys.readouterr().err)
+    assert errors[0].startswith("error: ") and errors[0] == errors[1]
+    if name == "unknown_item_key":
+        assert "'degre'" in errors[0]
+
+
+def test_generators_file_item_without_degree_takes_its_own(tmp_path):
+    write_config(tmp_path / "gens.json", {"generators": [{"text": "x1^2 + x2^2"},
+                                                         {"text": "x1^4 + x2^4"}]})
+    config = bundled_config(tmp_path, generators_file="gens.json")
+    assert main(["verify", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+
+
+def test_generators_file_mode_is_checked(tmp_path, capsys):
+    write_config(tmp_path / "gens.json", {"mode": "complex", "generators": [GOOD_GENERATOR]})
+    config = bundled_config(tmp_path, D=None, generators_file="gens.json")
+    assert main(["export", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith("error: mode must be")

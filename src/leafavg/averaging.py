@@ -26,7 +26,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import BasisDeficient, IdentityViolation, IllConditionedFit
-from .models import IsoparametricModel
+from .models import IsoparametricModel, LevelSetSampler
 from .polynomials import (
     EXACT,
     FLOAT,
@@ -259,7 +259,7 @@ class _FitContext:
         self.points = model.fit_points(self.sample_count, np.random.default_rng(point_seed))
         self.levels = model.F.eval_many(self.points)
         self.mc_samples = mc_samples or model.sample_count
-        self.sampler = model.sampler(cloud_seed, self.mc_samples)
+        self.sampler = LevelSetSampler(model, cloud_seed, self.mc_samples)
         self._designs: Dict[tuple, np.ndarray] = {}
 
     def responses(self, *polys: Polynomial) -> Tuple[np.ndarray, np.ndarray]:

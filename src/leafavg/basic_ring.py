@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 import warnings
+import weakref
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -155,28 +156,23 @@ def project_residual(p: Polynomial, ortho: Sequence[Polynomial], norms: Sequence
     return span.gram.poly(*span.remainder(*span.gram.row(p)))
 
 
-def _float_remainders(monomials: Sequence[tuple], polys: Sequence[Polynomial],
-                      span: Sequence[Polynomial]) -> Tuple[List[Polynomial], List[float]]:
-    """``polys`` minus their sphere-orthogonal projection onto the span of
-    ``span`` under the moment Gram matrix, with the rank of ``span`` cut at
-    1e-10 on the sphere-norm scale, and the sphere norm of each remainder."""
-    ambient_dim = len(monomials[0])
-    gram = _gram_matrix(ambient_dim, monomials)
-    span_rows, _ = _orthonormal_rows(_coefficient_rows(span, monomials), gram, 1e-10)
-    rows = _coefficient_rows(polys, monomials)
+def _float_remainders(gram: np.ndarray, rows: np.ndarray,
+                      span: np.ndarray) -> Tuple[np.ndarray, List[float]]:
+    """Coefficient ``rows`` minus their sphere-orthogonal projection onto the
+    row space of ``span`` under the moment Gram matrix ``gram``, with the rank
+    of ``span`` cut at 1e-10 on the sphere-norm scale, and the sphere norm of
+    each remainder."""
+    span_rows, _ = _orthonormal_rows(span, gram, 1e-10)
     rows = rows - rows @ gram @ span_rows.T @ span_rows
-    return (
-        [vector_to_poly(row, monomials, ambient_dim, FLOAT) for row in rows],
-        [float(np.sqrt(max(row @ gram @ row, 0.0))) for row in rows],
-    )
+    return rows, [float(np.sqrt(max(row @ gram @ row, 0.0))) for row in rows]
 
 
 def _remainders(basis: "SubspaceBasis", products: Sequence[Polynomial]) -> Tuple[list, List[float]]:
     """Each basis vector of the slice minus its sphere-orthogonal projection
     onto the span of ``products`` (of the slice's degree), with its sphere
-    norm: ``(row, den)`` pairs for an exact slice, float polynomials else."""
+    norm: ``(row, den)`` pairs for an exact slice, float coefficient rows else."""
     if basis.span is None:
-        return _float_remainders(basis.monomials, basis.ortho_polys, products)
+        return _float_remainders(basis.gram, basis.rows, _coefficient_rows(products, basis.monomials))
     products_span = _ExactSpan(basis.span.gram, products)
     rows = [products_span.remainder(row, den) for row, den, _, _ in basis.span.basis]
     return rows, [products_span.norm(row, den) for row, den in rows]
@@ -184,33 +180,37 @@ def _remainders(basis: "SubspaceBasis", products: Sequence[Polynomial]) -> Tuple
 
 @dataclass
 class SubspaceBasis:
-    """A basis of the basic slice in one degree.
+    """A basis of the basic slice in one degree, kept in one form.
 
-    ``ortho_polys`` are sphere-orthogonal: exact pipelines keep them in
-    rationals without normalizing, and in integers as ``span``; float pipelines
-    keep them orthonormal, with the singular values of the rank decision.
+    An exact slice is its integer ``span``: sphere-orthogonal, not
+    normalized.  A float slice is ``rows``, coefficient vectors over
+    ``monomials`` orthonormal under the float moment Gram matrix ``gram``,
+    with the singular values of the rank decision.
     """
 
     degree: int
     mode: str
     ambient_dim: int
     monomials: Tuple[tuple, ...]
-    ortho_polys: List[Polynomial]
-    singular_values: Optional[List[float]] = None
     span: Optional[_ExactSpan] = field(default=None, repr=False, compare=False)
+    rows: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
+    gram: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
+    singular_values: Optional[List[float]] = None
 
     @property
     def rank(self) -> int:
-        return len(self.ortho_polys)
+        return len(self.rows if self.span is None else self.span.basis)
 
     def polynomials(self) -> List[Polynomial]:
-        return list(self.ortho_polys)
+        if self.span is None:
+            return [vector_to_poly(row, self.monomials, self.ambient_dim, FLOAT) for row in self.rows]
+        return self.span.polynomials()
 
     def residual(self, p: Polynomial) -> float:
         """Sphere-norm distance from ``p`` to the subspace."""
         if self.span is None:
-            return _float_remainders(self.monomials, [p], self.ortho_polys)[1][0]
-        span = _span_of(self.ortho_polys, p.to_exact())  # p may have terms of any degree
+            return _float_remainders(self.gram, _coefficient_rows([p], self.monomials), self.rows)[1][0]
+        span = _span_of(self.polynomials(), p.to_exact())  # p may have terms of any degree
         return span.norm(*span.remainder(*span.gram.row(p)))
 
 
@@ -284,6 +284,10 @@ def _float_rref_rows(rows: np.ndarray) -> np.ndarray:
 
 # -- the basic slice ---------------------------------------------------------
 
+# an exact closed-form slice depends only on the model and the degree (not the
+# seed, tol_rank or sample sizes): kept while its model lives, read-only
+_EXACT_SLICES: "weakref.WeakKeyDictionary[object, Dict[int, SubspaceBasis]]" = weakref.WeakKeyDictionary()
+
 
 def basic_subspace(
     model,
@@ -298,15 +302,18 @@ def basic_subspace(
 
     A closed-form model's slice is spanned by its ``invariant_rows``.  In
     exact mode they are row reduced (canonical for the span) and
-    orthogonalized in order, in integers, with exact rank.  A fitted model's
-    slice is spanned by the leaf averages of every monomial of the degree,
-    which the statistical engine fits (with the model's bandwidth ``h``, the
-    effective-sample-size guard and condition cap of :func:`average`).  Float
-    rows are orthonormalized with a tolerance-based rank and a singular-value
-    audit.
+    orthogonalized in order, in integers, with exact rank, once per model and
+    degree.  A fitted model's slice is spanned by the leaf averages of every
+    monomial of the degree, which the statistical engine fits (with the
+    model's bandwidth ``h``, the effective-sample-size guard and condition cap
+    of :func:`average`).  Float rows are orthonormalized with a tolerance-based
+    rank and a singular-value audit.
     """
     if degree < 1:
         raise ValueError("degree must be at least 1")
+    slices = _EXACT_SLICES.setdefault(model, {}) if model.closed_form and model.mode == EXACT else {}
+    if degree in slices:
+        return slices[degree]
     monomials = tuple(monomial_basis(model.ambient_dim, degree))
 
     if model.closed_form:
@@ -316,8 +323,8 @@ def basic_subspace(
             reduced, pivots = _integer_rref([primitive_integer_row(row) for row in rows])
             for row, c in zip(reduced, pivots):
                 span.add(row, row[c])  # the reduced row echelon row
-            return SubspaceBasis(degree, EXACT, model.ambient_dim, monomials,
-                                 span.polynomials(), span=span)
+            slices[degree] = SubspaceBasis(degree, EXACT, model.ambient_dim, monomials, span=span)
+            return slices[degree]
         matrix = np.array(rows, dtype=float).reshape(len(rows), len(monomials))
     else:
         ctx = _FitContext(model, degree, seed, sample_points, mc_samples)
@@ -327,15 +334,10 @@ def basic_subspace(
         # fitted coefficients, one column per averaged monomial
         fitted, _, _ = _scaled_lstsq(ctx.design(monomials), estimates.T, COND_CAP)
         matrix = fitted.T
-    rows, sing = _orthonormal_rows(matrix, _gram_matrix(model.ambient_dim, monomials), tol_rank)
-    return SubspaceBasis(
-        degree,
-        FLOAT,
-        model.ambient_dim,
-        monomials,
-        [vector_to_poly(row, monomials, model.ambient_dim, FLOAT) for row in rows],
-        singular_values=list(map(float, sing)),
-    )
+    gram = _gram_matrix(model.ambient_dim, monomials)
+    rows, sing = _orthonormal_rows(matrix, gram, tol_rank)
+    return SubspaceBasis(degree, FLOAT, model.ambient_dim, monomials, rows=rows, gram=gram,
+                         singular_values=list(map(float, sing)))
 
 
 def _degree_slices(model, cap: int, seed: int, tol_rank: float,
@@ -452,14 +454,11 @@ def _sparsify_exact(remainders: Sequence[tuple], basis: SubspaceBasis) -> List[P
             for row, c in zip(reduced, pivots)]
 
 
-def _sparsify_float(
-    polys: Sequence[Polynomial], basis: SubspaceBasis, tol_rank: float
-) -> List[Polynomial]:
-    """Echelon representatives of the numerical span of ``polys``, each
-    replaced by its small-denominator rounding when that stays close to it
-    and to the slice."""
-    gram = _gram_matrix(basis.ambient_dim, basis.monomials)
-    rows, _ = _orthonormal_rows(_coefficient_rows(polys, basis.monomials), gram, tol_rank)
+def _sparsify_float(remainders: np.ndarray, basis: SubspaceBasis, tol_rank: float) -> List[Polynomial]:
+    """Echelon representatives of the numerical span of the coefficient rows
+    ``remainders``, each replaced by its small-denominator rounding when that
+    stays close to it and to the slice."""
+    rows, _ = _orthonormal_rows(remainders, basis.gram, tol_rank)
     out = []
     for row in _float_rref_rows(rows):
         poly = vector_to_poly([float(c) for c in row], basis.monomials, basis.ambient_dim, FLOAT)

@@ -442,8 +442,6 @@ def task_verify(config: RunConfig, model, seed: int, out_dir: Path) -> int:
         terms = {basis[int(i)]: int(c) for i, c in zip(picks, coeffs) if c != 0}
         if not terms:
             terms = {basis[0]: 1}
-        if mode == FLOAT:
-            terms = {e: float(c) for e, c in terms.items()}
         return Polynomial(model.ambient_dim, terms, mode)
 
     for n in range(3):

@@ -925,6 +925,8 @@ class IsoparametricModel:
     ):
         if not 0.0 < h < 1.0:
             raise ConfigError("bandwidth h must lie in (0, 1)")
+        if not min_ess >= 1:  # an ESS is never below 1; NaN fails too
+            raise ConfigError(f"min_ess must be at least 1, got {min_ess!r}")
         self.F = F
         self.g = g
         self.c = validate_munzner(F, g)
@@ -990,9 +992,6 @@ class IsoparametricModel:
         return self.symmetry.random_leaf_mate(p, rng)
 
     # -- estimation --------------------------------------------------------
-
-    def sampler(self, seed: int, count: Optional[int] = None) -> LevelSetSampler:
-        return LevelSetSampler(self, seed, count or self.sample_count)
 
     def leaf_average_mc(
         self,

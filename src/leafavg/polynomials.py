@@ -327,16 +327,6 @@ class Polynomial:
             out = out + self.partial(i).partial(i)
         return out
 
-    def homogeneous_components(self) -> Dict[int, "Polynomial"]:
-        """Split into homogeneous pieces, keyed by degree (empty for zero)."""
-        buckets: Dict[int, Dict[ExponentVector, object]] = {}
-        for expo, coeff in self._terms.items():
-            buckets.setdefault(sum(expo), {})[expo] = coeff
-        return {
-            d: Polynomial(self.ambient_dim, terms, self.mode)
-            for d, terms in sorted(buckets.items())
-        }
-
     # -- conversions -------------------------------------------------------
 
     def to_float(self) -> "Polynomial":

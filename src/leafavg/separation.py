@@ -355,7 +355,7 @@ def quotient_image_export(
     num_samples: int,
     rng_seed: int,
     path,
-    model=None,
+    model,
 ) -> int:
     """Write sampled sphere points and their generator images to CSV.
 
@@ -370,8 +370,7 @@ def quotient_image_export(
 
     header = [f"x{i + 1}" for i in range(dim)]
     header += [f"rho{i + 1}" for i in range(len(gens.generators))]
-    if model is not None:
-        header += model.leaf_label_names
+    header += model.leaf_label_names
 
     float_gens = [p.to_float() for p in gens.generators]
     with open(path, "w", newline="") as handle:
@@ -381,7 +380,6 @@ def quotient_image_export(
             point = [float(x) for x in row]
             record = [repr(x) for x in point]
             record += [repr(float(p.eval(point))) for p in float_gens]
-            if model is not None:
-                record += [repr(x) for x in model.leaf_labels(point)]
+            record += [repr(x) for x in model.leaf_labels(point)]
             writer.writerow(record)
     return int(points.shape[0])

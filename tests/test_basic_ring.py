@@ -29,10 +29,12 @@ from leafavg import (
     sphere_norm,
     verify_generation,
 )
+from leafavg import basic_ring
 from leafavg.averaging import generator_products
 from leafavg.basic_ring import _span_of, gram_schmidt_polys, project_residual
 from leafavg.cli import _CONFIG_DIR, load_config
 from leafavg.exactlinalg import rref
+from leafavg.polynomials import MomentGram
 
 def P(text, dim, mode=EXACT):
     return parse_polynomial(text, dim, mode)
@@ -445,3 +447,41 @@ def test_rank_unstable_reported(iso_g2_model):
         basic_subspace(iso_g2_model, 2, tol_rank=ambiguous, seed=5,
                        sample_points=24, mc_samples=40_000)
     assert len(info.value.singular_values) == len(sv)
+
+
+# -- work done once per slice ---------------------------------------------------------------
+# each test builds its own model: exact slices are kept per model, so a shared
+# fixture's counts would depend on the tests that ran before
+
+
+def test_float_discovery_builds_one_gram_matrix_per_slice(monkeypatch):
+    config = load_config(_CONFIG_DIR / "iso_g2.json")
+    calls = []
+    gram_matrix = basic_ring._gram_matrix
+
+    def counted(ambient_dim, monomials):
+        calls.append(len(monomials))
+        return gram_matrix(ambient_dim, monomials)
+
+    monkeypatch.setattr(basic_ring, "_gram_matrix", counted)
+    params = config.params
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegreeCapWarning)
+        discover_generators(config.build_model(), 2, tol_rank=params["tol_rank"], seed=params["seed"],
+                            sample_points=params["sample_points"], mc_samples=params["mc_samples"])
+    assert calls == [4, 10]  # degrees 1 and 2
+
+
+def test_exact_discovery_builds_polynomials_only_for_generators(monkeypatch):
+    calls = []
+    poly = MomentGram.poly
+
+    def counted(self, row, den):
+        calls.append(den)
+        return poly(self, row, den)
+
+    monkeypatch.setattr(MomentGram, "poly", counted)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegreeCapWarning)
+        gens = discover_generators(load_config(_CONFIG_DIR / "b3.json").build_model(), 6)
+    assert len(calls) == len(gens) == 3

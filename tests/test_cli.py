@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from leafavg import ConfigError
+from leafavg import ConfigError, FiniteGroupModel
 from leafavg.cli import (
     _CONFIG_DIR,
     load_config,
@@ -152,6 +152,19 @@ def test_verify_task_corrupted_generators(tmp_path):
     assert payload["passed"] is False
     kinds = {f["type"] for f in payload["failures"]}
     assert "IdentityViolation" in kinds
+
+
+def test_verify_reads_the_slices_discovery_built(tmp_path, monkeypatch):
+    calls = []
+    invariant_rows = FiniteGroupModel.invariant_rows
+
+    def counted(self, monomials):
+        calls.append(sum(monomials[0]))
+        return invariant_rows(self, monomials)
+
+    monkeypatch.setattr(FiniteGroupModel, "invariant_rows", counted)
+    assert main(["verify", "--config", str(_CONFIG_DIR / "b3.json"), "--out", str(tmp_path)]) == 0
+    assert calls == [1, 2, 3, 4, 5, 6]  # one slice per degree up to the cap D = 6
 
 
 def test_verify_task_good_generators(tmp_path):
@@ -380,6 +393,8 @@ MALFORMED_CASES = [
     ("generators", ISO_G2, {"seed": 1, "D": 2, "tol_rank": math.nan}),
     ("verify", TORUS, {"seed": 1, "D": 2, "identity_tol": math.nan}),
     ("separate", B2, {"seed": 1, "D": 2, "tol_same": math.nan}),
+    # an ESS is never below 1, so a smaller or NaN min_ess would switch off its guard
+    *[("avg", {**ISO_G2, "min_ess": value}, {"seed": 1, "f": "x1^2"}) for value in (-5, 0.5, math.nan)],
     *[(task, B2, {"seed": 1, **params}) for task in GENERATOR_SET_TASKS
       for params in BAD_GENERATOR_SETS.values()],
 ]
@@ -395,6 +410,7 @@ MALFORMED_IDS = [
     "coefficient_too_long", "average_coefficient_too_long",
     "tol_rank_negative", "identity_tol_negative", "tol_same_negative",
     "tol_rank_nan", "identity_tol_nan", "tol_same_nan",
+    "min_ess_negative", "min_ess_below_1", "min_ess_nan",
     *[f"{task}_generators_{name}" for task in GENERATOR_SET_TASKS for name in BAD_GENERATOR_SETS]
 ]
 

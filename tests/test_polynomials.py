@@ -175,15 +175,6 @@ def test_laplacian_examples():
     assert P("x1^3", 1).laplacian() == P("6 * x1", 1)
 
 
-def test_homogeneous_components():
-    p = P("x1^2 + x1", 1)
-    comps = p.homogeneous_components()
-    assert comps == {2: P("x1^2", 1), 1: P("x1", 1)}
-    hom = P("x1^2 + x1 * x2", 2)
-    assert hom.homogeneous_components() == {2: hom}
-    assert Polynomial.zero(2).homogeneous_components() == {}
-
-
 # -- monomial bookkeeping -------------------------------------------------------
 
 

@@ -291,9 +291,9 @@ def test_export_iso_levels_in_range(tmp_path, iso_g2_model):
             assert abs(float(record["rho2"]) - float(record["level"])) < 1e-12
 
 
-def test_export_zero_samples_keeps_header(tmp_path, hopf_gens):
+def test_export_zero_samples_keeps_header(tmp_path, hopf_gens, hopf_model):
     path = tmp_path / "empty.csv"
-    rows = quotient_image_export(hopf_gens, 0, 5, path)
+    rows = quotient_image_export(hopf_gens, 0, 5, path, model=hopf_model)
     assert rows == 0
     lines = path.read_text().strip().splitlines()
     assert len(lines) == 1

@@ -19,6 +19,8 @@ when the statistical engine ran; :func:`average_polynomial` returns the average 
 from __future__ import annotations
 
 import math
+import weakref
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
@@ -243,6 +245,28 @@ def _mate_constancy(model, avg: Polynomial, seed: int) -> float:
 
 # -- statistical engine ------------------------------------------------------
 
+# full clouds each model keeps, least recently used first.  A cloud is a pure
+# function of the model, the seed and the count, and is read again within
+# three fit contexts: verify's probe n reads the seeds s, s + 1 and s + 2
+# with s = seed + 100 + n, and avg's structured fit reuses its average's seed.
+CLOUDS_KEPT = 3
+_CLOUDS: "weakref.WeakKeyDictionary[IsoparametricModel, OrderedDict]" = weakref.WeakKeyDictionary()
+
+
+def _full_cloud(model: IsoparametricModel, seed: int, count: int) -> LevelSetSampler:
+    """The full cloud of ``count`` samples of a fit context at ``seed``,
+    drawn once while it is among the model's last ``CLOUDS_KEPT``."""
+    clouds = _CLOUDS.setdefault(model, OrderedDict())
+    key = (seed, count)
+    if key in clouds:
+        clouds.move_to_end(key)
+        return clouds[key]
+    cloud_seed = np.random.SeedSequence(seed).spawn(2)[1]
+    clouds[key] = LevelSetSampler(model, cloud_seed, count)
+    if len(clouds) > CLOUDS_KEPT:
+        clouds.popitem(last=False)
+    return clouds[key]
+
 
 class _FitContext:
     """Shared sample cloud, fit points and responses for one fit session."""
@@ -250,8 +274,8 @@ class _FitContext:
     def __init__(self, model: IsoparametricModel, degree: int, seed: int,
                  sample_points: Optional[int], mc_samples: Optional[int]):
         self.model = model
-        root = np.random.SeedSequence(seed)
-        point_seed, cloud_seed = root.spawn(2)
+        # the first child seeds the fit points, the second the cloud
+        point_seed = np.random.SeedSequence(seed).spawn(2)[0]
         self.monomials = monomial_basis(model.ambient_dim, degree)
         # the restriction of the degree slice to the sphere is injective, so
         # 2x oversampling keeps the design full rank; never drop below it
@@ -259,7 +283,7 @@ class _FitContext:
         self.points = model.fit_points(self.sample_count, np.random.default_rng(point_seed))
         self.levels = model.F.eval_many(self.points)
         self.mc_samples = mc_samples or model.sample_count
-        self.sampler = LevelSetSampler(model, cloud_seed, self.mc_samples)
+        self.sampler = _full_cloud(model, seed, self.mc_samples)
         self._designs: Dict[tuple, np.ndarray] = {}
 
     def responses(self, *polys: Polynomial) -> Tuple[np.ndarray, np.ndarray]:
@@ -312,10 +336,13 @@ def _scaled_lstsq(design: np.ndarray, rhs: np.ndarray, cond_cap: float):
 
 
 def _averages(model, f: Polynomial, probe: Polynomial, seed: int, sample_points: Optional[int],
-              mc_samples: Optional[int], cond_cap: float) -> _Averages:
+              mc_samples: Optional[int], cond_cap: float, fit_probe: bool = True) -> _Averages:
     """The averages a certificate of ``f`` compares: by ``model.reynolds`` in
     closed form; else fitted from two estimator passes over one cloud, one
-    for ``f``, its probe and its Laplacian, one for the fitted average."""
+    for ``f``, its probe and its Laplacian, one for the fitted average.
+    Without ``fit_probe`` a fitted model leaves the probe out of the first
+    pass and its ``probe_avg`` is None; every row is estimated on its own, so
+    the other averages keep their bits."""
     if model.closed_form:
         avg = model.reynolds(f)
         return _Averages(f, probe, avg, model.reynolds(probe), model.reynolds(avg),
@@ -328,13 +355,14 @@ def _averages(model, f: Polynomial, probe: Polynomial, seed: int, sample_points:
     ctx = _FitContext(model, degree, seed, sample_points, mc_samples)
 
     # one pass over the cloud for f, its probe and its Laplacian
-    responses, ses = ctx.responses(f, probe, *([lap_f] if with_lap else []))
+    rows = [f, *([probe] if fit_probe else []), *([lap_f] if with_lap else [])]
+    responses, ses = ctx.responses(*rows)
     avg, condition, rms = ctx.fit(responses[0], degree, cond_cap)
     if with_lap:
-        lap_avg, _, _ = ctx.fit(responses[2], degree - 2, cond_cap)
+        lap_avg, _, _ = ctx.fit(responses[-1], degree - 2, cond_cap)
     else:
         lap_avg = Polynomial.zero(model.ambient_dim, FLOAT)
-    probe_avg, _, _ = ctx.fit(responses[1], probe.homogeneous_degree(), cond_cap)
+    probe_avg = ctx.fit(responses[1], probe.homogeneous_degree(), cond_cap)[0] if fit_probe else None
 
     # a second pass for the fitted average and its square on the same cloud
     avg_values = avg.eval_many(ctx.sampler.points)
@@ -499,8 +527,9 @@ def verify_operator_identities(
     Raises :class:`IdentityViolation` naming the worst offender.
     """
     fit_args = {"sample_points": sample_points, "mc_samples": mc_samples}
-    a = _averages(model, f, g, seed, cond_cap=COND_CAP, **fit_args)
-    # reynolds is deterministic, so a closed-form g keeps the average of f's probe
+    # reynolds is deterministic, so a closed-form g keeps the average of f's
+    # probe; a fitted g is averaged on its own cloud instead, not on f's
+    a = _averages(model, f, g, seed, cond_cap=COND_CAP, fit_probe=False, **fit_args)
     avg_g = (a.probe_avg if model.closed_form
              else average_polynomial(model, a.probe, seed=seed + 1, **fit_args))
     avg_module = average_polynomial(model, a.avg * a.probe, seed=seed + 2, **fit_args)

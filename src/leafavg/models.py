@@ -23,6 +23,7 @@ seed.
 from __future__ import annotations
 
 import math
+import weakref
 from fractions import Fraction
 from functools import lru_cache
 from operator import itemgetter, mul
@@ -775,6 +776,10 @@ def validate_munzner(F: Polynomial, g: int):
     return c
 
 
+# samples a level-restricted cloud draws and masks at a time
+SAMPLER_CHUNK = 1 << 15
+
+
 def _window_margin(h: float) -> float:
     # the float support test can move the support's ends by a few 1e-16;
     # levels lie in [-1, 1]
@@ -790,31 +795,58 @@ class LevelSetSampler:
     so the kernel support of any level is one contiguous slice of it and a
     level costs O(window) rather than O(N).  Samples come from the first child
     of ``SeedSequence(seed)``, which makes results bitwise reproducible for a
-    fixed seed.
+    fixed seed.  The cloud's arrays are read-only, so a cloud can be shared.
+
+    A sampler keeps the model's ``h`` and ``min_ess`` and only a weak
+    reference to the model itself (``model``), so that a model may keep its
+    own samplers without a reference cycle.
     """
 
     def __init__(self, model: "IsoparametricModel", seed, count: int, *,
                  level: Optional[float] = None):
         """With ``level``, keep only the samples that ``window(level)`` can
         read; ``count`` stays the full sample count, so that level's
-        estimates and SEs are those of the full cloud."""
-        self.model = model
+        estimates and SEs are those of the full cloud.  Such a cloud is
+        drawn, evaluated and masked ``SAMPLER_CHUNK`` samples at a time, in
+        O(chunk + window) memory.  The chunks continue one random stream, so
+        the kept samples are those of the one-shot cloud; the exception
+        would be a sample of norm below 1e-12, which is redrawn at the end of
+        its chunk rather than of the cloud (astronomically rare)."""
+        self._model = weakref.ref(model)
+        self.h = model.h
+        self.min_ess = model.min_ess
         self.seed = seed
         self.count = count
         root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
         rng = np.random.default_rng(root.spawn(1)[0])
-        points = sample_sphere_many(count, model.ambient_dim, rng)
-        levels = model.F.eval_many(points)
-        if level is not None:
+        if level is None:
+            points = sample_sphere_many(count, model.ambient_dim, rng)
+            levels = model.F.eval_many(points)
+        else:
             # twice the window's margin: a superset of every sample it reads
-            keep = np.abs(levels - level) <= model.h + 2.0 * _window_margin(model.h)
-            points = np.compress(keep, points, axis=0)
-            levels = np.compress(keep, levels)
+            reach = model.h + 2.0 * _window_margin(model.h)
+            kept_points = [np.empty((0, model.ambient_dim))]
+            kept_levels = [np.empty(0)]
+            for start in range(0, count, SAMPLER_CHUNK):
+                chunk = sample_sphere_many(min(SAMPLER_CHUNK, count - start), model.ambient_dim, rng)
+                chunk_levels = model.F.eval_many(chunk)
+                keep = np.abs(chunk_levels - level) <= reach
+                kept_points.append(np.compress(keep, chunk, axis=0))
+                kept_levels.append(np.compress(keep, chunk_levels))
+            points = np.concatenate(kept_points)
+            levels = np.concatenate(kept_levels)
         order = np.argsort(levels)
         # np.take gathers the rows several times faster than points[order]
         self.points = np.take(points, order, axis=0)
         self.level_values = np.take(levels, order)
         self.grad_norms = model.g * np.sqrt(np.clip(1.0 - self.level_values ** 2, 0.0, None))
+        for array in (self.points, self.level_values, self.grad_norms):
+            array.flags.writeable = False
+
+    @property
+    def model(self) -> Optional["IsoparametricModel"]:
+        """The model the cloud was drawn for, or None once it is freed."""
+        return self._model()
 
     def window(self, level: float) -> slice:
         """The slice of the sorted cloud inside the kernel support of ``level``.
@@ -826,7 +858,7 @@ class LevelSetSampler:
         test.
         """
         lv = self.level_values
-        h = self.model.h
+        h = self.h
         margin = _window_margin(h)
         lo = int(np.searchsorted(lv, level - h - margin, side="left"))
         hi = int(np.searchsorted(lv, level + h + margin, side="right"))
@@ -836,11 +868,13 @@ class LevelSetSampler:
             hi -= 1
         return slice(lo, hi)
 
-    def weights(self, level: float) -> np.ndarray:
+    def weights(self, level: float, window: Optional[slice] = None) -> np.ndarray:
         """Coarea kernel weights at ``level``, bandwidth ``model.h``, of the
-        samples in ``window(level)``; every other sample has weight 0."""
-        window = self.window(level)
-        u = (self.level_values[window] - level) / self.model.h
+        samples in ``window(level)``; every other sample has weight 0.  A
+        caller that holds the level's window already passes it in."""
+        if window is None:
+            window = self.window(level)
+        u = (self.level_values[window] - level) / self.h
         return self.grad_norms[window] * (1.0 - u * u)  # Epanechnikov, O(h^2) bias
 
     def leaf_average_values(
@@ -860,14 +894,14 @@ class LevelSetSampler:
         ``N - k`` samples outside the window adds the same closed-form term
         to the jackknife sum.
         """
-        min_ess = self.model.min_ess
+        min_ess = self.min_ess
         estimates = np.empty((len(values), len(levels)))
         ses = np.empty_like(estimates)
         n = self.count
         for j, level in enumerate(levels):
             level = float(level)
             window = self.window(level)
-            w = self.weights(level)
+            w = self.weights(level, window)
             sw = float(w.sum())
             if sw <= 0.0:
                 raise EffectiveSampleTooSmall("no samples in the kernel window")

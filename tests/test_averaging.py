@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -14,12 +17,15 @@ from leafavg import (
     sphere_norm,
     verify_operator_identities,
 )
+from leafavg import averaging
 from leafavg.averaging import (
     cycle_probe,
     generator_products,
     weighted_exponent_patterns,
 )
 from leafavg.basic_ring import GeneratorSet
+from leafavg.cli import _CONFIG_DIR, load_config
+from leafavg.cli import main as cli_main
 from leafavg.models import LevelSetSampler
 
 from util import random_homogeneous
@@ -173,9 +179,9 @@ def test_fit_builds_kernel_weights_twice_per_level(iso_g2_model, monkeypatch):
     lengths = []
     weights = LevelSetSampler.weights
 
-    def counted(self, level):
+    def counted(self, level, window=None):
         calls.append(level)
-        result = weights(self, level)
+        result = weights(self, level, window)
         lengths.append(len(result))
         return result
 
@@ -443,6 +449,92 @@ def test_statistical_verify_makes_four_estimator_passes(iso_g2_model, monkeypatc
     args = {"seed": 33, "sample_points": 24, "mc_samples": 20_000}
     verify_operator_identities(iso_g2_model, f, g, tol=float("inf"), **args)
     assert len(calls) == 4
+    assert calls[0] == 2  # f and its Laplacian: g is averaged on its own cloud
     calls.clear()
     _reference_identities(iso_g2_model, f, g, **args)
     assert len(calls) == 6
+
+
+# -- full-cloud reuse ----------------------------------------------------------
+
+
+def _fresh_iso_g2():
+    return load_config(_CONFIG_DIR / "iso_g2.json").build_model()
+
+
+def _fresh_cloud(model, seed, count):
+    """The cloud of a fit context at ``seed``, drawn anew on every call."""
+    return LevelSetSampler(model, np.random.SeedSequence(seed).spawn(2)[1], count)
+
+
+def test_verify_builds_each_cloud_once(tmp_path, monkeypatch):
+    # verify's probes n and n + 1 share two of their three seeds: one build
+    # per distinct (seed, count), not one per fit context
+    requests, builds = [], []
+    lookup = averaging._full_cloud
+    build = LevelSetSampler.__init__
+
+    def requested(model, seed, count):
+        requests.append((seed, count))
+        return lookup(model, seed, count)
+
+    def built(self, *args, **kwargs):
+        builds.append(args)
+        build(self, *args, **kwargs)
+
+    monkeypatch.setattr(averaging, "_full_cloud", requested)
+    monkeypatch.setattr(LevelSetSampler, "__init__", built)
+    code = cli_main(["verify", "--config", str(_CONFIG_DIR / "iso_g2.json"), "--out", str(tmp_path)])
+    assert code == 0
+    assert len(builds) == len(set(requests)) < len(requests)
+
+
+def test_reused_cloud_matches_fresh_cloud(monkeypatch):
+    model = _fresh_iso_g2()
+    f, g = P("x1^2 - x2 * x3", 4), P("x3^2 + 2 * x1 * x4", 4)
+    args = {"sample_points": 24, "mc_samples": 20_000}
+
+    def run():
+        reports = [verify_operator_identities(model, f, g, seed=60 + n, tol=float("inf"), **args)
+                   for n in range(2)]
+        certs = [average(model, f, seed=61, **args) for _ in range(2)]
+        return ([_bits(r.residuals) for r in reports],
+                [(c.average_text, _bits(c.residuals), c.fit) for c in certs])
+
+    cached = run()
+    assert len(averaging._CLOUDS[model]) == averaging.CLOUDS_KEPT
+    monkeypatch.setattr(averaging, "_full_cloud", _fresh_cloud)
+    assert run() == cached
+
+
+def test_dropped_model_is_freed_without_collection():
+    # a kept cloud holds its model weakly, so a model dies with its last
+    # reference and takes its clouds along, with no collector pass
+    gc.collect()
+    gc.disable()
+    try:
+        model = _fresh_iso_g2()
+        average(model, P("x1^2", 4), seed=5, sample_points=24, mc_samples=5_000)
+        assert model in averaging._CLOUDS
+        cloud = averaging._CLOUDS[model][(5, 5_000)]
+        assert cloud.model is model
+        dead = weakref.ref(model)
+        del model
+        assert dead() is None
+        assert cloud.model is None
+    finally:
+        gc.enable()
+
+
+def test_cloud_cache_is_bounded_and_read_only():
+    model = _fresh_iso_g2()
+    f = P("x1 * x2", 4)
+    for seed in range(averaging.CLOUDS_KEPT + 3):
+        average(model, f, seed=seed, sample_points=24, mc_samples=5_000)
+        assert len(averaging._CLOUDS[model]) == min(seed + 1, averaging.CLOUDS_KEPT)
+    kept = averaging._CLOUDS[model]
+    assert list(kept) == [(seed, 5_000) for seed in range(3, 3 + averaging.CLOUDS_KEPT)]
+    cloud = next(iter(kept.values()))
+    for array in (cloud.points, cloud.level_values, cloud.grad_norms):
+        with pytest.raises(ValueError):
+            array[0] = 0.0

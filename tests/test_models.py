@@ -844,6 +844,45 @@ def test_level_restricted_sampler_matches_full_cloud(iso_g2_model):
     assert seen == {"no", "effective", "estimated"}
 
 
+def _one_shot_restricted_cloud(model, seed, count, level):
+    """The level-restricted cloud as it was built before streaming: all
+    ``count`` samples drawn, evaluated and masked at once, then sorted."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+    points = sample_sphere_many(count, model.ambient_dim, rng)
+    levels = model.F.eval_many(points)
+    keep = np.abs(levels - level) <= model.h + 2.0 * models._window_margin(model.h)
+    points = np.compress(keep, points, axis=0)
+    levels = np.compress(keep, levels)
+    order = np.argsort(levels)
+    return np.take(points, order, axis=0), np.take(levels, order)
+
+
+def test_streamed_restricted_cloud_matches_one_shot(iso_g2_model):
+    chunk = models.SAMPLER_CHUNK
+    for count in (0, 1_000, chunk, 2 * chunk + 777):
+        for level in (-0.4, 0.05, 0.7):
+            streamed = LevelSetSampler(iso_g2_model, 13, count, level=level)
+            points, levels = _one_shot_restricted_cloud(iso_g2_model, 13, count, level)
+            assert streamed.count == count
+            assert streamed.points.tobytes() == points.tobytes(), (count, level)
+            assert streamed.level_values.tobytes() == levels.tobytes(), (count, level)
+
+
+def test_million_sample_leaf_average_streams(iso_g2_model):
+    # 10^6 samples of R^4 are 32 MB of points alone; the streamed cloud holds
+    # one chunk and the ~5% of samples in the level's kernel support
+    import tracemalloc
+    f = P("x1^2", 4)
+    p = sample_sphere(4, 100)
+    tracemalloc.start()
+    try:
+        iso_g2_model.leaf_average_mc(f, p, rng_seed=3, n=10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
 def test_sampler_reuse_matches_direct_call(iso_g2_model):
     sampler = LevelSetSampler(iso_g2_model, 7, 50_000)
     f = parse_polynomial("x1^2", 4)

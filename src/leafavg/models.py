@@ -4,7 +4,8 @@ Three families are implemented, each with the same members: ``mode`` (the
 scalar mode of its averages), ``closed_form`` (True when ``reynolds`` gives
 the leaf average in closed form, False when it must be estimated),
 ``same_leaf``, ``random_leaf_mate``, ``quotient_distance`` (a cheap proxy for
-the distance between two leaves), and ``leaf_label_names`` with
+the distance between two leaves), ``leaf_pairs`` (both predicates over lists
+of pairs), and ``leaf_label_names`` with
 ``leaf_labels`` (leaf-invariant values for exported point tables).
 
 * :class:`FiniteGroupModel` -- orbits of a finite orthogonal matrix group.
@@ -60,6 +61,8 @@ MATRIX_TOL = 1e-9
 MUNZNER_TOL = 1e-9
 # default level-predicate tolerance of ``IsoparametricModel.same_leaf``
 LEVEL_TOL = 1e-6
+# most float coordinates of group orbit images built at once
+_ORBIT_CHUNK = 1 << 13
 
 
 # -- sphere sampling ---------------------------------------------------------
@@ -81,6 +84,58 @@ def sample_sphere(ambient_dim: int, seed: int) -> np.ndarray:
     """One uniform sphere point, deterministic in the seed."""
     rng = np.random.default_rng(seed)
     return sample_sphere_many(1, ambient_dim, rng)[0]
+
+
+class PointBatch:
+    """Rational points as Python-int numerators over a per-point denominator
+    (point ``i`` is ``nums[i] / dens[i]``) in numpy object arrays, so batch
+    arithmetic is exact and never wraps.  Slices and index arrays select."""
+
+    def __init__(self, nums: np.ndarray, dens: np.ndarray):
+        self.nums, self.dens = nums, dens
+
+    @classmethod
+    def of(cls, points) -> Optional["PointBatch"]:
+        """``points`` as a batch; None unless every coordinate is an int or a
+        ``Fraction`` (a float array never is)."""
+        if isinstance(points, (cls, np.ndarray)):
+            return points if isinstance(points, cls) else None
+        rows, dens = [], []
+        for p in points:
+            if not all(isinstance(x, (int, Fraction)) for x in p):
+                return None
+            ratios = [x.as_integer_ratio() for x in p]
+            dens.append(math.lcm(*(den for _, den in ratios)))
+            rows.append([num * (dens[-1] // den) for num, den in ratios])
+        return cls(np.array(rows, dtype=object), np.array(dens, dtype=object))
+
+    def __len__(self) -> int:
+        return len(self.dens)
+
+    def __getitem__(self, index) -> "PointBatch":
+        return PointBatch(self.nums[index], self.dens[index])
+
+    def floats(self) -> np.ndarray:
+        """Each coordinate as one correctly rounded int division: ``float`` of
+        its ``Fraction`` bit for bit, with OverflowError past the float range."""
+        return (self.nums / self.dens[..., None]).astype(float)
+
+    def points(self) -> List[tuple]:
+        return [tuple(Fraction(x, den) for x in row)
+                for row, den in zip(self.nums.tolist(), self.dens.tolist())]
+
+
+def _as_floats(points) -> np.ndarray:
+    """Points (a batch, a float array or a list) as an ``(n, d)`` float array."""
+    batch = PointBatch.of(points)
+    return batch.floats() if batch is not None else np.array(points, dtype=float)
+
+
+def _rows(points) -> list:
+    """Points (a batch, a float array or a list) as a list of coordinate rows."""
+    if isinstance(points, PointBatch):
+        return points.points()
+    return points.tolist() if isinstance(points, np.ndarray) else list(points)
 
 
 # -- matrices ----------------------------------------------------------------
@@ -207,9 +262,11 @@ class _SignedTable(NamedTuple):
     """A finite group's signed-permutation elements, and the rest."""
 
     perms: np.ndarray  # (n, d) ints: row i of element k is nonzero in column perms[k, i]
-    signs: np.ndarray  # (n, d) floats: that entry, 1.0 or -1.0
+    signs: np.ndarray  # (n, d) ints: that entry, 1 or -1
     pullbacks: list  # per element: (exponent map e -> e', bit mask of its negative rows)
     others: tuple  # the elements that are not signed permutations
+    # with others in exact mode: every element k as integers[0][k] / integers[1][k]
+    integers: Optional[Tuple[np.ndarray, np.ndarray]]
 
 
 class FiniteGroupModel:
@@ -222,16 +279,17 @@ class FiniteGroupModel:
     orthogonal matrix with one nonzero entry per row has entries +-1, so
     ``(g x)_i = s_i x_{perm_i}``.  An exact-mode model builds, once and on
     first use, a table of its elements that are signed permutations: an
-    index array of the permutations and a float array of their signs, one
+    index array of the permutations and an int array of their signs, one
     row per element.  ``reynolds`` reads the pullback of a monomial off it as a
     permuted exponent vector and a sign, with no polynomial per element.
-    When the table holds every element, ``quotient_distance`` and
-    ``same_leaf`` with a positive tolerance take the orbit of a point as
-    ``float(p)[perm] * sign``; negating and moving a float are exact, so
-    each image is the float of the exact image.  ``random_leaf_mate`` then
-    reads the exact image under the drawn element off the same table.  Every
-    other element, and every element of a float-mode group, is pulled back
-    by :func:`compose_with_matrix`, and its orbit points are exact products.
+    When the table holds every element, orbit distances take the orbit of a
+    point as ``float(p)[perm] * sign``; negating and moving a float are
+    exact, so each image is the float of the exact image.  The mates of an
+    exact :class:`PointBatch` are then one gather through the same table.
+    Every other element, and every element of a float-mode group, is pulled
+    back by :func:`compose_with_matrix`; for exact points an exact-mode
+    model then keeps every element as an integer matrix over one
+    denominator, and other points meet the exact products of ``orbit``.
     """
 
     closed_form = True
@@ -260,7 +318,7 @@ class FiniteGroupModel:
             pairs = [pair for pair in found if pair is not None]
             shape = (len(pairs), self.ambient_dim)
             perms = np.array([perm for perm, _ in pairs], dtype=np.intp).reshape(shape)
-            signs = np.array([sign for _, sign in pairs], dtype=float).reshape(shape)
+            signs = np.array([sign for _, sign in pairs], dtype=np.int64).reshape(shape)
             # x^e pulls back to sign * x^e' with e'[perm_i] = e_i, so e' reads
             # e through the inverse permutation
             pullbacks = [
@@ -269,7 +327,11 @@ class FiniteGroupModel:
                 for inverse, (_, sign) in zip(np.argsort(perms, axis=1).tolist(), pairs)
             ]
             others = tuple(g for g, pair in zip(self.elements, found) if pair is None)
-            self._table = _SignedTable(perms, signs, pullbacks, others)
+            integers = None
+            if others and self.mode == EXACT:
+                integers = tuple(np.array(part, dtype=object)
+                                 for part in zip(*map(_integer_matrix, self.elements)))
+            self._table = _SignedTable(perms, signs, pullbacks, others, integers)
         return self._table
 
     def _signed_orbit_sum(self, expo: Tuple[int, ...]) -> Dict[Tuple[int, ...], int]:
@@ -340,30 +402,45 @@ class FiniteGroupModel:
             return any(image == q for image in self.orbit(p))
         return bool(self._orbit_sq_distances(p, q).min() < tol * tol)
 
+    def leaf_pairs(self, ps, qs, tol: float) -> Tuple[np.ndarray, np.ndarray]:
+        """``same_leaf(p, q, tol)`` and ``quotient_distance(p, q)`` of every pair
+        ``(ps[i], qs[i])``, read off one nearest orbit distance per pair; the
+        orbits are built ``_ORBIT_CHUNK`` float coordinates at a time."""
+        step = max(1, _ORBIT_CHUNK // (self.order * self.ambient_dim))
+        nearest = np.concatenate([self._orbit_sq_distances_many(ps[i:i + step], qs[i:i + step])
+                                  .min(axis=1) for i in range(0, len(ps), step)])
+        same = (nearest < tol * tol if tol else np.array(
+            [self.same_leaf(p, q, 0) for p, q in zip(_rows(ps), _rows(qs))], dtype=bool))
+        return same, np.sqrt(nearest)
+
     def orbit(self, p) -> List[tuple]:
         p = tuple(p)
         return [_mat_vec(g, p) for g in self.elements]
 
-    def _orbit_sq_distances(self, p, q) -> np.ndarray:
-        """Squared float distance from ``q`` to each point of the orbit of ``p``.
-
-        Each distance is the left-to-right sum of the squared coordinate
-        differences; ``np.float_power`` squares through the C library's
-        ``pow``, as Python's ``**`` does, so the signed table and the exact
-        orbit give the same floats.
-        """
-        q = [float(x) for x in q]
+    def _orbit_sq_distances_many(self, ps, qs) -> np.ndarray:
+        """``(n, order)``: squared float distance from ``qs[i]`` to each point of
+        the orbit of ``ps[i]``, summed left to right over the coordinates and
+        squared by ``np.float_power`` (the C library's ``pow``, as Python's
+        ``**``): the floats of a Python sum over the exact orbit.  Exact
+        images come from integer matrices when the signed table is short."""
         table = self._signed_table()
-        if table.others:
-            return np.array(
-                [sum((float(x) - y) ** 2 for x, y in zip(image, q)) for image in self.orbit(p)]
-            )
-        images = np.array([float(x) for x in p])[table.perms] * table.signs
-        squares = np.float_power(images - q, 2)
-        total = squares[:, 0]
+        batch = PointBatch.of(ps) if table.integers is not None else None
+        if batch is not None:
+            images = np.matmul(table.integers[0], batch.nums[:, None, :, None])[..., 0]
+            images = PointBatch(images, batch.dens[:, None] * table.integers[1]).floats()
+        elif table.others:
+            images = np.array([[[float(x) for x in image] for image in self.orbit(p)]
+                               for p in _rows(ps)]).reshape(len(ps), self.order, -1)
+        else:
+            images = _as_floats(ps)[:, table.perms] * table.signs
+        squares = np.float_power(images - _as_floats(qs)[:, None, :], 2)
+        total = squares[..., 0]
         for i in range(1, self.ambient_dim):
-            total = total + squares[:, i]
+            total = total + squares[..., i]
         return total
+
+    def _orbit_sq_distances(self, p, q) -> np.ndarray:
+        return self._orbit_sq_distances_many([p], [q])[0]
 
     def quotient_distance(self, p, q) -> float:
         """Distance from ``q`` to the nearest point of the orbit of ``p``."""
@@ -372,10 +449,29 @@ class FiniteGroupModel:
     def leaf_labels(self, p) -> List[float]:
         return []
 
+    def _images(self, batch: PointBatch, ks) -> PointBatch:
+        """Element ``ks[i]`` applied to point ``i`` of an exact batch: a gather
+        through the signed table, or else integer matrix products."""
+        table = self._signed_table()
+        if table.integers is not None:
+            matrices, dens = table.integers
+            return PointBatch(np.matmul(matrices[ks], batch.nums[..., None])[..., 0],
+                              batch.dens * dens[ks])
+        rows = np.arange(len(batch))[:, None]
+        return PointBatch(batch.nums[rows, table.perms[ks]] * table.signs[ks], batch.dens)
+
+    def leaf_mates(self, batch: PointBatch, rng: np.random.Generator) -> PointBatch:
+        """``random_leaf_mate`` of each point of an exact batch: one draw of all
+        element indices gives the draws of one call per point."""
+        return self._images(batch, rng.integers(self.order, size=len(batch)))
+
     def random_leaf_mate(self, p, rng: np.random.Generator):
-        """``g p`` for a uniformly drawn element ``g``; read off the signed
-        table when it holds every element (row ``k`` is element ``k``)."""
+        """``g p`` for a uniformly drawn element ``g`` (row ``k`` of the signed
+        table is element ``k``)."""
         k = int(rng.integers(self.order))
+        batch = PointBatch.of([p]) if self.mode == EXACT else None
+        if batch is not None:
+            return self._images(batch, [k]).points()[0]
         table = self._signed_table()
         if table.others:
             return _mat_vec(self.elements[k], tuple(p))
@@ -620,9 +716,9 @@ class TorusModel:
             self._kernels[active] = got
         return got
 
-    def _phase_gaps(self, p, q, radii_p, radii_q, floor: float):
+    def _phase_gaps(self, phases, radii_p, radii_q, floor: float):
         """Phase-lattice test of the planes where both radii exceed ``floor``,
-        for float points ``p`` and ``q``.
+        for the per-plane phase differences ``arg q - arg p`` of two points.
 
         Yields ``(gap, weight)`` for each vector ``v`` of the saturated
         integer kernel of those planes' weight rows: ``gap`` is the phase
@@ -632,61 +728,65 @@ class TorusModel:
         active = tuple(j for j in range(self.n_planes) if radii_p[j] > floor and radii_q[j] > floor)
         if not active:
             return
-        phases = [
-            math.atan2(q[2 * j + 1], q[2 * j]) - math.atan2(p[2 * j + 1], p[2 * j])
-            for j in active
-        ]
         for vec, weight in self._kernel(active):
-            total = sum(v * phi for v, phi in zip(vec, phases))
+            total = sum(v * phases[j] for v, j in zip(vec, active))
             yield abs(math.remainder(total, _TWO_PI)), weight
 
-    def same_leaf(self, p, q, tol: float) -> bool:
-        """Orbit-closure test: radii, fixed coordinates, and phase lattice.
+    def leaf_pairs(self, ps, qs, tol: float) -> Tuple[np.ndarray, np.ndarray]:
+        """``same_leaf(p, q, tol)`` and ``quotient_distance(p, q)`` of every pair
+        ``(ps[i], qs[i])``, from one set of floats, radii and phases per pair.
+        Same leaf: fixed coordinates and radii within ``tol``, and each kernel
+        vector's phase gap within ``tol * max(1, |v|_1)``."""
+        m = 2 * self.n_planes
+        same, distance = [], []
+        for p, q in zip(_as_floats(ps).tolist(), _as_floats(qs).tolist()):
+            radii_p, radii_q = self._radii(p), self._radii(q)
+            phases = [math.atan2(q[2 * j + 1], q[2 * j]) - math.atan2(p[2 * j + 1], p[2 * j])
+                      for j in range(self.n_planes)]
+            same.append(not any(abs(x - y) > tol for x, y in zip(p[m:] + radii_p, q[m:] + radii_q))
+                        and all(gap <= tol * weight for gap, weight
+                                in self._phase_gaps(phases, radii_p, radii_q, tol)))
+            radial = math.sqrt(sum((rp - rq) ** 2 for rp, rq in zip(radii_p, radii_q))
+                               + sum((x - y) ** 2 for x, y in zip(p[m:], q[m:])))
+            phase = max((gap / weight for gap, weight
+                         in self._phase_gaps(phases, radii_p, radii_q, 1e-9)), default=0.0)
+            distance.append(max(radial, phase))
+        return np.array(same, dtype=bool), np.array(distance)
 
-        Phases are compared against the saturated integer kernel of the
-        active-plane weight rows; the angular tolerance for a kernel vector
-        ``v`` is ``tol * max(1, |v|_1)``.
-        """
-        p = [float(x) for x in p]
-        q = [float(x) for x in q]
+    def same_leaf(self, p, q, tol: float) -> bool:
         if len(p) != self.ambient_dim or len(q) != self.ambient_dim:
             raise DimensionMismatch("point dimension does not match torus model")
-        m = 2 * self.n_planes
-        for x, y in zip(p[m:], q[m:]):
-            if abs(x - y) > tol:
-                return False
-        radii_p = self._radii(p)
-        radii_q = self._radii(q)
-        for rp, rq in zip(radii_p, radii_q):
-            if abs(rp - rq) > tol:
-                return False
-        return all(gap <= tol * weight for gap, weight in self._phase_gaps(p, q, radii_p, radii_q, tol))
+        return bool(self.leaf_pairs([tuple(p)], [tuple(q)], tol)[0][0])
 
     def quotient_distance(self, p, q) -> float:
         """Larger of the radial distance and the worst weighted phase gap."""
-        p = [float(x) for x in p]
-        q = [float(x) for x in q]
-        radii_p = self._radii(p)
-        radii_q = self._radii(q)
-        m = 2 * self.n_planes
-        radial = math.sqrt(
-            sum((rp - rq) ** 2 for rp, rq in zip(radii_p, radii_q))
-            + sum((x - y) ** 2 for x, y in zip(p[m:], q[m:]))
-        )
-        phase = max(
-            (gap / weight for gap, weight in self._phase_gaps(p, q, radii_p, radii_q, 1e-9)),
-            default=0.0,
-        )
-        return max(radial, phase)
+        return float(self.leaf_pairs([tuple(p)], [tuple(q)], 0.0)[1][0])
 
-    @staticmethod
-    def _rational_rotation(a: int, b: int):
-        """``(cos, sin, den)`` in integers for the rotation with half-angle
-        tangent ``a / b``: ``cos + i sin = (b + i a)^2 / (a^2 + b^2)``,
-        reduced, so ``den`` is the one lowest denominator of cos and sin."""
+    def leaf_mates(self, batch: PointBatch, rng: np.random.Generator) -> PointBatch:
+        """``random_leaf_mate`` of each point of an exact batch: one draw of all
+        rotations gives the draws of one call per point.  Parameter ``t`` turns
+        by ``cos + i sin = (b + i a)^2 / (a^2 + b^2)`` in lowest terms, plane
+        ``j`` by the product of their ``w_jt``-th powers in Gaussian integers,
+        and every coordinate goes over ``prod_t den_t^(max_j |w_jt|)``."""
+        draws = rng.integers([-12, 1], [13, 13], size=(len(batch), self.torus_rank, 2))
+        a, b = draws.astype(object).transpose(2, 1, 0)
         cos, sin, den = b * b - a * a, 2 * a * b, a * a + b * b
-        g = math.gcd(cos, sin, den)
-        return cos // g, sin // g, den // g
+        g = np.gcd(np.gcd(cos, sin), den)
+        cos, sin, den = cos // g, sin // g, den // g
+        tops = [max(abs(row[t]) for row in self.weight_matrix) for t in range(self.torus_rank)]
+        common = np.prod([d ** top for d, top in zip(den, tops)], axis=0)
+        out = []
+        for j, weights in enumerate(self.weight_matrix):
+            c, s, scale = 1, 0, 1
+            for t, w in enumerate(weights):
+                st = sin[t] if w > 0 else -sin[t]
+                for _ in range(abs(w)):
+                    c, s = c * cos[t] - s * st, c * st + s * cos[t]
+                scale = scale * den[t] ** (tops[t] - abs(w))
+            x, y = batch.nums[:, 2 * j], batch.nums[:, 2 * j + 1]
+            out += [(c * x - s * y) * scale, (s * x + c * y) * scale]
+        out += [batch.nums[:, i] * common for i in range(2 * self.n_planes, self.ambient_dim)]
+        return PointBatch(np.stack(out, axis=1), batch.dens * common)
 
     def random_leaf_mate(self, p, rng: np.random.Generator):
         """A point on the leaf of ``p``: exact rational rotation for exact
@@ -694,30 +794,9 @@ class TorusModel:
         p = tuple(p)
         if len(p) != self.ambient_dim:
             raise DimensionMismatch("point dimension does not match torus model")
-        exact_in = all(not isinstance(x, float) for x in p)
-        if exact_in:
-            rotations = []
-            for _ in range(self.torus_rank):
-                a = int(rng.integers(-12, 13))
-                rotations.append(self._rational_rotation(a, int(rng.integers(1, 13))))
-            out = []
-            for j in range(self.n_planes):
-                # the plane's rotation c + i s in Gaussian integers over den
-                c, s, den = 1, 0, 1
-                for t in range(self.torus_rank):
-                    w = self.weight_matrix[j][t]
-                    ct, st, dt = rotations[t]
-                    if w < 0:
-                        st = -st
-                        w = -w
-                    for _ in range(w):
-                        c, s, den = c * ct - s * st, c * st + s * ct, den * dt
-                x, y = Fraction(p[2 * j]), Fraction(p[2 * j + 1])
-                xn, yn = x.numerator * y.denominator, y.numerator * x.denominator
-                den *= x.denominator * y.denominator
-                out.extend((Fraction(c * xn - s * yn, den), Fraction(s * xn + c * yn, den)))
-            out.extend(Fraction(x) for x in p[2 * self.n_planes:])
-            return tuple(out)
+        batch = PointBatch.of([p])
+        if batch is not None:
+            return self.leaf_mates(batch, rng).points()[0]
         theta = rng.uniform(0.0, _TWO_PI, size=self.torus_rank)
         out = []
         for j in range(self.n_planes):
@@ -1009,16 +1088,21 @@ class IsoparametricModel:
     def leaf_labels(self, p) -> List[float]:
         return [self.level_of(p)]
 
+    def leaf_pairs(self, ps, qs, tol: float) -> Tuple[np.ndarray, np.ndarray]:
+        """``same_leaf(p, q, tol)`` and ``quotient_distance(p, q)`` of every pair
+        ``(ps[i], qs[i])``, from one level difference per pair."""
+        distance = []
+        for p, q in zip(_rows(ps), _rows(qs)):
+            if len(p) != self.ambient_dim or len(q) != self.ambient_dim:
+                raise DimensionMismatch("point dimension does not match model")
+            self._check_on_sphere(p, max(tol, 1e-9))
+            self._check_on_sphere(q, max(tol, 1e-9))
+            distance.append(self.quotient_distance(p, q))
+        return np.array(distance) < tol, np.array(distance)
+
     def same_leaf(self, p, q, tol: float = LEVEL_TOL) -> bool:
         """Level predicate ``|F(p) - F(q)| < tol`` for unit-sphere points."""
-        p = tuple(p)
-        q = tuple(q)
-        if len(p) != self.ambient_dim or len(q) != self.ambient_dim:
-            raise DimensionMismatch("point dimension does not match model")
-        sphere_tol = max(tol, 1e-9)
-        self._check_on_sphere(p, sphere_tol)
-        self._check_on_sphere(q, sphere_tol)
-        return abs(self.level_of(p) - self.level_of(q)) < tol
+        return bool(self.leaf_pairs([tuple(p)], [tuple(q)], tol)[0][0])
 
     def random_leaf_mate(self, p, rng: np.random.Generator):
         if self.symmetry is None:

@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import DimensionMismatch, InsufficientDistinctPairs, NonFiniteCoefficient
-from .models import LEVEL_TOL, sample_sphere_many
+from .models import LEVEL_TOL, PointBatch, _as_floats, _rows, sample_sphere_many
 from .polynomials import EXACT
 
 _PROXY_BINS = (1e-3, 1e-2, 1e-1)
@@ -31,13 +31,13 @@ class _IntegerGeneratorMap:
     Generator ``f = sum (k_e / L) x^e`` of top degree ``D`` is kept as the
     lcm ``L`` of its coefficient denominators and the terms
     ``(e, k_e, D - |e|)``, with ``e`` as its nonzero ``(index, exponent)``
-    pairs.  At ``x = a / c``, with ``c`` the lcm of the
-    coordinate denominators, ``f(x) = sum k_e a^e c^(D - |e|) / (L c^D)``:
-    one integer quotient per generator, from integer power tables shared by
-    all generators.  Calling the map gives each quotient as a reduced
-    ``Fraction``, equal to ``f.eval(x)``; ``floats`` gives it as one
-    correctly rounded integer division, which is ``float(f.eval(x))`` bit
-    for bit.
+    pairs.  At ``x = a / c``, with ``c`` the point's denominator,
+    ``f(x) = sum k_e a^e c^(D - |e|) / (L c^D)``: one integer quotient per
+    generator, from integer power tables shared by all generators.  A whole
+    :class:`PointBatch` is evaluated at once, one object-array operation
+    per power and per term factor.  ``values`` gives each quotient as one
+    correctly rounded integer division, ``float(f.eval(x))`` bit for bit;
+    on one point, the map gives ``f.eval(x)`` and ``floats`` its float.
     """
 
     def __init__(self, generators):
@@ -60,51 +60,56 @@ class _IntegerGeneratorMap:
         self.max_exp = max_exp
         self.max_degree = max_degree
 
-    def _quotients(self, point) -> Optional[list]:
-        """``(total, den)`` per generator, with value ``total / den``; None
-        unless every coordinate is an int or a ``Fraction``."""
-        if not all(isinstance(x, (int, Fraction)) for x in point):
-            return None
-        ratios = [x.as_integer_ratio() for x in point]
-        c = math.lcm(*(den for _, den in ratios))
+    def _quotients(self, batch: PointBatch) -> Tuple[list, list]:
+        """``(totals, dens)``: per generator, object arrays over the batch whose
+        quotient is the generator's value at each point."""
         powers = []
-        for (num, den), top in zip(ratios, self.max_exp):
-            a = num * (c // den)
-            row = [1, a]
+        for column, top in zip(batch.nums.T, self.max_exp):
+            row = [None, column]
             for _ in range(1, top):
-                row.append(row[-1] * a)
+                row.append(row[-1] * column)
             powers.append(row)
-        c_powers = [1]
+        c_powers = [np.ones(len(batch), dtype=object)]
         for _ in range(self.max_degree):
-            c_powers.append(c_powers[-1] * c)
-        quotients = []
+            c_powers.append(c_powers[-1] * batch.dens)
+        totals, dens = [], []
         for lcm, degree, terms in self.forms:
-            total = 0
+            total = np.zeros(len(batch), dtype=object)
             for factors, k, cofactor in terms:
                 term = k * c_powers[cofactor]
                 for i, e in factors:
-                    term *= powers[i][e]
-                total += term
-            quotients.append((total, lcm * c_powers[degree]))
-        return quotients
+                    term = term * powers[i][e]
+                total = total + term
+            totals.append(total)
+            dens.append(lcm * c_powers[degree])
+        return totals, dens
 
     def __call__(self, point) -> Optional[tuple]:
         """The generator values at ``point`` as ``Fraction``s; None unless
         every coordinate is an int or a ``Fraction``."""
-        quotients = self._quotients(point)
-        return None if quotients is None else tuple(Fraction(t, d) for t, d in quotients)
+        batch = PointBatch.of([point])
+        if batch is None:
+            return None
+        return tuple(Fraction(t[0], d[0]) for t, d in zip(*self._quotients(batch)))
+
+    def values(self, points) -> Optional[np.ndarray]:
+        """``(n, k)`` generator values as floats (OverflowError past the float
+        range); None unless every coordinate is an int or a ``Fraction``."""
+        batch = PointBatch.of(points)
+        if batch is None:
+            return None
+        totals, dens = self._quotients(batch)
+        values = np.array([t / d for t, d in zip(totals, dens)], dtype=float)
+        return values.reshape(len(totals), len(batch)).T
 
     def floats(self, point) -> Optional[tuple]:
-        """The generator values at ``point`` as floats: int true division
-        rounds correctly, so each equals ``float`` of the ``Fraction`` value."""
-        quotients = self._quotients(point)
-        return None if quotients is None else tuple(t / d for t, d in quotients)
+        values = self.values([point])
+        return None if values is None else tuple(values[0].tolist())
 
 
-def _check_dimension(gens, point) -> None:
-    for p in gens.generators:
-        if len(point) != p.ambient_dim:
-            raise DimensionMismatch("point dimension does not match generators")
+def _check_dimension(gens, dim: int) -> None:
+    if any(dim != p.ambient_dim for p in gens.generators):
+        raise DimensionMismatch("point dimension does not match generators")
 
 
 def rho_eval(gens, point, *, integer_map: Optional[_IntegerGeneratorMap] = None) -> tuple:
@@ -113,7 +118,7 @@ def rho_eval(gens, point, *, integer_map: Optional[_IntegerGeneratorMap] = None)
     ``integer_map``, built once from an exact ``gens``, evaluates rational
     points in integers; other points fall back to ``Polynomial.eval``.
     """
-    _check_dimension(gens, point)
+    _check_dimension(gens, len(point))
     if integer_map is not None:
         values = integer_map(point)
         if values is not None:
@@ -121,8 +126,15 @@ def rho_eval(gens, point, *, integer_map: Optional[_IntegerGeneratorMap] = None)
     return tuple(p.eval(point) for p in gens.generators)
 
 
-def _rho_distance(a: Sequence, b: Sequence) -> float:
-    return math.sqrt(sum((float(x) - float(y)) ** 2 for x, y in zip(a, b)))
+def _rho_floats(gens, points, integer_map: Optional[_IntegerGeneratorMap]) -> np.ndarray:
+    """``(n, k)``: the float of every generator value at every point; an exact
+    batch in integers when ``integer_map`` is given, else ``Polynomial.eval``."""
+    batch = PointBatch.of(points) if integer_map is not None else None
+    if batch is None:
+        rows = [[float(v) for v in rho_eval(gens, p)] for p in _rows(points)]
+        return np.array(rows, dtype=float).reshape(len(rows), len(gens.generators))
+    _check_dimension(gens, batch.nums.shape[1])
+    return integer_map.values(batch)
 
 
 @dataclass
@@ -171,31 +183,27 @@ class SeparationCertificate:
         }
 
 
+def rational_sphere_batch(
+    ambient_dim: int, count: int, rng: np.random.Generator, denominator: int = 16
+) -> PointBatch:
+    """Exact rational points on the unit sphere via stereographic projection.
+
+    With ``u = k / q`` a random rational vector, the point
+    ``(2u, |u|^2 - 1) / (|u|^2 + 1) = (2 q k, S - q^2) / (S + q^2)``,
+    ``S = |k|^2``, has unit norm exactly, so generator invariance can be
+    certified with zero floating error.
+    """
+    q = denominator
+    k = rng.integers(-2 * q, 2 * q + 1, size=(count, ambient_dim - 1)).astype(object)
+    s = (k * k).sum(axis=1)
+    return PointBatch(np.column_stack([2 * q * k, s - q * q]), s + q * q)
+
+
 def rational_sphere_points(
     ambient_dim: int, count: int, rng: np.random.Generator, denominator: int = 16
 ) -> List[tuple]:
-    """Exact rational points on the unit sphere via stereographic projection.
-
-    With ``u`` a random rational vector, the point
-    ``(2u, |u|^2 - 1) / (|u|^2 + 1)`` has unit norm exactly, so generator
-    invariance can be certified with zero floating error.
-    """
-    q = denominator
-    raw = rng.integers(-2 * q, 2 * q + 1, size=(count, ambient_dim - 1))
-    points = []
-    for row in raw.tolist():
-        # u = k / q: the point is (2 q k, S - q^2) / (S + q^2) with S = |k|^2
-        s = sum(k * k for k in row)
-        den = s + q * q
-        points.append(tuple(Fraction(2 * q * k, den) for k in row) + (Fraction(s - q * q, den),))
-    return points
-
-
-def _sample_points(model, count: int, rng: np.random.Generator, exact: bool):
-    if exact:
-        return rational_sphere_points(model.ambient_dim, count, rng)
-    pts = sample_sphere_many(count, model.ambient_dim, rng)
-    return [tuple(float(x) for x in row) for row in pts]
+    """:func:`rational_sphere_batch` as tuples of reduced ``Fraction``s."""
+    return rational_sphere_batch(ambient_dim, count, rng, denominator).points()
 
 
 def separation_test(
@@ -220,6 +228,9 @@ def separation_test(
     the model's own same-leaf predicate.  ``adversarial_pairs`` are extra
     candidate pairs checked alongside the sampled ones (collision witnesses
     live on measure-zero sets that random sampling cannot hit).
+
+    Exact points come as one :class:`PointBatch` per draw, and each step
+    runs once per batch with the values of a point-at-a-time loop.
     """
     if num_pairs < 1:
         raise ValueError("num_pairs must be at least 1")
@@ -228,25 +239,31 @@ def separation_test(
     if same_leaf_tol is None:
         same_leaf_tol = 1e-9 if model.closed_form else LEVEL_TOL
     integer_map = _IntegerGeneratorMap(gens.generators) if exact else None
+    draw = rational_sphere_batch if exact else (lambda d, n, g: sample_sphere_many(n, d, g))
 
-    def rho(point):
-        # only float distances are read: exact points skip the Fractions
-        if integer_map is not None:
-            _check_dimension(gens, point)
-            values = integer_map.floats(point)
-            if values is not None:
-                return values
-        return rho_eval(gens, point)
-
-    def rho_distance(p, q) -> float:
+    def rho_distances(ps, qs) -> List[float]:
+        """``|rho(p) - rho(q)|`` per pair, as a Python sum of ``**`` squares."""
         try:
-            return _rho_distance(rho(p), rho(q))
+            diff = _rho_floats(gens, ps, integer_map) - _rho_floats(gens, qs, integer_map)
+            with np.errstate(over="ignore", invalid="ignore"):
+                squares = np.float_power(diff, 2)
+            if (np.isinf(squares) & np.isfinite(diff)).any():
+                raise OverflowError
         except OverflowError:  # an exact value, or a squared difference, past the float range
             raise NonFiniteCoefficient(
                 "a generator value or distance is too large for a float") from None
+        total = np.zeros(len(diff))
+        for column in squares.T:
+            total = total + column
+        return np.sqrt(total).tolist()
 
     notes: List[str] = []
     failures: List[dict] = []
+
+    def record_failures(kind, other, ps, qs, dists, bad):
+        rows = (_as_floats(ps).tolist(), _as_floats(qs).tolist()) if bad else None
+        failures.extend({"kind": kind, "point": rows[0][i], other: rows[1][i],
+                         "rho_distance": dists[i]} for i in bad)
 
     # same-leaf side
     max_same = 0.0
@@ -257,44 +274,31 @@ def separation_test(
             "(same-leaf testing degenerates to the level predicate)"
         )
     else:
-        points = _sample_points(model, num_pairs, rng, exact)
-        for p in points:
-            mate = model.random_leaf_mate(p, rng)
-            disc = rho_distance(p, mate)
-            num_same += 1
-            if disc > max_same:
-                max_same = disc
-            if disc > tol_same:
-                failures.append({
-                    "kind": "same_leaf_discrepancy",
-                    "point": [float(x) for x in p],
-                    "mate": [float(x) for x in mate],
-                    "rho_distance": disc,
-                })
+        points = draw(model.ambient_dim, num_pairs, rng)
+        mates = (model.leaf_mates(points, rng) if exact
+                 else [model.random_leaf_mate(p, rng) for p in points.tolist()])
+        discs = rho_distances(points, mates)
+        num_same = len(discs)
+        max_same = max([max_same] + discs)
+        record_failures("same_leaf_discrepancy", "mate", points, mates, discs,
+                        [i for i, disc in enumerate(discs) if disc > tol_same])
 
     # distinct-leaf side
-    min_distinct = float("inf")
-    distinct: List[Tuple[tuple, tuple, float]] = []
+    distances: List[float] = []
+    proxies: List[float] = []
 
-    def record_distinct(p, q):
-        nonlocal min_distinct
-        dist = rho_distance(p, q)
-        distinct.append((p, q, dist))
-        if dist < min_distinct:
-            min_distinct = dist
-        if dist <= tol_same:
-            failures.append({
-                "kind": "distinct_leaf_collision",
-                "point": [float(x) for x in p],
-                "other": [float(x) for x in q],
-                "rho_distance": dist,
-            })
+    def record_distinct(ps, qs, proxy):
+        dists = rho_distances(ps, qs) if len(proxy) else []
+        distances.extend(dists)
+        proxies.extend(proxy.tolist())
+        record_failures("distinct_leaf_collision", "other", ps, qs, dists,
+                        [i for i, dist in enumerate(dists) if dist <= tol_same])
 
     for p, q in adversarial_pairs or []:
         if model.same_leaf(p, q, same_leaf_tol):
             notes.append("an adversarial pair turned out to lie on one leaf; skipped")
             continue
-        record_distinct(p, q)
+        record_distinct([p], [q], np.array([model.quotient_distance(p, q)]))
     if adversarial_pairs:
         notes.append(f"{len(adversarial_pairs)} adversarial pair(s) supplied by the caller")
 
@@ -304,29 +308,25 @@ def separation_test(
     while sampled < num_pairs and attempts < max_attempts:
         # one draw per batch gives the rows that one draw per point would, and
         # a batch holds no more pairs than can still be accepted or attempted
-        batch = _sample_points(
-            model, 2 * min(num_pairs - sampled, max_attempts - attempts), rng, exact
-        )
-        for p, q in zip(batch[::2], batch[1::2]):
-            attempts += 1
-            if model.same_leaf(p, q, same_leaf_tol):
-                continue
-            record_distinct(p, q)
-            sampled += 1
+        batch = draw(model.ambient_dim, 2 * min(num_pairs - sampled, max_attempts - attempts), rng)
+        ps, qs = batch[0::2], batch[1::2]
+        same, proxy = model.leaf_pairs(ps, qs, same_leaf_tol)
+        keep = np.flatnonzero(~same)
+        attempts += len(same)
+        sampled += len(keep)
+        record_distinct(ps[keep], qs[keep], proxy[keep])
     if sampled < num_pairs:
         raise InsufficientDistinctPairs(
             f"found only {sampled} distinct-leaf pairs in {attempts} attempts"
         )
 
-    proxies = [model.quotient_distance(p, q) for p, q, _ in distinct]
     margin_by_proxy = {}
     for threshold in _PROXY_BINS:
-        eligible = [
-            dist for (_, _, dist), proxy in zip(distinct, proxies) if proxy >= threshold
-        ]
+        eligible = [dist for dist, proxy in zip(distances, proxies) if proxy >= threshold]
         if eligible:
             margin_by_proxy[f">={threshold:g}"] = min(eligible)
 
+    min_distinct = min([float("inf")] + distances)
     if max_same == 0.0:
         margin = float("inf") if min_distinct > 0 else 0.0
     else:
@@ -338,7 +338,7 @@ def separation_test(
         generator_provenance=dict(gens.provenance),
         num_same_pairs=num_same,
         max_same_discrepancy=max_same,
-        num_distinct_pairs=len(distinct),
+        num_distinct_pairs=len(distances),
         min_distinct_distance=min_distinct,
         margin_ratio=margin,
         margin_by_proxy=margin_by_proxy,

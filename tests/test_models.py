@@ -30,7 +30,7 @@ from leafavg.cli import _CONFIG_DIR, load_config
 from leafavg.models import LevelSetSampler, _mat_vec, compose_with_matrix, sample_sphere_many
 from leafavg.separation import rational_sphere_points
 
-from util import exact_polys, random_homogeneous
+from util import exact_polys, fraction_rotation_mate, random_homogeneous
 
 
 def P(text, dim, mode=EXACT):
@@ -441,30 +441,6 @@ def test_torus_exact_rational_mate(circle12_model):
     assert cubic.eval(mate) == cubic.eval(p)
 
 
-def _fraction_rotation_mate(model, p, rng):
-    """The exact torus mate composed in ``Fraction`` arithmetic: the
-    reference for the integer composition in ``random_leaf_mate``."""
-    cos_sin = []
-    for _ in range(model.torus_rank):
-        tau = Fraction(int(rng.integers(-12, 13)), int(rng.integers(1, 13)))
-        den = 1 + tau * tau
-        cos_sin.append(((1 - tau * tau) / den, 2 * tau / den))
-    out = []
-    for j in range(model.n_planes):
-        c, s = Fraction(1), Fraction(0)
-        for t in range(model.torus_rank):
-            w = model.weight_matrix[j][t]
-            ct, st = cos_sin[t]
-            if w < 0:
-                st, w = -st, -w
-            for _ in range(w):
-                c, s = c * ct - s * st, c * st + s * ct
-        x, y = Fraction(p[2 * j]), Fraction(p[2 * j + 1])
-        out.extend((c * x - s * y, s * x + c * y))
-    out.extend(Fraction(x) for x in p[2 * model.n_planes:])
-    return tuple(out)
-
-
 TORI = {
     "t2_full": ([[1, 0], [0, 1]], 0),
     "hopf": ([[1], [1]], 0),
@@ -490,7 +466,7 @@ def test_exact_torus_mate_matches_fraction_rotation(name, seed, coords, on_spher
         p = tuple(Fraction(a, b) if b > 1 else a for a, b in coords[:model.ambient_dim])
     rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     mate = model.random_leaf_mate(p, rng)
-    expected = _fraction_rotation_mate(model, p, reference_rng)
+    expected = fraction_rotation_mate(model, p, reference_rng)
     assert mate == expected
     assert all(type(x) is Fraction for x in mate)
     # the same draws, in the same order

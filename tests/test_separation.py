@@ -1,8 +1,10 @@
 import csv
 import json
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from leafavg import (
     SeparationCertificate,
     TorusModel,
     discover_generators,
+    group_closure,
     parse_polynomial,
     quotient_image_export,
     rho_eval,
@@ -27,10 +30,10 @@ from leafavg import (
 )
 from leafavg.cli import _CONFIG_DIR, _generators_for_task, load_config
 from leafavg.exactlinalg import integer_left_kernel
-from leafavg.models import LEVEL_TOL, _mat_vec, sample_sphere_many
-from leafavg.separation import _IntegerGeneratorMap, rational_sphere_points
+from leafavg.models import LEVEL_TOL, PointBatch, _mat_vec, sample_sphere_many
+from leafavg.separation import _IntegerGeneratorMap, rational_sphere_batch, rational_sphere_points
 
-from util import exact_polys
+from util import exact_polys, fraction_rotation_mate
 
 def P(text, dim):
     return parse_polynomial(text, dim)
@@ -360,11 +363,19 @@ def _reference_orbit_sq_distances(model, p, q):
     return [sum((float(x) - y) ** 2 for x, y in zip(image, q)) for image in images]
 
 
+def _reference_torus_mate(model, p, rng):
+    """An exact point's mate composed in ``Fraction`` arithmetic; a float
+    point keeps the model's float rotation."""
+    if all(isinstance(x, Fraction) for x in p):
+        return fraction_rotation_mate(model, p, rng)
+    return model.random_leaf_mate(p, rng)
+
+
 def _reference_predicates(model):
     """``(same_leaf, quotient_distance, random_leaf_mate)`` as Python loops:
     ``**`` sums over the orbit and ``_mat_vec`` mates for groups, a fresh
-    kernel and repeated float conversions for tori, the model's own for the
-    rest."""
+    kernel, repeated float conversions and ``Fraction`` rotations for tori,
+    the model's own for the rest."""
     if isinstance(model, FiniteGroupModel):
         return (
             lambda p, q, tol: min(_reference_orbit_sq_distances(model, p, q)) < tol * tol,
@@ -375,32 +386,38 @@ def _reference_predicates(model):
         return (
             lambda p, q, tol: _reference_torus_same_leaf(model, p, q, tol),
             lambda p, q: _reference_torus_quotient_distance(model, p, q),
-            model.random_leaf_mate,
+            lambda p, rng: _reference_torus_mate(model, p, rng),
         )
     return model.same_leaf, model.quotient_distance, model.random_leaf_mate
 
 
 def _reference_separation_test(model, gens, num_pairs, tol_same, rng_seed, same_leaf_tol=None):
+    """The reference certificate's dict and its number of attempts."""
+    cert, attempts = _reference_certificate(model, gens, num_pairs, tol_same, rng_seed,
+                                            same_leaf_tol)
+    return cert.to_dict(), attempts
+
+
+def _reference_certificate(model, gens, num_pairs, tol_same, rng_seed, same_leaf_tol=None):
     """``separation_test`` one candidate at a time: two one-point draws per
-    attempt, and exact points mapped to ``Fraction`` images that are then
-    converted to floats.  Returns the certificate dict and the number of
-    attempts."""
+    attempt, exact points built from ``Fraction``s, and ``Polynomial.eval``
+    images that are then converted to floats.  Returns the certificate and
+    the number of attempts."""
     same_leaf, quotient_distance, random_leaf_mate = _reference_predicates(model)
     rng = np.random.default_rng(rng_seed)
     exact = model.closed_form and model.mode == EXACT and gens.mode == EXACT
-    integer_map = _IntegerGeneratorMap(gens.generators) if exact else None
     if same_leaf_tol is None:
         same_leaf_tol = 1e-9 if model.closed_form else LEVEL_TOL
 
     def sample(count):
         if exact:
-            return rational_sphere_points(model.ambient_dim, count, rng)
+            return _fraction_sphere_points(model.ambient_dim, count, rng)
         return [tuple(float(x) for x in row)
                 for row in sample_sphere_many(count, model.ambient_dim, rng)]
 
     def distance(p, q):
-        a = rho_eval(gens, p, integer_map=integer_map)
-        b = rho_eval(gens, q, integer_map=integer_map)
+        a = [g.eval(p) for g in gens.generators]
+        b = [g.eval(q) for g in gens.generators]
         return math.sqrt(sum((float(x) - float(y)) ** 2 for x, y in zip(a, b)))
 
     notes, failures = [], []
@@ -451,7 +468,7 @@ def _reference_separation_test(model, gens, num_pairs, tol_same, rng_seed, same_
         min_distinct_distance=min_distinct, margin_ratio=margin, margin_by_proxy=margin_by_proxy,
         failures=failures, tol_same=tol_same, margin_min=10.0, seed=rng_seed, notes=notes,
     )
-    return cert.to_dict(), attempts
+    return cert, attempts
 
 
 BUNDLED_CONFIGS = sorted(path.stem for path in _CONFIG_DIR.glob("*.json"))
@@ -515,3 +532,127 @@ def test_one_batch_draws_the_points_of_single_draws(dim):
         singles = np.vstack([sample_sphere_many(1, dim, reference) for _ in range(2 * 7)])
         assert floats.tobytes() == singles.tobytes()
         assert rng.integers(0, 2 ** 62) == reference.integers(0, 2 ** 62)
+
+
+# -- exact paths that no bundled config reaches -------------------------------------------
+
+# a reflection with rational entries, outside the signed-permutation table
+REFLECTION = [[Fraction(3, 5), Fraction(4, 5)], [Fraction(4, 5), Fraction(-3, 5)]]
+LOCAL_MODELS = {
+    # {I, R}: one element the signed table does not hold
+    "mixed_reflection": (lambda: group_closure([REFLECTION]), 2),
+    # R and a quarter turn: a dihedral group of order 8 with rational entries
+    "rational_dihedral": (lambda: group_closure([REFLECTION, [[0, 1], [-1, 0]]]), 4),
+    # fixed coordinates, negative weights and a rank-2 torus
+    "torus_signed_fixed": (lambda: TorusModel([[1, -2], [-3, 1]], n_fix=1), 2),
+    "torus_12_fixed": (lambda: TorusModel([[1], [2]], n_fix=1), 3),
+    # the seventh power of a rotation: mate numerators pass 2^53 and int64
+    "torus_17": (lambda: TorusModel([[1], [7]]), 8),
+}
+
+
+@pytest.fixture(scope="module")
+def local_runs():
+    runs = {}
+    for name, (build, cap) in LOCAL_MODELS.items():
+        model = build()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegreeCapWarning)
+            runs[name] = model, discover_generators(model, cap)
+    return runs
+
+
+def _outcome(run):
+    """A certificate's JSON text, or the message of a give-up."""
+    try:
+        result = run()
+    except InsufficientDistinctPairs as error:
+        return f"gave up: {error}"
+    return json.dumps(result if isinstance(result, dict) else result.to_dict(), sort_keys=True)
+
+
+@pytest.mark.parametrize("same_leaf_tol", [None, 0.3])
+@pytest.mark.parametrize("name", sorted(LOCAL_MODELS))
+def test_separation_matches_reference_off_the_bundled_paths(local_runs, name, same_leaf_tol):
+    model, gens = local_runs[name]
+    expected = _outcome(lambda: _reference_separation_test(
+        model, gens, 120, 1e-9, 7, same_leaf_tol=same_leaf_tol)[0])
+    got = _outcome(lambda: separation_test(model, gens, 120, 1e-9, 7, same_leaf_tol=same_leaf_tol))
+    assert got == expected
+    if same_leaf_tol is None:
+        assert json.loads(got)["verdict"] == "pass"
+
+
+@pytest.mark.parametrize("weights", [[[1], [7]], [[2], [-9]]])
+def test_torus_mates_past_int64_stay_exact(weights):
+    # a plane turns by the seventh (ninth) power of a rotation over a
+    # denominator up to 288^7 (288^9), so mate numerators (and, for the ninth
+    # power, the rotation itself) pass 2^63
+    model = TorusModel(weights)
+    batch = rational_sphere_batch(4, 200, np.random.default_rng(7))
+    mates = model.leaf_mates(batch, np.random.default_rng(8))
+    assert max(abs(x) for x in mates.nums.ravel().tolist()) > 2 ** 63
+    reference_rng = np.random.default_rng(8)
+    expected = [fraction_rotation_mate(model, p, reference_rng) for p in batch.points()]
+    assert mates.points() == expected
+    assert [[x.hex() for x in row] for row in mates.floats().tolist()] == \
+        [[float(x).hex() for x in p] for p in expected]
+
+
+def test_group_orbit_distances_are_built_in_chunks():
+    # one unchunked orbit array of 1,000 pairs under B4 (order 384) would
+    # hold 1000 * 384 * 4 floats, 12 MB
+    config = Path(__file__).resolve().parents[1] / "perfbench" / "configs" / "b4_cap8.json"
+    model = load_config(config).build_model()
+    batch = rational_sphere_batch(4, 2000, np.random.default_rng(5))
+    ps, qs = batch[0::2], batch[1::2]
+    model.leaf_pairs(ps[:10], qs[:10], 1e-9)  # the signed table, built once
+    tracemalloc.start()
+    same, proxy = model.leaf_pairs(ps, qs, 1e-9)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 2 * 2 ** 20
+    expected = [min(_reference_orbit_sq_distances(model, p, q))
+                for p, q in zip(ps.points()[:50], qs.points()[:50])]
+    assert proxy[:50].tolist() == [math.sqrt(d) for d in expected]
+    assert not same.any()
+
+
+@pytest.mark.parametrize("name", ["b3", "circle12", "torus_signed_fixed"])
+def test_every_sabotaged_pair_matches_reference(bundled_runs, local_runs, name):
+    # a non-invariant generator makes every same-leaf pair a failure, so each
+    # pair's distance is in the certificate, not only the extremes
+    model, gens = local_runs[name] if name in local_runs else bundled_runs[name][:2]
+    sabotaged = GeneratorSet(
+        ambient_dim=gens.ambient_dim, mode=EXACT,
+        generators=gens.generators[1:] + (P("x1^2 - 2/3 * x1 * x2 + 1/7 * x2^3", gens.ambient_dim),),
+        degrees=(), degree_cap=gens.degree_cap, dims_by_degree={},
+    )
+    expected, _ = _reference_certificate(model, sabotaged, 500, 1e-9, 5)
+    got = separation_test(model, sabotaged, 500, 1e-9, 5)
+    assert len(got.failures) > 400
+    assert json.dumps(got.failures) == json.dumps(expected.failures)
+    assert got.to_dict() == expected.to_dict()
+
+
+@pytest.mark.parametrize("tol", [0, 1e-9, 0.3])
+@pytest.mark.parametrize("name", ["t2_full", "circle12", "hopf", "torus_signed_fixed",
+                                  "torus_12_fixed", "b3", "rational_dihedral"])
+def test_leaf_pairs_match_reference_predicates(bundled_runs, local_runs, name, tol):
+    model = local_runs[name][0] if name in local_runs else bundled_runs[name][0]
+    same_leaf, quotient_distance, _ = _reference_predicates(model)
+    rng = np.random.default_rng(11)
+    ps = rational_sphere_batch(model.ambient_dim, 300, rng)
+    ps.nums[::7, :2] = 0  # the first plane's radius is 0: fewer active planes
+    # every third pair lies on one leaf
+    mates, others = model.leaf_mates(ps, rng), rational_sphere_batch(model.ambient_dim, 300, rng)
+    on_leaf = np.arange(300) % 3 == 0
+    qs = PointBatch(np.where(on_leaf[:, None], mates.nums, others.nums),
+                    np.where(on_leaf, mates.dens, others.dens))
+    same, proxy = model.leaf_pairs(ps, qs, tol)
+    p_rows, q_rows = ps.points(), qs.points()
+    if tol or isinstance(model, TorusModel):  # the reference's orbit test needs tol > 0
+        assert same.tolist() == [same_leaf(p, q, tol) for p, q in zip(p_rows, q_rows)]
+    assert proxy.tolist() == [quotient_distance(p, q) for p, q in zip(p_rows, q_rows)]
+    if tol == 1e-9:
+        assert same[on_leaf].all() and same.sum() < 200

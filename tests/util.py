@@ -31,3 +31,27 @@ def exact_polys(draw, dim=2, max_degree=3):
         if coeff:
             terms[expo] = terms.get(expo, 0) + coeff
     return Polynomial(dim, {e: c for e, c in terms.items() if c != 0})
+
+
+def fraction_rotation_mate(model, p, rng):
+    """The exact torus mate composed in ``Fraction`` arithmetic: the
+    reference for the integer composition in ``random_leaf_mate``."""
+    cos_sin = []
+    for _ in range(model.torus_rank):
+        tau = Fraction(int(rng.integers(-12, 13)), int(rng.integers(1, 13)))
+        den = 1 + tau * tau
+        cos_sin.append(((1 - tau * tau) / den, 2 * tau / den))
+    out = []
+    for j in range(model.n_planes):
+        c, s = Fraction(1), Fraction(0)
+        for t in range(model.torus_rank):
+            w = model.weight_matrix[j][t]
+            ct, st = cos_sin[t]
+            if w < 0:
+                st, w = -st, -w
+            for _ in range(w):
+                c, s = c * ct - s * st, c * st + s * ct
+        x, y = Fraction(p[2 * j]), Fraction(p[2 * j + 1])
+        out.extend((c * x - s * y, s * x + c * y))
+    out.extend(Fraction(x) for x in p[2 * model.n_planes:])
+    return tuple(out)

@@ -266,6 +266,29 @@ class Polynomial:
             total = total + term
         return total
 
+    def eval_rows(self, points: np.ndarray) -> np.ndarray:
+        """``float(self.eval(row))`` for every row of an ``(n, ambient_dim)``
+        float array, bit for bit: each power is ``np.float_power`` (the C
+        library's ``pow``, as Python's ``**``), each term is multiplied left
+        to right from ``float(coeff)``, and the terms are added in order
+        (where ``**`` overflows, ``eval`` raises and this gives inf)."""
+        points = np.asarray(points, dtype=float)
+        if points.ndim != 2 or points.shape[1] != self.ambient_dim:
+            raise DimensionMismatch(
+                f"expected points of shape (N, {self.ambient_dim}), got {points.shape}"
+            )
+        powers: Dict[Tuple[int, int], np.ndarray] = {}
+        total = np.zeros(len(points))
+        for expo, coeff in self._terms.items():
+            term = float(coeff)
+            for i, e in enumerate(expo):
+                if e:
+                    if (i, e) not in powers:
+                        powers[i, e] = np.float_power(points[:, i], e)
+                    term = term * powers[i, e]
+            total = total + term
+        return total
+
     def eval_many(self, points: np.ndarray) -> np.ndarray:
         """Vectorized float evaluation on an ``(N, ambient_dim)`` array."""
         points = np.asarray(points, dtype=float)

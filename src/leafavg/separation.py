@@ -19,7 +19,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import DimensionMismatch, InsufficientDistinctPairs, NonFiniteCoefficient
-from .models import LEVEL_TOL, PointBatch, _as_floats, _rows, sample_sphere_many
+from .models import (LEVEL_TOL, PointBatch, _as_floats, _column_sum, _float_rows,
+                     sample_sphere_many)
 from .polynomials import EXACT
 
 _PROXY_BINS = (1e-3, 1e-2, 1e-1)
@@ -128,11 +129,13 @@ def rho_eval(gens, point, *, integer_map: Optional[_IntegerGeneratorMap] = None)
 
 def _rho_floats(gens, points, integer_map: Optional[_IntegerGeneratorMap]) -> np.ndarray:
     """``(n, k)``: the float of every generator value at every point; an exact
-    batch in integers when ``integer_map`` is given, else ``Polynomial.eval``."""
+    batch in integers when ``integer_map`` is given, else the floats of the
+    points through ``Polynomial.eval_rows``."""
     batch = PointBatch.of(points) if integer_map is not None else None
     if batch is None:
-        rows = [[float(v) for v in rho_eval(gens, p)] for p in _rows(points)]
-        return np.array(rows, dtype=float).reshape(len(rows), len(gens.generators))
+        rows = _float_rows(points, gens.ambient_dim)
+        values = np.array([g.eval_rows(rows) for g in gens.generators])
+        return values.reshape(len(gens.generators), len(rows)).T
     _check_dimension(gens, batch.nums.shape[1])
     return integer_map.values(batch)
 
@@ -229,8 +232,9 @@ def separation_test(
     candidate pairs checked alongside the sampled ones (collision witnesses
     live on measure-zero sets that random sampling cannot hit).
 
-    Exact points come as one :class:`PointBatch` per draw, and each step
-    runs once per batch with the values of a point-at-a-time loop.
+    Exact points come as one :class:`PointBatch` per draw and float points
+    as one array per draw; each step after the mates runs once per batch
+    with the values of a point-at-a-time loop.
     """
     if num_pairs < 1:
         raise ValueError("num_pairs must be at least 1")
@@ -252,10 +256,7 @@ def separation_test(
         except OverflowError:  # an exact value, or a squared difference, past the float range
             raise NonFiniteCoefficient(
                 "a generator value or distance is too large for a float") from None
-        total = np.zeros(len(diff))
-        for column in squares.T:
-            total = total + column
-        return np.sqrt(total).tolist()
+        return np.sqrt(_column_sum(squares)).tolist()
 
     notes: List[str] = []
     failures: List[dict] = []
@@ -372,14 +373,10 @@ def quotient_image_export(
     header += [f"rho{i + 1}" for i in range(len(gens.generators))]
     header += model.leaf_label_names
 
-    float_gens = [p.to_float() for p in gens.generators]
+    images = [p.to_float().eval_rows(points)[:, None] for p in gens.generators]
+    table = np.hstack([points, *images, model.leaf_labels(points)])
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(header)
-        for row in points:
-            point = [float(x) for x in row]
-            record = [repr(x) for x in point]
-            record += [repr(float(p.eval(point))) for p in float_gens]
-            record += [repr(x) for x in model.leaf_labels(point)]
-            writer.writerow(record)
+        writer.writerows([repr(x) for x in row] for row in table.tolist())
     return int(points.shape[0])

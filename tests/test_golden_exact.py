@@ -1,12 +1,14 @@
-"""Golden exact artifacts: the sha256 of every file each exact-mode run writes.
+"""Golden artifacts: the sha256 of every file each BLAS-free run writes.
 
 Exact runs build their bytes from ``Fraction``s, correctly rounded floats,
 numpy's seeded PCG64 and the C library's ``pow``, ``atan2`` and ``hypot``, so
 they do not depend on the BLAS.  Every exact bundled config runs ``avg``,
 ``generators``, ``verify``, ``separate`` and ``export``; the scale configs B4
 and Hopf at cap 8 run ``generators`` and ``verify``, and B4 also
-``separate`` (its order-384 orbits); each run at the config's seed and at
-``--seed 3``.  A change that means to change an artifact rewrites the
+``separate`` (its order-384 orbits).  ``separate`` and ``export`` on the
+isoparametric configs use only normal draws, elementwise numpy and the same C
+functions, so they are pinned too.  Each run is made at the config's seed and
+at ``--seed 3``.  A change that means to change an artifact rewrites the
 manifest in the same change::
 
     PYTHONPATH=src python tests/test_golden_exact.py --write
@@ -31,6 +33,8 @@ EXACT_CONFIGS = ("b2", "b3", "c4", "circle12", "hopf", "t2_full")
 TASKS = ("avg", "generators", "verify", "separate", "export")
 SCALE_RUNS = {"b4_cap8": ("generators", "verify", "separate"),
               "hopf_cap8": ("generators", "verify")}
+FLOAT_CONFIGS = ("iso_g1", "iso_g2", "iso_g3", "cartan_so3_g3")
+FLOAT_TASKS = ("separate", "export")
 SEEDS = ("config", "3")
 
 
@@ -40,6 +44,7 @@ def runs():
     for name, tasks, directory in (
         *((name, TASKS, BUNDLED) for name in EXACT_CONFIGS),
         *((name, tasks, SCALE) for name, tasks in SCALE_RUNS.items()),
+        *((name, FLOAT_TASKS, BUNDLED) for name in FLOAT_CONFIGS),
     ):
         for task in tasks:
             for seed in SEEDS:
@@ -71,7 +76,7 @@ def test_exact_artifacts_match_golden_manifest():
         old, new = expected[key]["files"], got[key]["files"]
         changed += [f"{key} {name}" for name in sorted(set(old) | set(new))
                     if old.get(name) != new.get(name)]
-    assert not changed, f"exact runs that differ from {MANIFEST.name}: {changed}"
+    assert not changed, f"runs that differ from {MANIFEST.name}: {changed}"
 
 
 if __name__ == "__main__":

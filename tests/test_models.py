@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from leafavg import (
     EXACT,
     FLOAT,
+    DimensionMismatch,
     EffectiveSampleTooSmall,
     GroupTooLarge,
     IsoparametricModel,
@@ -655,6 +656,28 @@ def test_iso_same_leaf_requires_sphere(iso_g2_model):
         iso_g2_model.same_leaf((2.0, 0.0, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0), 1e-9)
 
 
+def test_iso_leaf_pairs_check_sphere_and_dimension(iso_g2_model):
+    points = sample_sphere_many(10, 4, np.random.default_rng(3))
+    ps, qs = points[:5].copy(), points[5:].copy()
+    same, distance = iso_g2_model.leaf_pairs(ps, qs, 1e-9)
+    assert same.shape == distance.shape == (5,)
+    # the first point off the sphere, in pair order (p0, q0, p1, q1, ...), is named
+    qs[1] *= 3.0
+    ps[3] *= 2.0
+    norm = math.sqrt(sum(x ** 2 for x in qs[1].tolist()))
+    with pytest.raises(OffSphere, match=f"point norm {norm!r}"):
+        iso_g2_model.leaf_pairs(ps, qs, 1e-9)
+    with pytest.raises(OffSphere, match="within 0.5$"):
+        iso_g2_model.leaf_pairs(ps, qs, 0.5)
+    for bad in (points[:, :3], [(1.0, 0.0, 0.0)], [(1.0, 0.0, 0.0, 0.0, 0.0)]):
+        with pytest.raises(DimensionMismatch):
+            iso_g2_model.leaf_pairs(bad, bad, 1e-9)
+    with pytest.raises(DimensionMismatch):
+        iso_g2_model.same_leaf((1.0, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0), 1e-9)
+    empty = iso_g2_model.leaf_pairs(np.zeros((0, 4)), [], 1e-9)
+    assert [a.shape for a in empty] == [(0,), (0,)]
+
+
 def test_leaf_average_of_constant_is_exact(iso_g2_model):
     p = sample_sphere(4, 5)
     one = Polynomial.constant(4, 1)
@@ -887,6 +910,14 @@ def test_symmetry_must_preserve_levels():
 def test_sample_sphere_unit_norm():
     p = sample_sphere(5, 42)
     assert abs(np.linalg.norm(p) - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("dim", range(1, 13))
+def test_row_norms_match_numpy_norm_bit_for_bit(dim):
+    rng = np.random.default_rng(dim)
+    points = rng.standard_normal((20_000, dim)) * np.exp(rng.uniform(-30, 30, size=(20_000, 1)))
+    got = models._row_norms(points)
+    assert np.array_equal(got.view(np.int64), np.linalg.norm(points, axis=1).view(np.int64))
 
 
 def test_sample_sphere_deterministic():

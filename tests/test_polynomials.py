@@ -102,6 +102,52 @@ def test_eval_many_is_bitwise_the_per_term_product(p, mode, with_constant, seed)
     assert np.array_equal(values, _eval_many_per_term(p, points))
 
 
+def _random_eval_case(rng):
+    """A polynomial in 1-6 variables with exponents up to 5 (exact or float
+    coefficients, maybe a constant term, maybe zero) and float rows with
+    negative entries, +-0.0 and +-1.0."""
+    dim = int(rng.integers(1, 7))
+    terms = {}
+    for _ in range(int(rng.integers(0, 7))):
+        expo = tuple(int(e) for e in rng.integers(0, 6, size=dim))
+        terms[expo] = Fraction(int(rng.integers(-99, 100)), int(rng.integers(1, 30)))
+    if rng.random() < 0.5:
+        terms[(0,) * dim] = Fraction(int(rng.integers(-9, 10)), 7)
+    p = Polynomial(dim, terms)
+    if rng.random() < 0.5:
+        p = p.to_float()
+    rows = rng.normal(size=(100, dim)) * 10.0 ** rng.integers(-3, 3, size=(100, dim))
+    specials = np.array([0.0, -0.0, 1.0, -1.0])
+    mask = rng.random(size=rows.shape) < 0.15
+    rows[mask] = rng.choice(specials, size=int(mask.sum()))
+    return p, rows
+
+
+def test_eval_rows_is_eval_bit_for_bit():
+    rng = np.random.default_rng(2015)
+    checked = 0
+    for _ in range(300):
+        p, rows = _random_eval_case(rng)
+        expected = np.array([float(p.eval(row)) for row in rows.tolist()])
+        got = p.eval_rows(rows)
+        assert got.shape == (len(rows),)
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64)), p
+        checked += len(rows)
+    assert checked == 30_000
+    for p in (Polynomial.zero(3), Polynomial.zero(2, FLOAT), P("-5/3", 2)):
+        rows = np.array([[-0.0, 0.0, 2.0][:p.ambient_dim], [1.5, -2.5, 0.0][:p.ambient_dim]])
+        expected = np.array([float(p.eval(row)) for row in rows.tolist()])
+        assert np.array_equal(p.eval_rows(rows).view(np.int64), expected.view(np.int64))
+
+
+def test_eval_rows_shapes():
+    p = P("x1^3 * x2 - 2 * x2^2", 2)
+    assert p.eval_rows(np.zeros((0, 2))).shape == (0,)
+    for bad in (np.zeros((4, 3)), np.zeros(2), np.zeros((2, 2, 2))):
+        with pytest.raises(DimensionMismatch):
+            p.eval_rows(bad)
+
+
 def test_eval_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         P("x1", 2).eval((1,))

@@ -18,6 +18,8 @@ from leafavg import (
     FiniteGroupModel,
     GeneratorSet,
     InsufficientDistinctPairs,
+    IsoparametricModel,
+    OffSphere,
     Polynomial,
     SeparationCertificate,
     TorusModel,
@@ -328,12 +330,16 @@ def _reference_torus_phase_gaps(model, p, q, radii_p, radii_q, floor):
         yield abs(math.remainder(total, 2.0 * math.pi)), max(1, sum(abs(v) for v in vec))
 
 
+def _reference_radii(model, p):
+    return [math.hypot(float(p[2 * j]), float(p[2 * j + 1])) for j in range(model.n_planes)]
+
+
 def _reference_torus_same_leaf(model, p, q, tol):
     m = 2 * model.n_planes
     for x, y in zip(p[m:], q[m:]):
         if abs(float(x) - float(y)) > tol:
             return False
-    radii_p, radii_q = model.leaf_labels(p), model.leaf_labels(q)
+    radii_p, radii_q = _reference_radii(model, p), _reference_radii(model, q)
     if any(abs(rp - rq) > tol for rp, rq in zip(radii_p, radii_q)):
         return False
     return all(gap <= tol * weight
@@ -341,7 +347,7 @@ def _reference_torus_same_leaf(model, p, q, tol):
 
 
 def _reference_torus_quotient_distance(model, p, q):
-    radii_p, radii_q = model.leaf_labels(p), model.leaf_labels(q)
+    radii_p, radii_q = _reference_radii(model, p), _reference_radii(model, q)
     m = 2 * model.n_planes
     radial = math.sqrt(
         sum((rp - rq) ** 2 for rp, rq in zip(radii_p, radii_q))
@@ -371,11 +377,25 @@ def _reference_torus_mate(model, p, rng):
     return model.random_leaf_mate(p, rng)
 
 
+def _reference_level(model, p):
+    return float(model.F.eval([float(x) for x in p]))
+
+
+def _reference_level_gap(model, p, q, tol):
+    """``|F(p) - F(q)|`` after a ``**`` sum norm check of both points."""
+    for point in (p, q):
+        norm = math.sqrt(sum(float(x) ** 2 for x in point))
+        if abs(norm - 1.0) > max(tol, 1e-9):
+            raise OffSphere(f"point norm {norm} is not 1 within {max(tol, 1e-9)}")
+    return abs(_reference_level(model, p) - _reference_level(model, q))
+
+
 def _reference_predicates(model):
     """``(same_leaf, quotient_distance, random_leaf_mate)`` as Python loops:
     ``**`` sums over the orbit and ``_mat_vec`` mates for groups, a fresh
-    kernel, repeated float conversions and ``Fraction`` rotations for tori,
-    the model's own for the rest."""
+    kernel, ``math.hypot`` radii, repeated float conversions and ``Fraction``
+    rotations for tori, and a level difference from ``Polynomial.eval`` per
+    pair for isoparametric models, whose mates are the model's own."""
     if isinstance(model, FiniteGroupModel):
         return (
             lambda p, q, tol: min(_reference_orbit_sq_distances(model, p, q)) < tol * tol,
@@ -388,7 +408,11 @@ def _reference_predicates(model):
             lambda p, q: _reference_torus_quotient_distance(model, p, q),
             lambda p, rng: _reference_torus_mate(model, p, rng),
         )
-    return model.same_leaf, model.quotient_distance, model.random_leaf_mate
+    return (
+        lambda p, q, tol: _reference_level_gap(model, p, q, tol) < tol,
+        lambda p, q: _reference_level_gap(model, p, q, 0.0),
+        model.random_leaf_mate,
+    )
 
 
 def _reference_separation_test(model, gens, num_pairs, tol_same, rng_seed, same_leaf_tol=None):
@@ -546,6 +570,8 @@ LOCAL_MODELS = {
     # fixed coordinates, negative weights and a rank-2 torus
     "torus_signed_fixed": (lambda: TorusModel([[1, -2], [-3, 1]], n_fix=1), 2),
     "torus_12_fixed": (lambda: TorusModel([[1], [2]], n_fix=1), 3),
+    # two fixed coordinates: their squares are summed apart from the radii's
+    "torus_fixed_pair": (lambda: TorusModel([[1]], n_fix=2), 2),
     # the seventh power of a rotation: mate numerators pass 2^53 and int64
     "torus_17": (lambda: TorusModel([[1], [7]]), 8),
 }
@@ -637,7 +663,7 @@ def test_every_sabotaged_pair_matches_reference(bundled_runs, local_runs, name):
 
 @pytest.mark.parametrize("tol", [0, 1e-9, 0.3])
 @pytest.mark.parametrize("name", ["t2_full", "circle12", "hopf", "torus_signed_fixed",
-                                  "torus_12_fixed", "b3", "rational_dihedral"])
+                                  "torus_12_fixed", "torus_fixed_pair", "b3", "rational_dihedral"])
 def test_leaf_pairs_match_reference_predicates(bundled_runs, local_runs, name, tol):
     model = local_runs[name][0] if name in local_runs else bundled_runs[name][0]
     same_leaf, quotient_distance, _ = _reference_predicates(model)
@@ -656,3 +682,64 @@ def test_leaf_pairs_match_reference_predicates(bundled_runs, local_runs, name, t
     assert proxy.tolist() == [quotient_distance(p, q) for p, q in zip(p_rows, q_rows)]
     if tol == 1e-9:
         assert same[on_leaf].all() and same.sum() < 200
+
+
+@pytest.mark.parametrize("tol", [0, LEVEL_TOL, 0.3])
+@pytest.mark.parametrize("name", ["iso_g1", "iso_g2", "iso_g3", "cartan_so3_g3"])
+def test_float_leaf_pairs_match_reference_predicates(bundled_runs, name, tol):
+    # float points: the isoparametric level predicate, and the predicates
+    # of the configured symmetry, which gives every third pair
+    model = bundled_runs[name][0]
+    rng = np.random.default_rng(12)
+    ps = sample_sphere_many(300, model.ambient_dim, rng)
+    qs = sample_sphere_many(300, model.ambient_dim, rng)
+    if model.symmetry is not None:
+        qs[::3] = [model.random_leaf_mate(p, rng) for p in ps[::3].tolist()]
+    p_rows, q_rows = ps.tolist(), qs.tolist()
+    for leaves in (model, model.symmetry):
+        if leaves is None:
+            continue
+        same_leaf, quotient_distance, _ = _reference_predicates(leaves)
+        same, proxy = leaves.leaf_pairs(ps, qs, tol)
+        if tol or not isinstance(leaves, FiniteGroupModel):  # a group's tol 0 is an exact test
+            assert same.tolist() == [same_leaf(p, q, tol) for p, q in zip(p_rows, q_rows)]
+        assert proxy.tolist() == [quotient_distance(p, q) for p, q in zip(p_rows, q_rows)]
+        if tol == LEVEL_TOL and model.symmetry is not None:
+            assert same[::3].all() and same.sum() < 200
+
+
+def _reference_export(gens, num_samples, rng_seed, path, model):
+    """The per-row export writer: points normalized by ``np.linalg.norm``,
+    one ``Polynomial.eval`` per generator and row, and ``math.hypot`` radii
+    or a ``Polynomial.eval`` level as labels."""
+    dim = gens.ambient_dim
+    points = np.random.default_rng(rng_seed).standard_normal((num_samples, dim))
+    norms = np.linalg.norm(points, axis=1)
+    assert (norms >= 1e-12).all()
+    points = points / norms[:, None]
+    header = [f"x{i + 1}" for i in range(dim)]
+    header += [f"rho{i + 1}" for i in range(len(gens.generators))]
+    header += model.leaf_label_names
+    float_gens = [p.to_float() for p in gens.generators]
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        for row in points:
+            point = [float(x) for x in row]
+            record = [repr(x) for x in point]
+            record += [repr(float(p.eval(point))) for p in float_gens]
+            if isinstance(model, TorusModel):
+                record += [repr(x) for x in _reference_radii(model, point)]
+            elif isinstance(model, IsoparametricModel):
+                record += [repr(_reference_level(model, point))]
+            writer.writerow(record)
+
+
+@pytest.mark.parametrize("name", ["hopf", "b3", "iso_g2", "cartan_so3_g3"])
+def test_export_matches_per_row_writer(tmp_path, bundled_runs, name):
+    model, gens, seed, params = bundled_runs[name]
+    for rng_seed, count in ((seed, params.get("num_samples", 500)), (3, 257), (5, 0)):
+        expected, got = tmp_path / "expected.csv", tmp_path / "got.csv"
+        _reference_export(gens, count, rng_seed, expected, model)
+        assert quotient_image_export(gens, count, rng_seed, got, model) == count
+        assert got.read_bytes() == expected.read_bytes()

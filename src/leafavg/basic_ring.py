@@ -375,6 +375,21 @@ def _det_identity_minus_tg(matrix) -> List[Fraction]:
     return [Fraction(c, den ** k) for k, c in enumerate(coeffs)]
 
 
+def _signed_det(perm: Sequence[int], signs: Sequence[int]) -> Tuple[int, ...]:
+    """det(I - t*g) of the signed permutation ``g x = (s_i x_(perm_i))_i`` in
+    ints: the product over its cycles c of ``1 - e_c t^|c|``, with ``e_c`` the
+    product of the signs on c."""
+    poly, seen = [1] + [0] * len(perm), set()
+    for i in range(len(perm)):
+        length, sign = 0, 1
+        while i not in seen:
+            seen.add(i)
+            length, sign, i = length + 1, sign * signs[i], perm[i]
+        if length:
+            poly = [c - sign * poly[k - length] if k >= length else c for k, c in enumerate(poly)]
+    return tuple(poly)
+
+
 def _series_invert(poly: Sequence[Fraction], max_degree: int) -> List[Fraction]:
     if poly[0] != 1:
         raise ValueError("series inversion expects constant term 1")
@@ -391,14 +406,18 @@ def molien_dimensions(model: FiniteGroupModel, max_degree: int) -> List[int]:
     """Dimensions of the degree-``d`` invariants, ``d = 0..max_degree``.
 
     Expands ``(1/|G|) sum_g 1/det(I - t g)`` with exact rational series
-    arithmetic; the classical independent oracle for ``dim B_d``.  Each
-    distinct ``det(I - t g)`` is inverted once and weighted by its count.
+    arithmetic; the classical independent oracle for ``dim B_d``.  A signed
+    permutation's ``det(I - t g)`` is read off its cycle type, any other
+    element's comes from Faddeev-LeVerrier; each distinct one is inverted
+    once and weighted by its count.
     """
     if not isinstance(model, FiniteGroupModel):
         raise TypeError("the Molien series is defined for finite groups")
     if model.mode != EXACT:
         raise ScalarModeMismatch("Molien series needs exact rational matrix entries")
-    counts = Counter(tuple(_det_identity_minus_tg(g)) for g in model.elements)
+    table = model._signed_table()
+    counts = Counter(map(_signed_det, table.perms.tolist(), table.signs.tolist()))
+    counts.update(tuple(_det_identity_minus_tg(g)) for g in table.others)
     total = [Fraction(0)] * (max_degree + 1)
     for det, count in counts.items():
         inv = _series_invert(det, max_degree)

@@ -103,15 +103,17 @@ def _check_keys(section: dict, allowed, where: str):
 def _number(section: dict, key: str, kind=int, default=_REQUIRED, minimum=None):
     """``section[key]`` (``default`` when absent and given) as ``kind``,
     ``int`` or ``float``; None when it is null or absent and ``default`` is
-    None.  A :class:`ConfigError` when it is not a number or is not at least
-    ``minimum`` (as NaN is not)."""
+    None.  A :class:`ConfigError` when it is a boolean, not a number (not a
+    whole one for ``int``) or not at least ``minimum`` (as NaN is not)."""
     value = section[key] if default is _REQUIRED else section.get(key, default)
     if value is None and default is None:
         return None
+    expected = "an integer" if kind is int else "a number"
+    if isinstance(value, bool) or kind is int and isinstance(value, float) and value % 1:
+        raise ConfigError(f"{key} must be {expected}, got {value!r}")
     try:
         number = kind(value)
     except (TypeError, ValueError, OverflowError):
-        expected = "an integer" if kind is int else "a number"
         raise ConfigError(f"{key} must be {expected}, got {value!r}") from None
     if minimum is not None and not number >= minimum:
         raise ConfigError(f"{key} must be at least {minimum}, got {value!r}")
@@ -141,9 +143,9 @@ def _fit_args(params: dict) -> dict:
 
 
 def _parse_entry(value, mode: str):
+    if isinstance(value, bool):
+        raise ConfigError(f"boolean matrix entry {value!r}")
     if mode == EXACT:
-        if isinstance(value, bool):
-            raise ConfigError(f"boolean matrix entry {value!r}")
         if isinstance(value, float):
             raise ConfigError(f"float entry {value!r} in an exact matrix; quote it as 'p/q'")
     try:

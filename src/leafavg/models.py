@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 import weakref
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache, partial, reduce
 from operator import itemgetter, mul
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -311,8 +311,10 @@ class FiniteGroupModel:
     ``(g x)_i = s_i x_{perm_i}``.  An exact-mode model builds, once and on
     first use, a table of its elements that are signed permutations: an
     index array of the permutations and an int array of their signs, one
-    row per element.  ``reynolds`` reads the pullback of a monomial off it as a
-    permuted exponent vector and a sign, with no polynomial per element.
+    row per element, read off the ``(perm, signs)`` tuples the closure ran
+    on when every generator is one.  ``reynolds`` reads the pullback of a
+    monomial off it as a permuted exponent vector and a sign, with no
+    polynomial per element.
     When the table holds every element, orbit distances take the orbit of a
     point as ``float(p)[perm] * sign``; negating and moving a float are
     exact, so each image is the float of the exact image.  The mates of an
@@ -326,13 +328,16 @@ class FiniteGroupModel:
     closed_form = True
     leaf_label_names = ()
 
-    def __init__(self, ambient_dim: int, elements, generators, mode: str, name: str = ""):
+    def __init__(self, ambient_dim: int, elements, generators, mode: str, name: str = "",
+                 signed=None):
         self.ambient_dim = ambient_dim
         self.elements = tuple(elements)
         self.generators = tuple(generators)
         self.mode = mode
         self.name = name or f"finite_group(dim={ambient_dim}, order={len(self.elements)})"
         self._table = None
+        # (perm, signs) of every element when the closure ran on them
+        self._signed = signed
 
     @property
     def order(self) -> int:
@@ -343,7 +348,7 @@ class FiniteGroupModel:
 
     def _signed_table(self) -> _SignedTable:
         if self._table is None:
-            found = [
+            found = self._signed or [
                 _signed_permutation(g) if self.mode == EXACT else None for g in self.elements
             ]
             pairs = [pair for pair in found if pair is not None]
@@ -515,7 +520,8 @@ def group_closure(
 ) -> FiniteGroupModel:
     """Close a generator list under products into a :class:`FiniteGroupModel`.
 
-    Breadth-first and deterministic.  Raises :class:`NonOrthogonalGenerator`
+    Breadth-first and deterministic, on ``(perm, signs)`` tuples when every
+    exact generator is a signed permutation.  Raises :class:`NonOrthogonalGenerator`
     for a bad generator and :class:`GroupTooLarge` when the closure exceeds
     ``max_group_size`` (the signature of an infinite or huge group).
     """
@@ -532,34 +538,52 @@ def group_closure(
         if not _is_orthogonal(g, mode, MATRIX_TOL):
             raise NonOrthogonalGenerator(f"generator is not orthogonal within {MATRIX_TOL}")
 
-    elements = [_identity(ambient_dim, mode)]
-    if mode == EXACT:
+    signed = [_signed_permutation(g) for g in gens] if mode == EXACT else [None]
+    if None not in signed:
+        # (perm, signs) tuples: row i of ``a g`` is nonzero in column
+        # perm_g[perm_a[i]], with sign signs_a[i] * signs_g[perm_a[i]]
+        start, factors = (tuple(range(ambient_dim)), (1,) * ambient_dim), signed
+        entries = {1: Fraction(1), -1: Fraction(-1), 0: Fraction(0)}
+
+        def multiply(a, g):
+            (perm, signs), (factor_perm, factor_signs) = a, g
+            return (tuple(factor_perm[j] for j in perm),
+                    tuple(s * factor_signs[j] for s, j in zip(signs, perm)))
+
+        def element(key):
+            return tuple(tuple(entries[s if j == p else 0] for j in range(ambient_dim))
+                         for p, s in zip(*key))
+    elif mode == EXACT:
         # integer matrices over one denominator, in lowest terms, so that
         # equal elements have equal keys
-        keys = [_integer_matrix(elements[0])]
+        start = _integer_matrix(_identity(ambient_dim, mode))
         factors = [(tuple(zip(*rows)), den) for rows, den in map(_integer_matrix, gens)]
-        seen = set(keys)
+
+        def multiply(a, g):
+            (rows, den), (cols, factor_den) = a, g
+            prod = [[sum(map(mul, row, col)) for col in cols] for row in rows]
+            c = math.gcd(den * factor_den, *(x for row in prod for x in row))
+            return tuple(tuple(x // c for x in row) for row in prod), den * factor_den // c
+
+        def element(key):
+            return tuple(tuple(Fraction(x, key[1]) for x in row) for row in key[0])
+    else:
+        start, factors, element = _identity(ambient_dim, mode), gens, None
+        multiply = partial(_mat_mul, zero=0.0)
+    keys, seen = [start], {start}
     # breadth first: the list grows behind the element being multiplied
-    for index, current in enumerate(elements):
-        for k, g in enumerate(gens):
-            if mode == EXACT:
-                (rows, den), (cols, factor_den) = keys[index], factors[k]
-                prod = [[sum(map(mul, row, col)) for col in cols] for row in rows]
-                c = math.gcd(den * factor_den, *(x for row in prod for x in row))
-                key = (tuple(tuple(x // c for x in row) for row in prod), den * factor_den // c)
-                if key in seen:
-                    continue
-                seen.add(key)
-                keys.append(key)
-                prod = tuple(tuple(Fraction(x, key[1]) for x in row) for row in key[0])
-            else:
-                prod = _mat_mul(current, g, 0.0)
-                if any(_mat_close(prod, e, MATRIX_TOL) for e in elements):
-                    continue
-            elements.append(prod)
-            if len(elements) > max_group_size:
+    for current in keys:
+        for g in factors:
+            key = multiply(current, g)
+            if (key in seen if mode == EXACT
+                    else any(_mat_close(key, e, MATRIX_TOL) for e in keys)):
+                continue
+            seen.add(key)
+            keys.append(key)
+            if len(keys) > max_group_size:
                 raise GroupTooLarge(f"group closure exceeded {max_group_size} elements")
-    return FiniteGroupModel(ambient_dim, elements, gens, mode, name=name)
+    return FiniteGroupModel(ambient_dim, map(element, keys) if element else keys, gens, mode,
+                            name=name, signed=keys if None not in signed else None)
 
 
 # -- torus actions -----------------------------------------------------------

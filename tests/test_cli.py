@@ -343,6 +343,19 @@ NAMED_KEY_CASES = [
     ("model_name_not_text", "generators", {**TORUS, "name": [1]}, {"seed": 1, "D": 2}, {}, "name"),
     ("symmetry_name_not_text", "generators", {**ISO, "symmetry": {**ISO_SYMMETRY, "name": 5}},
      {"seed": 1, "D": 1}, {}, "name"),
+    # a boolean is no number, and an integer key takes no fractional part
+    ("max_group_size_bool", "generators", {**B2, "max_group_size": True}, {"seed": 1, "D": 2}, {},
+     "max_group_size must be an integer"),
+    ("max_group_size_fractional", "generators", {**B2, "max_group_size": 2.5},
+     {"seed": 1, "D": 2}, {}, "max_group_size must be an integer"),
+    ("cap_fractional", "generators", TORUS, {"seed": 1, "D": 2.7}, {}, "D must be an integer"),
+    ("num_pairs_bool", "separate", TORUS, {"seed": 1, "D": 2, "num_pairs": True}, {},
+     "num_pairs must be an integer"),
+    ("bandwidth_bool", "generators", {**ISO, "h": True}, {"seed": 1, "D": 2}, {},
+     "h must be a number"),
+    ("float_matrix_entry_bool", "generators",
+     {**B2, "mode": "float", "generators": [[[True, 0], [0, 1]]]}, {"seed": 1, "D": 2}, {},
+     "boolean matrix entry"),
 ]
 # one negative tolerance each; the error must name its key
 NEGATIVE_TOLERANCES = [
@@ -463,6 +476,26 @@ def test_wrong_typed_field_never_escapes_main(field, value, task):
     assert code in (0, 1, 2)
     if code == 1:
         assert err.getvalue().startswith("error: ")
+
+
+def test_generators_molien_mismatch_exits_2(tmp_path, capsys, monkeypatch):
+    """The Molien gate of ``generators``: one Molien count off by one fails
+    the run though discovery is unchanged."""
+    from leafavg import cli
+    molien = cli.molien_dimensions
+
+    def off_by_one(model, max_degree):
+        dims = molien(model, max_degree)
+        dims[2] += 1
+        return dims
+
+    monkeypatch.setattr(cli, "molien_dimensions", off_by_one)
+    out = tmp_path / "out"
+    assert main(["generators", "--config", str(_CONFIG_DIR / "b2.json"), "--out", str(out)]) == 2
+    payload = json.loads((out / "generators.json").read_text())
+    assert payload["molien_check"]["match"] is False
+    assert payload["passed"] is False
+    assert "FAIL" in capsys.readouterr().out
 
 
 def test_b4_cap8_generators_match_reference(tmp_path, monkeypatch):

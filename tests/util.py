@@ -1,6 +1,8 @@
 """Shared helpers for the test suite."""
 
+import math
 from fractions import Fraction
+from operator import mul
 
 from hypothesis import strategies as st
 
@@ -55,3 +57,26 @@ def fraction_rotation_mate(model, p, rng):
         out.extend((c * x - s * y, s * x + c * y))
     out.extend(Fraction(x) for x in p[2 * model.n_planes:])
     return tuple(out)
+
+
+def integer_matrix_closure(generators):
+    """The breadth-first closure of exact generators on integer matrices over
+    one denominator, in lowest terms, as ``Fraction`` matrices: the reference
+    order of ``group_closure`` (element k is the k-th new product
+    ``element * generator``, elements in order, generators in order)."""
+    factors = []
+    for g in generators:
+        den = math.lcm(*(Fraction(x).denominator for row in g for x in row))
+        factors.append((tuple(zip(*[[int(Fraction(x) * den) for x in row] for row in g])), den))
+    n = len(generators[0])
+    keys = [(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), 1)]
+    seen = set(keys)
+    for rows, den in keys:
+        for cols, factor_den in factors:
+            prod = [[sum(map(mul, row, col)) for col in cols] for row in rows]
+            c = math.gcd(den * factor_den, *(x for row in prod for x in row))
+            key = (tuple(tuple(x // c for x in row) for row in prod), den * factor_den // c)
+            if key not in seen:
+                seen.add(key)
+                keys.append(key)
+    return tuple(tuple(tuple(Fraction(x, den) for x in row) for row in rows) for rows, den in keys)

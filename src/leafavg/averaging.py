@@ -286,11 +286,11 @@ class _FitContext:
         self.sampler = _full_cloud(model, seed, self.mc_samples)
         self._designs: Dict[tuple, np.ndarray] = {}
 
-    def responses(self, *polys: Polynomial) -> Tuple[np.ndarray, np.ndarray]:
-        """Leaf-average estimates and SEs of each polynomial (one row each)
-        at every fit level."""
+    def responses(self, *polys: Polynomial, se_rows: int = 0) -> Tuple[np.ndarray, np.ndarray]:
+        """Leaf-average estimates of each polynomial (one row each) at every
+        fit level, and the SEs of the first ``se_rows`` of them."""
         values = np.stack([f.eval_many(self.sampler.points) for f in polys])
-        return self.sampler.leaf_average_values(values, self.levels)
+        return self.sampler.leaf_average_values(values, self.levels, se_rows)
 
     def design(self, monomials: Sequence[tuple]) -> np.ndarray:
         """The fit points' values of ``monomials``, one column each; built once."""
@@ -356,7 +356,7 @@ def _averages(model, f: Polynomial, probe: Polynomial, seed: int, sample_points:
 
     # one pass over the cloud for f, its probe and its Laplacian
     rows = [f, *([probe] if fit_probe else []), *([lap_f] if with_lap else [])]
-    responses, ses = ctx.responses(*rows)
+    responses, ses = ctx.responses(*rows, se_rows=1)  # max_point_se reads f's SEs
     avg, condition, rms = ctx.fit(responses[0], degree, cond_cap)
     if with_lap:
         lap_avg, _, _ = ctx.fit(responses[-1], degree - 2, cond_cap)
@@ -366,7 +366,8 @@ def _averages(model, f: Polynomial, probe: Polynomial, seed: int, sample_points:
 
     # a second pass for the fitted average and its square on the same cloud
     avg_values = avg.eval_many(ctx.sampler.points)
-    again, _ = ctx.sampler.leaf_average_values(np.stack([avg_values, avg_values ** 2]), ctx.levels)
+    again, _ = ctx.sampler.leaf_average_values(np.stack([avg_values, avg_values ** 2]), ctx.levels,
+                                               se_rows=0)
     e1, e2 = again[:, :8]
     leaf_constancy = math.sqrt(max([0.0, *(e2 - e1 * e1).tolist()]))
     avg_again, _, _ = ctx.fit(again[0], degree, cond_cap)
@@ -474,7 +475,7 @@ def average_structured(
         )
     f = f.to_float()
     ctx = _FitContext(model, degree, seed, sample_points, mc_samples)
-    (responses,), (ses,) = ctx.responses(f)
+    (responses,), (ses,) = ctx.responses(f, se_rows=1)
 
     columns = [poly.eval_many(ctx.points) for _, poly in products]
     design = np.column_stack(columns)

@@ -84,9 +84,10 @@ def _row_norms(points: np.ndarray) -> np.ndarray:
     if points.shape[1] >= 8:
         return np.linalg.norm(points, axis=1)
     total = np.zeros(len(points))
+    square = np.empty(len(points))
     for column in points.T:
-        total = total + column * column
-    return np.sqrt(total)
+        total += np.multiply(column, column, out=square)
+    return np.sqrt(total, out=total)
 
 
 def sample_sphere_many(count: int, ambient_dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -98,7 +99,8 @@ def sample_sphere_many(count: int, ambient_dim: int, rng: np.random.Generator) -
         points[bad] = rng.standard_normal((int(bad.sum()), ambient_dim))
         norms = _row_norms(points)
         bad = norms < 1e-12
-    return points / norms[:, None]
+    points /= norms[:, None]
+    return points
 
 
 def sample_sphere(ambient_dim: int, seed: int) -> np.ndarray:
@@ -492,10 +494,26 @@ class FiniteGroupModel:
         rows = np.arange(len(batch))[:, None]
         return PointBatch(batch.nums[rows, table.perms[ks]] * table.signs[ks], batch.dens)
 
-    def leaf_mates(self, batch: PointBatch, rng: np.random.Generator) -> PointBatch:
-        """``random_leaf_mate`` of each point of an exact batch: one draw of all
-        element indices gives the draws of one call per point."""
-        return self._images(batch, rng.integers(self.order, size=len(batch)))
+    def _float_images(self, points: np.ndarray, ks) -> np.ndarray:
+        """Element ``ks[i]`` applied to row ``i`` of a float array, with the
+        floats of ``_mat_vec``: a gather through the signed table, or else
+        products summed left to right."""
+        table = self._signed_table()
+        if table.others:
+            d = self.ambient_dim
+            matrices = np.array([self.elements[k] for k in ks], dtype=float).reshape(-1, d, d)
+            return _column_sum(matrices * points[:, None, :])
+        rows = np.arange(len(points))[:, None]
+        return points[rows, table.perms[ks]] * table.signs[ks]
+
+    def leaf_mates(self, batch, rng: np.random.Generator):
+        """``random_leaf_mate`` of each point of an exact batch or a float
+        array: one draw of all element indices gives the draws of one call per
+        point."""
+        ks = rng.integers(self.order, size=len(batch))
+        if isinstance(batch, PointBatch):
+            return self._images(batch, ks)
+        return self._float_images(batch, ks)
 
     def random_leaf_mate(self, p, rng: np.random.Generator):
         """``g p`` for a uniformly drawn element ``g`` (row ``k`` of the signed
@@ -504,11 +522,7 @@ class FiniteGroupModel:
         batch = PointBatch.of([p]) if self.mode == EXACT else None
         if batch is not None:
             return self._images(batch, [k]).points()[0]
-        table = self._signed_table()
-        if table.others:
-            return _mat_vec(self.elements[k], tuple(p))
-        return tuple(-p[j] if s < 0 else p[j]
-                     for j, s in zip(table.perms[k].tolist(), table.signs[k].tolist()))
+        return tuple(self._float_images(_float_rows([p], self.ambient_dim), [k])[0].tolist())
 
 
 def group_closure(
@@ -829,12 +843,23 @@ class TorusModel:
         """Larger of the radial distance and the worst weighted phase gap."""
         return float(self.leaf_pairs([tuple(p)], [tuple(q)], 0.0)[1][0])
 
-    def leaf_mates(self, batch: PointBatch, rng: np.random.Generator) -> PointBatch:
-        """``random_leaf_mate`` of each point of an exact batch: one draw of all
-        rotations gives the draws of one call per point.  Parameter ``t`` turns
-        by ``cos + i sin = (b + i a)^2 / (a^2 + b^2)`` in lowest terms, plane
-        ``j`` by the product of their ``w_jt``-th powers in Gaussian integers,
-        and every coordinate goes over ``prod_t den_t^(max_j |w_jt|)``."""
+    def leaf_mates(self, batch, rng: np.random.Generator):
+        """``random_leaf_mate`` of each point of an exact batch or a float
+        array: one draw of all rotations gives the draws of one call per
+        point.  Exactly, parameter ``t`` turns by ``cos + i sin = (b + i a)^2
+        / (a^2 + b^2)`` in lowest terms, plane ``j`` by the product of their
+        ``w_jt``-th powers in Gaussian integers, and every coordinate goes
+        over ``prod_t den_t^(max_j |w_jt|)``.  In floats, plane ``j`` turns by
+        ``sum_t w_jt theta_t``, summed left to right, through ``math.cos`` and
+        ``math.sin``."""
+        if not isinstance(batch, PointBatch):
+            theta = rng.uniform(0.0, _TWO_PI, size=(len(batch), self.torus_rank))
+            angles = _column_sum(theta[:, None, :] * np.array(self.weight_matrix, dtype=float))
+            cos, sin = (np.vectorize(f, otypes=[float])(angles) for f in (math.cos, math.sin))
+            xs, ys = slice(0, 2 * self.n_planes, 2), slice(1, 2 * self.n_planes, 2)
+            x, y, out = batch[:, xs], batch[:, ys], batch.copy()
+            out[:, xs], out[:, ys] = cos * x - sin * y, sin * x + cos * y
+            return out
         draws = rng.integers([-12, 1], [13, 13], size=(len(batch), self.torus_rank, 2))
         a, b = draws.astype(object).transpose(2, 1, 0)
         cos, sin, den = b * b - a * a, 2 * a * b, a * a + b * b
@@ -864,15 +889,7 @@ class TorusModel:
         batch = PointBatch.of([p])
         if batch is not None:
             return self.leaf_mates(batch, rng).points()[0]
-        theta = rng.uniform(0.0, _TWO_PI, size=self.torus_rank)
-        out = []
-        for j in range(self.n_planes):
-            angle = float(sum(self.weight_matrix[j][t] * theta[t] for t in range(self.torus_rank)))
-            c, s = math.cos(angle), math.sin(angle)
-            x, y = float(p[2 * j]), float(p[2 * j + 1])
-            out.extend((c * x - s * y, s * x + c * y))
-        out.extend(float(x) for x in p[2 * self.n_planes:])
-        return tuple(out)
+        return tuple(self.leaf_mates(_float_rows([p], self.ambient_dim), rng)[0].tolist())
 
 
 # -- isoparametric level sets ------------------------------------------------
@@ -982,8 +999,12 @@ class LevelSetSampler:
             points = np.concatenate(kept_points)
             levels = np.concatenate(kept_levels)
         order = np.argsort(levels)
-        # np.take gathers the rows several times faster than points[order]
-        self.points = np.take(points, order, axis=0)
+        # np.take gathers the rows several times faster than points[order].
+        # The sorted cloud is kept column-major (``points`` is an (N, d) view
+        # of a (d, N) array), so that eval_many reads contiguous columns; the
+        # unsorted cloud is dropped first, so no more than two copies coexist
+        points = np.take(points, order, axis=0)
+        self.points = np.ascontiguousarray(points.T).T
         self.level_values = np.take(levels, order)
         self.grad_norms = model.g * np.sqrt(np.clip(1.0 - self.level_values ** 2, 0.0, None))
         for array in (self.points, self.level_values, self.grad_norms):
@@ -1024,7 +1045,7 @@ class LevelSetSampler:
         return self.grad_norms[window] * (1.0 - u * u)  # Epanechnikov, O(h^2) bias
 
     def leaf_average_values(
-        self, values: np.ndarray, levels: Sequence[float]
+        self, values: np.ndarray, levels: Sequence[float], se_rows: Optional[int] = None
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Weighted ratio estimates and delete-one jackknife standard errors.
 
@@ -1032,8 +1053,11 @@ class LevelSetSampler:
         ``points``.  The weights, their sum and the effective-sample-size
         guard (the model's ``min_ess``) are computed once per level and
         shared by every row; each row is then estimated on its own, so its
-        results do not depend on the other rows of the stack.  Returns two
-        ``(rows, len(levels))`` arrays: the estimates and their SEs.
+        results do not depend on the other rows of the stack.  Returns the
+        ``(rows, len(levels))`` estimates and the SEs of the first
+        ``se_rows`` rows (of every row by default): the jackknife runs only
+        for the rows whose SEs a caller reads, while every level still
+        passes the weight-sum and ESS guards.
 
         Only the samples in the level's window are read.  Leaving out a
         sample of weight 0 leaves the ratio unchanged, so each of the
@@ -1042,7 +1066,7 @@ class LevelSetSampler:
         """
         min_ess = self.min_ess
         estimates = np.empty((len(values), len(levels)))
-        ses = np.empty_like(estimates)
+        ses = np.empty((len(values[:se_rows]), len(levels)))
         n = self.count
         for j, level in enumerate(levels):
             level = float(level)
@@ -1058,13 +1082,15 @@ class LevelSetSampler:
                 )
             wf = values[:, window] * w
             swf = wf.sum(axis=1)
-            est = swf / sw
+            estimates[:, j] = swf / sw
+            if not len(ses):
+                continue
+            wf, swf, est = wf[:se_rows], swf[:se_rows], estimates[:se_rows, j]
             loo = (swf[:, None] - wf) / (sw - w)
             outside = n - len(w)
             mean = (loo.sum(axis=1) + outside * est) / n
             centered = loo - mean[:, None]
             spread = (centered * centered).sum(axis=1) + outside * (est - mean) ** 2
-            estimates[:, j] = est
             ses[:, j] = np.sqrt((n - 1) / n * spread)
         return estimates, ses
 
@@ -1178,6 +1204,10 @@ class IsoparametricModel:
         if self.symmetry is None:
             return None
         return self.symmetry.random_leaf_mate(p, rng)
+
+    def leaf_mates(self, points: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        """``random_leaf_mate`` of each row of a float array, by the symmetry."""
+        return self.symmetry.leaf_mates(points, rng)
 
     # -- estimation --------------------------------------------------------
 

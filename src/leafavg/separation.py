@@ -276,8 +276,7 @@ def separation_test(
         )
     else:
         points = draw(model.ambient_dim, num_pairs, rng)
-        mates = (model.leaf_mates(points, rng) if exact
-                 else [model.random_leaf_mate(p, rng) for p in points.tolist()])
+        mates = model.leaf_mates(points, rng)
         discs = rho_distances(points, mates)
         num_same = len(discs)
         max_same = max([max_same] + discs)

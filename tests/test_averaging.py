@@ -440,9 +440,9 @@ def test_statistical_verify_makes_four_estimator_passes(iso_g2_model, monkeypatc
     calls = []
     estimate = LevelSetSampler.leaf_average_values
 
-    def counted(self, values, levels):
+    def counted(self, values, levels, *args, **kwargs):
         calls.append(len(values))
-        return estimate(self, values, levels)
+        return estimate(self, values, levels, *args, **kwargs)
 
     monkeypatch.setattr(LevelSetSampler, "leaf_average_values", counted)
     f, g = P("x1^2", 4), P("x3^2", 4)

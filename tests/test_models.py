@@ -327,6 +327,46 @@ def test_random_leaf_mate_is_the_drawn_element_times_the_point(name):
     assert rng.bit_generator.state == reference.bit_generator.state
 
 
+def _reference_float_mate(model, p, rng):
+    """``random_leaf_mate`` of a float point as a Python loop per point."""
+    if hasattr(model, "torus_rank"):
+        theta = rng.uniform(0.0, 2.0 * math.pi, size=model.torus_rank)
+        out = []
+        for j, weights in enumerate(model.weight_matrix):
+            angle = float(sum(w * theta[t] for t, w in enumerate(weights)))
+            c, s = math.cos(angle), math.sin(angle)
+            x, y = p[2 * j], p[2 * j + 1]
+            out.extend((c * x - s * y, s * x + c * y))
+        return out + list(p[2 * model.n_planes:])
+    g = model.elements[int(rng.integers(model.order))]
+    if model._signed_table().others:
+        return list(_mat_vec(g, p))
+    # a signed permutation: each coordinate once, negated or not
+    return [next(p[j] if x > 0 else -p[j] for j, x in enumerate(row) if x) for row in g]
+
+
+FLOAT_MATE_MODELS = {
+    **{name: ORBIT_GROUPS[name] for name in ("b3", "b4", "mixed", "rational")},
+    "b3_float": GROUPS["b3", FLOAT],
+    **{name: load_config(_CONFIG_DIR / f"{name}.json").build_model()
+       for name in ("t2_full", "hopf", "circle12")},
+    **{name: load_config(_CONFIG_DIR / f"{name}.json").build_model().symmetry
+       for name in ("iso_g1", "iso_g3", "cartan_so3_g3")},
+}
+
+
+@pytest.mark.parametrize("name", sorted(FLOAT_MATE_MODELS))
+def test_float_leaf_mates_match_per_point_mates(name):
+    model = FLOAT_MATE_MODELS[name]
+    points = sample_sphere_many(200, model.ambient_dim, np.random.default_rng(3))
+    rng, reference = np.random.default_rng(4), np.random.default_rng(4)
+    mates = model.leaf_mates(points, rng)
+    want = np.array([_reference_float_mate(model, p, reference) for p in points.tolist()])
+    assert mates.tobytes() == want.tobytes()
+    assert rng.bit_generator.state == reference.bit_generator.state
+    assert model.leaf_mates(points[:0], rng).shape == (0, model.ambient_dim)
+
+
 def test_same_leaf_group_antipodal():
     model = group_closure([[[-1, 0], [0, -1]]])
     assert model.same_leaf((0.3, -0.7), (-0.3, 0.7), 1e-12)
@@ -738,6 +778,44 @@ def test_stacked_rows_match_rows_alone(iso_g2_model):
         alone_est, alone_se = sampler.leaf_average_values(row[None, :], levels)
         assert np.array_equal(est[i], alone_est[0])
         assert np.array_equal(se[i], alone_se[0])
+
+
+@pytest.mark.parametrize("se_rows", [0, 1, 3, None])
+def test_se_rows_keep_every_estimate_and_the_leading_ses(iso_g2_model, se_rows):
+    sampler = LevelSetSampler(iso_g2_model, 7, 20_000)
+    polys = [P("x1^2", 4), P("x1 * x3 - 2 * x2^3 * x4", 4), P("1", 4)]
+    values = np.stack([f.to_float().eval_many(sampler.points) for f in polys])
+    levels = [-0.6, 0.0, 0.31]
+    est, se = sampler.leaf_average_values(values, levels)
+    got_est, got_se = sampler.leaf_average_values(values, levels, se_rows)
+    assert got_est.tobytes() == est.tobytes()
+    assert got_se.shape == (3 if se_rows is None else se_rows, 3)
+    assert got_se.tobytes() == se[:se_rows].tobytes()
+
+
+def test_estimates_without_ses_keep_the_guards(iso_g2_model):
+    sampler = LevelSetSampler(iso_g2_model, 11, 20_000)
+    lv, h = sampler.level_values, iso_g2_model.h
+    values = P("x1^2", 4).to_float().eval_many(sampler.points)[None, :]
+    # the guards of every level, not only of the first
+    for level, message in ((-1.0 - 1.5 * h, "no samples"), (lv[0] - 0.99 * h, "effective")):
+        with pytest.raises(EffectiveSampleTooSmall, match=message):
+            sampler.leaf_average_values(values, [0.0, float(level)], se_rows=0)
+
+
+def test_sorted_cloud_is_column_major(iso_g2_model):
+    sampler = LevelSetSampler(iso_g2_model, 5, 20_000)
+    points = sampler.points
+    assert points.shape == (20_000, 4) and points.flags.f_contiguous
+    assert not points.flags.writeable
+    rng = np.random.default_rng(np.random.SeedSequence(5).spawn(1)[0])
+    cloud = sample_sphere_many(20_000, 4, rng)
+    order = np.argsort(iso_g2_model.F.eval_many(cloud))
+    assert points.tobytes() == np.take(cloud, order, axis=0).tobytes()
+    rows = np.ascontiguousarray(points)
+    for f in (P("x1^2", 4), P("x1 * x3 - 2 * x2^3 * x4", 4), random_homogeneous(4, 4, rng, n_terms=35)):
+        f = f.to_float()
+        assert f.eval_many(points).tobytes() == f.eval_many(rows).tobytes()
 
 
 def _full_scan_leaf_average(sampler, values, level, min_ess):

@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 import weakref
 from fractions import Fraction
-from functools import lru_cache, partial, reduce
+from functools import cached_property, lru_cache, partial, reduce
 from operator import itemgetter, mul
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -51,13 +51,15 @@ from .polynomials import (
     format_polynomial,
     radius_squared,
     sphere_inner,
+    sphere_mean,
 )
 
 _TWO_PI = 2.0 * math.pi
 # float matrix comparisons: a generator's orthogonality, and two group
 # elements being the same
 MATRIX_TOL = 1e-9
-# largest coefficient of a float Cartan-Munzner identity residual
+# largest coefficient of a float Cartan-Munzner identity residual, and
+# largest distance of a float F's level-law multiplicities from integers
 MUNZNER_TOL = 1e-9
 # default level-predicate tolerance of ``IsoparametricModel.same_leaf``
 LEVEL_TOL = 1e-6
@@ -939,8 +941,85 @@ def validate_munzner(F: Polynomial, g: int):
     return c
 
 
-# samples a level-restricted cloud draws and masks at a time
-SAMPLER_CHUNK = 1 << 15
+# panels of the composite Simpson rule that integrates a band's probability
+_SIMPSON_PANELS = 1 << 10
+
+
+class LevelLaw:
+    """The law of ``F(x)`` for a uniform point ``x`` of the sphere.
+
+    Munzner (*Math. Ann.* 251, 1980): ``(1 - F)/2 ~ Beta((m1 + 1)/2,
+    (m2 + 1)/2)``, where ``m1`` and ``m2`` are the multiplicities of the
+    principal curvatures.  In the angle ``phi`` with ``F = cos 2 phi`` the
+    density is proportional to ``sin^m1(phi) cos^m2(phi)`` on ``[0, pi/2]``:
+    smooth even when a multiplicity is 0, and log-concave, so its maximum
+    on an interval is at the mode ``atan sqrt(m1/m2)`` or at an end.
+    """
+
+    def __init__(self, m1: int, m2: int):
+        self.m1, self.m2 = m1, m2
+        a, b = (m1 + 1) / 2, (m2 + 1) / 2
+        self._scale = 2.0 * math.exp(math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b))
+        self._mode = math.atan2(math.sqrt(m1), math.sqrt(m2))
+
+    @classmethod
+    def of(cls, F: Polynomial, g: int) -> "LevelLaw":
+        """The law of an admitted Cartan-Munzner polynomial, solved from its
+        exact sphere moments ``E[F]`` and ``E[F^2]`` by the Beta method of
+        moments.  ``NotCartanMunzner`` unless ``2a`` and ``2b`` are positive
+        integers (within 1e-9 for a float ``F``) and the multiplicities fit
+        the sphere, ``n - 2 = g (m1 + m2) / 2``; neither fails for an ``F``
+        that ``validate_munzner`` admits."""
+        first, second = sphere_mean(F), sphere_mean(F * F)
+        mean = (1 - first) / 2  # of u = (1 - F)/2
+        var = (1 - 2 * first + second) / 4 - mean * mean
+        if not var > 0:
+            raise NotCartanMunzner("level polynomial is constant on the sphere")
+        total = mean * (1 - mean) / var - 1  # a + b
+        m1, m2 = (2 * mean * total - 1, 2 * (1 - mean) * total - 1)
+        mults = [round(m) for m in (m1, m2)]
+        tol = 0 if F.mode == EXACT else MUNZNER_TOL
+        whole = all(abs(m - k) <= tol for m, k in zip((m1, m2), mults))
+        if not whole or min(mults) < 0 or 2 * (F.ambient_dim - 2) != g * sum(mults):
+            raise NotCartanMunzner(
+                f"level law Beta(a, b) with 2a = {float(m1) + 1!r}, 2b = {float(m2) + 1!r} "
+                f"does not fit multiplicities of g = {g} on R^{F.ambient_dim}"
+            )
+        return cls(*mults)
+
+    def _density(self, phi: np.ndarray) -> np.ndarray:
+        return self._scale * np.sin(phi) ** self.m1 * np.cos(phi) ** self.m2
+
+    @staticmethod
+    def _angles(lo: float, hi: float) -> Tuple[float, float]:
+        """The angles ``phi`` of the levels ``[lo, hi]`` clipped to [-1, 1]."""
+        return (math.acos(min(max(hi, -1.0), 1.0)) / 2, math.acos(min(max(lo, -1.0), 1.0)) / 2)
+
+    def band_probability(self, lo: float, hi: float) -> float:
+        """``P(lo <= F(x) <= hi)``, by the composite Simpson rule in ``phi``."""
+        start, stop = self._angles(lo, hi)
+        if not start < stop:
+            return 0.0
+        f = self._density(np.linspace(start, stop, 2 * _SIMPSON_PANELS + 1))
+        total = f[0] + f[-1] + 4.0 * f[1::2].sum() + 2.0 * f[2:-1:2].sum()
+        return min(1.0, float(total) * (stop - start) / (6 * _SIMPSON_PANELS))
+
+    def draw(self, count: int, lo: float, hi: float, rng: np.random.Generator) -> np.ndarray:
+        """``count`` levels of the law restricted to ``[lo, hi]``, by rejection
+        from a uniform ``phi`` on the band under the density's maximum there."""
+        start, stop = self._angles(lo, hi)
+        top = float(self._density(np.array(min(max(self._mode, start), stop))))
+        # the expected share of tries kept; a band of probability 0 draws none
+        accept = self.band_probability(lo, hi) / ((stop - start) * top) if count else 1.0
+        phi = np.empty(count)
+        filled = 0
+        while filled < count:
+            size = int((count - filled) / accept) + 16
+            tries = rng.uniform(start, stop, size)
+            kept = tries[rng.uniform(0.0, top, size) < self._density(tries)][: count - filled]
+            phi[filled:filled + len(kept)] = kept
+            filled += len(kept)
+        return np.cos(2.0 * phi)
 
 
 def _window_margin(h: float) -> float:
@@ -967,14 +1046,16 @@ class LevelSetSampler:
 
     def __init__(self, model: "IsoparametricModel", seed, count: int, *,
                  level: Optional[float] = None):
-        """With ``level``, keep only the samples that ``window(level)`` can
-        read; ``count`` stays the full sample count, so that level's
-        estimates and SEs are those of the full cloud.  Such a cloud is
-        drawn, evaluated and masked ``SAMPLER_CHUNK`` samples at a time, in
-        O(chunk + window) memory.  The chunks continue one random stream, so
-        the kept samples are those of the one-shot cloud; the exception
-        would be a sample of norm below 1e-12, which is redrawn at the end of
-        its chunk rather than of the cloud (astronomically rare)."""
+        """With ``level``, draw only the samples that ``window(level)`` can
+        read, the band ``|F - level| <= reach`` a little wider than the
+        kernel support: their number is ``Binomial(count, p)`` for the band's
+        probability ``p`` under the model's ``level_law``, their levels are
+        drawn from that law restricted to the band, and uniform sphere points
+        are carried onto those levels along their normal geodesics
+        (``IsoparametricModel.transport``).  That is the law of the band of a
+        full cloud of ``count`` samples, so ``count`` stays the full sample
+        count and the level's estimates and SEs are those of the full cloud
+        in law (not in bits), in O(window) time and memory."""
         self._model = weakref.ref(model)
         self.h = model.h
         self.min_ess = model.min_ess
@@ -984,20 +1065,14 @@ class LevelSetSampler:
         rng = np.random.default_rng(root.spawn(1)[0])
         if level is None:
             points = sample_sphere_many(count, model.ambient_dim, rng)
-            levels = model.F.eval_many(points)
         else:
             # twice the window's margin: a superset of every sample it reads
             reach = model.h + 2.0 * _window_margin(model.h)
-            kept_points = [np.empty((0, model.ambient_dim))]
-            kept_levels = [np.empty(0)]
-            for start in range(0, count, SAMPLER_CHUNK):
-                chunk = sample_sphere_many(min(SAMPLER_CHUNK, count - start), model.ambient_dim, rng)
-                chunk_levels = model.F.eval_many(chunk)
-                keep = np.abs(chunk_levels - level) <= reach
-                kept_points.append(np.compress(keep, chunk, axis=0))
-                kept_levels.append(np.compress(keep, chunk_levels))
-            points = np.concatenate(kept_points)
-            levels = np.concatenate(kept_levels)
+            lo, hi = level - reach, level + reach
+            law = model.level_law
+            targets = law.draw(rng.binomial(count, law.band_probability(lo, hi)), lo, hi, rng)
+            points = model.transport(sample_sphere_many(len(targets), model.ambient_dim, rng), targets)
+        levels = model.F.eval_many(points)
         order = np.argsort(levels)
         # np.take gathers the rows several times faster than points[order].
         # The sorted cloud is kept column-major (``points`` is an (N, d) view
@@ -1209,6 +1284,42 @@ class IsoparametricModel:
         """``random_leaf_mate`` of each row of a float array, by the symmetry."""
         return self.symmetry.leaf_mates(points, rng)
 
+    # -- level law and normal geodesics -------------------------------------
+
+    @cached_property
+    def level_law(self) -> LevelLaw:
+        """The law of ``F`` at a uniform sphere point, solved once."""
+        return LevelLaw.of(self.F, self.g)
+
+    def transport(self, points: np.ndarray, levels: np.ndarray) -> np.ndarray:
+        """Move each unit row of ``points`` along its normal geodesic onto
+        the level in the same row of ``levels`` (Cecil-Ryan, *Geometry of
+        Hypersurfaces*, ch. 3).  ``F = cos(g theta)`` there, with ``theta``
+        the distance from the focal manifold ``F = 1``, and parallel leaves
+        have constant principal curvatures, so the move carries the uniform
+        law of one leaf onto the uniform law of the other.
+
+        With ``nu`` the unit vector of ``grad F - g F(p) p`` and ``theta(p) =
+        atan2(|grad F - g F(p) p|, g F(p)) / g`` (``arccos F(p) / g``, without
+        its loss of digits next to a focal level), the step is ``s = theta(p)
+        - arccos(t) / g`` and the result ``cos(s) p + sin(s) nu``.  A row on
+        a focal manifold has no normal direction and comes back non-finite.
+        """
+        points = np.asarray(points, dtype=float)
+        normal = np.empty_like(points)
+        for i, part in enumerate(self.F.gradient()):
+            normal[:, i] = part.eval_many(points)
+        radial = np.einsum("ij,ij->i", normal, points)  # g F(p), by Euler
+        normal -= radial[:, None] * points
+        # the subtraction leaves rounding along p; a second pass removes it
+        normal -= np.einsum("ij,ij->i", normal, points)[:, None] * points
+        size = _row_norms(normal)
+        step = (np.arctan2(size, radial) - np.arccos(np.clip(levels, -1.0, 1.0))) / self.g
+        with np.errstate(divide="ignore", invalid="ignore"):
+            normal *= (np.sin(step) / size)[:, None]
+        normal += np.cos(step)[:, None] * points
+        return normal
+
     # -- estimation --------------------------------------------------------
 
     def leaf_average_mc(
@@ -1221,9 +1332,18 @@ class IsoparametricModel:
     ) -> Tuple[float, float]:
         """Monte Carlo leaf average of ``f`` through ``p`` with jackknife SE.
 
-        Uses the bandwidth ``h`` of the model and refuses points within it
-        of the focal levels ``F = +-1``.
+        The kernel estimate at the level of ``p`` over ``n`` uniform sphere
+        samples (the model's ``sample_count`` by default; otherwise a
+        positive int, else ``ConfigError``), of which only the level's band
+        is drawn (``LevelSetSampler`` with ``level``): reproducible for a
+        fixed seed, and equal in law, not in bits, to the estimate on a full
+        cloud.  Uses the bandwidth ``h`` of the model and refuses points
+        within it of the focal levels ``F = +-1``.
         """
+        if n is None:
+            n = self.sample_count
+        elif isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+            raise ConfigError(f"n must be a positive int, got {n!r}")
         if f.ambient_dim != self.ambient_dim:
             raise DimensionMismatch("polynomial dimension does not match model")
         p = tuple(p)
@@ -1233,7 +1353,7 @@ class IsoparametricModel:
             raise NearSingularLeaf(
                 f"level {level:.6f} within bandwidth {self.h} of a focal level"
             )
-        sampler = LevelSetSampler(self, rng_seed, n or self.sample_count, level=level)
+        sampler = LevelSetSampler(self, rng_seed, n, level=level)
         return sampler.leaf_average(f, level)
 
     def fit_points(self, count: int, rng: np.random.Generator) -> np.ndarray:

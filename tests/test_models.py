@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 from pathlib import Path
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -885,88 +886,106 @@ def test_windowed_estimator_matches_full_scan(iso_g2_model):
 
 
 def test_level_restricted_sampler_matches_full_cloud(iso_g2_model):
-    # a sampler built for one level keeps only that level's support, sorts
-    # only it, and must estimate that level bit for bit as the full cloud does
-    full = LevelSetSampler(iso_g2_model, 11, 20_000)
-    lv, h = full.level_values, iso_g2_model.h
-    polys = [P("x1^2", 4), P("x1 * x3 - 2 * x2^3 * x4", 4), P("1", 4)]
-    full_values = np.stack([f.to_float().eval_many(full.points) for f in polys])
-    rng = np.random.default_rng(1)
-    edges = rng.integers(0, len(lv), size=3)
-    levels = [
-        *rng.uniform(-1.2, 1.2, size=20),
-        lv[0], lv[0] + 0.5 * h, lv[-1], lv[-1] - 0.5 * h,  # windows at the ends
-        lv[0] - 0.99 * h, lv[-1] + 0.99 * h,  # a few samples: below the ESS floor
-        *(lv[edges] + h), *(lv[edges] - h),  # a support edge on a sample
-        -1.0 - 1.5 * h, 1.0 + 1.5 * h,  # empty windows
-    ]
-    seen = set()
-    for level in map(float, levels):
-        restricted = LevelSetSampler(iso_g2_model, 11, 20_000, level=level)
-        assert restricted.count == full.count
-        assert len(restricted.points) <= len(full.points)
-        window = full.window(level)
-        assert np.array_equal(restricted.level_values[restricted.window(level)], lv[window])
-        values = np.stack([f.to_float().eval_many(restricted.points) for f in polys])
-        reference = _outcome(full.leaf_average_values, full_values, [level])
-        outcome = _outcome(restricted.leaf_average_values, values, [level])
-        if isinstance(reference, str):
-            assert outcome == reference, level
-            seen.add(reference)
-            continue
-        assert len(restricted.points) < len(full.points)
-        for got, want in zip(outcome, reference):
-            assert got.tobytes() == want.tobytes(), level
-        seen.add("estimated")
-    assert seen == {"no", "effective", "estimated"}
+    # a sampler built for one level draws only that level's band, with the
+    # law of the full cloud's band: its estimates agree with the full cloud's
+    # within their SEs, at 3 levels x 20 seed pairs x 2 rows; the gate is a
+    # Bonferroni bound at family-wise level 1e-4
+    polys = [P("x1^2", 4), P("x1 * x3 - 2 * x2^3 * x4", 4)]
+    levels = [-0.6, 0.0, 0.31]
+    zs = []
+    for seed in range(20):
+        full = LevelSetSampler(iso_g2_model, seed, 20_000)
+        full_values = np.stack([f.to_float().eval_many(full.points) for f in polys])
+        full_est, full_se = full.leaf_average_values(full_values, levels)
+        for j, level in enumerate(levels):
+            band = LevelSetSampler(iso_g2_model, 1_000 + seed, 20_000, level=level)
+            assert band.count == full.count
+            assert len(band.points) < len(full.points) // 5
+            values = np.stack([f.to_float().eval_many(band.points) for f in polys])
+            est, se = band.leaf_average_values(values, [level])
+            zs.extend((est[:, 0] - full_est[:, j]) / np.hypot(se[:, 0], full_se[:, j]))
+    limit = NormalDist().inv_cdf(1.0 - 1e-4 / (2 * len(zs)))
+    assert max(map(abs, zs)) < limit, zs
+    # the guard outcomes that do not depend on the draw: an empty window
+    # beyond the focal levels, and an ESS floor above the sample count
+    h = iso_g2_model.h
+    values = np.zeros((1, 0))
+    for level in (-1.0 - 1.5 * h, 1.0 + 1.5 * h):
+        band = LevelSetSampler(iso_g2_model, 11, 20_000, level=level)
+        assert len(band.points) == 0
+        with pytest.raises(EffectiveSampleTooSmall, match="no samples"):
+            band.leaf_average_values(values, [level])
+    guarded = IsoparametricModel(iso_g2_model.F, 2, min_ess=20_001)
+    band = LevelSetSampler(guarded, 11, 20_000, level=0.2)
+    values = P("x1^2", 4).to_float().eval_many(band.points)[None, :]
+    with pytest.raises(EffectiveSampleTooSmall, match="effective"):
+        band.leaf_average_values(values, [0.2])
 
 
-def _one_shot_restricted_cloud(model, seed, count, level):
-    """The level-restricted cloud as it was built before streaming: all
-    ``count`` samples drawn, evaluated and masked at once, then sorted."""
-    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
-    points = sample_sphere_many(count, model.ambient_dim, rng)
-    levels = model.F.eval_many(points)
-    keep = np.abs(levels - level) <= model.h + 2.0 * models._window_margin(model.h)
-    points = np.compress(keep, points, axis=0)
-    levels = np.compress(keep, levels)
-    order = np.argsort(levels)
-    return np.take(points, order, axis=0), np.take(levels, order)
-
-
-def test_streamed_restricted_cloud_matches_one_shot(iso_g2_model):
-    chunk = models.SAMPLER_CHUNK
-    for count in (0, 1_000, chunk, 2 * chunk + 777):
+def test_restricted_cloud_counts_all_samples_and_follows_its_seed(iso_g2_model):
+    for count in (0, 1_000, 2 * 2**15 + 777):
         for level in (-0.4, 0.05, 0.7):
-            streamed = LevelSetSampler(iso_g2_model, 13, count, level=level)
-            points, levels = _one_shot_restricted_cloud(iso_g2_model, 13, count, level)
-            assert streamed.count == count
-            assert streamed.points.tobytes() == points.tobytes(), (count, level)
-            assert streamed.level_values.tobytes() == levels.tobytes(), (count, level)
+            cloud = LevelSetSampler(iso_g2_model, 13, count, level=level)
+            again = LevelSetSampler(iso_g2_model, 13, count, level=level)
+            other = LevelSetSampler(iso_g2_model, 14, count, level=level)
+            assert cloud.count == again.count == other.count == count
+            assert cloud.points.tobytes() == again.points.tobytes(), (count, level)
+            assert cloud.level_values.tobytes() == again.level_values.tobytes(), (count, level)
+            if count == 0:
+                assert cloud.points.shape == (0, 4)
+                continue
+            assert cloud.points.tobytes() != other.points.tobytes(), (count, level)
+            assert cloud.level_values.tobytes() != other.level_values.tobytes(), (count, level)
 
 
-def test_million_sample_leaf_average_streams(iso_g2_model):
-    # 10^6 samples of R^4 are 32 MB of points alone; the streamed cloud holds
-    # one chunk and the ~5% of samples in the level's kernel support
+def test_million_sample_leaf_average_draws_only_its_band(iso_g2_model, monkeypatch):
+    # 10^6 samples of R^4 are 32 MB of points alone; the band cloud draws and
+    # holds only the ~5% of samples in the level's kernel support
     import tracemalloc
+    drawn = []
+    draw = models.sample_sphere_many
+
+    def counted(count, ambient_dim, rng):
+        drawn.append(count)
+        return draw(count, ambient_dim, rng)
+
+    monkeypatch.setattr(models, "sample_sphere_many", counted)
     f = P("x1^2", 4)
     p = sample_sphere(4, 100)
+    n = 10**6
     tracemalloc.start()
     try:
-        iso_g2_model.leaf_average_mc(f, p, rng_seed=3, n=10**6)
+        iso_g2_model.leaf_average_mc(f, p, rng_seed=3, n=n)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 16 * 2**20
+    assert peak < 8 * 2**20
+    # F is uniform on [-1, 1] on this sphere, so the band of half-width
+    # ``reach`` around the level has probability ``reach``
+    h = iso_g2_model.h
+    band = h + 2.0 * models._window_margin(h)
+    assert sum(drawn) <= n * band + 6.0 * math.sqrt(n * band * (1.0 - band))
 
 
 def test_sampler_reuse_matches_direct_call(iso_g2_model):
-    sampler = LevelSetSampler(iso_g2_model, 7, 50_000)
     f = parse_polynomial("x1^2", 4)
     p = sample_sphere(4, 9)
     level = iso_g2_model.level_of(p)
+    sampler = LevelSetSampler(iso_g2_model, 7, 50_000, level=level)
     direct = iso_g2_model.leaf_average_mc(f, p, rng_seed=7, n=50_000)
     assert sampler.leaf_average(f, level) == direct
+
+
+@pytest.mark.parametrize("n", [0, -5, 2.0, True, "100", 10**6 + 0.5])
+def test_leaf_average_refuses_a_sample_count_that_is_not_a_positive_int(iso_g2_model, n):
+    with pytest.raises(ValueError, match=r"^n must be a positive int"):
+        iso_g2_model.leaf_average_mc(P("x1^2", 4), sample_sphere(4, 9), rng_seed=1, n=n)
+
+
+def test_leaf_average_takes_numpy_sample_counts(iso_g2_model):
+    f, p = P("x1^2", 4), sample_sphere(4, 9)
+    assert iso_g2_model.leaf_average_mc(f, p, rng_seed=1, n=np.int64(20_000)) == \
+        iso_g2_model.leaf_average_mc(f, p, rng_seed=1, n=20_000)
 
 
 def test_symmetry_must_preserve_levels():

@@ -340,6 +340,30 @@ def basic_subspace(
                          singular_values=list(map(float, sing)))
 
 
+def basic_projection(model, f: Polynomial) -> Polynomial:
+    """The leaf average of ``f`` on an exact closed-form model, as the
+    sphere-orthogonal projection onto the basic polynomials: the constant
+    part of ``f`` is kept, and each degree-``d`` part ``p`` becomes ``p``
+    minus its remainder on the cached exact slice ``B_d``.  Terms come in
+    descending graded-lex order; float input gives float coefficients."""
+    parts: Dict[int, dict] = {}
+    for expo, c in f.to_exact().terms.items():
+        parts.setdefault(sum(expo), {})[expo] = c
+    terms = {}
+    for d in sorted(parts, reverse=True):
+        if d == 0:
+            terms.update(parts[0])
+            continue
+        span = basic_subspace(model, d).span
+        row, den = span.gram.row(Polynomial._trusted(model.ambient_dim, parts[d], EXACT))
+        rest, rest_den = span.remainder(row, den)
+        lcm = math.lcm(den, rest_den)
+        terms.update(span.gram.poly([x * (lcm // den) - y * (lcm // rest_den)
+                                     for x, y in zip(row, rest)], lcm).terms)
+    result = Polynomial._trusted(model.ambient_dim, terms, EXACT)
+    return result.to_float() if f.mode == FLOAT else result
+
+
 def _degree_slices(model, cap: int, seed: int, tol_rank: float,
                    sample_points: Optional[int], mc_samples: Optional[int]):
     """Yield ``(d, basic_subspace(model, d))`` for ``d = 1..cap``; degree ``d``

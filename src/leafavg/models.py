@@ -15,8 +15,11 @@ of pairs), and ``leaf_label_names`` with
   leaf averages come from a coarea-weighted kernel estimator on sphere
   samples.
 
-Group and torus leaf averages are closed-form (Reynolds-style) and exact in
-rational mode, and their ``invariant_rows`` span each degree's basic slice.
+Group and torus leaf averages are closed-form and exact in rational mode,
+and their ``invariant_rows`` span each degree's basic slice.  A group
+averages ``f`` over its elements (Reynolds); a torus projects each degree
+part of ``f`` sphere-orthogonally onto that slice
+(:func:`leafavg.basic_ring.basic_projection`).
 The isoparametric estimator is seeded and bitwise reproducible for a fixed
 seed.
 """
@@ -604,25 +607,13 @@ def group_closure(
 
 # -- torus actions -----------------------------------------------------------
 
-# Torus averages run in Gaussian integers, pairs (re, im) of ints: with
-# x = (z + zbar)/2 and y = (z - zbar)/(2i), a monomial x^p y^q is 2^-(p+q)
-# i^-q times an integer combination of z^a zbar^b, and the powers of 2 of all
-# terms are carried by one common denominator.
 
-
-@lru_cache(maxsize=None)
-def _complexify_pair(p: int, q: int):
-    """Expansion of ``2^(p+q) i^q x^p y^q`` in ``z = x + i y``: ((a, b), c)
-    for each ``z^a zbar^b``; zero entries stay, as they fix where each key
-    first appears and so the term order of the average."""
-    out: Dict[Tuple[int, int], int] = {}
-    for s in range(p + 1):
-        cs = math.comb(p, s)
-        for t in range(q + 1):
-            key = (s + t, (p + q) - (s + t))
-            sign = -1 if (q - t) % 2 else 1
-            out[key] = out.get(key, 0) + sign * cs * math.comb(q, t)
-    return tuple(out.items())
+def _weight(x) -> int:
+    """A weight-matrix entry as an int: a ValueError for a boolean or a
+    number with a fractional part (``2.0`` reads as 2)."""
+    if isinstance(x, bool) or not isinstance(x, str) and x % 1:
+        raise ValueError(x)
+    return int(x)
 
 
 @lru_cache(maxsize=None)
@@ -656,16 +647,17 @@ class TorusModel:
     Coordinates come in ``m`` planes ``(x_{2j+1}, x_{2j+2})`` followed by
     ``n_fix`` fixed coordinates.  Row ``j`` of the integer ``weight_matrix``
     gives the rotation speeds of plane ``j`` in each torus parameter.  A
-    complex monomial ``z^a zbar^b`` survives averaging precisely when
-    ``W^T (a - b) = 0``; this is both the leaf-average formula and, through
-    the saturated kernel lattice of ``W``, the same-leaf phase test.
+    complex monomial ``z^a zbar^b`` is invariant precisely when
+    ``W^T (a - b) = 0``; this spans the basic slices that averages project
+    onto and, through the saturated kernel lattice of ``W``, gives the
+    same-leaf phase test.
     """
 
     closed_form = True
 
     def __init__(self, weight_matrix, n_fix: int = 0, name: str = ""):
         try:
-            rows = [tuple(int(x) for x in row) for row in weight_matrix]
+            rows = [tuple(map(_weight, row)) for row in weight_matrix]
         except (TypeError, ValueError, OverflowError):
             raise ConfigError(f"weight matrix entries must be integers, got {weight_matrix!r}") from None
         if not rows:
@@ -697,53 +689,13 @@ class TorusModel:
         )
 
     def reynolds(self, f: Polynomial) -> Polynomial:
-        """Torus average: complexify, keep weight-balanced terms, realify.
-
-        Exact input runs in Gaussian integers over one denominator
-        ``L * 2^top``, where ``L`` is the lcm of the coefficient denominators
-        of ``f`` and ``top`` its largest degree in the plane coordinates.
-        """
+        """Torus average: the sphere-orthogonal projection of each degree
+        part of ``f`` onto the basic slice that ``invariant_rows`` span
+        (:func:`~leafavg.basic_ring.basic_projection`)."""
         if f.ambient_dim != self.ambient_dim:
             raise DimensionMismatch("polynomial dimension does not match torus model")
-        was_float = f.mode == FLOAT
-        terms = (f.to_exact() if was_float else f).terms
-        m2 = 2 * self.n_planes
-        lcm = math.lcm(*(c.denominator for c in terms.values()))
-        top = max((sum(expo[:m2]) for expo in terms), default=0)
-
-        complex_terms: Dict[tuple, List[int]] = {}
-        for expo, coeff in terms.items():
-            n = coeff.numerator * (lcm // coeff.denominator) << (top - sum(expo[:m2]))
-            quarter = -sum(expo[1:m2:2]) % 4  # the unit i^-q of the whole term
-            if quarter & 2:
-                n = -n
-            part = quarter & 1  # 0: real, 1: imaginary
-            partial = {(): n}
-            for j in range(0, m2, 2):
-                table = _complexify_pair(expo[j], expo[j + 1])
-                partial = {ab + (pair,): c * pc for ab, c in partial.items() for pair, pc in table}
-            fixed = expo[m2:]
-            for ab, c in partial.items():
-                complex_terms.setdefault((ab, fixed), [0, 0])[part] += c
-
-        real_terms: Dict[tuple, List[int]] = {}
-        for (ab, fixed), (re, im) in complex_terms.items():
-            if not (re or im) or not self._balanced([a - b for a, b in ab]):
-                continue
-            for prefix, pr, pi in _realify(ab):
-                slot = real_terms.setdefault(prefix + fixed, [0, 0])
-                slot[0] += re * pr - im * pi
-                slot[1] += re * pi + im * pr
-
-        den = lcm << top
-        out = {}
-        for expo, (re, im) in real_terms.items():
-            if im:
-                raise RuntimeError("torus average produced a non-real term")
-            if re:
-                out[expo] = Fraction(re, den)
-        result = Polynomial._trusted(self.ambient_dim, out, EXACT)
-        return result.to_float() if was_float else result
+        from .basic_ring import basic_projection  # basic_ring imports this module
+        return basic_projection(self, f)
 
     def invariant_rows(self, monomials: Sequence[Tuple[int, ...]]) -> List[dict]:
         """Integer rows, as maps from monomial to coefficient, spanning the

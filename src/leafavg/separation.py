@@ -24,6 +24,8 @@ from .models import (LEVEL_TOL, PointBatch, _as_floats, _column_sum, _float_rows
 from .polynomials import EXACT
 
 _PROXY_BINS = (1e-3, 1e-2, 1e-1)
+# a certificate passes when the margin ratio exceeds this
+MARGIN_MIN = 10.0
 
 
 class _IntegerGeneratorMap:
@@ -155,13 +157,12 @@ class SeparationCertificate:
     margin_by_proxy: Dict[str, float]
     failures: List[dict]
     tol_same: float
-    margin_min: float
     seed: int
     notes: List[str] = field(default_factory=list)
 
     @property
     def verdict(self) -> str:
-        passed = not self.failures and self.margin_ratio > self.margin_min
+        passed = not self.failures and self.margin_ratio > MARGIN_MIN
         return "pass" if passed else "fail"
 
     def to_dict(self) -> dict:
@@ -179,7 +180,7 @@ class SeparationCertificate:
             "failures": self.failures[:10],
             "num_failures": len(self.failures),
             "tol_same": self.tol_same,
-            "margin_min": self.margin_min,
+            "margin_min": MARGIN_MIN,
             "seed": self.seed,
             "notes": self.notes,
             "verdict": self.verdict,
@@ -216,7 +217,6 @@ def separation_test(
     tol_same: float,
     rng_seed: int,
     *,
-    margin_min: float = 10.0,
     same_leaf_tol: Optional[float] = None,
     adversarial_pairs: Optional[Sequence[Tuple[tuple, tuple]]] = None,
 ) -> SeparationCertificate:
@@ -344,7 +344,6 @@ def separation_test(
         margin_by_proxy=margin_by_proxy,
         failures=failures,
         tol_same=tol_same,
-        margin_min=margin_min,
         seed=rng_seed,
         notes=notes,
     )

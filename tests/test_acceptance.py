@@ -36,6 +36,7 @@ from leafavg.averaging import _FitContext, generator_products
 from leafavg.basic_ring import gram_schmidt_polys, project_residual
 from leafavg.cli import _CONFIG_DIR, BUNDLED_CONFIGS, load_config, main
 from leafavg.models import sample_sphere_many
+from leafavg.separation import MARGIN_MIN
 
 from util import random_homogeneous
 
@@ -260,7 +261,6 @@ def test_acceptance_6_munzner_admission(capsys):
 def test_acceptance_7_separation_margins(capsys):
     budget = 60.0
     start = time.monotonic()
-    margin_min = 10.0
     num_pairs = 1000
     tested = []
     for name in BUNDLED_CONFIGS:
@@ -273,12 +273,10 @@ def test_acceptance_7_separation_margins(capsys):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", DegreeCapWarning)
                 gens = discover_generators(model, int(config.params["D"]))
-        cert = separation_test(
-            model, gens, num_pairs, float(config.params["tol_same"]),
-            int(config.params["seed"]), margin_min=margin_min,
-        )
+        cert = separation_test(model, gens, num_pairs, float(config.params["tol_same"]),
+                               int(config.params["seed"]))
         assert cert.verdict == "pass", name
-        assert cert.margin_ratio > margin_min, name
+        assert cert.margin_ratio > MARGIN_MIN, name
         tested.append(config.name)
 
     # the impoverished set {r^2} on the full torus fails, with the
@@ -298,7 +296,7 @@ def test_acceptance_7_separation_margins(capsys):
     assert failing.failures[0]["other"] == [0.0, 0.0, 1.0, 0.0]
     elapsed = time.monotonic() - start
     assert elapsed < budget
-    announce(capsys, 7, f"separation margin > {margin_min:g} on {len(tested)} bundled "
+    announce(capsys, 7, f"separation margin > {MARGIN_MIN:g} on {len(tested)} bundled "
                         f"models at {num_pairs} pairs; r^2-only torus set fails with the "
                         f"documented counterexample ({elapsed:.1f}s < {budget:.0f}s)")
 

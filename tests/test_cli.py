@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from leafavg import ConfigError, FiniteGroupModel
+from leafavg import ConfigError, FiniteGroupModel, TorusModel
 from leafavg.cli import (
     _CONFIG_DIR,
     load_config,
@@ -155,16 +155,23 @@ def test_verify_task_corrupted_generators(tmp_path):
 
 
 def test_verify_reads_the_slices_discovery_built(tmp_path, monkeypatch):
+    # b3: one slice per degree up to the cap D = 6; hopf (D = 2): torus averages
+    # read the slices too, and the module check's degree-4 products add one
     calls = []
-    invariant_rows = FiniteGroupModel.invariant_rows
 
-    def counted(self, monomials):
-        calls.append(sum(monomials[0]))
-        return invariant_rows(self, monomials)
+    def counting(invariant_rows):
+        def counted(self, monomials):
+            calls.append(sum(monomials[0]))
+            return invariant_rows(self, monomials)
+        return counted
 
-    monkeypatch.setattr(FiniteGroupModel, "invariant_rows", counted)
-    assert main(["verify", "--config", str(_CONFIG_DIR / "b3.json"), "--out", str(tmp_path)]) == 0
-    assert calls == [1, 2, 3, 4, 5, 6]  # one slice per degree up to the cap D = 6
+    for model_class in (FiniteGroupModel, TorusModel):
+        monkeypatch.setattr(model_class, "invariant_rows", counting(model_class.invariant_rows))
+    for config, degrees in [("b3.json", [1, 2, 3, 4, 5, 6]), ("hopf.json", [1, 2, 4])]:
+        calls.clear()
+        out = tmp_path / config
+        assert main(["verify", "--config", str(_CONFIG_DIR / config), "--out", str(out)]) == 0
+        assert calls == degrees
 
 
 def test_verify_task_good_generators(tmp_path):
@@ -353,6 +360,10 @@ NAMED_KEY_CASES = [
      "num_pairs must be an integer"),
     ("bandwidth_bool", "generators", {**ISO, "h": True}, {"seed": 1, "D": 2}, {},
      "h must be a number"),
+    ("weight_fractional", "generators", {**TORUS, "weight_matrix": [[1.5], [1]]}, {"seed": 1, "D": 2},
+     {}, "weight matrix entries must be integers"),
+    ("weight_bool", "generators", {**TORUS, "weight_matrix": [[True], [1]]}, {"seed": 1, "D": 2},
+     {}, "weight matrix entries must be integers"),
     ("float_matrix_entry_bool", "generators",
      {**B2, "mode": "float", "generators": [[[True, 0], [0, 1]]]}, {"seed": 1, "D": 2}, {},
      "boolean matrix entry"),

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from leafavg import (
     EXACT,
     FLOAT,
+    ConfigError,
     DimensionMismatch,
     EffectiveSampleTooSmall,
     GroupTooLarge,
@@ -30,6 +31,7 @@ from leafavg import (
 from leafavg import models
 from leafavg.cli import _CONFIG_DIR, load_config
 from leafavg.models import LevelSetSampler, _mat_vec, compose_with_matrix, sample_sphere_many
+from leafavg.polynomials import grlex_key
 from leafavg.separation import rational_sphere_points
 
 from util import exact_polys, fraction_rotation_mate, random_homogeneous
@@ -406,6 +408,17 @@ def test_torus_reynolds_idempotent_degree_preserving(t2_model):
         assert avg.laplacian() == lap
 
 
+@pytest.mark.parametrize("weights", [[[1.5], [1]], [[True], [1]], [[1], [Fraction(1, 2)]],
+                                     [[math.nan], [1]], [[math.inf], [1]]])
+def test_torus_refuses_weights_that_are_not_whole_numbers(weights):
+    with pytest.raises(ConfigError):
+        models.TorusModel(weights)
+
+
+def test_torus_reads_whole_float_weights():
+    assert models.TorusModel([[2.0], [1]]).weight_matrix == ((2,), (1,))
+
+
 def test_torus_same_leaf_equal_plane_radii(t2_model):
     a, b = 0.6, 0.8
     assert t2_model.same_leaf((a, 0, b, 0), (0, a, 0, b), 1e-9)
@@ -489,6 +502,8 @@ TORI = {
     "circle12": ([[1], [2]], 0),
     "signed_with_fixed": ([[1, -2], [-3, 1]], 1),
 }
+# one model each, so that every example reuses the basic slices it caches
+TORUS_MODELS = {name: models.TorusModel(weights, n_fix=n_fix) for name, (weights, n_fix) in TORI.items()}
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -499,8 +514,7 @@ TORI = {
     st.booleans(),
 )
 def test_exact_torus_mate_matches_fraction_rotation(name, seed, coords, on_sphere):
-    weights, n_fix = TORI[name]
-    model = models.TorusModel(weights, n_fix=n_fix)
+    model = TORUS_MODELS[name]
     if on_sphere:
         p = rational_sphere_points(model.ambient_dim, 1, np.random.default_rng(seed))[0]
     else:
@@ -517,7 +531,8 @@ def test_exact_torus_mate_matches_fraction_rotation(name, seed, coords, on_spher
 
 def _gaussian_fraction_reynolds(model, f):
     """The torus average expanded in Gaussian-rational ``Fraction`` pairs:
-    the reference for the Gaussian-integer expansion in ``reynolds``."""
+    complexify, keep the weight-balanced ``z^a zbar^b``, realify.  The
+    reference for ``reynolds``, which projects onto the basic slices."""
     zero = (Fraction(0), Fraction(0))
 
     def gadd(a, b):
@@ -576,6 +591,14 @@ def _gaussian_fraction_reynolds(model, f):
     return result.to_float() if f.mode == FLOAT else result
 
 
+def _assert_matches_reference(average, expected):
+    assert average.mode == expected.mode
+    # equal terms, so float results match bit for bit, in descending grlex order
+    assert dict(average.terms) == dict(expected.terms)
+    assert [type(c) for c in average.terms.values()] == [type(expected.terms[e]) for e in average.terms]
+    assert list(average.terms) == sorted(average.terms, key=grlex_key)
+
+
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(
     st.sampled_from(sorted(TORI)),
@@ -591,8 +614,7 @@ def _gaussian_fraction_reynolds(model, f):
     st.booleans(),
 )
 def test_torus_reynolds_matches_gaussian_fraction_expansion(name, raw_terms, as_float):
-    weights, n_fix = TORI[name]
-    model = models.TorusModel(weights, n_fix=n_fix)
+    model = TORUS_MODELS[name]
     dim = model.ambient_dim
     if as_float:
         terms = {tuple(expo[:dim]): x for expo, _, _, x in raw_terms}
@@ -600,22 +622,21 @@ def test_torus_reynolds_matches_gaussian_fraction_expansion(name, raw_terms, as_
         # mixed denominators; an all-zero exponent gives a constant term
         terms = {tuple(expo[:dim]): Fraction(n, d) for expo, n, d, _ in raw_terms}
     f = Polynomial(dim, terms, FLOAT if as_float else EXACT)
-    average = model.reynolds(f)
-    expected = _gaussian_fraction_reynolds(model, f)
-    assert average.mode == expected.mode
-    # equal terms in equal order, so float results match bit for bit
-    assert list(average.terms.items()) == list(expected.terms.items())
-    assert [type(c) for c in average.terms.values()] == [type(c) for c in expected.terms.values()]
+    _assert_matches_reference(model.reynolds(f), _gaussian_fraction_reynolds(model, f))
 
 
 @pytest.mark.parametrize("name", sorted(TORI))
 @pytest.mark.parametrize("text", ["0", "-7/3", "x1^2 * x2 + 5/6 * x1^2 - x1 * x2 + 1/4"])
 def test_torus_reynolds_small_cases_match_gaussian_fraction_expansion(name, text):
-    weights, n_fix = TORI[name]
-    model = models.TorusModel(weights, n_fix=n_fix)
+    model = TORUS_MODELS[name]
     for mode in (EXACT, FLOAT):
         f = P(text, model.ambient_dim, mode)
-        assert list(model.reynolds(f).terms.items()) == list(_gaussian_fraction_reynolds(model, f).terms.items())
+        _assert_matches_reference(model.reynolds(f), _gaussian_fraction_reynolds(model, f))
+
+
+def test_torus_reynolds_refuses_a_polynomial_of_another_dimension(t2_model):
+    with pytest.raises(DimensionMismatch):
+        t2_model.reynolds(P("x1^2 + x5^2", 5))
 
 
 def test_group_transitivity_exact(b2_model):

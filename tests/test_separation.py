@@ -490,7 +490,7 @@ def _reference_certificate(model, gens, num_pairs, tol_same, rng_seed, same_leaf
         generator_provenance=dict(gens.provenance), num_same_pairs=num_same,
         max_same_discrepancy=max_same, num_distinct_pairs=len(distinct),
         min_distinct_distance=min_distinct, margin_ratio=margin, margin_by_proxy=margin_by_proxy,
-        failures=failures, tol_same=tol_same, margin_min=10.0, seed=rng_seed, notes=notes,
+        failures=failures, tol_same=tol_same, seed=rng_seed, notes=notes,
     )
     return cert, attempts
 

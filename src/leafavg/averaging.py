@@ -245,11 +245,12 @@ def _mate_constancy(model, avg: Polynomial, seed: int) -> float:
 
 # -- statistical engine ------------------------------------------------------
 
-# full clouds each model keeps, least recently used first.  A cloud is a pure
-# function of the model, the seed and the count, and is read again within
-# three fit contexts: verify's probe n reads the seeds s, s + 1 and s + 2
-# with s = seed + 100 + n, and avg's structured fit reuses its average's seed.
-CLOUDS_KEPT = 3
+# full clouds each model keeps, least recently used first, the first dropped
+# before the next is built.  A cloud is a pure function of the model, the seed
+# and the count.  verify's probe n reads the seeds s, s + 1 and s + 2 with
+# s = seed + 100 + n, so probe n + 1 reads the two last used before it builds
+# s + 3, and avg's structured fit reuses its average's cloud, the last used.
+CLOUDS_KEPT = 2
 _CLOUDS: "weakref.WeakKeyDictionary[IsoparametricModel, OrderedDict]" = weakref.WeakKeyDictionary()
 
 
@@ -261,10 +262,10 @@ def _full_cloud(model: IsoparametricModel, seed: int, count: int) -> LevelSetSam
     if key in clouds:
         clouds.move_to_end(key)
         return clouds[key]
+    if len(clouds) >= CLOUDS_KEPT:
+        clouds.popitem(last=False)
     cloud_seed = np.random.SeedSequence(seed).spawn(2)[1]
     clouds[key] = LevelSetSampler(model, cloud_seed, count)
-    if len(clouds) > CLOUDS_KEPT:
-        clouds.popitem(last=False)
     return clouds[key]
 
 
@@ -289,7 +290,9 @@ class _FitContext:
     def responses(self, *polys: Polynomial, se_rows: int = 0) -> Tuple[np.ndarray, np.ndarray]:
         """Leaf-average estimates of each polynomial (one row each) at every
         fit level, and the SEs of the first ``se_rows`` of them."""
-        values = np.stack([f.eval_many(self.sampler.points) for f in polys])
+        values = np.empty((len(polys), len(self.sampler.points)))
+        for row, f in zip(values, polys):
+            row[:] = f.eval_many(self.sampler.points)
         return self.sampler.leaf_average_values(values, self.levels, se_rows)
 
     def design(self, monomials: Sequence[tuple]) -> np.ndarray:
@@ -365,9 +368,10 @@ def _averages(model, f: Polynomial, probe: Polynomial, seed: int, sample_points:
     probe_avg = ctx.fit(responses[1], probe.homogeneous_degree(), cond_cap)[0] if fit_probe else None
 
     # a second pass for the fitted average and its square on the same cloud
-    avg_values = avg.eval_many(ctx.sampler.points)
-    again, _ = ctx.sampler.leaf_average_values(np.stack([avg_values, avg_values ** 2]), ctx.levels,
-                                               se_rows=0)
+    values = np.empty((2, len(ctx.sampler.points)))
+    values[0] = avg.eval_many(ctx.sampler.points)
+    np.square(values[0], out=values[1])
+    again, _ = ctx.sampler.leaf_average_values(values, ctx.levels, se_rows=0)
     e1, e2 = again[:, :8]
     leaf_constancy = math.sqrt(max([0.0, *(e2 - e1 * e1).tolist()]))
     avg_again, _, _ = ctx.fit(again[0], degree, cond_cap)

@@ -1026,13 +1026,17 @@ class LevelSetSampler:
             points = model.transport(sample_sphere_many(len(targets), model.ambient_dim, rng), targets)
         levels = model.F.eval_many(points)
         order = np.argsort(levels)
-        # np.take gathers the rows several times faster than points[order].
-        # The sorted cloud is kept column-major (``points`` is an (N, d) view
-        # of a (d, N) array), so that eval_many reads contiguous columns; the
-        # unsorted cloud is dropped first, so no more than two copies coexist
-        points = np.take(points, order, axis=0)
-        self.points = np.ascontiguousarray(points.T).T
         self.level_values = np.take(levels, order)
+        del levels
+        # the sorted cloud is kept column-major (``points`` is an (N, d) view
+        # of a (d, N) array) so that eval_many reads contiguous columns; np.take
+        # gathers each coordinate straight into its row (mode "clip" skips the
+        # buffer of "raise"), so no more than two copies of the cloud coexist
+        columns = np.empty((model.ambient_dim, len(order)))
+        for i, column in enumerate(columns):
+            np.take(points[:, i], order, out=column, mode="clip")
+        del points
+        self.points = columns.T
         self.grad_norms = model.g * np.sqrt(np.clip(1.0 - self.level_values ** 2, 0.0, None))
         for array in (self.points, self.level_values, self.grad_norms):
             array.flags.writeable = False

@@ -50,6 +50,8 @@ from .errors import (
 EXACT = "exact"
 FLOAT = "float"
 
+_EVAL_BLOCK = 8192  # rows per block of Polynomial.eval_many (faster than 2048)
+
 ExponentVector = Tuple[int, ...]
 
 
@@ -290,39 +292,42 @@ class Polynomial:
         return total
 
     def eval_many(self, points: np.ndarray) -> np.ndarray:
-        """Vectorized float evaluation on an ``(N, ambient_dim)`` array."""
+        """Vectorized float evaluation on an ``(N, ambient_dim)`` array, in
+        blocks of ``_EVAL_BLOCK`` rows: scratch memory is bounded by the block,
+        and each row gets the same operations, in the same order, in any block."""
         points = np.asarray(points, dtype=float)
         if points.ndim != 2 or points.shape[1] != self.ambient_dim:
             raise DimensionMismatch(
                 f"expected points of shape (N, {self.ambient_dim}), got {points.shape}"
             )
-        n = points.shape[0]
-        out = np.zeros(n)
+        out = np.zeros(points.shape[0])
         if not self._terms:
             return out
-        max_exp = [0] * self.ambient_dim
-        for expo in self._terms:
-            for i, e in enumerate(expo):
-                if e > max_exp[i]:
-                    max_exp[i] = e
-        # power tables avoid repeated np.power calls per term; tables[i][e] is
-        # x_i^e for e >= 1
-        tables = []
-        for i, m in enumerate(max_exp):
-            col = points[:, i]
-            tab = [None, col]
-            for _ in range(1, m):
-                tab.append(tab[-1] * col)
-            tables.append(tab)
-        for expo, coeff in self._terms.items():
-            factors = [tables[i][e] for i, e in enumerate(expo) if e]
-            if not factors:
-                out += float(coeff)
-                continue
-            term = factors[0] * float(coeff)
-            for factor in factors[1:]:
-                term *= factor
-            out += term
+        max_exp = [max(e) for e in zip(*self._terms)]
+        terms = [([(i, e) for i, e in enumerate(expo) if e], float(coeff))
+                 for expo, coeff in self._terms.items()]
+        for start in range(0, len(out), _EVAL_BLOCK):
+            block = points[start:start + _EVAL_BLOCK]
+            acc = out[start:start + _EVAL_BLOCK]
+            term = np.empty(len(acc))
+            # power tables avoid repeated np.power calls per term; tables[i][e]
+            # is x_i^e for e >= 1
+            tables = []
+            for i, m in enumerate(max_exp):
+                col = block[:, i]
+                tab = [None, col]
+                for _ in range(1, m):
+                    tab.append(tab[-1] * col)
+                tables.append(tab)
+            for factors, coeff in terms:
+                if not factors:
+                    acc += coeff
+                    continue
+                (i, e), *rest = factors
+                np.multiply(tables[i][e], coeff, out=term)
+                for i, e in rest:
+                    term *= tables[i][e]
+                acc += term
         return out
 
     # -- calculus ----------------------------------------------------------

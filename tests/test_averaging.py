@@ -489,6 +489,40 @@ def test_verify_builds_each_cloud_once(tmp_path, monkeypatch):
     assert len(builds) == len(set(requests)) < len(requests)
 
 
+def test_a_cloud_is_evicted_before_the_next_is_built(tmp_path, monkeypatch):
+    # the least recently used cloud goes before the next full cloud is drawn,
+    # so a model never holds more than CLOUDS_KEPT clouds, the new one included
+    held, build = [], LevelSetSampler.__init__
+
+    def built(self, model, seed, count, *, level=None):
+        if level is None:
+            held.append(len(averaging._CLOUDS.get(model, ())))
+        build(self, model, seed, count, level=level)
+
+    monkeypatch.setattr(LevelSetSampler, "__init__", built)
+    code = cli_main(["verify", "--config", str(_CONFIG_DIR / "iso_g2.json"), "--out", str(tmp_path)])
+    assert code == 0
+    assert held and max(held) == averaging.CLOUDS_KEPT - 1
+
+
+def test_verify_memory_is_bounded_by_two_clouds(tmp_path):
+    # verify on cartan_so3_g3 reads 100k-sample clouds of R^5 (4 MB of points
+    # each): one kept cloud, the one being built and its unsorted draw, plus
+    # block-sized evaluation scratch.  16.4 MiB measured; 28.6 MiB when three
+    # clouds were kept and eval_many built power tables of the cloud's length
+    import tracemalloc
+    argv = ["verify", "--config", str(_CONFIG_DIR / "cartan_so3_g3.json"), "--out", str(tmp_path)]
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        code = cli_main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak - start < 20 * 2**20
+
+
 def test_reused_cloud_matches_fresh_cloud(monkeypatch):
     model = _fresh_iso_g2()
     f, g = P("x1^2 - x2 * x3", 4), P("x3^2 + 2 * x1 * x4", 4)

@@ -4,6 +4,7 @@ import math
 from fractions import Fraction
 from operator import mul
 
+import numpy as np
 from hypothesis import strategies as st
 
 from leafavg import EXACT, Polynomial, monomial_basis
@@ -80,3 +81,34 @@ def integer_matrix_closure(generators):
                 seen.add(key)
                 keys.append(key)
     return tuple(tuple(tuple(Fraction(x, den) for x in row) for row in rows) for rows, den in keys)
+
+
+def unblocked_eval_many(poly, points):
+    """``Polynomial.eval_many`` on every row at once, with full-length power
+    tables: the reference for the blocked evaluator."""
+    points = np.asarray(points, dtype=float)
+    out = np.zeros(points.shape[0])
+    if poly.is_zero:
+        return out
+    max_exp = [0] * poly.ambient_dim
+    for expo in poly.terms:
+        for i, e in enumerate(expo):
+            if e > max_exp[i]:
+                max_exp[i] = e
+    tables = []
+    for i, m in enumerate(max_exp):
+        col = points[:, i]
+        tab = [None, col]
+        for _ in range(1, m):
+            tab.append(tab[-1] * col)
+        tables.append(tab)
+    for expo, coeff in poly.terms.items():
+        factors = [tables[i][e] for i, e in enumerate(expo) if e]
+        if not factors:
+            out += float(coeff)
+            continue
+        term = factors[0] * float(coeff)
+        for factor in factors[1:]:
+            term *= factor
+        out += term
+    return out

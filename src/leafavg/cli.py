@@ -160,12 +160,11 @@ def _matrix_rows(data, ambient_dim: int) -> list:
     """The rows of a matrix written as a list of rows or flat, row by row."""
     if not isinstance(data, list) or not data:
         raise ConfigError(f"a matrix must be a non-empty list, got {data!r}")
-    if all(isinstance(row, list) for row in data):
+    if all(isinstance(row, list) for row in data) and len(data) == ambient_dim:
         return data
     if any(isinstance(x, list) for x in data) or len(data) != ambient_dim * ambient_dim:
-        raise ConfigError(
-            f"flat matrix has {len(data)} entries, expected {ambient_dim * ambient_dim}"
-        )
+        raise ConfigError(f"a matrix needs {ambient_dim} rows or {ambient_dim * ambient_dim} "
+                          f"entries, got {len(data)}")
     return [data[i * ambient_dim:(i + 1) * ambient_dim] for i in range(ambient_dim)]
 
 
@@ -188,7 +187,7 @@ def model_from_config(cfg: dict):
 
 def _build_model(kind: str, cfg: dict):
     if kind == "finite_group":
-        ambient_dim = _number(cfg, "ambient_dim")
+        ambient_dim = _number(cfg, "ambient_dim", minimum=1)
         if not isinstance(cfg["generators"], list):
             raise ConfigError(f"generators must be a list of matrices, got {cfg['generators']!r}")
         matrices = [_matrix_rows(g, ambient_dim) for g in cfg["generators"]]
@@ -206,7 +205,7 @@ def _build_model(kind: str, cfg: dict):
             n_fix=_number(cfg, "n_fix", int, 0),
             name=_text(cfg, "name", ""),
         )
-    ambient_dim = _number(cfg, "ambient_dim")
+    ambient_dim = _number(cfg, "ambient_dim", minimum=1)
     F = parse_polynomial(cfg["F"], ambient_dim, _mode(cfg, "mode", EXACT))
     symmetry = model_from_config(cfg["symmetry"]) if "symmetry" in cfg else None
     return IsoparametricModel(

@@ -15,11 +15,10 @@ of pairs), and ``leaf_label_names`` with
   leaf averages come from a coarea-weighted kernel estimator on sphere
   samples.
 
-Group and torus leaf averages are closed-form and exact in rational mode,
-and their ``invariant_rows`` span each degree's basic slice.  A group
-averages ``f`` over its elements (Reynolds); a torus projects each degree
-part of ``f`` sphere-orthogonally onto that slice
-(:func:`leafavg.basic_ring.basic_projection`).
+Group and torus leaf averages are closed-form and exact in rational mode:
+each degree part of ``f`` is projected sphere-orthogonally onto the basic
+slice that ``invariant_rows`` span (:func:`leafavg.basic_ring.basic_projection`);
+a float group averages the pullbacks ``f(g x)`` over its elements.
 The isoparametric estimator is seeded and bitwise reproducible for a fixed
 seed.
 """
@@ -311,7 +310,9 @@ class FiniteGroupModel:
     """Orbit foliation of a finite group of orthogonal matrices.
 
     Leaves are the (finite) orbits; the leaf average is the group average
-    ``(1/|G|) sum_g f(g x)``, computed by exact substitution.
+    ``(1/|G|) sum_g f(g x)``: on an exact group the projection onto the
+    invariants that ``invariant_rows`` span, on a float group the mean of the
+    pullbacks by :func:`compose_with_matrix`.
 
     Most desk-scale groups consist of signed permutations: an exact
     orthogonal matrix with one nonzero entry per row has entries +-1, so
@@ -319,17 +320,16 @@ class FiniteGroupModel:
     first use, a table of its elements that are signed permutations: an
     index array of the permutations and an int array of their signs, one
     row per element, read off the ``(perm, signs)`` tuples the closure ran
-    on when every generator is one.  ``reynolds`` reads the pullback of a
-    monomial off it as a permuted exponent vector and a sign, with no
-    polynomial per element.
+    on when every generator is one.  ``invariant_rows`` reads the signed
+    orbit sum of a monomial off it as permuted exponent vectors and signs,
+    with no polynomial per element.
     When the table holds every element, orbit distances take the orbit of a
     point as ``float(p)[perm] * sign``; negating and moving a float are
     exact, so each image is the float of the exact image.  The mates of an
     exact :class:`PointBatch` are then one gather through the same table.
-    Every other element, and every element of a float-mode group, is pulled
-    back by :func:`compose_with_matrix`; for exact points an exact-mode
-    model then keeps every element as an integer matrix over one
-    denominator, and other points meet the exact products of ``orbit``.
+    When it does not, an exact-mode model keeps every element as an integer
+    matrix over one denominator for exact points, and other points meet the
+    exact products of ``orbit``.
     """
 
     closed_form = True
@@ -388,25 +388,13 @@ class FiniteGroupModel:
             counts[key] = counts.get(key, 0) + (-1 if (odd & negated).bit_count() & 1 else 1)
         return counts
 
-    def _pullback_terms(self, f: Polynomial):
-        """Every term of every pullback ``f(g x)``; the images of one term of
-        ``f`` under the signed permutations come summed per monomial."""
-        table = self._signed_table()
-        if table.pullbacks:
-            for expo, coeff in f.terms.items():
-                for key, count in self._signed_orbit_sum(expo).items():
-                    if count:
-                        yield key, coeff * count
-        for g in table.others:
-            yield from compose_with_matrix(f, g).terms.items()
-
     def invariant_rows(self, monomials: Sequence[Tuple[int, ...]]) -> List[dict]:
-        """Rows (maps from monomial to coefficient) spanning the image of
-        ``reynolds`` on the span of ``monomials``, all of one degree: one
-        signed orbit sum per monomial orbit when every element is a signed
-        permutation (averages of one orbit agree up to sign), else the
-        average of every monomial."""
-        if self._signed_table().others:
+        """Rows (maps from monomial to coefficient) spanning the invariants
+        in the span of ``monomials``, all of one degree.  An exact group keeps
+        the combinations ``v`` of its signed orbit sums with ``v(g x) = v``
+        for each generator ``g`` that is not a signed permutation (an integer
+        left kernel over one denominator); a float group averages monomials."""
+        if self.mode != EXACT:
             return [self.reynolds(Polynomial.monomial(self.ambient_dim, e, 1, self.mode)).terms
                     for e in monomials]
         rows, seen = [], set()
@@ -414,25 +402,33 @@ class FiniteGroupModel:
             if expo not in seen:
                 rows.append(self._signed_orbit_sum(expo))
                 seen.update(rows[-1])
+        if self._signed_table().others:  # so some generator is not a signed permutation
+            gens = [g for g in self.generators if _signed_permutation(g) is None]
+            moved = [[x for g in gens for x in map((compose_with_matrix(p, g) - p).coefficient,
+                                                   monomials)]
+                     for p in (Polynomial(self.ambient_dim, row) for row in rows)]
+            den = math.lcm(*(x.denominator for row in moved for x in row))
+            kernel = integer_left_kernel([[int(x * den) for x in row] for row in moved])
+            rows = [{e: sum(c * row.get(e, 0) for c, row in zip(v, rows)) for e in monomials}
+                    for v in kernel]
         return rows
 
     def reynolds(self, f: Polynomial) -> Polynomial:
-        """Group average of ``f``; exact in rational mode."""
+        """Group average of ``f``: on an exact group the sphere-orthogonal
+        projection of each degree part onto the basic slice that
+        ``invariant_rows`` span (:func:`~leafavg.basic_ring.basic_projection`),
+        on a float group the mean of the pullbacks ``f(g x)``."""
         if f.ambient_dim != self.ambient_dim:
             raise DimensionMismatch("polynomial dimension does not match group")
         if f.mode != self.mode:
             raise ScalarModeMismatch(
                 f"{self.mode} model cannot average a {f.mode} polynomial"
             )
-        total: Dict[Tuple[int, ...], object] = {}
-        for key, c in self._pullback_terms(f):
-            c = total.get(key, 0) + c
-            if c == 0:
-                total.pop(key, None)
-            else:
-                total[key] = c
-        weight = Fraction(1, self.order) if f.mode == EXACT else 1.0 / self.order
-        return Polynomial._trusted(self.ambient_dim, total, f.mode).scale(weight)
+        if self.mode == EXACT:
+            from .basic_ring import basic_projection  # basic_ring imports this module
+            return basic_projection(self, f)
+        pullbacks = (compose_with_matrix(f, g) for g in self.elements)
+        return reduce(Polynomial.__add__, pullbacks).scale(1.0 / self.order)
 
     def same_leaf(self, p, q, tol: float) -> bool:
         """True when some group element carries ``p`` to within ``tol`` of ``q``
@@ -1160,8 +1156,11 @@ class IsoparametricModel:
         symmetry=None,
         name: str = "",
     ):
-        if not 0.0 < h < 1.0:
-            raise ConfigError("bandwidth h must lie in (0, 1)")
+        # no fit point meets |F| <= 1 - 2h when h >= 1/2, nor on R^1 (F = +-1)
+        if not 0.0 < h < 0.5:
+            raise ConfigError(f"bandwidth h must lie in (0, 1/2), got {h!r}")
+        if F.ambient_dim < 2:
+            raise ConfigError("an isoparametric model needs ambient_dim at least 2")
         if not min_ess >= 1:  # an ESS is never below 1; NaN fails too
             raise ConfigError(f"min_ess must be at least 1, got {min_ess!r}")
         self.F = F

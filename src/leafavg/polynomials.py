@@ -21,8 +21,8 @@ the sphere moments, whose fill is idempotent.
 The public constructor validates and coerces every term.  Results of
 arithmetic on polynomials that were already validated skip that step and are
 built by the internal ``Polynomial._trusted``: ``+``, unary ``-``, ``*``,
-``scale``, ``partial``, ``MomentGram.poly`` and the finite-group average
-(``FiniteGroupModel.reynolds``).  Each of them drops zero coefficients itself.
+``scale``, ``partial``, ``MomentGram.poly`` and the exact group and torus
+averages (``basic_projection``).  Each of them drops zero coefficients itself.
 Float mode rejects NaN and infinite coefficients at the public constructor.
 """
 

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 import tempfile
@@ -454,6 +455,48 @@ def test_malformed_config_exits_1(tmp_path, capsys, task, model, params, top, na
     assert err.startswith("error: ")
     if named is not None:
         assert named in err
+
+
+class _Hang(BaseException):
+    """Raised by the alarm: main catches only leafavg errors, never this."""
+
+
+def _main_within(seconds, argv):
+    """``main(argv)``, failing the test when it has not returned in ``seconds``."""
+    def hang(signum, frame):
+        raise _Hang(f"{argv[0]} did not return within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(seconds)
+    try:
+        return main(argv)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+# no fit point meets |F| <= 1 - 2h when h >= 1/2 or on R^1; a non-positive
+# ambient_dim once ended in a traceback (F = 1 has no variable to refuse) or,
+# with nested generators, ran at the matrices' own dimension
+NESTED_SWAP = {"kind": "finite_group", "generators": [[[0, 1], [1, 0]]]}
+REFUSED_MODELS = {
+    "bandwidth_half": {**ISO_G2, "h": 0.5},
+    "bandwidth_0.6": {**ISO_G2, "h": 0.6},
+    "iso_on_R1": {"kind": "isoparametric", "ambient_dim": 1, "F": "x1", "g": 1},
+    "group_rows_differ": {**NESTED_SWAP, "ambient_dim": 3},
+    **{f"{kind}_dim_{dim}": {**model, "ambient_dim": dim}
+       for kind, model in (("group", NESTED_SWAP), ("iso", {**ISO_G2, "F": "1"}))
+       for dim in (0, -1)},
+}
+
+
+@pytest.mark.parametrize("task", ["avg", "verify", "generators"])
+@pytest.mark.parametrize("name", sorted(REFUSED_MODELS))
+def test_refused_model_exits_1_at_once(tmp_path, capsys, name, task):
+    config = write_config(tmp_path / "run.json", {
+        "name": name, "model": REFUSED_MODELS[name], "params": {"seed": 1, "D": 2, "f": "x1^2"}})
+    assert _main_within(10, [task, "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_params_bandwidth_points_to_model(tmp_path):

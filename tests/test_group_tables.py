@@ -1,7 +1,11 @@
 """Signed-permutation groups kept as permutation tables: the closure order
 against the integer-matrix reference, and the cycle-type Molien factors
-against Faddeev-LeVerrier."""
+against Faddeev-LeVerrier.  F4 (order 1152, B4 and a reflection that is not
+a signed permutation): its basic slices from the generator equations against
+Molien, the generation and identity checks, and the per-element average."""
 
+import json
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -9,15 +13,21 @@ import pytest
 
 from leafavg import (
     FLOAT,
+    DegreeCapWarning,
     GroupTooLarge,
     NonOrthogonalGenerator,
+    discover_generators,
     group_closure,
     molien_dimensions,
+    parse_polynomial,
+    verify_generation,
+    verify_operator_identities,
 )
+from leafavg import models
 from leafavg.basic_ring import _det_identity_minus_tg, _signed_det
-from leafavg.cli import _CONFIG_DIR, load_config
+from leafavg.cli import _CONFIG_DIR, load_config, main
 
-from util import integer_matrix_closure
+from util import _reference_average, integer_matrix_closure
 
 B4_CONFIG = Path(__file__).resolve().parents[1] / "perfbench" / "configs" / "b4_cap8.json"
 # the signed permutation groups, each closed on (perm, signs) tuples
@@ -99,3 +109,67 @@ def test_f4_molien_mixes_both_paths(f4):
     assert len(f4._signed_table().others) == 768
     # invariants of degrees 2, 6, 8 and 12
     assert molien_dimensions(f4, 12) == [1, 0, 1, 0, 1, 0, 2, 0, 3, 0, 3, 0, 5]
+
+
+# -- F4: slices from the generator equations --------------------------------------
+
+
+@pytest.fixture(scope="module")
+def f4_discovery(f4):
+    """F4's generators at cap 12 on a new model (no slice kept yet), and the
+    seconds their discovery took."""
+    model = group_closure(f4.generators, max_group_size=2000)
+    start = time.perf_counter()
+    with pytest.warns(DegreeCapWarning):  # the degree-12 invariant comes at the cap
+        gens = discover_generators(model, 12)
+    return model, gens, time.perf_counter() - start
+
+
+def test_f4_generators_match_molien_within_10_s(f4_discovery):
+    model, gens, seconds = f4_discovery
+    assert seconds < 10
+    assert gens.degrees == (2, 6, 8, 12)
+    assert [gens.dims_by_degree[d] for d in range(1, 13)] == molien_dimensions(model, 12)[1:]
+
+
+def test_f4_generation_has_no_gap(f4_discovery):
+    model, gens, _ = f4_discovery
+    report = verify_generation(model, gens, 12)
+    assert report.gaps() == [] and report.max_residual == 0.0
+
+
+def test_f4_operator_identities_hold_exactly(f4):
+    f = parse_polynomial("x1^3 * x2 - 2/3 * x2^2 * x3 * x4 + 5 * x4^4", 4)
+    g = parse_polynomial("x1^2 - 3 * x3 * x4", 4)
+    report = verify_operator_identities(f4, f, g)
+    assert report.passed and report.tolerance == 0
+    assert all(v == 0.0 for v in report.residuals.values())
+
+
+@pytest.mark.parametrize("text", ["x1^4 - 2/3 * x1 * x2 * x3^2 + 5 * x2 * x4^3",
+                                  "x1^3 * x2 + 1/7 * x3^2 - x1 * x4 + 2"])
+def test_f4_reynolds_matches_sum_of_pullbacks(f4, text):
+    f = parse_polynomial(text, 4)
+    assert f4.reynolds(f) == _reference_average(f4, f)
+
+
+@pytest.mark.parametrize("sabotage", [False, True])
+def test_f4_molien_mismatch_without_generator_equations_exits_2(tmp_path, monkeypatch, sabotage):
+    """The Molien gate of ``generators`` on F4: with the generator equations
+    skipped (every combination of B4's orbit sums kept) dim B_4 reads 2
+    against Molien's 1, and the run fails."""
+    data = json.loads(B4_CONFIG.read_text())
+    data["model"]["generators"].append([str(x) for row in HALF_REFLECTION for x in row])
+    data["model"]["max_group_size"] = 2000
+    data["params"]["D"] = 4
+    config = tmp_path / "f4.json"
+    config.write_text(json.dumps(data))
+    if sabotage:
+        monkeypatch.setattr(models, "integer_left_kernel",
+                            lambda rows: [[int(i == j) for j in range(len(rows))]
+                                          for i in range(len(rows))])
+    out = tmp_path / "out"
+    assert main(["generators", "--config", str(config), "--out", str(out)]) == (2 if sabotage else 0)
+    payload = json.loads((out / "generators.json").read_text())
+    assert payload["molien_check"] == {"dims": [1, 0, 1, 0, 1], "match": not sabotage}
+    assert payload["dims_by_degree"]["4"] == (2 if sabotage else 1)

@@ -7,7 +7,8 @@ from operator import mul
 import numpy as np
 from hypothesis import strategies as st
 
-from leafavg import EXACT, Polynomial, monomial_basis
+from leafavg import EXACT, FLOAT, Polynomial, monomial_basis
+from leafavg.models import compose_with_matrix
 
 
 def random_homogeneous(dim, degree, rng, n_terms=6, mode=EXACT):
@@ -112,3 +113,75 @@ def unblocked_eval_many(poly, points):
             term *= factor
         out += term
     return out
+
+
+def _reference_average(model, f):
+    """The group average summed one pullback polynomial at a time: the
+    reference for an exact group's ``reynolds``, which projects onto the
+    basic slices."""
+    total = Polynomial.zero(f.ambient_dim, f.mode)
+    for g in model.elements:
+        total = total + compose_with_matrix(f, g)
+    return total.scale(Fraction(1, model.order) if f.mode == EXACT else 1.0 / model.order)
+
+
+def _gaussian_fraction_reynolds(model, f):
+    """The torus average expanded in Gaussian-rational ``Fraction`` pairs:
+    complexify, keep the weight-balanced ``z^a zbar^b``, realify.  The
+    reference for ``reynolds``, which projects onto the basic slices."""
+    zero = (Fraction(0), Fraction(0))
+
+    def gadd(a, b):
+        return (a[0] + b[0], a[1] + b[1])
+
+    def gmul(a, b):
+        return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+    def ipow(k):
+        return ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)),
+                (Fraction(-1), Fraction(0)), (Fraction(0), Fraction(-1)))[k % 4]
+
+    def complexify(p, q):
+        out = {}
+        for s in range(p + 1):
+            for t in range(q + 1):
+                sign = -1 if (q - t) % 2 else 1
+                coeff = (Fraction(math.comb(p, s) * math.comb(q, t) * sign, 2 ** (p + q)), Fraction(0))
+                key = (s + t, (p + q) - (s + t))
+                out[key] = gadd(out.get(key, zero), gmul(coeff, ipow(-q % 4)))
+        return out
+
+    def realify(a, b):
+        out = {}
+        for s in range(a + 1):
+            for t in range(b + 1):
+                coeff = gmul((Fraction(math.comb(a, s) * math.comb(b, t)), Fraction(0)),
+                             ipow((a - s) - (b - t)))
+                key = (s + t, (a + b) - (s + t))
+                out[key] = gadd(out.get(key, zero), coeff)
+        return out
+
+    exact = f.to_exact()
+    m = model.n_planes
+    complex_terms = {}
+    for expo, coeff in exact.terms.items():
+        partial = {(): (coeff, Fraction(0))}
+        for j in range(m):
+            expansion = complexify(expo[2 * j], expo[2 * j + 1])
+            partial = {ab + (pair,): gmul(c, pc) for ab, c in partial.items() for pair, pc in expansion.items()}
+        for ab, c in partial.items():
+            key = (ab, expo[2 * m:])
+            complex_terms[key] = gadd(complex_terms.get(key, zero), c)
+    real_terms = {}
+    for (ab, fixed), coeff in complex_terms.items():
+        if coeff == zero or not model._balanced([a - b for a, b in ab]):
+            continue
+        partial = {(): coeff}
+        for a, b in ab:
+            expansion = realify(a, b)
+            partial = {prefix + pair: gmul(c, pc) for prefix, c in partial.items() for pair, pc in expansion.items()}
+        for prefix, c in partial.items():
+            real_terms[prefix + fixed] = gadd(real_terms.get(prefix + fixed, zero), c)
+    assert all(im == 0 for _, im in real_terms.values())
+    result = Polynomial(model.ambient_dim, {e: re for e, (re, _) in real_terms.items() if re != 0}, EXACT)
+    return result.to_float() if f.mode == FLOAT else result

@@ -22,13 +22,12 @@ import math
 import weakref
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import BasisDeficient, IdentityViolation, IllConditionedFit
-from .models import IsoparametricModel, LevelSetSampler
+from .models import IsoparametricModel, LevelSetSampler, PointBatch
 from .polynomials import (
     EXACT,
     FLOAT,
@@ -227,20 +226,19 @@ class _Averages(NamedTuple):
 
 
 def _mate_constancy(model, avg: Polynomial, seed: int) -> float:
-    """Largest change of ``avg`` between four random points and leaf mates;
-    in exact mode the points are rational, in the cube [-2, 2]^d."""
+    """Largest change of ``avg`` between four random points and their leaf
+    mates (one ``leaf_mates`` call); in exact mode the points are rational,
+    in the cube [-2, 2]^d."""
     rng = np.random.default_rng(seed)
     if avg.mode == EXACT:
         raw = rng.integers(-2 * POINT_DENOMINATOR, 2 * POINT_DENOMINATOR + 1,
                            size=(4, model.ambient_dim))
-        points = [tuple(Fraction(int(v), POINT_DENOMINATOR) for v in row) for row in raw]
+        batch = PointBatch(raw.astype(object), np.full(4, POINT_DENOMINATOR, dtype=object))
+        points, mates = batch.points(), model.leaf_mates(batch, rng).points()
     else:
-        points = [tuple(map(float, row)) for row in rng.normal(size=(4, model.ambient_dim))]
-    leaf_constancy = 0.0
-    for p in points:
-        mate = model.random_leaf_mate(p, rng)
-        leaf_constancy = max(leaf_constancy, abs(float(avg.eval(mate) - avg.eval(p))))
-    return leaf_constancy
+        batch = rng.normal(size=(4, model.ambient_dim))
+        points, mates = batch.tolist(), model.leaf_mates(batch, rng).tolist()
+    return max([0.0] + [abs(float(avg.eval(mate) - avg.eval(p))) for p, mate in zip(points, mates)])
 
 
 # -- statistical engine ------------------------------------------------------

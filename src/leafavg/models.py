@@ -1,12 +1,20 @@
 """Concrete foliation models of round spheres and their dilation cones.
 
-Three families are implemented, each with the same members: ``mode`` (the
-scalar mode of its averages), ``closed_form`` (True when ``reynolds`` gives
-the leaf average in closed form, False when it must be estimated),
-``same_leaf``, ``random_leaf_mate``, ``quotient_distance`` (a cheap proxy for
-the distance between two leaves), ``leaf_pairs`` (both predicates over lists
-of pairs), and ``leaf_label_names`` with
-``leaf_labels`` (leaf-invariant values for exported point tables).
+Three families are implemented, each with the same batch protocol: ``mode``
+(the scalar mode of its averages), ``closed_form`` (True when ``reynolds``
+gives the leaf average in closed form, False when it must be estimated),
+``leaf_pairs(ps, qs, tol)`` (the same-leaf verdict of every pair, and a cheap
+proxy for the distance between its two leaves), ``leaf_mates(points, rng)``
+(a random point on the leaf of every point of an exact :class:`PointBatch` or
+a float array), and ``leaf_label_names`` with ``leaf_labels`` (leaf-invariant
+values for exported point tables).  Each batch method refuses points of the
+wrong width with :class:`DimensionMismatch`, read off their shapes.
+
+Nothing in the package calls a model one point at a time.  The per-point
+names ``same_leaf`` (every model), ``random_leaf_mate`` (groups and tori) and
+``IsoparametricModel.level_of`` stay as one-line views of the batch methods,
+and ``FiniteGroupModel.orbit`` as the exact orbit, because the benchmark
+harness in ``perfbench/`` wraps or calls them by name.
 
 * :class:`FiniteGroupModel` -- orbits of a finite orthogonal matrix group.
 * :class:`TorusModel` -- orbit closures of a torus acting by rotations on
@@ -158,21 +166,37 @@ def _as_floats(points) -> np.ndarray:
     return batch.floats() if batch is not None else np.array(points, dtype=float)
 
 
+def _check_width(ambient_dim: int, *sides) -> None:
+    """DimensionMismatch unless every point of each side (a batch, a float
+    array or a list) has ``ambient_dim`` coordinates, read off shapes and
+    lengths, and the sides (the two halves of a list of pairs) are as long."""
+    for points in sides:
+        rows = points.nums if isinstance(points, PointBatch) else points
+        if isinstance(rows, np.ndarray):
+            fits = rows.shape[1:] == (ambient_dim,) or rows.shape == (0,)
+        else:
+            fits = all(len(p) == ambient_dim for p in rows)
+        if not fits:
+            raise DimensionMismatch(f"points must have {ambient_dim} coordinates")
+    if len({len(points) for points in sides}) > 1:
+        raise DimensionMismatch(
+            f"{len(sides[0])} first points against {len(sides[1])} second points")
+
+
 def _float_rows(points, ambient_dim: int) -> np.ndarray:
     """Points (a batch, a float array or a list) as an ``(n, ambient_dim)``
     float array; DimensionMismatch for any other width."""
-    rows = _as_floats(points)
-    rows = rows if len(rows) else rows.reshape(0, ambient_dim)
-    if rows.ndim != 2 or rows.shape[1] != ambient_dim:
-        raise DimensionMismatch(f"points must have {ambient_dim} coordinates")
-    return rows
+    _check_width(ambient_dim, points)
+    return _as_floats(points).reshape(-1, ambient_dim)
 
 
-def _rows(points) -> list:
-    """Points (a batch, a float array or a list) as a list of coordinate rows."""
-    if isinstance(points, PointBatch):
-        return points.points()
-    return points.tolist() if isinstance(points, np.ndarray) else list(points)
+def _mate_of(model, p, rng: np.random.Generator) -> tuple:
+    """``model.leaf_mates`` of the one point ``p``: ``Fraction``s for an
+    exact mate, floats otherwise."""
+    batch = PointBatch.of([tuple(p)])
+    mates = model.leaf_mates(batch if batch is not None else np.array([tuple(p)], dtype=float),
+                             rng)
+    return mates.points()[0] if isinstance(mates, PointBatch) else tuple(mates[0].tolist())
 
 
 # -- matrices ----------------------------------------------------------------
@@ -431,55 +455,66 @@ class FiniteGroupModel:
         return reduce(Polynomial.__add__, pullbacks).scale(1.0 / self.order)
 
     def same_leaf(self, p, q, tol: float) -> bool:
-        """True when some group element carries ``p`` to within ``tol`` of ``q``
-        (onto ``q`` exactly when ``tol`` is 0)."""
-        p = tuple(p)
-        q = tuple(q)
-        if len(p) != self.ambient_dim or len(q) != self.ambient_dim:
-            raise DimensionMismatch("point dimension does not match group")
-        if tol == 0:
-            return any(image == q for image in self.orbit(p))
-        return bool(self._orbit_sq_distances(p, q).min() < tol * tol)
+        return bool(self.leaf_pairs([tuple(p)], [tuple(q)], tol)[0][0])
 
     def leaf_pairs(self, ps, qs, tol: float) -> Tuple[np.ndarray, np.ndarray]:
-        """``same_leaf(p, q, tol)`` and ``quotient_distance(p, q)`` of every pair
-        ``(ps[i], qs[i])``, read off one nearest orbit distance per pair; the
-        orbits are built ``_ORBIT_CHUNK`` float coordinates at a time."""
+        """For every pair ``(ps[i], qs[i])``: whether some element carries
+        ``ps[i]`` to within ``tol`` of ``qs[i]``, and the distance from
+        ``qs[i]`` to the orbit of ``ps[i]``, read off one nearest orbit
+        distance per pair; the orbits are built ``_ORBIT_CHUNK`` float
+        coordinates at a time.  At ``tol`` 0 the verdict compares images
+        with ``qs[i]`` exactly: cross-multiplied when both points are exact
+        and the group is, as floats otherwise."""
+        _check_width(self.ambient_dim, ps, qs)
         step = max(1, _ORBIT_CHUNK // (self.order * self.ambient_dim))
-        nearest = np.concatenate([self._orbit_sq_distances_many(ps[i:i + step], qs[i:i + step])
-                                  .min(axis=1) for i in range(0, len(ps), step)])
-        same = (nearest < tol * tol if tol else np.array(
-            [self.same_leaf(p, q, 0) for p, q in zip(_rows(ps), _rows(qs))], dtype=bool))
-        return same, np.sqrt(nearest)
+        nearest, same = [np.empty(0)], [np.empty(0, dtype=bool)]
+        for i in range(0, len(ps), step):
+            p, q = ps[i:i + step], qs[i:i + step]
+            nearest.append(self._orbit_sq_distances_many(p, q).min(axis=1))
+            if not tol:
+                same.append(self._on_orbit(p, q))
+        nearest = np.concatenate(nearest)
+        return nearest < tol * tol if tol else np.concatenate(same), np.sqrt(nearest)
 
     def orbit(self, p) -> List[tuple]:
         p = tuple(p)
         return [_mat_vec(g, p) for g in self.elements]
 
-    def _orbit_sq_distances_many(self, ps, qs) -> np.ndarray:
-        """``(n, order)``: squared float distance from ``qs[i]`` to each point of
-        the orbit of ``ps[i]``, summed left to right over the coordinates and
-        squared by ``np.float_power`` (the C library's ``pow``, as Python's
-        ``**``): the floats of a Python sum over the exact orbit.  Exact
-        images come from integer matrices when the signed table is short."""
+    def _float_orbits(self, ps) -> np.ndarray:
+        """``(n, order, d)``: the float image of ``ps[i]`` under each element.
+        Exact images come from integer matrices when the signed table is
+        short, and the table's rows are one gather of the floats."""
         table = self._signed_table()
         batch = PointBatch.of(ps) if table.integers is not None else None
         if batch is not None:
             images = np.matmul(table.integers[0], batch.nums[:, None, :, None])[..., 0]
-            images = PointBatch(images, batch.dens[:, None] * table.integers[1]).floats()
-        elif table.others:
-            images = np.array([[[float(x) for x in image] for image in self.orbit(p)]
-                               for p in _rows(ps)]).reshape(len(ps), self.order, -1)
-        else:
-            images = _as_floats(ps)[:, table.perms] * table.signs
-        return _column_sum(np.float_power(images - _as_floats(qs)[:, None, :], 2))
+            return PointBatch(images, batch.dens[:, None] * table.integers[1]).floats()
+        points = _as_floats(ps)
+        if table.others:
+            n, k = len(points), self.order
+            images = self._float_images(np.repeat(points, k, axis=0), np.tile(np.arange(k), n))
+            return images.reshape(n, k, self.ambient_dim)
+        return points[:, table.perms] * table.signs
 
-    def _orbit_sq_distances(self, p, q) -> np.ndarray:
-        return self._orbit_sq_distances_many([p], [q])[0]
+    def _orbit_sq_distances_many(self, ps, qs) -> np.ndarray:
+        """``(n, order)``: squared float distance from ``qs[i]`` to each point of
+        the orbit of ``ps[i]``, summed left to right over the coordinates and
+        squared by ``np.float_power`` (the C library's ``pow``, as Python's
+        ``**``): the floats of a Python sum over the exact orbit."""
+        return _column_sum(np.float_power(self._float_orbits(ps) - _as_floats(qs)[:, None, :], 2))
 
-    def quotient_distance(self, p, q) -> float:
-        """Distance from ``q`` to the nearest point of the orbit of ``p``."""
-        return math.sqrt(self._orbit_sq_distances(p, q).min())
+    def _on_orbit(self, ps, qs) -> np.ndarray:
+        """``(n,)``: whether ``qs[i]`` is an image of ``ps[i]``, comparing
+        ``g p / den`` with ``q / den_q`` cross-multiplied when both points are
+        exact and the group is, and the float images with ``==`` otherwise."""
+        p, q = PointBatch.of(ps), PointBatch.of(qs)
+        if p is None or q is None or self.mode != EXACT:
+            return (self._float_orbits(ps) == _as_floats(qs)[:, None, :]).all(axis=2).any(axis=1)
+        n, k = len(p), self.order
+        rows = np.repeat(np.arange(n), k)
+        images, q = self._images(p[rows], np.tile(np.arange(k), n)), q[rows]
+        equal = (images.nums * q.dens[:, None] == q.nums * images.dens[:, None]).astype(bool)
+        return equal.all(axis=1).reshape(n, k).any(axis=1)
 
     def leaf_labels(self, points) -> np.ndarray:
         return np.zeros((len(points), 0))
@@ -508,22 +543,18 @@ class FiniteGroupModel:
         return points[rows, table.perms[ks]] * table.signs[ks]
 
     def leaf_mates(self, batch, rng: np.random.Generator):
-        """``random_leaf_mate`` of each point of an exact batch or a float
-        array: one draw of all element indices gives the draws of one call per
-        point."""
+        """``g p`` for a uniformly drawn element ``g`` (row ``k`` of the signed
+        table is element ``k``) and each point ``p`` of an exact batch (exact
+        on an exact group) or a float array: one draw of all element indices
+        gives the draws of one call per point."""
+        _check_width(self.ambient_dim, batch)
         ks = rng.integers(self.order, size=len(batch))
-        if isinstance(batch, PointBatch):
+        if isinstance(batch, PointBatch) and self.mode == EXACT:
             return self._images(batch, ks)
-        return self._float_images(batch, ks)
+        return self._float_images(_as_floats(batch).reshape(-1, self.ambient_dim), ks)
 
     def random_leaf_mate(self, p, rng: np.random.Generator):
-        """``g p`` for a uniformly drawn element ``g`` (row ``k`` of the signed
-        table is element ``k``)."""
-        k = int(rng.integers(self.order))
-        batch = PointBatch.of([p]) if self.mode == EXACT else None
-        if batch is not None:
-            return self._images(batch, [k]).points()[0]
-        return tuple(self._float_images(_float_rows([p], self.ambient_dim), [k])[0].tolist())
+        return _mate_of(self, p, rng)
 
 
 def group_closure(
@@ -764,12 +795,14 @@ class TorusModel:
             yield rows, gaps
 
     def leaf_pairs(self, ps, qs, tol: float) -> Tuple[np.ndarray, np.ndarray]:
-        """``same_leaf(p, q, tol)`` and ``quotient_distance(p, q)`` of every pair
+        """The same-leaf verdict and the distance proxy of every pair
         ``(ps[i], qs[i])``, from arrays of floats, radii and phases with the
         floats of a loop over the pairs.  Same leaf: fixed coordinates and
         radii within ``tol``, and each kernel vector's phase gap within
-        ``tol * max(1, |v|_1)``."""
+        ``tol * max(1, |v|_1)``.  Proxy: the larger of the radial distance
+        and the worst weighted phase gap."""
         m = 2 * self.n_planes
+        _check_width(self.ambient_dim, ps, qs)
         p, q = _float_rows(ps, self.ambient_dim), _float_rows(qs, self.ambient_dim)
         radii_p, radii_q = self._planes(p, math.hypot), self._planes(q, math.hypot)
         phases = self._planes(q, math.atan2, 1) - self._planes(p, math.atan2, 1)
@@ -789,19 +822,17 @@ class TorusModel:
     def same_leaf(self, p, q, tol: float) -> bool:
         return bool(self.leaf_pairs([tuple(p)], [tuple(q)], tol)[0][0])
 
-    def quotient_distance(self, p, q) -> float:
-        """Larger of the radial distance and the worst weighted phase gap."""
-        return float(self.leaf_pairs([tuple(p)], [tuple(q)], 0.0)[1][0])
-
     def leaf_mates(self, batch, rng: np.random.Generator):
-        """``random_leaf_mate`` of each point of an exact batch or a float
-        array: one draw of all rotations gives the draws of one call per
-        point.  Exactly, parameter ``t`` turns by ``cos + i sin = (b + i a)^2
+        """A point on the leaf of each point of an exact batch (an exact
+        rational rotation) or a float array (a float rotation): one draw of
+        all rotations gives the draws of one call per point.  Exactly,
+        parameter ``t`` turns by ``cos + i sin = (b + i a)^2
         / (a^2 + b^2)`` in lowest terms, plane ``j`` by the product of their
         ``w_jt``-th powers in Gaussian integers, and every coordinate goes
         over ``prod_t den_t^(max_j |w_jt|)``.  In floats, plane ``j`` turns by
         ``sum_t w_jt theta_t``, summed left to right, through ``math.cos`` and
         ``math.sin``."""
+        _check_width(self.ambient_dim, batch)
         if not isinstance(batch, PointBatch):
             theta = rng.uniform(0.0, _TWO_PI, size=(len(batch), self.torus_rank))
             angles = _column_sum(theta[:, None, :] * np.array(self.weight_matrix, dtype=float))
@@ -831,15 +862,7 @@ class TorusModel:
         return PointBatch(np.stack(out, axis=1), batch.dens * common)
 
     def random_leaf_mate(self, p, rng: np.random.Generator):
-        """A point on the leaf of ``p``: exact rational rotation for exact
-        input points, floating rotation otherwise."""
-        p = tuple(p)
-        if len(p) != self.ambient_dim:
-            raise DimensionMismatch("point dimension does not match torus model")
-        batch = PointBatch.of([p])
-        if batch is not None:
-            return self.leaf_mates(batch, rng).points()[0]
-        return tuple(self.leaf_mates(_float_rows([p], self.ambient_dim), rng)[0].tolist())
+        return _mate_of(self, p, rng)
 
 
 # -- isoparametric level sets ------------------------------------------------
@@ -1206,20 +1229,18 @@ class IsoparametricModel:
             raise OffSphere(f"point norm {float(norms[off.argmax()])} is not 1 within {tol}")
 
     def level_of(self, p) -> float:
-        return float(self.F.eval([float(x) for x in p]))
-
-    def quotient_distance(self, p, q) -> float:
-        return abs(self.level_of(p) - self.level_of(q))
+        return float(self.leaf_labels([tuple(p)])[0, 0])
 
     def leaf_labels(self, points) -> np.ndarray:
         """``(n, 1)``: the level of each point."""
         return self.F.eval_rows(_float_rows(points, self.ambient_dim))[:, None]
 
     def leaf_pairs(self, ps, qs, tol: float) -> Tuple[np.ndarray, np.ndarray]:
-        """``same_leaf(p, q, tol)`` and ``quotient_distance(p, q)`` of every pair
+        """``|F(p) - F(q)| < tol`` and the proxy ``|F(p) - F(q)|`` of every pair
         ``(ps[i], qs[i])``, from one level difference per pair (``F.eval_rows``,
-        the floats of ``level_of``); the first point, in pair order, off the
+        the floats of ``F.eval``); the first point, in pair order, off the
         sphere by more than ``max(tol, 1e-9)`` raises OffSphere."""
+        _check_width(self.ambient_dim, ps, qs)
         p, q = _float_rows(ps, self.ambient_dim), _float_rows(qs, self.ambient_dim)
         pairs = np.stack([p, q], axis=1).reshape(-1, self.ambient_dim)  # p0, q0, p1, q1, ...
         self._check_on_sphere(pairs, max(tol, 1e-9))
@@ -1230,13 +1251,11 @@ class IsoparametricModel:
         """Level predicate ``|F(p) - F(q)| < tol`` for unit-sphere points."""
         return bool(self.leaf_pairs([tuple(p)], [tuple(q)], tol)[0][0])
 
-    def random_leaf_mate(self, p, rng: np.random.Generator):
-        if self.symmetry is None:
-            return None
-        return self.symmetry.random_leaf_mate(p, rng)
-
     def leaf_mates(self, points: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """``random_leaf_mate`` of each row of a float array, by the symmetry."""
+        """The symmetry's ``leaf_mates`` of each row of a float array;
+        ConfigError when no symmetry is configured."""
+        if self.symmetry is None:
+            raise ConfigError(f"{self.name} has no symmetry configured to draw leaf mates")
         return self.symmetry.leaf_mates(points, rng)
 
     # -- level law and normal geodesics -------------------------------------
@@ -1301,9 +1320,9 @@ class IsoparametricModel:
             raise ConfigError(f"n must be a positive int, got {n!r}")
         if f.ambient_dim != self.ambient_dim:
             raise DimensionMismatch("polynomial dimension does not match model")
-        p = tuple(p)
-        self._check_on_sphere(_float_rows([p], self.ambient_dim), 1e-8)
-        level = self.level_of(p)
+        rows = _float_rows([tuple(p)], self.ambient_dim)
+        self._check_on_sphere(rows, 1e-8)
+        level = float(self.F.eval_rows(rows)[0])
         if abs(level) >= 1.0 - self.h:
             raise NearSingularLeaf(
                 f"level {level:.6f} within bandwidth {self.h} of a focal level"

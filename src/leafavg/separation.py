@@ -13,7 +13,6 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -39,8 +38,7 @@ class _IntegerGeneratorMap:
     generator, from integer power tables shared by all generators.  A whole
     :class:`PointBatch` is evaluated at once, one object-array operation
     per power and per term factor.  ``values`` gives each quotient as one
-    correctly rounded integer division, ``float(f.eval(x))`` bit for bit;
-    on one point, the map gives ``f.eval(x)`` and ``floats`` its float.
+    correctly rounded integer division, ``float(f.eval(x))`` bit for bit.
     """
 
     def __init__(self, generators):
@@ -87,14 +85,6 @@ class _IntegerGeneratorMap:
             dens.append(lcm * c_powers[degree])
         return totals, dens
 
-    def __call__(self, point) -> Optional[tuple]:
-        """The generator values at ``point`` as ``Fraction``s; None unless
-        every coordinate is an int or a ``Fraction``."""
-        batch = PointBatch.of([point])
-        if batch is None:
-            return None
-        return tuple(Fraction(t[0], d[0]) for t, d in zip(*self._quotients(batch)))
-
     def values(self, points) -> Optional[np.ndarray]:
         """``(n, k)`` generator values as floats (OverflowError past the float
         range); None unless every coordinate is an int or a ``Fraction``."""
@@ -105,27 +95,16 @@ class _IntegerGeneratorMap:
         values = np.array([t / d for t, d in zip(totals, dens)], dtype=float)
         return values.reshape(len(totals), len(batch)).T
 
-    def floats(self, point) -> Optional[tuple]:
-        values = self.values([point])
-        return None if values is None else tuple(values[0].tolist())
-
 
 def _check_dimension(gens, dim: int) -> None:
     if any(dim != p.ambient_dim for p in gens.generators):
         raise DimensionMismatch("point dimension does not match generators")
 
 
-def rho_eval(gens, point, *, integer_map: Optional[_IntegerGeneratorMap] = None) -> tuple:
-    """Evaluate the generator map at a point (exact when inputs allow).
-
-    ``integer_map``, built once from an exact ``gens``, evaluates rational
-    points in integers; other points fall back to ``Polynomial.eval``.
-    """
+def rho_eval(gens, point) -> tuple:
+    """The generator map at one point, by ``Polynomial.eval``: exact at a
+    rational point of an exact generator set."""
     _check_dimension(gens, len(point))
-    if integer_map is not None:
-        values = integer_map(point)
-        if values is not None:
-            return values
     return tuple(p.eval(point) for p in gens.generators)
 
 
@@ -294,12 +273,12 @@ def separation_test(
         record_failures("distinct_leaf_collision", "other", ps, qs, dists,
                         [i for i, dist in enumerate(dists) if dist <= tol_same])
 
-    for p, q in adversarial_pairs or []:
-        if model.same_leaf(p, q, same_leaf_tol):
-            notes.append("an adversarial pair turned out to lie on one leaf; skipped")
-            continue
-        record_distinct([p], [q], np.array([model.quotient_distance(p, q)]))
     if adversarial_pairs:
+        ps, qs = [p for p, _ in adversarial_pairs], [q for _, q in adversarial_pairs]
+        same, proxy = model.leaf_pairs(ps, qs, same_leaf_tol)
+        notes += ["an adversarial pair turned out to lie on one leaf; skipped"] * int(same.sum())
+        keep = np.flatnonzero(~same).tolist()
+        record_distinct([ps[i] for i in keep], [qs[i] for i in keep], proxy[keep])
         notes.append(f"{len(adversarial_pairs)} adversarial pair(s) supplied by the caller")
 
     attempts = 0

@@ -716,6 +716,93 @@ def test_generator_past_float_range_exits_1(tmp_path, capsys, task, name, texts)
     assert "too large" in capsys.readouterr().err.removeprefix("error: ")
 
 
+# -- gates that no other test trips through the command line ------------------------------
+
+
+def test_avg_exact_residual_gate_exits_2(tmp_path, monkeypatch):
+    # every monomial taken for invariant: the "average" of x1^2 is x1^2, which
+    # the swap of B2 moves, so leaf constancy fails the 1e-12 gate
+    monkeypatch.setattr(FiniteGroupModel, "invariant_rows",
+                        lambda self, monomials: [{e: 1} for e in monomials])
+    out = tmp_path / "out"
+    assert main(["avg", "--config", str(_CONFIG_DIR / "b2.json"), "--out", str(out)]) == 2
+    payload = json.loads((out / "avg_certificate.json").read_text())
+    assert payload["passed"] is False and payload["residual_tol"] == 1e-12
+    assert payload["average"] == "x1^2"
+    assert payload["residuals"]["leaf_constancy"] > 0
+
+
+def test_avg_statistical_residual_gate_exits_2(tmp_path):
+    # the gate is absolute: the estimator's errors grow with f's scale
+    data = json.loads((_CONFIG_DIR / "iso_g2.json").read_text())
+    data["params"]["f"] = "10000 * x1^2"
+    del data["params"]["generators"]
+    out = tmp_path / "out"
+    assert main(["avg", "--config", str(write_config(tmp_path / "run.json", data)),
+                 "--out", str(out)]) == 2
+    payload = json.loads((out / "avg_certificate.json").read_text())
+    assert payload["passed"] is False and payload["residual_tol"] == 0.05
+    assert "structured" not in payload
+    assert max(payload["residuals"].values()) > 0.05
+
+
+def test_verify_statistical_generation_gap_exits_2(tmp_path):
+    # r^2 alone misses F in the degree-2 slice of the quadric levels
+    data = json.loads((_CONFIG_DIR / "iso_g2.json").read_text())
+    data["params"]["generators"] = [{"text": "x1^2 + x2^2 + x3^2 + x4^2"}]
+    out = tmp_path / "out"
+    assert main(["verify", "--config", str(write_config(tmp_path / "run.json", data)),
+                 "--out", str(out)]) == 2
+    [failure] = json.loads((out / "verify_report.json").read_text())["failures"]
+    assert failure["type"] == "GenerationGap" and failure["degrees"] == [2]
+    assert failure["report"]["tolerance"] == 0.05
+    assert failure["report"]["max_residual_by_degree"]["2"] > 0.05
+
+
+def test_separate_same_leaf_gate_exits_2(tmp_path):
+    # x1^2 is not B3-invariant, so exact group mates move its value
+    data = json.loads((_CONFIG_DIR / "b3.json").read_text())
+    data["params"].update(num_pairs=50, generators=[{"text": "x1^2"}])
+    out = tmp_path / "out"
+    assert main(["separate", "--config", str(write_config(tmp_path / "run.json", data)),
+                 "--out", str(out)]) == 2
+    payload = json.loads((out / "separation_certificate.json").read_text())
+    assert payload["max_same_discrepancy"] > payload["tol_same"]
+    assert {f["kind"] for f in payload["failures"]} == {"same_leaf_discrepancy"}
+
+
+def test_separate_float_margin_gate_alone_exits_2(tmp_path):
+    # a small non-invariant term keeps every same-leaf discrepancy under
+    # tol_same and every distinct distance above it, but their ratio under 10
+    data = json.loads((_CONFIG_DIR / "iso_g2.json").read_text())
+    data["params"].update(tol_same=5e-4, generators=[
+        {"text": "x1^2 + x2^2 + x3^2 + x4^2"},
+        {"text": "x1^2 + x2^2 - x3^2 - x4^2 + 1/5000 * x1 * x3"}])
+    out = tmp_path / "out"
+    assert main(["separate", "--config", str(write_config(tmp_path / "run.json", data)),
+                 "--out", str(out)]) == 2
+    payload = json.loads((out / "separation_certificate.json").read_text())
+    assert payload["num_failures"] == 0
+    assert 1 < payload["margin_ratio"] <= payload["margin_min"] == 10
+
+
+@pytest.mark.parametrize("task", ["avg", "separate"])
+def test_non_munzner_level_polynomial_exits_1(tmp_path, capsys, task):
+    data = json.loads((_CONFIG_DIR / "iso_g2.json").read_text())
+    data["model"]["F"] = "x1^2 + x2^2 - 3 * x3^2"
+    config = write_config(tmp_path / "run.json", data)
+    assert main([task, "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == "error: Cartan-Munzner identities fail\n"
+
+
+def test_effective_sample_size_guard_exits_1(tmp_path, capsys):
+    data = json.loads((_CONFIG_DIR / "iso_g2.json").read_text())
+    data["model"]["min_ess"] = 1e9
+    config = write_config(tmp_path / "run.json", data)
+    assert main(["avg", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+    assert "below minimum 1000000000.0" in capsys.readouterr().err
+
+
 # -- verify's failure branches ------------------------------------------------------------
 
 

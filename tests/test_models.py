@@ -30,7 +30,7 @@ from leafavg import (
 )
 from leafavg import models
 from leafavg.cli import _CONFIG_DIR, load_config
-from leafavg.models import LevelSetSampler, _mat_vec, sample_sphere_many
+from leafavg.models import LevelSetSampler, PointBatch, _mat_vec, sample_sphere_many
 from leafavg.polynomials import grlex_key
 from leafavg.separation import rational_sphere_points
 
@@ -207,8 +207,7 @@ def test_group_quotient_distance_matches_exact_orbit(name, seed):
         math.sqrt(sum((float(x) - y) ** 2 for x, y in zip(image, q_float)))
         for image in model.orbit(p)
     )
-    assert model.quotient_distance(p, q) == expected
-    assert model.quotient_distance(p, p) == 0.0
+    assert model.leaf_pairs([p, p], [q, p], 1e-9)[1].tolist() == [expected, 0.0]
 
 
 def _exact_orbit_same_leaf(model, p, q, tol):
@@ -243,15 +242,18 @@ def test_group_same_leaf_matches_exact_orbit(name, seed, kind, tol):
         q = (q[0] + Fraction(1, 10 ** 6),) + tuple(q[1:])
     assert model.same_leaf(p, q, tol) == _exact_orbit_same_leaf(model, p, q, tol)
     q_float = [float(x) for x in q]
-    assert model.quotient_distance(p, q) == min(
+    assert model.leaf_pairs([p], [q], tol)[1][0] == min(
         math.sqrt(sum((float(x) - y) ** 2 for x, y in zip(image, q_float)))
         for image in model.orbit(p)
     )
 
 
 def _python_orbit_sq_distances(model, p, q):
-    """Squared distances from ``q`` to the exact orbit of ``p``, each a Python
-    sum of ``**`` squares: the reference for the array sums."""
+    """Squared distances from ``q`` to the exact orbit of ``p`` (of its floats,
+    unless every coordinate is rational), each a Python sum of ``**``
+    squares: the reference for the array sums."""
+    if not all(isinstance(x, (int, Fraction)) for x in p):
+        p = [float(x) for x in p]
     q = [float(x) for x in q]
     return [sum((float(x) - y) ** 2 for x, y in zip(_mat_vec(g, tuple(p)), q))
             for g in model.elements]
@@ -284,7 +286,7 @@ def test_orbit_sq_distances_match_python_sums_bit_for_bit(name, kind, seed, coor
         p, q = (tuple(row) for row in rng.standard_normal((2, d)).tolist())
     else:
         p, q = tuple(coords[:d]), tuple(coords[4:4 + d])
-    got = model._orbit_sq_distances(p, q)
+    got = model._orbit_sq_distances_many([p], [q])[0]
     assert got.dtype == np.float64
     assert got.tobytes() == np.array(_python_orbit_sq_distances(model, p, q)).tobytes()
 
@@ -297,19 +299,19 @@ def test_orbit_sq_distances_round_squares_like_python():
     rng = np.random.default_rng(4)
     for _ in range(400):
         p, q = rng.standard_normal((2, 3)).tolist()
-        got = model._orbit_sq_distances(p, q)
+        got = model._orbit_sq_distances_many([p], [q])[0]
         assert got.tobytes() == np.array(_python_orbit_sq_distances(model, p, q)).tobytes()
 
 
 class _Draw:
-    """A stand-in generator whose ``integers(n)`` returns one fixed index."""
+    """A stand-in generator whose ``integers(n, size)`` returns one fixed index."""
 
     def __init__(self, order, k):
         self.order, self.k = order, k
 
-    def integers(self, n):
+    def integers(self, n, size):
         assert n == self.order
-        return self.k
+        return np.full(size, self.k)
 
 
 @pytest.mark.parametrize("name", [*sorted(ORBIT_GROUPS), "b3_float"])
@@ -467,7 +469,7 @@ def test_torus_kernel_computed_once_per_active_planes(monkeypatch):
     for p in points:
         for q in points:
             model.same_leaf(p, q, 1e-9)
-            model.quotient_distance(p, q)
+            model.leaf_pairs([p], [q], 0.0)
     assert len(calls) == len(set(calls)) == 2
     assert [weight for _, weight in model._kernel((0, 1, 2))] == [5]  # v = +-(2, -2, 1)
 
@@ -674,6 +676,57 @@ def test_iso_leaf_pairs_check_sphere_and_dimension(iso_g2_model):
         iso_g2_model.same_leaf((1.0, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0), 1e-9)
     empty = iso_g2_model.leaf_pairs(np.zeros((0, 4)), [], 1e-9)
     assert [a.shape for a in empty] == [(0,), (0,)]
+
+
+def _exact_rows(rows):
+    return PointBatch.of([tuple(Fraction(x) for x in row) for row in rows])
+
+
+def _mates(points):
+    return lambda model: model.leaf_mates(points, np.random.default_rng(1))
+
+
+def _pairs(ps, qs, tol=1e-9):
+    return lambda model: model.leaf_pairs(ps, qs, tol)
+
+
+MALFORMED = {
+    # the third coordinate used to be dropped: (True, 0.0)
+    "group_pairs_extra": ("b2_model", _pairs([[0.6, 0.8, 5.0]], [[0.8, 0.6]])),
+    "group_pairs_short": ("b2_model", _pairs([[0.6]], [[0.8]])),
+    "group_pairs_exact_extra": ("b2_model", _pairs(_exact_rows([[1, 0, 0]]),
+                                                   _exact_rows([[0, 1]]), 0)),
+    # a width read off the shape: never converted, so no OverflowError
+    "group_pairs_huge_extra": ("b2_model", _pairs(_exact_rows([[10 ** 400, 0, 0]]),
+                                                  _exact_rows([[0, 1]]))),
+    "group_mates_extra": ("b2_model", _mates(np.zeros((3, 3)))),
+    "group_mates_exact_extra": ("b2_model", _mates(_exact_rows([[10 ** 400, 0, 1]]))),
+    "torus_pairs_short": ("t2_model", _pairs([[1.0, 0.0, 0.0]], [[1.0, 0.0, 0.0]])),
+    # the extra coordinate used to be carried along, a short row to raise ValueError
+    "torus_mates_extra": ("t2_model", _mates(np.zeros((2, 5)))),
+    "torus_mates_short": ("t2_model", _mates(np.zeros((2, 3)))),
+    "torus_mates_exact_short": ("t2_model", _mates(_exact_rows([[1, 0, 0]]))),
+    "iso_pairs_ragged": ("iso_g2_model", _pairs([(1.0, 0.0, 0.0, 0.0), (1.0, 0.0, 0.0)],
+                                                [(1.0, 0.0, 0.0, 0.0)] * 2)),
+    "iso_mates_extra": ("iso_g2_model", _mates(np.zeros((2, 5)))),
+    # one second point used to be broadcast against two first points
+    **{f"{kind}_pairs_counts": (fixture, _pairs(np.eye(d)[:2], np.eye(d)[:1]))
+       for kind, fixture, d in (("group", "b2_model", 2), ("torus", "t2_model", 4),
+                                ("iso", "iso_g2_model", 4))},
+    # used to raise AttributeError on the missing symmetry
+    "iso_mates_no_symmetry": (None, _mates(np.eye(4))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_batch_leaf_methods_refuse_malformed_points(request, case):
+    fixture, call = MALFORMED[case]
+    if fixture is None:
+        with pytest.raises(ConfigError, match="no symmetry"):
+            call(IsoparametricModel(P("x1^2 + x2^2 - x3^2 - x4^2", 4), 2))
+    else:
+        with pytest.raises(DimensionMismatch, match="coordinates|2 first points against 1"):
+            call(request.getfixturevalue(fixture))
 
 
 def test_leaf_average_of_constant_is_exact(iso_g2_model):

@@ -101,24 +101,24 @@ def test_integer_generator_map_matches_polynomial_eval(polys, point):
     # integers, where the quotient is still one correctly rounded division)
     point = tuple(point)
     expected = tuple(p.eval(point) for p in polys)
-    values = _IntegerGeneratorMap(polys)(point)
+    totals, dens = _IntegerGeneratorMap(polys)._quotients(PointBatch.of([point]))
+    values = tuple(Fraction(t[0], d[0]) for t, d in zip(totals, dens))
     assert values == expected
     assert all(type(v) is Fraction for v in values)
-    floats = _IntegerGeneratorMap(polys).floats(point)
+    floats = _IntegerGeneratorMap(polys).values([point])[0].tolist()
     assert [v.hex() for v in floats] == [float(v).hex() for v in expected]
     gens = GeneratorSet(ambient_dim=3, mode=EXACT, generators=tuple(polys), degrees=(),
                         degree_cap=0, dims_by_degree={})
-    assert rho_eval(gens, point, integer_map=_IntegerGeneratorMap(polys)) == expected
+    assert rho_eval(gens, point) == expected
 
 
 def test_integer_generator_map_leaves_float_points_to_eval(hopf_gens):
     integer_map = _IntegerGeneratorMap(hopf_gens.generators)
     point = (0.6, Fraction(4, 5), 0, 0)
-    assert integer_map(point) is None
-    assert integer_map.floats(point) is None
-    assert rho_eval(hopf_gens, point, integer_map=integer_map) == rho_eval(hopf_gens, point)
+    assert integer_map.values([point]) is None
+    assert rho_eval(hopf_gens, point) == tuple(g.eval(point) for g in hopf_gens.generators)
     with pytest.raises(DimensionMismatch):
-        rho_eval(hopf_gens, (1, 0, 0), integer_map=integer_map)
+        rho_eval(hopf_gens, (1, 0, 0))
 
 
 def _fraction_sphere_points(ambient_dim, count, rng, denominator=16):
@@ -395,7 +395,7 @@ def _reference_predicates(model):
     ``**`` sums over the orbit and ``_mat_vec`` mates for groups, a fresh
     kernel, ``math.hypot`` radii, repeated float conversions and ``Fraction``
     rotations for tori, and a level difference from ``Polynomial.eval`` per
-    pair for isoparametric models, whose mates are the model's own."""
+    pair for isoparametric models, whose mates are their symmetry's."""
     if isinstance(model, FiniteGroupModel):
         return (
             lambda p, q, tol: min(_reference_orbit_sq_distances(model, p, q)) < tol * tol,
@@ -411,7 +411,7 @@ def _reference_predicates(model):
     return (
         lambda p, q, tol: _reference_level_gap(model, p, q, tol) < tol,
         lambda p, q: _reference_level_gap(model, p, q, 0.0),
-        model.random_leaf_mate,
+        _reference_predicates(model.symmetry)[2] if model.symmetry is not None else None,
     )
 
 
@@ -422,11 +422,12 @@ def _reference_separation_test(model, gens, num_pairs, tol_same, rng_seed, same_
     return cert.to_dict(), attempts
 
 
-def _reference_certificate(model, gens, num_pairs, tol_same, rng_seed, same_leaf_tol=None):
-    """``separation_test`` one candidate at a time: two one-point draws per
-    attempt, exact points built from ``Fraction``s, and ``Polynomial.eval``
-    images that are then converted to floats.  Returns the certificate and
-    the number of attempts."""
+def _reference_certificate(model, gens, num_pairs, tol_same, rng_seed, same_leaf_tol=None,
+                           adversarial_pairs=None):
+    """``separation_test`` one candidate at a time: each adversarial pair,
+    then two one-point draws per attempt, exact points built from
+    ``Fraction``s, and ``Polynomial.eval`` images that are then converted to
+    floats.  Returns the certificate and the number of attempts."""
     same_leaf, quotient_distance, random_leaf_mate = _reference_predicates(model)
     rng = np.random.default_rng(rng_seed)
     exact = model.closed_form and model.mode == EXACT and gens.mode == EXACT
@@ -459,6 +460,21 @@ def _reference_certificate(model, gens, num_pairs, tol_same, rng_seed, same_leaf
                 failures.append({"kind": "same_leaf_discrepancy", "point": [float(x) for x in p],
                                  "mate": [float(x) for x in mate], "rho_distance": disc})
     distinct = []
+
+    def add_distinct(p, q):
+        dist = distance(p, q)
+        distinct.append((p, q, dist))
+        if dist <= tol_same:
+            failures.append({"kind": "distinct_leaf_collision", "point": [float(x) for x in p],
+                             "other": [float(x) for x in q], "rho_distance": dist})
+
+    for p, q in adversarial_pairs or []:
+        if same_leaf(p, q, same_leaf_tol):
+            notes.append("an adversarial pair turned out to lie on one leaf; skipped")
+        else:
+            add_distinct(p, q)
+    if adversarial_pairs:
+        notes.append(f"{len(adversarial_pairs)} adversarial pair(s) supplied by the caller")
     attempts, sampled = 0, 0
     while sampled < num_pairs and attempts < 50 * num_pairs:
         attempts += 1
@@ -466,11 +482,7 @@ def _reference_certificate(model, gens, num_pairs, tol_same, rng_seed, same_leaf
         q = sample(1)[0]
         if same_leaf(p, q, same_leaf_tol):
             continue
-        dist = distance(p, q)
-        distinct.append((p, q, dist))
-        if dist <= tol_same:
-            failures.append({"kind": "distinct_leaf_collision", "point": [float(x) for x in p],
-                             "other": [float(x) for x in q], "rho_distance": dist})
+        add_distinct(p, q)
         sampled += 1
     if sampled < num_pairs:
         raise InsufficientDistinctPairs(
@@ -532,6 +544,49 @@ def test_separation_matches_reference_across_batches(bundled_runs, name):
     assert attempts > 150
     got = separation_test(model, gens, 150, params["tol_same"], seed, same_leaf_tol=0.3)
     assert json.dumps(got.to_dict(), sort_keys=True) == json.dumps(expected, sort_keys=True)
+
+
+def _adversarial_pairs(model, rng):
+    """Two distinct-leaf pairs with two same-leaf pairs between and after
+    them: rational points for closed-form models, floats otherwise."""
+    if model.closed_form:
+        points = rational_sphere_points(model.ambient_dim, 5, rng)
+    else:
+        points = [tuple(row) for row in sample_sphere_many(5, model.ambient_dim, rng).tolist()]
+    mate = _reference_predicates(model)[2](points[0], rng)
+    return [(points[1], points[2]), (points[0], mate), (points[3], points[4]),
+            (points[4], points[4])]
+
+
+@pytest.mark.parametrize("tol_same", [None, 1e9])
+@pytest.mark.parametrize("name", ["b3", "hopf", "iso_g2"])
+def test_adversarial_pairs_match_reference(bundled_runs, name, tol_same):
+    # one leaf_pairs call over the whole list: the notes, distances and
+    # failures of a pair-at-a-time loop, in order (under tol_same 1e9 every
+    # distinct pair is a collision, so the failures list every distance)
+    model, gens, seed, params = bundled_runs[name]
+    tol_same = params["tol_same"] if tol_same is None else tol_same
+    pairs = _adversarial_pairs(model, np.random.default_rng(21))
+    expected, _ = _reference_certificate(model, gens, 20, tol_same, seed, adversarial_pairs=pairs)
+    got = separation_test(model, gens, 20, tol_same, seed, adversarial_pairs=pairs)
+    assert got.notes[-3:] == ["an adversarial pair turned out to lie on one leaf; skipped"] * 2 + \
+        ["4 adversarial pair(s) supplied by the caller"]
+    assert got.num_distinct_pairs == 22
+    assert json.dumps(got.failures) == json.dumps(expected.failures)
+    assert json.dumps(got.to_dict(), sort_keys=True) == \
+        json.dumps(expected.to_dict(), sort_keys=True)
+    if tol_same == 1e9:
+        assert [f["point"] for f in got.failures[:2]] == \
+            [[float(x) for x in pairs[i][0]] for i in (0, 2)]
+        assert len(got.failures) == 22
+
+
+def test_adversarial_point_off_the_sphere_raises(bundled_runs):
+    model, gens, seed, _ = bundled_runs["iso_g2"]
+    pairs = _adversarial_pairs(model, np.random.default_rng(21))
+    pairs.insert(2, ((2.0, 0.0, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0)))
+    with pytest.raises(OffSphere, match="point norm 2.0 "):
+        separation_test(model, gens, 20, 1e-9, seed, adversarial_pairs=pairs)
 
 
 def test_separation_gives_up_where_the_reference_does(t2_model):
@@ -679,6 +734,9 @@ def test_leaf_pairs_match_reference_predicates(bundled_runs, local_runs, name, t
     p_rows, q_rows = ps.points(), qs.points()
     if tol or isinstance(model, TorusModel):  # the reference's orbit test needs tol > 0
         assert same.tolist() == [same_leaf(p, q, tol) for p, q in zip(p_rows, q_rows)]
+    else:  # a group's tol 0: some exact image is q
+        assert same.tolist() == [q in model.orbit(p) for p, q in zip(p_rows, q_rows)]
+        assert same[on_leaf].all()
     assert proxy.tolist() == [quotient_distance(p, q) for p, q in zip(p_rows, q_rows)]
     if tol == 1e-9:
         assert same[on_leaf].all() and same.sum() < 200
@@ -694,7 +752,7 @@ def test_float_leaf_pairs_match_reference_predicates(bundled_runs, name, tol):
     ps = sample_sphere_many(300, model.ambient_dim, rng)
     qs = sample_sphere_many(300, model.ambient_dim, rng)
     if model.symmetry is not None:
-        qs[::3] = [model.random_leaf_mate(p, rng) for p in ps[::3].tolist()]
+        qs[::3] = model.leaf_mates(ps[::3], rng)
     p_rows, q_rows = ps.tolist(), qs.tolist()
     for leaves in (model, model.symmetry):
         if leaves is None:
@@ -703,6 +761,8 @@ def test_float_leaf_pairs_match_reference_predicates(bundled_runs, name, tol):
         same, proxy = leaves.leaf_pairs(ps, qs, tol)
         if tol or not isinstance(leaves, FiniteGroupModel):  # a group's tol 0 is an exact test
             assert same.tolist() == [same_leaf(p, q, tol) for p, q in zip(p_rows, q_rows)]
+        else:
+            assert same.tolist() == [tuple(q) in leaves.orbit(p) for p, q in zip(p_rows, q_rows)]
         assert proxy.tolist() == [quotient_distance(p, q) for p, q in zip(p_rows, q_rows)]
         if tol == LEVEL_TOL and model.symmetry is not None:
             assert same[::3].all() and same.sum() < 200

@@ -5,15 +5,18 @@ module realizes the generating set constructively.  For each degree ``d``
 up to a user-chosen cap:
 
 1. span the basic slice ``B_d`` (``basic_subspace``) -- by the rows of a
-   closed-form model's ``invariant_rows``, else by fitting the leaf average
-   of every degree-``d`` monomial -- and orthogonalize it under the sphere
-   pairing;
-2. span the degree-``d`` products of previously found generators;
-3. adopt an orthogonal complement of that product span inside ``B_d`` as
-   the new generators, sparsified to readable representatives.
+   closed-form model's ``invariant_rows``, which an exact model keeps row
+   reduced in integers, else by fitting the leaf average of every
+   degree-``d`` monomial;
+2. span the degree-``d`` products of previously found generators; an exact
+   degree is covered, with no new generator, when the slice's rows add no
+   rank to theirs;
+3. else adopt an orthogonal complement of the product span inside ``B_d``
+   (an exact slice is orthogonalized on first read, then kept) as the new
+   generators, sparsified to readable representatives.
 
 ``verify_generation`` runs steps 1 and 2 on the same slices and reports how
-far each slice reaches outside the product span.
+far each slice reaches outside the product span: 0 at a covered degree.
 
 Exact pairings are integer dot products against ``G b`` for one Gram matrix
 ``G`` of sphere-moment numerators per degree (``MomentGram``; the
@@ -32,6 +35,7 @@ import warnings
 import weakref
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -55,6 +59,7 @@ from .polynomials import (
     Polynomial,
     format_polynomial,
     grlex_key,
+    integer_row,
     monomial_basis,
     rationalize,
     sphere_norm,
@@ -171,19 +176,34 @@ def _remainders(basis: "SubspaceBasis", products: Sequence[Polynomial]) -> Tuple
     """Each basis vector of the slice minus its sphere-orthogonal projection
     onto the span of ``products`` (of the slice's degree), with its sphere
     norm: ``(row, den)`` pairs for an exact slice, float coefficient rows else."""
-    if basis.span is None:
+    if basis.mode == FLOAT:
         return _float_remainders(basis.gram, basis.rows, _coefficient_rows(products, basis.monomials))
     products_span = _ExactSpan(basis.span.gram, products)
     rows = [products_span.remainder(row, den) for row, den, _, _ in basis.span.basis]
     return rows, [products_span.norm(row, den) for row, den in rows]
 
 
+def _covers(basis: "SubspaceBasis", products: Sequence[Polynomial]) -> bool:
+    """Whether the exact slice lies in the span of ``products``, decided in
+    integers: appending the slice's echelon rows to the product rows leaves
+    their rank unchanged.  Then every slice remainder is zero, whether or not
+    the products are basic."""
+    if len(products) < basis.rank:
+        return False
+    index = {e: i for i, e in enumerate(basis.monomials)}
+    reduced, _ = _integer_rref([integer_row(p, index)[0] for p in products])
+    rank = len(reduced)
+    return rank >= basis.rank and len(_integer_rref(reduced + basis.echelon)[0]) == rank
+
+
 @dataclass
 class SubspaceBasis:
     """A basis of the basic slice in one degree, kept in one form.
 
-    An exact slice is its integer ``span``: sphere-orthogonal, not
-    normalized.  A float slice is ``rows``, coefficient vectors over
+    An exact slice is its ``echelon``, primitive integer multiples of the
+    reduced row echelon rows over ``monomials``.  Its integer ``span`` (those
+    rows orthogonalized in order: sphere-orthogonal, not normalized) is built
+    on first read and kept.  A float slice is ``rows``, coefficient vectors over
     ``monomials`` orthonormal under the float moment Gram matrix ``gram``,
     with the singular values of the rank decision.
     """
@@ -192,23 +212,30 @@ class SubspaceBasis:
     mode: str
     ambient_dim: int
     monomials: Tuple[tuple, ...]
-    span: Optional[_ExactSpan] = field(default=None, repr=False, compare=False)
+    echelon: Optional[List[List[int]]] = field(default=None, repr=False, compare=False)
     rows: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
     gram: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
     singular_values: Optional[List[float]] = None
 
     @property
     def rank(self) -> int:
-        return len(self.rows if self.span is None else self.span.basis)
+        return len(self.rows if self.mode == FLOAT else self.echelon)
+
+    @cached_property
+    def span(self) -> _ExactSpan:
+        span = _ExactSpan(MomentGram(self.ambient_dim, self.monomials))
+        for row in self.echelon:
+            span.add(row, next(filter(None, row)))  # the reduced row echelon row
+        return span
 
     def polynomials(self) -> List[Polynomial]:
-        if self.span is None:
+        if self.mode == FLOAT:
             return [vector_to_poly(row, self.monomials, self.ambient_dim, FLOAT) for row in self.rows]
         return self.span.polynomials()
 
     def residual(self, p: Polynomial) -> float:
         """Sphere-norm distance from ``p`` to the subspace."""
-        if self.span is None:
+        if self.mode == FLOAT:
             return _float_remainders(self.gram, _coefficient_rows([p], self.monomials), self.rows)[1][0]
         span = _span_of(self.polynomials(), p.to_exact())  # p may have terms of any degree
         return span.norm(*span.remainder(*span.gram.row(p)))
@@ -301,13 +328,13 @@ def basic_subspace(
     """Image of the averaging operator on the degree-``degree`` slice.
 
     A closed-form model's slice is spanned by its ``invariant_rows``.  In
-    exact mode they are row reduced (canonical for the span) and
-    orthogonalized in order, in integers, with exact rank, once per model and
-    degree.  A fitted model's slice is spanned by the leaf averages of every
-    monomial of the degree, which the statistical engine fits (with the
-    model's bandwidth ``h``, the effective-sample-size guard and condition cap
-    of :func:`average`).  Float rows are orthonormalized with a tolerance-based
-    rank and a singular-value audit.
+    exact mode they are row reduced in integers (canonical for the span, with
+    exact rank) once per model and degree, and orthogonalized on the first
+    read of the slice's ``span``.  A fitted model's slice is spanned by the
+    leaf averages of every monomial of the degree, which the statistical
+    engine fits (with the model's bandwidth ``h``, the effective-sample-size
+    guard and condition cap of :func:`average`).  Float rows are
+    orthonormalized with a tolerance-based rank and a singular-value audit.
     """
     if degree < 1:
         raise ValueError("degree must be at least 1")
@@ -319,11 +346,8 @@ def basic_subspace(
     if model.closed_form:
         rows = [[row.get(e, 0) for e in monomials] for row in model.invariant_rows(monomials)]
         if model.mode == EXACT:
-            span = _ExactSpan(MomentGram(model.ambient_dim, monomials))
-            reduced, pivots = _integer_rref([primitive_integer_row(row) for row in rows])
-            for row, c in zip(reduced, pivots):
-                span.add(row, row[c])  # the reduced row echelon row
-            slices[degree] = SubspaceBasis(degree, EXACT, model.ambient_dim, monomials, span=span)
+            echelon, _ = _integer_rref([primitive_integer_row(row) for row in rows])
+            slices[degree] = SubspaceBasis(degree, EXACT, model.ambient_dim, monomials, echelon=echelon)
             return slices[degree]
         matrix = np.array(rows, dtype=float).reshape(len(rows), len(monomials))
     else:
@@ -542,11 +566,12 @@ def discover_generators(
         if basis.rank == 0:
             continue
         products = [p for _, p in generator_products(generators, d)]
-        remainders, _ = _remainders(basis, products)
-        if exact:
-            new_polys = _sparsify_exact(remainders, basis)
+        if exact and _covers(basis, products):
+            new_polys = []
+        elif exact:
+            new_polys = _sparsify_exact(_remainders(basis, products)[0], basis)
         else:
-            new_polys = _sparsify_float(remainders, basis, tol_rank)
+            new_polys = _sparsify_float(_remainders(basis, products)[0], basis, tol_rank)
 
         for poly in new_polys:
             generators.append(poly)
@@ -624,8 +649,10 @@ def verify_generation(
     residuals: Dict[int, float] = {}
     for d, basis in _degree_slices(model, max_degree, seed, tol_rank, sample_points, mc_samples):
         products = [p for _, p in generator_products(list(gens.generators), d)]
-        _, norms = _remainders(basis, products)
-        residuals[d] = max(norms, default=0.0)
+        if basis.mode == EXACT and _covers(basis, products):
+            residuals[d] = 0.0  # proved by rank
+        else:
+            residuals[d] = max(_remainders(basis, products)[1], default=0.0)
     report = GenerationReport(max_residual_by_degree=residuals, tolerance=tol)
     if report.gaps():
         raise GenerationGap(report.gaps(), report=report)

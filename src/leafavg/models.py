@@ -941,7 +941,7 @@ class LevelLaw:
         integers (within 1e-9 for a float ``F``) and the multiplicities fit
         the sphere, ``n - 2 = g (m1 + m2) / 2``; neither fails for an ``F``
         that ``validate_munzner`` admits."""
-        first, second = sphere_mean(F), sphere_mean(F * F)
+        first, second = sphere_mean(F), sphere_inner(F, F)
         mean = (1 - first) / 2  # of u = (1 - F)/2
         var = (1 - 2 * first + second) / 4 - mean * mean
         if not var > 0:
@@ -1208,13 +1208,15 @@ class IsoparametricModel:
         if not symmetry.closed_form:
             raise ConfigError("symmetry must be a finite-group or torus model")
         # the symmetry preserves F when its average fixes F: exactly for an
-        # exact symmetry, within 1e-8 for a float one
+        # exact symmetry, within 1e-8 for a float one; an exact finite group
+        # preserves F when each of its generators does
         F = self.F.to_exact() if symmetry.mode == EXACT else self.F.to_float()
-        averaged = symmetry.reynolds(F)
-        if symmetry.mode == EXACT:
-            preserved = averaged == F
+        if symmetry.mode == EXACT and isinstance(symmetry, FiniteGroupModel):
+            preserved = all(compose_with_matrix(F, g) == F for g in symmetry.generators)
+        elif symmetry.mode == EXACT:
+            preserved = symmetry.reynolds(F) == F
         else:
-            preserved = (averaged - F).max_abs_coeff() <= 1e-8
+            preserved = (symmetry.reynolds(F) - F).max_abs_coeff() <= 1e-8
         if not preserved:
             raise ConfigError("configured symmetry does not preserve the level polynomial")
 

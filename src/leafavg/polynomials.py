@@ -457,6 +457,17 @@ def sphere_mean(p: Polynomial):
     return total if p.mode == EXACT else float(total)
 
 
+def integer_row(p: Polynomial, index: Dict[tuple, int]) -> Tuple[List[int], int]:
+    """``(row, den)``: integer coefficients of ``p`` over the monomials that
+    ``index`` numbers, ``p = row / den``."""
+    terms = p.to_exact().terms
+    den = math.lcm(*(c.denominator for c in terms.values()))
+    row = [0] * len(index)
+    for e, c in terms.items():
+        row[index[e]] = c.numerator * (den // c.denominator)
+    return row, den
+
+
 class MomentGram:
     """The sphere pairing on one list of monomials, as an integer matrix.
 
@@ -495,13 +506,7 @@ class MomentGram:
         return out
 
     def row(self, p: Polynomial) -> Tuple[List[int], int]:
-        """``(row, den)``: integer coefficients over the monomials, ``p = row / den``."""
-        terms = p.to_exact().terms
-        den = math.lcm(*(c.denominator for c in terms.values()))
-        row = [0] * len(self.monomials)
-        for e, c in terms.items():
-            row[self.index[e]] = c.numerator * (den // c.denominator)
-        return row, den
+        return integer_row(p, self.index)
 
     def poly(self, row: Sequence[int], den: int) -> Polynomial:
         return Polynomial._trusted(

@@ -3,13 +3,17 @@ level-restricted sample cloud: on every bundled isoparametric config and on
 two quadrics with unequal multiplicities."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from leafavg import IsoparametricModel, NotCartanMunzner, parse_polynomial
+from leafavg import IsoparametricModel, NotCartanMunzner, parse_polynomial, sphere_inner, sphere_mean
+from leafavg import models
 from leafavg.cli import _CONFIG_DIR, load_config
 from leafavg.models import LevelLaw, LevelSetSampler, sample_sphere_many
+
+from util import random_homogeneous
 
 # name -> multiplicities (m1, m2) of (1 - F)/2 ~ Beta((m1 + 1)/2, (m2 + 1)/2)
 MULTIPLICITIES = {
@@ -44,6 +48,21 @@ def test_level_law_multiplicities(model):
     assert law.band_probability(-1.0, 1.0) == pytest.approx(1.0, abs=1e-12)
     assert law.band_probability(-3.0, 3.0) == law.band_probability(-1.0, 1.0)
     assert law.band_probability(1.5, 2.0) == law.band_probability(0.3, 0.3) == 0.0
+
+
+def test_level_law_takes_the_second_moment_as_a_pairing(model, monkeypatch):
+    # E[F^2] as sphere_inner(F, F) solves the law that sphere_mean(F * F) does
+    law = LevelLaw.of(model.F, model.g)
+    monkeypatch.setattr(models, "sphere_inner", lambda p, q: sphere_mean(p * q))
+    reference = LevelLaw.of(model.F, model.g)
+    assert (law.m1, law.m2) == (reference.m1, reference.m2)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_sphere_inner_of_a_quartic_with_itself_is_the_mean_of_its_square(seed):
+    F = random_homogeneous(5, 4, np.random.default_rng(seed), n_terms=12).scale(Fraction(2, 7))
+    assert type(sphere_inner(F, F)) is Fraction
+    assert sphere_inner(F, F) == sphere_mean(F * F)
 
 
 def test_band_probability_matches_uniform_points(model):

@@ -1011,6 +1011,31 @@ def test_symmetry_must_preserve_levels():
         IsoparametricModel(F, 2, symmetry=swap13)
 
 
+SWAP12 = [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+SWAP13 = [[0, 0, 1, 0], [0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1]]
+FLIP4 = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, -1]]
+
+
+def _no_reynolds(f):
+    raise AssertionError("an exact group is admitted by its generators, not its average")
+
+
+def test_exact_group_symmetry_is_admitted_by_its_generators(iso_g2_model):
+    # x1 <-> x2 and x4 -> -x4 preserve the quadric; so does the order-4
+    # group they generate
+    group = group_closure([SWAP12, FLIP4])
+    assert group.mode == EXACT and group.order == 4
+    group.reynolds = _no_reynolds
+    assert IsoparametricModel(iso_g2_model.F, 2, symmetry=group).symmetry is group
+
+
+def test_exact_group_symmetry_with_a_generator_that_moves_the_levels_is_refused(iso_g2_model):
+    group = group_closure([SWAP12, SWAP13])
+    group.reynolds = _no_reynolds
+    with pytest.raises(ConfigError, match="does not preserve the level polynomial"):
+        IsoparametricModel(iso_g2_model.F, 2, symmetry=group)
+
+
 # -- sphere sampling -----------------------------------------------------------------
 
 

@@ -7,8 +7,12 @@ from operator import mul
 import numpy as np
 from hypothesis import strategies as st
 
-from leafavg import EXACT, FLOAT, Polynomial, monomial_basis
+from leafavg import EXACT, FLOAT, Polynomial, basic_subspace, monomial_basis
+from leafavg.averaging import generator_products
+from leafavg.basic_ring import gram_schmidt_polys, project_residual
+from leafavg.exactlinalg import primitive_integer_row, rref
 from leafavg.models import compose_with_matrix
+from leafavg.polynomials import sphere_norm
 
 
 def random_homogeneous(dim, degree, rng, n_terms=6, mode=EXACT):
@@ -185,3 +189,35 @@ def _gaussian_fraction_reynolds(model, f):
     assert all(im == 0 for _, im in real_terms.values())
     result = Polynomial(model.ambient_dim, {e: re for e, (re, _) in real_terms.items() if re != 0}, EXACT)
     return result.to_float() if f.mode == FLOAT else result
+
+
+def _slice_remainders(model, generators, degree):
+    """The slice ``B_degree`` of an exact model, its vectors orthogonalized
+    and each minus its projection onto the orthogonalized generator products."""
+    basis = basic_subspace(model, degree)
+    ortho, norms = gram_schmidt_polys([p for _, p in generator_products(generators, degree)])
+    return basis, [project_residual(b, ortho, norms) for b in basis.polynomials()]
+
+
+def gram_schmidt_discovery(model, cap):
+    """Exact generator discovery that orthogonalizes every degree: the new
+    generators of degree d are the primitive rows, leading entry positive, of
+    the rref of the slice remainders.  The reference for the rank cover of
+    ``discover_generators``; returns generators, degrees and dimensions."""
+    generators, degrees, dims = [], [], {}
+    for d in range(1, cap + 1):
+        basis, rests = _slice_remainders(model, generators, d)
+        dims[d] = basis.rank
+        reduced, _ = rref([[r.coefficient(e) for e in basis.monomials] for r in rests])
+        for row in reduced:
+            generators.append(Polynomial(model.ambient_dim, dict(zip(basis.monomials, primitive_integer_row(row)))))
+            degrees.append(d)
+    return generators, degrees, dims
+
+
+def gram_schmidt_residuals(model, generators, max_degree):
+    """The largest remainder norm of each slice against the generator
+    products of its degree, every degree orthogonalized: the reference for
+    ``verify_generation`` on an exact model."""
+    return {d: max(map(sphere_norm, _slice_remainders(model, list(generators), d)[1]), default=0.0)
+            for d in range(1, max_degree + 1)}

@@ -368,8 +368,9 @@ def basic_projection(model, f: Polynomial) -> Polynomial:
     """The leaf average of ``f`` on an exact closed-form model, as the
     sphere-orthogonal projection onto the basic polynomials: the constant
     part of ``f`` is kept, and each degree-``d`` part ``p`` becomes ``p``
-    minus its remainder on the cached exact slice ``B_d``.  Terms come in
-    descending graded-lex order; float input gives float coefficients."""
+    minus its remainder on the cached exact slice ``B_d`` (0 when ``B_d``
+    is 0, without building its span).  Terms come in descending graded-lex
+    order; float input gives float coefficients."""
     parts: Dict[int, dict] = {}
     for expo, c in f.to_exact().terms.items():
         parts.setdefault(sum(expo), {})[expo] = c
@@ -378,7 +379,10 @@ def basic_projection(model, f: Polynomial) -> Polynomial:
         if d == 0:
             terms.update(parts[0])
             continue
-        span = basic_subspace(model, d).span
+        basis = basic_subspace(model, d)
+        if not basis.rank:
+            continue
+        span = basis.span
         row, den = span.gram.row(Polynomial._trusted(model.ambient_dim, parts[d], EXACT))
         rest, rest_den = span.remainder(row, den)
         lcm = math.lcm(den, rest_den)

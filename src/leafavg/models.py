@@ -121,6 +121,13 @@ def sample_sphere(ambient_dim: int, seed: int) -> np.ndarray:
     return sample_sphere_many(1, ambient_dim, rng)[0]
 
 
+def _int_dtype(bound: int, limit: int = 2 ** 63):
+    """The dtype for exact integer arithmetic whose every intermediate is
+    below ``bound`` in magnitude: int64 when ``bound < limit`` (at most
+    ``2^63``) proves that nothing wraps, else ``object`` (Python ints)."""
+    return np.int64 if bound < limit else object
+
+
 class PointBatch:
     """Rational points as Python-int numerators over a per-point denominator
     (point ``i`` is ``nums[i] / dens[i]``) in numpy object arrays, so batch
@@ -146,6 +153,10 @@ class PointBatch:
 
     def __len__(self) -> int:
         return len(self.dens)
+
+    def magnitude(self) -> int:
+        """The largest ``|numerator|`` or ``|denominator|``; 0 when empty."""
+        return int(max(np.abs(self.nums).max(initial=0), np.abs(self.dens).max(initial=0)))
 
     def __getitem__(self, index) -> "PointBatch":
         return PointBatch(self.nums[index], self.dens[index])
@@ -829,9 +840,13 @@ class TorusModel:
         parameter ``t`` turns by ``cos + i sin = (b + i a)^2
         / (a^2 + b^2)`` in lowest terms, plane ``j`` by the product of their
         ``w_jt``-th powers in Gaussian integers, and every coordinate goes
-        over ``prod_t den_t^(max_j |w_jt|)``.  In floats, plane ``j`` turns by
-        ``sum_t w_jt theta_t``, summed left to right, through ``math.cos`` and
-        ``math.sin``."""
+        over ``prod_t den_t^(max_j |w_jt|)``.  The exact arithmetic runs in
+        int64 when ``2 m 288^(sum_t max_j |w_jt|) < 2^63``, with ``m`` the
+        batch's :meth:`~PointBatch.magnitude` (``288 = 12^2 + 12^2`` bounds
+        every ``den_t``, so this bounds every intermediate), and in Python
+        ints otherwise; either way the mates are Python ints.  In floats,
+        plane ``j`` turns by ``sum_t w_jt theta_t``, summed left to right,
+        through ``math.cos`` and ``math.sin``."""
         _check_width(self.ambient_dim, batch)
         if not isinstance(batch, PointBatch):
             theta = rng.uniform(0.0, _TWO_PI, size=(len(batch), self.torus_rank))
@@ -842,11 +857,13 @@ class TorusModel:
             out[:, xs], out[:, ys] = cos * x - sin * y, sin * x + cos * y
             return out
         draws = rng.integers([-12, 1], [13, 13], size=(len(batch), self.torus_rank, 2))
-        a, b = draws.astype(object).transpose(2, 1, 0)
+        tops = [max(abs(row[t]) for row in self.weight_matrix) for t in range(self.torus_rank)]
+        dtype = _int_dtype(2 * batch.magnitude() * 288 ** sum(tops))
+        nums = batch.nums.astype(dtype, copy=False)
+        a, b = draws.astype(dtype, copy=False).transpose(2, 1, 0)
         cos, sin, den = b * b - a * a, 2 * a * b, a * a + b * b
         g = np.gcd(np.gcd(cos, sin), den)
         cos, sin, den = cos // g, sin // g, den // g
-        tops = [max(abs(row[t]) for row in self.weight_matrix) for t in range(self.torus_rank)]
         common = np.prod([d ** top for d, top in zip(den, tops)], axis=0)
         out = []
         for j, weights in enumerate(self.weight_matrix):
@@ -856,10 +873,12 @@ class TorusModel:
                 for _ in range(abs(w)):
                     c, s = c * cos[t] - s * st, c * st + s * cos[t]
                 scale = scale * den[t] ** (tops[t] - abs(w))
-            x, y = batch.nums[:, 2 * j], batch.nums[:, 2 * j + 1]
+            x, y = nums[:, 2 * j], nums[:, 2 * j + 1]
             out += [(c * x - s * y) * scale, (s * x + c * y) * scale]
-        out += [batch.nums[:, i] * common for i in range(2 * self.n_planes, self.ambient_dim)]
-        return PointBatch(np.stack(out, axis=1), batch.dens * common)
+        out += [nums[:, i] * common for i in range(2 * self.n_planes, self.ambient_dim)]
+        dens = batch.dens.astype(dtype, copy=False) * common
+        return PointBatch(np.stack(out, axis=1).astype(object, copy=False),
+                          dens.astype(object, copy=False))
 
     def random_leaf_mate(self, p, rng: np.random.Generator):
         return _mate_of(self, p, rng)

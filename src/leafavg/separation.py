@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, InsufficientDistinctPairs, NonFiniteCoefficient
 from .models import (LEVEL_TOL, PointBatch, _as_floats, _column_sum, _float_rows,
-                     sample_sphere_many)
+                     _int_dtype, sample_sphere_many)
 from .polynomials import EXACT
 
 _PROXY_BINS = (1e-3, 1e-2, 1e-1)
@@ -36,13 +36,20 @@ class _IntegerGeneratorMap:
     pairs.  At ``x = a / c``, with ``c`` the point's denominator,
     ``f(x) = sum k_e a^e c^(D - |e|) / (L c^D)``: one integer quotient per
     generator, from integer power tables shared by all generators.  A whole
-    :class:`PointBatch` is evaluated at once, one object-array operation
-    per power and per term factor.  ``values`` gives each quotient as one
-    correctly rounded integer division, ``float(f.eval(x))`` bit for bit.
+    :class:`PointBatch` is evaluated at once, one array operation per power
+    and per term factor.  ``values`` gives each quotient as one correctly
+    rounded integer division, ``float(f.eval(x))`` bit for bit.
+
+    With ``m`` the batch's :meth:`~PointBatch.magnitude`, every partial sum
+    of ``f``'s numerator is at most ``sum |k_e| m^D`` and its denominator at
+    most ``L m^D``.  When ``max(sum |k_e|, L) m^D < 2^53`` for every
+    generator, the batch runs in int64: each intermediate is then an exact
+    double, so numpy's ``total / den`` rounds the exact quotient once, as
+    Python's int division does.  Otherwise it runs in Python ints.
     """
 
     def __init__(self, generators):
-        self.forms = []
+        self.forms, self.bounds = [], []
         max_exp = [0] * (generators[0].ambient_dim if generators else 0)
         max_degree = 0
         for f in generators:
@@ -57,25 +64,30 @@ class _IntegerGeneratorMap:
                 terms.append((factors, coeff.numerator * (lcm // coeff.denominator),
                               degree - sum(expo)))
             self.forms.append((lcm, degree, tuple(terms)))
+            self.bounds.append((max(sum(abs(k) for _, k, _ in terms), lcm), degree))
             max_degree = max(max_degree, degree)
         self.max_exp = max_exp
         self.max_degree = max_degree
 
     def _quotients(self, batch: PointBatch) -> Tuple[list, list]:
-        """``(totals, dens)``: per generator, object arrays over the batch whose
-        quotient is the generator's value at each point."""
+        """``(totals, dens)``: per generator, int64 or object arrays over the
+        batch whose quotient is the generator's value at each point."""
+        m = batch.magnitude()
+        dtype = _int_dtype(max((scale * m ** degree for scale, degree in self.bounds), default=0),
+                           2 ** 53)
+        nums, c = batch.nums.astype(dtype, copy=False), batch.dens.astype(dtype, copy=False)
         powers = []
-        for column, top in zip(batch.nums.T, self.max_exp):
+        for column, top in zip(nums.T, self.max_exp):
             row = [None, column]
             for _ in range(1, top):
                 row.append(row[-1] * column)
             powers.append(row)
-        c_powers = [np.ones(len(batch), dtype=object)]
+        c_powers = [np.ones(len(batch), dtype=dtype)]
         for _ in range(self.max_degree):
-            c_powers.append(c_powers[-1] * batch.dens)
+            c_powers.append(c_powers[-1] * c)
         totals, dens = [], []
         for lcm, degree, terms in self.forms:
-            total = np.zeros(len(batch), dtype=object)
+            total = np.zeros(len(batch), dtype=dtype)
             for factors, k, cofactor in terms:
                 term = k * c_powers[cofactor]
                 for i, e in factors:
@@ -174,12 +186,17 @@ def rational_sphere_batch(
     With ``u = k / q`` a random rational vector, the point
     ``(2u, |u|^2 - 1) / (|u|^2 + 1) = (2 q k, S - q^2) / (S + q^2)``,
     ``S = |k|^2``, has unit norm exactly, so generator invariance can be
-    certified with zero floating error.
+    certified with zero floating error.  Each ``|k_i| <= 2q``, so no entry
+    or partial sum exceeds ``S + q^2 <= (4d - 3) q^2`` for ``d =
+    ambient_dim``: the arithmetic runs in int64 when that is below ``2^63``
+    and in Python ints otherwise, and the batch holds Python ints.
     """
     q = denominator
-    k = rng.integers(-2 * q, 2 * q + 1, size=(count, ambient_dim - 1)).astype(object)
+    dtype = _int_dtype((4 * ambient_dim - 3) * q * q)
+    k = rng.integers(-2 * q, 2 * q + 1, size=(count, ambient_dim - 1)).astype(dtype, copy=False)
     s = (k * k).sum(axis=1)
-    return PointBatch(np.column_stack([2 * q * k, s - q * q]), s + q * q)
+    return PointBatch(np.column_stack([2 * q * k, s - q * q]).astype(object, copy=False),
+                      (s + q * q).astype(object, copy=False))
 
 
 def rational_sphere_points(
@@ -355,5 +372,5 @@ def quotient_image_export(
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(header)
-        writer.writerows([repr(x) for x in row] for row in table.tolist())
+        writer.writerows(table.tolist())  # str of a float is its repr
     return int(points.shape[0])

@@ -15,6 +15,7 @@ from leafavg import (
     DegreeCapWarning,
     GenerationGap,
     GeneratorSet,
+    TorusModel,
     basic_subspace,
     discover_generators,
     format_polynomial,
@@ -113,3 +114,23 @@ def test_hopf_discovery_orthogonalizes_only_what_it_reads(monkeypatch):
     basis = basic_subspace(model, 4)
     assert basis.span is basis.span is basic_subspace(model, 4).span
     assert built.count(("gram", 4)) == 1
+
+
+def test_projection_onto_a_zero_slice_builds_no_gram(monkeypatch):
+    # B_3 of the Hopf circle is 0: its part averages to 0 with no span read
+    built = []
+
+    class CountingGram(basic_ring.MomentGram):
+        def __init__(self, ambient_dim, monomials):
+            super().__init__(ambient_dim, monomials)
+            built.append(max(map(sum, self.monomials)))
+
+    monkeypatch.setattr(basic_ring, "MomentGram", CountingGram)
+    model = TorusModel([[1], [1]])
+    assert basic_subspace(model, 3).rank == 0
+    assert model.reynolds(parse_polynomial("x1^3 + x2*x3*x4", 4)).is_zero
+    assert built == []
+    # a part on a nonzero slice still reads its span
+    average = model.reynolds(parse_polynomial("x1^3 + x2*x3*x4 + x1^2 + 7", 4))
+    assert average == parse_polynomial("1/2*x1^2 + 1/2*x2^2 + 7", 4)
+    assert built == [2]

@@ -11,7 +11,7 @@ from leafavg import EXACT, FLOAT, Polynomial, basic_subspace, monomial_basis
 from leafavg.averaging import generator_products
 from leafavg.basic_ring import gram_schmidt_polys, project_residual
 from leafavg.exactlinalg import primitive_integer_row, rref
-from leafavg.models import compose_with_matrix
+from leafavg.models import PointBatch, compose_with_matrix
 from leafavg.polynomials import sphere_norm
 
 
@@ -221,3 +221,37 @@ def gram_schmidt_residuals(model, generators, max_degree):
     ``verify_generation`` on an exact model."""
     return {d: max(map(sphere_norm, _slice_remainders(model, list(generators), d)[1]), default=0.0)
             for d in range(1, max_degree + 1)}
+
+
+def object_sphere_batch(ambient_dim, count, rng, denominator=16):
+    """``rational_sphere_batch`` in Python ints throughout: the reference for
+    the int64 arithmetic it picks when its bound allows."""
+    q = denominator
+    k = rng.integers(-2 * q, 2 * q + 1, size=(count, ambient_dim - 1)).astype(object)
+    s = (k * k).sum(axis=1)
+    return PointBatch(np.column_stack([2 * q * k, s - q * q]), s + q * q)
+
+
+def object_torus_mates(model, batch, rng):
+    """The exact branch of ``TorusModel.leaf_mates`` in Python ints
+    throughout: the reference for the int64 arithmetic it picks when its
+    bound allows."""
+    draws = rng.integers([-12, 1], [13, 13], size=(len(batch), model.torus_rank, 2))
+    a, b = draws.astype(object).transpose(2, 1, 0)
+    cos, sin, den = b * b - a * a, 2 * a * b, a * a + b * b
+    g = np.gcd(np.gcd(cos, sin), den)
+    cos, sin, den = cos // g, sin // g, den // g
+    tops = [max(abs(row[t]) for row in model.weight_matrix) for t in range(model.torus_rank)]
+    common = np.prod([d ** top for d, top in zip(den, tops)], axis=0)
+    out = []
+    for j, weights in enumerate(model.weight_matrix):
+        c, s, scale = 1, 0, 1
+        for t, w in enumerate(weights):
+            st = sin[t] if w > 0 else -sin[t]
+            for _ in range(abs(w)):
+                c, s = c * cos[t] - s * st, c * st + s * cos[t]
+            scale = scale * den[t] ** (tops[t] - abs(w))
+        x, y = batch.nums[:, 2 * j], batch.nums[:, 2 * j + 1]
+        out += [(c * x - s * y) * scale, (s * x + c * y) * scale]
+    out += [batch.nums[:, i] * common for i in range(2 * model.n_planes, model.ambient_dim)]
+    return PointBatch(np.stack(out, axis=1), batch.dens * common)

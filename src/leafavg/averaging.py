@@ -22,6 +22,7 @@ import math
 import weakref
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -59,10 +60,8 @@ def cycle_probe(f: Polynomial) -> Polynomial:
     rotation.  The fallback keeps the degree: the sphere pairing of degrees
     ``d`` and ``d + 1`` is identically 0, which would make the check vacuous.
     """
-    terms = {}
-    for expo, coeff in f.terms.items():
-        terms[expo[-1:] + expo[:-1]] = coeff
-    probe = Polynomial(f.ambient_dim, terms, f.mode)
+    probe = Polynomial._trusted(f.ambient_dim, {e[-1:] + e[:-1]: n for e, n in f._nums.items()},
+                                f._den, f.mode)
     if probe == f:
         probe = Polynomial.variable(f.ambient_dim, 0, f.mode) ** f.homogeneous_degree()
     return probe
@@ -71,25 +70,17 @@ def cycle_probe(f: Polynomial) -> Polynomial:
 def generator_products(generators: Sequence[Polynomial], target: int) -> List[Tuple[tuple, Polynomial]]:
     """Products of generators of total degree ``target`` (with multiplicity
     patterns), deduplicated by pattern, deterministic order."""
-    degrees = [g.homogeneous_degree() for g in generators]
     out = []
-    power_cache: Dict[Tuple[int, int], Polynomial] = {}
-
-    def power(i: int, e: int) -> Polynomial:
-        key = (i, e)
-        if key not in power_cache:
-            power_cache[key] = generators[i] ** e
-        return power_cache[key]
-
-    for pattern in weighted_exponent_patterns(degrees, target):
-        if sum(pattern) == 0:
-            continue  # the empty product is the constant, not a degree-d element
-        poly = None
+    powers: Dict[Tuple[int, int], Polynomial] = {}
+    for pattern in weighted_exponent_patterns([g.homogeneous_degree() for g in generators], target):
+        factors = []
         for i, e in enumerate(pattern):
             if e:
-                p = power(i, e)
-                poly = p if poly is None else poly * p
-        out.append((pattern, poly))
+                if (i, e) not in powers:
+                    powers[i, e] = generators[i] ** e
+                factors.append(powers[i, e])
+        if factors:  # the empty product is the constant, not a degree-d element
+            out.append((pattern, reduce(Polynomial.__mul__, factors)))
     return out
 
 

@@ -59,7 +59,6 @@ from .polynomials import (
     Polynomial,
     format_polynomial,
     grlex_key,
-    integer_row,
     monomial_basis,
     rationalize,
     sphere_norm,
@@ -139,7 +138,7 @@ def _span_of(polys: Sequence[Polynomial], *others: Polynomial) -> _ExactSpan:
     """``polys`` orthogonalized in order, over the terms of ``polys`` and ``others``."""
     if any(p.mode != EXACT for p in (*polys, *others)):
         raise ScalarModeMismatch("the exact sphere pairing takes exact polynomials")
-    monomials = sorted({e for p in (*polys, *others) for e in p.terms}, key=grlex_key)
+    monomials = sorted({e for p in (*polys, *others) for e in p._nums}, key=grlex_key)
     return _ExactSpan(MomentGram((*polys, *others)[0].ambient_dim, monomials), polys)
 
 
@@ -190,8 +189,8 @@ def _covers(basis: "SubspaceBasis", products: Sequence[Polynomial]) -> bool:
     the products are basic."""
     if len(products) < basis.rank:
         return False
-    index = {e: i for i, e in enumerate(basis.monomials)}
-    reduced, _ = _integer_rref([integer_row(p, index)[0] for p in products])
+    # each product's numerators: its denominator does not change the rank
+    reduced, _ = _integer_rref([[p._nums.get(e, 0) for e in basis.monomials] for p in products])
     rank = len(reduced)
     return rank >= basis.rank and len(_integer_rref(reduced + basis.echelon)[0]) == rank
 
@@ -371,24 +370,21 @@ def basic_projection(model, f: Polynomial) -> Polynomial:
     minus its remainder on the cached exact slice ``B_d`` (0 when ``B_d``
     is 0, without building its span).  Terms come in descending graded-lex
     order; float input gives float coefficients."""
+    exact, result = f.to_exact(), Polynomial._trusted(model.ambient_dim, {}, 1, EXACT)
     parts: Dict[int, dict] = {}
-    for expo, c in f.to_exact().terms.items():
-        parts.setdefault(sum(expo), {})[expo] = c
-    terms = {}
-    for d in sorted(parts, reverse=True):
-        if d == 0:
-            terms.update(parts[0])
-            continue
-        basis = basic_subspace(model, d)
-        if not basis.rank:
-            continue
-        span = basis.span
-        row, den = span.gram.row(Polynomial._trusted(model.ambient_dim, parts[d], EXACT))
-        rest, rest_den = span.remainder(row, den)
-        lcm = math.lcm(den, rest_den)
-        terms.update(span.gram.poly([x * (lcm // den) - y * (lcm // rest_den)
-                                     for x, y in zip(row, rest)], lcm).terms)
-    result = Polynomial._trusted(model.ambient_dim, terms, EXACT)
+    for expo, n in exact._nums.items():
+        parts.setdefault(sum(expo), {})[expo] = n
+    for d in sorted(parts):  # each part goes before the lower degrees: descending order
+        part = Polynomial._trusted(model.ambient_dim, parts[d], exact._den, EXACT)
+        if d:
+            basis = basic_subspace(model, d)
+            if not basis.rank:
+                continue
+            gram = basis.span.gram
+            row, den = gram.row(part)
+            rest, rest_den = basis.span.remainder(row, den)
+            part = gram.poly([x * rest_den - y * den for x, y in zip(row, rest)], den * rest_den)
+        result = part + result
     return result.to_float() if f.mode == FLOAT else result
 
 
@@ -443,14 +439,13 @@ def _signed_det(perm: Sequence[int], signs: Sequence[int]) -> Tuple[int, ...]:
 
 
 def _series_invert(poly: Sequence[Fraction], max_degree: int) -> List[Fraction]:
+    """The series of ``1 / poly`` to ``t^max_degree``: ints when ``poly``'s
+    coefficients are (a signed permutation's), else ``Fraction``s."""
     if poly[0] != 1:
         raise ValueError("series inversion expects constant term 1")
-    inv = [Fraction(1)] + [Fraction(0)] * max_degree
+    inv = [1] + [0] * max_degree
     for k in range(1, max_degree + 1):
-        acc = Fraction(0)
-        for j in range(1, min(k, len(poly) - 1) + 1):
-            acc += poly[j] * inv[k - j]
-        inv[k] = -acc
+        inv[k] = -sum(poly[j] * inv[k - j] for j in range(1, min(k, len(poly) - 1) + 1))
     return inv
 
 
@@ -489,7 +484,14 @@ def molien_dimensions(model: FiniteGroupModel, max_degree: int) -> List[int]:
 
 @dataclass
 class GeneratorSet:
-    """Homogeneous basic generators with degrees and provenance."""
+    """Homogeneous basic generators with degrees and provenance.
+
+    ``products`` is ``(generators, built)``: ``built`` maps a degree ``d``
+    to the degree-``d`` products of ``generators`` that
+    :func:`discover_generators` built (those of lower degree, then each new
+    generator of degree ``d``: the list of
+    :func:`~leafavg.averaging.generator_products`).  :func:`verify_generation`
+    reuses them while ``generators`` is still the set's tuple."""
 
     ambient_dim: int
     mode: str
@@ -498,6 +500,7 @@ class GeneratorSet:
     degree_cap: int
     dims_by_degree: Dict[int, int]
     provenance: dict = field(default_factory=dict)
+    products: tuple = field(default=((), {}), repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.generators)
@@ -564,6 +567,7 @@ def discover_generators(
     degrees: List[int] = []
     dims: Dict[int, int] = {}
     new_at_cap = False
+    built: Dict[int, list] = {}
 
     for d, basis in _degree_slices(model, degree_cap, seed, tol_rank, sample_points, mc_samples):
         dims[d] = basis.rank
@@ -577,9 +581,9 @@ def discover_generators(
         else:
             new_polys = _sparsify_float(_remainders(basis, products)[0], basis, tol_rank)
 
-        for poly in new_polys:
-            generators.append(poly)
-            degrees.append(d)
+        built[d] = products + new_polys
+        generators += new_polys
+        degrees += [d] * len(new_polys)
         if d == degree_cap and new_polys:
             new_at_cap = True
             warnings.warn(
@@ -597,14 +601,16 @@ def discover_generators(
         "mc_samples": mc_samples,
         "new_generators_at_cap": new_at_cap,
     }
+    generators = tuple(generators)
     return GeneratorSet(
         ambient_dim=model.ambient_dim,
         mode=EXACT if exact else FLOAT,
-        generators=tuple(generators),
+        generators=generators,
         degrees=tuple(degrees),
         degree_cap=degree_cap,
         dims_by_degree=dims,
         provenance=provenance,
+        products=(generators, built),
     )
 
 
@@ -651,8 +657,10 @@ def verify_generation(
     """
     tol = 0.0 if model.closed_form and model.mode == EXACT else 5e-2
     residuals: Dict[int, float] = {}
+    built_for, built = gens.products
     for d, basis in _degree_slices(model, max_degree, seed, tol_rank, sample_points, mc_samples):
-        products = [p for _, p in generator_products(list(gens.generators), d)]
+        products = (built[d] if built_for is gens.generators and d in built
+                    else [p for _, p in generator_products(list(gens.generators), d)])
         if basis.mode == EXACT and _covers(basis, products):
             residuals[d] = 0.0  # proved by rank
         else:

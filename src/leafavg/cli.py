@@ -22,6 +22,7 @@ import sys
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 from typing import Optional
 
@@ -638,6 +639,7 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+@lru_cache(maxsize=None)  # built on the first call, once per process: parsing leaves it as it is
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="leafavg",

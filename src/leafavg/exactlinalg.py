@@ -63,11 +63,18 @@ def _integer_rref(mat: List[List[int]]) -> Tuple[List[List[int]], List[int]]:
     return mat[:r], pivots
 
 
+def over_lcm(values) -> Tuple[List[int], int]:
+    """``(nums, den)``: ints or ``Fraction``s as integer numerators over the
+    lcm of their denominators.  When every value is in lowest terms, no
+    prime divides ``den`` and all the numerators."""
+    values = list(values)
+    den = math.lcm(*(x.denominator for x in values))
+    return [x.numerator * (den // x.denominator) if den > 1 else x.numerator for x in values], den
+
+
 def primitive_integer_row(row: Sequence[Fraction]) -> List[int]:
     """Scale a rational row to coprime integers with positive leading entry."""
-    row = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row]
-    denom = math.lcm(*(x.denominator for x in row))
-    ints = [x.numerator * (denom // x.denominator) for x in row]
+    ints, _ = over_lcm(x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row)
     g = math.gcd(*ints)
     if g > 1:
         ints = [v // g for v in ints]

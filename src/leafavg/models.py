@@ -53,7 +53,7 @@ from .errors import (
     OffSphere,
     ScalarModeMismatch,
 )
-from .exactlinalg import integer_left_kernel
+from .exactlinalg import integer_left_kernel, over_lcm
 from .polynomials import (
     EXACT,
     FLOAT,
@@ -142,21 +142,24 @@ class PointBatch:
         ``Fraction`` (a float array never is)."""
         if isinstance(points, (cls, np.ndarray)):
             return points if isinstance(points, cls) else None
-        rows, dens = [], []
-        for p in points:
-            if not all(isinstance(x, (int, Fraction)) for x in p):
-                return None
-            ratios = [x.as_integer_ratio() for x in p]
-            dens.append(math.lcm(*(den for _, den in ratios)))
-            rows.append([num * (dens[-1] // den) for num, den in ratios])
+        if not all(isinstance(x, (int, Fraction)) for p in points for x in p):
+            return None
+        rows, dens = zip(*map(over_lcm, points)) if len(points) else ((), ())
         return cls(np.array(rows, dtype=object), np.array(dens, dtype=object))
 
     def __len__(self) -> int:
         return len(self.dens)
 
-    def magnitude(self) -> int:
-        """The largest ``|numerator|`` or ``|denominator|``; 0 when empty."""
-        return int(max(np.abs(self.nums).max(initial=0), np.abs(self.dens).max(initial=0)))
+    def magnitude(self) -> Tuple[int, tuple]:
+        """``(m, (nums, dens))``: the largest ``|numerator|`` or
+        ``|denominator|`` (0 when empty), and the arrays as int64 when every
+        entry fits there, else as they are: one conversion pass over the
+        Python ints, and the reductions run on int64."""
+        try:
+            arrays = self.nums.astype(np.int64), self.dens.astype(np.int64)
+        except OverflowError:
+            arrays = self.nums, self.dens
+        return int(max(max(a.max(initial=0), -int(a.min(initial=0))) for a in arrays)), arrays
 
     def __getitem__(self, index) -> "PointBatch":
         return PointBatch(self.nums[index], self.dens[index])
@@ -218,35 +221,19 @@ def _as_matrix(entries, ambient_dim: int, mode: str):
     for row in entries:
         if len(row) != ambient_dim:
             raise DimensionMismatch(f"matrix row length {len(row)} != {ambient_dim}")
-        if mode == EXACT:
-            rows.append(tuple(Fraction(x) for x in row))
-        else:
-            rows.append(tuple(float(x) for x in row))
+        rows.append(tuple(map(Fraction if mode == EXACT else float, row)))
     if len(rows) != ambient_dim:
         raise DimensionMismatch(f"matrix has {len(rows)} rows, expected {ambient_dim}")
     return tuple(rows)
 
 
 def _infer_mode(matrices) -> str:
-    for matrix in matrices:
-        for row in matrix:
-            for x in row:
-                if isinstance(x, float):
-                    return FLOAT
-    return EXACT
-
-
-def _zero(mode: str):
-    return Fraction(0) if mode == EXACT else 0.0
+    return FLOAT if any(isinstance(x, float) for m in matrices for row in m for x in row) else EXACT
 
 
 def _identity(ambient_dim: int, mode: str):
     one = Fraction(1) if mode == EXACT else 1.0
-    zero = _zero(mode)
-    return tuple(
-        tuple(one if i == j else zero for j in range(ambient_dim))
-        for i in range(ambient_dim)
-    )
+    return tuple(tuple(one * (i == j) for j in range(ambient_dim)) for i in range(ambient_dim))
 
 
 def _mat_mul(a, b, zero):
@@ -260,8 +247,8 @@ def _mat_mul(a, b, zero):
 
 def _integer_matrix(matrix) -> Tuple[tuple, int]:
     """``(rows, den)``: integer rows with ``matrix = rows / den`` in lowest terms."""
-    den = math.lcm(*(x.denominator for row in matrix for x in row))
-    return tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in matrix), den
+    nums, den = over_lcm(x for row in matrix for x in row)
+    return tuple(zip(*[iter(nums)] * len(matrix))), den
 
 
 def _mat_vec(m, v):
@@ -275,40 +262,35 @@ def _mat_close(a, b, tol: float) -> bool:
 
 
 def _is_orthogonal(m, mode: str, tol: float) -> bool:
-    n = len(m)
-    prod = _mat_mul(tuple(zip(*m)), m, _zero(mode))
-    ident = _identity(n, mode)
-    if mode == EXACT:
-        return prod == ident
-    return _mat_close(prod, ident, tol)
+    prod, ident = _mat_mul(tuple(zip(*m)), m, 0), _identity(len(m), mode)
+    return prod == ident if mode == EXACT else _mat_close(prod, ident, tol)
 
 
 def compose_with_matrix(f: Polynomial, matrix) -> Polynomial:
-    """The pullback ``x -> f(M x)`` for a square matrix over f's scalars."""
+    """The pullback ``x -> f(M x)`` for a square matrix over f's scalars.
+
+    An exact ``M = A / den`` pulls back in integers: with ``D`` the top degree
+    of ``f``, the term ``n x^e`` becomes ``n den^(D - |e|) prod_i (A_i x)^e_i``
+    and the sum is over ``f``'s denominator times ``den^D``."""
     dim = f.ambient_dim
+    matrix, den = _integer_matrix(matrix) if f.mode == EXACT else (matrix, 1)
     rows = [
-        Polynomial(dim, {tuple(1 if k == j else 0 for k in range(dim)): c
+        Polynomial(dim, {tuple(int(k == j) for k in range(dim)): c
                          for j, c in enumerate(row) if c != 0}, f.mode)
         for row in matrix
     ]
     powers: Dict[Tuple[int, int], Polynomial] = {}
-
-    def power(i: int, e: int) -> Polynomial:
-        key = (i, e)
-        got = powers.get(key)
-        if got is None:
-            got = rows[i] ** e
-            powers[key] = got
-        return got
-
+    top = max(map(sum, f._nums), default=0)
     out = Polynomial.zero(dim, f.mode)
-    for expo, coeff in f.terms.items():
-        term = Polynomial.constant(dim, coeff, f.mode)
+    for expo, n in f._nums.items():
+        term = Polynomial.constant(dim, n * den ** (top - sum(expo)), f.mode)
         for i, e in enumerate(expo):
             if e:
-                term = term * power(i, e)
+                if (i, e) not in powers:
+                    powers[i, e] = rows[i] ** e
+                term = term * powers[i, e]
         out = out + term
-    return out
+    return Polynomial._trusted(dim, out._nums, f._den * den ** top, f.mode)
 
 
 # -- finite matrix groups ----------------------------------------------------
@@ -439,11 +421,12 @@ class FiniteGroupModel:
                 seen.update(rows[-1])
         if self._signed_table().others:  # so some generator is not a signed permutation
             gens = [g for g in self.generators if _signed_permutation(g) is None]
-            moved = [[x for g in gens for x in map((compose_with_matrix(p, g) - p).coefficient,
-                                                   monomials)]
+            # p(g x) - p per orbit sum p and generator g, as numerators over one denominator
+            moved = [[compose_with_matrix(p, g) - p for g in gens]
                      for p in (Polynomial(self.ambient_dim, row) for row in rows)]
-            den = math.lcm(*(x.denominator for row in moved for x in row))
-            kernel = integer_left_kernel([[int(x * den) for x in row] for row in moved])
+            den = math.lcm(*(q._den for row in moved for q in row))
+            kernel = integer_left_kernel([[q._nums.get(e, 0) * (den // q._den) for q in row
+                                           for e in monomials] for row in moved])
             rows = [{e: sum(c * row.get(e, 0) for c, row in zip(v, rows)) for e in monomials}
                     for v in kernel]
         return rows
@@ -858,8 +841,9 @@ class TorusModel:
             return out
         draws = rng.integers([-12, 1], [13, 13], size=(len(batch), self.torus_rank, 2))
         tops = [max(abs(row[t]) for row in self.weight_matrix) for t in range(self.torus_rank)]
-        dtype = _int_dtype(2 * batch.magnitude() * 288 ** sum(tops))
-        nums = batch.nums.astype(dtype, copy=False)
+        m, ints = batch.magnitude()
+        dtype = _int_dtype(2 * m * 288 ** sum(tops))
+        nums, dens = ints if dtype is np.int64 else (batch.nums, batch.dens)
         a, b = draws.astype(dtype, copy=False).transpose(2, 1, 0)
         cos, sin, den = b * b - a * a, 2 * a * b, a * a + b * b
         g = np.gcd(np.gcd(cos, sin), den)
@@ -876,9 +860,8 @@ class TorusModel:
             x, y = nums[:, 2 * j], nums[:, 2 * j + 1]
             out += [(c * x - s * y) * scale, (s * x + c * y) * scale]
         out += [nums[:, i] * common for i in range(2 * self.n_planes, self.ambient_dim)]
-        dens = batch.dens.astype(dtype, copy=False) * common
         return PointBatch(np.stack(out, axis=1).astype(object, copy=False),
-                          dens.astype(object, copy=False))
+                          (dens * common).astype(object, copy=False))
 
     def random_leaf_mate(self, p, rng: np.random.Generator):
         return _mate_of(self, p, rng)

@@ -2,13 +2,20 @@
 
 A polynomial lives in ``R[x1, ..., x_d]`` where ``d`` is the ambient
 dimension, and is stored as a map from exponent tuples to nonzero
-coefficients.  Two scalar modes exist and never mix implicitly:
+numerators over one positive denominator ``_den``.  Two scalar modes exist
+and never mix implicitly:
 
-* ``"exact"``  -- coefficients are :class:`fractions.Fraction`; every ring
-  identity holds on the nose, which is what makes the operator checks of the
-  averaging pipeline decidable rather than approximate.
-* ``"float"``  -- coefficients are Python floats; used by the Monte Carlo /
-  least-squares pipelines.
+* ``"exact"``  -- the numerators are Python ints, reduced so that
+  ``gcd(_den, *numerators) == 1``; every ring identity holds on the nose,
+  which is what makes the operator checks of the averaging pipeline
+  decidable rather than approximate.  ``terms`` and ``coefficient`` give
+  :class:`fractions.Fraction` values, built on read.
+* ``"float"``  -- the numerators are Python floats and ``_den`` is 1; used by
+  the Monte Carlo / least-squares pipelines.
+
+One loop serves both modes in ``+``, ``-``, ``*``, ``**``, ``scale``,
+``partial`` and ``laplacian``: exact arithmetic is int arithmetic and one
+gcd per result, and no factor other than 1 ever touches a float.
 
 Monomials are ordered graded-lexicographically (higher total degree first,
 then lexicographically by exponent vector), and every listing, matrix or
@@ -20,8 +27,9 @@ the sphere moments, whose fill is idempotent.
 
 The public constructor validates and coerces every term.  Results of
 arithmetic on polynomials that were already validated skip that step and are
-built by the internal ``Polynomial._trusted``: ``+``, unary ``-``, ``*``,
-``scale``, ``partial``, ``MomentGram.poly`` and the exact group and torus
+built by the internal ``Polynomial._trusted``, which divides out the
+content of exact numerators: ``+``, unary ``-``, ``*``, ``scale``,
+``partial``, ``MomentGram.poly`` and the exact group and torus
 averages (``basic_projection``).  Each of them drops zero coefficients itself.
 Float mode rejects NaN and infinite coefficients at the public constructor.
 """
@@ -46,6 +54,7 @@ from .errors import (
     PolynomialParseError,
     ScalarModeMismatch,
 )
+from .exactlinalg import over_lcm
 
 EXACT = "exact"
 FLOAT = "float"
@@ -55,13 +64,25 @@ _EVAL_BLOCK = 8192  # rows per block of Polynomial.eval_many (faster than 2048)
 ExponentVector = Tuple[int, ...]
 
 
+def _accumulate(out: dict, pairs) -> dict:
+    """Add each ``(exponents, value)`` of ``pairs`` into ``out``, in order: a
+    key whose sum is 0 goes, and comes back at the end."""
+    for expo, c in pairs:
+        c = out.get(expo, 0) + c
+        if c == 0:
+            out.pop(expo, None)
+        else:
+            out[expo] = c
+    return out
+
+
 def _coerce(value, mode: str):
     if mode == EXACT:
         if isinstance(value, float):
             raise ScalarModeMismatch(
                 f"float coefficient {value!r} in exact mode; convert explicitly"
             )
-        return Fraction(value)
+        return value if type(value) is int else Fraction(value)
     try:
         value = float(value)
     except OverflowError:  # an int or Fraction past the float range
@@ -79,14 +100,14 @@ class Polynomial:
     different ambient dimension or scalar mode is rejected.
     """
 
-    __slots__ = ("ambient_dim", "mode", "_terms")
+    __slots__ = ("ambient_dim", "mode", "_nums", "_den")
 
     def __init__(self, ambient_dim: int, terms, mode: str = EXACT):
         if mode not in (EXACT, FLOAT):
             raise ValueError(f"unknown scalar mode {mode!r}")
         if ambient_dim < 1:
             raise ValueError("ambient_dim must be at least 1")
-        clean: Dict[ExponentVector, object] = {}
+        pairs = []
         for expo, coeff in dict(terms).items():
             expo = tuple(int(e) for e in expo)
             if len(expo) != ambient_dim:
@@ -95,28 +116,29 @@ class Polynomial:
                 )
             if any(e < 0 for e in expo):
                 raise ValueError(f"negative exponent in {expo}")
-            c = _coerce(coeff, mode)
-            if c != 0:
-                c = clean.get(expo, 0) + c  # duplicate keys collapse
-                if c != 0:
-                    clean[expo] = c
-                elif expo in clean:
-                    del clean[expo]
-        object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "mode", mode)
-        object.__setattr__(self, "_terms", clean)
+            pairs.append((expo, _coerce(coeff, mode)))
+        clean = _accumulate({}, pairs)  # keys equal once normalized collapse
+        nums, den = over_lcm(clean.values()) if mode == EXACT else (clean.values(), 1)
+        self._init(ambient_dim, mode, dict(zip(clean, nums)), den)
+
+    def _init(self, *values):  # the slots, in order
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
 
     @classmethod
-    def _trusted(cls, ambient_dim: int, terms: Dict[ExponentVector, object], mode: str) -> "Polynomial":
-        """Wrap a term dict without validation; the new polynomial owns it.
+    def _trusted(cls, ambient_dim: int, nums: dict, den: int, mode: str) -> "Polynomial":
+        """Wrap numerators over ``den`` without validation; the new
+        polynomial owns the dict.  With ``den`` > 1 the numerators and ``den``
+        are first divided by their gcd.
 
         Only for dicts built by arithmetic on validated polynomials of
-        ``ambient_dim`` and ``mode``, with no zero coefficient.
+        ``ambient_dim`` and ``mode``, with no zero numerator and ``den`` a
+        positive int (1 in float mode).
         """
+        if den > 1 and (g := math.gcd(den, *nums.values())) > 1:
+            nums, den = {e: n // g for e, n in nums.items()}, den // g
         poly = object.__new__(cls)
-        object.__setattr__(poly, "ambient_dim", ambient_dim)
-        object.__setattr__(poly, "mode", mode)
-        object.__setattr__(poly, "_terms", terms)
+        poly._init(ambient_dim, mode, nums, den)
         return poly
 
     def __setattr__(self, name, value):
@@ -137,9 +159,7 @@ class Polynomial:
         """The coordinate polynomial ``x_{index+1}`` (0-based index)."""
         if not 0 <= index < ambient_dim:
             raise DimensionMismatch(f"variable index {index} out of range")
-        expo = [0] * ambient_dim
-        expo[index] = 1
-        return cls(ambient_dim, {tuple(expo): 1}, mode)
+        return cls.monomial(ambient_dim, [int(i == index) for i in range(ambient_dim)], 1, mode)
 
     @classmethod
     def monomial(cls, ambient_dim: int, expo: Sequence[int], coeff=1, mode: str = EXACT) -> "Polynomial":
@@ -149,26 +169,35 @@ class Polynomial:
 
     @property
     def terms(self):
-        """Read-only view of the term map."""
-        return MappingProxyType(self._terms)
+        """Read-only view of the term map (``Fraction`` values, built on read,
+        in exact mode)."""
+        return MappingProxyType(self._nums if self.mode == FLOAT else
+                                {e: Fraction(n, self._den) for e, n in self._nums.items()})
 
     def coefficient(self, expo: Sequence[int]):
-        return self._terms.get(tuple(expo), Fraction(0) if self.mode == EXACT else 0.0)
+        n = self._nums.get(tuple(expo), 0)
+        return Fraction(n, self._den) if self.mode == EXACT else float(n)
+
+    def _floats(self) -> list:
+        """``(exponents, float coefficient)`` pairs: ``n / den`` is one
+        correctly rounded division, ``float`` of the ``Fraction`` bit for bit
+        (OverflowError past the float range)."""
+        return [(e, n / self._den) for e, n in self._nums.items()]
 
     @property
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._nums
 
     def __len__(self) -> int:
-        return len(self._terms)
+        return len(self._nums)
 
     def is_homogeneous(self) -> bool:
-        degrees = {sum(e) for e in self._terms}
+        degrees = {sum(e) for e in self._nums}
         return len(degrees) <= 1
 
     def homogeneous_degree(self) -> int:
         """Degree of a homogeneous polynomial (0 for the zero polynomial)."""
-        degrees = {sum(e) for e in self._terms}
+        degrees = {sum(e) for e in self._nums}
         if len(degrees) > 1:
             raise ValueError(f"polynomial is not homogeneous: degrees {sorted(degrees)}")
         return degrees.pop() if degrees else 0
@@ -187,17 +216,16 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_compatible(other)
-        out = dict(self._terms)
-        for expo, coeff in other._terms.items():
-            c = out.get(expo, 0) + coeff
-            if c == 0:
-                out.pop(expo, None)
-            else:
-                out[expo] = c
-        return Polynomial._trusted(self.ambient_dim, out, self.mode)
+        # over the lcm of the denominators (a float times 1 keeps its bits)
+        den = math.lcm(self._den, other._den)
+        ka, kb = den // self._den, den // other._den
+        out = _accumulate({e: n * ka for e, n in self._nums.items()},
+                          ((e, n * kb) for e, n in other._nums.items()))
+        return Polynomial._trusted(self.ambient_dim, out, den, self.mode)
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial._trusted(self.ambient_dim, {e: -c for e, c in self._terms.items()}, self.mode)
+        return Polynomial._trusted(self.ambient_dim, {e: -n for e, n in self._nums.items()},
+                                   self._den, self.mode)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         if not isinstance(other, Polynomial):
@@ -208,22 +236,16 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_compatible(other)
-        out: Dict[ExponentVector, object] = {}
-        for ea, ca in self._terms.items():
-            for eb, cb in other._terms.items():
-                expo = tuple(map(add, ea, eb))
-                c = out.get(expo, 0) + ca * cb
-                if c == 0:
-                    out.pop(expo, None)
-                else:
-                    out[expo] = c
-        return Polynomial._trusted(self.ambient_dim, out, self.mode)
+        out = _accumulate({}, ((tuple(map(add, ea, eb)), ca * cb)
+                               for ea, ca in self._nums.items() for eb, cb in other._nums.items()))
+        return Polynomial._trusted(self.ambient_dim, out, self._den * other._den, self.mode)
 
     def scale(self, scalar) -> "Polynomial":
         c = _coerce(scalar, self.mode)
+        c, den = c.as_integer_ratio() if self.mode == EXACT else (c, 1)
         # a float product can underflow to zero
-        terms = {e: cv for e, v in self._terms.items() if (cv := c * v) != 0}
-        return Polynomial._trusted(self.ambient_dim, terms, self.mode)
+        terms = {e: cv for e, v in self._nums.items() if (cv := c * v) != 0}
+        return Polynomial._trusted(self.ambient_dim, terms, self._den * den, self.mode)
 
     def __pow__(self, n: int) -> "Polynomial":
         if not isinstance(n, int) or n < 0:
@@ -242,7 +264,7 @@ class Polynomial:
             isinstance(other, Polynomial)
             and self.ambient_dim == other.ambient_dim
             and self.mode == other.mode
-            and self._terms == other._terms
+            and (self._den, self._nums) == (other._den, other._nums)
         )
 
     def __repr__(self) -> str:
@@ -260,7 +282,7 @@ class Polynomial:
                 f"point has length {len(point)}, expected {self.ambient_dim}"
             )
         total = Fraction(0) if self.mode == EXACT else 0.0
-        for expo, coeff in self._terms.items():
+        for expo, coeff in self.terms.items():
             term = coeff
             for e, x in zip(expo, point):
                 if e:
@@ -281,8 +303,7 @@ class Polynomial:
             )
         powers: Dict[Tuple[int, int], np.ndarray] = {}
         total = np.zeros(len(points))
-        for expo, coeff in self._terms.items():
-            term = float(coeff)
+        for expo, term in self._floats():
             for i, e in enumerate(expo):
                 if e:
                     if (i, e) not in powers:
@@ -301,11 +322,10 @@ class Polynomial:
                 f"expected points of shape (N, {self.ambient_dim}), got {points.shape}"
             )
         out = np.zeros(points.shape[0])
-        if not self._terms:
+        if not self._nums:
             return out
-        max_exp = [max(e) for e in zip(*self._terms)]
-        terms = [([(i, e) for i, e in enumerate(expo) if e], float(coeff))
-                 for expo, coeff in self._terms.items()]
+        max_exp = [max(e) for e in zip(*self._nums)]
+        terms = [([(i, e) for i, e in enumerate(expo) if e], coeff) for expo, coeff in self._floats()]
         for start in range(0, len(out), _EVAL_BLOCK):
             block = points[start:start + _EVAL_BLOCK]
             acc = out[start:start + _EVAL_BLOCK]
@@ -337,41 +357,42 @@ class Polynomial:
         if not 0 <= index < self.ambient_dim:
             raise DimensionMismatch(f"variable index {index} out of range")
         out: Dict[ExponentVector, object] = {}
-        for expo, coeff in self._terms.items():
+        for expo, coeff in self._nums.items():
             e = expo[index]
             if e == 0:
                 continue
             new = list(expo)
             new[index] = e - 1
             out[tuple(new)] = coeff * e
-        return Polynomial._trusted(self.ambient_dim, out, self.mode)
+        return Polynomial._trusted(self.ambient_dim, out, self._den, self.mode)
 
     def gradient(self) -> Tuple["Polynomial", ...]:
         return tuple(self.partial(i) for i in range(self.ambient_dim))
 
     def laplacian(self) -> "Polynomial":
-        out = Polynomial.zero(self.ambient_dim, self.mode)
-        for i in range(self.ambient_dim):
-            out = out + self.partial(i).partial(i)
-        return out
+        return sum((self.partial(i).partial(i) for i in range(self.ambient_dim)),
+                   Polynomial.zero(self.ambient_dim, self.mode))
 
     # -- conversions -------------------------------------------------------
 
     def to_float(self) -> "Polynomial":
         if self.mode == FLOAT:
             return self
-        return Polynomial(self.ambient_dim, self._terms, FLOAT)
+        try:
+            return Polynomial(self.ambient_dim, self._floats(), FLOAT)
+        except OverflowError:  # a coefficient past the float range
+            raise NonFiniteCoefficient("coefficient too large for float mode") from None
 
     def to_exact(self) -> "Polynomial":
         """Exact conversion (binary float -> Fraction, no rounding)."""
         if self.mode == EXACT:
             return self
         return Polynomial(
-            self.ambient_dim, {e: Fraction(c) for e, c in self._terms.items()}, EXACT
+            self.ambient_dim, {e: Fraction(c) for e, c in self._nums.items()}, EXACT
         )
 
     def max_abs_coeff(self) -> float:
-        return max((abs(float(c)) for c in self._terms.values()), default=0.0)
+        return max((abs(c) for _, c in self._floats()), default=0.0)
 
 
 # -- monomial bookkeeping ---------------------------------------------------
@@ -411,21 +432,15 @@ def monomial_basis(ambient_dim: int, degree: int) -> List[ExponentVector]:
 
 def radius_squared(ambient_dim: int, mode: str = EXACT) -> Polynomial:
     """The polynomial ``x1^2 + ... + x_d^2``."""
-    terms = {}
-    for i in range(ambient_dim):
-        e = [0] * ambient_dim
-        e[i] = 2
-        terms[tuple(e)] = 1
-    return Polynomial(ambient_dim, terms, mode)
+    return Polynomial(ambient_dim, {tuple(2 * (j == i) for j in range(ambient_dim)): 1
+                                    for i in range(ambient_dim)}, mode)
 
 
 def euler_apply(p: Polynomial) -> Polynomial:
     """Radial derivation ``sum_i x_i * d p / d x_i`` (degree times p on
     homogeneous input, computed through the actual derivatives)."""
-    out = Polynomial.zero(p.ambient_dim, p.mode)
-    for i in range(p.ambient_dim):
-        out = out + Polynomial.variable(p.ambient_dim, i, p.mode) * p.partial(i)
-    return out
+    return sum((Polynomial.variable(p.ambient_dim, i, p.mode) * p.partial(i)
+                for i in range(p.ambient_dim)), Polynomial.zero(p.ambient_dim, p.mode))
 
 
 # -- sphere moments ---------------------------------------------------------
@@ -449,23 +464,13 @@ def sphere_mean(p: Polynomial):
     when every exponent is even, else 0.  Exact Fraction in exact mode, float
     in float mode (each moment correctly rounded).
     """
-    total = Fraction(0) if p.mode == EXACT else 0
-    for e, c in p.terms.items():
-        if not any(x & 1 for x in e):
-            num, den = _moment_numerator(e), _moment_denominator(p.ambient_dim, sum(e) // 2)
-            total += c * (Fraction(num, den) if p.mode == EXACT else num / den)
-    return total if p.mode == EXACT else float(total)
-
-
-def integer_row(p: Polynomial, index: Dict[tuple, int]) -> Tuple[List[int], int]:
-    """``(row, den)``: integer coefficients of ``p`` over the monomials that
-    ``index`` numbers, ``p = row / den``."""
-    terms = p.to_exact().terms
-    den = math.lcm(*(c.denominator for c in terms.values()))
-    row = [0] * len(index)
-    for e, c in terms.items():
-        row[index[e]] = c.numerator * (den // c.denominator)
-    return row, den
+    even = [(n, _moment_numerator(e), _moment_denominator(p.ambient_dim, sum(e) // 2))
+            for e, n in p._nums.items() if not any(x & 1 for x in e)]
+    if p.mode == FLOAT:
+        return float(sum(n * (num / den) for n, num, den in even))
+    # one integer over the largest moment denominator, which every other one divides
+    top = max((den for *_, den in even), default=1)
+    return Fraction(sum(n * num * (top // den) for n, num, den in even), top * p._den)
 
 
 class MomentGram:
@@ -480,7 +485,6 @@ class MomentGram:
     def __init__(self, ambient_dim: int, monomials: Sequence[tuple]):
         self.ambient_dim = ambient_dim
         self.monomials = tuple(monomials)
-        self.index = {e: i for i, e in enumerate(self.monomials)}
         self.den = _moment_denominator(ambient_dim, max(map(sum, self.monomials), default=0))
         classes: Dict[tuple, List[int]] = {}
         for i, e in enumerate(self.monomials):
@@ -506,11 +510,14 @@ class MomentGram:
         return out
 
     def row(self, p: Polynomial) -> Tuple[List[int], int]:
-        return integer_row(p, self.index)
+        """``(row, den)``: the numerators of ``p``, whose terms are among the
+        monomials, over them, and its denominator: ``p = row / den``."""
+        p = p.to_exact()
+        return [p._nums.get(e, 0) for e in self.monomials], p._den
 
     def poly(self, row: Sequence[int], den: int) -> Polynomial:
         return Polynomial._trusted(
-            self.ambient_dim, {e: Fraction(x, den) for e, x in zip(self.monomials, row) if x}, EXACT
+            self.ambient_dim, {e: x for e, x in zip(self.monomials, row) if x}, den, EXACT
         )
 
 
@@ -526,7 +533,7 @@ def sphere_inner(p: Polynomial, q: Polynomial):
     p._check_compatible(q)
     if p.mode == FLOAT:
         return sphere_mean(p * q)
-    gram = MomentGram(p.ambient_dim, {**p.terms, **q.terms})
+    gram = MomentGram(p.ambient_dim, {**p._nums, **q._nums})
     (row_p, den_p), (row_q, den_q) = gram.row(p), gram.row(q)
     return Fraction(sum(map(mul, row_p, gram.apply(row_q))), den_p * den_q * gram.den)
 
@@ -642,8 +649,9 @@ def _coefficient_text(coeff, mode: str) -> str:
 def format_polynomial(p: Polynomial) -> str:
     """Canonical text form, terms in descending graded-lex order."""
     pieces = []
-    for expo in sorted(p.terms, key=grlex_key):
-        coeff = p.terms[expo]
+    terms = p.terms
+    for expo in sorted(terms, key=grlex_key):
+        coeff = terms[expo]
         factors = [f"x{i + 1}" + (f"^{e}" if e > 1 else "") for i, e in enumerate(expo) if e > 0]
         if abs(coeff) != 1 or not factors:
             factors.insert(0, _coefficient_text(abs(coeff), p.mode))

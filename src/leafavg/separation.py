@@ -30,71 +30,58 @@ MARGIN_MIN = 10.0
 class _IntegerGeneratorMap:
     """An exact generator set in integers, for evaluation at rational points.
 
-    Generator ``f = sum (k_e / L) x^e`` of top degree ``D`` is kept as the
-    lcm ``L`` of its coefficient denominators and the terms
-    ``(e, k_e, D - |e|)``, with ``e`` as its nonzero ``(index, exponent)``
-    pairs.  At ``x = a / c``, with ``c`` the point's denominator,
-    ``f(x) = sum k_e a^e c^(D - |e|) / (L c^D)``: one integer quotient per
-    generator, from integer power tables shared by all generators.  A whole
-    :class:`PointBatch` is evaluated at once, one array operation per power
-    and per term factor.  ``values`` gives each quotient as one correctly
-    rounded integer division, ``float(f.eval(x))`` bit for bit.
+    Generator ``f = sum (k_e / L) x^e`` of top degree ``D`` is kept as its
+    denominator ``L`` and the terms ``(e, k_e, D - |e|)``, with ``e`` as its
+    nonzero ``(index, exponent)`` pairs.  At ``x = a / c``, with ``c`` the
+    point's denominator, ``f(x) = sum k_e a^e c^(D - |e|) / (L c^D)``: one
+    integer quotient per generator, from integer power tables shared by the
+    generators of one dtype.  A whole :class:`PointBatch` is evaluated at
+    once, one array operation per power and per term factor.  ``values``
+    gives each quotient as one correctly rounded integer division,
+    ``float(f.eval(x))`` bit for bit.
 
     With ``m`` the batch's :meth:`~PointBatch.magnitude`, every partial sum
     of ``f``'s numerator is at most ``sum |k_e| m^D`` and its denominator at
-    most ``L m^D``.  When ``max(sum |k_e|, L) m^D < 2^53`` for every
-    generator, the batch runs in int64: each intermediate is then an exact
-    double, so numpy's ``total / den`` rounds the exact quotient once, as
-    Python's int division does.  Otherwise it runs in Python ints.
+    most ``L m^D``.  Each generator with ``max(sum |k_e|, L) m^D < 2^53``
+    runs in int64: each intermediate is then an exact double, so numpy's
+    ``total / den`` rounds the exact quotient once, as Python's int division
+    does.  The others run in Python ints.
     """
 
     def __init__(self, generators):
-        self.forms, self.bounds = [], []
-        max_exp = [0] * (generators[0].ambient_dim if generators else 0)
-        max_degree = 0
+        self.forms = []  # (L, D, terms, max(sum |k_e|, L)) per generator
         for f in generators:
-            coeffs = f.terms
-            lcm = math.lcm(*(c.denominator for c in coeffs.values()))
-            degree = max((sum(e) for e in coeffs), default=0)
-            terms = []
-            for expo, coeff in coeffs.items():
-                factors = tuple((i, e) for i, e in enumerate(expo) if e)
-                for i, e in factors:
-                    max_exp[i] = max(max_exp[i], e)
-                terms.append((factors, coeff.numerator * (lcm // coeff.denominator),
-                              degree - sum(expo)))
-            self.forms.append((lcm, degree, tuple(terms)))
-            self.bounds.append((max(sum(abs(k) for _, k, _ in terms), lcm), degree))
-            max_degree = max(max_degree, degree)
-        self.max_exp = max_exp
-        self.max_degree = max_degree
+            degree = max((sum(e) for e in f._nums), default=0)
+            terms = tuple((tuple((i, e) for i, e in enumerate(expo) if e), k, degree - sum(expo))
+                          for expo, k in f._nums.items())
+            self.forms.append((f._den, degree, terms, max(sum(abs(k) for _, k, _ in terms), f._den)))
 
     def _quotients(self, batch: PointBatch) -> Tuple[list, list]:
         """``(totals, dens)``: per generator, int64 or object arrays over the
         batch whose quotient is the generator's value at each point."""
-        m = batch.magnitude()
-        dtype = _int_dtype(max((scale * m ** degree for scale, degree in self.bounds), default=0),
-                           2 ** 53)
-        nums, c = batch.nums.astype(dtype, copy=False), batch.dens.astype(dtype, copy=False)
-        powers = []
-        for column, top in zip(nums.T, self.max_exp):
-            row = [None, column]
-            for _ in range(1, top):
-                row.append(row[-1] * column)
-            powers.append(row)
-        c_powers = [np.ones(len(batch), dtype=dtype)]
-        for _ in range(self.max_degree):
-            c_powers.append(c_powers[-1] * c)
+        m, (nums64, dens64) = batch.magnitude()
+        # per dtype, the coordinate columns and then the dens: a generator's
+        # int64 bound puts m below 2^53, so the magnitude's arrays are int64
+        columns = {np.int64: [*nums64.T, dens64], object: [*batch.nums.T, batch.dens]}
+        powers: Dict[tuple, list] = {}  # per (dtype, column): its powers from the 0th
+
+        def power(dtype, i: int, e: int) -> np.ndarray:  # a loop: a recursive closure is a cycle
+            table = powers.setdefault((dtype, i), [np.ones(len(batch), dtype=dtype)])
+            while len(table) <= e:
+                table.append(table[-1] * columns[dtype][i])
+            return table[e]
+
         totals, dens = [], []
-        for lcm, degree, terms in self.forms:
+        for lcm, degree, terms, scale in self.forms:
+            dtype = _int_dtype(scale * m ** degree, 2 ** 53)
             total = np.zeros(len(batch), dtype=dtype)
             for factors, k, cofactor in terms:
-                term = k * c_powers[cofactor]
+                term = k * power(dtype, -1, cofactor)
                 for i, e in factors:
-                    term = term * powers[i][e]
+                    term = term * power(dtype, i, e)
                 total = total + term
             totals.append(total)
-            dens.append(lcm * c_powers[degree])
+            dens.append(lcm * power(dtype, -1, degree))
         return totals, dens
 
     def values(self, points) -> Optional[np.ndarray]:

@@ -1,10 +1,10 @@
 """Exact separation arithmetic in int64 where a magnitude bound proves it exact.
 
-The generator evaluator, ``rational_sphere_batch`` and the exact torus mates
-each pick int64 or Python ints per batch from a bound computed before any
-arithmetic.  These tests pin the bounds at their edges: on either side the
-results equal ``Polynomial.eval`` and the Python-int references, and every
-``PointBatch`` still holds Python ints.
+The generator evaluator picks int64 or Python ints per generator, and
+``rational_sphere_batch`` and the exact torus mates per batch, from a bound
+computed before any arithmetic.  These tests pin the bounds at their edges:
+on either side the results equal ``Polynomial.eval`` and the Python-int
+references, and every ``PointBatch`` still holds Python ints.
 """
 
 import math
@@ -30,18 +30,19 @@ def _object_values(monkeypatch, integer_map, batch):
         return integer_map.values(batch)
 
 
-def _dtype(polys, batch):
-    """The one dtype the evaluator works in on ``batch``."""
+def _dtypes(polys, batch):
+    """The dtype the evaluator works in on ``batch``, per generator."""
     totals, dens = _IntegerGeneratorMap(polys)._quotients(batch)
-    (dtype,) = {t.dtype for t in totals + dens}
-    return dtype
+    assert [t.dtype for t in totals] == [d.dtype for d in dens]
+    return [t.dtype for t in totals]
 
 
-def _check_values(monkeypatch, polys, batch, dtype=None):
-    """The evaluator takes ``dtype`` (when given) on ``batch``, and its
-    floats equal ``Polynomial.eval``'s and the Python-int path's, bit for bit."""
+def _check_values(monkeypatch, polys, batch, dtypes=None):
+    """The evaluator takes ``dtypes`` (when given, one per generator) on
+    ``batch``, and the ``.hex()`` of each of its floats equals that of
+    ``Polynomial.eval``'s, and each float the Python-int path's."""
     integer_map = _IntegerGeneratorMap(polys)
-    assert dtype is None or _dtype(polys, batch) == np.dtype(dtype)
+    assert dtypes is None or _dtypes(polys, batch) == [np.dtype(d) for d in dtypes]
     got = integer_map.values(batch)
     expected = [[float(p.eval(point)).hex() for p in polys] for point in batch.points()]
     assert [[x.hex() for x in row] for row in got.tolist()] == expected
@@ -85,7 +86,7 @@ def test_evaluator_just_below_the_bound_runs_in_int64(monkeypatch, text, scale):
     f = parse_polynomial(text, 4)
     m = math.isqrt((2 ** 53 - 1) // scale)
     assert scale * m ** 2 < 2 ** 53 <= scale * (m + 1) ** 2
-    _check_values(monkeypatch, [f], _edge_batch(m), np.int64)
+    _check_values(monkeypatch, [f], _edge_batch(m), [np.int64])
 
 
 @pytest.mark.parametrize("text,scale", EDGE_GENERATORS)
@@ -94,15 +95,17 @@ def test_evaluator_just_above_the_bound_runs_in_python_ints(monkeypatch, text, s
     # converting before dividing would round twice
     f = parse_polynomial(text, 4)
     m = math.isqrt((2 ** 53 - 1) // scale) + 2
-    _check_values(monkeypatch, [f], _edge_batch(m), object)
+    _check_values(monkeypatch, [f], _edge_batch(m), [object])
 
 
-def test_evaluator_bound_takes_the_largest_generator(monkeypatch):
-    # one generator past its edge sends the whole batch to Python ints
+def test_evaluator_bound_is_per_generator(monkeypatch):
+    # one generator past its edge runs in Python ints, the next one, still
+    # below its own edge, in int64 on the same batch
     polys = [parse_polynomial(text, 4) for text, _ in EDGE_GENERATORS[:2]]
     m = math.isqrt((2 ** 53 - 1) // 4) + 2
-    _check_values(monkeypatch, polys[1:], _edge_batch(m), np.int64)
-    _check_values(monkeypatch, polys, _edge_batch(m), object)
+    _check_values(monkeypatch, polys[1:], _edge_batch(m), [np.int64])
+    _check_values(monkeypatch, polys, _edge_batch(m), [object, np.int64])
+    _check_values(monkeypatch, polys[::-1], _edge_batch(m), [np.int64, object])
 
 
 def test_evaluator_far_past_the_bound(monkeypatch):
@@ -111,18 +114,20 @@ def test_evaluator_far_past_the_bound(monkeypatch):
     rng = np.random.default_rng(4)
     points = [tuple(Fraction(int(a), 3 ** 40 + i) for a in rng.integers(-10 ** 9, 10 ** 9, 4))
               for i in range(1, 9)]
-    _check_values(monkeypatch, polys, PointBatch.of(points), object)
+    _check_values(monkeypatch, polys, PointBatch.of(points), [object] * 3)
 
 
-# the dtype the evaluator takes on the first draws of separation_test at each
-# bundled config's seed: the sphere points, then their leaf mates
+# the dtype the evaluator takes for each generator on the first draws of
+# separation_test at each bundled config's seed: the sphere points, then their
+# leaf mates; b3's sextic alone is past its bound
+I64 = np.int64
 CONFIG_PATHS = {
-    "b2": (np.int64, np.int64),
-    "c4": (np.int64, np.int64),
-    "hopf": (np.int64, np.int64),
-    "b3": (object, object),
-    "t2_full": (np.int64, object),
-    "circle12": (np.int64, object),
+    "b2": ([I64] * 2, [I64] * 2),
+    "c4": ([I64] * 3, [I64] * 3),
+    "hopf": ([I64] * 4, [I64] * 4),
+    "b3": ([I64, I64, object], [I64, I64, object]),
+    "t2_full": ([I64] * 2, [object] * 2),
+    "circle12": ([I64] * 4, [object] * 4),
 }
 
 
@@ -138,9 +143,25 @@ def test_evaluator_on_config_batches(monkeypatch, name):
     points = rational_sphere_batch(model.ambient_dim, config.params["num_pairs"], rng)
     mates = model.leaf_mates(points, rng)
     polys = list(gens.generators)
-    for batch, dtype in zip((points, mates), CONFIG_PATHS[name]):
-        assert _dtype(polys, batch) == np.dtype(dtype)
+    for batch, dtypes in zip((points, mates), CONFIG_PATHS[name]):
+        assert _dtypes(polys, batch) == [np.dtype(d) for d in dtypes]
         _check_values(monkeypatch, polys, batch[:40])
+
+
+@pytest.mark.parametrize("nums,magnitude,fits", [
+    ([[2 ** 63 - 1, -5]], 2 ** 63 - 1, True),
+    ([[-2 ** 63, 7]], 2 ** 63, True),  # in int64, whose abs would wrap
+    ([[2 ** 63, 7]], 2 ** 63, False),
+    ([[3, -2 ** 70]], 2 ** 70, False),
+    (np.zeros((0, 2), dtype=int), 0, True),
+])
+def test_magnitude_reads_int64_when_every_entry_fits(nums, magnitude, fits):
+    batch = PointBatch(np.array(nums, dtype=object).reshape(-1, 2),
+                       np.array([11] * len(nums), dtype=object))
+    got, (ints, dens) = batch.magnitude()
+    assert got == magnitude and type(got) is int
+    assert (ints.dtype == dens.dtype == np.int64) == fits
+    assert ints.tolist() == batch.nums.tolist() and dens.tolist() == batch.dens.tolist()
 
 
 # -- exact draws: int64 while the bound is below 2^63, Python ints out ------------

@@ -6,6 +6,7 @@ runs sphere-orthogonal Gram-Schmidt.  Both must give what orthogonalizing
 every degree gives (``util.gram_schmidt_discovery``).
 """
 
+import dataclasses
 import warnings
 from pathlib import Path
 
@@ -66,6 +67,37 @@ def test_rank_cover_matches_gram_schmidt_at_every_degree(name):
         truncated = GeneratorSet(model.ambient_dim, gens.mode, subset, gens.degrees[:len(subset)],
                                  cap, gens.dims_by_degree)
         assert _residuals(model, truncated, cap) == gram_schmidt_residuals(model, subset, cap)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_verify_reuses_the_products_discovery_built(monkeypatch, name):
+    model, cap = _model_and_cap(name)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegreeCapWarning)
+        gens = discover_generators(model, cap)
+    built_for, built = gens.products
+    assert built_for is gens.generators and built
+    # each degree's list is that of generator_products on the whole set, term for term
+    for d, products in built.items():
+        full = [p for _, p in generator_products(list(gens.generators), d)]
+        assert [list(p.terms.items()) for p in products] == [list(p.terms.items()) for p in full]
+    calls, covers = [], []
+    cover = basic_ring._covers
+    monkeypatch.setattr(basic_ring, "generator_products",
+                        lambda polys, d: calls.append(d) or generator_products(polys, d))
+    monkeypatch.setattr(basic_ring, "_covers",
+                        lambda basis, products: covers.append(basis.degree) or cover(basis, products))
+    report = verify_generation(model, gens, cap)
+    # products are built only where discovery met a zero slice; the rank
+    # cover still runs at every degree
+    assert calls == [d for d in range(1, cap + 1) if d not in built]
+    assert covers == list(range(1, cap + 1)) and report.max_residual == 0.0
+    # a set with other generators builds its own
+    calls.clear()
+    other = dataclasses.replace(gens, generators=gens.generators[:-1], degrees=gens.degrees[:-1])
+    with pytest.raises(GenerationGap):
+        verify_generation(model, other, cap)
+    assert calls == list(range(1, cap + 1))
 
 
 def test_as_many_independent_products_as_the_dimension_do_not_cover():

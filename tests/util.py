@@ -2,7 +2,7 @@
 
 import math
 from fractions import Fraction
-from operator import mul
+from operator import add, mul
 
 import numpy as np
 from hypothesis import strategies as st
@@ -255,3 +255,91 @@ def object_torus_mates(model, batch, rng):
         out += [(c * x - s * y) * scale, (s * x + c * y) * scale]
     out += [batch.nums[:, i] * common for i in range(2 * model.n_planes, model.ambient_dim)]
     return PointBatch(np.stack(out, axis=1), batch.dens * common)
+
+
+# -- a term-dict reference for polynomial arithmetic ---------------------------------
+#
+# Plain dicts from exponent tuples to ``Fraction`` (or float) coefficients, run
+# through the loops ``Polynomial`` used when it stored ``Fraction``s: the
+# reference for its integer numerators over one denominator.  Each loop keeps
+# the term order of the polynomial arithmetic: a key whose running sum cancels
+# is dropped, and comes back at the end.
+
+
+def ref_accumulate(out, pairs):
+    """Add each ``(exponents, coefficient)`` of ``pairs`` into ``out`` in order."""
+    for expo, c in pairs:
+        c = out.get(expo, 0) + c
+        if c == 0:
+            out.pop(expo, None)
+        else:
+            out[expo] = c
+    return out
+
+
+def ref_add(a, b):
+    return ref_accumulate(dict(a), b.items())
+
+
+def ref_neg(a):
+    return {e: -c for e, c in a.items()}
+
+
+def ref_mul(a, b):
+    return ref_accumulate({}, ((tuple(map(add, ea, eb)), ca * cb)
+                               for ea, ca in a.items() for eb, cb in b.items()))
+
+
+def ref_scale(a, scalar):
+    return {e: scalar * c for e, c in a.items() if scalar * c != 0}
+
+
+def ref_pow(a, n, dim, one=Fraction(1)):
+    """Square and multiply from the constant ``one``, as ``Polynomial.__pow__``."""
+    result, base = {(0,) * dim: one}, a
+    while n:
+        if n & 1:
+            result = ref_mul(result, base)
+        base = ref_mul(base, base) if n > 1 else base
+        n >>= 1
+    return result
+
+
+def ref_partial(a, index):
+    out = {}
+    for expo, c in a.items():
+        if expo[index]:
+            out[expo[:index] + (expo[index] - 1,) + expo[index + 1:]] = c * expo[index]
+    return out
+
+
+def ref_laplacian(a, dim):
+    out = {}
+    for i in range(dim):
+        out = ref_add(out, ref_partial(ref_partial(a, i), i))
+    return out
+
+
+def ref_compose(a, matrix, dim, one=Fraction(1)):
+    """The pullback ``x -> a(M x)``, one power polynomial per row and exponent."""
+    rows = [{tuple(int(k == j) for k in range(dim)): c for j, c in enumerate(row) if c != 0}
+            for row in matrix]
+    out = {}
+    for expo, c in a.items():
+        term = {(0,) * dim: c}
+        for i, e in enumerate(expo):
+            if e:
+                term = ref_mul(term, ref_pow(rows[i], e, dim, one))
+        out = ref_add(out, term)
+    return out
+
+
+def ref_sphere_mean(a, dim):
+    """``sum_e c_e prod_i (e_i - 1)!! / (dim (dim + 2) ... (dim + |e| - 2))``
+    over the all-even exponent tuples ``e``, in ``Fraction``s."""
+    total = Fraction(0)
+    for expo, c in a.items():
+        if not any(e % 2 for e in expo):
+            num = math.prod(math.prod(range(e - 1, 0, -2)) for e in expo)
+            total += c * Fraction(num, math.prod(dim + 2 * k for k in range(sum(expo) // 2)))
+    return total

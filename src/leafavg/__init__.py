@@ -28,7 +28,6 @@ from .polynomials import (
     EXACT,
     FLOAT,
     Polynomial,
-    euler_apply,
     format_polynomial,
     monomial_basis,
     parse_polynomial,
@@ -44,7 +43,6 @@ from .models import (
     LevelSetSampler,
     TorusModel,
     group_closure,
-    sample_sphere,
     sample_sphere_many,
     validate_munzner,
 )

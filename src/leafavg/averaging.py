@@ -69,7 +69,13 @@ def cycle_probe(f: Polynomial) -> Polynomial:
 
 def generator_products(generators: Sequence[Polynomial], target: int) -> List[Tuple[tuple, Polynomial]]:
     """Products of generators of total degree ``target`` (with multiplicity
-    patterns), deduplicated by pattern, deterministic order."""
+    patterns), deduplicated by pattern, deterministic order.  At ``target``
+    0 the only product is the empty one, the constant 1."""
+    if not generators:  # no products, nor a dimension for the constant
+        return []
+    if target == 0:
+        g = generators[0]
+        return [((0,) * len(generators), Polynomial.constant(g.ambient_dim, 1, g.mode))]
     out = []
     powers: Dict[Tuple[int, int], Polynomial] = {}
     for pattern in weighted_exponent_patterns([g.homogeneous_degree() for g in generators], target):
@@ -79,8 +85,7 @@ def generator_products(generators: Sequence[Polynomial], target: int) -> List[Tu
                 if (i, e) not in powers:
                     powers[i, e] = generators[i] ** e
                 factors.append(powers[i, e])
-        if factors:  # the empty product is the constant, not a degree-d element
-            out.append((pattern, reduce(Polynomial.__mul__, factors)))
+        out.append((pattern, reduce(Polynomial.__mul__, factors)))
     return out
 
 
@@ -294,21 +299,22 @@ class _FitContext:
             ])
         return self._designs[key]
 
-    def fit(self, responses: np.ndarray, degree: int, cond_cap: float):
+    def fit(self, responses: np.ndarray, degree: int):
         """The degree-``degree`` polynomial fitted to ``responses``, with the
         fit's condition estimate and residual RMS."""
         monomials = monomial_basis(self.model.ambient_dim, degree)
-        coeffs, condition, rms = _scaled_lstsq(self.design(monomials), responses, cond_cap)
+        coeffs, condition, rms = _scaled_lstsq(self.design(monomials), responses)
         poly = Polynomial(self.model.ambient_dim,
                           {e: float(c) for e, c in zip(monomials, coeffs)}, FLOAT)
         return poly, condition, rms
 
 
-def _scaled_lstsq(design: np.ndarray, rhs: np.ndarray, cond_cap: float):
+def _scaled_lstsq(design: np.ndarray, rhs: np.ndarray):
     """Least squares with column scaling; returns (coeffs, condition, residual_rms).
 
     ``rhs`` is a vector or a matrix of right-hand sides (one per column); the
-    RMS is then taken over every entry.
+    RMS is then taken over every entry.  A condition estimate above
+    ``COND_CAP`` raises :class:`IllConditionedFit`.
     """
     scales = np.linalg.norm(design, axis=0)
     scales[scales == 0.0] = 1.0
@@ -316,9 +322,9 @@ def _scaled_lstsq(design: np.ndarray, rhs: np.ndarray, cond_cap: float):
     sv = np.linalg.svd(scaled, compute_uv=False)
     positive = sv[sv > sv[0] * 1e-14] if len(sv) else sv
     condition = float(sv[0] / positive[-1]) if len(positive) else float("inf")
-    if condition > cond_cap:
+    if condition > COND_CAP:
         raise IllConditionedFit(
-            f"condition estimate {condition:.3e} above cap {cond_cap:.1e}; resample"
+            f"condition estimate {condition:.3e} above cap {COND_CAP:.1e}; resample"
         )
     solution, *_ = np.linalg.lstsq(scaled, rhs, rcond=None)
     coeffs = (solution.T / scales).T
@@ -328,7 +334,7 @@ def _scaled_lstsq(design: np.ndarray, rhs: np.ndarray, cond_cap: float):
 
 
 def _averages(model, f: Polynomial, probe: Polynomial, seed: int, sample_points: Optional[int],
-              mc_samples: Optional[int], cond_cap: float, fit_probe: bool = True) -> _Averages:
+              mc_samples: Optional[int], fit_probe: bool = True) -> _Averages:
     """The averages a certificate of ``f`` compares: by ``model.reynolds`` in
     closed form; else fitted from two estimator passes over one cloud, one
     for ``f``, its probe and its Laplacian, one for the fitted average.
@@ -349,12 +355,12 @@ def _averages(model, f: Polynomial, probe: Polynomial, seed: int, sample_points:
     # one pass over the cloud for f, its probe and its Laplacian
     rows = [f, *([probe] if fit_probe else []), *([lap_f] if with_lap else [])]
     responses, ses = ctx.responses(*rows, se_rows=1)  # max_point_se reads f's SEs
-    avg, condition, rms = ctx.fit(responses[0], degree, cond_cap)
+    avg, condition, rms = ctx.fit(responses[0], degree)
     if with_lap:
-        lap_avg, _, _ = ctx.fit(responses[-1], degree - 2, cond_cap)
+        lap_avg, _, _ = ctx.fit(responses[-1], degree - 2)
     else:
         lap_avg = Polynomial.zero(model.ambient_dim, FLOAT)
-    probe_avg = ctx.fit(responses[1], probe.homogeneous_degree(), cond_cap)[0] if fit_probe else None
+    probe_avg = ctx.fit(responses[1], probe.homogeneous_degree())[0] if fit_probe else None
 
     # a second pass for the fitted average and its square on the same cloud
     values = np.empty((2, len(ctx.sampler.points)))
@@ -363,7 +369,7 @@ def _averages(model, f: Polynomial, probe: Polynomial, seed: int, sample_points:
     again, _ = ctx.sampler.leaf_average_values(values, ctx.levels, se_rows=0)
     e1, e2 = again[:, :8]
     leaf_constancy = math.sqrt(max([0.0, *(e2 - e1 * e1).tolist()]))
-    avg_again, _, _ = ctx.fit(again[0], degree, cond_cap)
+    avg_again, _, _ = ctx.fit(again[0], degree)
 
     fit = {
         "sample_count": ctx.sample_count,
@@ -392,7 +398,7 @@ def average_polynomial(model, f: Polynomial, *, seed: int = 0, sample_points: Op
     degree = f.homogeneous_degree()
     ctx = _FitContext(model, degree, seed, sample_points, mc_samples)
     (responses,), _ = ctx.responses(f.to_float())
-    return ctx.fit(responses, degree, COND_CAP)[0]
+    return ctx.fit(responses, degree)[0]
 
 
 def average(
@@ -403,7 +409,6 @@ def average(
     probe: Optional[Polynomial] = None,
     sample_points: Optional[int] = None,
     mc_samples: Optional[int] = None,
-    cond_cap: float = COND_CAP,
 ) -> AveragingCertificate:
     """Average a homogeneous polynomial, with a populated certificate.
 
@@ -416,7 +421,7 @@ def average(
         raise ValueError("average expects a homogeneous polynomial")
     degree = f.homogeneous_degree()
     probe = cycle_probe(f) if probe is None else probe
-    a = _averages(model, f, probe, seed, sample_points, mc_samples, cond_cap)
+    a = _averages(model, f, probe, seed, sample_points, mc_samples)
     if not a.avg.is_zero and a.avg.homogeneous_degree() != degree:
         raise IdentityViolation("degree_preservation", float("inf"),
                                 "average left the homogeneous degree slice")
@@ -472,9 +477,9 @@ def average_structured(
 
     columns = [poly.eval_many(ctx.points) for _, poly in products]
     design = np.column_stack(columns)
-    coeffs, condition, rms = _scaled_lstsq(design, responses, COND_CAP)
+    coeffs, condition, rms = _scaled_lstsq(design, responses)
 
-    _, _, mono_rms = _scaled_lstsq(ctx.design(ctx.monomials), responses, COND_CAP)
+    _, _, mono_rms = _scaled_lstsq(ctx.design(ctx.monomials), responses)
 
     if rms > STRUCTURED_TOL:
         raise BasisDeficient(
@@ -523,7 +528,7 @@ def verify_operator_identities(
     fit_args = {"sample_points": sample_points, "mc_samples": mc_samples}
     # reynolds is deterministic, so a closed-form g keeps the average of f's
     # probe; a fitted g is averaged on its own cloud instead, not on f's
-    a = _averages(model, f, g, seed, cond_cap=COND_CAP, fit_probe=False, **fit_args)
+    a = _averages(model, f, g, seed, fit_probe=False, **fit_args)
     avg_g = (a.probe_avg if model.closed_form
              else average_polynomial(model, a.probe, seed=seed + 1, **fit_args))
     avg_module = average_polynomial(model, a.avg * a.probe, seed=seed + 2, **fit_args)

@@ -42,7 +42,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .averaging import (COND_CAP, ENGINE_EXACT, ENGINE_VANDERMONDE, _FitContext, _scaled_lstsq,
+from .averaging import (ENGINE_EXACT, ENGINE_VANDERMONDE, _FitContext, _scaled_lstsq,
                         generator_products)
 from .errors import (
     DegreeCapWarning,
@@ -355,7 +355,7 @@ def basic_subspace(
             Polynomial.monomial(model.ambient_dim, expo, 1.0, FLOAT) for expo in monomials
         ))
         # fitted coefficients, one column per averaged monomial
-        fitted, _, _ = _scaled_lstsq(ctx.design(monomials), estimates.T, COND_CAP)
+        fitted, _, _ = _scaled_lstsq(ctx.design(monomials), estimates.T)
         matrix = fitted.T
     gram = _gram_matrix(model.ambient_dim, monomials)
     rows, sing = _orthonormal_rows(matrix, gram, tol_rank)

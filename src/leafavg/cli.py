@@ -59,6 +59,8 @@ from .polynomials import (
 )
 
 TASKS = ("avg", "generators", "verify", "separate", "export", "selftest")
+# rank tolerance of selftest's statistical check: the statistical regime
+SELFTEST_TOL_RANK = 0.05
 
 _CONFIG_DIR = Path(__file__).parent / "configs"
 
@@ -532,7 +534,7 @@ def task_export(config: RunConfig, model, seed: int, out_dir: Path) -> int:
 # -- selftest -----------------------------------------------------------------
 
 
-def _selftest_checks(tol_rank: float):
+def _selftest_checks():
     """Yield (name, callable) pairs; callables raise or return True/False."""
 
     def load(name):
@@ -582,7 +584,7 @@ def _selftest_checks(tol_rank: float):
         config = load("iso_g2.json")
         model = config.build_model()
         basis = basic_ring.basic_subspace(
-            model, 2, tol_rank=tol_rank, seed=7, sample_points=24, mc_samples=20_000,
+            model, 2, tol_rank=SELFTEST_TOL_RANK, seed=7, sample_points=24, mc_samples=20_000,
         )
         return basis.rank == 2
 
@@ -604,14 +606,14 @@ def _selftest_checks(tol_rank: float):
     ]
 
 
-def task_selftest(out_dir: Path, tol_rank: float) -> int:
+def task_selftest(out_dir: Path) -> int:
     missing = [name for name in BUNDLED_CONFIGS if not (_CONFIG_DIR / name).exists()]
     if missing:
         print(f"selftest: missing bundled configs: {missing}")
         return 1
     results = []
     worst = 0
-    for name, check in _selftest_checks(tol_rank):
+    for name, check in _selftest_checks():
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", DegreeCapWarning)
@@ -626,7 +628,7 @@ def task_selftest(out_dir: Path, tol_rank: float) -> int:
     width = max(len(name) for name, _ in results)
     for name, status in results:
         print(f"selftest {name:<{width}} {status}")
-    payload = {"results": {name: status for name, status in results}, "tol_rank": tol_rank}
+    payload = {"results": {name: status for name, status in results}, "tol_rank": SELFTEST_TOL_RANK}
     _write_json(payload, out_dir / "selftest_report.json")
     return worst
 
@@ -650,20 +652,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="path to a JSON run config")
     parser.add_argument("--out", help="output directory (default from config, else ./leafavg_out)")
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
-    parser.add_argument(
-        "--tol-rank", type=float, default=None,
-        help="override the rank tolerance of selftest's statistical checks "
-             "(default 0.05, the statistical regime; selftest only)",
-    )
     return parser
 
 
-def run(task: str, config: Optional[RunConfig], out_dir: Path, seed: Optional[int],
-        tol_rank: Optional[float] = None) -> int:
+def run(task: str, config: Optional[RunConfig], out_dir: Path, seed: Optional[int]) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     if task == "selftest":
-        return task_selftest(out_dir, 0.05 if tol_rank is None else
-                             _number({"--tol-rank": tol_rank}, "--tol-rank", float, minimum=0))
+        return task_selftest(out_dir)
     if config is None:
         raise ConfigError(f"task {task!r} requires --config")
     handler = {
@@ -682,13 +677,12 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         # like an unknown config key, a flag the task does not read is an error
-        flags = ({"--config": args.config, "--seed": args.seed} if args.task == "selftest"
-                 else {"--tol-rank": args.tol_rank})
+        flags = {"--config": args.config, "--seed": args.seed} if args.task == "selftest" else {}
         if unread := [flag for flag, value in flags.items() if value is not None]:
             raise ConfigError(f"task {args.task!r} does not read {', '.join(unread)}")
         config = load_config(args.config) if args.config else None
         out_dir = Path(args.out or (config.out if config and config.out else "leafavg_out"))
-        code = run(args.task, config, out_dir, args.seed, args.tol_rank)
+        code = run(args.task, config, out_dir, args.seed)
     except LeafavgError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

@@ -1,8 +1,10 @@
 """Concrete foliation models of round spheres and their dilation cones.
 
 Three families are implemented, each with the same batch protocol: ``mode``
-(the scalar mode of its averages), ``closed_form`` (True when ``reynolds``
-gives the leaf average in closed form, False when it must be estimated),
+(the scalar mode of the model's own data, in which a run parses its
+polynomials; an isoparametric model's averages are float fits in either
+mode), ``closed_form`` (True when ``reynolds`` gives the leaf average in
+closed form, False when it must be estimated),
 ``leaf_pairs(ps, qs, tol)`` (the same-leaf verdict of every pair, and a cheap
 proxy for the distance between its two leaves), ``leaf_mates(points, rng)``
 (a random point on the leaf of every point of an exact :class:`PointBatch` or
@@ -34,7 +36,6 @@ seed.
 from __future__ import annotations
 
 import math
-import weakref
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial, reduce
 from operator import itemgetter, mul
@@ -113,12 +114,6 @@ def sample_sphere_many(count: int, ambient_dim: int, rng: np.random.Generator) -
         bad = norms < 1e-12
     points /= norms[:, None]
     return points
-
-
-def sample_sphere(ambient_dim: int, seed: int) -> np.ndarray:
-    """One uniform sphere point, deterministic in the seed."""
-    rng = np.random.default_rng(seed)
-    return sample_sphere_many(1, ambient_dim, rng)[0]
 
 
 def _int_dtype(bound: int, limit: int = 2 ** 63):
@@ -1011,10 +1006,6 @@ class LevelSetSampler:
     level costs O(window) rather than O(N).  Samples come from the first child
     of ``SeedSequence(seed)``, which makes results bitwise reproducible for a
     fixed seed.  The cloud's arrays are read-only, so a cloud can be shared.
-
-    A sampler keeps the model's ``h`` and ``min_ess`` and only a weak
-    reference to the model itself (``model``), so that a model may keep its
-    own samplers without a reference cycle.
     """
 
     def __init__(self, model: "IsoparametricModel", seed, count: int, *,
@@ -1029,7 +1020,6 @@ class LevelSetSampler:
         full cloud of ``count`` samples, so ``count`` stays the full sample
         count and the level's estimates and SEs are those of the full cloud
         in law (not in bits), in O(window) time and memory."""
-        self._model = weakref.ref(model)
         self.h = model.h
         self.min_ess = model.min_ess
         self.seed = seed
@@ -1061,11 +1051,6 @@ class LevelSetSampler:
         self.grad_norms = model.g * np.sqrt(np.clip(1.0 - self.level_values ** 2, 0.0, None))
         for array in (self.points, self.level_values, self.grad_norms):
             array.flags.writeable = False
-
-    @property
-    def model(self) -> Optional["IsoparametricModel"]:
-        """The model the cloud was drawn for, or None once it is freed."""
-        return self._model()
 
     def window(self, level: float) -> slice:
         """The slice of the sorted cloud inside the kernel support of ``level``.
@@ -1156,9 +1141,8 @@ class LevelSetSampler:
 class IsoparametricModel:
     """Foliation of the sphere by level sets of a Cartan-Munzner polynomial.
 
-    Admission runs the symbolic identity check; the resulting Laplacian
-    scale ``c`` is stored on the model.  The leaf average of ``f`` at level
-    ``t`` is estimated by coarea weighting:  ``sum w_i f(x_i) / sum w_i``
+    Admission runs the symbolic identity check.  The leaf average of ``f``
+    at level ``t`` is estimated by coarea weighting:  ``sum w_i f(x_i) / sum w_i``
     with ``w_i = |grad_S F|(x_i) K_h(F(x_i) - t)`` over uniform sphere
     samples, where ``|grad_S F| = g sqrt(1 - F^2)`` on the unit sphere.
 
@@ -1190,7 +1174,7 @@ class IsoparametricModel:
             raise ConfigError(f"min_ess must be at least 1, got {min_ess!r}")
         self.F = F
         self.g = g
-        self.c = validate_munzner(F, g)
+        validate_munzner(F, g)
         self.ambient_dim = F.ambient_dim
         self.h = h
         self.sample_count = sample_count

@@ -436,13 +436,6 @@ def radius_squared(ambient_dim: int, mode: str = EXACT) -> Polynomial:
                                     for i in range(ambient_dim)}, mode)
 
 
-def euler_apply(p: Polynomial) -> Polynomial:
-    """Radial derivation ``sum_i x_i * d p / d x_i`` (degree times p on
-    homogeneous input, computed through the actual derivatives)."""
-    return sum((Polynomial.variable(p.ambient_dim, i, p.mode) * p.partial(i)
-                for i in range(p.ambient_dim)), Polynomial.zero(p.ambient_dim, p.mode))
-
-
 # -- sphere moments ---------------------------------------------------------
 
 

@@ -25,6 +25,9 @@ from .polynomials import EXACT
 _PROXY_BINS = (1e-3, 1e-2, 1e-1)
 # a certificate passes when the margin ratio exceeds this
 MARGIN_MIN = 10.0
+# same-leaf tolerance of distinct-pair sampling on closed-form models; level
+# sets use the level predicate's LEVEL_TOL
+CLOSED_FORM_LEAF_TOL = 1e-9
 
 
 class _IntegerGeneratorMap:
@@ -200,7 +203,6 @@ def separation_test(
     tol_same: float,
     rng_seed: int,
     *,
-    same_leaf_tol: Optional[float] = None,
     adversarial_pairs: Optional[Sequence[Tuple[tuple, tuple]]] = None,
 ) -> SeparationCertificate:
     """Sample same-leaf and distinct-leaf pairs on the sphere and certify
@@ -223,8 +225,7 @@ def separation_test(
         raise ValueError("num_pairs must be at least 1")
     rng = np.random.default_rng(rng_seed)
     exact = model.closed_form and model.mode == EXACT and gens.mode == EXACT
-    if same_leaf_tol is None:
-        same_leaf_tol = 1e-9 if model.closed_form else LEVEL_TOL
+    leaf_tol = CLOSED_FORM_LEAF_TOL if model.closed_form else LEVEL_TOL
     integer_map = _IntegerGeneratorMap(gens.generators) if exact else None
     draw = rational_sphere_batch if exact else (lambda d, n, g: sample_sphere_many(n, d, g))
 
@@ -279,7 +280,7 @@ def separation_test(
 
     if adversarial_pairs:
         ps, qs = [p for p, _ in adversarial_pairs], [q for _, q in adversarial_pairs]
-        same, proxy = model.leaf_pairs(ps, qs, same_leaf_tol)
+        same, proxy = model.leaf_pairs(ps, qs, leaf_tol)
         notes += ["an adversarial pair turned out to lie on one leaf; skipped"] * int(same.sum())
         keep = np.flatnonzero(~same).tolist()
         record_distinct([ps[i] for i in keep], [qs[i] for i in keep], proxy[keep])
@@ -293,7 +294,7 @@ def separation_test(
         # a batch holds no more pairs than can still be accepted or attempted
         batch = draw(model.ambient_dim, 2 * min(num_pairs - sampled, max_attempts - attempts), rng)
         ps, qs = batch[0::2], batch[1::2]
-        same, proxy = model.leaf_pairs(ps, qs, same_leaf_tol)
+        same, proxy = model.leaf_pairs(ps, qs, leaf_tol)
         keep = np.flatnonzero(~same)
         attempts += len(same)
         sampled += len(keep)

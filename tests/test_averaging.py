@@ -28,7 +28,7 @@ from leafavg.cli import _CONFIG_DIR, load_config
 from leafavg.cli import main as cli_main
 from leafavg.models import LevelSetSampler
 
-from util import random_homogeneous
+from util import euler_apply, random_homogeneous
 
 
 def P(text, dim, mode=EXACT):
@@ -57,9 +57,12 @@ def test_weighted_exponent_patterns():
     assert weighted_exponent_patterns([2], 3) == []
 
 
-def test_generator_products_skips_empty_pattern():
+def test_generator_products_empty_pattern_only_at_degree_zero():
+    # the empty product is the constant 1: basic, and of degree 0 only
     gens = [P("x1^2 + x2^2", 2)]
-    assert generator_products(gens, 0) == []
+    assert generator_products(gens, 0) == [((0,), P("1", 2))]
+    assert generator_products([g.to_float() for g in gens], 0) == [((0,), P("1", 2).to_float())]
+    assert generator_products([], 0) == []
     products = generator_products(gens, 4)
     assert len(products) == 1
     assert products[0][0] == (2,)
@@ -136,7 +139,6 @@ def test_kernel_element_contracts(c4_model):
 def test_radial_derivation_commutes_with_averaging(b3_model, t2_model):
     # averaging a homogeneous f commutes with the radial derivation, and
     # both sides collapse to degree * [f]
-    from leafavg import euler_apply
     rng = np.random.default_rng(41)
     for model in (b3_model, t2_model):
         degree = int(rng.integers(1, 6))
@@ -205,9 +207,10 @@ def test_fit_certificate_residuals_reasonable(iso_g2_model):
         assert value < 0.05, name
 
 
-def test_fit_condition_cap(iso_g2_model):
-    with pytest.raises(IllConditionedFit):
-        average(iso_g2_model, P("x1^2", 4), seed=14, mc_samples=50_000, cond_cap=1.0)
+def test_fit_condition_cap(iso_g2_model, monkeypatch):
+    monkeypatch.setattr(averaging, "COND_CAP", 1.0)
+    with pytest.raises(IllConditionedFit, match="above cap 1.0e"):
+        average(iso_g2_model, P("x1^2", 4), seed=14, mc_samples=50_000)
 
 
 def test_structured_fit_coefficients(iso_g2_model):
@@ -342,7 +345,7 @@ def _reference_certificate_fit(model, f, seed, probe, sample_points, mc_samples)
     from two raw estimator passes."""
     import math
     from leafavg import Polynomial, sphere_inner
-    from leafavg.averaging import COND_CAP, _FitContext
+    from leafavg.averaging import _FitContext
     degree = f.homogeneous_degree()
     f = f.to_float()
     probe = cycle_probe(f) if probe is None else probe.to_float()
@@ -350,16 +353,16 @@ def _reference_certificate_fit(model, f, seed, probe, sample_points, mc_samples)
     with_lap = degree >= 2 and not lap_f.is_zero
     ctx = _FitContext(model, degree, seed, sample_points, mc_samples)
     responses, _ = ctx.responses(f, probe, *([lap_f] if with_lap else []))
-    avg, _, _ = ctx.fit(responses[0], degree, COND_CAP)
+    avg, _, _ = ctx.fit(responses[0], degree)
     if with_lap:
-        lap_avg, _, _ = ctx.fit(responses[2], degree - 2, COND_CAP)
+        lap_avg, _, _ = ctx.fit(responses[2], degree - 2)
     else:
         lap_avg = Polynomial.zero(model.ambient_dim, FLOAT)
-    probe_avg, _, _ = ctx.fit(responses[1], probe.homogeneous_degree(), COND_CAP)
+    probe_avg, _, _ = ctx.fit(responses[1], probe.homogeneous_degree())
     avg_values = avg.eval_many(ctx.sampler.points)
     again, _ = ctx.sampler.leaf_average_values(np.stack([avg_values, avg_values ** 2]), ctx.levels)
     e1, e2 = again[:, :8]
-    avg_again, _, _ = ctx.fit(again[0], degree, COND_CAP)
+    avg_again, _, _ = ctx.fit(again[0], degree)
     return avg, {
         "idempotence": sphere_norm(avg_again - avg),
         "leaf_constancy": math.sqrt(max([0.0, *(e2 - e1 * e1).tolist()])),
@@ -542,8 +545,8 @@ def test_reused_cloud_matches_fresh_cloud(monkeypatch):
 
 
 def test_dropped_model_is_freed_without_collection():
-    # a kept cloud holds its model weakly, so a model dies with its last
-    # reference and takes its clouds along, with no collector pass
+    # a kept cloud holds no reference to its model, so a model dies with its
+    # last reference and takes its clouds along, with no collector pass
     gc.collect()
     gc.disable()
     try:
@@ -551,11 +554,10 @@ def test_dropped_model_is_freed_without_collection():
         average(model, P("x1^2", 4), seed=5, sample_points=24, mc_samples=5_000)
         assert model in averaging._CLOUDS
         cloud = averaging._CLOUDS[model][(5, 5_000)]
-        assert cloud.model is model
         dead = weakref.ref(model)
         del model
         assert dead() is None
-        assert cloud.model is None
+        assert cloud.points.shape == (5_000, 4)
     finally:
         gc.enable()
 

@@ -576,8 +576,13 @@ def test_selftest_passes(tmp_path):
     assert main(["selftest", "--out", str(tmp_path)]) == 0
 
 
-def test_selftest_absurd_rank_tolerance_exits_2(tmp_path):
-    assert main(["selftest", "--tol-rank", "100", "--out", str(tmp_path)]) == 2
+def test_selftest_absurd_rank_tolerance_exits_2(tmp_path, monkeypatch):
+    monkeypatch.setattr("leafavg.cli.SELFTEST_TOL_RANK", 100.0)
+    assert main(["selftest", "--out", str(tmp_path)]) == 2
+    report = json.loads((tmp_path / "selftest_report.json").read_text())
+    assert report["tol_rank"] == 100.0
+    assert [name for name, status in report["results"].items() if status != "ok"] == \
+        ["iso_g2_degree2_rank"]
 
 
 def test_generators_rejects_rank_tolerance_flag(tmp_path, capsys):
@@ -676,9 +681,12 @@ def test_negative_tolerance_names_its_key(tmp_path, capsys, task, model, params)
     assert f"error: {key} must be at least 0" in capsys.readouterr().err
 
 
-def test_negative_rank_tolerance_flag_is_error(tmp_path, capsys):
-    assert main(["selftest", "--tol-rank", "-1", "--out", str(tmp_path)]) == 1
-    assert capsys.readouterr().err.startswith("error: --tol-rank must be at least 0")
+def test_selftest_rejects_rank_tolerance_flag(tmp_path, capsys):
+    # selftest's rank tolerance is fixed, so no value of the flag is read
+    for value in ("0.05", "-1"):
+        assert main(["selftest", "--tol-rank", value, "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "--tol-rank" in err
     assert not (tmp_path / "selftest_report.json").exists()
 
 
@@ -691,6 +699,23 @@ def bundled_config(tmp_path, name="b2", **params) -> Path:
     data["params"].update(params)
     data["params"] = {k: v for k, v in data["params"].items() if v is not None}
     return write_config(tmp_path / "run.json", data)
+
+
+@pytest.mark.parametrize("f", ["1", "0"])
+def test_avg_of_a_constant_passes(tmp_path, f):
+    # a constant is basic: on iso_g2 its structured fit is the empty
+    # generator product, the constant 1; exact models average it in closed form
+    for name in ("iso_g2", "b2", "b3", "c4", "hopf", "t2_full", "circle12"):
+        out = tmp_path / name
+        assert main(["avg", "--config", str(bundled_config(tmp_path, name, f=f)),
+                     "--out", str(out)]) == 0
+        payload = json.loads((out / "avg_certificate.json").read_text())
+        assert payload["passed"] is True
+        if name == "iso_g2":
+            assert payload["structured"]["patterns"] == [[0, 0]]
+            assert payload["structured"]["residual_rms"] < 1e-12
+        else:
+            assert payload["average"] == f
 
 
 def test_avg_past_float_range_passes(tmp_path):

@@ -25,7 +25,6 @@ from leafavg import (
     group_closure,
     parse_polynomial,
     radius_squared,
-    sample_sphere,
     validate_munzner,
 )
 from leafavg import models
@@ -40,6 +39,7 @@ from util import (
     exact_polys,
     fraction_rotation_mate,
     random_homogeneous,
+    sample_sphere,
 )
 
 
@@ -833,7 +833,7 @@ def _full_scan_leaf_average(sampler, values, level, min_ess):
     """The estimator before windowing: the weights, the sums and the
     jackknife of one level run over all N samples.  Returns the full-length
     weights, the estimates and the SEs of each row."""
-    h, n = sampler.model.h, sampler.count
+    h, n = sampler.h, sampler.count
     u = (sampler.level_values - level) / h
     w = sampler.grad_norms * np.where(np.abs(u) < 1.0, 1.0 - u * u, 0.0)
     sw = float(w.sum())

@@ -16,7 +16,6 @@ from leafavg import (
     PolynomialParseError,
     DimensionMismatch,
     ScalarModeMismatch,
-    euler_apply,
     format_polynomial,
     monomial_basis,
     parse_polynomial,
@@ -28,7 +27,7 @@ from leafavg import (
 )
 from leafavg.models import sample_sphere_many
 
-from util import exact_polys, random_homogeneous
+from util import euler_apply, exact_polys, random_homogeneous
 
 
 def P(text, dim, mode=EXACT):

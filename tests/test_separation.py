@@ -30,6 +30,7 @@ from leafavg import (
     rho_eval,
     separation_test,
 )
+from leafavg import separation
 from leafavg.cli import _CONFIG_DIR, _generators_for_task, load_config
 from leafavg.exactlinalg import integer_left_kernel
 from leafavg.models import LEVEL_TOL, PointBatch, _mat_vec, sample_sphere_many
@@ -49,6 +50,16 @@ def make_gens(dim, texts):
         degree_cap=max(p.homogeneous_degree() for p in polys),
         dims_by_degree={}, provenance={"source": "test"},
     )
+
+
+@pytest.fixture
+def set_same_leaf_tol(monkeypatch):
+    """A setter of the same-leaf tolerance of distinct-pair sampling on
+    every model: both constants that ``separation_test`` reads."""
+    def set_to(tol):
+        monkeypatch.setattr(separation, "CLOSED_FORM_LEAF_TOL", tol)
+        monkeypatch.setattr(separation, "LEVEL_TOL", tol)
+    return set_to
 
 
 @pytest.fixture(scope="module")
@@ -249,10 +260,11 @@ def test_separation_isoparametric_without_symmetry():
     assert cert.verdict == "pass"
 
 
-def test_separation_insufficient_distinct_pairs(t2_model):
+def test_separation_insufficient_distinct_pairs(t2_model, set_same_leaf_tol):
     gens = make_gens(4, ["x1^2 + x2^2"])
+    set_same_leaf_tol(1e6)
     with pytest.raises(InsufficientDistinctPairs):
-        separation_test(t2_model, gens, 10, 1e-9, 106, same_leaf_tol=1e6)
+        separation_test(t2_model, gens, 10, 1e-9, 106)
 
 
 def test_certificate_serialization(hopf_model, hopf_gens):
@@ -534,7 +546,7 @@ def test_separation_matches_point_at_a_time_reference(bundled_runs, name, seed_k
 
 
 @pytest.mark.parametrize("name", BUNDLED_CONFIGS)
-def test_separation_matches_reference_across_batches(bundled_runs, name):
+def test_separation_matches_reference_across_batches(bundled_runs, name, set_same_leaf_tol):
     # a loose same-leaf tolerance rejects many candidates, so the distinct
     # pairs come from several batches: one point drawn too many in a batch
     # moves every later pair
@@ -542,7 +554,8 @@ def test_separation_matches_reference_across_batches(bundled_runs, name):
     expected, attempts = _reference_separation_test(model, gens, 150, params["tol_same"], seed,
                                                     same_leaf_tol=0.3)
     assert attempts > 150
-    got = separation_test(model, gens, 150, params["tol_same"], seed, same_leaf_tol=0.3)
+    set_same_leaf_tol(0.3)
+    got = separation_test(model, gens, 150, params["tol_same"], seed)
     assert json.dumps(got.to_dict(), sort_keys=True) == json.dumps(expected, sort_keys=True)
 
 
@@ -589,12 +602,13 @@ def test_adversarial_point_off_the_sphere_raises(bundled_runs):
         separation_test(model, gens, 20, 1e-9, seed, adversarial_pairs=pairs)
 
 
-def test_separation_gives_up_where_the_reference_does(t2_model):
+def test_separation_gives_up_where_the_reference_does(t2_model, set_same_leaf_tol):
     gens = make_gens(4, ["x1^2 + x2^2"])
     with pytest.raises(InsufficientDistinctPairs) as expected:
         _reference_separation_test(t2_model, gens, 10, 1e-9, 106, same_leaf_tol=0.9)
+    set_same_leaf_tol(0.9)
     with pytest.raises(InsufficientDistinctPairs) as got:
-        separation_test(t2_model, gens, 10, 1e-9, 106, same_leaf_tol=0.9)
+        separation_test(t2_model, gens, 10, 1e-9, 106)
     assert str(got.value) == str(expected.value)
 
 
@@ -654,11 +668,14 @@ def _outcome(run):
 
 @pytest.mark.parametrize("same_leaf_tol", [None, 0.3])
 @pytest.mark.parametrize("name", sorted(LOCAL_MODELS))
-def test_separation_matches_reference_off_the_bundled_paths(local_runs, name, same_leaf_tol):
+def test_separation_matches_reference_off_the_bundled_paths(local_runs, name, same_leaf_tol,
+                                                           set_same_leaf_tol):
     model, gens = local_runs[name]
     expected = _outcome(lambda: _reference_separation_test(
         model, gens, 120, 1e-9, 7, same_leaf_tol=same_leaf_tol)[0])
-    got = _outcome(lambda: separation_test(model, gens, 120, 1e-9, 7, same_leaf_tol=same_leaf_tol))
+    if same_leaf_tol is not None:
+        set_same_leaf_tol(same_leaf_tol)
+    got = _outcome(lambda: separation_test(model, gens, 120, 1e-9, 7))
     assert got == expected
     if same_leaf_tol is None:
         assert json.loads(got)["verdict"] == "pass"

@@ -11,7 +11,7 @@ from leafavg import EXACT, FLOAT, Polynomial, basic_subspace, monomial_basis
 from leafavg.averaging import generator_products
 from leafavg.basic_ring import gram_schmidt_polys, project_residual
 from leafavg.exactlinalg import primitive_integer_row, rref
-from leafavg.models import PointBatch, compose_with_matrix
+from leafavg.models import PointBatch, compose_with_matrix, sample_sphere_many
 from leafavg.polynomials import sphere_norm
 
 
@@ -39,6 +39,18 @@ def exact_polys(draw, dim=2, max_degree=3):
         if coeff:
             terms[expo] = terms.get(expo, 0) + coeff
     return Polynomial(dim, {e: c for e, c in terms.items() if c != 0})
+
+
+def sample_sphere(ambient_dim, seed):
+    """One uniform sphere point, deterministic in the seed."""
+    return sample_sphere_many(1, ambient_dim, np.random.default_rng(seed))[0]
+
+
+def euler_apply(p):
+    """Radial derivation ``sum_i x_i * d p / d x_i`` (degree times p on
+    homogeneous input, computed through the actual derivatives)."""
+    return sum((Polynomial.variable(p.ambient_dim, i, p.mode) * p.partial(i)
+                for i in range(p.ambient_dim)), Polynomial.zero(p.ambient_dim, p.mode))
 
 
 def fraction_rotation_mate(model, p, rng):

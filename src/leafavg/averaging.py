@@ -490,7 +490,7 @@ def average_structured(
         poly = poly + basis_poly.scale(float(c))
     return StructuredAverageResult(
         polynomial=poly,
-        coefficients=[float(c) for c in coeffs],
+        coefficients=[float(c) + 0.0 for c in coeffs],  # + 0.0: no -0.0 for a zero
         patterns=[pattern for pattern, _ in products],
         residual_rms=rms,
         unstructured_residual_rms=mono_rms,

@@ -423,19 +423,29 @@ def _det_identity_minus_tg(matrix) -> List[Fraction]:
     return [Fraction(c, den ** k) for k, c in enumerate(coeffs)]
 
 
-def _signed_det(perm: Sequence[int], signs: Sequence[int]) -> Tuple[int, ...]:
-    """det(I - t*g) of the signed permutation ``g x = (s_i x_(perm_i))_i`` in
-    ints: the product over its cycles c of ``1 - e_c t^|c|``, with ``e_c`` the
-    product of the signs on c."""
-    poly, seen = [1] + [0] * len(perm), set()
-    for i in range(len(perm)):
-        length, sign = 0, 1
-        while i not in seen:
-            seen.add(i)
-            length, sign, i = length + 1, sign * signs[i], perm[i]
-        if length:
-            poly = [c - sign * poly[k - length] if k >= length else c for k, c in enumerate(poly)]
-    return tuple(poly)
+def _det_counts(model: FiniteGroupModel) -> Counter:
+    """det(I - t*g) of every element as coefficients in t, counted: for a signed
+    permutation the product over its cycles c of ``1 - e_c t^|c|`` (``e_c`` the
+    product of the signs on c), each permutation's cycles found once; for any
+    other element Faddeev-LeVerrier."""
+    table, counts, d = model._signed_table(), Counter(), model.ambient_dim
+    for image, masks in table.pullbacks:
+        # its cycles as row masks are its inverse's, which image reads off 0..d-1
+        inverse, cycles = image(tuple(range(d))), set()
+        for i in range(d):
+            cycle, j = 1 << i, inverse[i]
+            while j != i:
+                cycle, j = cycle | 1 << j, inverse[j]
+            cycles.add(cycle)
+        for odds, count in Counter(tuple((m & c).bit_count() & 1 for c in cycles)
+                                   for m in masks).items():
+            poly = [1] + [0] * d
+            for c, odd in zip(cycles, odds):
+                n = c.bit_count()
+                poly = [x - (-1) ** odd * poly[k - n] if k >= n else x for k, x in enumerate(poly)]
+            counts[tuple(poly)] += count
+    counts.update(tuple(_det_identity_minus_tg(g)) for g in table.others)
+    return counts
 
 
 def _series_invert(poly: Sequence[Fraction], max_degree: int) -> List[Fraction]:
@@ -454,29 +464,21 @@ def molien_dimensions(model: FiniteGroupModel, max_degree: int) -> List[int]:
 
     Expands ``(1/|G|) sum_g 1/det(I - t g)`` with exact rational series
     arithmetic; the classical independent oracle for ``dim B_d``.  A signed
-    permutation's ``det(I - t g)`` is read off its cycle type, any other
-    element's comes from Faddeev-LeVerrier; each distinct one is inverted
-    once and weighted by its count.
+    permutation's ``det(I - t g)`` is read off its cycles and their signs,
+    any other element's comes from Faddeev-LeVerrier (:func:`_det_counts`);
+    each distinct one is inverted once and weighted by its count.
     """
     if not isinstance(model, FiniteGroupModel):
         raise TypeError("the Molien series is defined for finite groups")
     if model.mode != EXACT:
         raise ScalarModeMismatch("Molien series needs exact rational matrix entries")
-    table = model._signed_table()
-    counts = Counter(map(_signed_det, table.perms.tolist(), table.signs.tolist()))
-    counts.update(tuple(_det_identity_minus_tg(g)) for g in table.others)
     total = [Fraction(0)] * (max_degree + 1)
-    for det, count in counts.items():
-        inv = _series_invert(det, max_degree)
-        for i in range(max_degree + 1):
-            total[i] += count * inv[i]
-    dims = []
-    for value in total:
-        value = value / model.order
-        if value.denominator != 1:
-            raise RuntimeError(f"non-integer Molien coefficient {value}")
-        dims.append(int(value))
-    return dims
+    for det, count in _det_counts(model).items():
+        total = [t + count * c for t, c in zip(total, _series_invert(det, max_degree))]
+    dims = [value / model.order for value in total]
+    if bad := [value for value in dims if value.denominator != 1]:
+        raise RuntimeError(f"non-integer Molien coefficient {bad[0]}")
+    return [int(value) for value in dims]
 
 
 # -- generator sets -----------------------------------------------------------

@@ -294,25 +294,23 @@ def compose_with_matrix(f: Polynomial, matrix) -> Polynomial:
 def _signed_permutation(matrix):
     """``(perm, signs)`` with ``matrix[i][perm[i]] = signs[i]`` in {1, -1} and
     every other entry zero, or None for any other matrix."""
-    perm = []
-    signs = []
-    for row in matrix:
-        nz = [(j, c) for j, c in enumerate(row) if c != 0]
-        if len(nz) != 1 or nz[0][1] not in (1, -1):
-            return None
-        perm.append(nz[0][0])
-        signs.append(int(nz[0][1]))
-    if len(set(perm)) != len(perm):
+    entries = [[(j, c) for j, c in enumerate(row) if c != 0] for row in matrix]
+    if any(len(nz) != 1 or nz[0][1] not in (1, -1) for nz in entries):
         return None
-    return tuple(perm), tuple(signs)
+    perm = tuple(nz[0][0] for nz in entries)
+    return (perm, tuple(int(nz[0][1]) for nz in entries)) if len(set(perm)) == len(perm) else None
 
 
 class _SignedTable(NamedTuple):
-    """A finite group's signed-permutation elements, and the rest."""
+    """A finite group's signed-permutation elements, and the rest; exponents
+    move through the permutation alone, so ``pullbacks`` has one per permutation."""
 
     perms: np.ndarray  # (n, d) ints: row i of element k is nonzero in column perms[k, i]
     signs: np.ndarray  # (n, d) ints: that entry, 1 or -1
-    pullbacks: list  # per element: (exponent map e -> e', bit mask of its negative rows)
+    # per permutation, in order of first appearance: (exponent map e -> e',
+    # the bit mask of the negative rows of each element that has it)
+    pullbacks: list
+    sign_sums: dict  # odd-exponent mask -> per pullback, the sum of its elements' signs
     others: tuple  # the elements that are not signed permutations
     # with others in exact mode: every element k as integers[0][k] / integers[1][k]
     integers: Optional[Tuple[np.ndarray, np.ndarray]]
@@ -332,9 +330,10 @@ class FiniteGroupModel:
     first use, a table of its elements that are signed permutations: an
     index array of the permutations and an int array of their signs, one
     row per element, read off the ``(perm, signs)`` tuples the closure ran
-    on when every generator is one.  ``invariant_rows`` reads the signed
-    orbit sum of a monomial off it as permuted exponent vectors and signs,
-    with no polynomial per element.
+    on when every generator is one; then those tuples are all it keeps, and
+    ``elements`` (the ``Fraction`` matrices) is built on first read.
+    ``invariant_rows`` reads a monomial's signed orbit sum off the table, one
+    image per distinct permutation (24 for B4's 384 elements).
     When the table holds every element, orbit distances take the orbit of a
     point as ``float(p)[perm] * sign``; negating and moving a float are
     exact, so each image is the float of the exact image.  The mates of an
@@ -350,54 +349,66 @@ class FiniteGroupModel:
     def __init__(self, ambient_dim: int, elements, generators, mode: str, name: str = "",
                  signed=None):
         self.ambient_dim = ambient_dim
-        self.elements = tuple(elements)
+        if elements is not None:
+            self.elements = tuple(elements)
         self.generators = tuple(generators)
         self.mode = mode
-        self.name = name or f"finite_group(dim={ambient_dim}, order={len(self.elements)})"
         self._table = None
         # (perm, signs) of every element when the closure ran on them
         self._signed = signed
+        self.name = name or f"finite_group(dim={ambient_dim}, order={self.order})"
+
+    @cached_property
+    def elements(self) -> tuple:
+        one = {1: Fraction(1), -1: Fraction(-1), 0: Fraction(0)}
+        return tuple(tuple(tuple(one[s if j == p else 0] for j in range(self.ambient_dim))
+                           for p, s in zip(*key)) for key in self._signed)
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self._signed if self._signed is not None else self.elements)
 
     def describe(self) -> str:
         return self.name
 
     def _signed_table(self) -> _SignedTable:
         if self._table is None:
-            found = self._signed or [
-                _signed_permutation(g) if self.mode == EXACT else None for g in self.elements
-            ]
+            found, others = self._signed, ()
+            if found is None:
+                found = [_signed_permutation(g) if self.mode == EXACT else None
+                         for g in self.elements]
+                others = tuple(g for g, pair in zip(self.elements, found) if pair is None)
             pairs = [pair for pair in found if pair is not None]
             shape = (len(pairs), self.ambient_dim)
             perms = np.array([perm for perm, _ in pairs], dtype=np.intp).reshape(shape)
             signs = np.array([sign for _, sign in pairs], dtype=np.int64).reshape(shape)
             # x^e pulls back to sign * x^e' with e'[perm_i] = e_i, so e' reads
             # e through the inverse permutation
-            pullbacks = [
-                (itemgetter(*inverse) if len(inverse) > 1 else tuple,
-                 sum(1 << i for i, s in enumerate(sign) if s < 0))
-                for inverse, (_, sign) in zip(np.argsort(perms, axis=1).tolist(), pairs)
-            ]
-            others = tuple(g for g, pair in zip(self.elements, found) if pair is None)
+            negated: Dict[tuple, list] = {}
+            for inverse, sign in zip(map(tuple, np.argsort(perms, axis=1).tolist()), signs.tolist()):
+                negated.setdefault(inverse, []).append(sum(1 << i for i, s in enumerate(sign) if s < 0))
+            pullbacks = [(itemgetter(*inverse) if len(inverse) > 1 else tuple, masks)
+                         for inverse, masks in negated.items()]
             integers = None
             if others and self.mode == EXACT:
                 integers = tuple(np.array(part, dtype=object)
                                  for part in zip(*map(_integer_matrix, self.elements)))
-            self._table = _SignedTable(perms, signs, pullbacks, others, integers)
+            self._table = _SignedTable(perms, signs, pullbacks, {}, others, integers)
         return self._table
 
     def _signed_orbit_sum(self, expo: Tuple[int, ...]) -> Dict[Tuple[int, ...], int]:
         """``sum_g (x^expo)(g x)`` over the signed permutations as integer counts
         per monomial, with every image of ``expo`` a key (also a zero count)."""
+        table = self._signed_table()
         odd = sum(1 << i for i, e in enumerate(expo) if e & 1)
+        if odd not in table.sign_sums:
+            # an element's sign is the product of s_i over the odd exponents e_i
+            table.sign_sums[odd] = [len(masks) - 2 * sum((odd & m).bit_count() & 1 for m in masks)
+                                    for _, masks in table.pullbacks]
         counts: Dict[Tuple[int, ...], int] = {}
-        for image, negated in self._signed_table().pullbacks:
+        for (image, _), total in zip(table.pullbacks, table.sign_sums[odd]):
             key = image(expo)
-            # the sign is the product of s_i over the odd exponents e_i
-            counts[key] = counts.get(key, 0) + (-1 if (odd & negated).bit_count() & 1 else 1)
+            counts[key] = counts.get(key, 0) + total
         return counts
 
     def invariant_rows(self, monomials: Sequence[Tuple[int, ...]]) -> List[dict]:
@@ -578,16 +589,11 @@ def group_closure(
         # (perm, signs) tuples: row i of ``a g`` is nonzero in column
         # perm_g[perm_a[i]], with sign signs_a[i] * signs_g[perm_a[i]]
         start, factors = (tuple(range(ambient_dim)), (1,) * ambient_dim), signed
-        entries = {1: Fraction(1), -1: Fraction(-1), 0: Fraction(0)}
 
         def multiply(a, g):
             (perm, signs), (factor_perm, factor_signs) = a, g
             return (tuple(factor_perm[j] for j in perm),
                     tuple(s * factor_signs[j] for s, j in zip(signs, perm)))
-
-        def element(key):
-            return tuple(tuple(entries[s if j == p else 0] for j in range(ambient_dim))
-                         for p, s in zip(*key))
     elif mode == EXACT:
         # integer matrices over one denominator, in lowest terms, so that
         # equal elements have equal keys
@@ -617,8 +623,9 @@ def group_closure(
             keys.append(key)
             if len(keys) > max_group_size:
                 raise GroupTooLarge(f"group closure exceeded {max_group_size} elements")
-    return FiniteGroupModel(ambient_dim, map(element, keys) if element else keys, gens, mode,
-                            name=name, signed=keys if None not in signed else None)
+    if None not in signed:  # the matrices are built from the keys on first read
+        return FiniteGroupModel(ambient_dim, None, gens, mode, name=name, signed=keys)
+    return FiniteGroupModel(ambient_dim, map(element, keys) if element else keys, gens, mode, name=name)
 
 
 # -- torus actions -----------------------------------------------------------

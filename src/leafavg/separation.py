@@ -10,7 +10,6 @@ separated, and the certificate records the margin between the two regimes.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -357,8 +356,9 @@ def quotient_image_export(
 
     images = [p.to_float().eval_rows(points)[:, None] for p in gens.generators]
     table = np.hstack([points, *images, model.leaf_labels(points)])
+    # the bytes of csv.writer: every name is a plain identifier and every
+    # float its repr, so nothing is quoted
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        writer.writerows(table.tolist())  # str of a float is its repr
+        handle.write(",".join(header) + "\r\n")
+        handle.writelines(",".join(map(repr, row)) + "\r\n" for row in table.tolist())
     return int(points.shape[0])

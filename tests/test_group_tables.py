@@ -1,11 +1,14 @@
 """Signed-permutation groups kept as permutation tables: the closure order
-against the integer-matrix reference, and the cycle-type Molien factors
-against Faddeev-LeVerrier.  F4 (order 1152, B4 and a reflection that is not
+against the integer-matrix reference, the orbit sums and Molien factors read
+per distinct permutation against per-element references, the cycle-type
+Molien factors against Faddeev-LeVerrier, and the element matrices built
+only when read.  F4 (order 1152, B4 and a reflection that is not
 a signed permutation): its basic slices from the generator equations against
 Molien, the generation and identity checks, and the per-element average."""
 
 import json
 import time
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -19,15 +22,16 @@ from leafavg import (
     discover_generators,
     group_closure,
     molien_dimensions,
+    monomial_basis,
     parse_polynomial,
     verify_generation,
     verify_operator_identities,
 )
-from leafavg import models
-from leafavg.basic_ring import _det_identity_minus_tg, _signed_det
+from leafavg import cli, models
+from leafavg.basic_ring import _det_counts, _det_identity_minus_tg
 from leafavg.cli import _CONFIG_DIR, load_config, main
 
-from util import _reference_average, integer_matrix_closure
+from util import _reference_average, element_orbit_sum, integer_matrix_closure, signed_det
 
 B4_CONFIG = Path(__file__).resolve().parents[1] / "perfbench" / "configs" / "b4_cap8.json"
 # the signed permutation groups, each closed on (perm, signs) tuples
@@ -38,7 +42,13 @@ SIGNED = {
     # plain int entries, with a 3-cycle and a sign on the fixed coordinate
     "int_generators": lambda: group_closure([[[0, 1, 0], [0, 0, 1], [1, 0, 0]],
                                              [[1, 0, 0], [0, 1, 0], [0, 0, -1]]]),
+    # C4 wr C2 (order 32): a quarter turn of the (x1, x2) plane and the swap
+    # of the two planes; its 8 permutations come with 4 different sign sets
+    "mixed_signs": lambda: group_closure([[[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+                                          [[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]]]),
 }
+# the degree cap of each group's orbit-sum check: its config's D, else 5
+CAPS = {"b2": 4, "b3": 6, "c4": 4, "b4": 8, "int_generators": 5, "mixed_signs": 5}
 # F4: B4 and the reflection I - J/2 in (1, 1, 1, 1)
 HALF_REFLECTION = [[Fraction(1, 2) if i == j else Fraction(-1, 2) for j in range(4)]
                    for i in range(4)]
@@ -102,7 +112,47 @@ def test_cycle_type_det_matches_faddeev_leverrier(signed_groups, name):
     model = signed_groups[name]
     table = model._signed_table()
     for g, perm, signs in zip(model.elements, table.perms.tolist(), table.signs.tolist()):
-        assert _signed_det(perm, signs) == tuple(_det_identity_minus_tg(g))
+        assert signed_det(perm, signs) == tuple(_det_identity_minus_tg(g))
+
+
+@pytest.mark.parametrize("name", sorted(SIGNED))
+def test_orbit_sums_per_permutation_match_the_per_element_sums(signed_groups, name):
+    """Same counts, same key order and the same zero-count keys as one
+    element at a time, at every degree up to the group's cap."""
+    model = signed_groups[name]
+    zeros = 0
+    for degree in range(CAPS[name] + 1):
+        for expo in monomial_basis(model.ambient_dim, degree):
+            counts = model._signed_orbit_sum(expo)
+            assert list(counts.items()) == list(element_orbit_sum(model, expo).items())
+            zeros += list(counts.values()).count(0)
+    assert zeros  # some orbit sum keeps an image whose signs cancel
+
+
+def test_mixed_signs_group_has_permutations_with_different_sign_sets(signed_groups):
+    pullbacks = signed_groups["mixed_signs"]._signed_table().pullbacks
+    assert len({frozenset(masks) for _, masks in pullbacks}) == 4
+    assert len(pullbacks) == 8 and signed_groups["mixed_signs"].order == 32
+
+
+@pytest.mark.parametrize("name", sorted(SIGNED))
+def test_molien_factor_counts_match_the_per_element_dets(signed_groups, name):
+    model = signed_groups[name]
+    table = model._signed_table()
+    assert _det_counts(model) == Counter(map(signed_det, table.perms.tolist(),
+                                             table.signs.tolist()))
+
+
+def test_generators_task_leaves_the_element_matrices_unbuilt(tmp_path):
+    config = load_config(B4_CONFIG)
+    model = config.build_model()
+    assert cli.task_generators(config, model, config.params["seed"], tmp_path) == 0
+    assert "elements" not in vars(model)
+    assert model.elements == integer_matrix_closure(model.generators)
+    # an unnamed closure's default name, its order and its table read only the keys
+    unnamed = group_closure(model.generators)
+    assert unnamed.name == "finite_group(dim=4, order=384)" and unnamed.order == 384
+    assert not unnamed._signed_table().others and "elements" not in vars(unnamed)
 
 
 def test_f4_molien_mixes_both_paths(f4):

@@ -100,6 +100,38 @@ def integer_matrix_closure(generators):
     return tuple(tuple(tuple(Fraction(x, den) for x in row) for row in rows) for rows, den in keys)
 
 
+def element_orbit_sum(model, expo):
+    """``sum_g (x^expo)(g x)`` over a signed-permutation group, one element
+    matrix at a time: ``(g x)_i = s_i x_(perm_i)`` takes ``x^expo`` to
+    ``prod_i s_i^expo_i x_(perm_i)^expo_i``.  Counts per image in order of
+    first appearance, zero counts kept: the reference for
+    ``FiniteGroupModel._signed_orbit_sum``."""
+    counts = {}
+    for g in model.elements:
+        image, sign = [0] * len(expo), 1
+        for i, row in enumerate(g):
+            (j, s), = [(j, s) for j, s in enumerate(row) if s]
+            image[j], sign = expo[i], sign * int(s) ** expo[i]
+        counts[tuple(image)] = counts.get(tuple(image), 0) + sign
+    return counts
+
+
+def signed_det(perm, signs):
+    """det(I - t*g) of the signed permutation ``g x = (s_i x_(perm_i))_i`` in
+    ints, one element at a time: the product over its cycles c of
+    ``1 - e_c t^|c|``, with ``e_c`` the product of the signs on c.  The
+    reference for the Molien factor counts of ``basic_ring._det_counts``."""
+    poly, seen = [1] + [0] * len(perm), set()
+    for i in range(len(perm)):
+        length, sign = 0, 1
+        while i not in seen:
+            seen.add(i)
+            length, sign, i = length + 1, sign * signs[i], perm[i]
+        if length:
+            poly = [c - sign * poly[k - length] if k >= length else c for k, c in enumerate(poly)]
+    return tuple(poly)
+
+
 def unblocked_eval_many(poly, points):
     """``Polynomial.eval_many`` on every row at once, with full-length power
     tables: the reference for the blocked evaluator."""

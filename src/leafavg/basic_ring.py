@@ -171,15 +171,28 @@ def _float_remainders(gram: np.ndarray, rows: np.ndarray,
     return rows, [float(np.sqrt(max(row @ gram @ row, 0.0))) for row in rows]
 
 
-def _remainders(basis: "SubspaceBasis", products: Sequence[Polynomial]) -> Tuple[list, List[float]]:
+def _columns(basis: "SubspaceBasis", polys: Sequence[Polynomial]) -> tuple:
+    """The exact slice's support, then any term of ``polys`` outside it in
+    graded-lex order (a dropped term would read as 0 in ``MomentGram.row``):
+    a support row is padded with zeros to them."""
+    outside = {e for p in polys for e in p._nums}.difference(basis.monomials)
+    return basis.monomials + tuple(sorted(outside, key=grlex_key))
+
+
+def _remainders(basis: "SubspaceBasis", products: Sequence[Polynomial]) -> Tuple[list, List[float], object]:
     """Each basis vector of the slice minus its sphere-orthogonal projection
-    onto the span of ``products`` (of the slice's degree), with its sphere
-    norm: ``(row, den)`` pairs for an exact slice, float coefficient rows else."""
+    onto the span of ``products`` (of the slice's degree), its sphere norm,
+    and the Gram matrix of the rows' columns: ``(row, den)`` pairs for an
+    exact slice, float coefficient rows else."""
     if basis.mode == FLOAT:
-        return _float_remainders(basis.gram, basis.rows, _coefficient_rows(products, basis.monomials))
-    products_span = _ExactSpan(basis.span.gram, products)
-    rows = [products_span.remainder(row, den) for row, den, _, _ in basis.span.basis]
-    return rows, [products_span.norm(row, den) for row, den in rows]
+        return (*_float_remainders(basis.gram, basis.rows, _coefficient_rows(products, basis.monomials)),
+                basis.gram)
+    columns = _columns(basis, products)
+    pad = [0] * (len(columns) - len(basis.monomials))
+    gram = MomentGram(basis.ambient_dim, columns) if pad else basis.span.gram
+    products_span = _ExactSpan(gram, products)
+    rows = [products_span.remainder(row + pad, den) for row, den, _, _ in basis.span.basis]
+    return rows, [products_span.norm(row, den) for row, den in rows], gram
 
 
 def _covers(basis: "SubspaceBasis", products: Sequence[Polynomial]) -> bool:
@@ -190,9 +203,10 @@ def _covers(basis: "SubspaceBasis", products: Sequence[Polynomial]) -> bool:
     if len(products) < basis.rank:
         return False
     # each product's numerators: its denominator does not change the rank
-    reduced, _ = _integer_rref([[p._nums.get(e, 0) for e in basis.monomials] for p in products])
-    rank = len(reduced)
-    return rank >= basis.rank and len(_integer_rref(reduced + basis.echelon)[0]) == rank
+    columns = _columns(basis, products)
+    reduced, _ = _integer_rref([[p._nums.get(e, 0) for e in columns] for p in products])
+    rank, pad = len(reduced), [0] * (len(columns) - len(basis.monomials))
+    return rank >= basis.rank and len(_integer_rref(reduced + [r + pad for r in basis.echelon])[0]) == rank
 
 
 @dataclass
@@ -200,11 +214,12 @@ class SubspaceBasis:
     """A basis of the basic slice in one degree, kept in one form.
 
     An exact slice is its ``echelon``, primitive integer multiples of the
-    reduced row echelon rows over ``monomials``.  Its integer ``span`` (those
-    rows orthogonalized in order: sphere-orthogonal, not normalized) is built
-    on first read and kept.  A float slice is ``rows``, coefficient vectors over
-    ``monomials`` orthonormal under the float moment Gram matrix ``gram``,
-    with the singular values of the rank decision.
+    reduced row echelon rows over ``monomials``: its support, the monomials
+    its rows touch, in graded-lex order.  Its integer ``span`` (those rows
+    orthogonalized in order: sphere-orthogonal, not normalized) is built on
+    first read and kept.  A float slice is ``rows``, coefficient vectors over
+    ``monomials``, every monomial of the degree, orthonormal under the float
+    moment Gram matrix ``gram``, with the singular values of the rank decision.
     """
 
     degree: int
@@ -219,6 +234,10 @@ class SubspaceBasis:
     @property
     def rank(self) -> int:
         return len(self.rows if self.mode == FLOAT else self.echelon)
+
+    @cached_property
+    def classes(self) -> frozenset:  # the exponent parity classes of the support
+        return frozenset(tuple(x & 1 for x in e) for e in self.monomials)
 
     @cached_property
     def span(self) -> _ExactSpan:
@@ -328,12 +347,13 @@ def basic_subspace(
 
     A closed-form model's slice is spanned by its ``invariant_rows``.  In
     exact mode they are row reduced in integers (canonical for the span, with
-    exact rank) once per model and degree, and orthogonalized on the first
-    read of the slice's ``span``.  A fitted model's slice is spanned by the
-    leaf averages of every monomial of the degree, which the statistical
-    engine fits (with the model's bandwidth ``h``, the effective-sample-size
-    guard and condition cap of :func:`average`).  Float rows are
-    orthonormalized with a tolerance-based rank and a singular-value audit.
+    exact rank) over the monomials they touch, once per model and degree, and
+    orthogonalized on the first read of the slice's ``span``.  A fitted
+    model's slice is spanned by the leaf averages of every monomial of the
+    degree, which the statistical engine fits (with the model's bandwidth
+    ``h``, the effective-sample-size guard and condition cap of
+    :func:`average`).  Float rows are orthonormalized with a tolerance-based
+    rank and a singular-value audit.
     """
     if degree < 1:
         raise ValueError("degree must be at least 1")
@@ -343,12 +363,14 @@ def basic_subspace(
     monomials = tuple(monomial_basis(model.ambient_dim, degree))
 
     if model.closed_form:
-        rows = [[row.get(e, 0) for e in monomials] for row in model.invariant_rows(monomials)]
+        rows = model.invariant_rows(monomials)
         if model.mode == EXACT:
-            echelon, _ = _integer_rref([primitive_integer_row(row) for row in rows])
-            slices[degree] = SubspaceBasis(degree, EXACT, model.ambient_dim, monomials, echelon=echelon)
+            support = tuple(sorted({e for row in rows for e, x in row.items() if x}, key=grlex_key))
+            echelon, _ = _integer_rref([primitive_integer_row([r.get(e, 0) for e in support]) for r in rows])
+            slices[degree] = SubspaceBasis(degree, EXACT, model.ambient_dim, support, echelon=echelon)
             return slices[degree]
-        matrix = np.array(rows, dtype=float).reshape(len(rows), len(monomials))
+        matrix = np.array([[row.get(e, 0) for e in monomials] for row in rows],
+                          dtype=float).reshape(len(rows), len(monomials))
     else:
         ctx = _FitContext(model, degree, seed, sample_points, mc_samples)
         estimates, _ = ctx.responses(*(
@@ -363,28 +385,41 @@ def basic_subspace(
                          singular_values=list(map(float, sing)))
 
 
+def _projection(basis: SubspaceBasis, nums: dict, den: int) -> Tuple[dict, int]:
+    """``p = nums / den`` of the exact slice's degree projected onto it, as
+    ``sum_b <p, b> / <b, b> b`` over its span, in numerators over a
+    denominator.  A term in a parity class absent from the support pairs to
+    0, so a part of such terms alone reads no span; a term on the support
+    pairs through the span's ``G b``, any other through its moments."""
+    nums = {e: n for e, n in nums.items() if tuple(x & 1 for x in e) in basis.classes}
+    if not nums:
+        return {}, 1
+    row = [nums.pop(e, 0) for e in basis.monomials]  # the terms left in nums are off the support
+    cross = basis.span.gram.cross(nums)
+    # s = <p, b> den gram.den for each b, as <b, b> = n / gram.den
+    pairs = [(sum(map(mul, row, gb)) + sum(map(mul, cross, b)), n, b) for b, _, gb, n in basis.span.basis]
+    common, out = math.lcm(*(n for s, n, _ in pairs if s)), [0] * len(row)
+    for k, b in [(s * (common // n), b) for s, n, b in pairs if s]:
+        out = [x + k * y for x, y in zip(out, b)]
+    return {e: x for e, x in zip(basis.monomials, out) if x}, den * common
+
+
 def basic_projection(model, f: Polynomial) -> Polynomial:
     """The leaf average of ``f`` on an exact closed-form model, as the
     sphere-orthogonal projection onto the basic polynomials: the constant
-    part of ``f`` is kept, and each degree-``d`` part ``p`` becomes ``p``
-    minus its remainder on the cached exact slice ``B_d`` (0 when ``B_d``
-    is 0, without building its span).  Terms come in descending graded-lex
-    order; float input gives float coefficients."""
+    part of ``f`` is kept, and each degree-``d`` part goes onto the cached
+    exact slice ``B_d`` (:func:`_projection`), read only in the parity classes
+    of its support.  Terms come in descending graded-lex order; float input
+    gives float coefficients."""
     exact, result = f.to_exact(), Polynomial._trusted(model.ambient_dim, {}, 1, EXACT)
     parts: Dict[int, dict] = {}
     for expo, n in exact._nums.items():
         parts.setdefault(sum(expo), {})[expo] = n
     for d in sorted(parts):  # each part goes before the lower degrees: descending order
-        part = Polynomial._trusted(model.ambient_dim, parts[d], exact._den, EXACT)
+        nums, den = parts[d], exact._den
         if d:
-            basis = basic_subspace(model, d)
-            if not basis.rank:
-                continue
-            gram = basis.span.gram
-            row, den = gram.row(part)
-            rest, rest_den = basis.span.remainder(row, den)
-            part = gram.poly([x * rest_den - y * den for x, y in zip(row, rest)], den * rest_den)
-        result = part + result
+            nums, den = _projection(basic_subspace(model, d), nums, den)
+        result = Polynomial._trusted(model.ambient_dim, nums, den, EXACT) + result
     return result.to_float() if f.mode == FLOAT else result
 
 
@@ -394,14 +429,8 @@ def _degree_slices(model, cap: int, seed: int, tol_rank: float,
     draws its statistical estimates from the seed ``SeedSequence([seed, d])``."""
     for d in range(1, cap + 1):
         degree_seed = int(np.random.SeedSequence([seed, d]).generate_state(1)[0])
-        yield d, basic_subspace(
-            model,
-            d,
-            tol_rank=tol_rank,
-            seed=degree_seed,
-            sample_points=sample_points,
-            mc_samples=mc_samples,
-        )
+        yield d, basic_subspace(model, d, tol_rank=tol_rank, seed=degree_seed,
+                                sample_points=sample_points, mc_samples=mc_samples)
 
 
 # -- Molien oracle ------------------------------------------------------------
@@ -521,13 +550,12 @@ class GeneratorSet:
         }
 
 
-def _sparsify_exact(remainders: Sequence[tuple], basis: SubspaceBasis) -> List[Polynomial]:
+def _sparsify_exact(remainders: Sequence[tuple], gram: MomentGram) -> List[Polynomial]:
     """Primitive integer rows, leading entry positive, of the RREF of the span
-    of the ``(row, den)`` remainders, which is canonical for the span (zero
-    rows drop out)."""
-    reduced, pivots = _integer_rref([primitive_integer_row(row) for row, _ in remainders])
-    return [basis.span.gram.poly(row if row[c] > 0 else [-x for x in row], 1)
-            for row, c in zip(reduced, pivots)]
+    of the ``(row, den)`` remainders over ``gram``'s monomials, which is
+    canonical for the span (zero rows drop out)."""
+    reduced, _ = _integer_rref([primitive_integer_row(row) for row, _ in remainders])
+    return [gram.poly(row, 1) for row in reduced]
 
 
 def _sparsify_float(remainders: np.ndarray, basis: SubspaceBasis, tol_rank: float) -> List[Polynomial]:
@@ -578,10 +606,9 @@ def discover_generators(
         products = [p for _, p in generator_products(generators, d)]
         if exact and _covers(basis, products):
             new_polys = []
-        elif exact:
-            new_polys = _sparsify_exact(_remainders(basis, products)[0], basis)
         else:
-            new_polys = _sparsify_float(_remainders(basis, products)[0], basis, tol_rank)
+            rows, _, gram = _remainders(basis, products)
+            new_polys = _sparsify_exact(rows, gram) if exact else _sparsify_float(rows, basis, tol_rank)
 
         built[d] = products + new_polys
         generators += new_polys

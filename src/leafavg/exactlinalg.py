@@ -30,11 +30,11 @@ def rref(rows: Sequence[Sequence[Fraction]]) -> Tuple[List[List[Fraction]], List
 def _integer_rref(mat: List[List[int]]) -> Tuple[List[List[int]], List[int]]:
     """Fraction-free Gauss-Jordan elimination of integer rows, in place.
 
-    Returns the nonzero rows, each a primitive integer multiple of its reduced
-    row echelon row, and the pivot column indices.  A row is eliminated as
-    ``a * row - b * pivot_row``, with ``a / b`` the pivot over the row's entry
-    in lowest terms, and the result is divided by its content, so every row
-    stays primitive (cf. Bareiss, Math. Comp. 22, 1968).
+    Returns the nonzero rows, each the primitive positive integer multiple of
+    its reduced row echelon row, and the pivot column indices.  A row is
+    eliminated as ``a * row - b * pivot_row``, with ``a / b`` the pivot over
+    the row's entry in lowest terms, and the result is divided by its content,
+    so every row stays primitive (cf. Bareiss, Math. Comp. 22, 1968).
     """
     if not mat:
         return [], []
@@ -60,7 +60,7 @@ def _integer_rref(mat: List[List[int]]) -> Tuple[List[List[int]], List[int]]:
         r += 1
         if r == len(mat):
             break
-    return mat[:r], pivots
+    return [row if row[c] > 0 else [-x for x in row] for row, c in zip(mat, pivots)], pivots
 
 
 def over_lcm(values) -> Tuple[List[int], int]:

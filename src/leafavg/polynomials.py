@@ -472,25 +472,28 @@ class MomentGram:
     Entry ``(a, b)`` is the moment of ``x^(a+b)`` times ``den``, the moment
     denominator of the top degree, which every lower one divides.  A moment
     vanishes unless every exponent of ``a + b`` is even, so only the dense
-    block of each exponent parity class is stored.
+    block of each exponent parity class is stored; ``classes`` maps each
+    class to its monomials' indices.
     """
 
     def __init__(self, ambient_dim: int, monomials: Sequence[tuple]):
         self.ambient_dim = ambient_dim
         self.monomials = tuple(monomials)
         self.den = _moment_denominator(ambient_dim, max(map(sum, self.monomials), default=0))
-        classes: Dict[tuple, List[int]] = {}
+        self.classes: Dict[tuple, List[int]] = {}
         for i, e in enumerate(self.monomials):
-            classes.setdefault(tuple(x & 1 for x in e), []).append(i)
+            self.classes.setdefault(tuple(x & 1 for x in e), []).append(i)
         self.blocks = []
-        for idx in classes.values():
+        for idx in self.classes.values():
             block = [[0] * len(idx) for _ in idx]
             for r, i in enumerate(idx):
                 for c in range(r, len(idx)):
-                    expo = tuple(map(add, self.monomials[i], self.monomials[idx[c]]))
-                    block[r][c] = block[c][r] = _moment_numerator(expo) * (
-                        self.den // _moment_denominator(ambient_dim, sum(expo) // 2))
+                    block[r][c] = block[c][r] = self._entry(self.monomials[i], self.monomials[idx[c]])
             self.blocks.append((idx, block))
+
+    def _entry(self, a: tuple, b: tuple) -> int:
+        expo = tuple(map(add, a, b))
+        return _moment_numerator(expo) * (self.den // _moment_denominator(self.ambient_dim, sum(expo) // 2))
 
     def apply(self, row: Sequence[int]) -> List[int]:
         """The integer row ``G row``."""
@@ -500,6 +503,15 @@ class MomentGram:
             if any(part):
                 for i, entries in zip(idx, block):
                     out[i] = sum(map(mul, entries, part))
+        return out
+
+    def cross(self, nums: dict) -> List[int]:
+        """``G`` applied to numerators over monomials of the top degree, which need
+        not be among the monomials, read on the monomials of their parity classes."""
+        out = [0] * len(self.monomials)
+        for e, n in nums.items():
+            for i in self.classes.get(tuple(x & 1 for x in e), ()):
+                out[i] += n * self._entry(self.monomials[i], e)
         return out
 
     def row(self, p: Polynomial) -> Tuple[List[int], int]:

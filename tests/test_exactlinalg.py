@@ -92,11 +92,12 @@ def test_rref_matches_fraction_elimination(rows):
 @given(rational_matrices())
 def test_integer_rref_rows_are_primitive(rows):
     # every row the elimination keeps is divided by its content, so its
-    # entries are as small as its reduced echelon row allows
+    # entries are as small as its reduced echelon row allows, and its pivot
+    # entry is positive
     ints, pivots = _integer_rref([primitive_integer_row(row) for row in rows])
     assert len(ints) == len(pivots)
     for row, c in zip(ints, pivots):
-        assert math.gcd(*row) == 1
+        assert math.gcd(*row) == 1 and row[c] > 0
         assert [x for i, x in enumerate(row) if i in pivots and i != c] == [0] * (len(pivots) - 1)
 
 

@@ -252,11 +252,24 @@ def gram_schmidt_discovery(model, cap):
     for d in range(1, cap + 1):
         basis, rests = _slice_remainders(model, generators, d)
         dims[d] = basis.rank
-        reduced, _ = rref([[r.coefficient(e) for e in basis.monomials] for r in rests])
+        monomials = monomial_basis(model.ambient_dim, d)  # every monomial, not the slice's support
+        reduced, _ = rref([[r.coefficient(e) for e in monomials] for r in rests])
         for row in reduced:
-            generators.append(Polynomial(model.ambient_dim, dict(zip(basis.monomials, primitive_integer_row(row)))))
+            generators.append(Polynomial(model.ambient_dim, dict(zip(monomials, primitive_integer_row(row)))))
             degrees.append(d)
     return generators, degrees, dims
+
+
+def dense_slice(model, degree):
+    """The exact slice over every monomial of the degree: the model's
+    ``invariant_rows`` in Fraction rref over all the columns, then
+    orthogonalized in order.  The reference for ``basic_subspace``, whose
+    slices live on the monomials their rows touch; returns the rank and the
+    orthogonal polynomials."""
+    monomials = monomial_basis(model.ambient_dim, degree)
+    reduced, _ = rref([[row.get(e, 0) for e in monomials] for row in model.invariant_rows(monomials)])
+    polys = [Polynomial(model.ambient_dim, dict(zip(monomials, row))) for row in reduced]
+    return len(reduced), gram_schmidt_polys(polys)[0]
 
 
 def gram_schmidt_residuals(model, generators, max_degree):

@@ -236,10 +236,6 @@ class SubspaceBasis:
         return len(self.rows if self.mode == FLOAT else self.echelon)
 
     @cached_property
-    def classes(self) -> frozenset:  # the exponent parity classes of the support
-        return frozenset(tuple(x & 1 for x in e) for e in self.monomials)
-
-    @cached_property
     def span(self) -> _ExactSpan:
         span = _ExactSpan(MomentGram(self.ambient_dim, self.monomials))
         for row in self.echelon:
@@ -388,16 +384,17 @@ def basic_subspace(
 def _projection(basis: SubspaceBasis, nums: dict, den: int) -> Tuple[dict, int]:
     """``p = nums / den`` of the exact slice's degree projected onto it, as
     ``sum_b <p, b> / <b, b> b`` over its span, in numerators over a
-    denominator.  A term in a parity class absent from the support pairs to
-    0, so a part of such terms alone reads no span; a term on the support
-    pairs through the span's ``G b``, any other through its moments."""
-    nums = {e: n for e, n in nums.items() if tuple(x & 1 for x in e) in basis.classes}
-    if not nums:
+    denominator.  Terms off the support are dropped: the slice is the image of
+    the average ``P`` of an orthogonal group or torus, an orthogonal projection
+    in the sphere pairing and in the Fischer pairing ``[x^a, x^b] = a! delta_ab``
+    (both invariant under orthogonal maps), so ``P(x^e)`` has coefficient
+    ``[P x^e, x^e] / e! = |P x^e|^2 / e!`` at ``x^e``.  Off the support that is
+    0, so ``P(x^e) = 0`` and ``<x^e, b> = <P x^e, b> = 0`` for each ``b``."""
+    row = [nums.get(e, 0) for e in basis.monomials]
+    if not any(row):
         return {}, 1
-    row = [nums.pop(e, 0) for e in basis.monomials]  # the terms left in nums are off the support
-    cross = basis.span.gram.cross(nums)
     # s = <p, b> den gram.den for each b, as <b, b> = n / gram.den
-    pairs = [(sum(map(mul, row, gb)) + sum(map(mul, cross, b)), n, b) for b, _, gb, n in basis.span.basis]
+    pairs = [(sum(map(mul, row, gb)), n, b) for b, _, gb, n in basis.span.basis]
     common, out = math.lcm(*(n for s, n, _ in pairs if s)), [0] * len(row)
     for k, b in [(s * (common // n), b) for s, n, b in pairs if s]:
         out = [x + k * y for x, y in zip(out, b)]
@@ -408,9 +405,9 @@ def basic_projection(model, f: Polynomial) -> Polynomial:
     """The leaf average of ``f`` on an exact closed-form model, as the
     sphere-orthogonal projection onto the basic polynomials: the constant
     part of ``f`` is kept, and each degree-``d`` part goes onto the cached
-    exact slice ``B_d`` (:func:`_projection`), read only in the parity classes
-    of its support.  Terms come in descending graded-lex order; float input
-    gives float coefficients."""
+    exact slice ``B_d`` (:func:`_projection`), read only on its support.
+    Terms come in descending graded-lex order; float input gives float
+    coefficients."""
     exact, result = f.to_exact(), Polynomial._trusted(model.ambient_dim, {}, 1, EXACT)
     parts: Dict[int, dict] = {}
     for expo, n in exact._nums.items():
@@ -491,20 +488,21 @@ def _series_invert(poly: Sequence[Fraction], max_degree: int) -> List[Fraction]:
 def molien_dimensions(model: FiniteGroupModel, max_degree: int) -> List[int]:
     """Dimensions of the degree-``d`` invariants, ``d = 0..max_degree``.
 
-    Expands ``(1/|G|) sum_g 1/det(I - t g)`` with exact rational series
-    arithmetic; the classical independent oracle for ``dim B_d``.  A signed
+    Expands ``(1/|G|) sum_g 1/det(I - t g)`` with exact series arithmetic;
+    the classical independent oracle for ``dim B_d``.  A signed
     permutation's ``det(I - t g)`` is read off its cycles and their signs,
     any other element's comes from Faddeev-LeVerrier (:func:`_det_counts`);
-    each distinct one is inverted once and weighted by its count.
+    each distinct one is inverted once and weighted by its count, in ints
+    until a Faddeev-LeVerrier factor or the division by ``|G|``.
     """
     if not isinstance(model, FiniteGroupModel):
         raise TypeError("the Molien series is defined for finite groups")
     if model.mode != EXACT:
         raise ScalarModeMismatch("Molien series needs exact rational matrix entries")
-    total = [Fraction(0)] * (max_degree + 1)
+    total = [0] * (max_degree + 1)
     for det, count in _det_counts(model).items():
         total = [t + count * c for t, c in zip(total, _series_invert(det, max_degree))]
-    dims = [value / model.order for value in total]
+    dims = [Fraction(value) / model.order for value in total]
     if bad := [value for value in dims if value.denominator != 1]:
         raise RuntimeError(f"non-integer Molien coefficient {bad[0]}")
     return [int(value) for value in dims]

@@ -72,15 +72,16 @@ def over_lcm(values) -> Tuple[List[int], int]:
     return [x.numerator * (den // x.denominator) if den > 1 else x.numerator for x in values], den
 
 
-def primitive_integer_row(row: Sequence[Fraction]) -> List[int]:
-    """Scale a rational row to coprime integers with positive leading entry."""
-    ints, _ = over_lcm(x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row)
-    g = math.gcd(*ints)
-    if g > 1:
-        ints = [v // g for v in ints]
-    if next((v for v in ints if v), 0) < 0:
-        ints = [-v for v in ints]
-    return ints
+def primitive_integer_row(row: Sequence) -> List[int]:
+    """Scale a row to coprime integers with positive leading entry.  An int
+    row is divided by its content and sign; any other is first cleared to
+    integers over the lcm of its denominators."""
+    if not all(type(x) is int for x in row):
+        row, _ = over_lcm(map(Fraction, row))
+    g = math.gcd(*row)
+    if next((v for v in row if v), 0) < 0:
+        g = -g
+    return [v // g for v in row] if g not in (0, 1) else list(row)
 
 
 def integer_left_kernel(matrix: Sequence[Sequence[int]]) -> List[List[int]]:

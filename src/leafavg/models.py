@@ -38,6 +38,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial, reduce
+from itertools import compress
 from operator import itemgetter, mul
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -266,8 +267,15 @@ def compose_with_matrix(f: Polynomial, matrix) -> Polynomial:
 
     An exact ``M = A / den`` pulls back in integers: with ``D`` the top degree
     of ``f``, the term ``n x^e`` becomes ``n den^(D - |e|) prod_i (A_i x)^e_i``
-    and the sum is over ``f``'s denominator times ``den^D``."""
+    and the sum is over ``f``'s denominator times ``den^D``.  A signed
+    permutation, ``(M x)_i = s_i x_(perm_i)``, relabels each term in place:
+    ``x^e`` becomes ``(prod_i s_i^e_i) x^e'`` with ``e'[perm_i] = e_i``."""
     dim = f.ambient_dim
+    if (key := _signed_permutation(matrix)) is not None:  # e' reads e through the inverse of perm
+        image = itemgetter(*sorted(range(dim), key=lambda i: abs(key[i]))) if dim > 1 else tuple
+        negative = [k < 0 for k in key]
+        return Polynomial._trusted(dim, {image(e): -n if sum(compress(e, negative)) & 1 else n
+                                         for e, n in f._nums.items()}, f._den, f.mode)
     matrix, den = _integer_matrix(matrix) if f.mode == EXACT else (matrix, 1)
     rows = [
         Polynomial(dim, {tuple(int(k == j) for k in range(dim)): c
@@ -292,13 +300,14 @@ def compose_with_matrix(f: Polynomial, matrix) -> Polynomial:
 
 
 def _signed_permutation(matrix):
-    """``(perm, signs)`` with ``matrix[i][perm[i]] = signs[i]`` in {1, -1} and
-    every other entry zero, or None for any other matrix."""
+    """The key ``k_i = s_i (perm_i + 1)`` of a signed permutation matrix,
+    ``matrix[i][perm[i]] = s_i`` in {1, -1} and every other entry zero (so
+    orthogonal), or None for any other matrix."""
     entries = [[(j, c) for j, c in enumerate(row) if c != 0] for row in matrix]
     if any(len(nz) != 1 or nz[0][1] not in (1, -1) for nz in entries):
         return None
-    perm = tuple(nz[0][0] for nz in entries)
-    return (perm, tuple(int(nz[0][1]) for nz in entries)) if len(set(perm)) == len(perm) else None
+    key = tuple((nz[0][0] + 1) * int(nz[0][1]) for nz in entries)
+    return key if len(set(map(abs, key))) == len(key) else None
 
 
 class _SignedTable(NamedTuple):
@@ -329,8 +338,8 @@ class FiniteGroupModel:
     ``(g x)_i = s_i x_{perm_i}``.  An exact-mode model builds, once and on
     first use, a table of its elements that are signed permutations: an
     index array of the permutations and an int array of their signs, one
-    row per element, read off the ``(perm, signs)`` tuples the closure ran
-    on when every generator is one; then those tuples are all it keeps, and
+    row per element, read off the keys ``k_i = s_i (perm_i + 1)`` the closure
+    ran on when every generator is one; then those keys are all it keeps, and
     ``elements`` (the ``Fraction`` matrices) is built on first read.
     ``invariant_rows`` reads a monomial's signed orbit sum off the table, one
     image per distinct permutation (24 for B4's 384 elements).
@@ -354,15 +363,16 @@ class FiniteGroupModel:
         self.generators = tuple(generators)
         self.mode = mode
         self._table = None
-        # (perm, signs) of every element when the closure ran on them
+        # the key of every element when the closure ran on them
         self._signed = signed
         self.name = name or f"finite_group(dim={ambient_dim}, order={self.order})"
 
     @cached_property
     def elements(self) -> tuple:
-        one = {1: Fraction(1), -1: Fraction(-1), 0: Fraction(0)}
-        return tuple(tuple(tuple(one[s if j == p else 0] for j in range(self.ambient_dim))
-                           for p, s in zip(*key)) for key in self._signed)
+        n, zero = self.ambient_dim, Fraction(0)  # row k: the sign of k in column |k| - 1
+        rows = {k: tuple(Fraction(k // abs(k)) if j == abs(k) - 1 else zero for j in range(n))
+                for k in range(-n, n + 1) if k}
+        return tuple(tuple(map(rows.__getitem__, key)) for key in self._signed)
 
     @property
     def order(self) -> int:
@@ -373,20 +383,19 @@ class FiniteGroupModel:
 
     def _signed_table(self) -> _SignedTable:
         if self._table is None:
-            found, others = self._signed, ()
+            found, others, d = self._signed, (), self.ambient_dim
             if found is None:
                 found = [_signed_permutation(g) if self.mode == EXACT else None
                          for g in self.elements]
-                others = tuple(g for g, pair in zip(self.elements, found) if pair is None)
-            pairs = [pair for pair in found if pair is not None]
-            shape = (len(pairs), self.ambient_dim)
-            perms = np.array([perm for perm, _ in pairs], dtype=np.intp).reshape(shape)
-            signs = np.array([sign for _, sign in pairs], dtype=np.int64).reshape(shape)
+                others = tuple(g for g, key in zip(self.elements, found) if key is None)
+            keys = np.array([key for key in found if key is not None], dtype=np.int64).reshape(-1, d)
+            perms, signs = (np.abs(keys) - 1).astype(np.intp), np.sign(keys)
+            masks = (keys < 0) @ np.array([1 << i for i in range(d)], dtype=_int_dtype(1 << d))
             # x^e pulls back to sign * x^e' with e'[perm_i] = e_i, so e' reads
             # e through the inverse permutation
             negated: Dict[tuple, list] = {}
-            for inverse, sign in zip(map(tuple, np.argsort(perms, axis=1).tolist()), signs.tolist()):
-                negated.setdefault(inverse, []).append(sum(1 << i for i, s in enumerate(sign) if s < 0))
+            for inverse, mask in zip(map(tuple, np.argsort(perms, axis=1).tolist()), masks.tolist()):
+                negated.setdefault(inverse, []).append(mask)
             pullbacks = [(itemgetter(*inverse) if len(inverse) > 1 else tuple, masks)
                          for inverse, masks in negated.items()]
             integers = None
@@ -566,8 +575,8 @@ def group_closure(
 ) -> FiniteGroupModel:
     """Close a generator list under products into a :class:`FiniteGroupModel`.
 
-    Breadth-first and deterministic, on ``(perm, signs)`` tuples when every
-    exact generator is a signed permutation.  Raises :class:`NonOrthogonalGenerator`
+    Breadth-first and deterministic, on keys (:func:`_signed_permutation`)
+    when every exact generator is a signed permutation.  Raises :class:`NonOrthogonalGenerator`
     for a bad generator and :class:`GroupTooLarge` when the closure exceeds
     ``max_group_size`` (the signature of an infinite or huge group).
     """
@@ -580,20 +589,19 @@ def group_closure(
     if mode is None:
         mode = _infer_mode(generators)
     gens = [_as_matrix(g, ambient_dim, mode) for g in generators]
-    for g in gens:
-        if not _is_orthogonal(g, mode, MATRIX_TOL):
+    signed = [_signed_permutation(g) if mode == EXACT else None for g in gens]
+    for g, key in zip(gens, signed):
+        if key is None and not _is_orthogonal(g, mode, MATRIX_TOL):
             raise NonOrthogonalGenerator(f"generator is not orthogonal within {MATRIX_TOL}")
 
-    signed = [_signed_permutation(g) for g in gens] if mode == EXACT else [None]
     if None not in signed:
-        # (perm, signs) tuples: row i of ``a g`` is nonzero in column
-        # perm_g[perm_a[i]], with sign signs_a[i] * signs_g[perm_a[i]]
-        start, factors = (tuple(range(ambient_dim)), (1,) * ambient_dim), signed
+        # row i of ``a g`` is row |k| - 1 of g times the sign of k = a_i: a
+        # table whose entry k (negative k from the end) is that row's key
+        start = tuple(range(1, ambient_dim + 1))
+        factors = [(0, *key, *(-k for k in reversed(key))) for key in signed]
 
-        def multiply(a, g):
-            (perm, signs), (factor_perm, factor_signs) = a, g
-            return (tuple(factor_perm[j] for j in perm),
-                    tuple(s * factor_signs[j] for s, j in zip(signs, perm)))
+        def multiply(a, table):
+            return tuple(map(table.__getitem__, a))
     elif mode == EXACT:
         # integer matrices over one denominator, in lowest terms, so that
         # equal elements have equal keys

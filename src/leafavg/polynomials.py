@@ -472,19 +472,18 @@ class MomentGram:
     Entry ``(a, b)`` is the moment of ``x^(a+b)`` times ``den``, the moment
     denominator of the top degree, which every lower one divides.  A moment
     vanishes unless every exponent of ``a + b`` is even, so only the dense
-    block of each exponent parity class is stored; ``classes`` maps each
-    class to its monomials' indices.
+    block of each exponent parity class is stored, with its monomials' indices.
     """
 
     def __init__(self, ambient_dim: int, monomials: Sequence[tuple]):
         self.ambient_dim = ambient_dim
         self.monomials = tuple(monomials)
         self.den = _moment_denominator(ambient_dim, max(map(sum, self.monomials), default=0))
-        self.classes: Dict[tuple, List[int]] = {}
+        classes: Dict[tuple, List[int]] = {}
         for i, e in enumerate(self.monomials):
-            self.classes.setdefault(tuple(x & 1 for x in e), []).append(i)
+            classes.setdefault(tuple(x & 1 for x in e), []).append(i)
         self.blocks = []
-        for idx in self.classes.values():
+        for idx in classes.values():
             block = [[0] * len(idx) for _ in idx]
             for r, i in enumerate(idx):
                 for c in range(r, len(idx)):
@@ -503,15 +502,6 @@ class MomentGram:
             if any(part):
                 for i, entries in zip(idx, block):
                     out[i] = sum(map(mul, entries, part))
-        return out
-
-    def cross(self, nums: dict) -> List[int]:
-        """``G`` applied to numerators over monomials of the top degree, which need
-        not be among the monomials, read on the monomials of their parity classes."""
-        out = [0] * len(self.monomials)
-        for e, n in nums.items():
-            for i in self.classes.get(tuple(x & 1 for x in e), ()):
-                out[i] += n * self._entry(self.monomials[i], e)
         return out
 
     def row(self, p: Polynomial) -> Tuple[List[int], int]:

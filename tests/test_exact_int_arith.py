@@ -3,9 +3,10 @@
 ``Polynomial`` keeps exact coefficients as Python-int numerators over one
 reduced denominator.  Hypothesis draws exact polynomials with rational
 coefficients, shared keys and cancelling sums, and every ring operation, the
-pullback by ``compose_with_matrix`` (with F4's reflection ``I - J/2``) and the
-sphere pairing must equal the ``Fraction`` reference in ``util``: the same
-values, ``Fraction`` values from ``.terms``, and the same term order.  Float
+pullback by ``compose_with_matrix`` (with F4's reflection ``I - J/2``, and
+random signed permutations, whose terms are relabelled) and the sphere
+pairing must equal the ``Fraction`` reference in ``util``: the same values,
+``Fraction`` values from ``.terms``, and the same term order.  Float
 polynomials run through the same reference loops and must match bit for bit.
 """
 
@@ -103,6 +104,26 @@ def test_compose_with_matrix_matches_the_reference(matrix, a):
     p, a = _poly(a, dim=4)
     fractions = [[Fraction(x) for x in row] for row in matrix]
     _check(compose_with_matrix(p, matrix), ref_compose(a, fractions, 4))
+    p, a = _poly(a, dim=4, mode=FLOAT)
+    floats = [[float(x) for x in row] for row in matrix]
+    _check(compose_with_matrix(p, floats), ref_compose(a, floats, 4, 1.0), FLOAT)
+
+
+@st.composite
+def signed_permutations(draw, dim=4):
+    """A signed permutation matrix, ``(M x)_i = s_i x_(perm_i)``, with every
+    sign -1 or with random signs."""
+    perm = draw(st.permutations(range(dim)))
+    signs = draw(st.just([-1] * dim) | st.lists(st.sampled_from((1, -1)), min_size=dim, max_size=dim))
+    return [[signs[i] if j == perm[i] else 0 for j in range(dim)] for i in range(dim)]
+
+
+@SETTINGS
+@given(a=term_dicts(dim=4, max_exp=3, max_terms=8), matrix=signed_permutations())
+def test_signed_permutation_pullback_matches_the_reference(a, matrix):
+    # the relabelled terms: the expansion's values and order, exact and float
+    p, a = _poly(a, dim=4)
+    _check(compose_with_matrix(p, matrix), ref_compose(a, [[Fraction(x) for x in row] for row in matrix], 4))
     p, a = _poly(a, dim=4, mode=FLOAT)
     floats = [[float(x) for x in row] for row in matrix]
     _check(compose_with_matrix(p, floats), ref_compose(a, floats, 4, 1.0), FLOAT)

@@ -1,12 +1,15 @@
-"""Signed-permutation groups kept as permutation tables: the closure order
-against the integer-matrix reference, the orbit sums and Molien factors read
-per distinct permutation against per-element references, the cycle-type
-Molien factors against Faddeev-LeVerrier, and the element matrices built
-only when read.  F4 (order 1152, B4 and a reflection that is not
-a signed permutation): its basic slices from the generator equations against
-Molien, the generation and identity checks, and the per-element average."""
+"""Signed-permutation groups kept as permutation tables: the closure on
+signed column indices against the integer-matrix reference (bundled and
+seeded random groups), the orbit sums and Molien factors read per distinct
+permutation against per-element references, the cycle-type Molien factors
+against Faddeev-LeVerrier, the integer Molien sum against a ``Fraction``
+sum, and the element matrices built only when read.  F4 (order 1152, B4 and
+a reflection that is not a signed permutation): its basic slices from the
+generator equations against Molien, the generation and identity checks, and
+the per-element average."""
 
 import json
+import random
 import time
 from collections import Counter
 from fractions import Fraction
@@ -34,7 +37,7 @@ from leafavg.cli import _CONFIG_DIR, load_config, main
 from util import _reference_average, element_orbit_sum, integer_matrix_closure, signed_det
 
 B4_CONFIG = Path(__file__).resolve().parents[1] / "perfbench" / "configs" / "b4_cap8.json"
-# the signed permutation groups, each closed on (perm, signs) tuples
+# the signed permutation groups, each closed on signed column indices
 SIGNED = {
     **{name: lambda name=name: load_config(_CONFIG_DIR / f"{name}.json").build_model()
        for name in ("b2", "b3", "c4")},
@@ -78,6 +81,47 @@ def test_signed_closure_keeps_the_integer_matrix_order(signed_groups, name):
                                           for p, s in zip(perm, signs)]
 
 
+def _random_signed_groups(seed, count):
+    """``count`` groups on R^2 to R^6, each from two or three seeded random
+    signed permutations (every sign -1 in about one in six), of order 2 to
+    512: a draw outside that is drawn again."""
+    rng, groups = random.Random(seed), []
+    while len(groups) < count:
+        n, generators = 2 + len(groups) % 5, []
+        for _ in range(rng.randint(2, 3)):
+            perm = rng.sample(range(n), n)
+            signs = [-1] * n if rng.random() < 1 / 6 else [rng.choice((1, -1)) for _ in range(n)]
+            generators.append([[signs[i] if j == perm[i] else 0 for j in range(n)] for i in range(n)])
+        try:
+            model = group_closure(generators)
+        except GroupTooLarge:
+            continue
+        if model.order > 1:
+            groups.append(model)
+    return groups
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_random_signed_closures_keep_the_integer_matrix_order(seed):
+    for model in _random_signed_groups(seed, 10):
+        assert model.elements == integer_matrix_closure(model.generators)
+        table = model._signed_table()
+        assert not table.others and len(table.perms) == model.order
+        with pytest.raises(GroupTooLarge):
+            group_closure(model.generators, max_group_size=model.order - 1)
+
+
+def test_signed_generators_skip_the_orthogonality_products(monkeypatch):
+    calls = []
+    check = models._is_orthogonal
+    monkeypatch.setattr(models, "_is_orthogonal", lambda *args: calls.append(1) or check(*args))
+    generators = load_config(B4_CONFIG).build_model().generators
+    assert group_closure(generators).order == 384 and calls == []
+    # F4: only the reflection I - J/2 is checked
+    assert group_closure([*generators, HALF_REFLECTION], max_group_size=2000).order == 1152
+    assert calls == [1]
+
+
 def test_generic_closure_keeps_the_integer_matrix_order(f4):
     assert f4.order == 1152
     assert f4.elements == integer_matrix_closure(f4.generators)
@@ -91,9 +135,11 @@ def test_signed_closure_raises_at_the_same_count():
 
 
 def test_non_orthogonal_generator_fails_before_closure():
-    # a closure would exceed one element at its first product
-    with pytest.raises(NonOrthogonalGenerator):
-        group_closure([[[0, 1], [1, 0]], [[1, 1], [0, 1]]], max_group_size=1)
+    # a closure would exceed one element at its first product; the second
+    # and third have one nonzero entry per row, not +-1 or in one column
+    for generator in [[[1, 1], [0, 1]], [[2, 0], [0, 1]], [[1, 0], [1, 0]]]:
+        with pytest.raises(NonOrthogonalGenerator):
+            group_closure([[[0, 1], [1, 0]], generator], max_group_size=1)
 
 
 def test_float_signed_matrices_close_on_the_float_path(signed_groups):
@@ -141,6 +187,20 @@ def test_molien_factor_counts_match_the_per_element_dets(signed_groups, name):
     table = model._signed_table()
     assert _det_counts(model) == Counter(map(signed_det, table.perms.tolist(),
                                              table.signs.tolist()))
+
+
+@pytest.mark.parametrize("name", sorted(SIGNED))
+def test_integer_molien_sum_matches_the_fraction_sum(signed_groups, name):
+    # (1/|G|) sum_g 1/det(I - t g) over the elements one at a time, each
+    # series inverted in Fractions
+    model, cap = signed_groups[name], CAPS[name]
+    table, total = model._signed_table(), [Fraction(0)] * (cap + 1)
+    for perm, signs in zip(table.perms.tolist(), table.signs.tolist()):
+        det, inverse = signed_det(perm, signs), [Fraction(1)]
+        for k in range(1, cap + 1):
+            inverse.append(-sum(det[j] * inverse[k - j] for j in range(1, min(k, len(det) - 1) + 1)))
+        total = [t + c for t, c in zip(total, inverse)]
+    assert molien_dimensions(model, cap) == [t / model.order for t in total]
 
 
 def test_generators_task_leaves_the_element_matrices_unbuilt(tmp_path):

@@ -5,9 +5,10 @@ support.  These tests check it against references over every monomial of the
 degree: the slice itself (``util.dense_slice``), the rank cover and the
 remainders when a product leaves the support (``util.gram_schmidt_residuals``),
 and the projection of parts with terms off the support (the per-element
-pullback sum and the Gaussian-integer torus expansion).  Sphere moments vanish
-unless every exponent is even, so a part whose terms lie only in parity
-classes the support misses averages to 0 with no Gram matrix built.
+pullback sum and the Gaussian-integer torus expansion).  A monomial off the
+support averages to 0 (the Fischer-pairing argument of
+``basic_ring._projection``), so the projection drops those terms, and a part
+with none on the support averages to 0 with no Gram matrix built.
 """
 
 import dataclasses
@@ -19,6 +20,7 @@ import pytest
 from leafavg import (
     DegreeCapWarning,
     GenerationGap,
+    Polynomial,
     TorusModel,
     basic_subspace,
     discover_generators,
@@ -46,6 +48,10 @@ def _model(name):
     path, cap = CASES[name]
     config = load_config(path)
     return config.build_model(), cap or config.params["D"]
+
+
+def _parity_classes(basis):
+    return {tuple(x & 1 for x in e) for e in basis.monomials}
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -112,7 +118,7 @@ def test_projection_of_parts_off_the_support_equals_the_reference(name):
         assert list(floats.terms.items()) == list(average.to_float().terms.items())
     if name == "hopf_cap8":
         basis = basic_subspace(model, 4)
-        assert (3, 1, 0, 0) not in basis.monomials and (1, 1, 0, 0) in basis.classes  # x1^3*x2
+        assert (3, 1, 0, 0) not in basis.monomials and (1, 1, 0, 0) in _parity_classes(basis)  # x1^3*x2
 
 
 def test_torus_projection_of_mixed_parity_equals_the_gaussian_reference():
@@ -123,7 +129,8 @@ def test_torus_projection_of_mixed_parity_equals_the_gaussian_reference():
         assert model.reynolds(f) == _gaussian_fraction_reynolds(model, f)
     # the degree-15 slice lies in one parity class, which x1^3...x5^3 misses
     basis = basic_subspace(model, 15)
-    assert len(basis.classes) == 1 and (1, 1, 1, 1, 1) not in basis.classes
+    classes = _parity_classes(basis)
+    assert len(classes) == 1 and (1, 1, 1, 1, 1) not in classes
 
 
 def _count_builds(monkeypatch):
@@ -162,13 +169,15 @@ def test_parts_in_absent_classes_build_no_gram_and_repeats_no_span(monkeypatch):
         assert len(built) == count
 
 
-def test_cross_pairs_terms_off_the_monomials_as_a_wider_gram_does():
-    # G applied to terms outside a Gram table's monomials, read on them: the
-    # rows of the table widened by those terms (terms of other parity
-    # classes read 0)
-    support = tuple(monomial_basis(4, 4)[::3])
-    off = {e: n for n, e in enumerate(monomial_basis(4, 4), start=-7) if e not in support and n % 4}
-    wide = basic_ring.MomentGram(4, support + tuple(off))
-    row = wide.apply([0] * len(support) + list(off.values()))
-    assert off and any(row[:len(support)])
-    assert basic_ring.MomentGram(4, support).cross(off) == row[:len(support)]
+@pytest.mark.parametrize("name", ["b3", "b4_cap8", "hopf_cap8", "torus"])
+def test_monomials_off_the_support_average_to_zero(name):
+    # every monomial of degree up to 4 that the slice's rows do not touch,
+    # hopf_cap8's x1^3*x2 among them, averages to 0 by the reference
+    model = TorusModel(TORUS_WEIGHTS, n_fix=1) if name == "torus" else _model(name)[0]
+    reference = _gaussian_fraction_reynolds if isinstance(model, TorusModel) else _reference_average
+    off = [e for d in range(1, 5) for e in monomial_basis(model.ambient_dim, d)
+           if e not in basic_subspace(model, d).monomials]
+    assert off and (name != "hopf_cap8" or (3, 1, 0, 0) in off)
+    for e in off:
+        x = Polynomial.monomial(model.ambient_dim, e)
+        assert reference(model, x).is_zero and model.reynolds(x).is_zero, e

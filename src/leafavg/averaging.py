@@ -28,7 +28,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import BasisDeficient, IdentityViolation, IllConditionedFit
-from .models import IsoparametricModel, LevelSetSampler, PointBatch
+from .models import SAMPLE_COUNT, IsoparametricModel, LevelSetSampler, PointBatch
 from .polynomials import (
     EXACT,
     FLOAT,
@@ -277,7 +277,7 @@ class _FitContext:
         self.sample_count = max(sample_points or 0, 2 * len(self.monomials))
         self.points = model.fit_points(self.sample_count, np.random.default_rng(point_seed))
         self.levels = model.F.eval_many(self.points)
-        self.mc_samples = mc_samples or model.sample_count
+        self.mc_samples = mc_samples or SAMPLE_COUNT
         self.sampler = _full_cloud(model, seed, self.mc_samples)
         self._designs: Dict[tuple, np.ndarray] = {}
 

@@ -68,6 +68,10 @@ from .polynomials import (
 # relative sphere-norm change (to the polynomial and off the slice) accepted
 MAX_DENOMINATOR = 12
 CLEAN_TOL = 5e-2
+# the absolute singular-value cut of a float slice's rank: above the noise of
+# a fitted slice, and above the rounding of a closed-form float one
+FIT_TOL_RANK = 0.05
+FLOAT_TOL_RANK = 1e-8
 # smallest singular-value ratio across a float rank cut
 GUARD_BAND = 10.0
 # smallest share of its row's largest entry that a float pivot must reach
@@ -219,7 +223,8 @@ class SubspaceBasis:
     orthogonalized in order: sphere-orthogonal, not normalized) is built on
     first read and kept.  A float slice is ``rows``, coefficient vectors over
     ``monomials``, every monomial of the degree, orthonormal under the float
-    moment Gram matrix ``gram``, with the singular values of the rank decision.
+    moment Gram matrix ``gram``, with the singular values of the rank decision
+    and its cut ``tol_rank``.
     """
 
     degree: int
@@ -230,6 +235,7 @@ class SubspaceBasis:
     rows: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
     gram: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
     singular_values: Optional[List[float]] = None
+    tol_rank: Optional[float] = None
 
     @property
     def rank(self) -> int:
@@ -326,7 +332,7 @@ def _float_rref_rows(rows: np.ndarray) -> np.ndarray:
 # -- the basic slice ---------------------------------------------------------
 
 # an exact closed-form slice depends only on the model and the degree (not the
-# seed, tol_rank or sample sizes): kept while its model lives, read-only
+# seed or sample sizes): kept while its model lives, read-only
 _EXACT_SLICES: "weakref.WeakKeyDictionary[object, Dict[int, SubspaceBasis]]" = weakref.WeakKeyDictionary()
 
 
@@ -334,7 +340,6 @@ def basic_subspace(
     model,
     degree: int,
     *,
-    tol_rank: float = 1e-8,
     seed: int = 0,
     sample_points: Optional[int] = None,
     mc_samples: Optional[int] = None,
@@ -346,10 +351,11 @@ def basic_subspace(
     exact rank) over the monomials they touch, once per model and degree, and
     orthogonalized on the first read of the slice's ``span``.  A fitted
     model's slice is spanned by the leaf averages of every monomial of the
-    degree, which the statistical engine fits (with the model's bandwidth
-    ``h``, the effective-sample-size guard and condition cap of
-    :func:`average`).  Float rows are orthonormalized with a tolerance-based
-    rank and a singular-value audit.
+    degree, which the statistical engine fits (with the bandwidth ``h``,
+    the effective-sample-size guard and condition cap of :func:`average`).
+    Float rows are orthonormalized with a rank cut at ``FIT_TOL_RANK`` for a
+    fitted slice and ``FLOAT_TOL_RANK`` for a closed-form one, and a
+    singular-value audit.
     """
     if degree < 1:
         raise ValueError("degree must be at least 1")
@@ -375,10 +381,14 @@ def basic_subspace(
         # fitted coefficients, one column per averaged monomial
         fitted, _, _ = _scaled_lstsq(ctx.design(monomials), estimates.T)
         matrix = fitted.T
-    gram = _gram_matrix(model.ambient_dim, monomials)
+    gram, tol_rank = _gram_matrix(model.ambient_dim, monomials), _tol_rank(model)
     rows, sing = _orthonormal_rows(matrix, gram, tol_rank)
     return SubspaceBasis(degree, FLOAT, model.ambient_dim, monomials, rows=rows, gram=gram,
-                         singular_values=list(map(float, sing)))
+                         singular_values=list(map(float, sing)), tol_rank=tol_rank)
+
+
+def _tol_rank(model) -> float:
+    return FLOAT_TOL_RANK if model.closed_form else FIT_TOL_RANK
 
 
 def _projection(basis: SubspaceBasis, nums: dict, den: int) -> Tuple[dict, int]:
@@ -420,14 +430,13 @@ def basic_projection(model, f: Polynomial) -> Polynomial:
     return result.to_float() if f.mode == FLOAT else result
 
 
-def _degree_slices(model, cap: int, seed: int, tol_rank: float,
-                   sample_points: Optional[int], mc_samples: Optional[int]):
+def _degree_slices(model, cap: int, seed: int, sample_points: Optional[int], mc_samples: Optional[int]):
     """Yield ``(d, basic_subspace(model, d))`` for ``d = 1..cap``; degree ``d``
     draws its statistical estimates from the seed ``SeedSequence([seed, d])``."""
     for d in range(1, cap + 1):
         degree_seed = int(np.random.SeedSequence([seed, d]).generate_state(1)[0])
-        yield d, basic_subspace(model, d, tol_rank=tol_rank, seed=degree_seed,
-                                sample_points=sample_points, mc_samples=mc_samples)
+        yield d, basic_subspace(model, d, seed=degree_seed, sample_points=sample_points,
+                                mc_samples=mc_samples)
 
 
 # -- Molien oracle ------------------------------------------------------------
@@ -556,11 +565,11 @@ def _sparsify_exact(remainders: Sequence[tuple], gram: MomentGram) -> List[Polyn
     return [gram.poly(row, 1) for row in reduced]
 
 
-def _sparsify_float(remainders: np.ndarray, basis: SubspaceBasis, tol_rank: float) -> List[Polynomial]:
-    """Echelon representatives of the numerical span of the coefficient rows
-    ``remainders``, each replaced by its small-denominator rounding when that
-    stays close to it and to the slice."""
-    rows, _ = _orthonormal_rows(remainders, basis.gram, tol_rank)
+def _sparsify_float(remainders: np.ndarray, basis: SubspaceBasis) -> List[Polynomial]:
+    """Echelon representatives of the numerical span (at the slice's rank
+    cut) of the coefficient rows ``remainders``, each replaced by its
+    small-denominator rounding when that stays close to it and to the slice."""
+    rows, _ = _orthonormal_rows(remainders, basis.gram, basis.tol_rank)
     out = []
     for row in _float_rref_rows(rows):
         poly = vector_to_poly([float(c) for c in row], basis.monomials, basis.ambient_dim, FLOAT)
@@ -576,17 +585,17 @@ def discover_generators(
     model,
     degree_cap: int,
     *,
-    tol_rank: float = 1e-8,
     seed: int = 0,
     sample_points: Optional[int] = None,
     mc_samples: Optional[int] = None,
 ) -> GeneratorSet:
     """Run the degree induction up to ``degree_cap``.
 
-    Deterministic given (model, cap, tolerances, seed); the generator list
-    for a smaller cap is a prefix of the list for a larger one.  Emits
+    Deterministic given (model, cap, seed, sample sizes); the generator
+    list for a smaller cap is a prefix of the list for a larger one.  Emits
     :class:`DegreeCapWarning` when new generators still appear at the cap.
-    Isoparametric slices are estimated with the model's bandwidth ``h``.
+    Float slices are cut at the rank tolerance of :func:`basic_subspace`,
+    which the provenance records.
     """
     if degree_cap < 1:
         raise ValueError("degree_cap must be at least 1")
@@ -597,7 +606,7 @@ def discover_generators(
     new_at_cap = False
     built: Dict[int, list] = {}
 
-    for d, basis in _degree_slices(model, degree_cap, seed, tol_rank, sample_points, mc_samples):
+    for d, basis in _degree_slices(model, degree_cap, seed, sample_points, mc_samples):
         dims[d] = basis.rank
         if basis.rank == 0:
             continue
@@ -606,7 +615,7 @@ def discover_generators(
             new_polys = []
         else:
             rows, _, gram = _remainders(basis, products)
-            new_polys = _sparsify_exact(rows, gram) if exact else _sparsify_float(rows, basis, tol_rank)
+            new_polys = _sparsify_exact(rows, gram) if exact else _sparsify_float(rows, basis)
 
         built[d] = products + new_polys
         generators += new_polys
@@ -622,7 +631,7 @@ def discover_generators(
     provenance = {
         "model": model.describe(),
         "seed": seed,
-        "tol_rank": tol_rank,
+        "tol_rank": _tol_rank(model),
         "engine": ENGINE_EXACT if model.closed_form else ENGINE_VANDERMONDE,
         "sample_points": sample_points,
         "mc_samples": mc_samples,
@@ -671,7 +680,6 @@ def verify_generation(
     seed: int = 0,
     sample_points: Optional[int] = None,
     mc_samples: Optional[int] = None,
-    tol_rank: float = 1e-8,
 ) -> GenerationReport:
     """Check the basic slice of every degree <= cap against the algebra.
 
@@ -679,13 +687,13 @@ def verify_generation(
     onto the degree slice of the algebra generated by ``gens`` and reports
     the worst remainder norm per degree.  Raises :class:`GenerationGap`
     (with the report attached) when some degree exceeds the tolerance: 0
-    for an exact model, 0.05 for a statistical or float one.
-    Isoparametric slices are estimated with the model's bandwidth ``h``.
+    for an exact model, 0.05 for a statistical or float one.  Float slices
+    are cut at the rank tolerance of :func:`basic_subspace`.
     """
     tol = 0.0 if model.closed_form and model.mode == EXACT else 5e-2
     residuals: Dict[int, float] = {}
     built_for, built = gens.products
-    for d, basis in _degree_slices(model, max_degree, seed, tol_rank, sample_points, mc_samples):
+    for d, basis in _degree_slices(model, max_degree, seed, sample_points, mc_samples):
         products = (built[d] if built_for is gens.generators and d in built
                     else [p for _, p in generator_products(list(gens.generators), d)])
         if basis.mode == EXACT and _covers(basis, products):

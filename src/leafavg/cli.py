@@ -59,8 +59,6 @@ from .polynomials import (
 )
 
 TASKS = ("avg", "generators", "verify", "separate", "export", "selftest")
-# rank tolerance of selftest's statistical check: the statistical regime
-SELFTEST_TOL_RANK = 0.05
 
 _CONFIG_DIR = Path(__file__).parent / "configs"
 
@@ -83,14 +81,13 @@ BUNDLED_CONFIGS = (
 # the keys each config section may set; any other key is a ConfigError
 _TOP_KEYS = ("name", "model", "params", "out")
 _PARAMS_KEYS = (
-    "seed", "f", "D", "tol_rank", "sample_points", "mc_samples", "generators",
+    "seed", "f", "D", "sample_points", "mc_samples", "generators",
     "generators_file", "generators_mode", "identity_tol", "num_pairs", "tol_same", "num_samples",
 )
 _MODEL_KEYS = {
-    "finite_group": ("kind", "name", "ambient_dim", "generators", "mode", "max_group_size"),
+    "finite_group": ("kind", "name", "ambient_dim", "generators", "max_group_size"),
     "torus": ("kind", "name", "weight_matrix", "n_fix"),
-    "isoparametric": ("kind", "name", "ambient_dim", "F", "mode", "g", "h", "N", "min_ess",
-                      "symmetry"),
+    "isoparametric": ("kind", "name", "ambient_dim", "F", "mode", "g", "symmetry"),
 }
 
 _REQUIRED = object()
@@ -132,10 +129,10 @@ def _text(section: dict, key: str, default):
     return value
 
 
-def _mode(section: dict, key: str, default):
-    """``section[key]`` (``default`` when absent), which must name a scalar mode."""
-    mode = section.get(key, default)
-    if mode not in (EXACT, FLOAT, default):
+def _mode(section: dict, key: str):
+    """``section[key]`` (exact when absent), which must name a scalar mode."""
+    mode = section.get(key, EXACT)
+    if mode not in (EXACT, FLOAT):
         raise ConfigError(f"{key} must be {EXACT!r} or {FLOAT!r}, got {mode!r}")
     return mode
 
@@ -148,9 +145,6 @@ def _fit_args(params: dict) -> dict:
 def _parse_entry(value, mode: str):
     if isinstance(value, bool):
         raise ConfigError(f"boolean matrix entry {value!r}")
-    if mode == EXACT:
-        if isinstance(value, float):
-            raise ConfigError(f"float entry {value!r} in an exact matrix; quote it as 'p/q'")
     try:
         if mode == EXACT:
             return Fraction(value)
@@ -194,14 +188,10 @@ def _build_model(kind: str, cfg: dict):
         if not isinstance(cfg["generators"], list):
             raise ConfigError(f"generators must be a list of matrices, got {cfg['generators']!r}")
         matrices = [_matrix_rows(g, ambient_dim) for g in cfg["generators"]]
-        mode = _mode(cfg, "mode", None) or _infer_mode(matrices)
+        mode = _infer_mode(matrices)  # float when some entry is a float
         gens = [[[_parse_entry(x, mode) for x in row] for row in rows] for rows in matrices]
-        return group_closure(
-            gens,
-            max_group_size=_number(cfg, "max_group_size", int, 512),
-            mode=mode,
-            name=_text(cfg, "name", ""),
-        )
+        return group_closure(gens, max_group_size=_number(cfg, "max_group_size", int, 512),
+                             name=_text(cfg, "name", ""))
     if kind == "torus":
         return TorusModel(
             weight_matrix=cfg["weight_matrix"],
@@ -209,17 +199,9 @@ def _build_model(kind: str, cfg: dict):
             name=_text(cfg, "name", ""),
         )
     ambient_dim = _number(cfg, "ambient_dim", minimum=1)
-    F = parse_polynomial(cfg["F"], ambient_dim, _mode(cfg, "mode", EXACT))
+    F = parse_polynomial(cfg["F"], ambient_dim, _mode(cfg, "mode"))
     symmetry = model_from_config(cfg["symmetry"]) if "symmetry" in cfg else None
-    return IsoparametricModel(
-        F,
-        _number(cfg, "g"),
-        h=_number(cfg, "h", float, 0.05),
-        sample_count=_number(cfg, "N", int, 100_000, minimum=1),
-        min_ess=_number(cfg, "min_ess", float, 100.0),
-        symmetry=symmetry,
-        name=_text(cfg, "name", ""),
-    )
+    return IsoparametricModel(F, _number(cfg, "g"), symmetry=symmetry, name=_text(cfg, "name", ""))
 
 
 @dataclass
@@ -252,8 +234,6 @@ def load_config(path) -> RunConfig:
     params = data.get("params", {})
     if not isinstance(params, dict):
         raise ConfigError(f"params must be a JSON object, got {params!r}")
-    if "h" in params:
-        raise ConfigError("params.h is not read: the kernel bandwidth is model.h")
     _check_keys(params, _PARAMS_KEYS, "params")
     return RunConfig(
         name=_text(data, "name", path.stem),
@@ -302,7 +282,7 @@ def _load_generators(config: RunConfig, model) -> GeneratorSet:
         provenance = source.get("provenance", {})
         if not isinstance(provenance, dict):
             raise ConfigError(f"provenance must be an object, got {provenance!r}")
-    mode = _mode(source, mode_key, EXACT)
+    mode = _mode(source, mode_key)
     items = source.get("generators")
     if not isinstance(items, list):
         raise ConfigError(f"generators must be a list, got {items!r}")
@@ -326,18 +306,12 @@ def _load_generators(config: RunConfig, model) -> GeneratorSet:
                         dims_by_degree={}, provenance=provenance)
 
 
-def _induction(params: dict):
-    """The degree cap ``D`` and the keyword arguments of the degree induction."""
-    return _number(params, "D", minimum=1), {
-        "tol_rank": _number(params, "tol_rank", float, 1e-8, minimum=0), **_fit_args(params)}
-
-
 def _discover(params: dict, model, seed: int) -> GeneratorSet:
     """The generators up to ``D``; new ones at the cap show in the provenance, not as a warning."""
-    cap, induction_args = _induction(params)
+    cap = _number(params, "D", minimum=1)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DegreeCapWarning)
-        return discover_generators(model, cap, seed=seed, **induction_args)
+        return discover_generators(model, cap, seed=seed, **_fit_args(params))
 
 
 def _generators_for_task(config: RunConfig, model, seed: int) -> GeneratorSet:
@@ -469,9 +443,8 @@ def task_verify(config: RunConfig, model, seed: int, out_dir: Path) -> int:
 
     # generation completeness when a cap is supplied
     if "D" in params:
-        cap, induction_args = _induction(params)
         try:
-            report = verify_generation(model, gens, cap, seed=seed, **induction_args)
+            report = verify_generation(model, gens, _number(params, "D", minimum=1), seed=seed, **fit_args)
             checks.append({"check": "generation", **report.to_dict()})
         except GenerationGap as err:
             failures.append({
@@ -583,9 +556,7 @@ def _selftest_checks():
     def check_iso_rank():
         config = load("iso_g2.json")
         model = config.build_model()
-        basis = basic_ring.basic_subspace(
-            model, 2, tol_rank=SELFTEST_TOL_RANK, seed=7, sample_points=24, mc_samples=20_000,
-        )
+        basis = basic_ring.basic_subspace(model, 2, seed=7, sample_points=24, mc_samples=20_000)
         return basis.rank == 2
 
     def check_separation():
@@ -628,7 +599,8 @@ def task_selftest(out_dir: Path) -> int:
     width = max(len(name) for name, _ in results)
     for name, status in results:
         print(f"selftest {name:<{width}} {status}")
-    payload = {"results": {name: status for name, status in results}, "tol_rank": SELFTEST_TOL_RANK}
+    # the rank cut of the fitted slice in iso_g2_degree2_rank
+    payload = {"results": {name: status for name, status in results}, "tol_rank": basic_ring.FIT_TOL_RANK}
     _write_json(payload, out_dir / "selftest_report.json")
     return worst
 

@@ -77,6 +77,12 @@ MUNZNER_TOL = 1e-9
 LEVEL_TOL = 1e-6
 # most float coordinates of group orbit images built at once
 _ORBIT_CHUNK = 1 << 13
+# the isoparametric estimator: the kernel bandwidth (below 1/2, so fit points
+# with |F| <= 1 - 2h exist), the smallest effective sample size of a level,
+# and the size of a sample cloud when a caller names none
+BANDWIDTH = 0.05
+MIN_ESS = 50.0
+SAMPLE_COUNT = 100_000
 
 
 # -- sphere sampling ---------------------------------------------------------
@@ -490,20 +496,18 @@ class FiniteGroupModel:
         return [_mat_vec(g, p) for g in self.elements]
 
     def _float_orbits(self, ps) -> np.ndarray:
-        """``(n, order, d)``: the float image of ``ps[i]`` under each element.
-        Exact images come from integer matrices when the signed table is
-        short, and the table's rows are one gather of the floats."""
+        """``(n, order, d)``: the float image of ``ps[i]`` under each element:
+        one gather of the floats when every element is a signed permutation,
+        else ``_images`` of exact points on an exact group, then rounded,
+        or of the floats."""
         table = self._signed_table()
+        if not table.others:
+            return _as_floats(ps)[:, table.perms] * table.signs
         batch = PointBatch.of(ps) if table.integers is not None else None
-        if batch is not None:
-            images = np.matmul(table.integers[0], batch.nums[:, None, :, None])[..., 0]
-            return PointBatch(images, batch.dens[:, None] * table.integers[1]).floats()
-        points = _as_floats(ps)
-        if table.others:
-            n, k = len(points), self.order
-            images = self._float_images(np.repeat(points, k, axis=0), np.tile(np.arange(k), n))
-            return images.reshape(n, k, self.ambient_dim)
-        return points[:, table.perms] * table.signs
+        n, k = len(ps), self.order
+        points = _as_floats(ps) if batch is None else batch
+        images = self._images(points[np.repeat(np.arange(n), k)], np.tile(np.arange(k), n))
+        return (images if batch is None else images.floats()).reshape(n, k, self.ambient_dim)
 
     def _orbit_sq_distances_many(self, ps, qs) -> np.ndarray:
         """``(n, order)``: squared float distance from ``qs[i]`` to each point of
@@ -528,28 +532,24 @@ class FiniteGroupModel:
     def leaf_labels(self, points) -> np.ndarray:
         return np.zeros((len(points), 0))
 
-    def _images(self, batch: PointBatch, ks) -> PointBatch:
-        """Element ``ks[i]`` applied to point ``i`` of an exact batch: a gather
-        through the signed table, or else integer matrix products."""
-        table = self._signed_table()
-        if table.integers is not None:
-            matrices, dens = table.integers
-            return PointBatch(np.matmul(matrices[ks], batch.nums[..., None])[..., 0],
-                              batch.dens * dens[ks])
-        rows = np.arange(len(batch))[:, None]
-        return PointBatch(batch.nums[rows, table.perms[ks]] * table.signs[ks], batch.dens)
-
-    def _float_images(self, points: np.ndarray, ks) -> np.ndarray:
-        """Element ``ks[i]`` applied to row ``i`` of a float array, with the
-        floats of ``_mat_vec``: a gather through the signed table, or else
+    def _images(self, points, ks):
+        """Element ``ks[i]`` applied to point ``i`` of an exact batch on an
+        exact group, or to row ``i`` of a float array with the floats of
+        ``_mat_vec``: a gather through the signed table when every element
+        is a signed permutation, else integer matrix products or float
         products summed left to right."""
-        table = self._signed_table()
-        if table.others:
-            d = self.ambient_dim
-            matrices = np.array([self.elements[k] for k in ks], dtype=float).reshape(-1, d, d)
-            return _column_sum(matrices * points[:, None, :])
-        rows = np.arange(len(points))[:, None]
-        return points[rows, table.perms[ks]] * table.signs[ks]
+        table, exact = self._signed_table(), isinstance(points, PointBatch)
+        if not table.others:
+            rows = np.arange(len(points))[:, None]
+            images = (points.nums if exact else points)[rows, table.perms[ks]] * table.signs[ks]
+            return PointBatch(images, points.dens) if exact else images
+        if exact:
+            matrices, dens = table.integers
+            return PointBatch(np.matmul(matrices[ks], points.nums[..., None])[..., 0],
+                              points.dens * dens[ks])
+        d = self.ambient_dim
+        matrices = np.array([self.elements[k] for k in ks], dtype=float).reshape(-1, d, d)
+        return _column_sum(matrices * points[:, None, :])
 
     def leaf_mates(self, batch, rng: np.random.Generator):
         """``g p`` for a uniformly drawn element ``g`` (row ``k`` of the signed
@@ -558,9 +558,9 @@ class FiniteGroupModel:
         gives the draws of one call per point."""
         _check_width(self.ambient_dim, batch)
         ks = rng.integers(self.order, size=len(batch))
-        if isinstance(batch, PointBatch) and self.mode == EXACT:
-            return self._images(batch, ks)
-        return self._float_images(_as_floats(batch).reshape(-1, self.ambient_dim), ks)
+        if not (isinstance(batch, PointBatch) and self.mode == EXACT):
+            batch = _as_floats(batch).reshape(-1, self.ambient_dim)
+        return self._images(batch, ks)
 
     def random_leaf_mate(self, p, rng: np.random.Generator):
         return _mate_of(self, p, rng)
@@ -570,13 +570,14 @@ def group_closure(
     generators,
     max_group_size: int = 512,
     *,
-    mode: Optional[str] = None,
     name: str = "",
 ) -> FiniteGroupModel:
     """Close a generator list under products into a :class:`FiniteGroupModel`.
 
-    Breadth-first and deterministic, on keys (:func:`_signed_permutation`)
-    when every exact generator is a signed permutation.  Raises :class:`NonOrthogonalGenerator`
+    The group is float when some generator entry is a float, exact
+    otherwise.  Breadth-first and deterministic, on keys
+    (:func:`_signed_permutation`) when every exact generator is a signed
+    permutation.  Raises :class:`NonOrthogonalGenerator`
     for a bad generator and :class:`GroupTooLarge` when the closure exceeds
     ``max_group_size`` (the signature of an infinite or huge group).
     """
@@ -585,9 +586,7 @@ def group_closure(
         raise ConfigError("at least one generator is required")
     if max_group_size < 1:
         raise ConfigError("max_group_size must be positive")
-    ambient_dim = len(generators[0])
-    if mode is None:
-        mode = _infer_mode(generators)
+    ambient_dim, mode = len(generators[0]), _infer_mode(generators)
     gens = [_as_matrix(g, ambient_dim, mode) for g in generators]
     signed = [_signed_permutation(g) if mode == EXACT else None for g in gens]
     for g, key in zip(gens, signed):
@@ -670,6 +669,17 @@ def _realify(ab: Tuple[Tuple[int, int], ...]):
         partial = {prefix + pair: (cr * pr - ci * pi, cr * pi + ci * pr)
                    for prefix, (cr, ci) in partial.items() for pair, pr, pi in _realify_pair(a, b)}
     return [(prefix, cr, ci) for prefix, (cr, ci) in partial.items()]
+
+
+def _gaussian_power(x, y, n: int):
+    """``(x + i y)^n`` for ``n >= 1`` by squaring, through the bits of ``n``
+    from the top, so that every intermediate is a power at most ``n``."""
+    c, s = x, y
+    for bit in bin(n)[3:]:
+        c, s = c * c - s * s, 2 * c * s
+        if bit == "1":
+            c, s = c * x - s * y, c * y + s * x
+    return c, s
 
 
 class TorusModel:
@@ -836,7 +846,8 @@ class TorusModel:
         over ``prod_t den_t^(max_j |w_jt|)``.  The exact arithmetic runs in
         int64 when ``2 m 288^(sum_t max_j |w_jt|) < 2^63``, with ``m`` the
         batch's :meth:`~PointBatch.magnitude` (``288 = 12^2 + 12^2`` bounds
-        every ``den_t``, so this bounds every intermediate), and in Python
+        every ``den_t``, and the powers are taken by squaring, never past
+        ``|w_jt|``, so this bounds every intermediate), and in Python
         ints otherwise; either way the mates are Python ints.  In floats,
         plane ``j`` turns by ``sum_t w_jt theta_t``, summed left to right,
         through ``math.cos`` and ``math.sin``."""
@@ -863,9 +874,9 @@ class TorusModel:
         for j, weights in enumerate(self.weight_matrix):
             c, s, scale = 1, 0, 1
             for t, w in enumerate(weights):
-                st = sin[t] if w > 0 else -sin[t]
-                for _ in range(abs(w)):
-                    c, s = c * cos[t] - s * st, c * st + s * cos[t]
+                if w:
+                    pc, ps = _gaussian_power(cos[t], sin[t] if w > 0 else -sin[t], abs(w))
+                    c, s = c * pc - s * ps, c * ps + s * pc
                 scale = scale * den[t] ** (tops[t] - abs(w))
             x, y = nums[:, 2 * j], nums[:, 2 * j + 1]
             out += [(c * x - s * y) * scale, (s * x + c * y) * scale]
@@ -1036,7 +1047,7 @@ class LevelSetSampler:
         count and the level's estimates and SEs are those of the full cloud
         in law (not in bits), in O(window) time and memory."""
         self.h = model.h
-        self.min_ess = model.min_ess
+        self.min_ess = MIN_ESS
         self.seed = seed
         self.count = count
         root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
@@ -1103,13 +1114,13 @@ class LevelSetSampler:
 
         ``values`` is a ``(rows, N)`` array of sample values, in the order of
         ``points``.  The weights, their sum and the effective-sample-size
-        guard (the model's ``min_ess``) are computed once per level and
-        shared by every row; each row is then estimated on its own, so its
-        results do not depend on the other rows of the stack.  Returns the
-        ``(rows, len(levels))`` estimates and the SEs of the first
-        ``se_rows`` rows (of every row by default): the jackknife runs only
-        for the rows whose SEs a caller reads, while every level still
-        passes the weight-sum and ESS guards.
+        guard (``min_ess``: ``MIN_ESS`` when the sampler was built) are
+        computed once per level and shared by every row; each row is then
+        estimated on its own, so its results do not depend on the other rows
+        of the stack.  Returns the ``(rows, len(levels))`` estimates and the
+        SEs of the first ``se_rows`` rows (of every row by default): the
+        jackknife runs only for the rows whose SEs a caller reads, while
+        every level still passes the weight-sum and ESS guards.
 
         Only the samples in the level's window are read.  Leaving out a
         sample of weight 0 leaves the ratio unchanged, so each of the
@@ -1161,6 +1172,9 @@ class IsoparametricModel:
     with ``w_i = |grad_S F|(x_i) K_h(F(x_i) - t)`` over uniform sphere
     samples, where ``|grad_S F| = g sqrt(1 - F^2)`` on the unit sphere.
 
+    The bandwidth ``h`` is ``BANDWIDTH`` and every level must reach an
+    effective sample size of ``MIN_ESS``, for every model.
+
     ``symmetry`` may name a finite-group or torus model whose action
     preserves ``F``; it is only used to construct same-leaf companions for
     separation testing and is validated against ``F`` at construction.
@@ -1168,32 +1182,15 @@ class IsoparametricModel:
 
     closed_form = False
     leaf_label_names = ("level",)
+    h = BANDWIDTH
 
-    def __init__(
-        self,
-        F: Polynomial,
-        g: int,
-        *,
-        h: float = 0.05,
-        sample_count: int = 100_000,
-        min_ess: float = 100.0,
-        symmetry=None,
-        name: str = "",
-    ):
-        # no fit point meets |F| <= 1 - 2h when h >= 1/2, nor on R^1 (F = +-1)
-        if not 0.0 < h < 0.5:
-            raise ConfigError(f"bandwidth h must lie in (0, 1/2), got {h!r}")
-        if F.ambient_dim < 2:
+    def __init__(self, F: Polynomial, g: int, *, symmetry=None, name: str = ""):
+        if F.ambient_dim < 2:  # no fit point meets |F| <= 1 - 2h on R^1 (F = +-1)
             raise ConfigError("an isoparametric model needs ambient_dim at least 2")
-        if not min_ess >= 1:  # an ESS is never below 1; NaN fails too
-            raise ConfigError(f"min_ess must be at least 1, got {min_ess!r}")
         self.F = F
         self.g = g
         validate_munzner(F, g)
         self.ambient_dim = F.ambient_dim
-        self.h = h
-        self.sample_count = sample_count
-        self.min_ess = min_ess
         self.mode = F.mode
         self.symmetry = symmetry
         self.name = name or f"isoparametric(g={g}, dim={self.ambient_dim})"
@@ -1305,21 +1302,18 @@ class IsoparametricModel:
         p,
         rng_seed: int,
         *,
-        n: Optional[int] = None,
+        n: int = SAMPLE_COUNT,
     ) -> Tuple[float, float]:
         """Monte Carlo leaf average of ``f`` through ``p`` with jackknife SE.
 
         The kernel estimate at the level of ``p`` over ``n`` uniform sphere
-        samples (the model's ``sample_count`` by default; otherwise a
-        positive int, else ``ConfigError``), of which only the level's band
-        is drawn (``LevelSetSampler`` with ``level``): reproducible for a
-        fixed seed, and equal in law, not in bits, to the estimate on a full
-        cloud.  Uses the bandwidth ``h`` of the model and refuses points
-        within it of the focal levels ``F = +-1``.
+        samples (a positive int, else ``ConfigError``), of which only the
+        level's band is drawn (``LevelSetSampler`` with ``level``):
+        reproducible for a fixed seed, and equal in law, not in bits, to the
+        estimate on a full cloud.  Uses the bandwidth ``h`` of the model and
+        refuses points within it of the focal levels ``F = +-1``.
         """
-        if n is None:
-            n = self.sample_count
-        elif isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
             raise ConfigError(f"n must be a positive int, got {n!r}")
         if f.ambient_dim != self.ambient_dim:
             raise DimensionMismatch("polynomial dimension does not match model")

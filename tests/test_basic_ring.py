@@ -30,7 +30,7 @@ from leafavg import (
     sphere_norm,
     verify_generation,
 )
-from leafavg import basic_ring
+from leafavg import basic_ring, models
 from leafavg.averaging import generator_products
 from leafavg.basic_ring import _span_of, gram_schmidt_polys, project_residual
 from leafavg.cli import _CONFIG_DIR, load_config
@@ -415,8 +415,7 @@ def test_slice_rows_span_the_averaged_monomials(name):
 
 
 def test_iso_subspace_degree2(iso_g2_model):
-    basis = basic_subspace(iso_g2_model, 2, tol_rank=0.05, seed=5,
-                           sample_points=24, mc_samples=40_000)
+    basis = basic_subspace(iso_g2_model, 2, seed=5, sample_points=24, mc_samples=40_000)
     assert basis.rank == 2
     assert basis.residual(P("x1^2 + x2^2 + x3^2 + x4^2", 4)) < 0.02
     assert basis.residual(iso_g2_model.F) < 0.02
@@ -425,35 +424,45 @@ def test_iso_subspace_degree2(iso_g2_model):
 
 
 def test_iso_subspace_degree1_empty(iso_g2_model):
-    basis = basic_subspace(iso_g2_model, 1, tol_rank=0.05, seed=5,
-                           sample_points=12, mc_samples=40_000)
+    basis = basic_subspace(iso_g2_model, 1, seed=5, sample_points=12, mc_samples=40_000)
     assert basis.rank == 0
 
 
 def test_iso_discovery_matches_invariant_ring(iso_g2_model):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DegreeCapWarning)
-        gens = discover_generators(iso_g2_model, 2, tol_rank=0.05, seed=5,
-                                   sample_points=24, mc_samples=40_000)
+        gens = discover_generators(iso_g2_model, 2, seed=5, sample_points=24, mc_samples=40_000)
     texts = {format_polynomial(p) for p in gens.generators}
     assert texts == {"x1^2 + x2^2", "x3^2 + x4^2"}
 
 
-def test_statistical_slice_guards_effective_sample_size(iso_g2_model):
-    starved = IsoparametricModel(iso_g2_model.F, 2, min_ess=1e9)
+def test_closed_form_float_slices_cut_at_the_float_rank_tolerance():
+    s = 0.8660254037844386
+    dihedral = group_closure([[[-0.5, -s], [s, -0.5]], [[1.0, 0.0], [0.0, -1.0]]])
+    assert basic_subspace(dihedral, 2).tol_rank == basic_ring.FLOAT_TOL_RANK == 1e-8
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegreeCapWarning)
+        gens = discover_generators(dihedral, 3)
+    assert gens.provenance["tol_rank"] == 1e-8
+    assert list(gens.degrees) == [2, 3]
+
+
+def test_statistical_slice_guards_effective_sample_size(iso_g2_model, monkeypatch):
+    monkeypatch.setattr(models, "MIN_ESS", 1e9)
+    starved = IsoparametricModel(iso_g2_model.F, 2)  # its own clouds, built under the patch
     with pytest.raises(EffectiveSampleTooSmall):
-        basic_subspace(starved, 2, tol_rank=0.05, seed=5, sample_points=24, mc_samples=20_000)
+        basic_subspace(starved, 2, seed=5, sample_points=24, mc_samples=20_000)
 
 
-def test_rank_unstable_reported(iso_g2_model):
-    probe = basic_subspace(iso_g2_model, 2, tol_rank=0.05, seed=5,
-                           sample_points=24, mc_samples=40_000)
+def test_rank_unstable_reported(iso_g2_model, monkeypatch):
+    probe = basic_subspace(iso_g2_model, 2, seed=5, sample_points=24, mc_samples=40_000)
+    assert probe.tol_rank == basic_ring.FIT_TOL_RANK
     sv = probe.singular_values
     # place the threshold inside the noise cluster: ambiguous rank must raise
     ambiguous = (sv[4] + sv[5]) / 2
+    monkeypatch.setattr(basic_ring, "FIT_TOL_RANK", ambiguous)
     with pytest.raises(RankUnstable) as info:
-        basic_subspace(iso_g2_model, 2, tol_rank=ambiguous, seed=5,
-                       sample_points=24, mc_samples=40_000)
+        basic_subspace(iso_g2_model, 2, seed=5, sample_points=24, mc_samples=40_000)
     assert len(info.value.singular_values) == len(sv)
 
 
@@ -475,7 +484,7 @@ def test_float_discovery_builds_one_gram_matrix_per_slice(monkeypatch):
     params = config.params
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DegreeCapWarning)
-        discover_generators(config.build_model(), 2, tol_rank=params["tol_rank"], seed=params["seed"],
+        discover_generators(config.build_model(), 2, seed=params["seed"],
                             sample_points=params["sample_points"], mc_samples=params["mc_samples"])
     assert calls == [4, 10]  # degrees 1 and 2
 

@@ -89,9 +89,10 @@ def test_model_from_config_unknown_kind():
 
 
 def test_float_entry_in_exact_matrix_rejected():
+    # a float entry makes the group float; it cannot be asked to stay exact
     cfg = dict(B3_MODEL, mode="exact",
                generators=[[0.0, 1.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 1.0]])
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="'mode'"):
         model_from_config(cfg)
 
 
@@ -333,6 +334,15 @@ NAMED_KEY_CASES = [
      "margin_min"),
     ("removed_same_leaf_tol", "separate", TORUS, {"seed": 1, "D": 2, "same_leaf_tol": 1e-9}, {},
      "same_leaf_tol"),
+    # settings every config set to one value, now constants or read off the model
+    ("removed_h", "generators", {**ISO, "h": 0.05}, {"seed": 1, "D": 1}, {}, "'h'"),
+    ("removed_N", "generators", {**ISO, "N": 100_000}, {"seed": 1, "D": 1}, {}, "'N'"),
+    ("removed_min_ess", "generators", {**ISO, "min_ess": 50}, {"seed": 1, "D": 1}, {}, "'min_ess'"),
+    ("removed_finite_group_mode", "generators", {**B2, "mode": "exact"}, {"seed": 1, "D": 2}, {},
+     "'mode'"),
+    ("removed_tol_rank", "generators", B2, {"seed": 1, "D": 2, "tol_rank": 1e-8}, {}, "'tol_rank'"),
+    # params.h was never read: the bandwidth is a constant
+    ("params_bandwidth", "avg", ISO, {"seed": 1, "f": "x1^2", "h": 0.05}, {}, "'h'"),
     # unknown keys, such as typos, in every section
     ("unknown_params_key", "separate", B2, {"seed": 1, "D": 2, "num_pair": 5}, {}, "num_pair"),
     ("unknown_top_level_key", "generators", TORUS, {"seed": 1, "D": 2}, {"output": "x"}, "output"),
@@ -359,22 +369,21 @@ NAMED_KEY_CASES = [
     ("cap_fractional", "generators", TORUS, {"seed": 1, "D": 2.7}, {}, "D must be an integer"),
     ("num_pairs_bool", "separate", TORUS, {"seed": 1, "D": 2, "num_pairs": True}, {},
      "num_pairs must be an integer"),
-    ("bandwidth_bool", "generators", {**ISO, "h": True}, {"seed": 1, "D": 2}, {},
-     "h must be a number"),
     ("weight_fractional", "generators", {**TORUS, "weight_matrix": [[1.5], [1]]}, {"seed": 1, "D": 2},
      {}, "weight matrix entries must be integers"),
     ("weight_bool", "generators", {**TORUS, "weight_matrix": [[True], [1]]}, {"seed": 1, "D": 2},
      {}, "weight matrix entries must be integers"),
     ("float_matrix_entry_bool", "generators",
-     {**B2, "mode": "float", "generators": [[[True, 0], [0, 1]]]}, {"seed": 1, "D": 2}, {},
+     {**B2, "generators": [[[True, 0.0], [0.0, 1.0]]]}, {"seed": 1, "D": 2}, {},
      "boolean matrix entry"),
 ]
 # one negative tolerance each; the error must name its key
 NEGATIVE_TOLERANCES = [
-    ("generators", ISO_G2, {"seed": 1, "D": 2, "tol_rank": -1}),
     ("verify", TORUS, {"seed": 1, "D": 2, "identity_tol": -1}),
     ("separate", B2, {"seed": 1, "D": 2, "tol_same": -1}),
 ]
+# h, min_ess and tol_rank are no config keys any more: a config that sets one
+# is refused at any value, so the out-of-range values below stay refused
 MALFORMED_CASES = [
     ("generators", TORUS, {"seed": "abc", "D": 2}),
     ("generators", {"kind": "finite_group", "ambient_dim": 2}, {"seed": 1, "D": 2}),
@@ -408,17 +417,17 @@ MALFORMED_CASES = [
     ("separate", TORUS, {"seed": 1, "D": 2, "num_pairs": 0}),
     ("generators", TORUS, {"seed": 1, "D": 0}),
     ("generators", TORUS, {"seed": -1, "D": 2}),
-    ("avg", ISO, {"seed": 1, "f": "x1^2", "h": 0.05}),
     # a coefficient with more digits than Python writes as text (4300): in
     # the input, and in an average whose input still has 4300 digits
     ("avg", B2, {"seed": 1, "f": "1e-5000 * x1^2"}),
     ("avg", B2, {"seed": 1, "f": "1/9e4299 * x1^2"}),
     # a negative or NaN tolerance
+    ("generators", ISO_G2, {"seed": 1, "D": 2, "tol_rank": -1}),
     *NEGATIVE_TOLERANCES,
     ("generators", ISO_G2, {"seed": 1, "D": 2, "tol_rank": math.nan}),
     ("verify", TORUS, {"seed": 1, "D": 2, "identity_tol": math.nan}),
     ("separate", B2, {"seed": 1, "D": 2, "tol_same": math.nan}),
-    # an ESS is never below 1, so a smaller or NaN min_ess would switch off its guard
+    # an ESS is never below 1, so a smaller or NaN min_ess would have switched off its guard
     *[("avg", {**ISO_G2, "min_ess": value}, {"seed": 1, "f": "x1^2"}) for value in (-5, 0.5, math.nan)],
     *[(task, B2, {"seed": 1, **params}) for task in GENERATOR_SET_TASKS
       for params in BAD_GENERATOR_SETS.values()],
@@ -431,7 +440,7 @@ MALFORMED_IDS = [
     "generation_tol_not_number", "same_leaf_tol_not_number", "missing_generators_file", "generators_file_not_a_set",
     "generator_without_text", "generator_not_object", "generators_mode_complex",
     "model_mode_complex", "f_not_text", "F_not_text", "symmetry_not_object",
-    "model_not_object", "no_pairs", "cap_zero", "seed_negative", "params_bandwidth",
+    "model_not_object", "no_pairs", "cap_zero", "seed_negative",
     "coefficient_too_long", "average_coefficient_too_long",
     "tol_rank_negative", "identity_tol_negative", "tol_same_negative",
     "tol_rank_nan", "identity_tol_nan", "tol_same_nan",
@@ -475,8 +484,9 @@ def _main_within(seconds, argv):
         signal.signal(signal.SIGALRM, previous)
 
 
-# no fit point meets |F| <= 1 - 2h when h >= 1/2 or on R^1; a non-positive
-# ambient_dim once ended in a traceback (F = 1 has no variable to refuse) or,
+# no fit point meets |F| <= 1 - 2h on R^1, nor would one with h >= 1/2 (h
+# is no config key any more: a config that sets it is refused at any value); a
+# non-positive ambient_dim once ended in a traceback (F = 1 has no variable to refuse) or,
 # with nested generators, ran at the matrices' own dimension
 NESTED_SWAP = {"kind": "finite_group", "generators": [[[0, 1], [1, 0]]]}
 REFUSED_MODELS = {
@@ -497,12 +507,6 @@ def test_refused_model_exits_1_at_once(tmp_path, capsys, name, task):
         "name": name, "model": REFUSED_MODELS[name], "params": {"seed": 1, "D": 2, "f": "x1^2"}})
     assert _main_within(10, [task, "--config", str(config), "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err.startswith("error: ")
-
-
-def test_params_bandwidth_points_to_model(tmp_path):
-    config = write_config(tmp_path / "run.json", {"model": ISO, "params": {"seed": 1, "h": 0.1}})
-    with pytest.raises(ConfigError, match="model.h"):
-        load_config(config)
 
 
 FUZZ_BASES = {name: json.loads((_CONFIG_DIR / f"{name}.json").read_text())
@@ -577,7 +581,7 @@ def test_selftest_passes(tmp_path):
 
 
 def test_selftest_absurd_rank_tolerance_exits_2(tmp_path, monkeypatch):
-    monkeypatch.setattr("leafavg.cli.SELFTEST_TOL_RANK", 100.0)
+    monkeypatch.setattr("leafavg.basic_ring.FIT_TOL_RANK", 100.0)
     assert main(["selftest", "--out", str(tmp_path)]) == 2
     report = json.loads((tmp_path / "selftest_report.json").read_text())
     assert report["tol_rank"] == 100.0
@@ -673,7 +677,7 @@ def test_help_exits_0(capsys):
 
 
 @pytest.mark.parametrize("task, model, params", NEGATIVE_TOLERANCES,
-                         ids=["tol_rank", "identity_tol", "tol_same"])
+                         ids=["identity_tol", "tol_same"])
 def test_negative_tolerance_names_its_key(tmp_path, capsys, task, model, params):
     [key] = [k for k in params if k not in ("seed", "D")]
     config = write_config(tmp_path / "run.json", {"model": model, "params": params})
@@ -823,10 +827,9 @@ def test_non_munzner_level_polynomial_exits_1(tmp_path, capsys, task):
     assert capsys.readouterr().err == "error: Cartan-Munzner identities fail\n"
 
 
-def test_effective_sample_size_guard_exits_1(tmp_path, capsys):
-    data = json.loads((_CONFIG_DIR / "iso_g2.json").read_text())
-    data["model"]["min_ess"] = 1e9
-    config = write_config(tmp_path / "run.json", data)
+def test_effective_sample_size_guard_exits_1(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("leafavg.models.MIN_ESS", 1e9)
+    config = _CONFIG_DIR / "iso_g2.json"
     assert main(["avg", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
     assert "below minimum 1000000000.0" in capsys.readouterr().err
 

@@ -144,8 +144,7 @@ def test_non_orthogonal_generator_fails_before_closure():
 
 def test_float_signed_matrices_close_on_the_float_path(signed_groups):
     exact = signed_groups["b3"]
-    model = group_closure([[[float(x) for x in row] for row in g] for g in exact.generators],
-                          mode=FLOAT)
+    model = group_closure([[[float(x) for x in row] for row in g] for g in exact.generators])
     assert model.mode == FLOAT and model.order == 48
     assert all(type(x) is float for g in model.elements for row in g for x in row)
     assert model.elements == tuple(tuple(tuple(map(float, row)) for row in g)

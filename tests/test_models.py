@@ -81,7 +81,7 @@ def test_float_closure_dedup():
     s = math.sin(2 * math.pi / 3)
     rot = [[-0.5, -s], [s, -0.5]]
     refl = [[1.0, 0.0], [0.0, -1.0]]
-    model = group_closure([rot, refl], mode=FLOAT)
+    model = group_closure([rot, refl])
     assert model.order == 6
 
 
@@ -152,7 +152,7 @@ B3_GENERATORS = (
 REFLECTION = [[Fraction(3, 5), Fraction(4, 5)], [Fraction(4, 5), Fraction(-3, 5)]]
 GROUPS = {
     (name, mode): group_closure(
-        [[[float(x) for x in row] for row in g] if mode == FLOAT else g for g in gens], mode=mode
+        [[[float(x) for x in row] for row in g] if mode == FLOAT else g for g in gens]
     )
     for name, gens in (("b3", B3_GENERATORS), ("mixed", [REFLECTION]))
     for mode in (EXACT, FLOAT)
@@ -761,11 +761,11 @@ def test_leaf_average_refuses_near_focal(iso_g2_model):
         )
 
 
-def test_leaf_average_small_sample_guard(iso_g2_model):
+def test_leaf_average_small_sample_guard(iso_g2_model, monkeypatch):
     p = sample_sphere(4, 5)
-    guarded = IsoparametricModel(iso_g2_model.F, 2, min_ess=1000)
+    monkeypatch.setattr(models, "MIN_ESS", 1000)
     with pytest.raises(EffectiveSampleTooSmall):
-        guarded.leaf_average_mc(Polynomial.constant(4, 1), p, rng_seed=0, n=50)
+        iso_g2_model.leaf_average_mc(Polynomial.constant(4, 1), p, rng_seed=0, n=50)
 
 
 def test_leaf_average_bitwise_reproducible(iso_g2_model):
@@ -876,7 +876,7 @@ def test_windowed_estimator_matches_full_scan(iso_g2_model):
     ]
     seen = set()
     for level in map(float, levels):
-        reference = _outcome(_full_scan_leaf_average, sampler, values, level, iso_g2_model.min_ess)
+        reference = _outcome(_full_scan_leaf_average, sampler, values, level, models.MIN_ESS)
         windowed = _outcome(sampler.leaf_average_values, values, [level])
         if isinstance(reference, str):
             assert windowed == reference, level
@@ -895,7 +895,7 @@ def test_windowed_estimator_matches_full_scan(iso_g2_model):
     assert seen == {"no", "effective", "first", "last", "inner"}
 
 
-def test_level_restricted_sampler_matches_full_cloud(iso_g2_model):
+def test_level_restricted_sampler_matches_full_cloud(iso_g2_model, monkeypatch):
     # a sampler built for one level draws only that level's band, with the
     # law of the full cloud's band: its estimates agree with the full cloud's
     # within their SEs, at 3 levels x 20 seed pairs x 2 rows; the gate is a
@@ -925,8 +925,8 @@ def test_level_restricted_sampler_matches_full_cloud(iso_g2_model):
         assert len(band.points) == 0
         with pytest.raises(EffectiveSampleTooSmall, match="no samples"):
             band.leaf_average_values(values, [level])
-    guarded = IsoparametricModel(iso_g2_model.F, 2, min_ess=20_001)
-    band = LevelSetSampler(guarded, 11, 20_000, level=0.2)
+    monkeypatch.setattr(models, "MIN_ESS", 20_001)
+    band = LevelSetSampler(iso_g2_model, 11, 20_000, level=0.2)
     values = P("x1^2", 4).to_float().eval_many(band.points)[None, :]
     with pytest.raises(EffectiveSampleTooSmall, match="effective"):
         band.leaf_average_values(values, [0.2])

@@ -697,6 +697,17 @@ def test_torus_mates_past_int64_stay_exact(weights):
         [[float(x).hex() for x in p] for p in expected]
 
 
+@pytest.mark.parametrize("weights", [[[1000], [-1001]], [[1024, 1], [3, -1023]]])
+def test_torus_mates_at_large_weights_stay_exact(weights):
+    # powers past 1,000 are taken by squaring; the reference multiplies one
+    # unit of |w| at a time, in Fractions
+    model = TorusModel(weights)
+    batch = rational_sphere_batch(4, 3, np.random.default_rng(11))
+    mates = model.leaf_mates(batch, np.random.default_rng(12))
+    reference_rng = np.random.default_rng(12)
+    assert mates.points() == [fraction_rotation_mate(model, p, reference_rng) for p in batch.points()]
+
+
 def test_group_orbit_distances_are_built_in_chunks():
     # one unchunked orbit array of 1,000 pairs under B4 (order 384) would
     # hold 1000 * 384 * 4 floats, 12 MB

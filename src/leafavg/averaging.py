@@ -429,7 +429,7 @@ def average(
     residuals["leaf_constancy"] = (_mate_constancy(model, a.avg, seed)
                                    if model.closed_form else a.leaf_constancy)
     return AveragingCertificate(
-        model=model.describe(),
+        model=model.name,
         engine=ENGINE_EXACT if model.closed_form else ENGINE_VANDERMONDE,
         mode=a.f.mode,
         degree=degree,
@@ -557,7 +557,7 @@ def verify_operator_identities(
     worst = max(residuals, key=lambda k: residuals[k])
     passed = residuals[worst] <= tolerance
     report = IdentityReport(
-        model=model.describe(),
+        model=model.name,
         engine=engine,
         residuals=residuals,
         tolerance=tolerance,

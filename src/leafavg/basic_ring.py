@@ -629,7 +629,7 @@ def discover_generators(
             )
 
     provenance = {
-        "model": model.describe(),
+        "model": model.name,
         "seed": seed,
         "tol_rank": _tol_rank(model),
         "engine": ENGINE_EXACT if model.closed_form else ENGINE_VANDERMONDE,

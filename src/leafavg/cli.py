@@ -264,7 +264,7 @@ def _load_generators(config: RunConfig, model) -> GeneratorSet:
     params = config.params
     if "generators" in params:
         source, mode_key = params, "generators_mode"
-        provenance = {"source": "inline", "model": model.describe()}
+        provenance = {"source": "inline", "model": model.name}
     else:
         if not isinstance(params["generators_file"], str):
             raise ConfigError(f"generators_file must be a path, got {params['generators_file']!r}")
@@ -454,7 +454,7 @@ def task_verify(config: RunConfig, model, seed: int, out_dir: Path) -> int:
             })
 
     payload = {
-        "model": model.describe(),
+        "model": model.name,
         "generator_count": len(gens.generators),
         "checks": checks,
         "failures": failures,

@@ -5,8 +5,9 @@ Three families are implemented, each with the same batch protocol: ``mode``
 polynomials; an isoparametric model's averages are float fits in either
 mode), ``closed_form`` (True when ``reynolds`` gives the leaf average in
 closed form, False when it must be estimated),
-``leaf_pairs(ps, qs, tol)`` (the same-leaf verdict of every pair, and a cheap
-proxy for the distance between its two leaves), ``leaf_mates(points, rng)``
+``leaf_pairs(ps, qs)`` (the same-leaf verdict of every pair, within the
+model's own tolerance, and a cheap proxy for the distance between its two
+leaves), ``leaf_mates(points, rng)``
 (a random point on the leaf of every point of an exact :class:`PointBatch` or
 a float array), and ``leaf_label_names`` with ``leaf_labels`` (leaf-invariant
 values for exported point tables).  Each batch method refuses points of the
@@ -73,7 +74,10 @@ MATRIX_TOL = 1e-9
 # largest coefficient of a float Cartan-Munzner identity residual, and
 # largest distance of a float F's level-law multiplicities from integers
 MUNZNER_TOL = 1e-9
-# default level-predicate tolerance of ``IsoparametricModel.same_leaf``
+# same-leaf tolerances of ``leaf_pairs``: of group orbits and torus orbit
+# closures, and of the isoparametric level predicate (also how far off the
+# sphere its points may be)
+CLOSED_FORM_LEAF_TOL = 1e-9
 LEVEL_TOL = 1e-6
 # most float coordinates of group orbit images built at once
 _ORBIT_CHUNK = 1 << 13
@@ -384,9 +388,6 @@ class FiniteGroupModel:
     def order(self) -> int:
         return len(self._signed if self._signed is not None else self.elements)
 
-    def describe(self) -> str:
-        return self.name
-
     def _signed_table(self) -> _SignedTable:
         if self._table is None:
             found, others, d = self._signed, (), self.ambient_dim
@@ -469,27 +470,22 @@ class FiniteGroupModel:
         pullbacks = (compose_with_matrix(f, g) for g in self.elements)
         return reduce(Polynomial.__add__, pullbacks).scale(1.0 / self.order)
 
-    def same_leaf(self, p, q, tol: float) -> bool:
-        return bool(self.leaf_pairs([tuple(p)], [tuple(q)], tol)[0][0])
+    def same_leaf(self, p, q) -> bool:
+        return bool(self.leaf_pairs([tuple(p)], [tuple(q)])[0][0])
 
-    def leaf_pairs(self, ps, qs, tol: float) -> Tuple[np.ndarray, np.ndarray]:
+    def leaf_pairs(self, ps, qs) -> Tuple[np.ndarray, np.ndarray]:
         """For every pair ``(ps[i], qs[i])``: whether some element carries
-        ``ps[i]`` to within ``tol`` of ``qs[i]``, and the distance from
-        ``qs[i]`` to the orbit of ``ps[i]``, read off one nearest orbit
-        distance per pair; the orbits are built ``_ORBIT_CHUNK`` float
-        coordinates at a time.  At ``tol`` 0 the verdict compares images
-        with ``qs[i]`` exactly: cross-multiplied when both points are exact
-        and the group is, as floats otherwise."""
+        ``ps[i]`` to within ``CLOSED_FORM_LEAF_TOL`` of ``qs[i]``, and the
+        distance from ``qs[i]`` to the orbit of ``ps[i]``, read off one
+        nearest orbit distance per pair; the orbits are built
+        ``_ORBIT_CHUNK`` float coordinates at a time."""
         _check_width(self.ambient_dim, ps, qs)
         step = max(1, _ORBIT_CHUNK // (self.order * self.ambient_dim))
-        nearest, same = [np.empty(0)], [np.empty(0, dtype=bool)]
+        nearest = [np.empty(0)]
         for i in range(0, len(ps), step):
-            p, q = ps[i:i + step], qs[i:i + step]
-            nearest.append(self._orbit_sq_distances_many(p, q).min(axis=1))
-            if not tol:
-                same.append(self._on_orbit(p, q))
+            nearest.append(self._orbit_sq_distances_many(ps[i:i + step], qs[i:i + step]).min(axis=1))
         nearest = np.concatenate(nearest)
-        return nearest < tol * tol if tol else np.concatenate(same), np.sqrt(nearest)
+        return nearest < CLOSED_FORM_LEAF_TOL * CLOSED_FORM_LEAF_TOL, np.sqrt(nearest)
 
     def orbit(self, p) -> List[tuple]:
         p = tuple(p)
@@ -515,19 +511,6 @@ class FiniteGroupModel:
         squared by ``np.float_power`` (the C library's ``pow``, as Python's
         ``**``): the floats of a Python sum over the exact orbit."""
         return _column_sum(np.float_power(self._float_orbits(ps) - _as_floats(qs)[:, None, :], 2))
-
-    def _on_orbit(self, ps, qs) -> np.ndarray:
-        """``(n,)``: whether ``qs[i]`` is an image of ``ps[i]``, comparing
-        ``g p / den`` with ``q / den_q`` cross-multiplied when both points are
-        exact and the group is, and the float images with ``==`` otherwise."""
-        p, q = PointBatch.of(ps), PointBatch.of(qs)
-        if p is None or q is None or self.mode != EXACT:
-            return (self._float_orbits(ps) == _as_floats(qs)[:, None, :]).all(axis=2).any(axis=1)
-        n, k = len(p), self.order
-        rows = np.repeat(np.arange(n), k)
-        images, q = self._images(p[rows], np.tile(np.arange(k), n)), q[rows]
-        equal = (images.nums * q.dens[:, None] == q.nums * images.dens[:, None]).astype(bool)
-        return equal.all(axis=1).reshape(n, k).any(axis=1)
 
     def leaf_labels(self, points) -> np.ndarray:
         return np.zeros((len(points), 0))
@@ -718,9 +701,6 @@ class TorusModel:
         self.leaf_label_names = tuple(f"radius_{j + 1}" for j in range(self.n_planes))
         self._kernels: Dict[Tuple[int, ...], list] = {}
 
-    def describe(self) -> str:
-        return self.name
-
     # -- averaging ---------------------------------------------------------
 
     def _balanced(self, imbalance: Sequence[int]) -> bool:
@@ -782,10 +762,10 @@ class TorusModel:
             self._kernels[active] = got
         return got
 
-    def _phase_gaps(self, phases, radii_p, radii_q, floor: float):
-        """Phase-lattice test of the planes where both radii exceed ``floor``,
-        for the ``(n, n_planes)`` phase differences ``arg q - arg p`` of
-        ``n`` pairs.
+    def _phase_gaps(self, phases, radii_p, radii_q):
+        """Phase-lattice test of the planes where both radii exceed
+        ``CLOSED_FORM_LEAF_TOL``, for the ``(n, n_planes)`` phase differences
+        ``arg q - arg p`` of ``n`` pairs.
 
         Yields ``(rows, gaps)`` for the pairs ``rows`` that share one set of
         such planes, with ``(gap, weight)`` in ``gaps`` for each vector ``v``
@@ -794,7 +774,7 @@ class TorusModel:
         ``[0, pi]`` by ``math.remainder``, zero on a common orbit closure, and
         ``weight = max(1, |v|_1)``.
         """
-        active = (radii_p > floor) & (radii_q > floor)
+        active = (radii_p > CLOSED_FORM_LEAF_TOL) & (radii_q > CLOSED_FORM_LEAF_TOL)
         sets, which = np.unique(active, axis=0, return_inverse=True)
         for k, planes in enumerate(sets.tolist()):
             planes = tuple(j for j, on in enumerate(planes) if on)
@@ -808,33 +788,32 @@ class TorusModel:
                                              [_TWO_PI] * len(rows)))), weight))
             yield rows, gaps
 
-    def leaf_pairs(self, ps, qs, tol: float) -> Tuple[np.ndarray, np.ndarray]:
+    def leaf_pairs(self, ps, qs) -> Tuple[np.ndarray, np.ndarray]:
         """The same-leaf verdict and the distance proxy of every pair
         ``(ps[i], qs[i])``, from arrays of floats, radii and phases with the
         floats of a loop over the pairs.  Same leaf: fixed coordinates and
-        radii within ``tol``, and each kernel vector's phase gap within
-        ``tol * max(1, |v|_1)``.  Proxy: the larger of the radial distance
-        and the worst weighted phase gap."""
-        m = 2 * self.n_planes
+        radii within ``tol = CLOSED_FORM_LEAF_TOL``, and each kernel vector's
+        phase gap within ``tol * max(1, |v|_1)``.  Proxy: the larger of the
+        radial distance and the worst weighted phase gap."""
+        tol, m = CLOSED_FORM_LEAF_TOL, 2 * self.n_planes
         _check_width(self.ambient_dim, ps, qs)
         p, q = _float_rows(ps, self.ambient_dim), _float_rows(qs, self.ambient_dim)
         radii_p, radii_q = self._planes(p, math.hypot), self._planes(q, math.hypot)
         phases = self._planes(q, math.atan2, 1) - self._planes(p, math.atan2, 1)
         same = ~(np.abs(np.hstack([p[:, m:] - q[:, m:], radii_p - radii_q])) > tol).any(axis=1)
-        for rows, gaps in self._phase_gaps(phases, radii_p, radii_q, tol):
-            for gap, weight in gaps:
-                same[rows] &= gap <= tol * weight
         radial = np.sqrt(_column_sum(np.float_power(radii_p - radii_q, 2))
                          + _column_sum(np.float_power(p[:, m:] - q[:, m:], 2)))
         phase = np.zeros(len(p))
-        for rows, gaps in self._phase_gaps(phases, radii_p, radii_q, 1e-9):
+        for rows, gaps in self._phase_gaps(phases, radii_p, radii_q):
+            for gap, weight in gaps:
+                same[rows] &= gap <= tol * weight
             if gaps:  # Python's max: the first gap, then any larger one
                 phase[rows] = reduce(lambda a, b: np.where(b > a, b, a),
                                      [gap / weight for gap, weight in gaps])
         return same, np.where(phase > radial, phase, radial)
 
-    def same_leaf(self, p, q, tol: float) -> bool:
-        return bool(self.leaf_pairs([tuple(p)], [tuple(q)], tol)[0][0])
+    def same_leaf(self, p, q) -> bool:
+        return bool(self.leaf_pairs([tuple(p)], [tuple(q)])[0][0])
 
     def leaf_mates(self, batch, rng: np.random.Generator):
         """A point on the leaf of each point of an exact batch (an exact
@@ -1197,9 +1176,6 @@ class IsoparametricModel:
         if symmetry is not None:
             self._check_symmetry(symmetry)
 
-    def describe(self) -> str:
-        return self.name
-
     def _check_symmetry(self, symmetry):
         if symmetry.ambient_dim != self.ambient_dim:
             raise DimensionMismatch("symmetry model dimension does not match")
@@ -1235,21 +1211,21 @@ class IsoparametricModel:
         """``(n, 1)``: the level of each point."""
         return self.F.eval_rows(_float_rows(points, self.ambient_dim))[:, None]
 
-    def leaf_pairs(self, ps, qs, tol: float) -> Tuple[np.ndarray, np.ndarray]:
-        """``|F(p) - F(q)| < tol`` and the proxy ``|F(p) - F(q)|`` of every pair
-        ``(ps[i], qs[i])``, from one level difference per pair (``F.eval_rows``,
-        the floats of ``F.eval``); the first point, in pair order, off the
-        sphere by more than ``max(tol, 1e-9)`` raises OffSphere."""
+    def leaf_pairs(self, ps, qs) -> Tuple[np.ndarray, np.ndarray]:
+        """``|F(p) - F(q)| < LEVEL_TOL`` and the proxy ``|F(p) - F(q)|`` of every
+        pair ``(ps[i], qs[i])``, from one level difference per pair
+        (``F.eval_rows``, the floats of ``F.eval``); the first point, in pair
+        order, off the sphere by more than ``LEVEL_TOL`` raises OffSphere."""
         _check_width(self.ambient_dim, ps, qs)
         p, q = _float_rows(ps, self.ambient_dim), _float_rows(qs, self.ambient_dim)
         pairs = np.stack([p, q], axis=1).reshape(-1, self.ambient_dim)  # p0, q0, p1, q1, ...
-        self._check_on_sphere(pairs, max(tol, 1e-9))
+        self._check_on_sphere(pairs, LEVEL_TOL)
         distance = np.abs(self.F.eval_rows(p) - self.F.eval_rows(q))
-        return distance < tol, distance
+        return distance < LEVEL_TOL, distance
 
-    def same_leaf(self, p, q, tol: float = LEVEL_TOL) -> bool:
-        """Level predicate ``|F(p) - F(q)| < tol`` for unit-sphere points."""
-        return bool(self.leaf_pairs([tuple(p)], [tuple(q)], tol)[0][0])
+    def same_leaf(self, p, q) -> bool:
+        """The level predicate of :meth:`leaf_pairs` for one pair."""
+        return bool(self.leaf_pairs([tuple(p)], [tuple(q)])[0][0])
 
     def leaf_mates(self, points: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """The symmetry's ``leaf_mates`` of each row of a float array;

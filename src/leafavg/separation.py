@@ -17,16 +17,14 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import DimensionMismatch, InsufficientDistinctPairs, NonFiniteCoefficient
-from .models import (LEVEL_TOL, PointBatch, _as_floats, _column_sum, _float_rows,
-                     _int_dtype, sample_sphere_many)
+from .models import PointBatch, _as_floats, _column_sum, _float_rows, _int_dtype, sample_sphere_many
 from .polynomials import EXACT
 
 _PROXY_BINS = (1e-3, 1e-2, 1e-1)
 # a certificate passes when the margin ratio exceeds this
 MARGIN_MIN = 10.0
-# same-leaf tolerance of distinct-pair sampling on closed-form models; level
-# sets use the level predicate's LEVEL_TOL
-CLOSED_FORM_LEAF_TOL = 1e-9
+# the denominator q of the random rational vectors k / q behind exact sphere points
+SPHERE_DENOMINATOR = 16
 
 
 class _IntegerGeneratorMap:
@@ -167,20 +165,19 @@ class SeparationCertificate:
         }
 
 
-def rational_sphere_batch(
-    ambient_dim: int, count: int, rng: np.random.Generator, denominator: int = 16
-) -> PointBatch:
+def rational_sphere_batch(ambient_dim: int, count: int, rng: np.random.Generator) -> PointBatch:
     """Exact rational points on the unit sphere via stereographic projection.
 
-    With ``u = k / q`` a random rational vector, the point
-    ``(2u, |u|^2 - 1) / (|u|^2 + 1) = (2 q k, S - q^2) / (S + q^2)``,
-    ``S = |k|^2``, has unit norm exactly, so generator invariance can be
-    certified with zero floating error.  Each ``|k_i| <= 2q``, so no entry
-    or partial sum exceeds ``S + q^2 <= (4d - 3) q^2`` for ``d =
-    ambient_dim``: the arithmetic runs in int64 when that is below ``2^63``
-    and in Python ints otherwise, and the batch holds Python ints.
+    With ``u = k / q`` a random rational vector over ``q =
+    SPHERE_DENOMINATOR``, the point ``(2u, |u|^2 - 1) / (|u|^2 + 1) =
+    (2 q k, S - q^2) / (S + q^2)``, ``S = |k|^2``, has unit norm exactly, so
+    generator invariance can be certified with zero floating error.  Each
+    ``|k_i| <= 2q``, so no entry or partial sum exceeds ``S + q^2 <= (4d -
+    3) q^2`` for ``d = ambient_dim``: the arithmetic runs in int64 when that
+    is below ``2^63`` and in Python ints otherwise, and the batch holds
+    Python ints.
     """
-    q = denominator
+    q = SPHERE_DENOMINATOR
     dtype = _int_dtype((4 * ambient_dim - 3) * q * q)
     k = rng.integers(-2 * q, 2 * q + 1, size=(count, ambient_dim - 1)).astype(dtype, copy=False)
     s = (k * k).sum(axis=1)
@@ -188,11 +185,9 @@ def rational_sphere_batch(
                       (s + q * q).astype(object, copy=False))
 
 
-def rational_sphere_points(
-    ambient_dim: int, count: int, rng: np.random.Generator, denominator: int = 16
-) -> List[tuple]:
+def rational_sphere_points(ambient_dim: int, count: int, rng: np.random.Generator) -> List[tuple]:
     """:func:`rational_sphere_batch` as tuples of reduced ``Fraction``s."""
-    return rational_sphere_batch(ambient_dim, count, rng, denominator).points()
+    return rational_sphere_batch(ambient_dim, count, rng).points()
 
 
 def separation_test(
@@ -212,9 +207,11 @@ def separation_test(
     isoparametric models -- the configured leaf-preserving symmetry;
     without one, same-leaf testing degenerates to the level predicate and
     is skipped with a note.  Distinct pairs are rejection-sampled through
-    the model's own same-leaf predicate.  ``adversarial_pairs`` are extra
-    candidate pairs checked alongside the sampled ones (collision witnesses
-    live on measure-zero sets that random sampling cannot hit).
+    the model's own ``leaf_pairs``, within the tolerance the model reads
+    (``models.CLOSED_FORM_LEAF_TOL`` on groups and tori, ``models.LEVEL_TOL``
+    on level sets).  ``adversarial_pairs`` are extra candidate pairs checked
+    alongside the sampled ones (collision witnesses live on measure-zero
+    sets that random sampling cannot hit).
 
     Exact points come as one :class:`PointBatch` per draw and float points
     as one array per draw; each step after the mates runs once per batch
@@ -224,7 +221,6 @@ def separation_test(
         raise ValueError("num_pairs must be at least 1")
     rng = np.random.default_rng(rng_seed)
     exact = model.closed_form and model.mode == EXACT and gens.mode == EXACT
-    leaf_tol = CLOSED_FORM_LEAF_TOL if model.closed_form else LEVEL_TOL
     integer_map = _IntegerGeneratorMap(gens.generators) if exact else None
     draw = rational_sphere_batch if exact else (lambda d, n, g: sample_sphere_many(n, d, g))
 
@@ -279,7 +275,7 @@ def separation_test(
 
     if adversarial_pairs:
         ps, qs = [p for p, _ in adversarial_pairs], [q for _, q in adversarial_pairs]
-        same, proxy = model.leaf_pairs(ps, qs, leaf_tol)
+        same, proxy = model.leaf_pairs(ps, qs)
         notes += ["an adversarial pair turned out to lie on one leaf; skipped"] * int(same.sum())
         keep = np.flatnonzero(~same).tolist()
         record_distinct([ps[i] for i in keep], [qs[i] for i in keep], proxy[keep])
@@ -293,7 +289,7 @@ def separation_test(
         # a batch holds no more pairs than can still be accepted or attempted
         batch = draw(model.ambient_dim, 2 * min(num_pairs - sampled, max_attempts - attempts), rng)
         ps, qs = batch[0::2], batch[1::2]
-        same, proxy = model.leaf_pairs(ps, qs, leaf_tol)
+        same, proxy = model.leaf_pairs(ps, qs)
         keep = np.flatnonzero(~same)
         attempts += len(same)
         sampled += len(keep)
@@ -316,7 +312,7 @@ def separation_test(
         margin = min_distinct / max_same
 
     return SeparationCertificate(
-        model=model.describe(),
+        model=model.name,
         generator_count=len(gens.generators),
         generator_provenance=dict(gens.provenance),
         num_same_pairs=num_same,

@@ -173,17 +173,18 @@ def _sphere_edge(ambient_dim):
 
 
 @pytest.mark.parametrize("name", ["hopf", "t2_full", "circle12"])
-def test_sphere_batch_matches_python_int_reference(name):
+def test_sphere_batch_matches_python_int_reference(name, monkeypatch):
     dim = load_config(_CONFIG_DIR / f"{name}.json").build_model().ambient_dim
     edge = _sphere_edge(dim)
     for q in (16, edge, edge + 1, 2 ** 40):
-        got = rational_sphere_batch(dim, 300, np.random.default_rng(q), q)
+        monkeypatch.setattr(separation, "SPHERE_DENOMINATOR", q)
+        got = rational_sphere_batch(dim, 300, np.random.default_rng(q))
         assert _same_batch(got, object_sphere_batch(dim, 300, np.random.default_rng(q), q))
         assert all(sum(x * x for x in row) == den * den
                    for row, den in zip(got.nums.tolist(), got.dens.tolist()))
 
 
-def test_sphere_batch_at_the_edge_reaches_the_bound():
+def test_sphere_batch_at_the_edge_reaches_the_bound(monkeypatch):
     # the largest draws put S + q^2 at the bound itself, just below 2^63
 
     class Corner:
@@ -191,7 +192,8 @@ def test_sphere_batch_at_the_edge_reaches_the_bound():
             return np.full(size, high - 1)
 
     q = _sphere_edge(4)
-    got = rational_sphere_batch(4, 2, Corner(), q)
+    monkeypatch.setattr(separation, "SPHERE_DENOMINATOR", q)
+    got = rational_sphere_batch(4, 2, Corner())
     assert _same_batch(got, object_sphere_batch(4, 2, Corner(), q))
     assert got.dens.tolist() == [13 * q * q] * 2 and 13 * q * q < 2 ** 63
 

@@ -2,6 +2,7 @@ import math
 from fractions import Fraction
 from pathlib import Path
 from statistics import NormalDist
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -207,18 +208,13 @@ def test_group_quotient_distance_matches_exact_orbit(name, seed):
         math.sqrt(sum((float(x) - y) ** 2 for x, y in zip(image, q_float)))
         for image in model.orbit(p)
     )
-    assert model.leaf_pairs([p, p], [q, p], 1e-9)[1].tolist() == [expected, 0.0]
+    assert model.leaf_pairs([p, p], [q, p])[1].tolist() == [expected, 0.0]
 
 
 def _exact_orbit_same_leaf(model, p, q, tol):
     """The same-leaf predicate over the exact orbit of ``p``."""
-    for image in model.orbit(p):
-        if tol == 0:
-            if all(x == y for x, y in zip(image, q)):
-                return True
-        elif sum((float(x) - float(y)) ** 2 for x, y in zip(image, q)) < tol * tol:
-            return True
-    return False
+    return any(sum((float(x) - float(y)) ** 2 for x, y in zip(image, q)) < tol * tol
+               for image in model.orbit(p))
 
 
 SAME_LEAF_GROUPS = {
@@ -231,7 +227,7 @@ SAME_LEAF_GROUPS = {
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(st.sampled_from(sorted(SAME_LEAF_GROUPS)), st.integers(0, 2 ** 32 - 1),
-       st.sampled_from(["mate", "other", "nudged"]), st.sampled_from([0, 1e-12, 1e-9, 1e-3, 0.5]))
+       st.sampled_from(["mate", "other", "nudged"]), st.sampled_from([1e-12, 1e-9, 1e-3, 0.5]))
 def test_group_same_leaf_matches_exact_orbit(name, seed, kind, tol):
     model = SAME_LEAF_GROUPS[name]
     rng = np.random.default_rng(seed)
@@ -240,9 +236,10 @@ def test_group_same_leaf_matches_exact_orbit(name, seed, kind, tol):
         q = model.random_leaf_mate(p, rng)
     if kind == "nudged":
         q = (q[0] + Fraction(1, 10 ** 6),) + tuple(q[1:])
-    assert model.same_leaf(p, q, tol) == _exact_orbit_same_leaf(model, p, q, tol)
+    with mock.patch.object(models, "CLOSED_FORM_LEAF_TOL", tol):
+        assert model.same_leaf(p, q) == _exact_orbit_same_leaf(model, p, q, tol)
     q_float = [float(x) for x in q]
-    assert model.leaf_pairs([p], [q], tol)[1][0] == min(
+    assert model.leaf_pairs([p], [q])[1][0] == min(
         math.sqrt(sum((float(x) - y) ** 2 for x, y in zip(image, q_float)))
         for image in model.orbit(p)
     )
@@ -370,10 +367,11 @@ def test_float_leaf_mates_match_per_point_mates(name):
     assert model.leaf_mates(points[:0], rng).shape == (0, model.ambient_dim)
 
 
-def test_same_leaf_group_antipodal():
+def test_same_leaf_group_antipodal(monkeypatch):
     model = group_closure([[[-1, 0], [0, -1]]])
-    assert model.same_leaf((0.3, -0.7), (-0.3, 0.7), 1e-12)
-    assert not model.same_leaf((0.3, -0.7), (0.3, 0.7), 1e-12)
+    monkeypatch.setattr(models, "CLOSED_FORM_LEAF_TOL", 1e-12)
+    assert model.same_leaf((0.3, -0.7), (-0.3, 0.7))
+    assert not model.same_leaf((0.3, -0.7), (0.3, 0.7))
 
 
 # -- torus models ----------------------------------------------------------------
@@ -421,8 +419,8 @@ def test_torus_reads_whole_float_weights():
 
 def test_torus_same_leaf_equal_plane_radii(t2_model):
     a, b = 0.6, 0.8
-    assert t2_model.same_leaf((a, 0, b, 0), (0, a, 0, b), 1e-9)
-    assert not t2_model.same_leaf((a, 0, b, 0), (b, 0, a, 0), 1e-9)
+    assert t2_model.same_leaf((a, 0, b, 0), (0, a, 0, b))
+    assert not t2_model.same_leaf((a, 0, b, 0), (b, 0, a, 0))
 
 
 def test_hopf_same_leaf_needs_equal_phase_difference(hopf_model):
@@ -433,8 +431,8 @@ def test_hopf_same_leaf_needs_equal_phase_difference(hopf_model):
         0.8 * math.cos(theta), 0.8 * math.sin(theta),
     )
     one = (0.6 * math.cos(theta), 0.6 * math.sin(theta), 0.8, 0.0)
-    assert hopf_model.same_leaf(p, both, 1e-9)
-    assert not hopf_model.same_leaf(p, one, 1e-9)
+    assert hopf_model.same_leaf(p, both)
+    assert not hopf_model.same_leaf(p, one)
 
 
 def test_weighted_circle_same_leaf(circle12_model):
@@ -448,8 +446,8 @@ def test_weighted_circle_same_leaf(circle12_model):
         0.6 * math.cos(theta), 0.6 * math.sin(theta),
         0.8 * math.cos(theta), 0.8 * math.sin(theta),
     )
-    assert circle12_model.same_leaf(p, good, 1e-9)
-    assert not circle12_model.same_leaf(p, bad, 1e-9)
+    assert circle12_model.same_leaf(p, good)
+    assert not circle12_model.same_leaf(p, bad)
 
 
 def test_torus_kernel_computed_once_per_active_planes(monkeypatch):
@@ -466,12 +464,31 @@ def test_torus_kernel_computed_once_per_active_planes(monkeypatch):
     points = [tuple(row) for row in sample_sphere_many(40, model.ambient_dim, rng).tolist()]
     # a point in the third plane only leaves one plane active
     points.append((0.0, 0.0, 0.0, 0.0, 0.6, 0.8, 0.0))
-    for p in points:
-        for q in points:
-            model.same_leaf(p, q, 1e-9)
-            model.leaf_pairs([p], [q], 0.0)
+    for tol in (1e-9, 0.0):  # a radius floor of 0 leaves the same planes active
+        monkeypatch.setattr(models, "CLOSED_FORM_LEAF_TOL", tol)
+        for p in points:
+            for q in points:
+                model.same_leaf(p, q)
     assert len(calls) == len(set(calls)) == 2
     assert [weight for _, weight in model._kernel((0, 1, 2))] == [5]  # v = +-(2, -2, 1)
+
+
+def test_torus_leaf_pairs_run_one_phase_lattice_pass(monkeypatch):
+    # the verdict and the proxy read the gaps of one pass at one radius floor
+    calls = []
+    phase_gaps = models.TorusModel._phase_gaps
+
+    def counting(self, phases, *radii):
+        calls.append(len(phases))
+        return phase_gaps(self, phases, *radii)
+
+    monkeypatch.setattr(models.TorusModel, "_phase_gaps", counting)
+    model = models.TorusModel([[1, 0], [1, 1], [0, 2]], n_fix=1)
+    rng = np.random.default_rng(14)
+    ps, qs = (sample_sphere_many(50, model.ambient_dim, rng) for _ in range(2))
+    model.leaf_pairs(ps, qs)
+    model.same_leaf(ps[0], qs[0])
+    assert calls == [50, 1]
 
 
 def test_torus_same_leaf_reflexive_symmetric(t2_model):
@@ -479,9 +496,9 @@ def test_torus_same_leaf_reflexive_symmetric(t2_model):
     for _ in range(10):
         p = tuple(rng.normal(size=4))
         q = t2_model.random_leaf_mate(p, rng)
-        assert t2_model.same_leaf(p, p, 1e-9)
-        assert t2_model.same_leaf(p, q, 1e-7)
-        assert t2_model.same_leaf(q, p, 1e-7)
+        assert t2_model.same_leaf(p, p)
+        assert t2_model.same_leaf(p, q)
+        assert t2_model.same_leaf(q, p)
 
 
 def test_torus_exact_rational_mate(circle12_model):
@@ -582,7 +599,7 @@ def test_group_transitivity_exact(b2_model):
     rng = np.random.default_rng(23)
     q = b2_model.random_leaf_mate(p, rng)
     r = b2_model.random_leaf_mate(q, rng)
-    assert b2_model.same_leaf(p, r, 0)
+    assert b2_model.same_leaf(p, r)
 
 
 # -- Cartan-Munzner admission ------------------------------------------------------
@@ -643,39 +660,42 @@ def test_munzner_float_tolerance():
 # -- isoparametric leaves -----------------------------------------------------------
 
 
-def test_iso_same_leaf_level_predicate(iso_g2_model):
+def test_iso_same_leaf_level_predicate(iso_g2_model, monkeypatch):
+    monkeypatch.setattr(models, "LEVEL_TOL", 1e-9)
     e1 = (1.0, 0.0, 0.0, 0.0)
     e2 = (0.0, 1.0, 0.0, 0.0)
-    assert iso_g2_model.same_leaf(e1, e2, 1e-9)
+    assert iso_g2_model.same_leaf(e1, e2)
     e3 = (0.0, 0.0, 1.0, 0.0)
-    assert not iso_g2_model.same_leaf(e1, e3, 1e-9)
+    assert not iso_g2_model.same_leaf(e1, e3)
 
 
 def test_iso_same_leaf_requires_sphere(iso_g2_model):
     with pytest.raises(OffSphere):
-        iso_g2_model.same_leaf((2.0, 0.0, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0), 1e-9)
+        iso_g2_model.same_leaf((2.0, 0.0, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0))
 
 
-def test_iso_leaf_pairs_check_sphere_and_dimension(iso_g2_model):
+def test_iso_leaf_pairs_check_sphere_and_dimension(iso_g2_model, monkeypatch):
     points = sample_sphere_many(10, 4, np.random.default_rng(3))
     ps, qs = points[:5].copy(), points[5:].copy()
-    same, distance = iso_g2_model.leaf_pairs(ps, qs, 1e-9)
+    same, distance = iso_g2_model.leaf_pairs(ps, qs)
     assert same.shape == distance.shape == (5,)
     # the first point off the sphere, in pair order (p0, q0, p1, q1, ...), is named
     qs[1] *= 3.0
     ps[3] *= 2.0
     norm = math.sqrt(sum(x ** 2 for x in qs[1].tolist()))
-    with pytest.raises(OffSphere, match=f"point norm {norm!r}"):
-        iso_g2_model.leaf_pairs(ps, qs, 1e-9)
-    with pytest.raises(OffSphere, match="within 0.5$"):
-        iso_g2_model.leaf_pairs(ps, qs, 0.5)
+    with pytest.raises(OffSphere, match=f"point norm {norm!r} is not 1 within 1e-06$"):
+        iso_g2_model.leaf_pairs(ps, qs)
     for bad in (points[:, :3], [(1.0, 0.0, 0.0)], [(1.0, 0.0, 0.0, 0.0, 0.0)]):
         with pytest.raises(DimensionMismatch):
-            iso_g2_model.leaf_pairs(bad, bad, 1e-9)
+            iso_g2_model.leaf_pairs(bad, bad)
     with pytest.raises(DimensionMismatch):
-        iso_g2_model.same_leaf((1.0, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0), 1e-9)
-    empty = iso_g2_model.leaf_pairs(np.zeros((0, 4)), [], 1e-9)
+        iso_g2_model.same_leaf((1.0, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0))
+    empty = iso_g2_model.leaf_pairs(np.zeros((0, 4)), [])
     assert [a.shape for a in empty] == [(0,), (0,)]
+    # the sphere check reads the level tolerance at call time
+    monkeypatch.setattr(models, "LEVEL_TOL", 0.5)
+    with pytest.raises(OffSphere, match="within 0.5$"):
+        iso_g2_model.leaf_pairs(ps, qs)
 
 
 def _exact_rows(rows):
@@ -686,16 +706,15 @@ def _mates(points):
     return lambda model: model.leaf_mates(points, np.random.default_rng(1))
 
 
-def _pairs(ps, qs, tol=1e-9):
-    return lambda model: model.leaf_pairs(ps, qs, tol)
+def _pairs(ps, qs):
+    return lambda model: model.leaf_pairs(ps, qs)
 
 
 MALFORMED = {
     # the third coordinate used to be dropped: (True, 0.0)
     "group_pairs_extra": ("b2_model", _pairs([[0.6, 0.8, 5.0]], [[0.8, 0.6]])),
     "group_pairs_short": ("b2_model", _pairs([[0.6]], [[0.8]])),
-    "group_pairs_exact_extra": ("b2_model", _pairs(_exact_rows([[1, 0, 0]]),
-                                                   _exact_rows([[0, 1]]), 0)),
+    "group_pairs_exact_extra": ("b2_model", _pairs(_exact_rows([[1, 0, 0]]), _exact_rows([[0, 1]]))),
     # a width read off the shape: never converted, so no OverflowError
     "group_pairs_huge_extra": ("b2_model", _pairs(_exact_rows([[10 ** 400, 0, 0]]),
                                                   _exact_rows([[0, 1]]))),

@@ -5,6 +5,7 @@ import tracemalloc
 import warnings
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from leafavg import (
     rho_eval,
     separation_test,
 )
-from leafavg import separation
+from leafavg import models, separation
 from leafavg.cli import _CONFIG_DIR, _generators_for_task, load_config
 from leafavg.exactlinalg import integer_left_kernel
 from leafavg.models import LEVEL_TOL, PointBatch, _mat_vec, sample_sphere_many
@@ -54,11 +55,11 @@ def make_gens(dim, texts):
 
 @pytest.fixture
 def set_same_leaf_tol(monkeypatch):
-    """A setter of the same-leaf tolerance of distinct-pair sampling on
-    every model: both constants that ``separation_test`` reads."""
+    """A setter of the same-leaf tolerance of every model: both constants
+    that ``leaf_pairs`` reads."""
     def set_to(tol):
-        monkeypatch.setattr(separation, "CLOSED_FORM_LEAF_TOL", tol)
-        monkeypatch.setattr(separation, "LEVEL_TOL", tol)
+        monkeypatch.setattr(models, "CLOSED_FORM_LEAF_TOL", tol)
+        monkeypatch.setattr(models, "LEVEL_TOL", tol)
     return set_to
 
 
@@ -148,7 +149,8 @@ def _fraction_sphere_points(ambient_dim, count, rng, denominator=16):
 @given(st.integers(2, 6), st.integers(0, 8), st.integers(1, 40), st.integers(0, 2 ** 32 - 1))
 def test_rational_sphere_points_match_fraction_construction(dim, count, denominator, seed):
     rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    points = rational_sphere_points(dim, count, rng, denominator)
+    with mock.patch.object(separation, "SPHERE_DENOMINATOR", denominator):
+        points = rational_sphere_points(dim, count, rng)
     assert points == _fraction_sphere_points(dim, count, reference_rng, denominator)
     for p in points:
         assert len(p) == dim
@@ -192,7 +194,7 @@ def test_separation_sensitivity_to_dropped_generator(hopf_model, hopf_gens):
     pair = None
     for p in rational_sphere_points(4, 50, rng):
         q = (p[0], -p[1], p[2], -p[3])
-        if not hopf_model.same_leaf(p, q, 1e-9):
+        if not hopf_model.same_leaf(p, q):
             pair = (p, q)
             break
     assert pair is not None
@@ -365,8 +367,10 @@ def _reference_torus_quotient_distance(model, p, q):
         sum((rp - rq) ** 2 for rp, rq in zip(radii_p, radii_q))
         + sum((float(x) - float(y)) ** 2 for x, y in zip(p[m:], q[m:]))
     )
+    # the radius floor of the verdict, which shares its phase-lattice pass
+    floor = models.CLOSED_FORM_LEAF_TOL
     phase = max((gap / weight for gap, weight
-                 in _reference_torus_phase_gaps(model, p, q, radii_p, radii_q, 1e-9)),
+                 in _reference_torus_phase_gaps(model, p, q, radii_p, radii_q, floor)),
                 default=0.0)
     return max(radial, phase)
 
@@ -393,12 +397,13 @@ def _reference_level(model, p):
     return float(model.F.eval([float(x) for x in p]))
 
 
-def _reference_level_gap(model, p, q, tol):
-    """``|F(p) - F(q)|`` after a ``**`` sum norm check of both points."""
+def _reference_level_gap(model, p, q):
+    """``|F(p) - F(q)|`` after a ``**`` sum norm check of both points within
+    the level predicate's tolerance."""
     for point in (p, q):
         norm = math.sqrt(sum(float(x) ** 2 for x in point))
-        if abs(norm - 1.0) > max(tol, 1e-9):
-            raise OffSphere(f"point norm {norm} is not 1 within {max(tol, 1e-9)}")
+        if abs(norm - 1.0) > models.LEVEL_TOL:
+            raise OffSphere(f"point norm {norm} is not 1 within {models.LEVEL_TOL}")
     return abs(_reference_level(model, p) - _reference_level(model, q))
 
 
@@ -421,8 +426,8 @@ def _reference_predicates(model):
             lambda p, rng: _reference_torus_mate(model, p, rng),
         )
     return (
-        lambda p, q, tol: _reference_level_gap(model, p, q, tol) < tol,
-        lambda p, q: _reference_level_gap(model, p, q, 0.0),
+        lambda p, q, tol: _reference_level_gap(model, p, q) < tol,
+        lambda p, q: _reference_level_gap(model, p, q),
         _reference_predicates(model.symmetry)[2] if model.symmetry is not None else None,
     )
 
@@ -510,7 +515,7 @@ def _reference_certificate(model, gens, num_pairs, tol_same, rng_seed, same_leaf
     else:
         margin = min_distinct / max_same
     cert = SeparationCertificate(
-        model=model.describe(), generator_count=len(gens.generators),
+        model=model.name, generator_count=len(gens.generators),
         generator_provenance=dict(gens.provenance), num_same_pairs=num_same,
         max_same_discrepancy=max_same, num_distinct_pairs=len(distinct),
         min_distinct_distance=min_distinct, margin_ratio=margin, margin_by_proxy=margin_by_proxy,
@@ -657,6 +662,14 @@ def local_runs():
     return runs
 
 
+def _refusal_or(run):
+    """``run()``, or the message of an OffSphere refusal."""
+    try:
+        return run()
+    except OffSphere as error:
+        return f"refused: {error}"
+
+
 def _outcome(run):
     """A certificate's JSON text, or the message of a give-up."""
     try:
@@ -715,9 +728,9 @@ def test_group_orbit_distances_are_built_in_chunks():
     model = load_config(config).build_model()
     batch = rational_sphere_batch(4, 2000, np.random.default_rng(5))
     ps, qs = batch[0::2], batch[1::2]
-    model.leaf_pairs(ps[:10], qs[:10], 1e-9)  # the signed table, built once
+    model.leaf_pairs(ps[:10], qs[:10])  # the signed table, built once
     tracemalloc.start()
-    same, proxy = model.leaf_pairs(ps, qs, 1e-9)
+    same, proxy = model.leaf_pairs(ps, qs)
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     assert peak < 2 * 2 ** 20
@@ -744,10 +757,13 @@ def test_every_sabotaged_pair_matches_reference(bundled_runs, local_runs, name):
     assert got.to_dict() == expected.to_dict()
 
 
-@pytest.mark.parametrize("tol", [0, 1e-9, 0.3])
-@pytest.mark.parametrize("name", ["t2_full", "circle12", "hopf", "torus_signed_fixed",
-                                  "torus_12_fixed", "torus_fixed_pair", "b3", "rational_dihedral"])
-def test_leaf_pairs_match_reference_predicates(bundled_runs, local_runs, name, tol):
+@pytest.mark.parametrize("name, tol", [
+    (name, tol) for name in ["t2_full", "circle12", "hopf", "torus_signed_fixed", "torus_12_fixed",
+                             "torus_fixed_pair", "b3", "rational_dihedral"]
+    # a group's tolerance 0 accepts no pair: nearest < 0
+    for tol in (0, 1e-9, 0.3) if tol or name not in ("b3", "rational_dihedral")])
+def test_leaf_pairs_match_reference_predicates(bundled_runs, local_runs, name, tol,
+                                              set_same_leaf_tol):
     model = local_runs[name][0] if name in local_runs else bundled_runs[name][0]
     same_leaf, quotient_distance, _ = _reference_predicates(model)
     rng = np.random.default_rng(11)
@@ -758,13 +774,10 @@ def test_leaf_pairs_match_reference_predicates(bundled_runs, local_runs, name, t
     on_leaf = np.arange(300) % 3 == 0
     qs = PointBatch(np.where(on_leaf[:, None], mates.nums, others.nums),
                     np.where(on_leaf, mates.dens, others.dens))
-    same, proxy = model.leaf_pairs(ps, qs, tol)
+    set_same_leaf_tol(tol)
+    same, proxy = model.leaf_pairs(ps, qs)
     p_rows, q_rows = ps.points(), qs.points()
-    if tol or isinstance(model, TorusModel):  # the reference's orbit test needs tol > 0
-        assert same.tolist() == [same_leaf(p, q, tol) for p, q in zip(p_rows, q_rows)]
-    else:  # a group's tol 0: some exact image is q
-        assert same.tolist() == [q in model.orbit(p) for p, q in zip(p_rows, q_rows)]
-        assert same[on_leaf].all()
+    assert same.tolist() == [same_leaf(p, q, tol) for p, q in zip(p_rows, q_rows)]
     assert proxy.tolist() == [quotient_distance(p, q) for p, q in zip(p_rows, q_rows)]
     if tol == 1e-9:
         assert same[on_leaf].all() and same.sum() < 200
@@ -772,9 +785,11 @@ def test_leaf_pairs_match_reference_predicates(bundled_runs, local_runs, name, t
 
 @pytest.mark.parametrize("tol", [0, LEVEL_TOL, 0.3])
 @pytest.mark.parametrize("name", ["iso_g1", "iso_g2", "iso_g3", "cartan_so3_g3"])
-def test_float_leaf_pairs_match_reference_predicates(bundled_runs, name, tol):
+def test_float_leaf_pairs_match_reference_predicates(bundled_runs, name, tol, set_same_leaf_tol):
     # float points: the isoparametric level predicate, and the predicates
-    # of the configured symmetry, which gives every third pair
+    # of the configured symmetry, which gives every third pair; at tol 0 the
+    # level predicate refuses the first point, in pair order, whose norm is
+    # not exactly 1, as the reference does
     model = bundled_runs[name][0]
     rng = np.random.default_rng(12)
     ps = sample_sphere_many(300, model.ambient_dim, rng)
@@ -782,18 +797,17 @@ def test_float_leaf_pairs_match_reference_predicates(bundled_runs, name, tol):
     if model.symmetry is not None:
         qs[::3] = model.leaf_mates(ps[::3], rng)
     p_rows, q_rows = ps.tolist(), qs.tolist()
+    set_same_leaf_tol(tol)
     for leaves in (model, model.symmetry):
         if leaves is None:
             continue
         same_leaf, quotient_distance, _ = _reference_predicates(leaves)
-        same, proxy = leaves.leaf_pairs(ps, qs, tol)
-        if tol or not isinstance(leaves, FiniteGroupModel):  # a group's tol 0 is an exact test
-            assert same.tolist() == [same_leaf(p, q, tol) for p, q in zip(p_rows, q_rows)]
-        else:
-            assert same.tolist() == [tuple(q) in leaves.orbit(p) for p, q in zip(p_rows, q_rows)]
-        assert proxy.tolist() == [quotient_distance(p, q) for p, q in zip(p_rows, q_rows)]
+        got = _refusal_or(lambda: [a.tolist() for a in leaves.leaf_pairs(ps, qs)])
+        expected = _refusal_or(lambda: [[same_leaf(p, q, tol) for p, q in zip(p_rows, q_rows)],
+                                        [quotient_distance(p, q) for p, q in zip(p_rows, q_rows)]])
+        assert got == expected
         if tol == LEVEL_TOL and model.symmetry is not None:
-            assert same[::3].all() and same.sum() < 200
+            assert all(got[0][::3]) and sum(got[0]) < 200
 
 
 def _reference_export(gens, num_samples, rng_seed, path, model):

@@ -343,6 +343,16 @@ NAMED_KEY_CASES = [
     ("removed_tol_rank", "generators", B2, {"seed": 1, "D": 2, "tol_rank": 1e-8}, {}, "'tol_rank'"),
     # params.h was never read: the bandwidth is a constant
     ("params_bandwidth", "avg", ISO, {"seed": 1, "f": "x1^2", "h": 0.05}, {}, "'h'"),
+    # values the removed keys' range checks once refused: refused, and named, as any value is
+    ("bandwidth_above_1", "generators", {**ISO, "h": 1.5}, {"seed": 1, "D": 2}, {}, "'h'"),
+    ("bandwidth_not_number", "generators", {**ISO, "h": "wide"}, {"seed": 1, "D": 2}, {}, "'h'"),
+    ("tol_rank_negative", "generators", ISO_G2, {"seed": 1, "D": 2, "tol_rank": -1}, {},
+     "'tol_rank'"),
+    ("tol_rank_nan", "generators", ISO_G2, {"seed": 1, "D": 2, "tol_rank": math.nan}, {},
+     "'tol_rank'"),
+    *[(f"min_ess_{label}", "avg", {**ISO_G2, "min_ess": value}, {"seed": 1, "f": "x1^2"}, {},
+       "'min_ess'")
+      for label, value in (("negative", -5), ("below_1", 0.5), ("nan", math.nan))],
     # unknown keys, such as typos, in every section
     ("unknown_params_key", "separate", B2, {"seed": 1, "D": 2, "num_pair": 5}, {}, "num_pair"),
     ("unknown_top_level_key", "generators", TORUS, {"seed": 1, "D": 2}, {"output": "x"}, "output"),
@@ -383,7 +393,7 @@ NEGATIVE_TOLERANCES = [
     ("separate", B2, {"seed": 1, "D": 2, "tol_same": -1}),
 ]
 # h, min_ess and tol_rank are no config keys any more: a config that sets one
-# is refused at any value, as the removed_* cases of NAMED_KEY_CASES check by name
+# is refused at any value, as NAMED_KEY_CASES checks by name, out-of-range values too
 MALFORMED_CASES = [
     ("generators", TORUS, {"seed": "abc", "D": 2}),
     ("generators", {"kind": "finite_group", "ambient_dim": 2}, {"seed": 1, "D": 2}),
@@ -477,11 +487,14 @@ def _main_within(seconds, argv):
         signal.signal(signal.SIGALRM, previous)
 
 
-# no fit point meets |F| <= 1 - 2h on R^1; a non-positive ambient_dim once
-# ended in a traceback (F = 1 has no variable to refuse) or, with nested
-# generators, ran at the matrices' own dimension
+# no fit point meets |F| <= 1 - 2h on R^1, nor would one with h >= 1/2 (h
+# is no config key any more: a config that sets it is refused at any value); a
+# non-positive ambient_dim once ended in a traceback (F = 1 has no variable to refuse) or,
+# with nested generators, ran at the matrices' own dimension
 NESTED_SWAP = {"kind": "finite_group", "generators": [[[0, 1], [1, 0]]]}
 REFUSED_MODELS = {
+    "bandwidth_half": {**ISO_G2, "h": 0.5},
+    "bandwidth_0.6": {**ISO_G2, "h": 0.6},
     "iso_on_R1": {"kind": "isoparametric", "ambient_dim": 1, "F": "x1", "g": 1},
     "group_rows_differ": {**NESTED_SWAP, "ambient_dim": 3},
     **{f"{kind}_dim_{dim}": {**model, "ambient_dim": dim}

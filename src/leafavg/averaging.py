@@ -240,45 +240,45 @@ def _mate_constancy(model, avg: Polynomial, seed: int) -> float:
 # -- statistical engine ------------------------------------------------------
 
 # full clouds each model keeps, least recently used first, the first dropped
-# before the next is built.  A cloud is a pure function of the model, the seed
-# and the count.  verify's probe n reads the seeds s, s + 1 and s + 2 with
+# before the next is built.  A cloud is a pure function of the model (with its
+# count) and the seed.  verify's probe n reads the seeds s, s + 1 and s + 2 with
 # s = seed + 100 + n, so probe n + 1 reads the two last used before it builds
 # s + 3, and avg's structured fit reuses its average's cloud, the last used.
 CLOUDS_KEPT = 2
 _CLOUDS: "weakref.WeakKeyDictionary[IsoparametricModel, OrderedDict]" = weakref.WeakKeyDictionary()
 
 
-def _full_cloud(model: IsoparametricModel, seed: int, count: int) -> LevelSetSampler:
-    """The full cloud of ``count`` samples of a fit context at ``seed``,
-    drawn once while it is among the model's last ``CLOUDS_KEPT``."""
+def _full_cloud(model: IsoparametricModel, seed: int) -> LevelSetSampler:
+    """The full cloud of ``model.mc_samples`` samples (``SAMPLE_COUNT`` when
+    None) of a fit context at ``seed``, drawn once while it is among the
+    model's last ``CLOUDS_KEPT``."""
     clouds = _CLOUDS.setdefault(model, OrderedDict())
-    key = (seed, count)
-    if key in clouds:
-        clouds.move_to_end(key)
-        return clouds[key]
+    if seed in clouds:
+        clouds.move_to_end(seed)
+        return clouds[seed]
     if len(clouds) >= CLOUDS_KEPT:
         clouds.popitem(last=False)
     cloud_seed = np.random.SeedSequence(seed).spawn(2)[1]
-    clouds[key] = LevelSetSampler(model, cloud_seed, count)
-    return clouds[key]
+    clouds[seed] = LevelSetSampler(model, cloud_seed, model.mc_samples or SAMPLE_COUNT)
+    return clouds[seed]
 
 
 class _FitContext:
-    """Shared sample cloud, fit points and responses for one fit session."""
+    """Shared sample cloud, fit points and responses for one fit session,
+    of the sizes ``model`` names."""
 
-    def __init__(self, model: IsoparametricModel, degree: int, seed: int,
-                 sample_points: Optional[int], mc_samples: Optional[int]):
+    def __init__(self, model: IsoparametricModel, degree: int, seed: int):
         self.model = model
         # the first child seeds the fit points, the second the cloud
         point_seed = np.random.SeedSequence(seed).spawn(2)[0]
         self.monomials = monomial_basis(model.ambient_dim, degree)
         # the restriction of the degree slice to the sphere is injective, so
         # 2x oversampling keeps the design full rank; never drop below it
-        self.sample_count = max(sample_points or 0, 2 * len(self.monomials))
+        self.sample_count = max(model.sample_points or 0, 2 * len(self.monomials))
         self.points = model.fit_points(self.sample_count, np.random.default_rng(point_seed))
         self.levels = model.F.eval_many(self.points)
-        self.mc_samples = mc_samples or SAMPLE_COUNT
-        self.sampler = _full_cloud(model, seed, self.mc_samples)
+        self.sampler = _full_cloud(model, seed)
+        self.mc_samples = self.sampler.count
         self._designs: Dict[tuple, np.ndarray] = {}
 
     def responses(self, *polys: Polynomial, se_rows: int = 0) -> Tuple[np.ndarray, np.ndarray]:
@@ -333,8 +333,7 @@ def _scaled_lstsq(design: np.ndarray, rhs: np.ndarray):
     return coeffs, condition, rms
 
 
-def _averages(model, f: Polynomial, probe: Polynomial, seed: int, sample_points: Optional[int],
-              mc_samples: Optional[int], fit_probe: bool = True) -> _Averages:
+def _averages(model, f: Polynomial, probe: Polynomial, seed: int, fit_probe: bool = True) -> _Averages:
     """The averages a certificate of ``f`` compares: by ``model.reynolds`` in
     closed form; else fitted from two estimator passes over one cloud, one
     for ``f``, its probe and its Laplacian, one for the fitted average.
@@ -350,7 +349,7 @@ def _averages(model, f: Polynomial, probe: Polynomial, seed: int, sample_points:
     probe = probe.to_float()
     lap_f = f.laplacian()
     with_lap = degree >= 2 and not lap_f.is_zero
-    ctx = _FitContext(model, degree, seed, sample_points, mc_samples)
+    ctx = _FitContext(model, degree, seed)
 
     # one pass over the cloud for f, its probe and its Laplacian
     rows = [f, *([probe] if fit_probe else []), *([lap_f] if with_lap else [])]
@@ -385,8 +384,7 @@ def _averages(model, f: Polynomial, probe: Polynomial, seed: int, sample_points:
 # -- public operations -------------------------------------------------------
 
 
-def average_polynomial(model, f: Polynomial, *, seed: int = 0, sample_points: Optional[int] = None,
-                       mc_samples: Optional[int] = None) -> Polynomial:
+def average_polynomial(model, f: Polynomial, *, seed: int = 0) -> Polynomial:
     """The average of a homogeneous ``f`` without a certificate.
 
     ``model.reynolds(f)`` for closed-form models; for isoparametric models
@@ -396,32 +394,23 @@ def average_polynomial(model, f: Polynomial, *, seed: int = 0, sample_points: Op
     if model.closed_form:
         return model.reynolds(f)
     degree = f.homogeneous_degree()
-    ctx = _FitContext(model, degree, seed, sample_points, mc_samples)
+    ctx = _FitContext(model, degree, seed)
     (responses,), _ = ctx.responses(f.to_float())
     return ctx.fit(responses, degree)[0]
 
 
-def average(
-    model,
-    f: Polynomial,
-    *,
-    seed: int = 0,
-    probe: Optional[Polynomial] = None,
-    sample_points: Optional[int] = None,
-    mc_samples: Optional[int] = None,
-) -> AveragingCertificate:
+def average(model, f: Polynomial, *, seed: int = 0) -> AveragingCertificate:
     """Average a homogeneous polynomial, with a populated certificate.
 
     Exact engine for group/torus models; level-set fit engine for
-    isoparametric models, whose kernel bandwidth is the model's ``h``.
-    ``probe`` (default :func:`cycle_probe` of ``f``) is the second argument
-    of the self-adjointness residual.
+    isoparametric models, with the model's kernel bandwidth ``h`` and
+    sample sizes.  :func:`cycle_probe` of ``f`` is the second argument of
+    the self-adjointness residual.
     """
     if not f.is_homogeneous():
         raise ValueError("average expects a homogeneous polynomial")
     degree = f.homogeneous_degree()
-    probe = cycle_probe(f) if probe is None else probe
-    a = _averages(model, f, probe, seed, sample_points, mc_samples)
+    a = _averages(model, f, cycle_probe(f), seed)
     if not a.avg.is_zero and a.avg.homogeneous_degree() != degree:
         raise IdentityViolation("degree_preservation", float("inf"),
                                 "average left the homogeneous degree slice")
@@ -449,8 +438,6 @@ def average_structured(
     gens,
     *,
     seed: int = 0,
-    sample_points: Optional[int] = None,
-    mc_samples: Optional[int] = None,
 ) -> StructuredAverageResult:
     """Fit the average of ``f`` inside the generator algebra's degree slice.
 
@@ -472,7 +459,7 @@ def average_structured(
             f"no generator products reach degree {degree}"
         )
     f = f.to_float()
-    ctx = _FitContext(model, degree, seed, sample_points, mc_samples)
+    ctx = _FitContext(model, degree, seed)
     (responses,), (ses,) = ctx.responses(f, se_rows=1)
 
     columns = [poly.eval_many(ctx.points) for _, poly in products]
@@ -509,8 +496,6 @@ def verify_operator_identities(
     *,
     seed: int = 0,
     tol: Optional[float] = None,
-    sample_points: Optional[int] = None,
-    mc_samples: Optional[int] = None,
 ) -> IdentityReport:
     """Check the five operator identities for the pair ``(f, g)``.
 
@@ -525,13 +510,11 @@ def verify_operator_identities(
     the model's bandwidth ``h`` and residuals normalized by the operand norms.
     Raises :class:`IdentityViolation` naming the worst offender.
     """
-    fit_args = {"sample_points": sample_points, "mc_samples": mc_samples}
     # reynolds is deterministic, so a closed-form g keeps the average of f's
     # probe; a fitted g is averaged on its own cloud instead, not on f's
-    a = _averages(model, f, g, seed, fit_probe=False, **fit_args)
-    avg_g = (a.probe_avg if model.closed_form
-             else average_polynomial(model, a.probe, seed=seed + 1, **fit_args))
-    avg_module = average_polynomial(model, a.avg * a.probe, seed=seed + 2, **fit_args)
+    a = _averages(model, f, g, seed, fit_probe=False)
+    avg_g = a.probe_avg if model.closed_form else average_polynomial(model, a.probe, seed=seed + 1)
+    avg_module = average_polynomial(model, a.avg * a.probe, seed=seed + 2)
     residuals = identity_residuals(a.f, a.probe, a.avg, avg_g, a.avg_again, a.lap_avg, avg_module)
     if model.closed_form:
         engine = ENGINE_EXACT

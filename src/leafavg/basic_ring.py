@@ -336,14 +336,7 @@ def _float_rref_rows(rows: np.ndarray) -> np.ndarray:
 _EXACT_SLICES: "weakref.WeakKeyDictionary[object, Dict[int, SubspaceBasis]]" = weakref.WeakKeyDictionary()
 
 
-def basic_subspace(
-    model,
-    degree: int,
-    *,
-    seed: int = 0,
-    sample_points: Optional[int] = None,
-    mc_samples: Optional[int] = None,
-) -> SubspaceBasis:
+def basic_subspace(model, degree: int, *, seed: int = 0) -> SubspaceBasis:
     """Image of the averaging operator on the degree-``degree`` slice.
 
     A closed-form model's slice is spanned by its ``invariant_rows``.  In
@@ -351,8 +344,9 @@ def basic_subspace(
     exact rank) over the monomials they touch, once per model and degree, and
     orthogonalized on the first read of the slice's ``span``.  A fitted
     model's slice is spanned by the leaf averages of every monomial of the
-    degree, which the statistical engine fits (with the bandwidth ``h``,
-    the effective-sample-size guard and condition cap of :func:`average`).
+    degree, which the statistical engine fits (with the model's bandwidth
+    ``h`` and sample sizes, and the effective-sample-size guard and condition
+    cap of :func:`average`).
     Float rows are orthonormalized with a rank cut at ``FIT_TOL_RANK`` for a
     fitted slice and ``FLOAT_TOL_RANK`` for a closed-form one, and a
     singular-value audit.
@@ -374,7 +368,7 @@ def basic_subspace(
         matrix = np.array([[row.get(e, 0) for e in monomials] for row in rows],
                           dtype=float).reshape(len(rows), len(monomials))
     else:
-        ctx = _FitContext(model, degree, seed, sample_points, mc_samples)
+        ctx = _FitContext(model, degree, seed)
         estimates, _ = ctx.responses(*(
             Polynomial.monomial(model.ambient_dim, expo, 1.0, FLOAT) for expo in monomials
         ))
@@ -430,13 +424,12 @@ def basic_projection(model, f: Polynomial) -> Polynomial:
     return result.to_float() if f.mode == FLOAT else result
 
 
-def _degree_slices(model, cap: int, seed: int, sample_points: Optional[int], mc_samples: Optional[int]):
+def _degree_slices(model, cap: int, seed: int):
     """Yield ``(d, basic_subspace(model, d))`` for ``d = 1..cap``; degree ``d``
     draws its statistical estimates from the seed ``SeedSequence([seed, d])``."""
     for d in range(1, cap + 1):
         degree_seed = int(np.random.SeedSequence([seed, d]).generate_state(1)[0])
-        yield d, basic_subspace(model, d, seed=degree_seed, sample_points=sample_points,
-                                mc_samples=mc_samples)
+        yield d, basic_subspace(model, d, seed=degree_seed)
 
 
 # -- Molien oracle ------------------------------------------------------------
@@ -581,21 +574,15 @@ def _sparsify_float(remainders: np.ndarray, basis: SubspaceBasis) -> List[Polyno
     return out
 
 
-def discover_generators(
-    model,
-    degree_cap: int,
-    *,
-    seed: int = 0,
-    sample_points: Optional[int] = None,
-    mc_samples: Optional[int] = None,
-) -> GeneratorSet:
+def discover_generators(model, degree_cap: int, *, seed: int = 0) -> GeneratorSet:
     """Run the degree induction up to ``degree_cap``.
 
-    Deterministic given (model, cap, seed, sample sizes); the generator
-    list for a smaller cap is a prefix of the list for a larger one.  Emits
+    Deterministic given (model, cap, seed); the generator list for a
+    smaller cap is a prefix of the list for a larger one.  Emits
     :class:`DegreeCapWarning` when new generators still appear at the cap.
     Float slices are cut at the rank tolerance of :func:`basic_subspace`,
-    which the provenance records.
+    which the provenance records with the model's sample sizes (None for
+    a closed-form model).
     """
     if degree_cap < 1:
         raise ValueError("degree_cap must be at least 1")
@@ -606,7 +593,7 @@ def discover_generators(
     new_at_cap = False
     built: Dict[int, list] = {}
 
-    for d, basis in _degree_slices(model, degree_cap, seed, sample_points, mc_samples):
+    for d, basis in _degree_slices(model, degree_cap, seed):
         dims[d] = basis.rank
         if basis.rank == 0:
             continue
@@ -633,8 +620,8 @@ def discover_generators(
         "seed": seed,
         "tol_rank": _tol_rank(model),
         "engine": ENGINE_EXACT if model.closed_form else ENGINE_VANDERMONDE,
-        "sample_points": sample_points,
-        "mc_samples": mc_samples,
+        "sample_points": model.sample_points,
+        "mc_samples": model.mc_samples,
         "new_generators_at_cap": new_at_cap,
     }
     generators = tuple(generators)
@@ -672,15 +659,7 @@ class GenerationReport:
         }
 
 
-def verify_generation(
-    model,
-    gens: GeneratorSet,
-    max_degree: int,
-    *,
-    seed: int = 0,
-    sample_points: Optional[int] = None,
-    mc_samples: Optional[int] = None,
-) -> GenerationReport:
+def verify_generation(model, gens: GeneratorSet, max_degree: int, *, seed: int = 0) -> GenerationReport:
     """Check the basic slice of every degree <= cap against the algebra.
 
     Projects the basis of each slice that :func:`discover_generators` builds
@@ -693,7 +672,7 @@ def verify_generation(
     tol = 0.0 if model.closed_form and model.mode == EXACT else 5e-2
     residuals: Dict[int, float] = {}
     built_for, built = gens.products
-    for d, basis in _degree_slices(model, max_degree, seed, sample_points, mc_samples):
+    for d, basis in _degree_slices(model, max_degree, seed):
         products = (built[d] if built_for is gens.generators and d in built
                     else [p for _, p in generator_products(list(gens.generators), d)])
         if basis.mode == EXACT and _covers(basis, products):

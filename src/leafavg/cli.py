@@ -81,13 +81,14 @@ BUNDLED_CONFIGS = (
 # the keys each config section may set; any other key is a ConfigError
 _TOP_KEYS = ("name", "model", "params", "out")
 _PARAMS_KEYS = (
-    "seed", "f", "D", "sample_points", "mc_samples", "generators",
+    "seed", "f", "D", "generators",
     "generators_file", "generators_mode", "identity_tol", "num_pairs", "tol_same", "num_samples",
 )
 _MODEL_KEYS = {
     "finite_group": ("kind", "name", "ambient_dim", "generators", "max_group_size"),
     "torus": ("kind", "name", "weight_matrix", "n_fix"),
-    "isoparametric": ("kind", "name", "ambient_dim", "F", "mode", "g", "symmetry"),
+    "isoparametric": ("kind", "name", "ambient_dim", "F", "mode", "g", "symmetry",
+                      "sample_points", "mc_samples"),
 }
 
 _REQUIRED = object()
@@ -135,11 +136,6 @@ def _mode(section: dict, key: str):
     if mode not in (EXACT, FLOAT):
         raise ConfigError(f"{key} must be {EXACT!r} or {FLOAT!r}, got {mode!r}")
     return mode
-
-
-def _fit_args(params: dict) -> dict:
-    """The sample sizes of the statistical engine, as keyword arguments."""
-    return {key: _number(params, key, int, None, minimum=1) for key in ("sample_points", "mc_samples")}
 
 
 def _parse_entry(value, mode: str):
@@ -201,7 +197,8 @@ def _build_model(kind: str, cfg: dict):
     ambient_dim = _number(cfg, "ambient_dim", minimum=1)
     F = parse_polynomial(cfg["F"], ambient_dim, _mode(cfg, "mode"))
     symmetry = model_from_config(cfg["symmetry"]) if "symmetry" in cfg else None
-    return IsoparametricModel(F, _number(cfg, "g"), symmetry=symmetry, name=_text(cfg, "name", ""))
+    sizes = {key: _number(cfg, key, int, None, minimum=1) for key in ("sample_points", "mc_samples")}
+    return IsoparametricModel(F, _number(cfg, "g"), symmetry=symmetry, name=_text(cfg, "name", ""), **sizes)
 
 
 @dataclass
@@ -311,7 +308,7 @@ def _discover(params: dict, model, seed: int) -> GeneratorSet:
     cap = _number(params, "D", minimum=1)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DegreeCapWarning)
-        return discover_generators(model, cap, seed=seed, **_fit_args(params))
+        return discover_generators(model, cap, seed=seed)
 
 
 def _generators_for_task(config: RunConfig, model, seed: int) -> GeneratorSet:
@@ -333,14 +330,13 @@ def task_avg(config: RunConfig, model, seed: int, out_dir: Path) -> int:
     f = parse_polynomial(params["f"], model.ambient_dim, model.mode)
     if not f.is_homogeneous():
         raise ConfigError("avg task expects a homogeneous polynomial")
-    fit_args = _fit_args(params)
-    cert = average(model, f, seed=seed, **fit_args)
+    cert = average(model, f, seed=seed)
     payload = cert.to_dict()
     failure = None
     if ("generators" in params or "generators_file" in params) and not model.closed_form:
         gens = _load_generators(config, model)
         try:
-            structured = average_structured(model, f, gens, seed=seed, **fit_args)
+            structured = average_structured(model, f, gens, seed=seed)
             payload["structured"] = structured.to_dict()
         except BasisDeficient as err:
             failure = {"type": "BasisDeficient", "message": str(err), "residual": err.residual}
@@ -382,7 +378,6 @@ def task_generators(config: RunConfig, model, seed: int, out_dir: Path) -> int:
 def task_verify(config: RunConfig, model, seed: int, out_dir: Path) -> int:
     params = config.params
     gens = _generators_for_task(config, model, seed)
-    fit_args = _fit_args(params)
     failures = []
     checks = []
 
@@ -390,7 +385,7 @@ def task_verify(config: RunConfig, model, seed: int, out_dir: Path) -> int:
     exact = model.closed_form and model.mode == EXACT
     for i, gen in enumerate(gens.generators):
         # a closed-form average keeps the generator's mode; a fitted one is float
-        avg_poly = average_polynomial(model, gen, seed=seed + i, **fit_args)
+        avg_poly = average_polynomial(model, gen, seed=seed + i)
         gap = avg_poly - (gen.to_float() if avg_poly.mode == FLOAT else gen)
         residual = sphere_norm(gap)
         checks.append({
@@ -426,12 +421,7 @@ def task_verify(config: RunConfig, model, seed: int, out_dir: Path) -> int:
         f = random_poly()
         g = random_poly()
         try:
-            report = verify_operator_identities(
-                model, f, g,
-                seed=seed + 100 + n,
-                tol=identity_tol,
-                **fit_args,
-            )
+            report = verify_operator_identities(model, f, g, seed=seed + 100 + n, tol=identity_tol)
             checks.append({"check": "operator_identities", "probe": n, **report.to_dict()})
         except IdentityViolation as err:
             failures.append({
@@ -444,7 +434,7 @@ def task_verify(config: RunConfig, model, seed: int, out_dir: Path) -> int:
     # generation completeness when a cap is supplied
     if "D" in params:
         try:
-            report = verify_generation(model, gens, _number(params, "D", minimum=1), seed=seed, **fit_args)
+            report = verify_generation(model, gens, _number(params, "D", minimum=1), seed=seed)
             checks.append({"check": "generation", **report.to_dict()})
         except GenerationGap as err:
             failures.append({
@@ -554,9 +544,9 @@ def _selftest_checks():
         return False
 
     def check_iso_rank():
-        config = load("iso_g2.json")
-        model = config.build_model()
-        basis = basic_ring.basic_subspace(model, 2, seed=7, sample_points=24, mc_samples=20_000)
+        iso = load("iso_g2.json").build_model()
+        model = IsoparametricModel(iso.F, iso.g, sample_points=24, mc_samples=20_000)
+        basis = basic_ring.basic_subspace(model, 2, seed=7)
         return basis.rank == 2
 
     def check_separation():

@@ -83,7 +83,7 @@ LEVEL_TOL = 1e-6
 _ORBIT_CHUNK = 1 << 13
 # the isoparametric estimator: the kernel bandwidth (below 1/2, so fit points
 # with |F| <= 1 - 2h exist), the smallest effective sample size of a level,
-# and the size of a sample cloud when a caller names none
+# and the size of a sample cloud when the model names none
 BANDWIDTH = 0.05
 MIN_ESS = 50.0
 SAMPLE_COUNT = 100_000
@@ -364,6 +364,7 @@ class FiniteGroupModel:
 
     closed_form = True
     leaf_label_names = ()
+    sample_points = mc_samples = None  # no sampler: averages are closed form
 
     def __init__(self, ambient_dim: int, elements, generators, mode: str, name: str = "",
                  signed=None):
@@ -678,6 +679,7 @@ class TorusModel:
     """
 
     closed_form = True
+    sample_points = mc_samples = None  # no sampler: averages are closed form
 
     def __init__(self, weight_matrix, n_fix: int = 0, name: str = ""):
         try:
@@ -1154,6 +1156,9 @@ class IsoparametricModel:
     The bandwidth ``h`` is ``BANDWIDTH`` and every level must reach an
     effective sample size of ``MIN_ESS``, for every model.
 
+    ``sample_points`` and ``mc_samples`` size its fit points (at least twice
+    a slice's monomials) and its sample clouds (``SAMPLE_COUNT`` when None).
+
     ``symmetry`` may name a finite-group or torus model whose action
     preserves ``F``; it is only used to construct same-leaf companions for
     separation testing and is validated against ``F`` at construction.
@@ -1163,7 +1168,8 @@ class IsoparametricModel:
     leaf_label_names = ("level",)
     h = BANDWIDTH
 
-    def __init__(self, F: Polynomial, g: int, *, symmetry=None, name: str = ""):
+    def __init__(self, F: Polynomial, g: int, *, symmetry=None, name: str = "",
+                 sample_points: Optional[int] = None, mc_samples: Optional[int] = None):
         if F.ambient_dim < 2:  # no fit point meets |F| <= 1 - 2h on R^1 (F = +-1)
             raise ConfigError("an isoparametric model needs ambient_dim at least 2")
         self.F = F
@@ -1172,6 +1178,8 @@ class IsoparametricModel:
         self.ambient_dim = F.ambient_dim
         self.mode = F.mode
         self.symmetry = symmetry
+        self.sample_points = sample_points
+        self.mc_samples = mc_samples
         self.name = name or f"isoparametric(g={g}, dim={self.ambient_dim})"
         if symmetry is not None:
             self._check_symmetry(symmetry)

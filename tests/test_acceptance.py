@@ -38,7 +38,7 @@ from leafavg.cli import _CONFIG_DIR, BUNDLED_CONFIGS, load_config, main
 from leafavg.models import sample_sphere_many
 from leafavg.separation import MARGIN_MIN
 
-from util import random_homogeneous
+from util import random_homogeneous, with_sizes
 
 
 def P(text, dim, mode=EXACT):
@@ -193,19 +193,20 @@ def test_acceptance_5_polynomial_recovery(capsys, iso_g2):
     )
     f = P("x1^2", 4)
     seed = 50505
-    structured = average_structured(iso_g2, f, gens, seed=seed, mc_samples=1_000_000)
+    model = with_sizes(iso_g2, mc_samples=1_000_000)
+    structured = average_structured(model, f, gens, seed=seed)
     # [x1^2] = (r^2 + F) / 4: both structured coefficients are 1/4
     assert structured.patterns == [(1, 0), (0, 1)]
     assert abs(structured.coefficients[0] - 0.25) < 0.02
     assert abs(structured.coefficients[1] - 0.25) < 0.02
 
-    unstructured = average(iso_g2, f, seed=seed, mc_samples=1_000_000)
+    unstructured = average(model, f, seed=seed)
 
     # same seed, hence the same fit points and leaf estimates: both fitted
     # polynomials are linear images of one response vector, so the
     # difference has covariance L diag(se^2) L^T with L the difference of
     # the two fit operators; compare its sphere norm against 2 SE
-    ctx = _FitContext(iso_g2, 2, seed, None, 1_000_000)
+    ctx = _FitContext(model, 2, seed)
     design = ctx.design(ctx.monomials)
     basis_cols = np.column_stack([
         gens.generators[0].to_float().eval_many(ctx.points),

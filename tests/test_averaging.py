@@ -28,7 +28,7 @@ from leafavg.cli import _CONFIG_DIR, load_config
 from leafavg.cli import main as cli_main
 from leafavg.models import LevelSetSampler
 
-from util import euler_apply, random_homogeneous
+from util import euler_apply, random_homogeneous, with_sizes
 
 
 def P(text, dim, mode=EXACT):
@@ -163,7 +163,7 @@ def test_cone_dilation_scaling_of_average(b3_model):
 
 def test_fit_recovers_quadric_average(iso_g2_model):
     f = P("x1^2", 4)
-    cert = average(iso_g2_model, f, seed=11, mc_samples=200_000)
+    cert = average(with_sizes(iso_g2_model, mc_samples=200_000), f, seed=11)
     assert cert.engine == "vandermonde_fit"
     expected = P("0.5 * x1^2 + 0.5 * x2^2", 4, FLOAT)
     assert sphere_norm(cert.average_poly - expected) < 0.02
@@ -189,19 +189,19 @@ def test_fit_builds_kernel_weights_twice_per_level(iso_g2_model, monkeypatch):
 
     monkeypatch.setattr(LevelSetSampler, "weights", counted)
     n = 20_000
-    cert = average(iso_g2_model, P("x1^2", 4), seed=3, sample_points=24, mc_samples=n)
+    cert = average(with_sizes(iso_g2_model, 24, n), P("x1^2", 4), seed=3)
     assert cert.fit["sample_count"] == 24
     assert 0 < len(calls) <= 2 * cert.fit["sample_count"]
     assert sum(lengths) < 0.25 * n * len(calls)
 
 
 def test_fit_fixes_basic_input(iso_g2_model):
-    cert = average(iso_g2_model, iso_g2_model.F, seed=12, mc_samples=200_000)
+    cert = average(with_sizes(iso_g2_model, mc_samples=200_000), iso_g2_model.F, seed=12)
     assert sphere_norm(cert.average_poly - iso_g2_model.F.to_float()) < 0.02
 
 
 def test_fit_certificate_residuals_reasonable(iso_g2_model):
-    cert = average(iso_g2_model, P("x1^2", 4), seed=13, mc_samples=100_000)
+    cert = average(with_sizes(iso_g2_model, mc_samples=100_000), P("x1^2", 4), seed=13)
     for name, value in cert.residuals.items():
         assert value >= 0.0
         assert value < 0.05, name
@@ -210,12 +210,13 @@ def test_fit_certificate_residuals_reasonable(iso_g2_model):
 def test_fit_condition_cap(iso_g2_model, monkeypatch):
     monkeypatch.setattr(averaging, "COND_CAP", 1.0)
     with pytest.raises(IllConditionedFit, match="above cap 1.0e"):
-        average(iso_g2_model, P("x1^2", 4), seed=14, mc_samples=50_000)
+        average(with_sizes(iso_g2_model, mc_samples=50_000), P("x1^2", 4), seed=14)
 
 
 def test_structured_fit_coefficients(iso_g2_model):
     gens = make_gens(4, ["x1^2 + x2^2 + x3^2 + x4^2", "x1^2 + x2^2 - x3^2 - x4^2"])
-    res = average_structured(iso_g2_model, P("x1^2", 4), gens, seed=15, mc_samples=200_000)
+    model = with_sizes(iso_g2_model, mc_samples=200_000)
+    res = average_structured(model, P("x1^2", 4), gens, seed=15)
     assert res.patterns == [(1, 0), (0, 1)]
     assert abs(res.coefficients[0] - 0.25) < 0.02
     assert abs(res.coefficients[1] - 0.25) < 0.02
@@ -225,8 +226,7 @@ def test_structured_fit_coefficients(iso_g2_model):
 def test_structured_fit_of_algebra_element(iso_g2_model):
     gens = make_gens(4, ["x1^2 + x2^2 + x3^2 + x4^2", "x1^2 + x2^2 - x3^2 - x4^2"])
     f = (iso_g2_model.F ** 3).to_float()
-    res = average_structured(iso_g2_model, f, gens, seed=16, mc_samples=200_000,
-                             sample_points=40)
+    res = average_structured(with_sizes(iso_g2_model, 40, 200_000), f, gens, seed=16)
     coeff = dict(zip(res.patterns, res.coefficients))
     assert abs(coeff[(0, 3)] - 1.0) < 0.05
     for pattern, value in coeff.items():
@@ -237,22 +237,22 @@ def test_structured_fit_of_algebra_element(iso_g2_model):
 def test_structured_fit_detects_missing_generator(iso_g2_model):
     gens = make_gens(4, ["x1^2 + x2^2 + x3^2 + x4^2"])
     with pytest.raises(BasisDeficient) as info:
-        average_structured(iso_g2_model, P("x1^2", 4), gens, seed=17, mc_samples=100_000)
+        average_structured(with_sizes(iso_g2_model, mc_samples=100_000), P("x1^2", 4), gens, seed=17)
     assert info.value.residual > 1e-2
 
 
 def test_structured_fit_no_products_at_degree(iso_g2_model):
     gens = make_gens(4, ["x1^2 + x2^2 + x3^2 + x4^2"])
     with pytest.raises(BasisDeficient):
-        average_structured(iso_g2_model, P("x1^2 * x2", 4).scale(1), gens, seed=18,
-                           mc_samples=50_000)
+        average_structured(with_sizes(iso_g2_model, mc_samples=50_000), P("x1^2 * x2", 4).scale(1),
+                           gens, seed=18)
 
 
 def test_monotone_consistency_under_doubling(iso_g2_model):
     gens = make_gens(4, ["x1^2 + x2^2 + x3^2 + x4^2", "x1^2 + x2^2 - x3^2 - x4^2"])
     f = P("x1^2", 4)
-    res_n = average_structured(iso_g2_model, f, gens, seed=19, mc_samples=100_000)
-    res_2n = average_structured(iso_g2_model, f, gens, seed=19, mc_samples=200_000)
+    res_n = average_structured(with_sizes(iso_g2_model, mc_samples=100_000), f, gens, seed=19)
+    res_2n = average_structured(with_sizes(iso_g2_model, mc_samples=200_000), f, gens, seed=19)
     allowance = max(res_n.point_ses)
     assert res_2n.residual_rms <= res_n.residual_rms + allowance
 
@@ -306,9 +306,8 @@ def test_identities_float_group():
 def test_identities_statistical(iso_g2_model):
     f = P("x1^2", 4)
     g = P("x3^2", 4)
-    report = verify_operator_identities(
-        iso_g2_model, f, g, seed=31, mc_samples=100_000, tol=0.05
-    )
+    report = verify_operator_identities(with_sizes(iso_g2_model, mc_samples=100_000), f, g,
+                                        seed=31, tol=0.05)
     assert report.passed
     assert report.engine == "vandermonde_fit"
 
@@ -317,9 +316,8 @@ def test_identity_violation_raises_with_report(iso_g2_model):
     f = P("x1^2", 4)
     g = P("x3^2", 4)
     with pytest.raises(IdentityViolation) as info:
-        verify_operator_identities(
-            iso_g2_model, f, g, seed=32, mc_samples=50_000, tol=1e-14
-        )
+        verify_operator_identities(with_sizes(iso_g2_model, mc_samples=50_000), f, g,
+                                   seed=32, tol=1e-14)
     assert info.value.identity in {
         "idempotence", "selfadjoint", "contraction", "module", "laplacian"
     }
@@ -339,7 +337,7 @@ def test_cycle_probe_fallback_keeps_degree():
     assert sphere_inner(f, probe) != 0
 
 
-def _reference_certificate_fit(model, f, seed, probe, sample_points, mc_samples):
+def _reference_certificate_fit(model, f, seed, probe):
     """The average of ``f`` and its certificate residuals as the fit engine
     computed them before one identity function existed: formulas inline,
     from two raw estimator passes."""
@@ -351,7 +349,7 @@ def _reference_certificate_fit(model, f, seed, probe, sample_points, mc_samples)
     probe = cycle_probe(f) if probe is None else probe.to_float()
     lap_f = f.laplacian()
     with_lap = degree >= 2 and not lap_f.is_zero
-    ctx = _FitContext(model, degree, seed, sample_points, mc_samples)
+    ctx = _FitContext(model, degree, seed)
     responses, _ = ctx.responses(f, probe, *([lap_f] if with_lap else []))
     avg, _, _ = ctx.fit(responses[0], degree)
     if with_lap:
@@ -372,7 +370,7 @@ def _reference_certificate_fit(model, f, seed, probe, sample_points, mc_samples)
     }
 
 
-def _reference_identities(model, f, g, *, seed=0, sample_points=None, mc_samples=None):
+def _reference_identities(model, f, g, *, seed=0):
     """The identity residuals as computed before one identity function
     existed: closed-form formulas inline, and three full fit certificates
     per probe pair on the statistical path."""
@@ -387,10 +385,9 @@ def _reference_identities(model, f, g, *, seed=0, sample_points=None, mc_samples
             "laplacian": sphere_norm(avg_f.laplacian() - model.reynolds(f.laplacian())),
             "module": sphere_norm(model.reynolds(avg_f * g) - avg_f * avg_g),
         }
-    fit_args = (sample_points, mc_samples)
-    avg_f, cert_f = _reference_certificate_fit(model, f, seed, g, *fit_args)
-    avg_g, _ = _reference_certificate_fit(model, g, seed + 1, f, *fit_args)
-    module_avg, _ = _reference_certificate_fit(model, avg_f * g.to_float(), seed + 2, None, *fit_args)
+    avg_f, cert_f = _reference_certificate_fit(model, f, seed, g)
+    avg_g, _ = _reference_certificate_fit(model, g, seed + 1, f)
+    module_avg, _ = _reference_certificate_fit(model, avg_f * g.to_float(), seed + 2, None)
     scale_f = max(sphere_norm(f), 1e-12)
     scale_g = max(sphere_norm(g), 1e-12)
     scale_lap = max(sphere_norm(f.laplacian()), scale_f)
@@ -411,15 +408,15 @@ def _bits(residuals):
 def test_statistical_identities_match_three_certificate_reference(iso_g2_model, iso_g3_model):
     from leafavg import format_polynomial
     rng = np.random.default_rng(47)
-    for model in (iso_g2_model, iso_g3_model):
+    for model in (with_sizes(iso_g2_model, 24, 20_000), with_sizes(iso_g3_model, 24, 20_000)):
         for n in range(2):
             f = random_homogeneous(model.ambient_dim, 2, rng, n_terms=3)
             g = random_homogeneous(model.ambient_dim, 2, rng, n_terms=3)
-            args = {"seed": 50 + n, "sample_points": 24, "mc_samples": 20_000}
-            report = verify_operator_identities(model, f, g, tol=float("inf"), **args)
-            assert _bits(report.residuals) == _bits(_reference_identities(model, f, g, **args))
-            cert = average(model, f, probe=g, **args)
-            avg, residuals = _reference_certificate_fit(model, f, args["seed"], g, 24, 20_000)
+            seed = 50 + n
+            report = verify_operator_identities(model, f, g, seed=seed, tol=float("inf"))
+            assert _bits(report.residuals) == _bits(_reference_identities(model, f, g, seed=seed))
+            cert = average(model, f, seed=seed)
+            avg, residuals = _reference_certificate_fit(model, f, seed, cycle_probe(f))
             assert cert.average_text == format_polynomial(avg)
             assert _bits(cert.residuals) == _bits(residuals)
 
@@ -449,37 +446,37 @@ def test_statistical_verify_makes_four_estimator_passes(iso_g2_model, monkeypatc
 
     monkeypatch.setattr(LevelSetSampler, "leaf_average_values", counted)
     f, g = P("x1^2", 4), P("x3^2", 4)
-    args = {"seed": 33, "sample_points": 24, "mc_samples": 20_000}
-    verify_operator_identities(iso_g2_model, f, g, tol=float("inf"), **args)
+    model = with_sizes(iso_g2_model, 24, 20_000)
+    verify_operator_identities(model, f, g, seed=33, tol=float("inf"))
     assert len(calls) == 4
     assert calls[0] == 2  # f and its Laplacian: g is averaged on its own cloud
     calls.clear()
-    _reference_identities(iso_g2_model, f, g, **args)
+    _reference_identities(model, f, g, seed=33)
     assert len(calls) == 6
 
 
 # -- full-cloud reuse ----------------------------------------------------------
 
 
-def _fresh_iso_g2():
-    return load_config(_CONFIG_DIR / "iso_g2.json").build_model()
+def _fresh_iso_g2(sample_points, mc_samples):
+    return with_sizes(load_config(_CONFIG_DIR / "iso_g2.json").build_model(), sample_points, mc_samples)
 
 
-def _fresh_cloud(model, seed, count):
+def _fresh_cloud(model, seed):
     """The cloud of a fit context at ``seed``, drawn anew on every call."""
-    return LevelSetSampler(model, np.random.SeedSequence(seed).spawn(2)[1], count)
+    return LevelSetSampler(model, np.random.SeedSequence(seed).spawn(2)[1], model.mc_samples)
 
 
 def test_verify_builds_each_cloud_once(tmp_path, monkeypatch):
     # verify's probes n and n + 1 share two of their three seeds: one build
-    # per distinct (seed, count), not one per fit context
+    # per distinct seed, not one per fit context
     requests, builds = [], []
     lookup = averaging._full_cloud
     build = LevelSetSampler.__init__
 
-    def requested(model, seed, count):
-        requests.append((seed, count))
-        return lookup(model, seed, count)
+    def requested(model, seed):
+        requests.append(seed)
+        return lookup(model, seed)
 
     def built(self, *args, **kwargs):
         builds.append(args)
@@ -527,14 +524,13 @@ def test_verify_memory_is_bounded_by_two_clouds(tmp_path):
 
 
 def test_reused_cloud_matches_fresh_cloud(monkeypatch):
-    model = _fresh_iso_g2()
+    model = _fresh_iso_g2(24, 20_000)
     f, g = P("x1^2 - x2 * x3", 4), P("x3^2 + 2 * x1 * x4", 4)
-    args = {"sample_points": 24, "mc_samples": 20_000}
 
     def run():
-        reports = [verify_operator_identities(model, f, g, seed=60 + n, tol=float("inf"), **args)
+        reports = [verify_operator_identities(model, f, g, seed=60 + n, tol=float("inf"))
                    for n in range(2)]
-        certs = [average(model, f, seed=61, **args) for _ in range(2)]
+        certs = [average(model, f, seed=61) for _ in range(2)]
         return ([_bits(r.residuals) for r in reports],
                 [(c.average_text, _bits(c.residuals), c.fit) for c in certs])
 
@@ -550,10 +546,10 @@ def test_dropped_model_is_freed_without_collection():
     gc.collect()
     gc.disable()
     try:
-        model = _fresh_iso_g2()
-        average(model, P("x1^2", 4), seed=5, sample_points=24, mc_samples=5_000)
+        model = _fresh_iso_g2(24, 5_000)
+        average(model, P("x1^2", 4), seed=5)
         assert model in averaging._CLOUDS
-        cloud = averaging._CLOUDS[model][(5, 5_000)]
+        cloud = averaging._CLOUDS[model][5]
         dead = weakref.ref(model)
         del model
         assert dead() is None
@@ -563,13 +559,13 @@ def test_dropped_model_is_freed_without_collection():
 
 
 def test_cloud_cache_is_bounded_and_read_only():
-    model = _fresh_iso_g2()
+    model = _fresh_iso_g2(24, 5_000)
     f = P("x1 * x2", 4)
     for seed in range(averaging.CLOUDS_KEPT + 3):
-        average(model, f, seed=seed, sample_points=24, mc_samples=5_000)
+        average(model, f, seed=seed)
         assert len(averaging._CLOUDS[model]) == min(seed + 1, averaging.CLOUDS_KEPT)
     kept = averaging._CLOUDS[model]
-    assert list(kept) == [(seed, 5_000) for seed in range(3, 3 + averaging.CLOUDS_KEPT)]
+    assert list(kept) == list(range(3, 3 + averaging.CLOUDS_KEPT))
     cloud = next(iter(kept.values()))
     for array in (cloud.points, cloud.level_values, cloud.grad_norms):
         with pytest.raises(ValueError):

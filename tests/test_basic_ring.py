@@ -14,7 +14,6 @@ from leafavg import (
     FiniteGroupModel,
     GenerationGap,
     GeneratorSet,
-    IsoparametricModel,
     Polynomial,
     RankUnstable,
     ScalarModeMismatch,
@@ -37,7 +36,7 @@ from leafavg.cli import _CONFIG_DIR, load_config
 from leafavg.exactlinalg import rref
 from leafavg.polynomials import MomentGram
 
-from util import _gaussian_fraction_reynolds, _reference_average
+from util import _gaussian_fraction_reynolds, _reference_average, with_sizes
 
 
 def P(text, dim, mode=EXACT):
@@ -415,7 +414,7 @@ def test_slice_rows_span_the_averaged_monomials(name):
 
 
 def test_iso_subspace_degree2(iso_g2_model):
-    basis = basic_subspace(iso_g2_model, 2, seed=5, sample_points=24, mc_samples=40_000)
+    basis = basic_subspace(with_sizes(iso_g2_model, 24, 40_000), 2, seed=5)
     assert basis.rank == 2
     assert basis.residual(P("x1^2 + x2^2 + x3^2 + x4^2", 4)) < 0.02
     assert basis.residual(iso_g2_model.F) < 0.02
@@ -424,14 +423,14 @@ def test_iso_subspace_degree2(iso_g2_model):
 
 
 def test_iso_subspace_degree1_empty(iso_g2_model):
-    basis = basic_subspace(iso_g2_model, 1, seed=5, sample_points=12, mc_samples=40_000)
+    basis = basic_subspace(with_sizes(iso_g2_model, 12, 40_000), 1, seed=5)
     assert basis.rank == 0
 
 
 def test_iso_discovery_matches_invariant_ring(iso_g2_model):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DegreeCapWarning)
-        gens = discover_generators(iso_g2_model, 2, seed=5, sample_points=24, mc_samples=40_000)
+        gens = discover_generators(with_sizes(iso_g2_model, 24, 40_000), 2, seed=5)
     texts = {format_polynomial(p) for p in gens.generators}
     assert texts == {"x1^2 + x2^2", "x3^2 + x4^2"}
 
@@ -449,20 +448,21 @@ def test_closed_form_float_slices_cut_at_the_float_rank_tolerance():
 
 def test_statistical_slice_guards_effective_sample_size(iso_g2_model, monkeypatch):
     monkeypatch.setattr(models, "MIN_ESS", 1e9)
-    starved = IsoparametricModel(iso_g2_model.F, 2)  # its own clouds, built under the patch
+    starved = with_sizes(iso_g2_model, 24, 20_000)  # its own clouds, built under the patch
     with pytest.raises(EffectiveSampleTooSmall):
-        basic_subspace(starved, 2, seed=5, sample_points=24, mc_samples=20_000)
+        basic_subspace(starved, 2, seed=5)
 
 
 def test_rank_unstable_reported(iso_g2_model, monkeypatch):
-    probe = basic_subspace(iso_g2_model, 2, seed=5, sample_points=24, mc_samples=40_000)
+    model = with_sizes(iso_g2_model, 24, 40_000)
+    probe = basic_subspace(model, 2, seed=5)
     assert probe.tol_rank == basic_ring.FIT_TOL_RANK
     sv = probe.singular_values
     # place the threshold inside the noise cluster: ambiguous rank must raise
     ambiguous = (sv[4] + sv[5]) / 2
     monkeypatch.setattr(basic_ring, "FIT_TOL_RANK", ambiguous)
     with pytest.raises(RankUnstable) as info:
-        basic_subspace(iso_g2_model, 2, seed=5, sample_points=24, mc_samples=40_000)
+        basic_subspace(model, 2, seed=5)
     assert len(info.value.singular_values) == len(sv)
 
 
@@ -481,11 +481,9 @@ def test_float_discovery_builds_one_gram_matrix_per_slice(monkeypatch):
         return gram_matrix(ambient_dim, monomials)
 
     monkeypatch.setattr(basic_ring, "_gram_matrix", counted)
-    params = config.params
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DegreeCapWarning)
-        discover_generators(config.build_model(), 2, seed=params["seed"],
-                            sample_points=params["sample_points"], mc_samples=params["mc_samples"])
+        discover_generators(config.build_model(), 2, seed=config.params["seed"])
     assert calls == [4, 10]  # degrees 1 and 2
 
 

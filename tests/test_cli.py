@@ -343,7 +343,13 @@ NAMED_KEY_CASES = [
     ("removed_tol_rank", "generators", B2, {"seed": 1, "D": 2, "tol_rank": 1e-8}, {}, "'tol_rank'"),
     # params.h was never read: the bandwidth is a constant
     ("params_bandwidth", "avg", ISO, {"seed": 1, "f": "x1^2", "h": 0.05}, {}, "'h'"),
-    # values the removed keys' range checks once refused: refused, and named, as any value is
+    # the sample sizes belong to the isoparametric model section, not to params
+    ("params_sample_points", "generators", B2, {"seed": 1, "D": 2, "sample_points": 5}, {},
+     "'sample_points'"),
+    ("params_mc_samples", "generators", ISO, {"seed": 1, "D": 1, "mc_samples": 40_000}, {},
+     "'mc_samples'"),
+    # values the removed keys' range or type checks once refused: refused, and
+    # named, as any value is
     ("bandwidth_above_1", "generators", {**ISO, "h": 1.5}, {"seed": 1, "D": 2}, {}, "'h'"),
     ("bandwidth_not_number", "generators", {**ISO, "h": "wide"}, {"seed": 1, "D": 2}, {}, "'h'"),
     ("tol_rank_negative", "generators", ISO_G2, {"seed": 1, "D": 2, "tol_rank": -1}, {},
@@ -353,6 +359,10 @@ NAMED_KEY_CASES = [
     *[(f"min_ess_{label}", "avg", {**ISO_G2, "min_ess": value}, {"seed": 1, "f": "x1^2"}, {},
        "'min_ess'")
       for label, value in (("negative", -5), ("below_1", 0.5), ("nan", math.nan))],
+    ("generation_tol_not_number", "verify", TORUS, {"seed": 1, "D": 2, "generation_tol": "x"}, {},
+     "'generation_tol'"),
+    ("same_leaf_tol_not_number", "separate", TORUS, {"seed": 1, "D": 2, "same_leaf_tol": "x"}, {},
+     "'same_leaf_tol'"),
     # unknown keys, such as typos, in every section
     ("unknown_params_key", "separate", B2, {"seed": 1, "D": 2, "num_pair": 5}, {}, "num_pair"),
     ("unknown_top_level_key", "generators", TORUS, {"seed": 1, "D": 2}, {"output": "x"}, "output"),
@@ -377,6 +387,10 @@ NAMED_KEY_CASES = [
     ("max_group_size_fractional", "generators", {**B2, "max_group_size": 2.5},
      {"seed": 1, "D": 2}, {}, "max_group_size must be an integer"),
     ("cap_fractional", "generators", TORUS, {"seed": 1, "D": 2.7}, {}, "D must be an integer"),
+    ("sample_points_not_int", "avg", {**ISO, "sample_points": "x"}, {"seed": 1, "f": "x1^2"}, {},
+     "sample_points must be an integer"),
+    ("mc_samples_not_int", "avg", {**ISO, "mc_samples": "x"}, {"seed": 1, "f": "x1^2"}, {},
+     "mc_samples must be an integer"),
     ("num_pairs_bool", "separate", TORUS, {"seed": 1, "D": 2, "num_pairs": True}, {},
      "num_pairs must be an integer"),
     ("weight_fractional", "generators", {**TORUS, "weight_matrix": [[1.5], [1]]}, {"seed": 1, "D": 2},
@@ -392,8 +406,9 @@ NEGATIVE_TOLERANCES = [
     ("verify", TORUS, {"seed": 1, "D": 2, "identity_tol": -1}),
     ("separate", B2, {"seed": 1, "D": 2, "tol_same": -1}),
 ]
-# h, min_ess and tol_rank are no config keys any more: a config that sets one
-# is refused at any value, as NAMED_KEY_CASES checks by name, out-of-range values too
+# h, min_ess, tol_rank, generation_tol and same_leaf_tol are no config keys any
+# more: a config that sets one is refused at any value, as NAMED_KEY_CASES checks
+# by name, out-of-range and mistyped values too
 MALFORMED_CASES = [
     ("generators", TORUS, {"seed": "abc", "D": 2}),
     ("generators", {"kind": "finite_group", "ambient_dim": 2}, {"seed": 1, "D": 2}),
@@ -407,11 +422,7 @@ MALFORMED_CASES = [
     ("generators", {"kind": "finite_group", "ambient_dim": 2, "generators": [[["abc", 1], [1, 0]]]},
      {"seed": 1, "D": 2}),
     ("generators", {"kind": "torus", "weight_matrix": [1, 1]}, {"seed": 1, "D": 2}),
-    ("avg", ISO, {"seed": 1, "f": "x1^2", "sample_points": "x"}),
-    ("avg", ISO, {"seed": 1, "f": "x1^2", "mc_samples": "x"}),
     ("verify", TORUS, {"seed": 1, "D": 2, "identity_tol": "x"}),
-    ("verify", TORUS, {"seed": 1, "D": 2, "generation_tol": "x"}),
-    ("separate", TORUS, {"seed": 1, "D": 2, "same_leaf_tol": "x"}),
     ("separate", TORUS, {"seed": 1, "generators_file": "missing.json"}),
     ("separate", TORUS, {"seed": 1, "generators_file": "run.json"}),
     ("export", TORUS, {"seed": 1, "generators": [{"degree": 2}]}),
@@ -440,8 +451,7 @@ MALFORMED_IDS = [
     "seed_not_int", "group_without_generators", "empty_weights",
     "ambient_dim_not_int", "weight_not_int", "cap_not_int",
     "float_coefficient_overflow", "matrix_entry_not_number", "weight_row_not_list",
-    "sample_points_not_int", "mc_samples_not_int", "identity_tol_not_number",
-    "generation_tol_not_number", "same_leaf_tol_not_number", "missing_generators_file", "generators_file_not_a_set",
+    "identity_tol_not_number", "missing_generators_file", "generators_file_not_a_set",
     "generator_without_text", "generator_not_object", "generators_mode_complex",
     "model_mode_complex", "f_not_text", "F_not_text", "symmetry_not_object",
     "model_not_object", "no_pairs", "cap_zero", "seed_negative",

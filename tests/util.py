@@ -7,7 +7,7 @@ from operator import add, mul
 import numpy as np
 from hypothesis import strategies as st
 
-from leafavg import EXACT, FLOAT, Polynomial, basic_subspace, monomial_basis
+from leafavg import EXACT, FLOAT, IsoparametricModel, Polynomial, basic_subspace, monomial_basis
 from leafavg.averaging import generator_products
 from leafavg.basic_ring import gram_schmidt_polys, project_residual
 from leafavg.exactlinalg import primitive_integer_row, rref
@@ -39,6 +39,13 @@ def exact_polys(draw, dim=2, max_degree=3):
         if coeff:
             terms[expo] = terms.get(expo, 0) + coeff
     return Polynomial(dim, {e: c for e, c in terms.items() if c != 0})
+
+
+def with_sizes(model, sample_points=None, mc_samples=None):
+    """The isoparametric ``model`` rebuilt with the given sample sizes (None
+    for the statistical engine's defaults); a new model, with clouds of its own."""
+    return IsoparametricModel(model.F, model.g, symmetry=model.symmetry, name=model.name,
+                              sample_points=sample_points, mc_samples=mc_samples)
 
 
 def sample_sphere(ambient_dim, seed):

@@ -518,7 +518,7 @@ def verify_operator_identities(
     residuals = identity_residuals(a.f, a.probe, a.avg, avg_g, a.avg_again, a.lap_avg, avg_module)
     if model.closed_form:
         engine = ENGINE_EXACT
-        default_tol = 0.0 if model.mode == EXACT else 1e-10
+        default_tol = 0.0 if model.exact else 1e-10
     else:
         # statistical regime: residuals are scale-normalized by the operand
         # norms so the tolerance means the same thing for every probe

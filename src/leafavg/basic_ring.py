@@ -4,10 +4,10 @@ The ring of leaf-constant (basic) polynomials is finitely generated; this
 module realizes the generating set constructively.  For each degree ``d``
 up to a user-chosen cap:
 
-1. span the basic slice ``B_d`` (``basic_subspace``) -- by the rows of a
-   closed-form model's ``invariant_rows``, which an exact model keeps row
-   reduced in integers, else by fitting the leaf average of every
-   degree-``d`` monomial;
+1. span the basic slice ``B_d`` (``basic_subspace``) -- by the model's
+   ``slice_rows(d)``: an exact model's over only the monomials they touch,
+   row reduced in integers, a float group's over every monomial of the
+   degree; else by fitting the leaf average of every degree-``d`` monomial;
 2. span the degree-``d`` products of previously found generators; an exact
    degree is covered, with no new generator, when the slice's rows add no
    rank to theirs;
@@ -339,12 +339,12 @@ _EXACT_SLICES: "weakref.WeakKeyDictionary[object, Dict[int, SubspaceBasis]]" = w
 def basic_subspace(model, degree: int, *, seed: int = 0) -> SubspaceBasis:
     """Image of the averaging operator on the degree-``degree`` slice.
 
-    A closed-form model's slice is spanned by its ``invariant_rows``.  In
-    exact mode they are row reduced in integers (canonical for the span, with
-    exact rank) over the monomials they touch, once per model and degree, and
-    orthogonalized on the first read of the slice's ``span``.  A fitted
-    model's slice is spanned by the leaf averages of every monomial of the
-    degree, which the statistical engine fits (with the model's bandwidth
+    A closed-form model's slice is spanned by its ``slice_rows(degree)``.  An
+    exact model's rows are row reduced in integers (canonical for the span,
+    with exact rank) over only the monomials they touch, once per model and
+    degree, and orthogonalized on the first read of the slice's ``span``.  A
+    fitted model's slice is spanned by the leaf averages of every monomial of
+    the degree, which the statistical engine fits (with the model's bandwidth
     ``h`` and sample sizes, and the effective-sample-size guard and condition
     cap of :func:`average`).
     Float rows are orthonormalized with a rank cut at ``FIT_TOL_RANK`` for a
@@ -353,20 +353,18 @@ def basic_subspace(model, degree: int, *, seed: int = 0) -> SubspaceBasis:
     """
     if degree < 1:
         raise ValueError("degree must be at least 1")
-    slices = _EXACT_SLICES.setdefault(model, {}) if model.closed_form and model.mode == EXACT else {}
-    if degree in slices:
-        return slices[degree]
-    monomials = tuple(monomial_basis(model.ambient_dim, degree))
-
-    if model.closed_form:
-        rows = model.invariant_rows(monomials)
-        if model.mode == EXACT:
-            support = tuple(sorted({e for row in rows for e, x in row.items() if x}, key=grlex_key))
+    if model.exact:
+        slices = _EXACT_SLICES.setdefault(model, {})
+        if degree not in slices:
+            rows = model.slice_rows(degree)
+            support = tuple(sorted({e for row in rows for e in row}, key=grlex_key))
             echelon, _ = _integer_rref([primitive_integer_row([r.get(e, 0) for e in support]) for r in rows])
             slices[degree] = SubspaceBasis(degree, EXACT, model.ambient_dim, support, echelon=echelon)
-            return slices[degree]
-        matrix = np.array([[row.get(e, 0) for e in monomials] for row in rows],
-                          dtype=float).reshape(len(rows), len(monomials))
+        return slices[degree]
+    monomials = tuple(monomial_basis(model.ambient_dim, degree))
+    if model.closed_form:
+        matrix = np.array([[row.get(e, 0) for e in monomials] for row in model.slice_rows(degree)],
+                          dtype=float).reshape(-1, len(monomials))
     else:
         ctx = _FitContext(model, degree, seed)
         estimates, _ = ctx.responses(*(
@@ -499,7 +497,7 @@ def molien_dimensions(model: FiniteGroupModel, max_degree: int) -> List[int]:
     """
     if not isinstance(model, FiniteGroupModel):
         raise TypeError("the Molien series is defined for finite groups")
-    if model.mode != EXACT:
+    if not model.exact:
         raise ScalarModeMismatch("Molien series needs exact rational matrix entries")
     total = [0] * (max_degree + 1)
     for det, count in _det_counts(model).items():
@@ -586,7 +584,6 @@ def discover_generators(model, degree_cap: int, *, seed: int = 0) -> GeneratorSe
     """
     if degree_cap < 1:
         raise ValueError("degree_cap must be at least 1")
-    exact = model.closed_form and model.mode == EXACT
     generators: List[Polynomial] = []
     degrees: List[int] = []
     dims: Dict[int, int] = {}
@@ -598,11 +595,11 @@ def discover_generators(model, degree_cap: int, *, seed: int = 0) -> GeneratorSe
         if basis.rank == 0:
             continue
         products = [p for _, p in generator_products(generators, d)]
-        if exact and _covers(basis, products):
+        if model.exact and _covers(basis, products):
             new_polys = []
         else:
             rows, _, gram = _remainders(basis, products)
-            new_polys = _sparsify_exact(rows, gram) if exact else _sparsify_float(rows, basis)
+            new_polys = _sparsify_exact(rows, gram) if model.exact else _sparsify_float(rows, basis)
 
         built[d] = products + new_polys
         generators += new_polys
@@ -627,7 +624,7 @@ def discover_generators(model, degree_cap: int, *, seed: int = 0) -> GeneratorSe
     generators = tuple(generators)
     return GeneratorSet(
         ambient_dim=model.ambient_dim,
-        mode=EXACT if exact else FLOAT,
+        mode=EXACT if model.exact else FLOAT,
         generators=generators,
         degrees=tuple(degrees),
         degree_cap=degree_cap,
@@ -669,7 +666,7 @@ def verify_generation(model, gens: GeneratorSet, max_degree: int, *, seed: int =
     for an exact model, 0.05 for a statistical or float one.  Float slices
     are cut at the rank tolerance of :func:`basic_subspace`.
     """
-    tol = 0.0 if model.closed_form and model.mode == EXACT else 5e-2
+    tol = 0.0 if model.exact else 5e-2
     residuals: Dict[int, float] = {}
     built_for, built = gens.products
     for d, basis in _degree_slices(model, max_degree, seed):

@@ -361,7 +361,7 @@ def task_generators(config: RunConfig, model, seed: int, out_dir: Path) -> int:
     gens = _discover(config.params, model, seed)
     payload = gens.to_dict()
     passed = True
-    if isinstance(model, FiniteGroupModel) and model.mode == EXACT:
+    if isinstance(model, FiniteGroupModel) and model.exact:
         molien = molien_dimensions(model, gens.degree_cap)
         passed = all(gens.dims_by_degree.get(d, 0) == molien[d] for d in range(1, gens.degree_cap + 1))
         payload["molien_check"] = {"dims": molien, "match": passed}
@@ -382,7 +382,6 @@ def task_verify(config: RunConfig, model, seed: int, out_dir: Path) -> int:
     checks = []
 
     # membership: every generator must be fixed by averaging
-    exact = model.closed_form and model.mode == EXACT
     for i, gen in enumerate(gens.generators):
         # a closed-form average keeps the generator's mode; a fitted one is float
         avg_poly = average_polynomial(model, gen, seed=seed + i)
@@ -395,7 +394,7 @@ def task_verify(config: RunConfig, model, seed: int, out_dir: Path) -> int:
             "residual": residual,
         })
         # exact models: the gap itself must vanish, as a tiny gap's float residual can be 0.0
-        if not (gap.is_zero if exact else residual <= 5e-2):
+        if not (gap.is_zero if model.exact else residual <= 5e-2):
             failures.append({
                 "type": "IdentityViolation",
                 "identity": "projection_fixed_point",

@@ -4,14 +4,17 @@ Three families are implemented, each with the same batch protocol: ``mode``
 (the scalar mode of the model's own data, in which a run parses its
 polynomials; an isoparametric model's averages are float fits in either
 mode), ``closed_form`` (True when ``reynolds`` gives the leaf average in
-closed form, False when it must be estimated),
-``leaf_pairs(ps, qs)`` (the same-leaf verdict of every pair, within the
-model's own tolerance, and a cheap proxy for the distance between its two
-leaves), ``leaf_mates(points, rng)``
-(a random point on the leaf of every point of an exact :class:`PointBatch` or
-a float array), and ``leaf_label_names`` with ``leaf_labels`` (leaf-invariant
-values for exported point tables).  Each batch method refuses points of the
-wrong width with :class:`DimensionMismatch`, read off their shapes.
+closed form, False when it must be estimated), ``exact`` (True on a torus and
+an exact group, whose ``reynolds`` projects each degree part of ``f``
+sphere-orthogonally onto the span of ``slice_rows(degree)`` by
+:func:`leafavg.basic_ring.basic_projection`; a float group averages the
+pullbacks ``f(g x)``), ``leaf_pairs(ps, qs)`` (the same-leaf verdict of every
+pair, within the model's own tolerance, and a cheap proxy for the distance
+between its two leaves), ``leaf_mates(points, rng)`` (a random point on the
+leaf of every point of an exact :class:`PointBatch` or a float array), and
+``leaf_label_names`` with ``leaf_labels`` (leaf-invariant values for exported
+point tables).  Each batch method refuses points of the wrong width with
+:class:`DimensionMismatch`, read off their shapes.
 
 Nothing in the package calls a model one point at a time.  The per-point
 names ``same_leaf`` (every model), ``random_leaf_mate`` (groups and tori) and
@@ -24,14 +27,7 @@ harness in ``perfbench/`` wraps or calls them by name.
   complex coordinate planes, encoded by an integer weight matrix.
 * :class:`IsoparametricModel` -- level sets of a Cartan-Munzner polynomial;
   leaf averages come from a coarea-weighted kernel estimator on sphere
-  samples.
-
-Group and torus leaf averages are closed-form and exact in rational mode:
-each degree part of ``f`` is projected sphere-orthogonally onto the basic
-slice that ``invariant_rows`` span (:func:`leafavg.basic_ring.basic_projection`);
-a float group averages the pullbacks ``f(g x)`` over its elements.
-The isoparametric estimator is seeded and bitwise reproducible for a fixed
-seed.
+  samples, seeded and bitwise reproducible for a fixed seed.
 """
 
 from __future__ import annotations
@@ -62,6 +58,7 @@ from .polynomials import (
     FLOAT,
     Polynomial,
     format_polynomial,
+    monomial_basis,
     radius_squared,
     sphere_inner,
     sphere_mean,
@@ -79,6 +76,8 @@ MUNZNER_TOL = 1e-9
 # sphere its points may be)
 CLOSED_FORM_LEAF_TOL = 1e-9
 LEVEL_TOL = 1e-6
+# the largest sum_t max_j |w_jt| of a torus with exact mates, whose denominators reach 288^sum
+MATE_WEIGHT_CAP = 10_000
 # most float coordinates of group orbit images built at once
 _ORBIT_CHUNK = 1 << 13
 # the isoparametric estimator: the kernel bandwidth (below 1/2, so fit points
@@ -340,7 +339,7 @@ class FiniteGroupModel:
 
     Leaves are the (finite) orbits; the leaf average is the group average
     ``(1/|G|) sum_g f(g x)``: on an exact group the projection onto the
-    invariants that ``invariant_rows`` span, on a float group the mean of the
+    invariants that ``slice_rows`` span, on a float group the mean of the
     pullbacks by :func:`compose_with_matrix`.
 
     Most desk-scale groups consist of signed permutations: an exact
@@ -351,7 +350,7 @@ class FiniteGroupModel:
     row per element, read off the keys ``k_i = s_i (perm_i + 1)`` the closure
     ran on when every generator is one; then those keys are all it keeps, and
     ``elements`` (the ``Fraction`` matrices) is built on first read.
-    ``invariant_rows`` reads a monomial's signed orbit sum off the table, one
+    ``slice_rows`` reads a monomial's signed orbit sum off the table, one
     image per distinct permutation (24 for B4's 384 elements).
     When the table holds every element, orbit distances take the orbit of a
     point as ``float(p)[perm] * sign``; negating and moving a float are
@@ -373,6 +372,7 @@ class FiniteGroupModel:
             self.elements = tuple(elements)
         self.generators = tuple(generators)
         self.mode = mode
+        self.exact = mode == EXACT
         self._table = None
         # the key of every element when the closure ran on them
         self._signed = signed
@@ -428,13 +428,14 @@ class FiniteGroupModel:
             counts[key] = counts.get(key, 0) + total
         return counts
 
-    def invariant_rows(self, monomials: Sequence[Tuple[int, ...]]) -> List[dict]:
-        """Rows (maps from monomial to coefficient) spanning the invariants
-        in the span of ``monomials``, all of one degree.  An exact group keeps
-        the combinations ``v`` of its signed orbit sums with ``v(g x) = v``
-        for each generator ``g`` that is not a signed permutation (an integer
-        left kernel over one denominator); a float group averages monomials."""
-        if self.mode != EXACT:
+    def slice_rows(self, degree: int) -> List[dict]:
+        """Rows (maps from monomial to nonzero coefficient) spanning the
+        degree's invariants, walking its monomials: on an exact group the
+        combinations ``v`` of signed orbit sums with ``v(g x) = v`` for each
+        generator ``g`` that is not a signed permutation (an integer left
+        kernel over one denominator), on a float group each monomial's average."""
+        monomials = monomial_basis(self.ambient_dim, degree)
+        if not self.exact:
             return [self.reynolds(Polynomial.monomial(self.ambient_dim, e, 1, self.mode)).terms
                     for e in monomials]
         rows, seen = [], set()
@@ -452,12 +453,12 @@ class FiniteGroupModel:
                                            for e in monomials] for row in moved])
             rows = [{e: sum(c * row.get(e, 0) for c, row in zip(v, rows)) for e in monomials}
                     for v in kernel]
-        return rows
+        return [{e: c for e, c in row.items() if c} for row in rows]
 
     def reynolds(self, f: Polynomial) -> Polynomial:
         """Group average of ``f``: on an exact group the sphere-orthogonal
         projection of each degree part onto the basic slice that
-        ``invariant_rows`` span (:func:`~leafavg.basic_ring.basic_projection`),
+        ``slice_rows`` span (:func:`~leafavg.basic_ring.basic_projection`),
         on a float group the mean of the pullbacks ``f(g x)``."""
         if f.ambient_dim != self.ambient_dim:
             raise DimensionMismatch("polynomial dimension does not match group")
@@ -678,7 +679,7 @@ class TorusModel:
     same-leaf phase test.
     """
 
-    closed_form = True
+    closed_form = exact = True
     sample_points = mc_samples = None  # no sampler: averages are closed form
 
     def __init__(self, weight_matrix, n_fix: int = 0, name: str = ""):
@@ -705,38 +706,46 @@ class TorusModel:
 
     # -- averaging ---------------------------------------------------------
 
-    def _balanced(self, imbalance: Sequence[int]) -> bool:
-        return all(
-            sum(self.weight_matrix[j][t] * imbalance[j] for j in range(self.n_planes)) == 0
-            for t in range(self.torus_rank)
-        )
-
     def reynolds(self, f: Polynomial) -> Polynomial:
         """Torus average: the sphere-orthogonal projection of each degree
-        part of ``f`` onto the basic slice that ``invariant_rows`` span
+        part of ``f`` onto the basic slice that ``slice_rows`` span
         (:func:`~leafavg.basic_ring.basic_projection`)."""
         if f.ambient_dim != self.ambient_dim:
             raise DimensionMismatch("polynomial dimension does not match torus model")
         from .basic_ring import basic_projection  # basic_ring imports this module
         return basic_projection(self, f)
 
-    def invariant_rows(self, monomials: Sequence[Tuple[int, ...]]) -> List[dict]:
-        """Integer rows, as maps from monomial to coefficient, spanning the
-        image of ``reynolds`` on the span of ``monomials`` (all of one
-        degree): the real and imaginary parts of each balanced
-        ``z^a zbar^b w^c`` of the degree, one of each conjugate pair, read
-        off the monomial with exponents ``(a_1, b_1, ..., a_m, b_m, c)``."""
-        m2 = 2 * self.n_planes
+    def slice_rows(self, degree: int) -> List[dict]:
+        """Integer rows, as maps from monomial to nonzero coefficient,
+        spanning the image of ``reynolds`` on the degree-``degree`` slice:
+        the real and imaginary parts of each balanced ``z^a zbar^b w^c`` of
+        the degree, one of each conjugate pair, read off the monomial with
+        exponents ``(a_1, b_1, ..., a_m, b_m, c)``.  No other monomial is
+        visited: the last plane's imbalance is read off its weights."""
+        *first, last = self.weight_matrix
+        pivot = next((t for t, w in enumerate(last) if w), None)
+        # the (a_j, b_j) of the first planes with the degree left, the first
+        # pair with a_j != b_j having a_j < b_j (the smaller of a conjugate pair)
+        heads = [((), degree)]
+        for _ in first:
+            heads = [(ab + ((a, b),), left - a - b) for ab, left in heads for a in range(left + 1)
+                     for b in range(left - a + 1) if a <= b or any(x != y for x, y in ab)]
         rows = []
-        for expo in monomials:
-            ab = tuple(zip(expo[0:m2:2], expo[1:m2:2]))
-            conjugate = tuple((b, a) for a, b in ab)
-            if conjugate < ab or not self._balanced([a - b for a, b in ab]):
-                continue
-            parts = _realify(ab)
-            rows.append({prefix + expo[m2:]: re for prefix, re, _ in parts})
-            if conjugate != ab:  # z^a zbar^a is real
-                rows.append({prefix + expo[m2:]: im for prefix, _, im in parts})
+        for ab, left in heads:
+            sums = [sum(row[t] * (a - b) for row, (a, b) in zip(first, ab)) for t in range(self.torus_rank)]
+            if pivot is None:
+                ks = () if any(sums) else range(-left, left + 1)
+            else:
+                k, rest = divmod(-sums[pivot], last[pivot])
+                ks = () if rest or any(s + w * k for s, w in zip(sums, last)) else (k,)
+            decided = any(a != b for a, b in ab)
+            for k in (k for k in ks if decided or k <= 0):
+                for n in range(abs(k), left + 1, 2):
+                    parts = _realify(ab + (((n + k) // 2, (n - k) // 2),))
+                    for c in monomial_basis(self.n_fix, left - n):
+                        rows.append({prefix + c: re for prefix, re, _ in parts if re})
+                        if decided or k:  # z^a zbar^a is real
+                            rows.append({prefix + c: im for prefix, _, im in parts if im})
         return rows
 
     # -- leaves ------------------------------------------------------------
@@ -821,17 +830,18 @@ class TorusModel:
         """A point on the leaf of each point of an exact batch (an exact
         rational rotation) or a float array (a float rotation): one draw of
         all rotations gives the draws of one call per point.  Exactly,
-        parameter ``t`` turns by ``cos + i sin = (b + i a)^2
-        / (a^2 + b^2)`` in lowest terms, plane ``j`` by the product of their
-        ``w_jt``-th powers in Gaussian integers, and every coordinate goes
-        over ``prod_t den_t^(max_j |w_jt|)``.  The exact arithmetic runs in
-        int64 when ``2 m 288^(sum_t max_j |w_jt|) < 2^63``, with ``m`` the
-        batch's :meth:`~PointBatch.magnitude` (``288 = 12^2 + 12^2`` bounds
-        every ``den_t``, and the powers are taken by squaring, never past
-        ``|w_jt|``, so this bounds every intermediate), and in Python
-        ints otherwise; either way the mates are Python ints.  In floats,
-        plane ``j`` turns by ``sum_t w_jt theta_t``, summed left to right,
-        through ``math.cos`` and ``math.sin``."""
+        parameter ``t`` turns by ``cos + i sin = (b + i a)^2 / (a^2 + b^2)``
+        in lowest terms, plane ``j`` by the product of their ``w_jt``-th
+        powers in Gaussian integers, and every coordinate goes over
+        ``prod_t den_t^(max_j |w_jt|)``, refused with :class:`ConfigError`
+        past ``sum_t max_j |w_jt| = MATE_WEIGHT_CAP``.  The exact arithmetic
+        runs in int64 when ``2 m 288^(sum_t max_j |w_jt|) < 2^63``, with ``m``
+        the batch's :meth:`~PointBatch.magnitude` (``288 = 12^2 + 12^2``
+        bounds every ``den_t``, and the powers are taken by squaring, never
+        past ``|w_jt|``, so this bounds every intermediate), and in Python ints
+        otherwise; either way the mates are Python ints.  In floats, plane
+        ``j`` turns by ``sum_t w_jt theta_t``, summed left to right, through
+        ``math.cos`` and ``math.sin``."""
         _check_width(self.ambient_dim, batch)
         if not isinstance(batch, PointBatch):
             theta = rng.uniform(0.0, _TWO_PI, size=(len(batch), self.torus_rank))
@@ -841,8 +851,10 @@ class TorusModel:
             x, y, out = batch[:, xs], batch[:, ys], batch.copy()
             out[:, xs], out[:, ys] = cos * x - sin * y, sin * x + cos * y
             return out
-        draws = rng.integers([-12, 1], [13, 13], size=(len(batch), self.torus_rank, 2))
         tops = [max(abs(row[t]) for row in self.weight_matrix) for t in range(self.torus_rank)]
+        if sum(tops) > MATE_WEIGHT_CAP:
+            raise ConfigError(f"weight_matrix: exact torus mates need sum_t max_j |w_jt| <= {MATE_WEIGHT_CAP}")
+        draws = rng.integers([-12, 1], [13, 13], size=(len(batch), self.torus_rank, 2))
         m, ints = batch.magnitude()
         dtype = _int_dtype(2 * m * 288 ** sum(tops))
         nums, dens = ints if dtype is np.int64 else (batch.nums, batch.dens)
@@ -1164,7 +1176,7 @@ class IsoparametricModel:
     separation testing and is validated against ``F`` at construction.
     """
 
-    closed_form = False
+    closed_form = exact = False
     leaf_label_names = ("level",)
     h = BANDWIDTH
 
@@ -1192,10 +1204,10 @@ class IsoparametricModel:
         # the symmetry preserves F when its average fixes F: exactly for an
         # exact symmetry, within 1e-8 for a float one; an exact finite group
         # preserves F when each of its generators does
-        F = self.F.to_exact() if symmetry.mode == EXACT else self.F.to_float()
-        if symmetry.mode == EXACT and isinstance(symmetry, FiniteGroupModel):
+        F = self.F.to_exact() if symmetry.exact else self.F.to_float()
+        if symmetry.exact and isinstance(symmetry, FiniteGroupModel):
             preserved = all(compose_with_matrix(F, g) == F for g in symmetry.generators)
-        elif symmetry.mode == EXACT:
+        elif symmetry.exact:
             preserved = symmetry.reynolds(F) == F
         else:
             preserved = (symmetry.reynolds(F) - F).max_abs_coeff() <= 1e-8

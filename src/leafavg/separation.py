@@ -220,7 +220,7 @@ def separation_test(
     if num_pairs < 1:
         raise ValueError("num_pairs must be at least 1")
     rng = np.random.default_rng(rng_seed)
-    exact = model.closed_form and model.mode == EXACT and gens.mode == EXACT
+    exact = model.exact and gens.mode == EXACT
     integer_map = _IntegerGeneratorMap(gens.generators) if exact else None
     draw = rational_sphere_batch if exact else (lambda d, n, g: sample_sphere_many(n, d, g))
 
@@ -248,12 +248,7 @@ def separation_test(
     # same-leaf side
     max_same = 0.0
     num_same = 0
-    if not model.closed_form and model.symmetry is None:
-        notes.append(
-            "no leaf-transitive symmetry configured; same-leaf pairs skipped "
-            "(same-leaf testing degenerates to the level predicate)"
-        )
-    else:
+    if model.closed_form or model.symmetry is not None:
         points = draw(model.ambient_dim, num_pairs, rng)
         mates = model.leaf_mates(points, rng)
         discs = rho_distances(points, mates)
@@ -261,6 +256,11 @@ def separation_test(
         max_same = max([max_same] + discs)
         record_failures("same_leaf_discrepancy", "mate", points, mates, discs,
                         [i for i, disc in enumerate(discs) if disc > tol_same])
+    else:
+        notes.append(
+            "no leaf-transitive symmetry configured; same-leaf pairs skipped "
+            "(same-leaf testing degenerates to the level predicate)"
+        )
 
     # distinct-leaf side
     distances: List[float] = []

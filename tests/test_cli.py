@@ -8,6 +8,7 @@ import signal
 import subprocess
 import sys
 import tempfile
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -15,7 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from leafavg import ConfigError, FiniteGroupModel, TorusModel
+from leafavg import ConfigError, FiniteGroupModel, TorusModel, monomial_basis
+from leafavg.models import MATE_WEIGHT_CAP
 from leafavg.cli import (
     _CONFIG_DIR,
     load_config,
@@ -161,14 +163,14 @@ def test_verify_reads_the_slices_discovery_built(tmp_path, monkeypatch):
     # read the slices too, and the module check's degree-4 products add one
     calls = []
 
-    def counting(invariant_rows):
-        def counted(self, monomials):
-            calls.append(sum(monomials[0]))
-            return invariant_rows(self, monomials)
+    def counting(slice_rows):
+        def counted(self, degree):
+            calls.append(degree)
+            return slice_rows(self, degree)
         return counted
 
     for model_class in (FiniteGroupModel, TorusModel):
-        monkeypatch.setattr(model_class, "invariant_rows", counting(model_class.invariant_rows))
+        monkeypatch.setattr(model_class, "slice_rows", counting(model_class.slice_rows))
     for config, degrees in [("b3.json", [1, 2, 3, 4, 5, 6]), ("hopf.json", [1, 2, 4])]:
         calls.clear()
         out = tmp_path / config
@@ -767,14 +769,28 @@ def test_generator_past_float_range_exits_1(tmp_path, capsys, task, name, texts)
 def test_avg_exact_residual_gate_exits_2(tmp_path, monkeypatch):
     # every monomial taken for invariant: the "average" of x1^2 is x1^2, which
     # the swap of B2 moves, so leaf constancy fails the 1e-12 gate
-    monkeypatch.setattr(FiniteGroupModel, "invariant_rows",
-                        lambda self, monomials: [{e: 1} for e in monomials])
+    monkeypatch.setattr(FiniteGroupModel, "slice_rows",
+                        lambda self, degree: [{e: 1} for e in monomial_basis(self.ambient_dim, degree)])
     out = tmp_path / "out"
     assert main(["avg", "--config", str(_CONFIG_DIR / "b2.json"), "--out", str(out)]) == 2
     payload = json.loads((out / "avg_certificate.json").read_text())
     assert payload["passed"] is False and payload["residual_tol"] == 1e-12
     assert payload["average"] == "x1^2"
     assert payload["residuals"]["leaf_constancy"] > 0
+
+
+def test_separate_refuses_torus_mates_past_the_weight_cap(tmp_path, capsys):
+    # the exact mates of [[1], [10^30]] would go over 288^(10^30): refused in
+    # well under 5 s, before the bound is computed; generators draws no mate
+    data = json.loads((_CONFIG_DIR / "hopf.json").read_text())
+    data["model"]["weight_matrix"] = [[1], [10 ** 30]]
+    config = write_config(tmp_path / "run.json", data)
+    start = time.perf_counter()
+    assert main(["separate", "--config", str(config), "--out", str(tmp_path / "separate")]) == 1
+    assert time.perf_counter() - start < 5
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "weight_matrix" in err and str(MATE_WEIGHT_CAP) in err
+    assert main(["generators", "--config", str(config), "--out", str(tmp_path / "generators")]) == 0
 
 
 def test_avg_statistical_residual_gate_exits_2(tmp_path):

@@ -513,6 +513,19 @@ def test_torus_exact_rational_mate(circle12_model):
     assert cubic.eval(mate) == cubic.eval(p)
 
 
+def test_exact_torus_mates_refuse_weights_past_the_cap():
+    # sum_t max_j |w_jt| at the cap still draws exact mates; one past it, on
+    # one parameter or spread over two, is refused before any power is taken
+    cap, rng = models.MATE_WEIGHT_CAP, np.random.default_rng(3)
+    point = PointBatch.of([(Fraction(3, 5), Fraction(4, 5), Fraction(1, 2), Fraction(-1, 3))])
+    mate = models.TorusModel([[1], [cap]]).leaf_mates(point, rng)
+    radii = P("x1^2 + x2^2", 4), P("x3^2 + x4^2", 4)
+    assert [r.eval(mate.points()[0]) for r in radii] == [r.eval(point.points()[0]) for r in radii]
+    for weights in ([[1], [cap + 1]], [[cap // 2, 0], [0, cap // 2 + 1]]):
+        with pytest.raises(ConfigError, match=f"weight_matrix.*{cap}"):
+            models.TorusModel(weights).leaf_mates(point, rng)
+
+
 TORI = {
     "t2_full": ([[1, 0], [0, 1]], 0),
     "hopf": ([[1], [1]], 0),

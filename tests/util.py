@@ -180,6 +180,42 @@ def _reference_average(model, f):
     return total.scale(Fraction(1, model.order) if f.mode == EXACT else 1.0 / model.order)
 
 
+def torus_balanced(model, imbalance):
+    """Whether ``W^T k = 0`` for the plane imbalances ``k_j = a_j - b_j``:
+    every torus parameter's weighted sum of them vanishes."""
+    return all(sum(w * k for w, k in zip(column, imbalance)) == 0
+               for column in zip(*model.weight_matrix))
+
+
+def walked_torus_rows(model, degree):
+    """The rows of ``TorusModel.slice_rows`` found by walking every monomial
+    of the degree, each as a sorted tuple of its nonzero terms: the real and
+    imaginary parts of every balanced ``z^a zbar^b w^c`` whose first nonzero
+    imbalance ``a_j - b_j`` is negative (one of each conjugate pair), multiplied
+    out one factor ``x_j +- i y_j`` at a time.  The reference for the
+    plane-by-plane enumeration."""
+    dim, m = model.ambient_dim, model.n_planes
+
+    def var(i):
+        return Polynomial.monomial(dim, tuple(int(j == i) for j in range(dim)), 1)
+
+    rows = set()
+    for expo in monomial_basis(dim, degree):
+        imbalance = [expo[2 * j] - expo[2 * j + 1] for j in range(m)]
+        if next((k for k in imbalance if k), 0) > 0 or not torus_balanced(model, imbalance):
+            continue
+        re = Polynomial.monomial(dim, (0,) * (2 * m) + expo[2 * m:], 1)
+        im = Polynomial.zero(dim)
+        for j in range(m):
+            x, y = var(2 * j), var(2 * j + 1)
+            for fy in [y] * expo[2 * j] + [-y] * expo[2 * j + 1]:  # z_j = x + i y, zbar_j = x - i y
+                re, im = re * x - im * fy, re * fy + im * x
+        rows.add(tuple(sorted(re.terms.items())))
+        if any(imbalance):  # z^a zbar^a is real
+            rows.add(tuple(sorted(im.terms.items())))
+    return rows
+
+
 def _gaussian_fraction_reynolds(model, f):
     """The torus average expanded in Gaussian-rational ``Fraction`` pairs:
     complexify, keep the weight-balanced ``z^a zbar^b``, realify.  The
@@ -229,7 +265,7 @@ def _gaussian_fraction_reynolds(model, f):
             complex_terms[key] = gadd(complex_terms.get(key, zero), c)
     real_terms = {}
     for (ab, fixed), coeff in complex_terms.items():
-        if coeff == zero or not model._balanced([a - b for a, b in ab]):
+        if coeff == zero or not torus_balanced(model, [a - b for a, b in ab]):
             continue
         partial = {(): coeff}
         for a, b in ab:
@@ -269,12 +305,12 @@ def gram_schmidt_discovery(model, cap):
 
 def dense_slice(model, degree):
     """The exact slice over every monomial of the degree: the model's
-    ``invariant_rows`` in Fraction rref over all the columns, then
+    ``slice_rows`` in Fraction rref over all the columns, then
     orthogonalized in order.  The reference for ``basic_subspace``, whose
     slices live on the monomials their rows touch; returns the rank and the
     orthogonal polynomials."""
     monomials = monomial_basis(model.ambient_dim, degree)
-    reduced, _ = rref([[row.get(e, 0) for e in monomials] for row in model.invariant_rows(monomials)])
+    reduced, _ = rref([[row.get(e, 0) for e in monomials] for row in model.slice_rows(degree)])
     polys = [Polynomial(model.ambient_dim, dict(zip(monomials, row))) for row in reduced]
     return len(reduced), gram_schmidt_polys(polys)[0]
 

@@ -41,9 +41,6 @@ from .polynomials import (
     weighted_exponent_patterns,
 )
 
-ENGINE_EXACT = "exact"
-ENGINE_VANDERMONDE = "vandermonde_fit"
-
 # condition-number cap of every least-squares fit of leaf averages
 COND_CAP = 1e8
 # largest residual RMS of a structured fit inside the generator algebra
@@ -419,7 +416,7 @@ def average(model, f: Polynomial, *, seed: int = 0) -> AveragingCertificate:
                                    if model.closed_form else a.leaf_constancy)
     return AveragingCertificate(
         model=model.name,
-        engine=ENGINE_EXACT if model.closed_form else ENGINE_VANDERMONDE,
+        engine=model.engine,
         mode=a.f.mode,
         degree=degree,
         input_text=format_polynomial(a.f),
@@ -495,7 +492,6 @@ def verify_operator_identities(
     g: Polynomial,
     *,
     seed: int = 0,
-    tol: Optional[float] = None,
 ) -> IdentityReport:
     """Check the five operator identities for the pair ``(f, g)``.
 
@@ -504,11 +500,12 @@ def verify_operator_identities(
     (v) commutation with the Laplacian, by :func:`identity_residuals` on
     the averages of :func:`average` at ``seed`` (without leaf mates) and the
     certificate-free :func:`average_polynomial` of ``avg_f * g`` at
-    ``seed + 2`` and, on a fitted model, of ``g`` at ``seed + 1``.  Exact
-    models are checked exactly (default tolerance 0 in rational mode, 1e-10
-    for floating matrix entries); isoparametric models statistically, with
-    the model's bandwidth ``h`` and residuals normalized by the operand norms.
-    Raises :class:`IdentityViolation` naming the worst offender.
+    ``seed + 2`` and, on a fitted model, of ``g`` at ``seed + 1``.  The
+    worst residual must not exceed the model's ``identity_tol``: 0 on an
+    exact model, ``FLOAT_TOLERANCE`` on a float group, and on an
+    isoparametric model its own (``FIT_TOLERANCE`` unless given), there with
+    the residuals normalized by the operand norms.  The report's ``engine``
+    is the model's.  Raises :class:`IdentityViolation` naming the worst offender.
     """
     # reynolds is deterministic, so a closed-form g keeps the average of f's
     # probe; a fitted g is averaged on its own cloud instead, not on f's
@@ -516,14 +513,9 @@ def verify_operator_identities(
     avg_g = a.probe_avg if model.closed_form else average_polynomial(model, a.probe, seed=seed + 1)
     avg_module = average_polynomial(model, a.avg * a.probe, seed=seed + 2)
     residuals = identity_residuals(a.f, a.probe, a.avg, avg_g, a.avg_again, a.lap_avg, avg_module)
-    if model.closed_form:
-        engine = ENGINE_EXACT
-        default_tol = 0.0 if model.exact else 1e-10
-    else:
+    if not model.closed_form:
         # statistical regime: residuals are scale-normalized by the operand
         # norms so the tolerance means the same thing for every probe
-        engine = ENGINE_VANDERMONDE
-        default_tol = 0.05
         scale_f = max(sphere_norm(f), 1e-12)
         scale_g = max(sphere_norm(g), 1e-12)
         scale_lap = max(sphere_norm(f.laplacian()), scale_f)
@@ -535,15 +527,14 @@ def verify_operator_identities(
             "laplacian": scale_lap,
         }
         residuals = {name: residuals[name] / scale for name, scale in scales.items()}
-    tolerance = default_tol if tol is None else tol
 
     worst = max(residuals, key=lambda k: residuals[k])
-    passed = residuals[worst] <= tolerance
+    passed = residuals[worst] <= model.identity_tol
     report = IdentityReport(
         model=model.name,
-        engine=engine,
+        engine=model.engine,
         residuals=residuals,
-        tolerance=tolerance,
+        tolerance=model.identity_tol,
         passed=passed,
     )
     if not passed:

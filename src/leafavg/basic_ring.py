@@ -42,9 +42,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .averaging import (ENGINE_EXACT, ENGINE_VANDERMONDE, _FitContext, _scaled_lstsq,
-                        generator_products)
+from .averaging import _FitContext, _scaled_lstsq, generator_products
 from .errors import (
+    ConfigError,
     DegreeCapWarning,
     GenerationGap,
     RankUnstable,
@@ -68,14 +68,12 @@ from .polynomials import (
 # relative sphere-norm change (to the polynomial and off the slice) accepted
 MAX_DENOMINATOR = 12
 CLEAN_TOL = 5e-2
-# the absolute singular-value cut of a float slice's rank: above the noise of
-# a fitted slice, and above the rounding of a closed-form float one
-FIT_TOL_RANK = 0.05
-FLOAT_TOL_RANK = 1e-8
 # smallest singular-value ratio across a float rank cut
 GUARD_BAND = 10.0
 # smallest share of its row's largest entry that a float pivot must reach
 PIVOT_FRAC = 0.1
+# most cells (rows times support monomials) of an exact slice's dense integer rows
+MAX_SLICE_CELLS = 10 ** 7
 
 
 def vector_to_poly(vec, monomials: Sequence[tuple], ambient_dim: int, mode: str) -> Polynomial:
@@ -342,14 +340,14 @@ def basic_subspace(model, degree: int, *, seed: int = 0) -> SubspaceBasis:
     A closed-form model's slice is spanned by its ``slice_rows(degree)``.  An
     exact model's rows are row reduced in integers (canonical for the span,
     with exact rank) over only the monomials they touch, once per model and
-    degree, and orthogonalized on the first read of the slice's ``span``.  A
-    fitted model's slice is spanned by the leaf averages of every monomial of
-    the degree, which the statistical engine fits (with the model's bandwidth
-    ``h`` and sample sizes, and the effective-sample-size guard and condition
-    cap of :func:`average`).
-    Float rows are orthonormalized with a rank cut at ``FIT_TOL_RANK`` for a
-    fitted slice and ``FLOAT_TOL_RANK`` for a closed-form one, and a
-    singular-value audit.
+    degree, and orthogonalized on the first read of the slice's ``span``; a
+    :class:`ConfigError` refuses more than ``MAX_SLICE_CELLS`` before any
+    dense row is built.  A fitted model's slice is spanned by the leaf
+    averages of every monomial of the degree, which the statistical engine
+    fits (with the model's bandwidth ``h`` and sample sizes, and the
+    effective-sample-size guard and condition cap of :func:`average`).
+    Float rows are orthonormalized with a rank cut at the model's
+    ``tol_rank``, and a singular-value audit.
     """
     if degree < 1:
         raise ValueError("degree must be at least 1")
@@ -358,6 +356,9 @@ def basic_subspace(model, degree: int, *, seed: int = 0) -> SubspaceBasis:
         if degree not in slices:
             rows = model.slice_rows(degree)
             support = tuple(sorted({e for row in rows for e in row}, key=grlex_key))
+            if len(rows) * len(support) > MAX_SLICE_CELLS:
+                raise ConfigError(f"the degree-{degree} slice has {len(rows)} rows over {len(support)} "
+                                  f"monomials, past MAX_SLICE_CELLS = {MAX_SLICE_CELLS}")
             echelon, _ = _integer_rref([primitive_integer_row([r.get(e, 0) for e in support]) for r in rows])
             slices[degree] = SubspaceBasis(degree, EXACT, model.ambient_dim, support, echelon=echelon)
         return slices[degree]
@@ -373,14 +374,10 @@ def basic_subspace(model, degree: int, *, seed: int = 0) -> SubspaceBasis:
         # fitted coefficients, one column per averaged monomial
         fitted, _, _ = _scaled_lstsq(ctx.design(monomials), estimates.T)
         matrix = fitted.T
-    gram, tol_rank = _gram_matrix(model.ambient_dim, monomials), _tol_rank(model)
-    rows, sing = _orthonormal_rows(matrix, gram, tol_rank)
+    gram = _gram_matrix(model.ambient_dim, monomials)
+    rows, sing = _orthonormal_rows(matrix, gram, model.tol_rank)
     return SubspaceBasis(degree, FLOAT, model.ambient_dim, monomials, rows=rows, gram=gram,
-                         singular_values=list(map(float, sing)), tol_rank=tol_rank)
-
-
-def _tol_rank(model) -> float:
-    return FLOAT_TOL_RANK if model.closed_form else FIT_TOL_RANK
+                         singular_values=list(map(float, sing)), tol_rank=model.tol_rank)
 
 
 def _projection(basis: SubspaceBasis, nums: dict, den: int) -> Tuple[dict, int]:
@@ -615,8 +612,8 @@ def discover_generators(model, degree_cap: int, *, seed: int = 0) -> GeneratorSe
     provenance = {
         "model": model.name,
         "seed": seed,
-        "tol_rank": _tol_rank(model),
-        "engine": ENGINE_EXACT if model.closed_form else ENGINE_VANDERMONDE,
+        "tol_rank": model.tol_rank,
+        "engine": model.engine,
         "sample_points": model.sample_points,
         "mc_samples": model.mc_samples,
         "new_generators_at_cap": new_at_cap,
@@ -662,11 +659,9 @@ def verify_generation(model, gens: GeneratorSet, max_degree: int, *, seed: int =
     Projects the basis of each slice that :func:`discover_generators` builds
     onto the degree slice of the algebra generated by ``gens`` and reports
     the worst remainder norm per degree.  Raises :class:`GenerationGap`
-    (with the report attached) when some degree exceeds the tolerance: 0
-    for an exact model, 0.05 for a statistical or float one.  Float slices
-    are cut at the rank tolerance of :func:`basic_subspace`.
+    (with the report attached) when some degree exceeds the model's
+    ``tolerance``; float slices are cut at the model's ``tol_rank``.
     """
-    tol = 0.0 if model.exact else 5e-2
     residuals: Dict[int, float] = {}
     built_for, built = gens.products
     for d, basis in _degree_slices(model, max_degree, seed):
@@ -676,7 +671,7 @@ def verify_generation(model, gens: GeneratorSet, max_degree: int, *, seed: int =
             residuals[d] = 0.0  # proved by rank
         else:
             residuals[d] = max(_remainders(basis, products)[1], default=0.0)
-    report = GenerationReport(max_residual_by_degree=residuals, tolerance=tol)
+    report = GenerationReport(max_residual_by_degree=residuals, tolerance=model.tolerance)
     if report.gaps():
         raise GenerationGap(report.gaps(), report=report)
     return report

@@ -82,13 +82,13 @@ BUNDLED_CONFIGS = (
 _TOP_KEYS = ("name", "model", "params", "out")
 _PARAMS_KEYS = (
     "seed", "f", "D", "generators",
-    "generators_file", "generators_mode", "identity_tol", "num_pairs", "tol_same", "num_samples",
+    "generators_file", "num_pairs", "tol_same", "num_samples",
 )
 _MODEL_KEYS = {
     "finite_group": ("kind", "name", "ambient_dim", "generators", "max_group_size"),
     "torus": ("kind", "name", "weight_matrix", "n_fix"),
     "isoparametric": ("kind", "name", "ambient_dim", "F", "mode", "g", "symmetry",
-                      "sample_points", "mc_samples"),
+                      "sample_points", "mc_samples", "identity_tol"),
 }
 
 _REQUIRED = object()
@@ -198,7 +198,8 @@ def _build_model(kind: str, cfg: dict):
     F = parse_polynomial(cfg["F"], ambient_dim, _mode(cfg, "mode"))
     symmetry = model_from_config(cfg["symmetry"]) if "symmetry" in cfg else None
     sizes = {key: _number(cfg, key, int, None, minimum=1) for key in ("sample_points", "mc_samples")}
-    return IsoparametricModel(F, _number(cfg, "g"), symmetry=symmetry, name=_text(cfg, "name", ""), **sizes)
+    return IsoparametricModel(F, _number(cfg, "g"), symmetry=symmetry, name=_text(cfg, "name", ""),
+                              identity_tol=_number(cfg, "identity_tol", float, None, minimum=0), **sizes)
 
 
 @dataclass
@@ -260,7 +261,7 @@ def _load_generators(config: RunConfig, model) -> GeneratorSet:
     at least 1.  A file's ``provenance`` is kept."""
     params = config.params
     if "generators" in params:
-        source, mode_key = params, "generators_mode"
+        source, mode = params, model.mode
         provenance = {"source": "inline", "model": model.name}
     else:
         if not isinstance(params["generators_file"], str):
@@ -269,7 +270,7 @@ def _load_generators(config: RunConfig, model) -> GeneratorSet:
         if not gen_path.is_absolute() and config.path is not None:
             gen_path = config.path.parent / gen_path
         try:
-            source, mode_key = json.loads(gen_path.read_text()), "mode"
+            source = json.loads(gen_path.read_text())
         except (OSError, ValueError) as err:
             raise ConfigError(f"cannot read generators file {gen_path}: {err!r}") from None
         if (not isinstance(source, dict)
@@ -279,7 +280,7 @@ def _load_generators(config: RunConfig, model) -> GeneratorSet:
         provenance = source.get("provenance", {})
         if not isinstance(provenance, dict):
             raise ConfigError(f"provenance must be an object, got {provenance!r}")
-    mode = _mode(source, mode_key)
+        mode = _mode(source, "mode")
     items = source.get("generators")
     if not isinstance(items, list):
         raise ConfigError(f"generators must be a list, got {items!r}")
@@ -341,7 +342,7 @@ def task_avg(config: RunConfig, model, seed: int, out_dir: Path) -> int:
         except BasisDeficient as err:
             failure = {"type": "BasisDeficient", "message": str(err), "residual": err.residual}
             payload["structured"] = {"failure": failure}
-    tolerance = 1e-12 if cert.exact else 0.05
+    tolerance = 1e-12 if model.exact else model.tolerance
     passed = cert.max_residual() <= tolerance and failure is None
     payload["passed"] = passed
     payload["residual_tol"] = tolerance
@@ -394,7 +395,7 @@ def task_verify(config: RunConfig, model, seed: int, out_dir: Path) -> int:
             "residual": residual,
         })
         # exact models: the gap itself must vanish, as a tiny gap's float residual can be 0.0
-        if not (gap.is_zero if model.exact else residual <= 5e-2):
+        if not (gap.is_zero if model.exact else residual <= model.tolerance):
             failures.append({
                 "type": "IdentityViolation",
                 "identity": "projection_fixed_point",
@@ -403,7 +404,6 @@ def task_verify(config: RunConfig, model, seed: int, out_dir: Path) -> int:
             })
 
     # operator identities on three pairs of degree-2 probe polynomials
-    identity_tol = _number(params, "identity_tol", float, None, minimum=0)
     basis = monomial_basis(model.ambient_dim, 2)
     rng = np.random.default_rng(seed)
     mode = model.mode
@@ -420,7 +420,7 @@ def task_verify(config: RunConfig, model, seed: int, out_dir: Path) -> int:
         f = random_poly()
         g = random_poly()
         try:
-            report = verify_operator_identities(model, f, g, seed=seed + 100 + n, tol=identity_tol)
+            report = verify_operator_identities(model, f, g, seed=seed + 100 + n)
             checks.append({"check": "operator_identities", "probe": n, **report.to_dict()})
         except IdentityViolation as err:
             failures.append({
@@ -589,7 +589,7 @@ def task_selftest(out_dir: Path) -> int:
     for name, status in results:
         print(f"selftest {name:<{width}} {status}")
     # the rank cut of the fitted slice in iso_g2_degree2_rank
-    payload = {"results": {name: status for name, status in results}, "tol_rank": basic_ring.FIT_TOL_RANK}
+    payload = {"results": {name: status for name, status in results}, "tol_rank": IsoparametricModel.tol_rank}
     _write_json(payload, out_dir / "selftest_report.json")
     return worst
 

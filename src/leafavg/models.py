@@ -14,7 +14,11 @@ between its two leaves), ``leaf_mates(points, rng)`` (a random point on the
 leaf of every point of an exact :class:`PointBatch` or a float array), and
 ``leaf_label_names`` with ``leaf_labels`` (leaf-invariant values for exported
 point tables).  Each batch method refuses points of the wrong width with
-:class:`DimensionMismatch`, read off their shapes.
+:class:`DimensionMismatch`, read off their shapes.  Each model also owns its
+certificate policy: ``engine``, ``tol_rank`` (a float slice's rank cut),
+``tolerance`` (the largest certified residual: 0 exact, ``FLOAT_TOLERANCE`` on
+a float group, ``FIT_TOLERANCE`` fitted) and ``identity_tol`` (``tolerance``,
+or an isoparametric model's own).
 
 Nothing in the package calls a model one point at a time.  The per-point
 names ``same_leaf`` (every model), ``random_leaf_mate`` (groups and tori) and
@@ -86,6 +90,11 @@ _ORBIT_CHUNK = 1 << 13
 BANDWIDTH = 0.05
 MIN_ESS = 50.0
 SAMPLE_COUNT = 100_000
+# residual bounds and rank cuts of float closed-form and fitted certificates
+FLOAT_TOLERANCE = 1e-10
+FIT_TOLERANCE = 0.05
+FLOAT_TOL_RANK = 1e-8
+FIT_TOL_RANK = 0.05
 
 
 # -- sphere sampling ---------------------------------------------------------
@@ -364,6 +373,8 @@ class FiniteGroupModel:
     closed_form = True
     leaf_label_names = ()
     sample_points = mc_samples = None  # no sampler: averages are closed form
+    engine = "exact"
+    tol_rank = FLOAT_TOL_RANK
 
     def __init__(self, ambient_dim: int, elements, generators, mode: str, name: str = "",
                  signed=None):
@@ -373,6 +384,7 @@ class FiniteGroupModel:
         self.generators = tuple(generators)
         self.mode = mode
         self.exact = mode == EXACT
+        self.tolerance = self.identity_tol = 0.0 if self.exact else FLOAT_TOLERANCE
         self._table = None
         # the key of every element when the closure ran on them
         self._signed = signed
@@ -681,6 +693,9 @@ class TorusModel:
 
     closed_form = exact = True
     sample_points = mc_samples = None  # no sampler: averages are closed form
+    engine = "exact"
+    tol_rank = FLOAT_TOL_RANK
+    tolerance = identity_tol = 0.0
 
     def __init__(self, weight_matrix, n_fix: int = 0, name: str = ""):
         try:
@@ -1169,7 +1184,8 @@ class IsoparametricModel:
     effective sample size of ``MIN_ESS``, for every model.
 
     ``sample_points`` and ``mc_samples`` size its fit points (at least twice
-    a slice's monomials) and its sample clouds (``SAMPLE_COUNT`` when None).
+    a slice's monomials) and its sample clouds (``SAMPLE_COUNT`` when None);
+    ``identity_tol`` bounds its identity residuals (``FIT_TOLERANCE`` when None).
 
     ``symmetry`` may name a finite-group or torus model whose action
     preserves ``F``; it is only used to construct same-leaf companions for
@@ -1179,9 +1195,13 @@ class IsoparametricModel:
     closed_form = exact = False
     leaf_label_names = ("level",)
     h = BANDWIDTH
+    engine = "vandermonde_fit"
+    tol_rank = FIT_TOL_RANK
+    tolerance = FIT_TOLERANCE
 
     def __init__(self, F: Polynomial, g: int, *, symmetry=None, name: str = "",
-                 sample_points: Optional[int] = None, mc_samples: Optional[int] = None):
+                 sample_points: Optional[int] = None, mc_samples: Optional[int] = None,
+                 identity_tol: Optional[float] = None):
         if F.ambient_dim < 2:  # no fit point meets |F| <= 1 - 2h on R^1 (F = +-1)
             raise ConfigError("an isoparametric model needs ambient_dim at least 2")
         self.F = F
@@ -1192,6 +1212,7 @@ class IsoparametricModel:
         self.symmetry = symmetry
         self.sample_points = sample_points
         self.mc_samples = mc_samples
+        self.identity_tol = FIT_TOLERANCE if identity_tol is None else identity_tol
         self.name = name or f"isoparametric(g={g}, dim={self.ambient_dim})"
         if symmetry is not None:
             self._check_symmetry(symmetry)

@@ -306,8 +306,8 @@ def test_identities_float_group():
 def test_identities_statistical(iso_g2_model):
     f = P("x1^2", 4)
     g = P("x3^2", 4)
-    report = verify_operator_identities(with_sizes(iso_g2_model, mc_samples=100_000), f, g,
-                                        seed=31, tol=0.05)
+    report = verify_operator_identities(with_sizes(iso_g2_model, mc_samples=100_000, identity_tol=0.05),
+                                        f, g, seed=31)
     assert report.passed
     assert report.engine == "vandermonde_fit"
 
@@ -316,8 +316,8 @@ def test_identity_violation_raises_with_report(iso_g2_model):
     f = P("x1^2", 4)
     g = P("x3^2", 4)
     with pytest.raises(IdentityViolation) as info:
-        verify_operator_identities(with_sizes(iso_g2_model, mc_samples=50_000), f, g,
-                                   seed=32, tol=1e-14)
+        verify_operator_identities(with_sizes(iso_g2_model, mc_samples=50_000, identity_tol=1e-14),
+                                   f, g, seed=32)
     assert info.value.identity in {
         "idempotence", "selfadjoint", "contraction", "module", "laplacian"
     }
@@ -408,12 +408,13 @@ def _bits(residuals):
 def test_statistical_identities_match_three_certificate_reference(iso_g2_model, iso_g3_model):
     from leafavg import format_polynomial
     rng = np.random.default_rng(47)
-    for model in (with_sizes(iso_g2_model, 24, 20_000), with_sizes(iso_g3_model, 24, 20_000)):
+    for model in (with_sizes(iso_g2_model, 24, 20_000, float("inf")),
+                  with_sizes(iso_g3_model, 24, 20_000, float("inf"))):
         for n in range(2):
             f = random_homogeneous(model.ambient_dim, 2, rng, n_terms=3)
             g = random_homogeneous(model.ambient_dim, 2, rng, n_terms=3)
             seed = 50 + n
-            report = verify_operator_identities(model, f, g, seed=seed, tol=float("inf"))
+            report = verify_operator_identities(model, f, g, seed=seed)
             assert _bits(report.residuals) == _bits(_reference_identities(model, f, g, seed=seed))
             cert = average(model, f, seed=seed)
             avg, residuals = _reference_certificate_fit(model, f, seed, cycle_probe(f))
@@ -430,7 +431,7 @@ def test_exact_identities_match_reference(b3_model, hopf_model):
     for model in (b3_model, hopf_model, dihedral):
         f = random_homogeneous(model.ambient_dim, 3, rng, mode=model.mode)
         g = random_homogeneous(model.ambient_dim, 2, rng, mode=model.mode)
-        report = verify_operator_identities(model, f, g, tol=float("inf"))
+        report = verify_operator_identities(model, f, g)
         assert _bits(report.residuals) == _bits(_reference_identities(model, f, g))
 
 
@@ -446,8 +447,8 @@ def test_statistical_verify_makes_four_estimator_passes(iso_g2_model, monkeypatc
 
     monkeypatch.setattr(LevelSetSampler, "leaf_average_values", counted)
     f, g = P("x1^2", 4), P("x3^2", 4)
-    model = with_sizes(iso_g2_model, 24, 20_000)
-    verify_operator_identities(model, f, g, seed=33, tol=float("inf"))
+    model = with_sizes(iso_g2_model, 24, 20_000, float("inf"))
+    verify_operator_identities(model, f, g, seed=33)
     assert len(calls) == 4
     assert calls[0] == 2  # f and its Laplacian: g is averaged on its own cloud
     calls.clear()
@@ -458,8 +459,9 @@ def test_statistical_verify_makes_four_estimator_passes(iso_g2_model, monkeypatc
 # -- full-cloud reuse ----------------------------------------------------------
 
 
-def _fresh_iso_g2(sample_points, mc_samples):
-    return with_sizes(load_config(_CONFIG_DIR / "iso_g2.json").build_model(), sample_points, mc_samples)
+def _fresh_iso_g2(sample_points, mc_samples, identity_tol=None):
+    return with_sizes(load_config(_CONFIG_DIR / "iso_g2.json").build_model(), sample_points, mc_samples,
+                      identity_tol)
 
 
 def _fresh_cloud(model, seed):
@@ -524,11 +526,11 @@ def test_verify_memory_is_bounded_by_two_clouds(tmp_path):
 
 
 def test_reused_cloud_matches_fresh_cloud(monkeypatch):
-    model = _fresh_iso_g2(24, 20_000)
+    model = _fresh_iso_g2(24, 20_000, float("inf"))
     f, g = P("x1^2 - x2 * x3", 4), P("x3^2 + 2 * x1 * x4", 4)
 
     def run():
-        reports = [verify_operator_identities(model, f, g, seed=60 + n, tol=float("inf"))
+        reports = [verify_operator_identities(model, f, g, seed=60 + n)
                    for n in range(2)]
         certs = [average(model, f, seed=61) for _ in range(2)]
         return ([_bits(r.residuals) for r in reports],

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import time
 import warnings
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from leafavg import (
     EXACT,
+    ConfigError,
     DegreeCapWarning,
     EffectiveSampleTooSmall,
     FiniteGroupModel,
@@ -36,7 +38,8 @@ from leafavg.cli import _CONFIG_DIR, load_config
 from leafavg.exactlinalg import rref
 from leafavg.polynomials import MomentGram
 
-from util import _gaussian_fraction_reynolds, _reference_average, torus_balanced, with_sizes
+from util import (_gaussian_fraction_reynolds, _reference_average, swap_and_flip, torus_balanced,
+                  with_sizes)
 
 
 def P(text, dim, mode=EXACT):
@@ -435,10 +438,21 @@ def test_iso_discovery_matches_invariant_ring(iso_g2_model):
     assert texts == {"x1^2 + x2^2", "x3^2 + x4^2"}
 
 
+def test_exact_slice_past_the_cell_bound_is_refused():
+    # an order-8 group on R^16: degree 4 (about 8.2 million cells) is built,
+    # degree 6 (41,941 rows over 32,211 monomials) is refused before any dense row
+    group = group_closure(swap_and_flip(16))
+    start = time.perf_counter()
+    with pytest.raises(ConfigError, match=r"degree-6 .* 41941 rows over 32211 monomials.*MAX_SLICE_CELLS"):
+        basic_subspace(group, 6)
+    assert time.perf_counter() - start < 5
+    assert basic_subspace(group, 4).rank == 2487
+
+
 def test_closed_form_float_slices_cut_at_the_float_rank_tolerance():
     s = 0.8660254037844386
     dihedral = group_closure([[[-0.5, -s], [s, -0.5]], [[1.0, 0.0], [0.0, -1.0]]])
-    assert basic_subspace(dihedral, 2).tol_rank == basic_ring.FLOAT_TOL_RANK == 1e-8
+    assert basic_subspace(dihedral, 2).tol_rank == dihedral.tol_rank == models.FLOAT_TOL_RANK == 1e-8
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DegreeCapWarning)
         gens = discover_generators(dihedral, 3)
@@ -456,11 +470,11 @@ def test_statistical_slice_guards_effective_sample_size(iso_g2_model, monkeypatc
 def test_rank_unstable_reported(iso_g2_model, monkeypatch):
     model = with_sizes(iso_g2_model, 24, 40_000)
     probe = basic_subspace(model, 2, seed=5)
-    assert probe.tol_rank == basic_ring.FIT_TOL_RANK
+    assert probe.tol_rank == models.FIT_TOL_RANK
     sv = probe.singular_values
     # place the threshold inside the noise cluster: ambiguous rank must raise
     ambiguous = (sv[4] + sv[5]) / 2
-    monkeypatch.setattr(basic_ring, "FIT_TOL_RANK", ambiguous)
+    monkeypatch.setattr(models.IsoparametricModel, "tol_rank", ambiguous)
     with pytest.raises(RankUnstable) as info:
         basic_subspace(model, 2, seed=5)
     assert len(info.value.singular_values) == len(sv)

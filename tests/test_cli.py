@@ -24,6 +24,7 @@ from leafavg.cli import (
     main,
     model_from_config,
 )
+from util import swap_and_flip
 
 B3_MODEL = {
     "kind": "finite_group",
@@ -228,10 +229,14 @@ def test_float_closed_form_model_through_every_task(tmp_path):
     assert max(generation["max_residual_by_degree"].values()) <= 1e-12
     fixed = [c["residual"] for c in report["checks"] if c["check"] == "projection_fixed_point"]
     assert len(fixed) == 2 and max(fixed) <= 1e-12
+    avg = json.loads((out / "avg_certificate.json").read_text())
     engines = {c["engine"] for c in report["checks"] if "engine" in c}
-    engines |= {gens["provenance"]["engine"],
-                json.loads((out / "avg_certificate.json").read_text())["engine"]}
+    engines |= {gens["provenance"]["engine"], avg["engine"]}
     assert engines == {"exact"}
+    # every check at the float group's rounding bound, not a fitted model's 0.05
+    identities = [c["tolerance"] for c in report["checks"] if c["check"] == "operator_identities"]
+    assert avg["residual_tol"] == generation["tolerance"] == 1e-10
+    assert identities == [1e-10] * 3
 
 
 def test_separate_task_failure_exit_code(tmp_path):
@@ -361,6 +366,10 @@ NAMED_KEY_CASES = [
     *[(f"min_ess_{label}", "avg", {**ISO_G2, "min_ess": value}, {"seed": 1, "f": "x1^2"}, {},
        "'min_ess'")
       for label, value in (("negative", -5), ("below_1", 0.5), ("nan", math.nan))],
+    # the inline generators parse in the model's mode, a generators file in its own
+    ("generators_mode_complex", "export", TORUS,
+     {"seed": 1, "generators_mode": "complex", "generators": [GOOD_GENERATOR]}, {},
+     "'generators_mode'"),
     ("generation_tol_not_number", "verify", TORUS, {"seed": 1, "D": 2, "generation_tol": "x"}, {},
      "'generation_tol'"),
     ("same_leaf_tol_not_number", "separate", TORUS, {"seed": 1, "D": 2, "same_leaf_tol": "x"}, {},
@@ -393,6 +402,10 @@ NAMED_KEY_CASES = [
      "sample_points must be an integer"),
     ("mc_samples_not_int", "avg", {**ISO, "mc_samples": "x"}, {"seed": 1, "f": "x1^2"}, {},
      "mc_samples must be an integer"),
+    ("identity_tol_not_number", "verify", {**ISO, "identity_tol": "x"}, {"seed": 1, "D": 2}, {},
+     "identity_tol must be a number"),
+    ("identity_tol_nan", "verify", {**ISO, "identity_tol": math.nan}, {"seed": 1, "D": 2}, {},
+     "identity_tol must be at least 0"),
     ("num_pairs_bool", "separate", TORUS, {"seed": 1, "D": 2, "num_pairs": True}, {},
      "num_pairs must be an integer"),
     ("weight_fractional", "generators", {**TORUS, "weight_matrix": [[1.5], [1]]}, {"seed": 1, "D": 2},
@@ -403,9 +416,10 @@ NAMED_KEY_CASES = [
      {**B2, "generators": [[[True, 0.0], [0.0, 1.0]]]}, {"seed": 1, "D": 2}, {},
      "boolean matrix entry"),
 ]
-# one negative tolerance each; the error must name its key
+# one negative tolerance each, in the isoparametric model section or in
+# params; the error must name its key
 NEGATIVE_TOLERANCES = [
-    ("verify", TORUS, {"seed": 1, "D": 2, "identity_tol": -1}),
+    ("verify", {**ISO, "identity_tol": -1}, {"seed": 1, "D": 2}),
     ("separate", B2, {"seed": 1, "D": 2, "tol_same": -1}),
 ]
 # h, min_ess, tol_rank, generation_tol and same_leaf_tol are no config keys any
@@ -424,12 +438,10 @@ MALFORMED_CASES = [
     ("generators", {"kind": "finite_group", "ambient_dim": 2, "generators": [[["abc", 1], [1, 0]]]},
      {"seed": 1, "D": 2}),
     ("generators", {"kind": "torus", "weight_matrix": [1, 1]}, {"seed": 1, "D": 2}),
-    ("verify", TORUS, {"seed": 1, "D": 2, "identity_tol": "x"}),
     ("separate", TORUS, {"seed": 1, "generators_file": "missing.json"}),
     ("separate", TORUS, {"seed": 1, "generators_file": "run.json"}),
     ("export", TORUS, {"seed": 1, "generators": [{"degree": 2}]}),
     ("export", TORUS, {"seed": 1, "generators": ["x1^2"]}),
-    ("export", TORUS, {"seed": 1, "generators_mode": "complex", "generators": [GOOD_GENERATOR]}),
     ("generators", {**ISO, "mode": "complex"}, {"seed": 1, "D": 2}),
     ("avg", TORUS, {"seed": 1, "f": 5}),
     ("generators", {**ISO, "F": 5}, {"seed": 1, "D": 2}),
@@ -444,7 +456,6 @@ MALFORMED_CASES = [
     ("avg", B2, {"seed": 1, "f": "1/9e4299 * x1^2"}),
     # a negative or NaN tolerance
     *NEGATIVE_TOLERANCES,
-    ("verify", TORUS, {"seed": 1, "D": 2, "identity_tol": math.nan}),
     ("separate", B2, {"seed": 1, "D": 2, "tol_same": math.nan}),
     *[(task, B2, {"seed": 1, **params}) for task in GENERATOR_SET_TASKS
       for params in BAD_GENERATOR_SETS.values()],
@@ -453,13 +464,13 @@ MALFORMED_IDS = [
     "seed_not_int", "group_without_generators", "empty_weights",
     "ambient_dim_not_int", "weight_not_int", "cap_not_int",
     "float_coefficient_overflow", "matrix_entry_not_number", "weight_row_not_list",
-    "identity_tol_not_number", "missing_generators_file", "generators_file_not_a_set",
-    "generator_without_text", "generator_not_object", "generators_mode_complex",
+    "missing_generators_file", "generators_file_not_a_set",
+    "generator_without_text", "generator_not_object",
     "model_mode_complex", "f_not_text", "F_not_text", "symmetry_not_object",
     "model_not_object", "no_pairs", "cap_zero", "seed_negative",
     "coefficient_too_long", "average_coefficient_too_long",
     "identity_tol_negative", "tol_same_negative",
-    "identity_tol_nan", "tol_same_nan",
+    "tol_same_nan",
     *[f"{task}_generators_{name}" for task in GENERATOR_SET_TASKS for name in BAD_GENERATOR_SETS]
 ]
 
@@ -596,7 +607,7 @@ def test_selftest_passes(tmp_path):
 
 
 def test_selftest_absurd_rank_tolerance_exits_2(tmp_path, monkeypatch):
-    monkeypatch.setattr("leafavg.basic_ring.FIT_TOL_RANK", 100.0)
+    monkeypatch.setattr("leafavg.models.IsoparametricModel.tol_rank", 100.0)
     assert main(["selftest", "--out", str(tmp_path)]) == 2
     report = json.loads((tmp_path / "selftest_report.json").read_text())
     assert report["tol_rank"] == 100.0
@@ -694,7 +705,7 @@ def test_help_exits_0(capsys):
 @pytest.mark.parametrize("task, model, params", NEGATIVE_TOLERANCES,
                          ids=["identity_tol", "tol_same"])
 def test_negative_tolerance_names_its_key(tmp_path, capsys, task, model, params):
-    [key] = [k for k in params if k not in ("seed", "D")]
+    [key] = {**model, **params}.keys() & {"identity_tol", "tol_same"}
     config = write_config(tmp_path / "run.json", {"model": model, "params": params})
     assert main([task, "--config", str(config), "--out", str(tmp_path / "out")]) == 1
     assert f"error: {key} must be at least 0" in capsys.readouterr().err
@@ -777,6 +788,34 @@ def test_avg_exact_residual_gate_exits_2(tmp_path, monkeypatch):
     assert payload["passed"] is False and payload["residual_tol"] == 1e-12
     assert payload["average"] == "x1^2"
     assert payload["residuals"]["leaf_constancy"] > 0
+
+
+def test_float_group_avg_gate_is_its_rounding_bound(tmp_path, monkeypatch):
+    # an average off by about 1e-6 would pass a fitted model's 0.05, but not
+    # the 1e-10 of the float dihedral group of iso_g3 run as a model
+    reynolds = FiniteGroupModel.reynolds
+    monkeypatch.setattr(FiniteGroupModel, "reynolds", lambda self, f: reynolds(self, f) + f.scale(1e-6))
+    symmetry = json.loads((_CONFIG_DIR / "iso_g3.json").read_text())["model"]["symmetry"]
+    config = write_config(tmp_path / "run.json", {"model": symmetry, "params": {"seed": 5, "f": "x1^2"}})
+    out = tmp_path / "out"
+    assert main(["avg", "--config", str(config), "--out", str(out)]) == 2
+    payload = json.loads((out / "avg_certificate.json").read_text())
+    assert payload["passed"] is False and payload["residual_tol"] == 1e-10
+    assert 1e-10 < max(payload["residuals"].values()) < 0.05
+
+
+def test_exact_slice_past_the_cell_bound_exits_1(tmp_path, capsys):
+    # the order-8 group of a swap and a sign flip of x1, x2 on R^16: its
+    # degree-6 slice (41,941 rows over 32,211 monomials) is refused, not built
+    config = write_config(tmp_path / "run.json", {
+        "model": {"kind": "finite_group", "ambient_dim": 16, "generators": swap_and_flip(16)},
+        "params": {"seed": 1, "f": "x1^6"},
+    })
+    start = time.perf_counter()
+    assert main(["avg", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+    assert time.perf_counter() - start < 10
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "degree-6" in err and "MAX_SLICE_CELLS" in err
 
 
 def test_separate_refuses_torus_mates_past_the_weight_cap(tmp_path, capsys):
@@ -883,9 +922,21 @@ def test_verify_generation_gap_exits_2_with_report(tmp_path):
     assert residuals["6"] > 0 and all(residuals[str(d)] == 0.0 for d in range(1, 6))
 
 
+@pytest.mark.parametrize("config, key, value", [("b3.json", "identity_tol", 0.5),
+                                                 ("cartan_so3_g3.json", "generators_mode", "float")])
+def test_certificate_policy_keys_in_params_exit_1(tmp_path, capsys, config, key, value):
+    # the identity tolerance belongs to the model (the isoparametric section
+    # may set it), and inline generators parse in the model's mode
+    data = json.loads((_CONFIG_DIR / config).read_text())
+    data["params"][key] = value
+    assert main(["verify", "--config", str(write_config(tmp_path / "run.json", data)),
+                 "--out", str(tmp_path / "out")]) == 1
+    assert f"error: unknown key '{key}' in params" in capsys.readouterr().err
+
+
 def test_verify_operator_identity_violation_exits_2(tmp_path):
     data = json.loads((_CONFIG_DIR / "iso_g2.json").read_text())
-    data["params"]["identity_tol"] = 1e-6
+    data["model"]["identity_tol"] = 1e-6
     out = tmp_path / "out"
     assert main(["verify", "--config", str(write_config(tmp_path / "run.json", data)),
                  "--out", str(out)]) == 2

@@ -41,11 +41,21 @@ def exact_polys(draw, dim=2, max_degree=3):
     return Polynomial(dim, {e: c for e, c in terms.items() if c != 0})
 
 
-def with_sizes(model, sample_points=None, mc_samples=None):
-    """The isoparametric ``model`` rebuilt with the given sample sizes (None
-    for the statistical engine's defaults); a new model, with clouds of its own."""
+def with_sizes(model, sample_points=None, mc_samples=None, identity_tol=None):
+    """The isoparametric ``model`` rebuilt with the given sample sizes and
+    identity tolerance (None for the statistical engine's defaults); a new
+    model, with clouds of its own."""
     return IsoparametricModel(model.F, model.g, symmetry=model.symmetry, name=model.name,
-                              sample_points=sample_points, mc_samples=mc_samples)
+                              sample_points=sample_points, mc_samples=mc_samples,
+                              identity_tol=identity_tol)
+
+
+def swap_and_flip(n):
+    """The swap of x1, x2 and the sign flip of x1 on R^n, integer matrices
+    generating an order-8 group whose slices grow with n as the monomials do."""
+    swap = [[int(j == (1 - i if i < 2 else i)) for j in range(n)] for i in range(n)]
+    flip = [[(-1 if i == 0 else 1) * int(i == j) for j in range(n)] for i in range(n)]
+    return [swap, flip]
 
 
 def sample_sphere(ambient_dim, seed):

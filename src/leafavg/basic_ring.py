@@ -33,7 +33,6 @@ from __future__ import annotations
 import math
 import warnings
 import weakref
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
@@ -51,7 +50,7 @@ from .errors import (
     ScalarModeMismatch,
 )
 from .exactlinalg import _integer_rref, primitive_integer_row
-from .models import FiniteGroupModel, _integer_matrix
+from .models import MAX_SLICE_CELLS, FiniteGroupModel
 from .polynomials import (
     EXACT,
     FLOAT,
@@ -72,8 +71,6 @@ CLEAN_TOL = 5e-2
 GUARD_BAND = 10.0
 # smallest share of its row's largest entry that a float pivot must reach
 PIVOT_FRAC = 0.1
-# most cells (rows times support monomials) of an exact slice's dense integer rows
-MAX_SLICE_CELLS = 10 ** 7
 
 
 def vector_to_poly(vec, monomials: Sequence[tuple], ambient_dim: int, mode: str) -> Polynomial:
@@ -380,33 +377,13 @@ def basic_subspace(model, degree: int, *, seed: int = 0) -> SubspaceBasis:
                          singular_values=list(map(float, sing)), tol_rank=model.tol_rank)
 
 
-def _projection(basis: SubspaceBasis, nums: dict, den: int) -> Tuple[dict, int]:
-    """``p = nums / den`` of the exact slice's degree projected onto it, as
-    ``sum_b <p, b> / <b, b> b`` over its span, in numerators over a
-    denominator.  Terms off the support are dropped: the slice is the image of
-    the average ``P`` of an orthogonal group or torus, an orthogonal projection
-    in the sphere pairing and in the Fischer pairing ``[x^a, x^b] = a! delta_ab``
-    (both invariant under orthogonal maps), so ``P(x^e)`` has coefficient
-    ``[P x^e, x^e] / e! = |P x^e|^2 / e!`` at ``x^e``.  Off the support that is
-    0, so ``P(x^e) = 0`` and ``<x^e, b> = <P x^e, b> = 0`` for each ``b``."""
-    row = [nums.get(e, 0) for e in basis.monomials]
-    if not any(row):
-        return {}, 1
-    # s = <p, b> den gram.den for each b, as <b, b> = n / gram.den
-    pairs = [(sum(map(mul, row, gb)), n, b) for b, _, gb, n in basis.span.basis]
-    common, out = math.lcm(*(n for s, n, _ in pairs if s)), [0] * len(row)
-    for k, b in [(s * (common // n), b) for s, n, b in pairs if s]:
-        out = [x + k * y for x, y in zip(out, b)]
-    return {e: x for e, x in zip(basis.monomials, out) if x}, den * common
-
-
 def basic_projection(model, f: Polynomial) -> Polynomial:
     """The leaf average of ``f`` on an exact closed-form model, as the
     sphere-orthogonal projection onto the basic polynomials: the constant
-    part of ``f`` is kept, and each degree-``d`` part goes onto the cached
-    exact slice ``B_d`` (:func:`_projection`), read only on its support.
-    Terms come in descending graded-lex order; float input gives float
-    coefficients."""
+    part of ``f`` is kept, and each degree-``d`` part ``p`` becomes ``p``
+    minus its remainder against the span of the cached exact slice ``B_d``,
+    read only on its support.  Terms come in descending graded-lex order;
+    float input gives float coefficients."""
     exact, result = f.to_exact(), Polynomial._trusted(model.ambient_dim, {}, 1, EXACT)
     parts: Dict[int, dict] = {}
     for expo, n in exact._nums.items():
@@ -414,7 +391,18 @@ def basic_projection(model, f: Polynomial) -> Polynomial:
     for d in sorted(parts):  # each part goes before the lower degrees: descending order
         nums, den = parts[d], exact._den
         if d:
-            nums, den = _projection(basic_subspace(model, d), nums, den)
+            # Terms off the support are dropped: the slice is the image of the
+            # average P of an orthogonal group or torus, an orthogonal projection
+            # in the sphere pairing and in the Fischer pairing [x^a, x^b] = a!
+            # delta_ab (both invariant under orthogonal maps), so P(x^e) has
+            # coefficient [P x^e, x^e] / e! = |P x^e|^2 / e! at x^e.  Off the
+            # support that is 0, so P(x^e) = 0 and <x^e, b> = <P x^e, b> = 0 for each b.
+            basis = basic_subspace(model, d)
+            row = [nums.get(e, 0) for e in basis.monomials]
+            # a part with no term on the support averages to 0, with no Gram matrix built
+            rest, rest_den = basis.span.remainder(row, den) if any(row) else (row, den)
+            projected = zip(basis.monomials, (x * rest_den - y * den for x, y in zip(row, rest)))
+            nums, den = {e: x for e, x in projected if x}, den * rest_den
         result = Polynomial._trusted(model.ambient_dim, nums, den, EXACT) + result
     return result.to_float() if f.mode == FLOAT else result
 
@@ -428,47 +416,6 @@ def _degree_slices(model, cap: int, seed: int):
 
 
 # -- Molien oracle ------------------------------------------------------------
-
-
-def _det_identity_minus_tg(matrix) -> List[Fraction]:
-    """Coefficients of det(I - t*g) as a polynomial in t (exact): ``c_k / den^k``
-    for ``g = A / den`` and ``x^n + c_1 x^(n-1) + ... + c_n`` the characteristic
-    polynomial of the integer matrix ``A``, by the Faddeev-LeVerrier recursion
-    ``M_k = A M_(k-1) + c_(k-1) I``, ``c_k = -tr(A M_k) / k`` (exact in integers)."""
-    rows, den = _integer_matrix(matrix)
-    n = len(rows)
-    coeffs = [1]
-    m = [[0] * n for _ in range(n)]
-    for k in range(1, n + 1):
-        m = [[sum(map(mul, row, col)) + (coeffs[-1] if i == j else 0)
-              for j, col in enumerate(zip(*m))] for i, row in enumerate(rows)]
-        coeffs.append(-sum(sum(map(mul, rows[i], col)) for i, col in enumerate(zip(*m))) // k)
-    return [Fraction(c, den ** k) for k, c in enumerate(coeffs)]
-
-
-def _det_counts(model: FiniteGroupModel) -> Counter:
-    """det(I - t*g) of every element as coefficients in t, counted: for a signed
-    permutation the product over its cycles c of ``1 - e_c t^|c|`` (``e_c`` the
-    product of the signs on c), each permutation's cycles found once; for any
-    other element Faddeev-LeVerrier."""
-    table, counts, d = model._signed_table(), Counter(), model.ambient_dim
-    for image, masks in table.pullbacks:
-        # its cycles as row masks are its inverse's, which image reads off 0..d-1
-        inverse, cycles = image(tuple(range(d))), set()
-        for i in range(d):
-            cycle, j = 1 << i, inverse[i]
-            while j != i:
-                cycle, j = cycle | 1 << j, inverse[j]
-            cycles.add(cycle)
-        for odds, count in Counter(tuple((m & c).bit_count() & 1 for c in cycles)
-                                   for m in masks).items():
-            poly = [1] + [0] * d
-            for c, odd in zip(cycles, odds):
-                n = c.bit_count()
-                poly = [x - (-1) ** odd * poly[k - n] if k >= n else x for k, x in enumerate(poly)]
-            counts[tuple(poly)] += count
-    counts.update(tuple(_det_identity_minus_tg(g)) for g in table.others)
-    return counts
 
 
 def _series_invert(poly: Sequence[Fraction], max_degree: int) -> List[Fraction]:
@@ -486,18 +433,17 @@ def molien_dimensions(model: FiniteGroupModel, max_degree: int) -> List[int]:
     """Dimensions of the degree-``d`` invariants, ``d = 0..max_degree``.
 
     Expands ``(1/|G|) sum_g 1/det(I - t g)`` with exact series arithmetic;
-    the classical independent oracle for ``dim B_d``.  A signed
-    permutation's ``det(I - t g)`` is read off its cycles and their signs,
-    any other element's comes from Faddeev-LeVerrier (:func:`_det_counts`);
-    each distinct one is inverted once and weighted by its count, in ints
-    until a Faddeev-LeVerrier factor or the division by ``|G|``.
+    the classical independent oracle for ``dim B_d``.  The group counts its
+    ``det(I - t g)`` factors (:meth:`FiniteGroupModel.det_counts`); each
+    distinct one is inverted once and weighted by its count, in ints until a
+    Faddeev-LeVerrier factor or the division by ``|G|``.
     """
     if not isinstance(model, FiniteGroupModel):
         raise TypeError("the Molien series is defined for finite groups")
     if not model.exact:
         raise ScalarModeMismatch("Molien series needs exact rational matrix entries")
     total = [0] * (max_degree + 1)
-    for det, count in _det_counts(model).items():
+    for det, count in model.det_counts().items():
         total = [t + count * c for t, c in zip(total, _series_invert(det, max_degree))]
     dims = [Fraction(value) / model.order for value in total]
     if bad := [value for value in dims if value.denominator != 1]:
@@ -667,7 +613,7 @@ def verify_generation(model, gens: GeneratorSet, max_degree: int, *, seed: int =
     for d, basis in _degree_slices(model, max_degree, seed):
         products = (built[d] if built_for is gens.generators and d in built
                     else [p for _, p in generator_products(list(gens.generators), d)])
-        if basis.mode == EXACT and _covers(basis, products):
+        if model.exact and _covers(basis, products):
             residuals[d] = 0.0  # proved by rank
         else:
             residuals[d] = max(_remainders(basis, products)[1], default=0.0)

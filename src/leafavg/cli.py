@@ -92,6 +92,11 @@ _MODEL_KEYS = {
 }
 
 _REQUIRED = object()
+# the largest sizes a task accepts: the pairs ``separate`` draws, the points
+# ``export`` writes, and the degree cap ``D`` of discovery and verification
+MAX_NUM_PAIRS = 100_000
+MAX_NUM_SAMPLES = 100_000
+MAX_DEGREE_CAP = 32
 
 
 def _check_keys(section: dict, allowed, where: str):
@@ -101,11 +106,12 @@ def _check_keys(section: dict, allowed, where: str):
         raise ConfigError(f"unknown key{'s' if len(unknown) > 1 else ''} {names} in {where}")
 
 
-def _number(section: dict, key: str, kind=int, default=_REQUIRED, minimum=None):
+def _number(section: dict, key: str, kind=int, default=_REQUIRED, minimum=None, maximum=None):
     """``section[key]`` (``default`` when absent and given) as ``kind``,
     ``int`` or ``float``; None when it is null or absent and ``default`` is
     None.  A :class:`ConfigError` when it is a boolean, not a number (not a
-    whole one for ``int``) or not at least ``minimum`` (as NaN is not)."""
+    whole one for ``int``), not at least ``minimum`` or not at most
+    ``maximum`` (as NaN is neither)."""
     value = section[key] if default is _REQUIRED else section.get(key, default)
     if value is None and default is None:
         return None
@@ -118,6 +124,8 @@ def _number(section: dict, key: str, kind=int, default=_REQUIRED, minimum=None):
         raise ConfigError(f"{key} must be {expected}, got {value!r}") from None
     if minimum is not None and not number >= minimum:
         raise ConfigError(f"{key} must be at least {minimum}, got {value!r}")
+    if maximum is not None and not number <= maximum:
+        raise ConfigError(f"{key} must be at most {maximum}, got {value!r}")
     return number
 
 
@@ -306,7 +314,7 @@ def _load_generators(config: RunConfig, model) -> GeneratorSet:
 
 def _discover(params: dict, model, seed: int) -> GeneratorSet:
     """The generators up to ``D``; new ones at the cap show in the provenance, not as a warning."""
-    cap = _number(params, "D", minimum=1)
+    cap = _number(params, "D", minimum=1, maximum=MAX_DEGREE_CAP)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DegreeCapWarning)
         return discover_generators(model, cap, seed=seed)
@@ -379,6 +387,7 @@ def task_generators(config: RunConfig, model, seed: int, out_dir: Path) -> int:
 def task_verify(config: RunConfig, model, seed: int, out_dir: Path) -> int:
     params = config.params
     gens = _generators_for_task(config, model, seed)
+    cap = _number(params, "D", minimum=1, maximum=MAX_DEGREE_CAP) if "D" in params else None
     failures = []
     checks = []
 
@@ -431,9 +440,9 @@ def task_verify(config: RunConfig, model, seed: int, out_dir: Path) -> int:
             })
 
     # generation completeness when a cap is supplied
-    if "D" in params:
+    if cap is not None:
         try:
-            report = verify_generation(model, gens, _number(params, "D", minimum=1), seed=seed)
+            report = verify_generation(model, gens, cap, seed=seed)
             checks.append({"check": "generation", **report.to_dict()})
         except GenerationGap as err:
             failures.append({
@@ -464,7 +473,7 @@ def task_separate(config: RunConfig, model, seed: int, out_dir: Path) -> int:
     cert = separation.separation_test(
         model,
         gens,
-        _number(params, "num_pairs", int, 1000, minimum=1),
+        _number(params, "num_pairs", int, 1000, minimum=1, maximum=MAX_NUM_PAIRS),
         _number(params, "tol_same", float, 1e-9, minimum=0),
         seed,
     )
@@ -484,7 +493,7 @@ def task_export(config: RunConfig, model, seed: int, out_dir: Path) -> int:
     path = out_dir / "quotient_image.csv"
     rows = separation.quotient_image_export(
         gens,
-        _number(config.params, "num_samples", int, 500, minimum=0),
+        _number(config.params, "num_samples", int, 500, minimum=0, maximum=MAX_NUM_SAMPLES),
         seed,
         path,
         model=model,

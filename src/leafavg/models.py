@@ -37,6 +37,7 @@ harness in ``perfbench/`` wraps or calls them by name.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial, reduce
 from itertools import compress
@@ -82,6 +83,10 @@ CLOSED_FORM_LEAF_TOL = 1e-9
 LEVEL_TOL = 1e-6
 # the largest sum_t max_j |w_jt| of a torus with exact mates, whose denominators reach 288^sum
 MATE_WEIGHT_CAP = 10_000
+# most cells (rows times support monomials) of an exact slice's dense integer
+# rows, and most monomials a group's slice walk lists
+MAX_SLICE_CELLS = 10 ** 7
+MAX_SLICE_MONOMIALS = 10 ** 5
 # most float coordinates of group orbit images built at once
 _ORBIT_CHUNK = 1 << 13
 # the isoparametric estimator: the kernel bandwidth (below 1/2, so fit points
@@ -265,6 +270,22 @@ def _integer_matrix(matrix) -> Tuple[tuple, int]:
     return tuple(zip(*[iter(nums)] * len(matrix))), den
 
 
+def _det_identity_minus_tg(matrix) -> List[Fraction]:
+    """Coefficients of det(I - t*g) as a polynomial in t (exact): ``c_k / den^k``
+    for ``g = A / den`` and ``x^n + c_1 x^(n-1) + ... + c_n`` the characteristic
+    polynomial of the integer matrix ``A``, by the Faddeev-LeVerrier recursion
+    ``M_k = A M_(k-1) + c_(k-1) I``, ``c_k = -tr(A M_k) / k`` (exact in integers)."""
+    rows, den = _integer_matrix(matrix)
+    n = len(rows)
+    coeffs = [1]
+    m = [[0] * n for _ in range(n)]
+    for k in range(1, n + 1):
+        m = [[sum(map(mul, row, col)) + (coeffs[-1] if i == j else 0)
+              for j, col in enumerate(zip(*m))] for i, row in enumerate(rows)]
+        coeffs.append(-sum(sum(map(mul, rows[i], col)) for i, col in enumerate(zip(*m))) // k)
+    return [Fraction(c, den ** k) for k, c in enumerate(coeffs)]
+
+
 def _mat_vec(m, v):
     return tuple(sum(x * y for x, y in zip(row, v)) for row in m)
 
@@ -445,7 +466,11 @@ class FiniteGroupModel:
         degree's invariants, walking its monomials: on an exact group the
         combinations ``v`` of signed orbit sums with ``v(g x) = v`` for each
         generator ``g`` that is not a signed permutation (an integer left
-        kernel over one denominator), on a float group each monomial's average."""
+        kernel over one denominator), on a float group each monomial's average.
+        A :class:`ConfigError` refuses a walk past ``MAX_SLICE_MONOMIALS``."""
+        if (count := math.comb(self.ambient_dim + degree - 1, degree)) > MAX_SLICE_MONOMIALS:
+            raise ConfigError(f"the degree-{degree} slice walks {count} monomials of ambient_dim = "
+                              f"{self.ambient_dim}, past MAX_SLICE_MONOMIALS = {MAX_SLICE_MONOMIALS}")
         monomials = monomial_basis(self.ambient_dim, degree)
         if not self.exact:
             return [self.reynolds(Polynomial.monomial(self.ambient_dim, e, 1, self.mode)).terms
@@ -466,6 +491,30 @@ class FiniteGroupModel:
             rows = [{e: sum(c * row.get(e, 0) for c, row in zip(v, rows)) for e in monomials}
                     for v in kernel]
         return [{e: c for e, c in row.items() if c} for row in rows]
+
+    def det_counts(self) -> Counter:
+        """det(I - t*g) of every element as coefficients in t, counted: for a signed
+        permutation the product over its cycles c of ``1 - e_c t^|c|`` (``e_c`` the
+        product of the signs on c), each permutation's cycles found once; for any
+        other element Faddeev-LeVerrier."""
+        table, counts, d = self._signed_table(), Counter(), self.ambient_dim
+        for image, masks in table.pullbacks:
+            # its cycles as row masks are its inverse's, which image reads off 0..d-1
+            inverse, cycles = image(tuple(range(d))), set()
+            for i in range(d):
+                cycle, j = 1 << i, inverse[i]
+                while j != i:
+                    cycle, j = cycle | 1 << j, inverse[j]
+                cycles.add(cycle)
+            for odds, count in Counter(tuple((m & c).bit_count() & 1 for c in cycles)
+                                       for m in masks).items():
+                poly = [1] + [0] * d
+                for c, odd in zip(cycles, odds):
+                    n = c.bit_count()
+                    poly = [x - (-1) ** odd * poly[k - n] if k >= n else x for k, x in enumerate(poly)]
+                counts[tuple(poly)] += count
+        counts.update(tuple(_det_identity_minus_tg(g)) for g in table.others)
+        return counts
 
     def reynolds(self, f: Polynomial) -> Polynomial:
         """Group average of ``f``: on an exact group the sphere-orthogonal
@@ -736,7 +785,13 @@ class TorusModel:
         the real and imaginary parts of each balanced ``z^a zbar^b w^c`` of
         the degree, one of each conjugate pair, read off the monomial with
         exponents ``(a_1, b_1, ..., a_m, b_m, c)``.  No other monomial is
-        visited: the last plane's imbalance is read off its weights."""
+        visited: the last plane's imbalance is read off its weights.  Each
+        monomial of the fixed coordinates alone is a row on its own monomial,
+        so a :class:`ConfigError` refuses their count squared past
+        ``MAX_SLICE_CELLS`` before any is listed."""
+        if (count := math.comb(self.n_fix + degree - 1, degree)) ** 2 > MAX_SLICE_CELLS:
+            raise ConfigError(f"n_fix = {self.n_fix} gives {count} degree-{degree} invariant rows, each on "
+                              f"its own monomial, past MAX_SLICE_CELLS = {MAX_SLICE_CELLS} cells")
         *first, last = self.weight_matrix
         pivot = next((t for t, w in enumerate(last) if w), None)
         # the (a_j, b_j) of the first planes with the degree left, the first

@@ -119,7 +119,7 @@ def test_molien_matches_subspace(b2_model, b3_model, c4_model):
 
 
 def test_det_identity_minus_tg_rational_entries():
-    from leafavg.basic_ring import _det_identity_minus_tg
+    from leafavg.models import _det_identity_minus_tg
     reflection = [[Fraction(3, 5), Fraction(4, 5)], [Fraction(4, 5), Fraction(-3, 5)]]
     rotation = [[Fraction(3, 5), Fraction(-4, 5)], [Fraction(4, 5), Fraction(3, 5)]]
     assert _det_identity_minus_tg(reflection) == [1, 0, -1]
@@ -447,6 +447,31 @@ def test_exact_slice_past_the_cell_bound_is_refused():
         basic_subspace(group, 6)
     assert time.perf_counter() - start < 5
     assert basic_subspace(group, 4).rank == 2487
+
+
+def test_group_slice_walk_past_the_monomial_bound_is_refused():
+    # the same group: degrees 7 and 8 (170,544 and 490,314 monomials of R^16)
+    # are refused before the walk lists them; degree 6 walks and meets the cell bound
+    group = group_closure(swap_and_flip(16))
+    for degree, count in ((7, 170544), (8, 490314)):
+        start = time.perf_counter()
+        with pytest.raises(ConfigError, match=rf"degree-{degree} .* {count} monomials .*MAX_SLICE_MONOMIALS"):
+            basic_subspace(group, degree)
+        assert time.perf_counter() - start < 1
+    assert models.MAX_SLICE_MONOMIALS == 10 ** 5 > len(monomial_basis(16, 6))
+
+
+def test_torus_fixed_coordinates_past_the_cell_bound_are_refused():
+    # each monomial of the fixed coordinates alone is a row on its own monomial:
+    # C(101, 2) = 5,050 of degree 2, or C(15, 6) = 5,005 of degree 6, squared pass
+    # 10^7 cells; C(14, 5) = 2,002 of degree 5 do not
+    for n_fix, degree, count in ((100, 2, 5050), (10, 6, 5005)):
+        torus = TorusModel([[1], [1]], n_fix=n_fix)
+        start = time.perf_counter()
+        with pytest.raises(ConfigError, match=rf"n_fix = {n_fix} gives {count} degree-{degree} .*MAX_SLICE_CELLS"):
+            torus.slice_rows(degree)
+        assert time.perf_counter() - start < 1
+    assert len(TorusModel([[1], [1]], n_fix=10).slice_rows(5)) == 2972
 
 
 def test_closed_form_float_slices_cut_at_the_float_rank_tolerance():

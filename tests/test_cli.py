@@ -408,6 +408,12 @@ NAMED_KEY_CASES = [
      "identity_tol must be at least 0"),
     ("num_pairs_bool", "separate", TORUS, {"seed": 1, "D": 2, "num_pairs": True}, {},
      "num_pairs must be an integer"),
+    # one past each size cap
+    ("num_pairs_past_its_cap", "separate", B2, {"seed": 1, "D": 2, "num_pairs": 100_001}, {},
+     "num_pairs must be at most 100000"),
+    ("num_samples_past_its_cap", "export", B2, {"seed": 1, "D": 2, "num_samples": 100_001}, {},
+     "num_samples must be at most 100000"),
+    ("cap_past_its_cap", "generators", B2, {"seed": 1, "D": 33}, {}, "D must be at most 32"),
     ("weight_fractional", "generators", {**TORUS, "weight_matrix": [[1.5], [1]]}, {"seed": 1, "D": 2},
      {}, "weight matrix entries must be integers"),
     ("weight_bool", "generators", {**TORUS, "weight_matrix": [[True], [1]]}, {"seed": 1, "D": 2},
@@ -830,6 +836,62 @@ def test_separate_refuses_torus_mates_past_the_weight_cap(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "weight_matrix" in err and str(MATE_WEIGHT_CAP) in err
     assert main(["generators", "--config", str(config), "--out", str(tmp_path / "generators")]) == 0
+
+
+def _run_cli(args, timeout):
+    """``python -m leafavg`` in a child process, killed after ``timeout`` seconds."""
+    import leafavg
+
+    env = dict(os.environ, PYTHONPATH=str(Path(leafavg.__file__).resolve().parents[1]),
+               OPENBLAS_NUM_THREADS="1")
+    return subprocess.run([sys.executable, "-m", "leafavg", *args], env=env,
+                          capture_output=True, text=True, timeout=timeout)
+
+
+# a size past its cap: 10^12 pairs or points fail to allocate, and D = 200 or
+# 10^9 runs for minutes, where each is refused at once with the key and its cap
+@pytest.mark.parametrize("task, name, key, value, cap", [
+    ("separate", "b2", "num_pairs", 10 ** 12, 100_000),
+    ("separate", "iso_g2", "num_pairs", 10 ** 12, 100_000),
+    ("export", "b2", "num_samples", 10 ** 12, 100_000),
+    ("generators", "c4", "D", 200, 32),
+    ("verify", "b3", "D", 10 ** 9, 32),  # D read by discovery
+    ("verify", "iso_g2", "D", 10 ** 9, 32),  # inline generators: D read by verification
+])
+def test_sizes_past_their_caps_exit_1(tmp_path, task, name, key, value, cap):
+    data = json.loads((_CONFIG_DIR / f"{name}.json").read_text())
+    data["params"][key] = value
+    config = write_config(tmp_path / "run.json", data)
+    start = time.perf_counter()
+    result = _run_cli([task, "--config", str(config), "--out", str(tmp_path / "out")], timeout=10)
+    assert time.perf_counter() - start < 5
+    assert result.returncode == 1 and "Traceback" not in result.stderr
+    assert f"error: {key} must be at most {cap}, got {value}" in result.stderr.splitlines()
+
+
+def test_torus_fixed_coordinates_past_the_cell_bound_exit_1(tmp_path):
+    # Hopf with 10^6 fixed coordinates: 10^6 degree-1 rows, each on its own
+    # monomial, are refused before any is listed
+    data = json.loads((_CONFIG_DIR / "hopf.json").read_text())
+    data["model"]["n_fix"] = 10 ** 6
+    config = write_config(tmp_path / "run.json", data)
+    start = time.perf_counter()
+    result = _run_cli(["generators", "--config", str(config), "--out", str(tmp_path / "out")], timeout=10)
+    assert time.perf_counter() - start < 5
+    assert result.returncode == 1 and "Traceback" not in result.stderr
+    assert result.stderr.startswith("error: n_fix = 1000000") and "MAX_SLICE_CELLS" in result.stderr
+
+
+def test_bundled_and_benchmark_configs_stay_inside_the_caps():
+    from leafavg.cli import MAX_DEGREE_CAP, MAX_NUM_PAIRS, MAX_NUM_SAMPLES
+    scale_dir = Path(__file__).resolve().parents[1] / "perfbench" / "configs"
+    paths = [*_CONFIG_DIR.glob("*.json"), *scale_dir.glob("*.json")]
+    assert len(paths) >= 12
+    for path in paths:
+        params = json.loads(path.read_text())["params"]
+        assert params.get("D", 0) <= MAX_DEGREE_CAP // 4, path.name
+        assert params.get("num_pairs", 1000) <= MAX_NUM_PAIRS // 100, path.name
+        assert params.get("num_samples", 500) <= MAX_NUM_SAMPLES // 100, path.name
 
 
 def test_avg_statistical_residual_gate_exits_2(tmp_path):

@@ -31,10 +31,12 @@ from leafavg import (
     verify_operator_identities,
 )
 from leafavg import cli, models
-from leafavg.basic_ring import _det_counts, _det_identity_minus_tg
+from leafavg.models import FiniteGroupModel, _det_identity_minus_tg
 from leafavg.cli import _CONFIG_DIR, load_config, main
 
 from util import _reference_average, element_orbit_sum, integer_matrix_closure, signed_det
+
+_det_counts = FiniteGroupModel.det_counts  # the group's own Molien factor counts
 
 B4_CONFIG = Path(__file__).resolve().parents[1] / "perfbench" / "configs" / "b4_cap8.json"
 # the signed permutation groups, each closed on signed column indices

@@ -6,8 +6,8 @@ degree: the slice itself (``util.dense_slice``), the rank cover and the
 remainders when a product leaves the support (``util.gram_schmidt_residuals``),
 and the projection of parts with terms off the support (the per-element
 pullback sum and the Gaussian-integer torus expansion).  A monomial off the
-support averages to 0 (the Fischer-pairing argument of
-``basic_ring._projection``), so the projection drops those terms, and a part
+support averages to 0 (the Fischer-pairing argument in
+``basic_ring.basic_projection``), so the projection drops those terms, and a part
 with none on the support averages to 0 with no Gram matrix built.
 """
 

@@ -137,7 +137,7 @@ def signed_det(perm, signs):
     """det(I - t*g) of the signed permutation ``g x = (s_i x_(perm_i))_i`` in
     ints, one element at a time: the product over its cycles c of
     ``1 - e_c t^|c|``, with ``e_c`` the product of the signs on c.  The
-    reference for the Molien factor counts of ``basic_ring._det_counts``."""
+    reference for the Molien factor counts of ``FiniteGroupModel.det_counts``."""
     poly, seen = [1] + [0] * len(perm), set()
     for i in range(len(perm)):
         length, sign = 0, 1

@@ -335,7 +335,8 @@ def _averages(model, f: Polynomial, probe: Polynomial, seed: int, fit_probe: boo
     closed form; else fitted from two estimator passes over one cloud, one
     for ``f``, its probe and its Laplacian, one for the fitted average.
     Without ``fit_probe`` a fitted model leaves the probe out of the first
-    pass and its ``probe_avg`` is None; every row is estimated on its own, so
+    pass and the average's square out of the second, and its ``probe_avg``
+    and ``leaf_constancy`` are None; every row is estimated on its own, so
     the other averages keep their bits."""
     if model.closed_form:
         avg = model.reynolds(f)
@@ -358,13 +359,16 @@ def _averages(model, f: Polynomial, probe: Polynomial, seed: int, fit_probe: boo
         lap_avg = Polynomial.zero(model.ambient_dim, FLOAT)
     probe_avg = ctx.fit(responses[1], probe.homogeneous_degree())[0] if fit_probe else None
 
-    # a second pass for the fitted average and its square on the same cloud
-    values = np.empty((2, len(ctx.sampler.points)))
+    # a second pass for the fitted average on the same cloud, and its square
+    values = np.empty((1 + fit_probe, len(ctx.sampler.points)))
     values[0] = avg.eval_many(ctx.sampler.points)
-    np.square(values[0], out=values[1])
+    if fit_probe:
+        np.square(values[0], out=values[1])
     again, _ = ctx.sampler.leaf_average_values(values, ctx.levels, se_rows=0)
-    e1, e2 = again[:, :8]
-    leaf_constancy = math.sqrt(max([0.0, *(e2 - e1 * e1).tolist()]))
+    leaf_constancy = None
+    if fit_probe:
+        e1, e2 = again[:, :8]
+        leaf_constancy = math.sqrt(max([0.0, *(e2 - e1 * e1).tolist()]))
     avg_again, _, _ = ctx.fit(again[0], degree)
 
     fit = {

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from operator import mul
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -160,14 +160,14 @@ def project_residual(p: Polynomial, ortho: Sequence[Polynomial], norms: Sequence
 
 
 def _float_remainders(gram: np.ndarray, rows: np.ndarray,
-                      span: np.ndarray) -> Tuple[np.ndarray, List[float]]:
+                      span: np.ndarray) -> Tuple[np.ndarray, Iterator[float]]:
     """Coefficient ``rows`` minus their sphere-orthogonal projection onto the
     row space of ``span`` under the moment Gram matrix ``gram``, with the rank
     of ``span`` cut at 1e-10 on the sphere-norm scale, and the sphere norm of
-    each remainder."""
+    each remainder, computed as it is read."""
     span_rows, _ = _orthonormal_rows(span, gram, 1e-10)
     rows = rows - rows @ gram @ span_rows.T @ span_rows
-    return rows, [float(np.sqrt(max(row @ gram @ row, 0.0))) for row in rows]
+    return rows, (float(np.sqrt(max(row @ gram @ row, 0.0))) for row in rows)
 
 
 def _columns(basis: "SubspaceBasis", polys: Sequence[Polynomial]) -> tuple:
@@ -178,11 +178,13 @@ def _columns(basis: "SubspaceBasis", polys: Sequence[Polynomial]) -> tuple:
     return basis.monomials + tuple(sorted(outside, key=grlex_key))
 
 
-def _remainders(basis: "SubspaceBasis", products: Sequence[Polynomial]) -> Tuple[list, List[float], object]:
+def _remainders(basis: "SubspaceBasis",
+                products: Sequence[Polynomial]) -> Tuple[list, Iterator[float], object]:
     """Each basis vector of the slice minus its sphere-orthogonal projection
-    onto the span of ``products`` (of the slice's degree), its sphere norm,
-    and the Gram matrix of the rows' columns: ``(row, den)`` pairs for an
-    exact slice, float coefficient rows else."""
+    onto the span of ``products`` (of the slice's degree), its sphere norm
+    (computed as it is read: discovery reads none), and the Gram matrix of
+    the rows' columns: ``(row, den)`` pairs for an exact slice, float
+    coefficient rows else."""
     if basis.mode == FLOAT:
         return (*_float_remainders(basis.gram, basis.rows, _coefficient_rows(products, basis.monomials)),
                 basis.gram)
@@ -191,7 +193,7 @@ def _remainders(basis: "SubspaceBasis", products: Sequence[Polynomial]) -> Tuple
     gram = MomentGram(basis.ambient_dim, columns) if pad else basis.span.gram
     products_span = _ExactSpan(gram, products)
     rows = [products_span.remainder(row + pad, den) for row, den, _, _ in basis.span.basis]
-    return rows, [products_span.norm(row, den) for row, den in rows], gram
+    return rows, (products_span.norm(row, den) for row, den in rows), gram
 
 
 def _covers(basis: "SubspaceBasis", products: Sequence[Polynomial]) -> bool:
@@ -251,7 +253,7 @@ class SubspaceBasis:
     def residual(self, p: Polynomial) -> float:
         """Sphere-norm distance from ``p`` to the subspace."""
         if self.mode == FLOAT:
-            return _float_remainders(self.gram, _coefficient_rows([p], self.monomials), self.rows)[1][0]
+            return next(_float_remainders(self.gram, _coefficient_rows([p], self.monomials), self.rows)[1])
         span = _span_of(self.polynomials(), p.to_exact())  # p may have terms of any degree
         return span.norm(*span.remainder(*span.gram.row(p)))
 

@@ -93,10 +93,13 @@ _MODEL_KEYS = {
 
 _REQUIRED = object()
 # the largest sizes a task accepts: the pairs ``separate`` draws, the points
-# ``export`` writes, and the degree cap ``D`` of discovery and verification
+# ``export`` writes, the degree cap ``D`` of discovery and verification, and
+# an isoparametric model's sphere samples per cloud and fit points per fit
 MAX_NUM_PAIRS = 100_000
 MAX_NUM_SAMPLES = 100_000
 MAX_DEGREE_CAP = 32
+MAX_MC_SAMPLES = 1_000_000
+MAX_SAMPLE_POINTS = 1_000
 
 
 def _check_keys(section: dict, allowed, where: str):
@@ -205,7 +208,8 @@ def _build_model(kind: str, cfg: dict):
     ambient_dim = _number(cfg, "ambient_dim", minimum=1)
     F = parse_polynomial(cfg["F"], ambient_dim, _mode(cfg, "mode"))
     symmetry = model_from_config(cfg["symmetry"]) if "symmetry" in cfg else None
-    sizes = {key: _number(cfg, key, int, None, minimum=1) for key in ("sample_points", "mc_samples")}
+    sizes = {key: _number(cfg, key, int, None, minimum=1, maximum=cap)
+             for key, cap in (("sample_points", MAX_SAMPLE_POINTS), ("mc_samples", MAX_MC_SAMPLES))}
     return IsoparametricModel(F, _number(cfg, "g"), symmetry=symmetry, name=_text(cfg, "name", ""),
                               identity_tol=_number(cfg, "identity_tol", float, None, minimum=0), **sizes)
 

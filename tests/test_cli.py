@@ -16,10 +16,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from leafavg import ConfigError, FiniteGroupModel, TorusModel, monomial_basis
+from leafavg import ConfigError, FiniteGroupModel, TorusModel, models, monomial_basis
 from leafavg.models import MATE_WEIGHT_CAP
 from leafavg.cli import (
     _CONFIG_DIR,
+    MAX_MC_SAMPLES,
+    MAX_SAMPLE_POINTS,
     load_config,
     main,
     model_from_config,
@@ -869,6 +871,22 @@ def test_sizes_past_their_caps_exit_1(tmp_path, task, name, key, value, cap):
     assert f"error: {key} must be at most {cap}, got {value}" in result.stderr.splitlines()
 
 
+@pytest.mark.parametrize("key, cap", [("mc_samples", MAX_MC_SAMPLES), ("sample_points", MAX_SAMPLE_POINTS)])
+def test_sample_sizes_past_their_caps_exit_1(tmp_path, capsys, monkeypatch, key, cap):
+    # one past the cap is refused while the model section is read, before a
+    # cloud or a fit point is drawn (at 10^12 numpy failed to allocate with a
+    # traceback); a draw would raise past main's handler and fail the test
+    def draw(*args):
+        raise _Hang(f"{key} = {cap + 1} reached a draw")
+
+    monkeypatch.setattr(models, "sample_sphere_many", draw)
+    data = json.loads((_CONFIG_DIR / "iso_g2.json").read_text())
+    data["model"][key] = cap + 1
+    config = write_config(tmp_path / "run.json", data)
+    assert main(["avg", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+    assert f"error: {key} must be at most {cap}, got {cap + 1}" in capsys.readouterr().err.splitlines()
+
+
 def test_torus_fixed_coordinates_past_the_cell_bound_exit_1(tmp_path):
     # Hopf with 10^6 fixed coordinates: 10^6 degree-1 rows, each on its own
     # monomial, are refused before any is listed
@@ -892,6 +910,9 @@ def test_bundled_and_benchmark_configs_stay_inside_the_caps():
         assert params.get("D", 0) <= MAX_DEGREE_CAP // 4, path.name
         assert params.get("num_pairs", 1000) <= MAX_NUM_PAIRS // 100, path.name
         assert params.get("num_samples", 500) <= MAX_NUM_SAMPLES // 100, path.name
+        model = json.loads(path.read_text())["model"]
+        assert (model.get("mc_samples") or 0) <= MAX_MC_SAMPLES // 10, path.name
+        assert (model.get("sample_points") or 0) <= MAX_SAMPLE_POINTS // 10, path.name
 
 
 def test_avg_statistical_residual_gate_exits_2(tmp_path):

@@ -11,7 +11,7 @@ from leafavg import EXACT, FLOAT, IsoparametricModel, Polynomial, basic_subspace
 from leafavg.averaging import generator_products
 from leafavg.basic_ring import gram_schmidt_polys, project_residual
 from leafavg.exactlinalg import primitive_integer_row, rref
-from leafavg.models import PointBatch, compose_with_matrix, sample_sphere_many
+from leafavg.models import PointBatch, _window_margin, compose_with_matrix, sample_sphere_many
 from leafavg.polynomials import sphere_norm
 
 
@@ -178,6 +178,34 @@ def unblocked_eval_many(poly, points):
             term *= factor
         out += term
     return out
+
+
+def two_copy_cloud(model, seed, count, level=None):
+    """``LevelSetSampler``'s ``(points, level_values, grad_norms)`` built as
+    before the in-place build: the whole cloud drawn in one call, sorted by
+    gathering each coordinate into a second cloud-sized array, and the
+    gradient norms computed out of place.  The reference for the in-place
+    build of ``LevelSetSampler.__init__``."""
+    root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    rng = np.random.default_rng(root.spawn(1)[0])
+    if level is None:
+        points = sample_sphere_many(count, model.ambient_dim, rng)
+    else:
+        reach = model.h + 2.0 * _window_margin(model.h)
+        lo, hi = level - reach, level + reach
+        law = model.level_law
+        targets = law.draw(rng.binomial(count, law.band_probability(lo, hi)), lo, hi, rng)
+        points = model.transport(sample_sphere_many(len(targets), model.ambient_dim, rng), targets)
+    levels = model.F.eval_many(points)
+    order = np.argsort(levels)
+    level_values = np.take(levels, order)
+    del levels
+    columns = np.empty((model.ambient_dim, len(order)))
+    for i, column in enumerate(columns):
+        np.take(points[:, i], order, out=column, mode="clip")
+    del points
+    grad_norms = model.g * np.sqrt(np.clip(1.0 - level_values ** 2, 0.0, None))
+    return columns.T, level_values, grad_norms
 
 
 def _reference_average(model, f):

@@ -20,10 +20,9 @@ from __future__ import annotations
 
 import math
 import weakref
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import reduce
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -236,28 +235,24 @@ def _mate_constancy(model, avg: Polynomial, seed: int) -> float:
 
 # -- statistical engine ------------------------------------------------------
 
-# full clouds each model keeps, least recently used first, the first dropped
-# before the next is built.  A cloud is a pure function of the model (with its
-# count) and the seed.  verify's probe n reads the seeds s, s + 1 and s + 2 with
-# s = seed + 100 + n, so probe n + 1 reads the two last used before it builds
-# s + 3, and avg's structured fit reuses its average's cloud, the last used.
-CLOUDS_KEPT = 2
-_CLOUDS: "weakref.WeakKeyDictionary[IsoparametricModel, OrderedDict]" = weakref.WeakKeyDictionary()
+# the last full cloud of each model, with its seed.  A cloud is a pure
+# function of the model (with its count) and the seed; verify_identity_pairs
+# reads each of its clouds for every fit on it before the next, and avg's
+# structured fit reuses its average's cloud.
+_CLOUDS: "weakref.WeakKeyDictionary[IsoparametricModel, Tuple[int, LevelSetSampler]]" = \
+    weakref.WeakKeyDictionary()
 
 
 def _full_cloud(model: IsoparametricModel, seed: int) -> LevelSetSampler:
     """The full cloud of ``model.mc_samples`` samples (``SAMPLE_COUNT`` when
-    None) of a fit context at ``seed``, drawn once while it is among the
-    model's last ``CLOUDS_KEPT``."""
-    clouds = _CLOUDS.setdefault(model, OrderedDict())
-    if seed in clouds:
-        clouds.move_to_end(seed)
-        return clouds[seed]
-    if len(clouds) >= CLOUDS_KEPT:
-        clouds.popitem(last=False)
-    cloud_seed = np.random.SeedSequence(seed).spawn(2)[1]
-    clouds[seed] = LevelSetSampler(model, cloud_seed, model.mc_samples or SAMPLE_COUNT)
-    return clouds[seed]
+    None) of a fit context at ``seed``: the model's kept cloud when it has
+    that seed, else drawn after the kept cloud is dropped, so a model holds
+    one cloud, the one being built included."""
+    if _CLOUDS.get(model, (None,))[0] != seed:
+        _CLOUDS.pop(model, None)
+        cloud_seed = np.random.SeedSequence(seed).spawn(2)[1]
+        _CLOUDS[model] = (seed, LevelSetSampler(model, cloud_seed, model.mc_samples or SAMPLE_COUNT))
+    return _CLOUDS[model][1]
 
 
 class _FitContext:
@@ -280,11 +275,25 @@ class _FitContext:
 
     def responses(self, *polys: Polynomial, se_rows: int = 0) -> Tuple[np.ndarray, np.ndarray]:
         """Leaf-average estimates of each polynomial (one row each) at every
-        fit level, and the SEs of the first ``se_rows`` of them."""
-        values = np.empty((len(polys), len(self.sampler.points)))
-        for row, f in zip(values, polys):
-            row[:] = f.eval_many(self.sampler.points)
-        return self.sampler.leaf_average_values(values, self.levels, se_rows)
+        fit level, and the SEs of the first ``se_rows`` of them.
+
+        At most ``ambient_dim`` rows are evaluated and estimated at a time, so
+        the stack of sample values never outgrows the cloud's points; each row
+        is estimated on its own, so the chunks give the one stack's bits."""
+        points, step = self.sampler.points, self.model.ambient_dim
+        estimates = np.empty((len(polys), len(self.levels)))
+        ses = np.empty((min(se_rows, len(polys)), len(self.levels)))
+        values = np.empty((min(step, len(polys)), len(points)))
+        for start in range(0, len(polys), step):
+            chunk = polys[start:start + step]
+            rows = values[:len(chunk)]
+            for row, f in zip(rows, chunk):
+                row[:] = f.eval_many(points)
+            se_chunk = min(max(0, se_rows - start), len(chunk))
+            est, se = self.sampler.leaf_average_values(rows, self.levels, se_chunk)
+            estimates[start:start + len(chunk)] = est
+            ses[start:start + se_chunk] = se[:se_chunk]
+        return estimates, ses
 
     def design(self, monomials: Sequence[tuple]) -> np.ndarray:
         """The fit points' values of ``monomials``, one column each; built once."""
@@ -509,13 +518,69 @@ def verify_operator_identities(
     exact model, ``FLOAT_TOLERANCE`` on a float group, and on an
     isoparametric model its own (``FIT_TOLERANCE`` unless given), there with
     the residuals normalized by the operand norms.  The report's ``engine``
-    is the model's.  Raises :class:`IdentityViolation` naming the worst offender.
+    is the model's.  Raises :class:`IdentityViolation` naming the worst
+    offender.  This is the one-pair case of :func:`verify_identity_pairs`.
     """
-    # reynolds is deterministic, so a closed-form g keeps the average of f's
-    # probe; a fitted g is averaged on its own cloud instead, not on f's
-    a = _averages(model, f, g, seed, fit_probe=False)
-    avg_g = a.probe_avg if model.closed_form else average_polynomial(model, a.probe, seed=seed + 1)
-    avg_module = average_polynomial(model, a.avg * a.probe, seed=seed + 2)
+    (outcome,) = verify_identity_pairs(model, [(f, g)], seed=seed)
+    if isinstance(outcome, IdentityViolation):
+        raise outcome
+    return outcome
+
+
+def verify_identity_pairs(
+    model,
+    pairs: Sequence[Tuple[Polynomial, Polynomial]],
+    *,
+    seed: int = 0,
+) -> List[Union[IdentityReport, IdentityViolation]]:
+    """The outcome of :func:`verify_operator_identities` on pair ``n`` at
+    ``seed + n``, for each of ``pairs``: its report, or the
+    :class:`IdentityViolation` it would raise.
+
+    The fits run cloud by cloud: the cloud at ``seed + k`` serves, in this
+    order, pair ``k - 2``'s fit of ``avg_f * g``, pair ``k - 1``'s fit of
+    ``g`` and pair ``k``'s fits of ``f``, its Laplacian and its average, so
+    each cloud is built once, read by every fit on it, and dropped before
+    the next is built.  Every fit keeps its seed, so the outcomes are those
+    of the pairs run one after another.  So is a fit's error: one stops its
+    pair and every later pair, and the error of the lowest-numbered failing
+    pair is raised once the pairs before it are done.
+    """
+    averages: Dict[int, _Averages] = {}
+    avg_gs: Dict[int, Polynomial] = {}
+    outcomes: List[Union[IdentityReport, IdentityViolation]] = [None] * len(pairs)
+
+    def fit_f(n):
+        averages[n] = _averages(model, *pairs[n], seed + n, fit_probe=False)
+
+    def fit_g(n):
+        # reynolds is deterministic, so a closed-form g keeps the average of
+        # f's probe; a fitted g is averaged on its own cloud instead, not on f's
+        a = averages[n]
+        avg_gs[n] = a.probe_avg if model.closed_form else average_polynomial(model, a.probe, seed=seed + n + 1)
+
+    def fit_module(n):
+        a = averages.pop(n)
+        avg_module = average_polynomial(model, a.avg * a.probe, seed=seed + n + 2)
+        outcomes[n] = _identity_outcome(model, *pairs[n], a, avg_gs.pop(n), avg_module)
+
+    failed, error = len(pairs), None
+    for k in range(len(pairs) + 2):
+        for n, fit in ((k - 2, fit_module), (k - 1, fit_g), (k, fit_f)):
+            if 0 <= n < failed:
+                try:
+                    fit(n)
+                except Exception as err:  # raised once the pairs before n are done
+                    failed, error = n, err
+    if error is not None:
+        raise error
+    return outcomes
+
+
+def _identity_outcome(model, f: Polynomial, g: Polynomial, a: _Averages, avg_g: Polynomial,
+                      avg_module: Polynomial) -> Union[IdentityReport, IdentityViolation]:
+    """The report of the pair ``(f, g)`` from its averages, or the
+    :class:`IdentityViolation` naming its worst residual."""
     residuals = identity_residuals(a.f, a.probe, a.avg, avg_g, a.avg_again, a.lap_avg, avg_module)
     if not model.closed_form:
         # statistical regime: residuals are scale-normalized by the operand
@@ -541,8 +606,8 @@ def verify_operator_identities(
         tolerance=model.identity_tol,
         passed=passed,
     )
-    if not passed:
-        error = IdentityViolation(worst, residuals[worst])
-        error.report = report
-        raise error
-    return report
+    if passed:
+        return report
+    error = IdentityViolation(worst, residuals[worst])
+    error.report = report
+    return error

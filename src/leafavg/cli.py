@@ -29,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from . import basic_ring, separation
-from .averaging import average, average_polynomial, average_structured, verify_operator_identities
+from .averaging import average, average_polynomial, average_structured, verify_identity_pairs
 from .basic_ring import GeneratorSet, discover_generators, molien_dimensions, verify_generation
 from .errors import (
     BasisDeficient,
@@ -429,19 +429,17 @@ def task_verify(config: RunConfig, model, seed: int, out_dir: Path) -> int:
             terms = {basis[0]: 1}
         return Polynomial(model.ambient_dim, terms, mode)
 
-    for n in range(3):
-        f = random_poly()
-        g = random_poly()
-        try:
-            report = verify_operator_identities(model, f, g, seed=seed + 100 + n)
-            checks.append({"check": "operator_identities", "probe": n, **report.to_dict()})
-        except IdentityViolation as err:
+    pairs = [(random_poly(), random_poly()) for _ in range(3)]
+    for n, outcome in enumerate(verify_identity_pairs(model, pairs, seed=seed + 100)):
+        if isinstance(outcome, IdentityViolation):
             failures.append({
                 "type": "IdentityViolation",
-                "identity": err.identity,
+                "identity": outcome.identity,
                 "probe": n,
-                "residual": float(err.residual),
+                "residual": float(outcome.residual),
             })
+        else:
+            checks.append({"check": "operator_identities", "probe": n, **outcome.to_dict()})
 
     # generation completeness when a cap is supplied
     if cap is not None:

@@ -8,16 +8,19 @@ from leafavg import (
     EXACT,
     FLOAT,
     BasisDeficient,
+    EffectiveSampleTooSmall,
     IdentityViolation,
     IllConditionedFit,
+    Polynomial,
     average,
     average_structured,
+    monomial_basis,
     parse_polynomial,
     sphere_mean,
     sphere_norm,
     verify_operator_identities,
 )
-from leafavg import averaging
+from leafavg import averaging, cli
 from leafavg.averaging import (
     cycle_probe,
     generator_products,
@@ -492,26 +495,26 @@ def test_verify_builds_each_cloud_once(tmp_path, monkeypatch):
 
 
 def test_a_cloud_is_evicted_before_the_next_is_built(tmp_path, monkeypatch):
-    # the least recently used cloud goes before the next full cloud is drawn,
-    # so a model never holds more than CLOUDS_KEPT clouds, the new one included
+    # the kept cloud goes before the next full cloud is drawn, so a model
+    # never holds more than one cloud, the new one included
     held, build = [], LevelSetSampler.__init__
 
     def built(self, model, seed, count, *, level=None):
         if level is None:
-            held.append(len(averaging._CLOUDS.get(model, ())))
+            held.append(model in averaging._CLOUDS)
         build(self, model, seed, count, level=level)
 
     monkeypatch.setattr(LevelSetSampler, "__init__", built)
     code = cli_main(["verify", "--config", str(_CONFIG_DIR / "iso_g2.json"), "--out", str(tmp_path)])
     assert code == 0
-    assert held and max(held) == averaging.CLOUDS_KEPT - 1
+    assert held and not any(held)
 
 
-def test_verify_memory_is_bounded_by_two_clouds(tmp_path):
+def test_verify_memory_is_bounded_by_one_cloud(tmp_path):
     # verify on cartan_so3_g3 reads 100k-sample clouds of R^5 (4 MB of points
-    # each): one kept cloud, the one being built and its unsorted draw, plus
-    # block-sized evaluation scratch.  16.4 MiB measured; 28.6 MiB when three
-    # clouds were kept and eval_many built power tables of the cloud's length
+    # each): the cloud being built and its scratch row, plus block-sized
+    # evaluation scratch.  9.0 MiB measured; 14.3 MiB when two clouds were
+    # kept because the probes read their seeds in probe order
     import tracemalloc
     argv = ["verify", "--config", str(_CONFIG_DIR / "cartan_so3_g3.json"), "--out", str(tmp_path)]
     tracemalloc.start()
@@ -522,10 +525,27 @@ def test_verify_memory_is_bounded_by_two_clouds(tmp_path):
     finally:
         tracemalloc.stop()
     assert code == 0
-    assert peak - start < 20 * 2**20
+    assert peak - start < 11 * 2**20
 
 
-def test_reused_cloud_matches_fresh_cloud(monkeypatch):
+def _probes_one_after_another(model, pairs, *, seed):
+    """verify's probe pairs run one after another, pair n at ``seed + n``."""
+    outcomes = []
+    for n, (f, g) in enumerate(pairs):
+        try:
+            outcomes.append(verify_operator_identities(model, f, g, seed=seed + n))
+        except IdentityViolation as err:
+            outcomes.append(err)
+    return outcomes
+
+
+def _verify_bytes(out_dir, config, seed):
+    argv = ["verify", "--config", str(_CONFIG_DIR / f"{config}.json"), "--out", str(out_dir)]
+    code = cli_main(argv + ([] if seed is None else ["--seed", str(seed)]))
+    return code, (out_dir / "verify_report.json").read_bytes()
+
+
+def test_reused_cloud_matches_fresh_cloud(tmp_path, monkeypatch):
     model = _fresh_iso_g2(24, 20_000, float("inf"))
     f, g = P("x1^2 - x2 * x3", 4), P("x3^2 + 2 * x1 * x4", 4)
 
@@ -536,22 +556,86 @@ def test_reused_cloud_matches_fresh_cloud(monkeypatch):
         return ([_bits(r.residuals) for r in reports],
                 [(c.average_text, _bits(c.residuals), c.fit) for c in certs])
 
-    cached = run()
-    assert len(averaging._CLOUDS[model]) == averaging.CLOUDS_KEPT
+    # CLI verify on the isoparametric configs, at their seeds and at 1..7
+    runs = [(config, seed) for config in ("iso_g1", "iso_g2", "iso_g3", "cartan_so3_g3")
+            for seed in (None, *range(1, 8))]
+
+    def verify_runs(side):
+        return [_verify_bytes(tmp_path / f"{side}_{config}_{seed}", config, seed) for config, seed in runs]
+
+    cached, cached_cli = run(), verify_runs("cached")
+    assert averaging._CLOUDS[model][0] == 61
     monkeypatch.setattr(averaging, "_full_cloud", _fresh_cloud)
     assert run() == cached
+    monkeypatch.setattr(cli, "verify_identity_pairs", _probes_one_after_another)
+    assert verify_runs("fresh") == cached_cli
+
+
+def test_cloud_order_raises_the_lowest_failing_probes_error(tmp_path, monkeypatch, capsys):
+    # cloud s + 1 serves probe 0's fit of g, then probe 1's fit of f, which
+    # fails here before probe 0's fit of avg_f * g (degree 4, the only fit
+    # on 70 levels) fails on cloud s + 2; run one after another, the probes
+    # meet probe 0's error first, and so must the cloud order
+    config = load_config(_CONFIG_DIR / "iso_g2.json")
+    s = config.params["seed"] + 100
+    module_levels = 2 * len(monomial_basis(4, 4))
+    estimate, calls = LevelSetSampler.leaf_average_values, []
+
+    def failing(self, values, levels, *args, **kwargs):
+        cloud = self.seed.entropy
+        calls.append(cloud)
+        if cloud == s + 1 and calls.count(cloud) == 2:
+            raise EffectiveSampleTooSmall("probe 1: fit of f")
+        if cloud == s + 2 and len(levels) == module_levels:
+            raise EffectiveSampleTooSmall("probe 0: fit of avg_f * g")
+        return estimate(self, values, levels, *args, **kwargs)
+
+    monkeypatch.setattr(LevelSetSampler, "leaf_average_values", failing)
+    argv = ["verify", "--config", str(_CONFIG_DIR / "iso_g2.json"), "--out", str(tmp_path)]
+    for pairs in (cli.verify_identity_pairs, _probes_one_after_another):
+        monkeypatch.setattr(cli, "verify_identity_pairs", pairs)
+        calls.clear()
+        assert cli_main(argv) == 1
+        assert capsys.readouterr().err == "error: probe 0: fit of avg_f * g\n"
+
+
+def test_fitted_slice_responses_are_estimated_in_cloud_sized_chunks():
+    # a fitted slice averages every monomial of its degree: at most
+    # ambient_dim rows are evaluated and estimated at a time, so the peak does
+    # not grow with the monomial count (1.7 and 1.9 MiB above the start at
+    # degrees 2 and 4 on 40,000 samples; 3.6 and 12.0 MiB as one stack)
+    import tracemalloc
+    from leafavg.averaging import _FitContext
+    model = _fresh_iso_g2(24, 40_000)
+    peaks = {}
+    for degree in (2, 4):
+        ctx = _FitContext(model, degree, 7)
+        polys = [Polynomial.monomial(4, e, 1.0, FLOAT) for e in ctx.monomials]
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            ctx.responses(*polys, se_rows=1)
+            peaks[degree] = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        stack = np.stack([p.eval_many(ctx.sampler.points) for p in polys])
+        for se_rows in (0, 1, 6, 40):
+            chunked = ctx.responses(*polys, se_rows=se_rows)
+            whole = ctx.sampler.leaf_average_values(stack, ctx.levels, se_rows)
+            assert [a.tobytes() for a in chunked] == [a.tobytes() for a in whole]
+    assert peaks[4] < peaks[2] + 2**19
 
 
 def test_dropped_model_is_freed_without_collection():
     # a kept cloud holds no reference to its model, so a model dies with its
-    # last reference and takes its clouds along, with no collector pass
+    # last reference and takes its cloud along, with no collector pass
     gc.collect()
     gc.disable()
     try:
         model = _fresh_iso_g2(24, 5_000)
         average(model, P("x1^2", 4), seed=5)
-        assert model in averaging._CLOUDS
-        cloud = averaging._CLOUDS[model][5]
+        seed, cloud = averaging._CLOUDS[model]
+        assert seed == 5
         dead = weakref.ref(model)
         del model
         assert dead() is None
@@ -563,12 +647,10 @@ def test_dropped_model_is_freed_without_collection():
 def test_cloud_cache_is_bounded_and_read_only():
     model = _fresh_iso_g2(24, 5_000)
     f = P("x1 * x2", 4)
-    for seed in range(averaging.CLOUDS_KEPT + 3):
+    for seed in range(4):
         average(model, f, seed=seed)
-        assert len(averaging._CLOUDS[model]) == min(seed + 1, averaging.CLOUDS_KEPT)
-    kept = averaging._CLOUDS[model]
-    assert list(kept) == list(range(3, 3 + averaging.CLOUDS_KEPT))
-    cloud = next(iter(kept.values()))
+        assert averaging._CLOUDS[model][0] == seed
+    cloud = averaging._CLOUDS[model][1]
     for array in (cloud.points, cloud.level_values, cloud.grad_norms):
         with pytest.raises(ValueError):
             array[0] = 0.0

@@ -12,7 +12,6 @@ from .errors import (
     GenerationGap,
     GroupTooLarge,
     IdentityViolation,
-    IllConditionedFit,
     InsufficientDistinctPairs,
     LeafavgError,
     NearSingularLeaf,

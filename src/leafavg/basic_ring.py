@@ -4,10 +4,10 @@ The ring of leaf-constant (basic) polynomials is finitely generated; this
 module realizes the generating set constructively.  For each degree ``d``
 up to a user-chosen cap:
 
-1. span the basic slice ``B_d`` (``basic_subspace``) -- by the model's
+1. span the basic slice ``B_d`` (``basic_subspace``) by the model's
    ``slice_rows(d)``: an exact model's over only the monomials they touch,
-   row reduced in integers, a float group's over every monomial of the
-   degree; else by fitting the leaf average of every degree-``d`` monomial;
+   row reduced in integers, any other's (a float group's, an isoparametric
+   model's) in floats over every monomial of the degree;
 2. span the degree-``d`` products of previously found generators; an exact
    degree is covered, with no new generator, when the slice's rows add no
    rank to theirs;
@@ -41,7 +41,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .averaging import _FitContext, _scaled_lstsq, generator_products
+from .averaging import generator_products
 from .errors import (
     ConfigError,
     DegreeCapWarning,
@@ -333,20 +333,17 @@ def _float_rref_rows(rows: np.ndarray) -> np.ndarray:
 _EXACT_SLICES: "weakref.WeakKeyDictionary[object, Dict[int, SubspaceBasis]]" = weakref.WeakKeyDictionary()
 
 
-def basic_subspace(model, degree: int, *, seed: int = 0) -> SubspaceBasis:
-    """Image of the averaging operator on the degree-``degree`` slice.
+def basic_subspace(model, degree: int) -> SubspaceBasis:
+    """Image of the averaging operator on the degree-``degree`` slice,
+    spanned by the model's ``slice_rows(degree)``.
 
-    A closed-form model's slice is spanned by its ``slice_rows(degree)``.  An
-    exact model's rows are row reduced in integers (canonical for the span,
-    with exact rank) over only the monomials they touch, once per model and
-    degree, and orthogonalized on the first read of the slice's ``span``; a
-    :class:`ConfigError` refuses more than ``MAX_SLICE_CELLS`` before any
-    dense row is built.  A fitted model's slice is spanned by the leaf
-    averages of every monomial of the degree, which the statistical engine
-    fits (with the model's bandwidth ``h`` and sample sizes, and the
-    effective-sample-size guard and condition cap of :func:`average`).
-    Float rows are orthonormalized with a rank cut at the model's
-    ``tol_rank``, and a singular-value audit.
+    An exact model's rows are row reduced in integers (canonical for the
+    span, with exact rank) over only the monomials they touch, once per
+    model and degree, and orthogonalized on the first read of the slice's
+    ``span``; a :class:`ConfigError` refuses more than ``MAX_SLICE_CELLS``
+    before any dense row is built.  Any other model's rows are
+    orthonormalized in floats with a rank cut at the model's ``tol_rank``,
+    and a singular-value audit.
     """
     if degree < 1:
         raise ValueError("degree must be at least 1")
@@ -362,17 +359,8 @@ def basic_subspace(model, degree: int, *, seed: int = 0) -> SubspaceBasis:
             slices[degree] = SubspaceBasis(degree, EXACT, model.ambient_dim, support, echelon=echelon)
         return slices[degree]
     monomials = tuple(monomial_basis(model.ambient_dim, degree))
-    if model.closed_form:
-        matrix = np.array([[row.get(e, 0) for e in monomials] for row in model.slice_rows(degree)],
-                          dtype=float).reshape(-1, len(monomials))
-    else:
-        ctx = _FitContext(model, degree, seed)
-        estimates, _ = ctx.responses(*(
-            Polynomial.monomial(model.ambient_dim, expo, 1.0, FLOAT) for expo in monomials
-        ))
-        # fitted coefficients, one column per averaged monomial
-        fitted, _, _ = _scaled_lstsq(ctx.design(monomials), estimates.T)
-        matrix = fitted.T
+    matrix = np.array([[row.get(e, 0) for e in monomials] for row in model.slice_rows(degree)],
+                      dtype=float).reshape(-1, len(monomials))
     gram = _gram_matrix(model.ambient_dim, monomials)
     rows, sing = _orthonormal_rows(matrix, gram, model.tol_rank)
     return SubspaceBasis(degree, FLOAT, model.ambient_dim, monomials, rows=rows, gram=gram,
@@ -409,12 +397,10 @@ def basic_projection(model, f: Polynomial) -> Polynomial:
     return result.to_float() if f.mode == FLOAT else result
 
 
-def _degree_slices(model, cap: int, seed: int):
-    """Yield ``(d, basic_subspace(model, d))`` for ``d = 1..cap``; degree ``d``
-    draws its statistical estimates from the seed ``SeedSequence([seed, d])``."""
+def _degree_slices(model, cap: int):
+    """Yield ``(d, basic_subspace(model, d))`` for ``d = 1..cap``."""
     for d in range(1, cap + 1):
-        degree_seed = int(np.random.SeedSequence([seed, d]).generate_state(1)[0])
-        yield d, basic_subspace(model, d, seed=degree_seed)
+        yield d, basic_subspace(model, d)
 
 
 # -- Molien oracle ------------------------------------------------------------
@@ -520,12 +506,11 @@ def _sparsify_float(remainders: np.ndarray, basis: SubspaceBasis) -> List[Polyno
 def discover_generators(model, degree_cap: int, *, seed: int = 0) -> GeneratorSet:
     """Run the degree induction up to ``degree_cap``.
 
-    Deterministic given (model, cap, seed); the generator list for a
-    smaller cap is a prefix of the list for a larger one.  Emits
+    Deterministic given (model, cap); the generator list for a smaller cap
+    is a prefix of the list for a larger one.  Emits
     :class:`DegreeCapWarning` when new generators still appear at the cap.
     Float slices are cut at the rank tolerance of :func:`basic_subspace`,
-    which the provenance records with the model's sample sizes (None for
-    a closed-form model).
+    which the provenance records with ``seed`` and the model's engine.
     """
     if degree_cap < 1:
         raise ValueError("degree_cap must be at least 1")
@@ -535,7 +520,7 @@ def discover_generators(model, degree_cap: int, *, seed: int = 0) -> GeneratorSe
     new_at_cap = False
     built: Dict[int, list] = {}
 
-    for d, basis in _degree_slices(model, degree_cap, seed):
+    for d, basis in _degree_slices(model, degree_cap):
         dims[d] = basis.rank
         if basis.rank == 0:
             continue
@@ -562,8 +547,9 @@ def discover_generators(model, degree_cap: int, *, seed: int = 0) -> GeneratorSe
         "seed": seed,
         "tol_rank": model.tol_rank,
         "engine": model.engine,
-        "sample_points": model.sample_points,
-        "mc_samples": model.mc_samples,
+        # no model samples any more; the keys stay null so recorded artifacts keep their bytes
+        "sample_points": None,
+        "mc_samples": None,
         "new_generators_at_cap": new_at_cap,
     }
     generators = tuple(generators)
@@ -601,7 +587,7 @@ class GenerationReport:
         }
 
 
-def verify_generation(model, gens: GeneratorSet, max_degree: int, *, seed: int = 0) -> GenerationReport:
+def verify_generation(model, gens: GeneratorSet, max_degree: int) -> GenerationReport:
     """Check the basic slice of every degree <= cap against the algebra.
 
     Projects the basis of each slice that :func:`discover_generators` builds
@@ -612,7 +598,7 @@ def verify_generation(model, gens: GeneratorSet, max_degree: int, *, seed: int =
     """
     residuals: Dict[int, float] = {}
     built_for, built = gens.products
-    for d, basis in _degree_slices(model, max_degree, seed):
+    for d, basis in _degree_slices(model, max_degree):
         products = (built[d] if built_for is gens.generators and d in built
                     else [p for _, p in generator_products(list(gens.generators), d)])
         if model.exact and _covers(basis, products):

@@ -29,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from . import basic_ring, separation
-from .averaging import average, average_polynomial, average_structured, verify_identity_pairs
+from .averaging import average, average_structured, verify_operator_identities
 from .basic_ring import GeneratorSet, discover_generators, molien_dimensions, verify_generation
 from .errors import (
     BasisDeficient,
@@ -87,19 +87,15 @@ _PARAMS_KEYS = (
 _MODEL_KEYS = {
     "finite_group": ("kind", "name", "ambient_dim", "generators", "max_group_size"),
     "torus": ("kind", "name", "weight_matrix", "n_fix"),
-    "isoparametric": ("kind", "name", "ambient_dim", "F", "mode", "g", "symmetry",
-                      "sample_points", "mc_samples", "identity_tol"),
+    "isoparametric": ("kind", "name", "ambient_dim", "F", "mode", "g", "symmetry"),
 }
 
 _REQUIRED = object()
 # the largest sizes a task accepts: the pairs ``separate`` draws, the points
-# ``export`` writes, the degree cap ``D`` of discovery and verification, and
-# an isoparametric model's sphere samples per cloud and fit points per fit
+# ``export`` writes, and the degree cap ``D`` of discovery and verification
 MAX_NUM_PAIRS = 100_000
 MAX_NUM_SAMPLES = 100_000
 MAX_DEGREE_CAP = 32
-MAX_MC_SAMPLES = 1_000_000
-MAX_SAMPLE_POINTS = 1_000
 
 
 def _check_keys(section: dict, allowed, where: str):
@@ -208,10 +204,7 @@ def _build_model(kind: str, cfg: dict):
     ambient_dim = _number(cfg, "ambient_dim", minimum=1)
     F = parse_polynomial(cfg["F"], ambient_dim, _mode(cfg, "mode"))
     symmetry = model_from_config(cfg["symmetry"]) if "symmetry" in cfg else None
-    sizes = {key: _number(cfg, key, int, None, minimum=1, maximum=cap)
-             for key, cap in (("sample_points", MAX_SAMPLE_POINTS), ("mc_samples", MAX_MC_SAMPLES))}
-    return IsoparametricModel(F, _number(cfg, "g"), symmetry=symmetry, name=_text(cfg, "name", ""),
-                              identity_tol=_number(cfg, "identity_tol", float, None, minimum=0), **sizes)
+    return IsoparametricModel(F, _number(cfg, "g"), symmetry=symmetry, name=_text(cfg, "name", ""))
 
 
 @dataclass
@@ -346,16 +339,15 @@ def task_avg(config: RunConfig, model, seed: int, out_dir: Path) -> int:
     cert = average(model, f, seed=seed)
     payload = cert.to_dict()
     failure = None
-    if ("generators" in params or "generators_file" in params) and not model.closed_form:
-        gens = _load_generators(config, model)
+    if "generators" in params or "generators_file" in params:
         try:
-            structured = average_structured(model, f, gens, seed=seed)
-            payload["structured"] = structured.to_dict()
+            payload["structured"] = average_structured(model, f, _load_generators(config, model)).to_dict()
         except BasisDeficient as err:
             failure = {"type": "BasisDeficient", "message": str(err), "residual": err.residual}
             payload["structured"] = {"failure": failure}
     tolerance = 1e-12 if model.exact else model.tolerance
-    passed = cert.max_residual() <= tolerance and failure is None
+    passed = (cert.max_residual() <= tolerance and failure is None
+              and (cert.fit is None or cert.fit["passed"]))
     payload["passed"] = passed
     payload["residual_tol"] = tolerance
     _write_json(payload, out_dir / "avg_certificate.json")
@@ -397,9 +389,7 @@ def task_verify(config: RunConfig, model, seed: int, out_dir: Path) -> int:
 
     # membership: every generator must be fixed by averaging
     for i, gen in enumerate(gens.generators):
-        # a closed-form average keeps the generator's mode; a fitted one is float
-        avg_poly = average_polynomial(model, gen, seed=seed + i)
-        gap = avg_poly - (gen.to_float() if avg_poly.mode == FLOAT else gen)
+        gap = model.reynolds(gen) - gen
         residual = sphere_norm(gap)
         checks.append({
             "check": "projection_fixed_point",
@@ -430,21 +420,23 @@ def task_verify(config: RunConfig, model, seed: int, out_dir: Path) -> int:
         return Polynomial(model.ambient_dim, terms, mode)
 
     pairs = [(random_poly(), random_poly()) for _ in range(3)]
-    for n, outcome in enumerate(verify_identity_pairs(model, pairs, seed=seed + 100)):
-        if isinstance(outcome, IdentityViolation):
+    for n, (f, g) in enumerate(pairs):
+        try:
+            report = verify_operator_identities(model, f, g)
+        except IdentityViolation as err:
             failures.append({
                 "type": "IdentityViolation",
-                "identity": outcome.identity,
+                "identity": err.identity,
                 "probe": n,
-                "residual": float(outcome.residual),
+                "residual": float(err.residual),
             })
         else:
-            checks.append({"check": "operator_identities", "probe": n, **outcome.to_dict()})
+            checks.append({"check": "operator_identities", "probe": n, **report.to_dict()})
 
     # generation completeness when a cap is supplied
     if cap is not None:
         try:
-            report = verify_generation(model, gens, cap, seed=seed)
+            report = verify_generation(model, gens, cap)
             checks.append({"check": "generation", **report.to_dict()})
         except GenerationGap as err:
             failures.append({
@@ -554,10 +546,7 @@ def _selftest_checks():
         return False
 
     def check_iso_rank():
-        iso = load("iso_g2.json").build_model()
-        model = IsoparametricModel(iso.F, iso.g, sample_points=24, mc_samples=20_000)
-        basis = basic_ring.basic_subspace(model, 2, seed=7)
-        return basis.rank == 2
+        return basic_ring.basic_subspace(load("iso_g2.json").build_model(), 2).rank == 2
 
     def check_separation():
         config = load("b2.json")
@@ -599,7 +588,7 @@ def task_selftest(out_dir: Path) -> int:
     width = max(len(name) for name, _ in results)
     for name, status in results:
         print(f"selftest {name:<{width}} {status}")
-    # the rank cut of the fitted slice in iso_g2_degree2_rank
+    # the rank cut of the float slice in iso_g2_degree2_rank
     payload = {"results": {name: status for name, status in results}, "tol_rank": IsoparametricModel.tol_rank}
     _write_json(payload, out_dir / "selftest_report.json")
     return worst

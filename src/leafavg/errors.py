@@ -70,12 +70,8 @@ class EffectiveSampleTooSmall(LeafavgError):
     """Kernel weights concentrate on too few samples for a usable estimate."""
 
 
-class IllConditionedFit(LeafavgError):
-    """Least-squares design matrix condition estimate exceeded the cap."""
-
-
 class BasisDeficient(LeafavgError):
-    """Generator-algebra slice cannot explain the sampled leaf averages."""
+    """Generator-algebra slice cannot express a leaf average."""
 
     def __init__(self, message, residual=None):
         super().__init__(message)

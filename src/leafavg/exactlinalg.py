@@ -5,6 +5,8 @@ and is meant for desk-scale matrices: rank decisions in the generator
 induction, reduced echelon forms for sparsifying generator representatives,
 and saturated integer kernels for torus phase lattices.  The arithmetic runs
 in Python integers: rational rows are cleared to primitive integer rows first.
+:func:`solve_gram` solves the small Gram systems of leaf averages in the
+scalars it is given, ``Fraction``s or floats.
 """
 
 from __future__ import annotations
@@ -61,6 +63,32 @@ def _integer_rref(mat: List[List[int]]) -> Tuple[List[List[int]], List[int]]:
         if r == len(mat):
             break
     return [row if row[c] > 0 else [-x for x in row] for row, c in zip(mat, pivots)], pivots
+
+
+def solve_gram(gram: Sequence[Sequence], rhs: Sequence, tol: float = 0.0) -> list:
+    """A solution ``y`` of ``gram y = rhs`` for a symmetric positive
+    semidefinite ``gram``, in the scalars of the entries (``Fraction``s stay
+    exact): Gauss-Jordan elimination in order, without row swaps.  An unknown
+    whose pivot is at most ``tol`` times the largest diagonal entry is set to
+    0; on a semidefinite matrix its row is then 0 up to that share, as the
+    Gram row of a vector dependent on the earlier ones is."""
+    n = len(rhs)
+    rows = [list(row) + [c] for row, c in zip(gram, rhs)]
+    cut = tol * max((rows[i][i] for i in range(n)), default=0)
+    pivots = []
+    for i in range(n):
+        pivot = rows[i][i]
+        if not pivot > cut:
+            continue
+        for row in rows:
+            if row is not rows[i] and row[i]:
+                ratio = row[i] / pivot
+                row[:] = [x - ratio * y for x, y in zip(row, rows[i])]
+        pivots.append(i)
+    solution = [0 * c for c in rhs]
+    for i in pivots:
+        solution[i] = rows[i][n] / rows[i][i]
+    return solution
 
 
 def over_lcm(values) -> Tuple[List[int], int]:

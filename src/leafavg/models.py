@@ -2,23 +2,24 @@
 
 Three families are implemented, each with the same batch protocol: ``mode``
 (the scalar mode of the model's own data, in which a run parses its
-polynomials; an isoparametric model's averages are float fits in either
-mode), ``closed_form`` (True when ``reynolds`` gives the leaf average in
-closed form, False when it must be estimated), ``exact`` (True on a torus and
-an exact group, whose ``reynolds`` projects each degree part of ``f``
+polynomials), ``reynolds(f)`` (the leaf average of ``f`` in closed form),
+``slice_rows(degree)`` (rows, as maps from monomial to coefficient, that
+span the degree's basic polynomials), ``exact`` (True on a torus and an exact
+group, whose ``reynolds`` projects each degree part of ``f``
 sphere-orthogonally onto the span of ``slice_rows(degree)`` by
 :func:`leafavg.basic_ring.basic_projection`; a float group averages the
-pullbacks ``f(g x)``), ``leaf_pairs(ps, qs)`` (the same-leaf verdict of every
-pair, within the model's own tolerance, and a cheap proxy for the distance
-between its two leaves), ``leaf_mates(points, rng)`` (a random point on the
-leaf of every point of an exact :class:`PointBatch` or a float array), and
-``leaf_label_names`` with ``leaf_labels`` (leaf-invariant values for exported
-point tables).  Each batch method refuses points of the wrong width with
+pullbacks ``f(g x)``, and an isoparametric model solves the level-law system
+of :meth:`IsoparametricModel.reynolds`), ``leaf_pairs(ps, qs)`` (the
+same-leaf verdict of every pair, within the model's own tolerance, and a
+cheap proxy for the distance between its two leaves), ``leaf_mates(points,
+rng)`` (a random point on the leaf of every point of an exact
+:class:`PointBatch` or a float array), and ``leaf_label_names`` with
+``leaf_labels`` (leaf-invariant values for exported point tables).  Each
+batch method refuses points of the wrong width with
 :class:`DimensionMismatch`, read off their shapes.  Each model also owns its
-certificate policy: ``engine``, ``tol_rank`` (a float slice's rank cut),
-``tolerance`` (the largest certified residual: 0 exact, ``FLOAT_TOLERANCE`` on
-a float group, ``FIT_TOLERANCE`` fitted) and ``identity_tol`` (``tolerance``,
-or an isoparametric model's own).
+certificate policy: ``engine``, ``tol_rank`` (a float slice's rank cut) and
+``tolerance`` (the largest certified residual: 0 exact, ``FLOAT_TOLERANCE``
+on a float group and an isoparametric model).
 
 Nothing in the package calls a model one point at a time.  The per-point
 names ``same_leaf`` (every model), ``random_leaf_mate`` (groups and tori) and
@@ -29,9 +30,10 @@ harness in ``perfbench/`` wraps or calls them by name.
 * :class:`FiniteGroupModel` -- orbits of a finite orthogonal matrix group.
 * :class:`TorusModel` -- orbit closures of a torus acting by rotations on
   complex coordinate planes, encoded by an integer weight matrix.
-* :class:`IsoparametricModel` -- level sets of a Cartan-Munzner polynomial;
-  leaf averages come from a coarea-weighted kernel estimator on sphere
-  samples, seeded and bitwise reproducible for a fixed seed.
+* :class:`IsoparametricModel` -- level sets of a Cartan-Munzner polynomial
+  ``F``, whose basic polynomials are generated by ``r^2`` and ``F``; a
+  coarea-weighted kernel estimator on sphere samples gives Monte Carlo leaf
+  averages at single points, seeded and bitwise reproducible for a fixed seed.
 """
 
 from __future__ import annotations
@@ -57,11 +59,10 @@ from .errors import (
     OffSphere,
     ScalarModeMismatch,
 )
-from .exactlinalg import integer_left_kernel, over_lcm
+from .exactlinalg import integer_left_kernel, over_lcm, solve_gram
 from .polynomials import (
     EXACT,
     FLOAT,
-    _EVAL_BLOCK,
     Polynomial,
     format_polynomial,
     monomial_basis,
@@ -90,17 +91,14 @@ MAX_SLICE_CELLS = 10 ** 7
 MAX_SLICE_MONOMIALS = 10 ** 5
 # most float coordinates of group orbit images built at once
 _ORBIT_CHUNK = 1 << 13
-# the isoparametric estimator: the kernel bandwidth (below 1/2, so fit points
-# with |F| <= 1 - 2h exist), the smallest effective sample size of a level,
-# and the size of a sample cloud when the model names none
+# the Monte Carlo leaf average: the kernel bandwidth, the smallest effective
+# sample size of a level, and the default sample count
 BANDWIDTH = 0.05
 MIN_ESS = 50.0
 SAMPLE_COUNT = 100_000
-# residual bounds and rank cuts of float closed-form and fitted certificates
+# residual bound and rank cut of float certificates
 FLOAT_TOLERANCE = 1e-10
-FIT_TOLERANCE = 0.05
 FLOAT_TOL_RANK = 1e-8
-FIT_TOL_RANK = 0.05
 
 
 # -- sphere sampling ---------------------------------------------------------
@@ -392,9 +390,7 @@ class FiniteGroupModel:
     exact products of ``orbit``.
     """
 
-    closed_form = True
     leaf_label_names = ()
-    sample_points = mc_samples = None  # no sampler: averages are closed form
     engine = "exact"
     tol_rank = FLOAT_TOL_RANK
 
@@ -406,7 +402,7 @@ class FiniteGroupModel:
         self.generators = tuple(generators)
         self.mode = mode
         self.exact = mode == EXACT
-        self.tolerance = self.identity_tol = 0.0 if self.exact else FLOAT_TOLERANCE
+        self.tolerance = 0.0 if self.exact else FLOAT_TOLERANCE
         self._table = None
         # the key of every element when the closure ran on them
         self._signed = signed
@@ -741,11 +737,10 @@ class TorusModel:
     same-leaf phase test.
     """
 
-    closed_form = exact = True
-    sample_points = mc_samples = None  # no sampler: averages are closed form
+    exact = True
     engine = "exact"
     tol_rank = FLOAT_TOL_RANK
-    tolerance = identity_tol = 0.0
+    tolerance = 0.0
 
     def __init__(self, weight_matrix, n_fix: int = 0, name: str = ""):
         try:
@@ -1045,6 +1040,16 @@ class LevelLaw:
             )
         return cls(*mults)
 
+    def moment(self, k: int) -> Fraction:
+        """``E[F^k]``, exact: ``F = 1 - 2u`` with ``E[u^j] = prod_{i<j} (a + i)
+        / (a + b + i)`` for ``u ~ Beta(a, b)``."""
+        a, b = Fraction(self.m1 + 1, 2), Fraction(self.m2 + 1, 2)
+        total, u_power = Fraction(0), Fraction(1)
+        for j in range(k + 1):
+            total += math.comb(k, j) * (-2) ** j * u_power
+            u_power *= (a + j) / (a + b + j)
+        return total
+
     def _density(self, phi: np.ndarray) -> np.ndarray:
         return self._scale * np.sin(phi) ** self.m1 * np.cos(phi) ** self.m2
 
@@ -1087,68 +1092,38 @@ def _window_margin(h: float) -> float:
 
 
 class LevelSetSampler:
-    """A reusable cloud of sphere samples for level-set averaging.
+    """The band of sphere samples that the kernel estimate at one level reads.
 
-    Caches the sample points, the level values and the tangential gradient
-    norm, so that averaging many polynomials over many levels costs one
-    polynomial evaluation per polynomial.  The cloud is sorted by level once,
-    so the kernel support of any level is one contiguous slice of it and a
-    level costs O(window) rather than O(N).  Samples come from the first child
-    of ``SeedSequence(seed)``, which makes results bitwise reproducible for a
-    fixed seed.  The cloud's arrays are read-only, so a cloud can be shared.
-
-    The cloud is built inside the ``(d, N)`` array it keeps (``points`` is
-    its ``(N, d)`` view, so ``eval_many`` reads contiguous columns): drawn in
-    blocks of ``_EVAL_BLOCK`` rows, sorted through one scratch row that then
-    holds ``grad_norms``.  A block redraws its rows of norm below 1e-12
-    before the next block is drawn, not after all N rows as one draw would:
-    the clouds differ only then, with probability below 1e-19 per 100k-row
-    cloud for d >= 2.
+    Of ``count`` uniform sphere samples only those in the band ``|F - level|
+    <= reach``, a little wider than the kernel support, are drawn: their
+    number is ``Binomial(count, p)`` for the band's probability ``p`` under
+    the model's ``level_law``, their levels are drawn from that law
+    restricted to the band, and uniform sphere points are carried onto those
+    levels along their normal geodesics (``IsoparametricModel.transport``).
+    That is the law of the band of a full cloud of ``count`` samples, so
+    ``count`` stays the full sample count and the level's estimate and SE are
+    those of the full cloud in law (not in bits), in O(window) time and
+    memory.  Samples come from the first child of ``SeedSequence(seed)``,
+    which makes results bitwise reproducible for a fixed seed.  The band is
+    sorted by level, so the kernel support of a level is one contiguous slice
+    of it, and the tangential gradient norm of each sample is kept.
     """
 
-    def __init__(self, model: "IsoparametricModel", seed, count: int, *,
-                 level: Optional[float] = None):
-        """With ``level``, draw only the samples that ``window(level)`` can
-        read, the band ``|F - level| <= reach`` a little wider than the
-        kernel support: their number is ``Binomial(count, p)`` for the band's
-        probability ``p`` under the model's ``level_law``, their levels are
-        drawn from that law restricted to the band, and uniform sphere points
-        are carried onto those levels along their normal geodesics
-        (``IsoparametricModel.transport``).  That is the law of the band of a
-        full cloud of ``count`` samples, so ``count`` stays the full sample
-        count and the level's estimates and SEs are those of the full cloud
-        in law (not in bits), in O(window) time and memory."""
+    def __init__(self, model: "IsoparametricModel", seed: int, count: int, *, level: float):
         self.h = model.h
         self.min_ess = MIN_ESS
-        self.seed = seed
         self.count = count
-        root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-        rng = np.random.default_rng(root.spawn(1)[0])
-        dim = model.ambient_dim
-        if level is None:
-            columns = np.empty((dim, count))
-            for start in range(0, count, _EVAL_BLOCK):
-                block = sample_sphere_many(min(_EVAL_BLOCK, count - start), dim, rng)
-                columns[:, start:start + len(block)] = block.T
-        else:
-            # twice the window's margin: a superset of every sample it reads
-            reach = model.h + 2.0 * _window_margin(model.h)
-            lo, hi = level - reach, level + reach
-            law = model.level_law
-            targets = law.draw(rng.binomial(count, law.band_probability(lo, hi)), lo, hi, rng)
-            columns = model.transport(sample_sphere_many(len(targets), dim, rng), targets).T.copy()
-        scratch = model.F.eval_many(columns.T)  # the unsorted levels
-        order = np.argsort(scratch)
-        self.level_values = np.take(scratch, order)
-        for row in columns:
-            np.take(row, order, out=scratch, mode="clip")  # "clip" skips the buffer of "raise"
-            row[:] = scratch
-        del order
-        np.subtract(1.0, np.square(self.level_values, out=scratch), out=scratch)
-        np.multiply(model.g, np.sqrt(np.clip(scratch, 0.0, None, out=scratch), out=scratch), out=scratch)
-        self.points, self.grad_norms = columns.T, scratch
-        for array in (self.points, self.level_values, self.grad_norms):
-            array.flags.writeable = False
+        rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+        # twice the window's margin: a superset of every sample it reads
+        reach = model.h + 2.0 * _window_margin(model.h)
+        lo, hi = level - reach, level + reach
+        law = model.level_law
+        targets = law.draw(rng.binomial(count, law.band_probability(lo, hi)), lo, hi, rng)
+        points = model.transport(sample_sphere_many(len(targets), model.ambient_dim, rng), targets)
+        levels = model.F.eval_many(points)
+        order = np.argsort(levels)
+        self.points, self.level_values = points[order], levels[order]
+        self.grad_norms = model.g * np.sqrt(np.clip(1.0 - np.square(self.level_values), 0.0, None))
 
     def window(self, level: float) -> slice:
         """The slice of the sorted cloud inside the kernel support of ``level``.
@@ -1239,34 +1214,35 @@ class LevelSetSampler:
 class IsoparametricModel:
     """Foliation of the sphere by level sets of a Cartan-Munzner polynomial.
 
-    Admission runs the symbolic identity check.  The leaf average of ``f``
-    at level ``t`` is estimated by coarea weighting:  ``sum w_i f(x_i) / sum w_i``
-    with ``w_i = |grad_S F|(x_i) K_h(F(x_i) - t)`` over uniform sphere
-    samples, where ``|grad_S F| = g sqrt(1 - F^2)`` on the unit sphere.
+    Admission runs the symbolic identity check.  By Munzner (*Math. Ann.*
+    251, 1980) the basic polynomials are generated by ``r^2`` and ``F``, so
+    the degree-``d`` slice is spanned by ``r^(2a) F^b`` with ``2a + g b = d``
+    (``slice_rows``), and ``reynolds`` projects onto it in closed form
+    through the level law.  Slices are read in floats (``exact`` is False)
+    and certificates are held to ``FLOAT_TOLERANCE``.
 
-    The bandwidth ``h`` is ``BANDWIDTH`` and every level must reach an
-    effective sample size of ``MIN_ESS``, for every model.
-
-    ``sample_points`` and ``mc_samples`` size its fit points (at least twice
-    a slice's monomials) and its sample clouds (``SAMPLE_COUNT`` when None);
-    ``identity_tol`` bounds its identity residuals (``FIT_TOLERANCE`` when None).
+    ``leaf_average_mc`` estimates a leaf average at one point by coarea
+    weighting: ``sum w_i f(x_i) / sum w_i`` with ``w_i = |grad_S F|(x_i)
+    K_h(F(x_i) - t)`` over uniform sphere samples, where ``|grad_S F| = g
+    sqrt(1 - F^2)`` on the unit sphere.  The bandwidth ``h`` is
+    ``BANDWIDTH`` and its level must reach an effective sample size of
+    ``MIN_ESS``.
 
     ``symmetry`` may name a finite-group or torus model whose action
     preserves ``F``; it is only used to construct same-leaf companions for
-    separation testing and is validated against ``F`` at construction.
+    separation testing and leaf-constancy checks, and is validated against
+    ``F`` at construction.
     """
 
-    closed_form = exact = False
+    exact = False
     leaf_label_names = ("level",)
     h = BANDWIDTH
-    engine = "vandermonde_fit"
-    tol_rank = FIT_TOL_RANK
-    tolerance = FIT_TOLERANCE
+    engine = "level_law"
+    tol_rank = FLOAT_TOL_RANK
+    tolerance = FLOAT_TOLERANCE
 
-    def __init__(self, F: Polynomial, g: int, *, symmetry=None, name: str = "",
-                 sample_points: Optional[int] = None, mc_samples: Optional[int] = None,
-                 identity_tol: Optional[float] = None):
-        if F.ambient_dim < 2:  # no fit point meets |F| <= 1 - 2h on R^1 (F = +-1)
+    def __init__(self, F: Polynomial, g: int, *, symmetry=None, name: str = ""):
+        if F.ambient_dim < 2:  # S^0 is the two points F = +-1: no level law
             raise ConfigError("an isoparametric model needs ambient_dim at least 2")
         self.F = F
         self.g = g
@@ -1274,9 +1250,6 @@ class IsoparametricModel:
         self.ambient_dim = F.ambient_dim
         self.mode = F.mode
         self.symmetry = symmetry
-        self.sample_points = sample_points
-        self.mc_samples = mc_samples
-        self.identity_tol = FIT_TOLERANCE if identity_tol is None else identity_tol
         self.name = name or f"isoparametric(g={g}, dim={self.ambient_dim})"
         if symmetry is not None:
             self._check_symmetry(symmetry)
@@ -1284,7 +1257,7 @@ class IsoparametricModel:
     def _check_symmetry(self, symmetry):
         if symmetry.ambient_dim != self.ambient_dim:
             raise DimensionMismatch("symmetry model dimension does not match")
-        if not symmetry.closed_form:
+        if not isinstance(symmetry, (FiniteGroupModel, TorusModel)):
             raise ConfigError("symmetry must be a finite-group or torus model")
         # the symmetry preserves F when its average fixes F: exactly for an
         # exact symmetry, within 1e-8 for a float one; an exact finite group
@@ -1375,6 +1348,43 @@ class IsoparametricModel:
         normal += np.cos(step)[:, None] * points
         return normal
 
+    # -- the basic slice ------------------------------------------------------
+
+    def _slice(self, degree: int, mode: str) -> List[Tuple[int, Polynomial]]:
+        """``(b, r^(degree - g b) F^b)`` for each ``b`` with ``g b <= degree``
+        and ``degree - g b`` even, ``b`` ascending, in scalar mode ``mode``."""
+        F = self.F.to_exact() if mode == EXACT else self.F.to_float()
+        r2 = radius_squared(self.ambient_dim, mode)
+        return [(b, r2 ** ((degree - self.g * b) // 2) * F ** b)
+                for b in range(degree // self.g + 1) if (degree - self.g * b) % 2 == 0]
+
+    def slice_rows(self, degree: int) -> List[dict]:
+        """The rows ``r^(2a) F^b`` with ``2a + g b = degree``, ``b`` ascending."""
+        return [row.terms for _, row in self._slice(degree, self.mode)]
+
+    def reynolds(self, f: Polynomial) -> Polynomial:
+        """The leaf average of ``f``, computed in ``f``'s scalar mode: each
+        degree part ``p`` projected sphere-orthogonally onto the rows of its
+        degree.  On the unit sphere ``<r^(2a) F^b, r^(2a') F^b'> = E[F^(b +
+        b')]``, a moment of the level law, so the projection is ``sum_b y_b
+        r^(2a) F^b`` with ``G y = c``, ``G_bb' = E[F^(b + b')]`` and ``c_b =
+        <p, r^(2a) F^b>``: one system of at most ``degree // g + 1`` unknowns.
+        An exact ``f`` of an exact ``F`` has an exact average."""
+        if f.ambient_dim != self.ambient_dim:
+            raise DimensionMismatch("polynomial dimension does not match model")
+        parts: Dict[int, dict] = {}
+        for expo, coeff in f.terms.items():
+            parts.setdefault(sum(expo), {})[expo] = coeff
+        law, scalar = self.level_law, Fraction if f.mode == EXACT else float
+        result = Polynomial.zero(self.ambient_dim, f.mode)
+        for degree, terms in parts.items():
+            part, rows = Polynomial(self.ambient_dim, terms, f.mode), self._slice(degree, f.mode)
+            gram = [[scalar(law.moment(b + c)) for c, _ in rows] for b, _ in rows]
+            weights = solve_gram(gram, [sphere_inner(part, row) for _, row in rows])
+            for y, (_, row) in zip(weights, rows):
+                result = result + row.scale(y)
+        return result
+
     # -- estimation --------------------------------------------------------
 
     def leaf_average_mc(
@@ -1407,16 +1417,3 @@ class IsoparametricModel:
             )
         sampler = LevelSetSampler(self, rng_seed, n, level=level)
         return sampler.leaf_average(f, level)
-
-    def fit_points(self, count: int, rng: np.random.Generator) -> np.ndarray:
-        """Uniform sphere points avoiding ``|F| > 1 - 2h`` (near-focal)."""
-        out = []
-        need = count
-        while need > 0:
-            batch = sample_sphere_many(max(4 * need, 32), self.ambient_dim, rng)
-            levels = self.F.eval_many(batch)
-            keep = batch[np.abs(levels) <= 1.0 - 2.0 * self.h]
-            if len(keep) > 0:
-                out.append(keep[:need])
-                need -= len(out[-1])
-        return np.concatenate(out, axis=0)

@@ -17,7 +17,15 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import DimensionMismatch, InsufficientDistinctPairs, NonFiniteCoefficient
-from .models import PointBatch, _as_floats, _column_sum, _float_rows, _int_dtype, sample_sphere_many
+from .models import (
+    IsoparametricModel,
+    PointBatch,
+    _as_floats,
+    _column_sum,
+    _float_rows,
+    _int_dtype,
+    sample_sphere_many,
+)
 from .polynomials import EXACT
 
 _PROXY_BINS = (1e-3, 1e-2, 1e-1)
@@ -248,7 +256,7 @@ def separation_test(
     # same-leaf side
     max_same = 0.0
     num_same = 0
-    if model.closed_form or model.symmetry is not None:
+    if not (isinstance(model, IsoparametricModel) and model.symmetry is None):
         points = draw(model.ambient_dim, num_pairs, rng)
         mates = model.leaf_mates(points, rng)
         discs = rho_distances(points, mates)

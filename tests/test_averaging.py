@@ -1,5 +1,6 @@
 import gc
 import weakref
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,19 +9,16 @@ from leafavg import (
     EXACT,
     FLOAT,
     BasisDeficient,
-    EffectiveSampleTooSmall,
     IdentityViolation,
-    IllConditionedFit,
     Polynomial,
     average,
     average_structured,
-    monomial_basis,
     parse_polynomial,
     sphere_mean,
     sphere_norm,
     verify_operator_identities,
 )
-from leafavg import averaging, cli
+from leafavg import averaging
 from leafavg.averaging import (
     cycle_probe,
     generator_products,
@@ -29,9 +27,7 @@ from leafavg.averaging import (
 from leafavg.basic_ring import GeneratorSet
 from leafavg.cli import _CONFIG_DIR, load_config
 from leafavg.cli import main as cli_main
-from leafavg.models import LevelSetSampler
-
-from util import euler_apply, random_homogeneous, with_sizes
+from util import euler_apply, random_homogeneous
 
 
 def P(text, dim, mode=EXACT):
@@ -161,103 +157,114 @@ def test_cone_dilation_scaling_of_average(b3_model):
     assert avg.eval(tuple(r * c for c in x)) == r ** 3 * avg.eval(x)
 
 
-# -- statistical engine --------------------------------------------------------------
+# -- level-law engine ------------------------------------------------------------
 
 
 def test_fit_recovers_quadric_average(iso_g2_model):
+    # the average is exact, and the transported plain means agree with it
     f = P("x1^2", 4)
-    cert = average(with_sizes(iso_g2_model, mc_samples=200_000), f, seed=11)
-    assert cert.engine == "vandermonde_fit"
-    expected = P("0.5 * x1^2 + 0.5 * x2^2", 4, FLOAT)
-    assert sphere_norm(cert.average_poly - expected) < 0.02
-    assert cert.fit["condition"] < 1e3
-    assert cert.fit["sample_count"] == 20
+    cert = average(iso_g2_model, f, seed=11)
+    assert cert.engine == "level_law"
+    assert cert.average_poly == P("1/2 * x1^2 + 1/2 * x2^2", 4)
+    assert cert.fit["passed"] and len(cert.fit["z_scores"]) == len(averaging.TRANSPORT_LEVELS)
     assert cert.seed == 11
 
 
-def test_fit_builds_kernel_weights_twice_per_level(iso_g2_model, monkeypatch):
-    # one estimator pass for f, its probe and its Laplacian, one for the fitted
-    # average and its square: the weights of each fit level are built twice.
-    # Each covers only the level's kernel window (about 5% of the iso_g2
-    # cloud for h = 0.05), never all N samples.
-    calls = []
-    lengths = []
-    weights = LevelSetSampler.weights
-
-    def counted(self, level, window=None):
-        calls.append(level)
-        result = weights(self, level, window)
-        lengths.append(len(result))
-        return result
-
-    monkeypatch.setattr(LevelSetSampler, "weights", counted)
-    n = 20_000
-    cert = average(with_sizes(iso_g2_model, 24, n), P("x1^2", 4), seed=3)
-    assert cert.fit["sample_count"] == 24
-    assert 0 < len(calls) <= 2 * cert.fit["sample_count"]
-    assert sum(lengths) < 0.25 * n * len(calls)
-
-
 def test_fit_fixes_basic_input(iso_g2_model):
-    cert = average(with_sizes(iso_g2_model, mc_samples=200_000), iso_g2_model.F, seed=12)
-    assert sphere_norm(cert.average_poly - iso_g2_model.F.to_float()) < 0.02
+    cert = average(iso_g2_model, iso_g2_model.F, seed=12)
+    assert cert.average_poly == iso_g2_model.F
 
 
 def test_fit_certificate_residuals_reasonable(iso_g2_model):
-    cert = average(with_sizes(iso_g2_model, mc_samples=100_000), P("x1^2", 4), seed=13)
-    for name, value in cert.residuals.items():
-        assert value >= 0.0
-        assert value < 0.05, name
+    cert = average(iso_g2_model, P("x1^2", 4), seed=13)
+    assert cert.exact and cert.max_residual() == 0.0
 
 
-def test_fit_condition_cap(iso_g2_model, monkeypatch):
-    monkeypatch.setattr(averaging, "COND_CAP", 1.0)
-    with pytest.raises(IllConditionedFit, match="above cap 1.0e"):
-        average(with_sizes(iso_g2_model, mc_samples=50_000), P("x1^2", 4), seed=14)
+def test_level_law_average_matches_the_sphere_projection(iso_g2_model, iso_g3_model):
+    # the level-law system gives the sphere-orthogonal projection onto the
+    # span of slice_rows, the exact projection a closed-form slice gives
+    from leafavg.basic_ring import gram_schmidt_polys, project_residual
+    rng = np.random.default_rng(17)
+    for model in (iso_g2_model, iso_g3_model):
+        for degree in range(1, 7):
+            f = random_homogeneous(model.ambient_dim, degree, rng)
+            rows = [Polynomial(model.ambient_dim, row) for row in model.slice_rows(degree)]
+            expected = f - project_residual(f, *gram_schmidt_polys(rows)) if rows else f.scale(0)
+            assert model.reynolds(f) == expected
+
+
+def test_level_law_average_is_in_the_scalar_mode_of_f(iso_g2_model):
+    f = P("x1^2 * x3^2 + x2 * x4^3", 4)
+    exact = iso_g2_model.reynolds(f)
+    floats = iso_g2_model.reynolds(f.to_float())
+    assert exact.mode == EXACT and floats.mode == FLOAT
+    assert sphere_norm(floats - exact.to_float()) < 1e-15
+
+
+def test_transported_means_flag_a_slice_without_F(iso_g2_model, monkeypatch):
+    # without F the slice holds r^2 alone, whose average passes every
+    # identity and every leaf-mate check; only the plain means see it
+    from leafavg import IsoparametricModel
+    good = average(iso_g2_model, P("x1^2", 4), seed=7)
+    assert max(map(abs, good.fit["z_scores"])) <= averaging.Z_LIMIT
+    rows = IsoparametricModel._slice
+    monkeypatch.setattr(IsoparametricModel, "_slice", lambda self, d, mode: rows(self, d, mode)[:1])
+    bad = average(iso_g2_model, P("x1^2", 4), seed=7)
+    assert bad.max_residual() == 0.0
+    assert not bad.fit["passed"] and max(map(abs, bad.fit["z_scores"])) > 100
+
+
+def test_leaf_constancy_without_symmetry_is_measured(iso_g2_model, monkeypatch):
+    from leafavg import IsoparametricModel
+    model = IsoparametricModel(iso_g2_model.F, 2)
+    cert = average(model, P("x1^2", 4), seed=8)
+    assert 0.0 <= cert.residuals["leaf_constancy"] < 1e-12
+    # an average that is not constant on the leaves shows in the same number
+    monkeypatch.setattr(IsoparametricModel, "reynolds", lambda self, f: f)
+    assert average(model, P("x1^2", 4), seed=8).residuals["leaf_constancy"] > 0.1
 
 
 def test_structured_fit_coefficients(iso_g2_model):
     gens = make_gens(4, ["x1^2 + x2^2 + x3^2 + x4^2", "x1^2 + x2^2 - x3^2 - x4^2"])
-    model = with_sizes(iso_g2_model, mc_samples=200_000)
-    res = average_structured(model, P("x1^2", 4), gens, seed=15)
+    res = average_structured(iso_g2_model, P("x1^2", 4), gens)
     assert res.patterns == [(1, 0), (0, 1)]
-    assert abs(res.coefficients[0] - 0.25) < 0.02
-    assert abs(res.coefficients[1] - 0.25) < 0.02
-    assert res.residual_rms <= 1e-2
+    assert res.coefficients == [Fraction(1, 4), Fraction(1, 4)]
+    assert res.residual == 0.0
 
 
 def test_structured_fit_of_algebra_element(iso_g2_model):
-    gens = make_gens(4, ["x1^2 + x2^2 + x3^2 + x4^2", "x1^2 + x2^2 - x3^2 - x4^2"])
+    gens = make_gens(4, ["x1^2 + x2^2 + x3^2 + x4^2", "x1^2 + x2^2 - x3^2 - x4^2"], FLOAT)
     f = (iso_g2_model.F ** 3).to_float()
-    res = average_structured(with_sizes(iso_g2_model, 40, 200_000), f, gens, seed=16)
+    res = average_structured(iso_g2_model, f, gens)
     coeff = dict(zip(res.patterns, res.coefficients))
-    assert abs(coeff[(0, 3)] - 1.0) < 0.05
+    assert abs(coeff[(0, 3)] - 1.0) < 1e-12
     for pattern, value in coeff.items():
         if pattern != (0, 3):
-            assert abs(value) < 0.05
+            assert abs(value) < 1e-12
 
 
 def test_structured_fit_detects_missing_generator(iso_g2_model):
     gens = make_gens(4, ["x1^2 + x2^2 + x3^2 + x4^2"])
     with pytest.raises(BasisDeficient) as info:
-        average_structured(with_sizes(iso_g2_model, mc_samples=100_000), P("x1^2", 4), gens, seed=17)
+        average_structured(iso_g2_model, P("x1^2", 4), gens)
     assert info.value.residual > 1e-2
 
 
 def test_structured_fit_no_products_at_degree(iso_g2_model):
     gens = make_gens(4, ["x1^2 + x2^2 + x3^2 + x4^2"])
     with pytest.raises(BasisDeficient):
-        average_structured(with_sizes(iso_g2_model, mc_samples=50_000), P("x1^2 * x2", 4).scale(1),
-                           gens, seed=18)
+        average_structured(iso_g2_model, P("x1^2 * x2", 4).scale(1), gens)
 
 
-def test_monotone_consistency_under_doubling(iso_g2_model):
-    gens = make_gens(4, ["x1^2 + x2^2 + x3^2 + x4^2", "x1^2 + x2^2 - x3^2 - x4^2"])
-    f = P("x1^2", 4)
-    res_n = average_structured(with_sizes(iso_g2_model, mc_samples=100_000), f, gens, seed=19)
-    res_2n = average_structured(with_sizes(iso_g2_model, mc_samples=200_000), f, gens, seed=19)
-    allowance = max(res_n.point_ses)
-    assert res_2n.residual_rms <= res_n.residual_rms + allowance
+def test_structured_fit_skips_dependent_products(t2_model):
+    # x1^2 + x2^2 twice: its square, its product with the copy and the copy's
+    # square are one polynomial; exact and float systems keep one of them
+    for mode in (EXACT, FLOAT):
+        gens = make_gens(4, ["x1^2 + x2^2", "x1^2 + x2^2", "x3^2 + x4^2"], mode)
+        f = P("x1^4 + 2 * x3^2 * x4^2", 4, mode)
+        res = average_structured(t2_model, f.to_exact(), gens)
+        assert res.residual <= 1e-14
+        assert sphere_norm(res.polynomial.to_float() - t2_model.reynolds(f.to_exact()).to_float()) < 1e-14
 
 
 def test_restriction_compatibility(iso_g2_model, t2_model):
@@ -309,18 +316,20 @@ def test_identities_float_group():
 def test_identities_statistical(iso_g2_model):
     f = P("x1^2", 4)
     g = P("x3^2", 4)
-    report = verify_operator_identities(with_sizes(iso_g2_model, mc_samples=100_000, identity_tol=0.05),
-                                        f, g, seed=31)
-    assert report.passed
-    assert report.engine == "vandermonde_fit"
+    report = verify_operator_identities(iso_g2_model, f, g)
+    assert report.passed and all(v == 0.0 for v in report.residuals.values())
+    assert report.engine == "level_law"
+    assert report.tolerance == 1e-10
 
 
-def test_identity_violation_raises_with_report(iso_g2_model):
+def test_identity_violation_raises_with_report(iso_g2_model, monkeypatch):
+    from leafavg import IsoparametricModel
+    reynolds = IsoparametricModel.reynolds
+    monkeypatch.setattr(IsoparametricModel, "reynolds", lambda self, f: reynolds(self, f).scale(Fraction(101, 100)))
     f = P("x1^2", 4)
     g = P("x3^2", 4)
     with pytest.raises(IdentityViolation) as info:
-        verify_operator_identities(with_sizes(iso_g2_model, mc_samples=50_000, identity_tol=1e-14),
-                                   f, g, seed=32)
+        verify_operator_identities(iso_g2_model, f, g)
     assert info.value.identity in {
         "idempotence", "selfadjoint", "contraction", "module", "laplacian"
     }
@@ -340,67 +349,18 @@ def test_cycle_probe_fallback_keeps_degree():
     assert sphere_inner(f, probe) != 0
 
 
-def _reference_certificate_fit(model, f, seed, probe):
-    """The average of ``f`` and its certificate residuals as the fit engine
-    computed them before one identity function existed: formulas inline,
-    from two raw estimator passes."""
-    import math
-    from leafavg import Polynomial, sphere_inner
-    from leafavg.averaging import _FitContext
-    degree = f.homogeneous_degree()
-    f = f.to_float()
-    probe = cycle_probe(f) if probe is None else probe.to_float()
-    lap_f = f.laplacian()
-    with_lap = degree >= 2 and not lap_f.is_zero
-    ctx = _FitContext(model, degree, seed)
-    responses, _ = ctx.responses(f, probe, *([lap_f] if with_lap else []))
-    avg, _, _ = ctx.fit(responses[0], degree)
-    if with_lap:
-        lap_avg, _, _ = ctx.fit(responses[2], degree - 2)
-    else:
-        lap_avg = Polynomial.zero(model.ambient_dim, FLOAT)
-    probe_avg, _, _ = ctx.fit(responses[1], probe.homogeneous_degree())
-    avg_values = avg.eval_many(ctx.sampler.points)
-    again, _ = ctx.sampler.leaf_average_values(np.stack([avg_values, avg_values ** 2]), ctx.levels)
-    e1, e2 = again[:, :8]
-    avg_again, _, _ = ctx.fit(again[0], degree)
-    return avg, {
-        "idempotence": sphere_norm(avg_again - avg),
-        "leaf_constancy": math.sqrt(max([0.0, *(e2 - e1 * e1).tolist()])),
-        "laplacian": sphere_norm(avg.laplacian() - lap_avg),
-        "contraction": max(0.0, -(sphere_mean(f * f) - sphere_mean(avg * avg))),
-        "selfadjoint": abs(sphere_inner(avg, probe) - sphere_inner(f, probe_avg)),
-    }
-
-
-def _reference_identities(model, f, g, *, seed=0):
+def _reference_identities(model, f, g):
     """The identity residuals as computed before one identity function
-    existed: closed-form formulas inline, and three full fit certificates
-    per probe pair on the statistical path."""
+    existed: formulas inline."""
     from leafavg import sphere_inner
-    if model.closed_form:
-        avg_f = model.reynolds(f)
-        avg_g = model.reynolds(g)
-        return {
-            "idempotence": sphere_norm(model.reynolds(avg_f) - avg_f),
-            "selfadjoint": abs(float(sphere_inner(avg_f, g) - sphere_inner(f, avg_g))),
-            "contraction": max(0.0, -float(sphere_mean(f * f) - sphere_mean(avg_f * avg_f))),
-            "laplacian": sphere_norm(avg_f.laplacian() - model.reynolds(f.laplacian())),
-            "module": sphere_norm(model.reynolds(avg_f * g) - avg_f * avg_g),
-        }
-    avg_f, cert_f = _reference_certificate_fit(model, f, seed, g)
-    avg_g, _ = _reference_certificate_fit(model, g, seed + 1, f)
-    module_avg, _ = _reference_certificate_fit(model, avg_f * g.to_float(), seed + 2, None)
-    scale_f = max(sphere_norm(f), 1e-12)
-    scale_g = max(sphere_norm(g), 1e-12)
-    scale_lap = max(sphere_norm(f.laplacian()), scale_f)
+    avg_f = model.reynolds(f)
+    avg_g = model.reynolds(g)
     return {
-        "idempotence": cert_f["idempotence"] / scale_f,
-        "selfadjoint": abs(sphere_inner(avg_f, g.to_float())
-                           - sphere_inner(f.to_float(), avg_g)) / (scale_f * scale_g),
-        "contraction": cert_f["contraction"] / (scale_f * scale_f),
-        "module": sphere_norm(module_avg - avg_f * avg_g) / (scale_f * scale_g),
-        "laplacian": cert_f["laplacian"] / scale_lap,
+        "idempotence": sphere_norm(model.reynolds(avg_f) - avg_f),
+        "selfadjoint": abs(float(sphere_inner(avg_f, g) - sphere_inner(f, avg_g))),
+        "contraction": max(0.0, -float(sphere_mean(f * f) - sphere_mean(avg_f * avg_f))),
+        "laplacian": sphere_norm(avg_f.laplacian() - model.reynolds(f.laplacian())),
+        "module": sphere_norm(model.reynolds(avg_f * g) - avg_f * avg_g),
     }
 
 
@@ -408,106 +368,21 @@ def _bits(residuals):
     return {name: float(value).hex() for name, value in residuals.items()}
 
 
-def test_statistical_identities_match_three_certificate_reference(iso_g2_model, iso_g3_model):
-    from leafavg import format_polynomial
-    rng = np.random.default_rng(47)
-    for model in (with_sizes(iso_g2_model, 24, 20_000, float("inf")),
-                  with_sizes(iso_g3_model, 24, 20_000, float("inf"))):
-        for n in range(2):
-            f = random_homogeneous(model.ambient_dim, 2, rng, n_terms=3)
-            g = random_homogeneous(model.ambient_dim, 2, rng, n_terms=3)
-            seed = 50 + n
-            report = verify_operator_identities(model, f, g, seed=seed)
-            assert _bits(report.residuals) == _bits(_reference_identities(model, f, g, seed=seed))
-            cert = average(model, f, seed=seed)
-            avg, residuals = _reference_certificate_fit(model, f, seed, cycle_probe(f))
-            assert cert.average_text == format_polynomial(avg)
-            assert _bits(cert.residuals) == _bits(residuals)
-
-
-def test_exact_identities_match_reference(b3_model, hopf_model):
+def test_exact_identities_match_reference(b3_model, hopf_model, iso_g2_model, iso_g3_model):
     import math
     from leafavg import group_closure
     s = math.sin(2 * math.pi / 3)
     dihedral = group_closure([[[-0.5, -s], [s, -0.5]], [[1.0, 0.0], [0.0, -1.0]]])
+    cartan = load_config(_CONFIG_DIR / "cartan_so3_g3.json").build_model()
     rng = np.random.default_rng(53)
-    for model in (b3_model, hopf_model, dihedral):
+    for model in (b3_model, hopf_model, dihedral, iso_g2_model, iso_g3_model, cartan):
         f = random_homogeneous(model.ambient_dim, 3, rng, mode=model.mode)
         g = random_homogeneous(model.ambient_dim, 2, rng, mode=model.mode)
         report = verify_operator_identities(model, f, g)
         assert _bits(report.residuals) == _bits(_reference_identities(model, f, g))
 
 
-def test_statistical_verify_makes_four_estimator_passes(iso_g2_model, monkeypatch):
-    # f with its probe and Laplacian, the fitted average of f, then one pass
-    # each for g and for avg_f * g; three full certificates made six
-    calls = []
-    estimate = LevelSetSampler.leaf_average_values
-
-    def counted(self, values, levels, *args, **kwargs):
-        calls.append(len(values))
-        return estimate(self, values, levels, *args, **kwargs)
-
-    monkeypatch.setattr(LevelSetSampler, "leaf_average_values", counted)
-    f, g = P("x1^2", 4), P("x3^2", 4)
-    model = with_sizes(iso_g2_model, 24, 20_000, float("inf"))
-    verify_operator_identities(model, f, g, seed=33)
-    assert len(calls) == 4
-    assert calls[0] == 2  # f and its Laplacian: g is averaged on its own cloud
-    calls.clear()
-    _reference_identities(model, f, g, seed=33)
-    assert len(calls) == 6
-
-
-# -- full-cloud reuse ----------------------------------------------------------
-
-
-def _fresh_iso_g2(sample_points, mc_samples, identity_tol=None):
-    return with_sizes(load_config(_CONFIG_DIR / "iso_g2.json").build_model(), sample_points, mc_samples,
-                      identity_tol)
-
-
-def _fresh_cloud(model, seed):
-    """The cloud of a fit context at ``seed``, drawn anew on every call."""
-    return LevelSetSampler(model, np.random.SeedSequence(seed).spawn(2)[1], model.mc_samples)
-
-
-def test_verify_builds_each_cloud_once(tmp_path, monkeypatch):
-    # verify's probes n and n + 1 share two of their three seeds: one build
-    # per distinct seed, not one per fit context
-    requests, builds = [], []
-    lookup = averaging._full_cloud
-    build = LevelSetSampler.__init__
-
-    def requested(model, seed):
-        requests.append(seed)
-        return lookup(model, seed)
-
-    def built(self, *args, **kwargs):
-        builds.append(args)
-        build(self, *args, **kwargs)
-
-    monkeypatch.setattr(averaging, "_full_cloud", requested)
-    monkeypatch.setattr(LevelSetSampler, "__init__", built)
-    code = cli_main(["verify", "--config", str(_CONFIG_DIR / "iso_g2.json"), "--out", str(tmp_path)])
-    assert code == 0
-    assert len(builds) == len(set(requests)) < len(requests)
-
-
-def test_a_cloud_is_evicted_before_the_next_is_built(tmp_path, monkeypatch):
-    # the kept cloud goes before the next full cloud is drawn, so a model
-    # never holds more than one cloud, the new one included
-    held, build = [], LevelSetSampler.__init__
-
-    def built(self, model, seed, count, *, level=None):
-        if level is None:
-            held.append(model in averaging._CLOUDS)
-        build(self, model, seed, count, level=level)
-
-    monkeypatch.setattr(LevelSetSampler, "__init__", built)
-    code = cli_main(["verify", "--config", str(_CONFIG_DIR / "iso_g2.json"), "--out", str(tmp_path)])
-    assert code == 0
-    assert held and not any(held)
+# -- memory --------------------------------------------------------------------
 
 
 def test_verify_memory_is_bounded_by_one_cloud(tmp_path):
@@ -528,129 +403,16 @@ def test_verify_memory_is_bounded_by_one_cloud(tmp_path):
     assert peak - start < 11 * 2**20
 
 
-def _probes_one_after_another(model, pairs, *, seed):
-    """verify's probe pairs run one after another, pair n at ``seed + n``."""
-    outcomes = []
-    for n, (f, g) in enumerate(pairs):
-        try:
-            outcomes.append(verify_operator_identities(model, f, g, seed=seed + n))
-        except IdentityViolation as err:
-            outcomes.append(err)
-    return outcomes
-
-
-def _verify_bytes(out_dir, config, seed):
-    argv = ["verify", "--config", str(_CONFIG_DIR / f"{config}.json"), "--out", str(out_dir)]
-    code = cli_main(argv + ([] if seed is None else ["--seed", str(seed)]))
-    return code, (out_dir / "verify_report.json").read_bytes()
-
-
-def test_reused_cloud_matches_fresh_cloud(tmp_path, monkeypatch):
-    model = _fresh_iso_g2(24, 20_000, float("inf"))
-    f, g = P("x1^2 - x2 * x3", 4), P("x3^2 + 2 * x1 * x4", 4)
-
-    def run():
-        reports = [verify_operator_identities(model, f, g, seed=60 + n)
-                   for n in range(2)]
-        certs = [average(model, f, seed=61) for _ in range(2)]
-        return ([_bits(r.residuals) for r in reports],
-                [(c.average_text, _bits(c.residuals), c.fit) for c in certs])
-
-    # CLI verify on the isoparametric configs, at their seeds and at 1..7
-    runs = [(config, seed) for config in ("iso_g1", "iso_g2", "iso_g3", "cartan_so3_g3")
-            for seed in (None, *range(1, 8))]
-
-    def verify_runs(side):
-        return [_verify_bytes(tmp_path / f"{side}_{config}_{seed}", config, seed) for config, seed in runs]
-
-    cached, cached_cli = run(), verify_runs("cached")
-    assert averaging._CLOUDS[model][0] == 61
-    monkeypatch.setattr(averaging, "_full_cloud", _fresh_cloud)
-    assert run() == cached
-    monkeypatch.setattr(cli, "verify_identity_pairs", _probes_one_after_another)
-    assert verify_runs("fresh") == cached_cli
-
-
-def test_cloud_order_raises_the_lowest_failing_probes_error(tmp_path, monkeypatch, capsys):
-    # cloud s + 1 serves probe 0's fit of g, then probe 1's fit of f, which
-    # fails here before probe 0's fit of avg_f * g (degree 4, the only fit
-    # on 70 levels) fails on cloud s + 2; run one after another, the probes
-    # meet probe 0's error first, and so must the cloud order
-    config = load_config(_CONFIG_DIR / "iso_g2.json")
-    s = config.params["seed"] + 100
-    module_levels = 2 * len(monomial_basis(4, 4))
-    estimate, calls = LevelSetSampler.leaf_average_values, []
-
-    def failing(self, values, levels, *args, **kwargs):
-        cloud = self.seed.entropy
-        calls.append(cloud)
-        if cloud == s + 1 and calls.count(cloud) == 2:
-            raise EffectiveSampleTooSmall("probe 1: fit of f")
-        if cloud == s + 2 and len(levels) == module_levels:
-            raise EffectiveSampleTooSmall("probe 0: fit of avg_f * g")
-        return estimate(self, values, levels, *args, **kwargs)
-
-    monkeypatch.setattr(LevelSetSampler, "leaf_average_values", failing)
-    argv = ["verify", "--config", str(_CONFIG_DIR / "iso_g2.json"), "--out", str(tmp_path)]
-    for pairs in (cli.verify_identity_pairs, _probes_one_after_another):
-        monkeypatch.setattr(cli, "verify_identity_pairs", pairs)
-        calls.clear()
-        assert cli_main(argv) == 1
-        assert capsys.readouterr().err == "error: probe 0: fit of avg_f * g\n"
-
-
-def test_fitted_slice_responses_are_estimated_in_cloud_sized_chunks():
-    # a fitted slice averages every monomial of its degree: at most
-    # ambient_dim rows are evaluated and estimated at a time, so the peak does
-    # not grow with the monomial count (1.7 and 1.9 MiB above the start at
-    # degrees 2 and 4 on 40,000 samples; 3.6 and 12.0 MiB as one stack)
-    import tracemalloc
-    from leafavg.averaging import _FitContext
-    model = _fresh_iso_g2(24, 40_000)
-    peaks = {}
-    for degree in (2, 4):
-        ctx = _FitContext(model, degree, 7)
-        polys = [Polynomial.monomial(4, e, 1.0, FLOAT) for e in ctx.monomials]
-        tracemalloc.start()
-        try:
-            start = tracemalloc.get_traced_memory()[0]
-            ctx.responses(*polys, se_rows=1)
-            peaks[degree] = tracemalloc.get_traced_memory()[1] - start
-        finally:
-            tracemalloc.stop()
-        stack = np.stack([p.eval_many(ctx.sampler.points) for p in polys])
-        for se_rows in (0, 1, 6, 40):
-            chunked = ctx.responses(*polys, se_rows=se_rows)
-            whole = ctx.sampler.leaf_average_values(stack, ctx.levels, se_rows)
-            assert [a.tobytes() for a in chunked] == [a.tobytes() for a in whole]
-    assert peaks[4] < peaks[2] + 2**19
-
-
 def test_dropped_model_is_freed_without_collection():
-    # a kept cloud holds no reference to its model, so a model dies with its
-    # last reference and takes its cloud along, with no collector pass
+    # no module keeps a reference to an isoparametric model it averaged, so
+    # a model dies with its last reference, with no collector pass
     gc.collect()
     gc.disable()
     try:
-        model = _fresh_iso_g2(24, 5_000)
+        model = load_config(_CONFIG_DIR / "iso_g2.json").build_model()
         average(model, P("x1^2", 4), seed=5)
-        seed, cloud = averaging._CLOUDS[model]
-        assert seed == 5
         dead = weakref.ref(model)
         del model
         assert dead() is None
-        assert cloud.points.shape == (5_000, 4)
     finally:
         gc.enable()
-
-
-def test_cloud_cache_is_bounded_and_read_only():
-    model = _fresh_iso_g2(24, 5_000)
-    f = P("x1 * x2", 4)
-    for seed in range(4):
-        average(model, f, seed=seed)
-        assert averaging._CLOUDS[model][0] == seed
-    cloud = averaging._CLOUDS[model][1]
-    for array in (cloud.points, cloud.level_values, cloud.grad_norms):
-        with pytest.raises(ValueError):
-            array[0] = 0.0

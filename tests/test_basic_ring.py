@@ -12,7 +12,6 @@ from leafavg import (
     EXACT,
     ConfigError,
     DegreeCapWarning,
-    EffectiveSampleTooSmall,
     FiniteGroupModel,
     GenerationGap,
     GeneratorSet,
@@ -38,8 +37,7 @@ from leafavg.cli import _CONFIG_DIR, load_config
 from leafavg.exactlinalg import rref
 from leafavg.polynomials import MomentGram
 
-from util import (_gaussian_fraction_reynolds, _reference_average, swap_and_flip, torus_balanced,
-                  with_sizes)
+from util import _gaussian_fraction_reynolds, _reference_average, swap_and_flip, torus_balanced
 
 
 def P(text, dim, mode=EXACT):
@@ -413,29 +411,30 @@ def test_slice_rows_span_the_averaged_monomials(name):
         assert rref(rows) == rref(averaged), (name, d)
 
 
-# -- statistical pipeline ----------------------------------------------------------------
+# -- isoparametric slices ----------------------------------------------------------------
 
 
 def test_iso_subspace_degree2(iso_g2_model):
-    basis = basic_subspace(with_sizes(iso_g2_model, 24, 40_000), 2, seed=5)
+    basis = basic_subspace(iso_g2_model, 2)
     assert basis.rank == 2
-    assert basis.residual(P("x1^2 + x2^2 + x3^2 + x4^2", 4)) < 0.02
-    assert basis.residual(iso_g2_model.F) < 0.02
+    assert basis.residual(P("x1^2 + x2^2 + x3^2 + x4^2", 4)) < 1e-12
+    assert basis.residual(iso_g2_model.F) < 1e-12
     assert basis.residual(P("x1^2", 4)) > 0.1
     assert basis.singular_values is not None
 
 
 def test_iso_subspace_degree1_empty(iso_g2_model):
-    basis = basic_subspace(with_sizes(iso_g2_model, 12, 40_000), 1, seed=5)
+    basis = basic_subspace(iso_g2_model, 1)
     assert basis.rank == 0
 
 
 def test_iso_discovery_matches_invariant_ring(iso_g2_model):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DegreeCapWarning)
-        gens = discover_generators(with_sizes(iso_g2_model, 24, 40_000), 2, seed=5)
+        gens = discover_generators(iso_g2_model, 4, seed=5)
     texts = {format_polynomial(p) for p in gens.generators}
     assert texts == {"x1^2 + x2^2", "x3^2 + x4^2"}
+    assert gens.dims_by_degree == {1: 0, 2: 2, 3: 0, 4: 3}
 
 
 def test_exact_slice_past_the_cell_bound_is_refused():
@@ -485,23 +484,15 @@ def test_closed_form_float_slices_cut_at_the_float_rank_tolerance():
     assert list(gens.degrees) == [2, 3]
 
 
-def test_statistical_slice_guards_effective_sample_size(iso_g2_model, monkeypatch):
-    monkeypatch.setattr(models, "MIN_ESS", 1e9)
-    starved = with_sizes(iso_g2_model, 24, 20_000)  # its own clouds, built under the patch
-    with pytest.raises(EffectiveSampleTooSmall):
-        basic_subspace(starved, 2, seed=5)
-
-
 def test_rank_unstable_reported(iso_g2_model, monkeypatch):
-    model = with_sizes(iso_g2_model, 24, 40_000)
-    probe = basic_subspace(model, 2, seed=5)
-    assert probe.tol_rank == models.FIT_TOL_RANK
+    probe = basic_subspace(iso_g2_model, 2)
+    assert probe.tol_rank == models.FLOAT_TOL_RANK
     sv = probe.singular_values
-    # place the threshold inside the noise cluster: ambiguous rank must raise
-    ambiguous = (sv[4] + sv[5]) / 2
-    monkeypatch.setattr(models.IsoparametricModel, "tol_rank", ambiguous)
+    # place the threshold between the two singular values, less than the
+    # guard band apart: an ambiguous rank must raise
+    monkeypatch.setattr(models.IsoparametricModel, "tol_rank", (sv[0] + sv[1]) / 2)
     with pytest.raises(RankUnstable) as info:
-        basic_subspace(model, 2, seed=5)
+        basic_subspace(iso_g2_model, 2)
     assert len(info.value.singular_values) == len(sv)
 
 

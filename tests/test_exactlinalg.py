@@ -9,7 +9,17 @@ from leafavg.exactlinalg import (
     integer_left_kernel,
     primitive_integer_row,
     rref,
+    solve_gram,
 )
+
+
+def test_solve_gram_sets_a_dependent_unknown_to_zero():
+    # the Gram matrix of v, 2v and w: the second unknown's pivot vanishes
+    F = Fraction
+    gram = [[F(1), F(2), F(0)], [F(2), F(4), F(0)], [F(0), F(0), F(3)]]
+    assert solve_gram(gram, [F(5), F(10), F(6)]) == [F(5), 0, F(2)]
+    assert solve_gram([[1.0, 2.0], [2.0, 4.0]], [1.0, 2.0], tol=1e-12) == [1.0, 0.0]
+    assert solve_gram([[F(2), F(1)], [F(1), F(2)]], [F(3), F(3)]) == [1, 1]
 
 
 def test_rref_identity_like():

@@ -58,6 +58,17 @@ def test_level_law_takes_the_second_moment_as_a_pairing(model, monkeypatch):
     assert (law.m1, law.m2) == (reference.m1, reference.m2)
 
 
+def test_level_law_moments_are_the_sphere_means_of_powers(model):
+    # E[F^k] from the Beta law equals the sphere mean of F^k: exactly for an
+    # exact F, to rounding for cartan_so3_g3's float one
+    for k in range(5):
+        expected = sphere_mean(model.F ** k)
+        if model.mode == "exact":
+            assert model.level_law.moment(k) == expected, k
+        else:
+            assert float(model.level_law.moment(k)) == pytest.approx(expected, abs=1e-12), k
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_sphere_inner_of_a_quartic_with_itself_is_the_mean_of_its_square(seed):
     F = random_homogeneous(5, 4, np.random.default_rng(seed), n_terms=12).scale(Fraction(2, 7))

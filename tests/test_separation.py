@@ -447,9 +447,10 @@ def _reference_certificate(model, gens, num_pairs, tol_same, rng_seed, same_leaf
     floats.  Returns the certificate and the number of attempts."""
     same_leaf, quotient_distance, random_leaf_mate = _reference_predicates(model)
     rng = np.random.default_rng(rng_seed)
-    exact = model.closed_form and model.mode == EXACT and gens.mode == EXACT
+    level_sets = isinstance(model, IsoparametricModel)
+    exact = model.exact and gens.mode == EXACT
     if same_leaf_tol is None:
-        same_leaf_tol = 1e-9 if model.closed_form else LEVEL_TOL
+        same_leaf_tol = LEVEL_TOL if level_sets else 1e-9
 
     def sample(count):
         if exact:
@@ -464,7 +465,7 @@ def _reference_certificate(model, gens, num_pairs, tol_same, rng_seed, same_leaf
 
     notes, failures = [], []
     max_same, num_same = 0.0, 0
-    if not model.closed_form and model.symmetry is None:
+    if level_sets and model.symmetry is None:
         notes.append("no leaf-transitive symmetry configured; same-leaf pairs skipped "
                      "(same-leaf testing degenerates to the level predicate)")
     else:
@@ -566,8 +567,8 @@ def test_separation_matches_reference_across_batches(bundled_runs, name, set_sam
 
 def _adversarial_pairs(model, rng):
     """Two distinct-leaf pairs with two same-leaf pairs between and after
-    them: rational points for closed-form models, floats otherwise."""
-    if model.closed_form:
+    them: rational points for groups and tori, floats on level sets."""
+    if not isinstance(model, IsoparametricModel):
         points = rational_sphere_points(model.ambient_dim, 5, rng)
     else:
         points = [tuple(row) for row in sample_sphere_many(5, model.ambient_dim, rng).tolist()]

@@ -7,7 +7,7 @@ from operator import add, mul
 import numpy as np
 from hypothesis import strategies as st
 
-from leafavg import EXACT, FLOAT, IsoparametricModel, Polynomial, basic_subspace, monomial_basis
+from leafavg import EXACT, FLOAT, Polynomial, basic_subspace, monomial_basis
 from leafavg.averaging import generator_products
 from leafavg.basic_ring import gram_schmidt_polys, project_residual
 from leafavg.exactlinalg import primitive_integer_row, rref
@@ -39,15 +39,6 @@ def exact_polys(draw, dim=2, max_degree=3):
         if coeff:
             terms[expo] = terms.get(expo, 0) + coeff
     return Polynomial(dim, {e: c for e, c in terms.items() if c != 0})
-
-
-def with_sizes(model, sample_points=None, mc_samples=None, identity_tol=None):
-    """The isoparametric ``model`` rebuilt with the given sample sizes and
-    identity tolerance (None for the statistical engine's defaults); a new
-    model, with clouds of its own."""
-    return IsoparametricModel(model.F, model.g, symmetry=model.symmetry, name=model.name,
-                              sample_points=sample_points, mc_samples=mc_samples,
-                              identity_tol=identity_tol)
 
 
 def swap_and_flip(n):
@@ -180,22 +171,18 @@ def unblocked_eval_many(poly, points):
     return out
 
 
-def two_copy_cloud(model, seed, count, level=None):
-    """``LevelSetSampler``'s ``(points, level_values, grad_norms)`` built as
-    before the in-place build: the whole cloud drawn in one call, sorted by
-    gathering each coordinate into a second cloud-sized array, and the
-    gradient norms computed out of place.  The reference for the in-place
-    build of ``LevelSetSampler.__init__``."""
-    root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    rng = np.random.default_rng(root.spawn(1)[0])
-    if level is None:
-        points = sample_sphere_many(count, model.ambient_dim, rng)
-    else:
-        reach = model.h + 2.0 * _window_margin(model.h)
-        lo, hi = level - reach, level + reach
-        law = model.level_law
-        targets = law.draw(rng.binomial(count, law.band_probability(lo, hi)), lo, hi, rng)
-        points = model.transport(sample_sphere_many(len(targets), model.ambient_dim, rng), targets)
+def two_copy_cloud(model, seed, count, level):
+    """``LevelSetSampler``'s ``(points, level_values, grad_norms)`` built with
+    a second band-sized array: the band drawn in one call, sorted by
+    gathering each coordinate into the second array, and the gradient norms
+    computed from ``level_values ** 2``.  The reference for the build of
+    ``LevelSetSampler.__init__``."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+    reach = model.h + 2.0 * _window_margin(model.h)
+    lo, hi = level - reach, level + reach
+    law = model.level_law
+    targets = law.draw(rng.binomial(count, law.band_probability(lo, hi)), lo, hi, rng)
+    points = model.transport(sample_sphere_many(len(targets), model.ambient_dim, rng), targets)
     levels = model.F.eval_many(points)
     order = np.argsort(levels)
     level_values = np.take(levels, order)
